@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all ci build vet test test-race telemetry-smoke health-smoke chaos-smoke scale-smoke bench bench-json bench-compare bench-smoke fuzz-short repro-fast repro-bench examples
+.PHONY: all ci build vet test test-race telemetry-smoke health-smoke chaos-smoke scale-smoke bench bench-json bench-compare bench-smoke bench-e2e-smoke fuzz-short repro-fast repro-bench examples
 
 all: build vet test test-race
 
@@ -8,15 +8,21 @@ all: build vet test test-race
 # race pass, the observability smoke (metrics scrape + trace/ledger
 # validation), the live health-monitor smoke, the async straggler matrix
 # under the race detector, the 100k-client scale smoke, the decoder fuzz
-# pass, the hot-path benchmark regression gate, and the parallel-speedup
-# smoke.
-ci: vet test test-race telemetry-smoke health-smoke chaos-smoke scale-smoke fuzz-short bench-compare bench-smoke
+# pass, the hot-path benchmark regression gate, the parallel-speedup
+# smoke, and the repo benchmark's own smoke test.
+ci: vet test test-race telemetry-smoke health-smoke chaos-smoke scale-smoke fuzz-short bench-compare bench-smoke bench-e2e-smoke
 
 build:
 	go build ./...
 
+# The wire framing views float64 memory as bytes on little-endian hosts and
+# byte-swaps on the rest; cross-building for s390x keeps the big-endian
+# branch (and nn's flatten helpers it calls) compiling, and vetting for
+# arm64 covers the other 64-bit target people deploy on.
 vet:
 	go vet ./...
+	GOOS=linux GOARCH=s390x go build ./internal/transport/ ./internal/nn/
+	GOARCH=arm64 go vet ./internal/transport/
 
 # vet is a prerequisite: the default test path fails on vet findings before
 # any test runs.
@@ -25,7 +31,8 @@ test: vet
 
 # Race-detect the packages where goroutines share state: the worker pool and
 # kernel budget (fl), the parallel matmul kernels (tensor), the layer scratch
-# reuse (nn), and the wire protocol (transport).
+# reuse (nn), and the wire protocol (transport). -race also turns on checkptr,
+# which checks the framing's unsafe.Slice views of float64 payloads.
 test-race:
 	go test -race ./internal/fl/... ./internal/tensor/... ./internal/nn/... ./internal/transport/...
 
@@ -134,6 +141,11 @@ bench-compare:
 # machines, where the comparison is meaningless.
 bench-smoke:
 	go run ./cmd/flbench -bench-smoke
+
+# The repo benchmark (benchmark/, its own module, invisible to ./...) ships
+# a smoke test that builds it and runs every workload briefly.
+bench-e2e-smoke:
+	cd benchmark && go test .
 
 # A short fuzz pass over the two wire decoders: the tensor codec and the
 # transport frame reader with its packed (compressed) payload headers.

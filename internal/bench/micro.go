@@ -1,13 +1,15 @@
 // Package bench defines the hot-path micro-benchmarks (train step, im2col,
-// matmul, δ computation) shared by `go test -bench BenchmarkMicro` and the
-// `flbench -bench-json` regression recorder, plus the JSON compare gate
-// behind `make bench-compare`. Keeping the cases in one place guarantees the
-// JSON trajectory in BENCH_*.json measures exactly what the test benchmarks
-// measure.
+// matmul, δ computation, wire codecs and framing) shared by `go test -bench
+// BenchmarkMicro` and the `flbench -bench-json` regression recorder, plus
+// the JSON compare gate behind `make bench-compare`. Keeping the cases in
+// one place guarantees the JSON trajectory in BENCH_*.json measures exactly
+// what the test benchmarks measure.
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -21,6 +23,7 @@ import (
 	"repro/internal/fl"
 	"repro/internal/nn"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // Case is one named micro-benchmark. Bench must not set the kernel
@@ -102,6 +105,56 @@ func codecCase(name string, s compress.Scheme, n int) Case {
 		for i := 0; i < b.N; i++ {
 			compress.EncodeInto(s, buf, v, r)
 			if err := compress.DecodeInto(recon, s, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}}
+}
+
+// frameParams is the model size of the repo benchmark's fleet workloads: a
+// ~1 MB dense frame.
+const frameParams = 125978
+
+// discardStream is a connection whose writes vanish.
+type discardStream struct{ io.Reader }
+
+func (discardStream) Write(p []byte) (int, error) { return len(p), nil }
+func (discardStream) Close() error                { return nil }
+
+// frameWriteCase sends a 1 MB dense frame through a stream conn: the header
+// and iovec live in the conn, the payload goes out from the caller's slice,
+// so the steady state is 0 B/op.
+func frameWriteCase() Case {
+	return Case{Name: "frame/write/1MB", Bench: func(b *testing.B) {
+		m := &transport.Message{Type: transport.MsgAssign, Params: make([]float64, frameParams)}
+		c := transport.NewStreamConn(discardStream{})
+		b.SetBytes(int64(m.EncodedSize()))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := c.Send(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}}
+}
+
+// frameReadCase decodes the same frame: one allocation for the message, one
+// for its Params (≈ 8n B/op), no staging buffer.
+func frameReadCase() Case {
+	return Case{Name: "frame/read/1MB", Bench: func(b *testing.B) {
+		var wire bytes.Buffer
+		m := &transport.Message{Type: transport.MsgAssign, Params: make([]float64, frameParams)}
+		if err := transport.WriteMessage(&wire, m); err != nil {
+			b.Fatal(err)
+		}
+		r := bytes.NewReader(nil)
+		b.SetBytes(int64(wire.Len()))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Reset(wire.Bytes())
+			if _, err := transport.ReadMessage(r); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -215,6 +268,8 @@ func Cases() []Case {
 		codecCase("codec/q8-16k", compress.SchemeInt8, 16*1024),
 		codecCase("codec/q8-64k", compress.SchemeInt8, 64*1024),
 		codecCase("codec/q1-64k", compress.SchemeBit1, 64*1024),
+		frameWriteCase(),
+		frameReadCase(),
 	}
 }
 

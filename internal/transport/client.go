@@ -139,10 +139,26 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 				Type: MsgUpdate, Round: m.Round, ClientID: m.ClientID,
 				NumSamples: int64(shard.Len()), Loss: loss,
 			}
+			// Flatten the trained model into a buffer this client already
+			// owns where one is free. The self-monitor needs both the model
+			// and params afterwards, so it gets a fresh slice.
+			var flat []float64
+			switch {
+			case cfg.Health == nil && want != compress.SchemeDense:
+				// encodeUpdate takes the difference in place in the Δ buffer.
+				flat = resizeFloats(&cc.upd, len(params))
+			case cfg.Health == nil && m.PParams.N == 0:
+				// A received assign belongs to its receiver (see Conn) and
+				// SetFlat was its last reader: answer in its Params.
+				flat = params
+			default:
+				flat = make([]float64, len(params))
+			}
+			nn.FlattenTo(flat, net.Params())
 			if want == compress.SchemeDense {
-				out.Params = net.GetFlat()
+				out.Params = flat
 			} else {
-				out.PParams = cc.encodeUpdate(want, int(m.Round), int(m.ClientID), net.GetFlat())
+				out.PParams = cc.encodeUpdate(want, int(m.Round), int(m.ClientID), flat)
 			}
 			err = conn.Send(out)
 			ser.End()
@@ -150,13 +166,7 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 			if err != nil {
 				return nil, err
 			}
-			if cfg.Health != nil {
-				flat := out.Params
-				if flat == nil {
-					flat = net.GetFlat()
-				}
-				cfg.Health.ObserveSelf(int(m.Round), int(m.ClientID), loss, flat, params)
-			}
+			cfg.Health.ObserveSelf(int(m.Round), int(m.ClientID), loss, flat, params)
 		case MsgDeltaReq:
 			cd := cfg.Tracer.Start("compute_delta", m.SpanContext())
 			cd.Round, cd.Client = int(m.Round), int(m.ClientID)
@@ -242,7 +252,8 @@ func (c *clientCodec) decode(dst []float64, pv PackedVec) error {
 // encodeUpdate difference-codes the trained model against the assigned
 // broadcast, folds in the error-feedback residual, and encodes under s with
 // the (Seed, round, slot)-keyed RNG — so a resumed client (EF off)
-// reproduces the exact payload bytes of an uninterrupted run.
+// reproduces the exact payload bytes of an uninterrupted run. local may be
+// c.upd itself, in which case the difference is taken in place.
 func (c *clientCodec) encodeUpdate(s compress.Scheme, round, slot int, local []float64) PackedVec {
 	upd := resizeFloats(&c.upd, len(local))
 	for i := range upd {

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"unsafe"
 
 	"repro/internal/compress"
 	"repro/internal/telemetry"
@@ -135,11 +137,45 @@ func (m *Message) EncodedSize() int {
 		len(m.PParams.Data) + len(m.PDelta.Data)
 }
 
-// WriteMessage writes one length-prefixed frame.
+// hostLE: float64 memory already is the wire's byte order, so dense
+// payloads are written from and read into their own slices.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes returns v's wire bytes: v's own memory viewed as bytes where
+// that is the wire form (inPlace), a converted copy on a big-endian host.
+func floatBytes(v []float64, inPlace bool) []byte {
+	if inPlace {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
+	}
+	b := make([]byte, 8*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+	return b
+}
+
+// frameScratch is what writeFrame needs besides the message. Anything handed
+// to an io.Writer escapes, so the header and the iovec backing live here: a
+// streamConn owns one and its sends allocate nothing.
+type frameScratch struct {
+	hdr  [4 + msgHeaderSize]byte
+	iov  [5][]byte
+	bufs net.Buffers // points into iov
+}
+
+// WriteMessage writes one length-prefixed frame. It reads m's payload
+// slices in place until it returns; nothing is staged.
 func WriteMessage(w io.Writer, m *Message) error {
+	var fs frameScratch
+	return writeFrame(w, m, &fs, hostLE)
+}
+
+// writeFrame and readFrame take le, normally hostLE, so tests can run the
+// big-endian branches on any host.
+func writeFrame(w io.Writer, m *Message, fs *frameScratch, le bool) error {
 	body := msgHeaderSize + 8*len(m.Params) + 8*len(m.Delta) +
 		len(m.PParams.Data) + len(m.PDelta.Data)
-	buf := make([]byte, 4+body)
+	buf := fs.hdr[:]
 	binary.LittleEndian.PutUint32(buf[0:], uint32(body))
 	buf[4] = byte(m.Type)
 	binary.LittleEndian.PutUint32(buf[5:], uint32(m.Round))
@@ -158,21 +194,21 @@ func WriteMessage(w io.Writer, m *Message) error {
 	buf[67] = byte(m.PDelta.Scheme)
 	binary.LittleEndian.PutUint32(buf[68:], uint32(m.PDelta.N))
 	binary.LittleEndian.PutUint32(buf[72:], uint32(len(m.PDelta.Data)))
-	off := 4 + msgHeaderSize
-	for _, v := range m.Params {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
+	fs.bufs = fs.iov[:0]
+	for _, b := range [...][]byte{buf, floatBytes(m.Params, le), floatBytes(m.Delta, le),
+		m.PParams.Data, m.PDelta.Data} {
+		// A zero-length Write on an io.Pipe blocks until the peer's next Read.
+		if len(b) > 0 {
+			fs.bufs = append(fs.bufs, b)
+		}
 	}
-	for _, v := range m.Delta {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
-	off += copy(buf[off:], m.PParams.Data)
-	copy(buf[off:], m.PDelta.Data)
-	if _, err := w.Write(buf); err != nil {
+	// One writev on a TCP conn, sequential Writes on any other writer.
+	_, err := fs.bufs.WriteTo(w)
+	clear(fs.iov[:]) // the scratch must not pin payloads past the write
+	if err != nil {
 		return fmt.Errorf("transport: write frame: %w", err)
 	}
-	codecBytesWritten.Add(int64(len(buf)))
+	codecBytesWritten.Add(int64(4 + body))
 	return nil
 }
 
@@ -201,24 +237,49 @@ func validPacked(scheme byte, n, dataLen int) error {
 	return nil
 }
 
+// readFloats reads n wire floats straight into a fresh slice's memory; a
+// big-endian host then fixes the byte order in place.
+func readFloats(r io.Reader, n int, le bool) ([]float64, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	v := make([]float64, n)
+	b := floatBytes(v, true)
+	_, err := io.ReadFull(r, b)
+	if !le {
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+	return v, err
+}
+
 // ReadMessage reads one length-prefixed frame. All length and scheme
 // invariants are checked against the fixed-size header before the payload
-// slices are allocated.
-func ReadMessage(r io.Reader) (*Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// slices are allocated; the payload is then read straight into them. A
+// short read returns an error and no message.
+func ReadMessage(r io.Reader) (*Message, error) { return readFrame(r, hostLE) }
+
+func readFrame(r io.Reader, le bool) (*Message, error) {
+	// The header scratch rides in the message's allocation; on its own it
+	// would escape through the io.Reader into a second one.
+	fr := new(struct {
+		Message
+		hdr [4 + msgHeaderSize]byte
+	})
+	if _, err := io.ReadFull(r, fr.hdr[:4]); err != nil {
 		return nil, fmt.Errorf("transport: read frame length: %w", err)
 	}
-	body := binary.LittleEndian.Uint32(lenBuf[:])
+	body := binary.LittleEndian.Uint32(fr.hdr[:4])
 	if body < msgHeaderSize || body > maxFrameSize {
 		return nil, fmt.Errorf("transport: invalid frame length %d", body)
 	}
-	var hdr [msgHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	buf := fr.hdr[4:]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, fmt.Errorf("transport: read frame header: %w", err)
 	}
-	buf := hdr[:]
-	m := &Message{
+	m := &fr.Message
+	*m = Message{
 		Type:       MsgType(buf[0]),
 		Round:      int32(binary.LittleEndian.Uint32(buf[1:])),
 		ClientID:   int32(binary.LittleEndian.Uint32(buf[5:])),
@@ -248,33 +309,22 @@ func ReadMessage(r io.Reader) (*Message, error) {
 		return nil, fmt.Errorf("transport: frame length %d does not match %d params + %d deltas + %d+%d packed bytes",
 			body, np, nd, plen, dlen)
 	}
-	payload := make([]byte, int(body)-msgHeaderSize)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	var err error
+	if m.Params, err = readFloats(r, np, le); err == nil {
+		m.Delta, err = readFloats(r, nd, le)
+	}
+	if err == nil && plen+dlen > 0 {
+		packed := make([]byte, plen+dlen)
+		_, err = io.ReadFull(r, packed)
+		if pn > 0 {
+			m.PParams = PackedVec{Scheme: compress.Scheme(buf[54]), N: int32(pn), Data: packed[:plen:plen]}
+		}
+		if dn > 0 {
+			m.PDelta = PackedVec{Scheme: compress.Scheme(buf[63]), N: int32(dn), Data: packed[plen:]}
+		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("transport: read frame body: %w", err)
-	}
-	off := 0
-	if np > 0 {
-		m.Params = make([]float64, np)
-		for i := range m.Params {
-			m.Params[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-			off += 8
-		}
-	}
-	if nd > 0 {
-		m.Delta = make([]float64, nd)
-		for i := range m.Delta {
-			m.Delta[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-			off += 8
-		}
-	}
-	if pn > 0 {
-		m.PParams = PackedVec{Scheme: compress.Scheme(buf[54]), N: int32(pn),
-			Data: payload[off : off+plen : off+plen]}
-		off += plen
-	}
-	if dn > 0 {
-		m.PDelta = PackedVec{Scheme: compress.Scheme(buf[63]), N: int32(dn),
-			Data: payload[off : off+dlen : off+dlen]}
 	}
 	codecBytesRead.Add(int64(4 + body))
 	return m, nil

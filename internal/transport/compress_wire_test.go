@@ -134,10 +134,19 @@ func FuzzReadMessage(f *testing.F) {
 	WriteMessage(&packed, &Message{Type: MsgDelta,
 		PDelta: PackedVec{Scheme: compress.SchemeBit1, N: 9, Data: data}})
 	f.Add(packed.Bytes())
+	// Short reads: the golden frame (all four sections) cut mid-Params,
+	// mid-Delta and mid-packed payload.
+	golden := goldenFrame(f)
+	for _, cut := range []int{4 + msgHeaderSize + 20, 4 + msgHeaderSize + 56 + 9, len(golden) - 10} {
+		f.Add(golden[:cut])
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		m, err := ReadMessage(bytes.NewReader(raw))
 		if err != nil {
+			if m != nil {
+				t.Fatalf("error %v came with a partially filled message %+v", err, m)
+			}
 			return
 		}
 		for _, pv := range []PackedVec{m.PParams, m.PDelta} {

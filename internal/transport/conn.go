@@ -4,11 +4,17 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 )
 
 // Conn is a bidirectional, message-oriented connection with byte
 // accounting.
+//
+// Buffer ownership: Send reads m's payload slices in place until it returns
+// — after a deadline-abandoned send, until Close — so never overwrite a
+// slice handed to Send; swap in a new one. A message returned by Recv
+// belongs to the receiver: no other endpoint shares its slices.
 type Conn interface {
 	Send(m *Message) error
 	Recv() (*Message, error)
@@ -21,7 +27,11 @@ type Conn interface {
 
 // streamConn frames messages over any io.ReadWriteCloser (TCP, pipes).
 type streamConn struct {
-	rw       io.ReadWriteCloser
+	rw io.ReadWriteCloser
+	// sendMu guards fs and keeps frames whole: off TCP a frame is several
+	// Writes, and a deadline-abandoned Send may outlive the next one's start.
+	sendMu   sync.Mutex
+	fs       frameScratch
 	sent     atomic.Int64
 	received atomic.Int64
 }
@@ -30,7 +40,10 @@ type streamConn struct {
 func NewStreamConn(rw io.ReadWriteCloser) Conn { return &streamConn{rw: rw} }
 
 func (c *streamConn) Send(m *Message) error {
-	if err := WriteMessage(c.rw, m); err != nil {
+	c.sendMu.Lock()
+	err := writeFrame(c.rw, m, &c.fs, hostLE)
+	c.sendMu.Unlock()
+	if err != nil {
 		return err
 	}
 	c.sent.Add(int64(m.EncodedSize()))
