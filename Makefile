@@ -108,10 +108,12 @@ scale-smoke:
 # Prove the async robustness claim under the race detector: the seeded
 # straggler matrix (async per-round wall clock within ~1.2× fault-free
 # while sync degrades), the end-to-end fold/buffer session, the BufferK=0
-# bitwise-sync equivalence, and the buffered-checkpoint resume path.
+# bitwise-sync equivalence, the buffered-checkpoint resume path, and the
+# held-model state machine (elided assigns through retry, rejoin, resume,
+# duplicated and corrupted frames).
 chaos-smoke:
 	go test -race -count 1 ./internal/transport \
-		-run 'TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncBufferKZeroMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController'
+		-run 'TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncBufferKZeroMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide'
 
 # The full benchmark harness: one testing.B benchmark per paper table and
 # figure plus ablations and micro-benchmarks.

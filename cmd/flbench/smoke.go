@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/telemetry"
+	"repro/internal/traceview"
 	"repro/internal/transport"
 )
 
@@ -32,6 +34,7 @@ var smokeSeries = []string{
 	`rfl_phase_seconds_bucket{phase="delta_sync"`,
 	`rfl_bytes_sent_total{algo="rfedavg+"}`,
 	`rfl_bytes_received_total{algo="rfedavg+"}`,
+	`rfl_model_elided_total`,
 	`rfl_delta_staleness_age_bucket`,
 	`rfl_delta_stale_rows`,
 }
@@ -56,7 +59,7 @@ func telemetrySmoke(w io.Writer) error {
 	defer srv.Close()
 	fmt.Fprintf(w, "scrape target: http://%s/metrics\n", srv.Addr())
 
-	if err := runSmokeSession(reg, transport.CodecPolicy{}); err != nil {
+	if err := runSmokeSession(reg, transport.AlgoRFedAvgPlus, transport.CodecPolicy{}, 3, nil); err != nil {
 		return err
 	}
 
@@ -81,7 +84,47 @@ func telemetrySmoke(w io.Writer) error {
 		return fmt.Errorf("/debug/pprof/: %w", err)
 	}
 	fmt.Fprintf(w, "all %d core series present; /healthz and /debug/pprof/ responding\n", len(smokeSeries))
-	return codecSmoke(w, reg)
+	if err := codecSmoke(w, reg); err != nil {
+		return err
+	}
+	return downlinkSmoke(w)
+}
+
+// downlinkSmoke gates Table III's downlink claim on the live wire: from
+// round 1 on, when every client holds the model the second synchronization
+// delivered, an rFedAvg+ round may send at most one frame header and one
+// d-float target per client more than a FedAvg round — O(dN), no second
+// model.
+func downlinkSmoke(w io.Writer) error {
+	const clients = 4
+	down := func(algo transport.Algorithm) ([]traceview.LedgerLine, error) {
+		var buf bytes.Buffer
+		if err := runSmokeSession(telemetry.NewRegistry(), algo, transport.CodecPolicy{}, clients,
+			telemetry.NewRunLedger(&buf)); err != nil {
+			return nil, fmt.Errorf("%s session: %w", algo, err)
+		}
+		return traceview.ReadLedger(&buf)
+	}
+	plus, err := down(transport.AlgoRFedAvgPlus)
+	if err != nil {
+		return err
+	}
+	avg, err := down(transport.AlgoFedAvg)
+	if err != nil {
+		return err
+	}
+	if len(plus) != smokeRounds || len(avg) != smokeRounds {
+		return fmt.Errorf("ledger lines: rfedavg+ %d, fedavg %d, want %d each", len(plus), len(avg), smokeRounds)
+	}
+	bound := int64(clients * ((&transport.Message{}).EncodedSize() + 8*smokeFeatureDim))
+	for r := 1; r < smokeRounds; r++ {
+		if extra := plus[r].DownBytes - avg[r].DownBytes; extra > bound {
+			return fmt.Errorf("round %d: rfedavg+ sends %d B more than fedavg, bound is %d B (N·(header+8d))", r, extra, bound)
+		}
+	}
+	fmt.Fprintf(w, "downlink smoke: rfedavg+ round 1 sends %d B over fedavg's %d B (bound %d B)\n",
+		plus[1].DownBytes-avg[1].DownBytes, avg[1].DownBytes, bound)
+	return nil
 }
 
 // codecSmoke reruns the session with the int8 uplink codec on a second
@@ -97,10 +140,10 @@ func codecSmoke(w io.Writer, dense *telemetry.Registry) error {
 	}
 	defer srv.Close()
 
-	if err := runSmokeSession(reg, transport.CodecPolicy{
+	if err := runSmokeSession(reg, transport.AlgoRFedAvgPlus, transport.CodecPolicy{
 		Update: compress.SchemeInt8,
 		Delta:  compress.SchemeInt8,
-	}); err != nil {
+	}, 3, nil); err != nil {
 		return fmt.Errorf("codec session: %w", err)
 	}
 
@@ -136,13 +179,16 @@ func codecSmoke(w io.Writer, dense *telemetry.Registry) error {
 	return nil
 }
 
+// The smoke sessions' length and feature-layer width d.
+const smokeRounds, smokeFeatureDim = 2, 8
+
 // runSmokeSession drives a short in-process federated session recording
-// into reg, under the given wire-codec policy.
-func runSmokeSession(reg *telemetry.Registry, codec transport.CodecPolicy) error {
-	const clients, rounds = 3, 2
+// into reg (and ledger, when non-nil), under the given wire-codec policy.
+func runSmokeSession(reg *telemetry.Registry, algo transport.Algorithm, codec transport.CodecPolicy,
+	clients int, ledger *telemetry.RunLedger) error {
 	train := data.SynthMNIST(240, 1)
 	parts := data.PartitionBySimilarity(train.Y, clients, 0, rand.New(rand.NewSource(2)))
-	builder := nn.NewMLP(train.Features(), 16, 8, train.Classes)
+	builder := nn.NewMLP(train.Features(), 16, smokeFeatureDim, train.Classes)
 	net := builder(7)
 
 	serverConns := make([]transport.Conn, clients)
@@ -163,13 +209,14 @@ func runSmokeSession(reg *telemetry.Registry, codec transport.CodecPolicy) error
 		}(i)
 	}
 	_, err := transport.Serve(transport.ServerConfig{
-		Algorithm:     transport.AlgoRFedAvgPlus,
-		Rounds:        rounds,
+		Algorithm:     algo,
+		Rounds:        smokeRounds,
 		InitialParams: net.GetFlat(),
 		FeatureDim:    net.FeatureDim,
 		Seed:          5,
 		Codec:         codec,
 		Metrics:       reg,
+		Ledger:        ledger,
 	}, serverConns)
 	wg.Wait()
 	if err != nil {

@@ -24,6 +24,7 @@ type coreLedgerLine struct {
 	Algo      string    `json:"algo"`
 	Round     int       `json:"round"`
 	DownBytes int64     `json:"down_bytes"`
+	Elided    int       `json:"elided"`
 	UpBytes   int64     `json:"up_bytes"`
 	UpScheme  string    `json:"up_scheme"`
 	ReconErr  *float64  `json:"recon_err"`
@@ -147,8 +148,10 @@ func TestSimLedgerRecordsMMDAndDeltaSpans(t *testing.T) {
 // the run ledger for N ∈ {4, 8, 16} and checks the asymptotics the paper
 // claims: subtracting the model-broadcast baseline N·PayloadBytes(P) shared
 // by every algorithm, rFedAvg's remaining download is N·PayloadBytes(N·d) —
-// quadrupling when N doubles (O(dN²)) — while rFedAvg+'s remainder is
-// N·(PayloadBytes(P)+PayloadBytes(d)), which only doubles (O(dN)).
+// quadrupling when N doubles (O(dN²)) — while rFedAvg+'s remainder only
+// doubles (O(dN)): N·(PayloadBytes(P)+PayloadBytes(d)) in round 0, and from
+// round 1 on, when every client already holds the model the second
+// synchronization delivered, exactly N·PayloadBytes(d).
 func TestLedgerBytesScalingMatchesTableIII(t *testing.T) {
 	downFor := func(alg fl.Algorithm, clients int) (down, baseline int64) {
 		var buf bytes.Buffer
@@ -193,6 +196,35 @@ func TestLedgerBytesScalingMatchesTableIII(t *testing.T) {
 		if r < 1.9 || r > 2.1 {
 			t.Errorf("rFedAvg+ extra download ratio N=%d/N=%d is %.2f, want ~2 (O(dN))",
 				linSizes[i], linSizes[i-1], r)
+		}
+	}
+
+	// Steady state: each model version reaches a client once, so all that
+	// rFedAvg+ downloads above FedAvg is the O(d) target per client.
+	for _, n := range linSizes {
+		var buf bytes.Buffer
+		f := ledgerFederation(t, n, nil, telemetry.NewRunLedger(&buf))
+		fl.Run(f, NewRFedAvgPlus(1e-3), 3)
+		for _, l := range decodeCoreLedger(t, &buf)[1:] {
+			extra := l.DownBytes - int64(n)*fl.PayloadBytes(f.NumParams())
+			if want := int64(n) * fl.PayloadBytes(f.FeatureDim()); extra != want || l.Elided != n {
+				t.Errorf("N=%d round %d: %d bytes above the FedAvg baseline with %d models elided, want %d with %d",
+					n, l.Round, extra, l.Elided, want, n)
+			}
+		}
+	}
+
+	// A sampled run elides nothing — which cohorts overlap is a draw of the
+	// seed — so every round costs what round 0 does.
+	var buf bytes.Buffer
+	f := ledgerFederation(t, 16, nil, telemetry.NewRunLedger(&buf))
+	f.Cfg.SampleRatio = 0.5
+	fl.Run(f, NewRFedAvgPlus(1e-3), 4)
+	lines := decodeCoreLedger(t, &buf)
+	for _, l := range lines {
+		if l.Elided != 0 || l.DownBytes != lines[0].DownBytes {
+			t.Errorf("sampled round %d: %d down bytes with %d models elided, want round 0's %d with none",
+				l.Round, l.DownBytes, l.Elided, lines[0].DownBytes)
 		}
 	}
 }

@@ -45,6 +45,11 @@ type RFedAvgPlus struct {
 	table  *DeltaTable
 	// healthScratch backs the health monitor's alloc-free drift reads.
 	healthScratch []float64
+	// held[k] is the round in which client k need not download the model:
+	// it took part in the previous round's second synchronization, which
+	// every client was sampled into, and still has that model loaded (the
+	// transport server's held-model rule); -1 otherwise.
+	held []int
 }
 
 // DefaultStreamN is the client count at which rFedAvg+ servers (sim and
@@ -72,6 +77,10 @@ func (a *RFedAvgPlus) Setup(f *fl.Federation) {
 	}
 	if streamN > 0 && n >= streamN {
 		a.table.SetStreaming(true)
+	}
+	a.held = make([]int, n)
+	for k := range a.held {
+		a.held[k] = -1
 	}
 }
 
@@ -166,15 +175,34 @@ func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
 	// on-demand δ̄^{-k} targets.
 	a.table.Tick()
 
+	// Each model version ships once per client: whoever recomputed its map
+	// last round already holds this round's model. A hold starts only in a
+	// round that sampled nobody out, so bytes per round follow from the
+	// configuration and not from which cohorts the seed makes overlap.
+	elided := 0
+	for _, k := range sampled {
+		if a.held[k] == round {
+			elided++
+		}
+		a.held[k] = -1
+	}
+	if len(sampled) == len(a.held) {
+		for _, k := range fresh {
+			a.held[k] = round + 1
+		}
+	}
+
 	p, p2 := int64(len(sampled)), int64(len(fresh))
 	d := f.FeatureDim()
 	rr := fl.RoundResult{
 		TrainLoss:    fl.MeanLossStale(agg, ages, f.Cfg.StalenessLambda),
 		ClientLosses: fl.LossMap(agg),
 		ClientNorms:  norms,
-		// Down: (model + average map) in sync #1, model again in sync #2
-		// (only fresh clients take part in the second synchronization).
-		DownBytes: p*(fl.PayloadBytes(f.NumParams())+fl.PayloadBytes(d)) + p2*fl.PayloadBytes(f.NumParams()),
+		// Down: (model + average map) in sync #1 — less the models already
+		// held — and the new model in sync #2 (only fresh clients take part
+		// in the second synchronization).
+		DownBytes: (p-int64(elided)+p2)*fl.PayloadBytes(f.NumParams()) + p*fl.PayloadBytes(d),
+		Elided:    elided,
 		// Up: model in sync #1, own map in sync #2, each under the
 		// configured uplink codec.
 		UpBytes: p*f.UplinkBytes(f.NumParams()) + p2*f.UplinkBytes(d),

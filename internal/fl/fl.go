@@ -664,6 +664,9 @@ type RoundResult struct {
 	TrainLoss float64
 	UpBytes   int64
 	DownBytes int64
+	// Elided counts sampled clients whose download omitted the model they
+	// already held (rFedAvg+'s second synchronization delivered it).
+	Elided int
 	// ClientLosses holds each participating client's mean local training
 	// loss, consumed by loss-adaptive samplers.
 	ClientLosses map[int]float64
@@ -902,7 +905,7 @@ func (f *Federation) recordLedger(alg Algorithm, round int, sampled []int, res R
 	rec.Round, rec.Attempt, rec.OK = round, 1, true
 	rec.Loss = res.TrainLoss
 	rec.DurNanos = int64(dur)
-	rec.UpBytes, rec.DownBytes = res.UpBytes, res.DownBytes
+	rec.UpBytes, rec.DownBytes, rec.Elided = res.UpBytes, res.DownBytes, res.Elided
 	if res.UpScheme != "" {
 		rec.UpScheme = res.UpScheme
 		rec.ReconErr = res.ReconErr

@@ -77,6 +77,10 @@ type RoundRecord struct {
 
 	UpBytes   int64 // client→server wire bytes this round
 	DownBytes int64 // server→client wire bytes this round
+	// Elided counts the round's assignments that went out without the model
+	// because the client still held it from the previous round's second
+	// synchronization (rFedAvg+): DownBytes is that many models lighter.
+	Elided int
 
 	// UpScheme names the wire-compression scheme of this round's client
 	// updates ("q8", "dense", ...); empty when the session predates codec
@@ -133,7 +137,7 @@ func (r *RoundRecord) Reset() {
 	r.Round, r.Attempt = 0, 0
 	r.OK = false
 	r.Loss, r.DurNanos = 0, 0
-	r.UpBytes, r.DownBytes = 0, 0
+	r.UpBytes, r.DownBytes, r.Elided = 0, 0, 0
 	r.UpScheme = ""
 	r.ReconErr = math.NaN()
 	r.ClientLoss = r.ClientLoss[:0]
@@ -183,6 +187,10 @@ func (l *RunLedger) Record(r *RoundRecord) {
 	b = strconv.AppendInt(b, r.UpBytes, 10)
 	b = append(b, `,"down_bytes":`...)
 	b = strconv.AppendInt(b, r.DownBytes, 10)
+	if r.Elided > 0 {
+		b = append(b, `,"elided":`...)
+		b = strconv.AppendInt(b, int64(r.Elided), 10)
+	}
 	if r.UpScheme != "" {
 		b = append(b, `,"up_scheme":`...)
 		b = appendJSONString(b, r.UpScheme)

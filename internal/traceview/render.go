@@ -56,6 +56,9 @@ func Waterfall(w io.Writer, spans []Span, ledger []LedgerLine, width int) error 
 				header += fmt.Sprintf("  loss %.4f", *l.Loss)
 			}
 			header += fmt.Sprintf("  up %s  down %s", fmtBytes(l.UpBytes), fmtBytes(l.DownBytes))
+			if l.Elided > 0 {
+				header += fmt.Sprintf(" (%d models elided)", l.Elided)
+			}
 			if !l.OK {
 				header += "  FAILED"
 			}
@@ -152,7 +155,7 @@ func Summary(w io.Writer, ledger []LedgerLine) error {
 	}
 	fmt.Fprintf(w, "run: %s, %d round attempts\n", ledger[0].Algo, len(ledger))
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "round\tattempt\tok\tloss\tdur\tup\tdown\tclients\tmean_mmd\tstale\tevicted\trejoins")
+	fmt.Fprintln(tw, "round\tattempt\tok\tloss\tdur\tup\tdown\telided\tclients\tmean_mmd\tstale\tevicted\trejoins")
 	for i := range ledger {
 		l := &ledger[i]
 		loss := "-"
@@ -171,9 +174,9 @@ func Summary(w io.Writer, ledger []LedgerLine) error {
 		if clients == 0 {
 			clients = l.Cohort // summary-mode lines carry a count, not IDs
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%v\t%s\t%s\t%s\t%s\t%d\t%s\t%d\t%d\t%d\n",
+		fmt.Fprintf(tw, "%d\t%d\t%v\t%s\t%s\t%s\t%s\t%d\t%d\t%s\t%d\t%d\t%d\n",
 			l.Round, l.Attempt, l.OK, loss, fmtDur(l.DurNS),
-			fmtBytes(l.UpBytes), fmtBytes(l.DownBytes), clients,
+			fmtBytes(l.UpBytes), fmtBytes(l.DownBytes), l.Elided, clients,
 			mmd, l.StaleRows, len(l.Evicted), l.Rejoins)
 	}
 	if err := tw.Flush(); err != nil {

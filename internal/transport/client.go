@@ -78,6 +78,7 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 		cfg.NewOptimizer = func() opt.Optimizer { return opt.NewSGD() }
 	}
 	net := cfg.Builder(cfg.ModelSeed)
+	nParams := net.NumParams()
 	localOpt := cfg.NewOptimizer()
 	caps := cfg.Caps
 	if caps == 0 {
@@ -91,6 +92,10 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 	}
 	cfg.Events.Emit("join", -1, "")
 
+	// held is the round whose MsgAssign may arrive without a model: net still
+	// carries it from the previous round's MsgDeltaReq (computing δ only reads
+	// the weights). answered is the last round an assign was answered for.
+	held, answered := int32(-1), int32(-1)
 	for {
 		m, err := conn.Recv()
 		if err != nil {
@@ -101,23 +106,41 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 		}
 		switch m.Type {
 		case MsgAssign:
+			elided := len(m.Params) == 0 && m.PParams.N == 0
+			if elided && m.Round != held {
+				if m.Round == answered {
+					continue // duplicate of an elided assign already answered
+				}
+				return nil, fmt.Errorf("transport: round-%d assign carries no model and none is held", m.Round)
+			}
+			held, answered = -1, m.Round
 			// The assign frame carries the server's round span context;
 			// everything this client does for the round nests under it.
 			cr := cfg.Tracer.Start("client_round", m.SpanContext())
 			cr.Round, cr.Client = int(m.Round), int(m.ClientID)
-			params, err := cc.downParams(m)
-			if err != nil {
-				return nil, err
-			}
-			net.SetFlat(params)
 			// The server clamps Want to the advertised caps, but a buggy or
 			// hostile one might not; clamp again so the reply never carries a
 			// scheme this client did not offer.
 			want := compress.Negotiate(m.Want, cc.caps)
-			if want != compress.SchemeDense {
-				// Keep the assigned model: the packed update is the
-				// difference against it.
-				cc.assigned = append(cc.assigned[:0], params...)
+			// params is the model this round trains from: the packed update is
+			// the difference against it and the self-monitor measures from it.
+			// An elided assign's model is the one net already holds.
+			var params []float64
+			switch {
+			case !elided:
+				var err error
+				if params, err = cc.downParams(m, nParams); err != nil {
+					return nil, err
+				}
+				net.SetFlat(params)
+				if want != compress.SchemeDense {
+					cc.assigned = append(cc.assigned[:0], params...)
+				}
+			case want != compress.SchemeDense:
+				params = resizeFloats(&cc.assigned, nParams)
+				nn.FlattenTo(params, net.Params())
+			case cfg.Health != nil:
+				params = net.GetFlat()
 			}
 			target, err := cc.downTarget(m)
 			if err != nil {
@@ -146,13 +169,13 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 			switch {
 			case cfg.Health == nil && want != compress.SchemeDense:
 				// encodeUpdate takes the difference in place in the Δ buffer.
-				flat = resizeFloats(&cc.upd, len(params))
-			case cfg.Health == nil && m.PParams.N == 0:
+				flat = resizeFloats(&cc.upd, nParams)
+			case cfg.Health == nil && len(m.Params) > 0:
 				// A received assign belongs to its receiver (see Conn) and
 				// SetFlat was its last reader: answer in its Params.
-				flat = params
+				flat = m.Params
 			default:
-				flat = make([]float64, len(params))
+				flat = make([]float64, nParams)
 			}
 			nn.FlattenTo(flat, net.Params())
 			if want == compress.SchemeDense {
@@ -170,11 +193,12 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 		case MsgDeltaReq:
 			cd := cfg.Tracer.Start("compute_delta", m.SpanContext())
 			cd.Round, cd.Client = int(m.Round), int(m.ClientID)
-			params, err := cc.downParams(m)
+			params, err := cc.downParams(m, nParams)
 			if err != nil {
 				return nil, err
 			}
 			net.SetFlat(params)
+			held = m.Round + 1
 			delta := core.ComputeDelta(net, shard, cfg.DeltaBatch)
 			cd.End()
 			out := &Message{Type: MsgDelta, Round: m.Round, ClientID: m.ClientID}
@@ -217,12 +241,17 @@ type clientCodec struct {
 }
 
 // downParams returns a frame's model params, decoding the packed form into
-// a reused buffer when present.
-func (c *clientCodec) downParams(m *Message) ([]float64, error) {
+// a reused buffer when present. A frame whose payload is not exactly the
+// n-parameter model is an error — nothing downstream is sized by the header.
+func (c *clientCodec) downParams(m *Message, n int) ([]float64, error) {
+	if len(m.Params)+int(m.PParams.N) != n || (m.PParams.N != 0 && len(m.Params) != 0) {
+		return nil, fmt.Errorf("transport: message type %d carries %d dense + %d packed params, model has %d",
+			m.Type, len(m.Params), m.PParams.N, n)
+	}
 	if m.PParams.N == 0 {
 		return m.Params, nil
 	}
-	dst := resizeFloats(&c.params, int(m.PParams.N))
+	dst := resizeFloats(&c.params, n)
 	if err := c.decode(dst, m.PParams); err != nil {
 		return nil, err
 	}

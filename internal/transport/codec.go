@@ -38,12 +38,17 @@ const (
 	// aggregation weights.
 	MsgJoin MsgType = iota + 1
 	// MsgAssign starts a round: global parameters plus, for rFedAvg+, the
-	// client's regularization target δ̄^{-k}.
+	// client's regularization target δ̄^{-k}. The payload-less form — neither
+	// Params nor PParams — means "train from the model the previous round's
+	// MsgDeltaReq gave you": the server sends it only to a connection it sent
+	// that frame, in a round whose cohort was the whole population, and a
+	// client that holds no such model fails the session.
 	MsgAssign
 	// MsgUpdate returns the locally trained parameters and training loss.
 	MsgUpdate
 	// MsgDeltaReq is rFedAvg+'s second synchronization: the freshly
-	// aggregated global model, from which the client must recompute its map.
+	// aggregated global model, from which the client must recompute its map
+	// — and which it keeps loaded as the next round's starting point.
 	MsgDeltaReq
 	// MsgDelta returns the client's recomputed map δ^k.
 	MsgDelta

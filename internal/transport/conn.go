@@ -15,6 +15,11 @@ import (
 // — after a deadline-abandoned send, until Close — so never overwrite a
 // slice handed to Send; swap in a new one. A message returned by Recv
 // belongs to the receiver: no other endpoint shares its slices.
+//
+// A connection carries each global model once: after a MsgDeltaReq the
+// client keeps that model loaded and the next MsgAssign may arrive
+// payload-less (see MsgAssign). That state is per connection — a new Conn,
+// rejoin included, starts with nothing held.
 type Conn interface {
 	Send(m *Message) error
 	Recv() (*Message, error)

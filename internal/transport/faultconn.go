@@ -52,8 +52,8 @@ type FaultPlan struct {
 	// ScaleUpdate, when > 0, rewrites outgoing updates to w' = g + C(w−g)
 	// — the scaled-update (model-boosting) attack. Composes with
 	// SignFlipUpdate (the factor becomes −C). Both modes need the dense
-	// update path: they rewrite Params against the last dense MsgAssign
-	// payload and leave compressed frames untouched.
+	// update path: they rewrite Params against the last dense model payload
+	// received and leave compressed frames untouched.
 	ScaleUpdate float64
 }
 
@@ -80,8 +80,9 @@ type FaultConn struct {
 	rng  *rand.Rand
 	ops  int
 	dead bool
-	// ref is the last dense global received in a MsgAssign — the mirror
-	// point of the Byzantine update rewrites.
+	// ref is the last dense global received (MsgAssign or, when the next
+	// assign omits the model, MsgDeltaReq) — the mirror point of the Byzantine
+	// update rewrites.
 	ref []float64
 }
 
@@ -181,7 +182,7 @@ func (c *FaultConn) Recv() (*Message, error) {
 		time.Sleep(delay)
 	}
 	m, err := c.inner.Recv()
-	if err == nil && c.plan.updateFactor() != 1 && m.Type == MsgAssign && len(m.Params) > 0 {
+	if err == nil && c.plan.updateFactor() != 1 && (m.Type == MsgAssign || m.Type == MsgDeltaReq) && len(m.Params) > 0 {
 		c.mu.Lock()
 		c.ref = append(c.ref[:0], m.Params...)
 		c.mu.Unlock()

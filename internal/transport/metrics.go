@@ -34,6 +34,9 @@ type serverMetrics struct {
 	// measured on the live wire rather than computed.
 	bytesSent *telemetry.Counter
 	bytesRecv *telemetry.Counter
+	// elided counts MsgAssign frames sent without the model because the
+	// client already held it — why down_bytes sits a model below 2 per round.
+	elided *telemetry.Counter
 
 	// schemeSent/schemeRecv split the vector-payload bytes (dense float64
 	// plus packed data, without frame headers) by wire codec, so a scrape
@@ -83,6 +86,8 @@ func newServerMetrics(reg *telemetry.Registry, algo Algorithm) *serverMetrics {
 			"bytes sent to clients by the server, per algorithm"),
 		bytesRecv: reg.Counter(`rfl_bytes_received_total{algo="`+al+`"}`,
 			"bytes received from clients by the server, per algorithm"),
+		elided: reg.Counter("rfl_model_elided_total",
+			"MsgAssign frames sent without the model the client already held from MsgDeltaReq"),
 
 		staleAge: reg.Histogram("rfl_delta_staleness_age", "per-round ages of the δ-table rows",
 			deltaAgeBuckets),

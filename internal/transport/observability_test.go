@@ -50,6 +50,7 @@ type testLedgerLine struct {
 	DurNS      int64     `json:"dur_ns"`
 	UpBytes    int64     `json:"up_bytes"`
 	DownBytes  int64     `json:"down_bytes"`
+	Elided     int       `json:"elided"`
 	ClientID   []int     `json:"client_id"`
 	ClientLoss []float64 `json:"client_loss"`
 	ClientNorm []float64 `json:"client_norm"`

@@ -216,6 +216,11 @@ type session struct {
 	res        *ServerResult
 	metrics    *serverMetrics
 	lastFault  string
+	// held[i] is the round whose MsgAssign may omit the model, because slot
+	// i's connection was sent exactly that model in the previous round's
+	// MsgDeltaReq and that round's cohort was the whole population; -1 means
+	// the next assign ships it in full.
+	held []int
 	// codec is the per-client negotiated wire-compression state.
 	codec sessionCodec
 	// sessCtx is the root span all round/checkpoint spans parent to.
@@ -281,12 +286,12 @@ type codecSlot struct {
 	upd   compress.Scheme // client→server trained model
 	delta compress.Scheme // δ payloads, both directions
 
-	// bcastRef is the decoded broadcast this client actually received this
-	// round — the reference its packed (difference-coded) update is
-	// reconstructed against. Only maintained when bcast is lossy.
+	// bcastRef is the last model payload this slot was sent, as the client
+	// decoded it — the reference its packed (difference-coded) update is
+	// reconstructed against. Only maintained where s.global cannot stand in:
+	// a lossy bcast, or an async session with packed updates.
 	bcastRef  []float64
-	bcastBuf  []byte // MsgAssign packed params
-	dreqBuf   []byte // MsgDeltaReq packed params
+	bcastBuf  []byte // packed model params (MsgAssign/MsgDeltaReq)
 	targetBuf []byte // MsgAssign packed δ target
 	updDec    []float64
 	deltaDec  []float64
@@ -347,6 +352,35 @@ func packVec(buf *[]byte, s compress.Scheme, v []float64, rng *rand.Rand) Packed
 	return PackedVec{Scheme: s, N: int32(len(v)), Data: b}
 }
 
+// modelPayload puts the current global on m for slot i — version counts the
+// aggregations behind it, so round r's MsgAssign carries version r and its
+// MsgDeltaReq version r+1 — dense or packed as negotiated, and keeps
+// bcastRef in step. The encode RNG is keyed by (Seed, version, slot), not by
+// frame type: MsgDeltaReq(r) and a full MsgAssign(r+1) are the same bytes, so
+// a client trains from the same model whether its assign was elided, retried
+// or the first after a resume.
+func (s *session) modelPayload(m *Message, i, version int) {
+	sl := s.codec.slot(i)
+	bs := sl.bcast
+	if bs == compress.SchemeDense {
+		m.Params = s.global
+		if s.cfg.Async && sl.upd != compress.SchemeDense {
+			// A packed update is diff-coded against this payload, which a
+			// straggler's update may outlive — keep a copy as reference.
+			copy(resizeFloats(&sl.bcastRef, len(s.global)), s.global)
+		}
+		return
+	}
+	m.PParams = packVec(&sl.bcastBuf, bs, s.global, compress.RNG(s.cfg.Seed, version, i+s.codec.n))
+	// Keep the decoded payload: it is both what the client trains from and
+	// the reference its packed update is rebuilt against.
+	ref := resizeFloats(&sl.bcastRef, len(s.global))
+	if err := compress.DecodeInto(ref, bs, m.PParams.Data); err != nil {
+		panic(fmt.Sprintf("transport: self-decode of broadcast failed: %v", err))
+	}
+	compress.ObserveReconError(bs, compress.RelError(s.global, ref))
+}
+
 // Serve runs a synchronous federated session over the given established
 // client connections, then sends MsgDone with the final model and returns
 // it. It is the real-deployment counterpart of fl.Run + core.RFedAvgPlus.
@@ -374,6 +408,7 @@ func Serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 		conns:      make([]Conn, len(conns)),
 		active:     make([]bool, len(conns)),
 		samples:    make([]float64, len(conns)),
+		held:       make([]int, len(conns)),
 		global:     append([]float64(nil), cfg.InitialParams...),
 		table:      core.NewDeltaTable(len(conns), max(cfg.FeatureDim, 1)),
 		res:        &ServerResult{},
@@ -407,6 +442,7 @@ func Serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 	for i, c := range conns {
 		s.conns[i] = s.wrap(c)
 		s.active[i] = true
+		s.held[i] = -1
 	}
 	maxRetries := cfg.MaxRoundRetries
 	if maxRetries <= 0 {
@@ -553,6 +589,7 @@ func (s *session) evict(i, round int, reason string) {
 		return
 	}
 	s.active[i] = false
+	s.held[i] = -1
 	s.conns[i].Close()
 	s.res.Evictions = append(s.res.Evictions, Eviction{Client: i, Round: round, Reason: reason})
 	s.metrics.evictions.Inc()
@@ -777,6 +814,7 @@ func (s *session) place(p pendingJoin) {
 	}
 	s.conns[slot] = p.conn
 	s.active[slot] = true
+	s.held[slot] = -1
 	s.samples[slot] = float64(p.join.NumSamples)
 	s.codec.negotiate(slot, p.join.Caps)
 	s.res.Rejoins++
@@ -813,6 +851,7 @@ func (s *session) runRound(round, attempt int) bool {
 	rec.Loss = math.NaN()
 	evBefore := len(s.res.Evictions)
 	sentBefore, recvBefore := s.metrics.bytesSent.Value(), s.metrics.bytesRecv.Value()
+	elidedBefore := s.metrics.elided.Value()
 
 	start := time.Now()
 	ok := s.attemptRound(round, tRound.Context())
@@ -826,6 +865,7 @@ func (s *session) runRound(round, attempt int) bool {
 		rec.DurNanos = int64(time.Since(start))
 		rec.DownBytes = s.metrics.bytesSent.Value() - sentBefore
 		rec.UpBytes = s.metrics.bytesRecv.Value() - recvBefore
+		rec.Elided = int(s.metrics.elided.Value() - elidedBefore)
 		for _, ev := range s.res.Evictions[evBefore:] {
 			rec.Evicted = append(rec.Evicted, ev.Client)
 		}
@@ -863,6 +903,17 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 		}
 	}
 	cohort := sampleCohortActive(cohortRNG(s.cfg.Seed, round), population, s.cfg.SampleRatio, s.minClients)
+	// A hold starts only in a round that sampled nobody out. Under cohort
+	// sampling the overlap of consecutive cohorts is a draw of the seed:
+	// eliding it would make bytes per round differ from seed to seed, for
+	// SampleRatio/3 of the traffic.
+	whole := true
+	for i, in := range population {
+		if in && !cohort[i] {
+			whole = false
+			break
+		}
+	}
 
 	// Sync #1: assign work to the cohort; skip everyone else. Assign frames
 	// carry the round span's context so client-side spans join the tree.
@@ -879,29 +930,19 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 		}
 		sl := s.codec.slot(i)
 		m := &Message{Type: MsgAssign, Round: int32(round), ClientID: int32(i), Want: sl.upd}
-		if bs := sl.bcast; bs != compress.SchemeDense {
-			// Server encode RNGs are salted by slot plus a stride per payload
-			// class, so no two encodes of one round share a stream; re-derived
-			// per (Seed, round), they replay bitwise on retry and resume.
-			m.PParams = packVec(&sl.bcastBuf, bs, s.global, compress.RNG(s.cfg.Seed, round, i+s.codec.n))
-			// Keep the decoded broadcast: it is both what the client trains
-			// from and the reference its packed update is rebuilt against.
-			ref := resizeFloats(&sl.bcastRef, len(s.global))
-			if err := compress.DecodeInto(ref, bs, m.PParams.Data); err != nil {
-				panic(fmt.Sprintf("transport: self-decode of broadcast failed: %v", err))
-			}
-			compress.ObserveReconError(bs, compress.RelError(s.global, ref))
+		// The client still holds this model from last round's MsgDeltaReq:
+		// ship it once. Any assign, elided or not, ends the hold, so a retried
+		// attempt sends the model in full.
+		if s.held[i] == round {
+			s.metrics.elided.Inc()
 		} else {
-			m.Params = s.global
-			if s.cfg.Async && sl.upd != compress.SchemeDense {
-				// A packed update is diff-coded against this broadcast, which
-				// a straggler's update may outlive — keep a copy as reference.
-				copy(resizeFloats(&sl.bcastRef, len(s.global)), s.global)
-			}
+			s.modelPayload(m, i, round)
 		}
+		s.held[i] = -1
 		if plus {
 			target := s.table.MeanExcluding(i)
 			if ds := sl.delta; ds != compress.SchemeDense && len(target) > 0 {
+				// Salted one stride past the model encode's stream (modelPayload).
 				m.PDelta = packVec(&sl.targetBuf, ds, target, compress.RNG(s.cfg.Seed, round, i+2*s.codec.n))
 			} else {
 				m.Delta = target
@@ -1099,12 +1140,10 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 			if !delivered[i] {
 				return &Message{Type: MsgSkip, Round: int32(round), ClientID: int32(i)}
 			}
-			sl := s.codec.slot(i)
-			m := &Message{Type: MsgDeltaReq, Round: int32(round), ClientID: int32(i), Want: sl.delta}
-			if bs := sl.bcast; bs != compress.SchemeDense {
-				m.PParams = packVec(&sl.dreqBuf, bs, s.global, compress.RNG(s.cfg.Seed, round, i+3*s.codec.n))
-			} else {
-				m.Params = s.global
+			m := &Message{Type: MsgDeltaReq, Round: int32(round), ClientID: int32(i), Want: s.codec.slot(i).delta}
+			s.modelPayload(m, i, round+1)
+			if whole {
+				s.held[i] = round + 1
 			}
 			return m
 		})
