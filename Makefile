@@ -108,12 +108,14 @@ scale-smoke:
 # Prove the async robustness claim under the race detector: the seeded
 # straggler matrix (async per-round wall clock within ~1.2× fault-free
 # while sync degrades), the end-to-end fold/buffer session, the BufferK=0
-# bitwise-sync equivalence, the buffered-checkpoint resume path, and the
+# bitwise-sync equivalence, the buffered-checkpoint resume path, the
 # held-model state machine (elided assigns through retry, rejoin, resume,
-# duplicated and corrupted frames).
+# duplicated and corrupted frames), and the silent-non-member rules (frames
+# only to the cohort; a dead idle peer reaped at the round boundary and its
+# slot handed to a rejoiner).
 chaos-smoke:
 	go test -race -count 1 ./internal/transport \
-		-run 'TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncBufferKZeroMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide'
+		-run 'TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncBufferKZeroMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide|TestCohortWireLaw|TestCohortReapsDeadUnsampledPeer'
 
 # The full benchmark harness: one testing.B benchmark per paper table and
 # figure plus ablations and micro-benchmarks.

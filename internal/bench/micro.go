@@ -12,6 +12,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
@@ -161,6 +162,36 @@ func frameReadCase() Case {
 	}}
 }
 
+// checkpointSaveCase saves the checkpoint of a 1,024-slot session whose every
+// slot has reported a 48-dim δ row to a real file — temp file, write, close,
+// rename — so the system-call cost a bytes.Buffer hides is on record.
+func checkpointSaveCase() Case {
+	return Case{Name: "checkpoint/save/1kx48", Bench: func(b *testing.B) {
+		const slots, dim, params = 1024, 48, 8378 // the repo benchmark's device-pipe-1k
+		r := rand.New(rand.NewSource(10))
+		ck := &transport.Checkpoint{
+			Round: 100, Global: make([]float64, params), RoundLosses: make([]float64, 100),
+			DeltaRows: make([][]float64, slots), DeltaAges: make([]int, slots), DeltaTicks: 100,
+			UpdateAges: make([]int, slots), UpdateTicks: 100,
+		}
+		for k := range ck.DeltaRows {
+			ck.DeltaRows[k] = make([]float64, dim)
+			for j := range ck.DeltaRows[k] {
+				ck.DeltaRows[k][j] = r.NormFloat64()
+			}
+			ck.DeltaAges[k], ck.UpdateAges[k] = r.Intn(16), r.Intn(16)
+		}
+		path := filepath.Join(b.TempDir(), "session.ckpt")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := transport.SaveCheckpoint(path, ck); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}}
+}
+
 // Cases returns the micro-benchmark suite.
 func Cases() []Case {
 	rng := rand.New(rand.NewSource(42))
@@ -270,6 +301,7 @@ func Cases() []Case {
 		codecCase("codec/q1-64k", compress.SchemeBit1, 64*1024),
 		frameWriteCase(),
 		frameReadCase(),
+		checkpointSaveCase(),
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 
 // Shared help strings — the single source of the -h wording.
 const (
-	eventsHelp   = "append JSONL lifecycle events (join/skip/done, evict/rejoin/retry/checkpoint/resume) to this file"
+	eventsHelp   = "append JSONL lifecycle events (join/done, evict/rejoin/retry/checkpoint/resume) to this file"
 	traceHelp    = "write JSONL trace spans (session/round/per-client phases) to this file; render with fltrace -trace"
 	ledgerHelp   = "write one JSONL training-dynamics record per round to this file; render with fltrace -ledger"
 	summaryHelp  = "print the process metric registry summary after the run"

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -54,24 +55,39 @@ const (
 	ckptMaxCount = 1 << 24
 )
 
-// Write writes the checkpoint to w.
+// Write writes the checkpoint to w in one Write call.
 func (ck *Checkpoint) Write(w io.Writer) error {
-	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:], ckptMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], ckptVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(ck.Round))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(ck.Global)))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(ck.DeltaRows)))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(len(ck.RoundLosses)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: checkpoint header: %w", err)
-	}
-	if err := tensor.EncodeFloats(w, ck.Global); err != nil {
+	img, err := ck.appendTo(nil)
+	if err != nil {
 		return err
 	}
+	if _, err := w.Write(img); err != nil {
+		return fmt.Errorf("transport: checkpoint write: %w", err)
+	}
+	return nil
+}
+
+// appendTo appends the version-3 image of ck to dst. It only reads ck's
+// slices, so ck may be a view of live session state.
+func (ck *Checkpoint) appendTo(dst []byte) ([]byte, error) {
+	// Reserve an upper bound up front: growing a fresh buffer by doubling
+	// costs several times the image in garbage and copies.
+	need := 64 + 8*(len(ck.Global)+len(ck.RoundLosses)+len(ck.DeltaAges)+len(ck.UpdateAges))
+	for _, row := range ck.DeltaRows {
+		need += 8 * len(row)
+	}
+	for _, b := range ck.Buffered {
+		need += 20 + 8*len(b.Params)
+	}
+	dst = slices.Grow(dst, need)
+	le := binary.LittleEndian
+	for _, v := range [...]int{ckptMagic, ckptVersion, ck.Round, len(ck.Global), len(ck.DeltaRows), len(ck.RoundLosses)} {
+		dst = le.AppendUint32(dst, uint32(v))
+	}
+	dst = appendFloats(dst, ck.Global)
 	if len(ck.DeltaRows) > 0 {
 		// Version-3 sparse δ section: dim, the ticks default age, then one
-		// (slot, row, age) entry per occupied row — never-Set slots cost
+		// (slot, age, row) entry per occupied row — never-Set slots cost
 		// nothing — then (slot, age) exceptions for unoccupied slots whose
 		// age differs from the ticks default.
 		dim, occ := 0, 0
@@ -84,115 +100,75 @@ func (ck *Checkpoint) Write(w io.Writer) error {
 			}
 			occ++
 		}
-		var u32 [4]byte
-		binary.LittleEndian.PutUint32(u32[:], uint32(dim))
-		if _, err := w.Write(u32[:]); err != nil {
-			return fmt.Errorf("transport: checkpoint δ dim: %w", err)
-		}
-		binary.LittleEndian.PutUint32(u32[:], uint32(ck.DeltaTicks))
-		if _, err := w.Write(u32[:]); err != nil {
-			return fmt.Errorf("transport: checkpoint δ ticks: %w", err)
-		}
-		binary.LittleEndian.PutUint32(u32[:], uint32(occ))
-		if _, err := w.Write(u32[:]); err != nil {
-			return fmt.Errorf("transport: checkpoint δ occupancy: %w", err)
-		}
+		dst = le.AppendUint32(dst, uint32(dim))
+		dst = le.AppendUint32(dst, uint32(ck.DeltaTicks))
+		dst = le.AppendUint32(dst, uint32(occ))
 		for k, row := range ck.DeltaRows {
 			if row == nil {
 				continue
 			}
 			if len(row) != dim {
-				return fmt.Errorf("transport: checkpoint δ row %d has %d dims, want %d", k, len(row), dim)
+				return nil, fmt.Errorf("transport: checkpoint δ row %d has %d dims, want %d", k, len(row), dim)
 			}
-			var ent [8]byte
-			binary.LittleEndian.PutUint32(ent[0:], uint32(k))
 			age := 0
 			if k < len(ck.DeltaAges) {
 				age = ck.DeltaAges[k]
 			}
-			binary.LittleEndian.PutUint32(ent[4:], uint32(age))
-			if _, err := w.Write(ent[:]); err != nil {
-				return fmt.Errorf("transport: checkpoint δ entry: %w", err)
-			}
-			if err := tensor.EncodeFloats(w, row); err != nil {
-				return err
-			}
+			dst = le.AppendUint32(dst, uint32(k))
+			dst = le.AppendUint32(dst, uint32(age))
+			dst = appendFloats(dst, row)
 		}
-		if err := writeAgeExceptions(w, ck.DeltaRows, ck.DeltaAges, ck.DeltaTicks); err != nil {
-			return err
-		}
+		dst = appendAgeExceptions(dst, ck.DeltaRows, ck.DeltaAges, ck.DeltaTicks)
 	}
-	if err := tensor.EncodeFloats(w, ck.RoundLosses); err != nil {
-		return err
-	}
+	dst = appendFloats(dst, ck.RoundLosses)
 	// Update-age section (since v2, sparse since v3): slot count, the ticks
 	// default, then (slot, age) exceptions — a steady-state session where
 	// most slots never delivered writes a handful of pairs, not N ages.
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(ck.UpdateAges)))
-	if _, err := w.Write(u32[:]); err != nil {
-		return fmt.Errorf("transport: checkpoint update-age count: %w", err)
-	}
+	dst = le.AppendUint32(dst, uint32(len(ck.UpdateAges)))
 	if len(ck.UpdateAges) > 0 {
-		binary.LittleEndian.PutUint32(u32[:], uint32(ck.UpdateTicks))
-		if _, err := w.Write(u32[:]); err != nil {
-			return fmt.Errorf("transport: checkpoint update-age ticks: %w", err)
-		}
-		if err := writeAgeExceptions(w, nil, ck.UpdateAges, ck.UpdateTicks); err != nil {
-			return err
-		}
+		dst = le.AppendUint32(dst, uint32(ck.UpdateTicks))
+		dst = appendAgeExceptions(dst, nil, ck.UpdateAges, ck.UpdateTicks)
 	}
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(ck.Buffered)))
-	if _, err := w.Write(u32[:]); err != nil {
-		return fmt.Errorf("transport: checkpoint buffered count: %w", err)
-	}
+	dst = le.AppendUint32(dst, uint32(len(ck.Buffered)))
 	for _, b := range ck.Buffered {
-		var hdr [16]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(b.Client))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(b.Round))
-		binary.LittleEndian.PutUint64(hdr[8:], math.Float64bits(b.Loss))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return fmt.Errorf("transport: checkpoint buffered header: %w", err)
-		}
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(b.Params)))
-		if _, err := w.Write(u32[:]); err != nil {
-			return fmt.Errorf("transport: checkpoint buffered params len: %w", err)
-		}
-		if err := tensor.EncodeFloats(w, b.Params); err != nil {
-			return err
-		}
+		dst = le.AppendUint32(dst, uint32(b.Client))
+		dst = le.AppendUint32(dst, uint32(b.Round))
+		dst = le.AppendUint64(dst, math.Float64bits(b.Loss))
+		dst = le.AppendUint32(dst, uint32(len(b.Params)))
+		dst = appendFloats(dst, b.Params)
 	}
-	return nil
+	return dst, nil
 }
 
-// writeAgeExceptions writes the sparse age block: a count, then a (slot,
+// appendFloats appends v in the little-endian form tensor.DecodeFloats reads.
+func appendFloats(dst []byte, v []float64) []byte {
+	if hostLE {
+		return append(dst, floatBytes(v, true)...)
+	}
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+	}
+	return dst
+}
+
+// appendAgeExceptions appends the sparse age block: a count, then a (slot,
 // age) pair for every slot whose age differs from the ticks default. When
 // rows is non-nil, slots with a non-nil row are skipped — their age already
 // rode along with their row entry.
-func writeAgeExceptions(w io.Writer, rows [][]float64, ages []int, ticks int) error {
+func appendAgeExceptions(dst []byte, rows [][]float64, ages []int, ticks int) []byte {
+	at := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, 0)
 	nExc := 0
-	for k, age := range ages {
-		if age != ticks && (rows == nil || rows[k] == nil) {
-			nExc++
-		}
-	}
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(nExc))
-	if _, err := w.Write(u32[:]); err != nil {
-		return fmt.Errorf("transport: checkpoint age-exception count: %w", err)
-	}
 	for k, age := range ages {
 		if age == ticks || (rows != nil && rows[k] != nil) {
 			continue
 		}
-		var pair [8]byte
-		binary.LittleEndian.PutUint32(pair[0:], uint32(k))
-		binary.LittleEndian.PutUint32(pair[4:], uint32(age))
-		if _, err := w.Write(pair[:]); err != nil {
-			return fmt.Errorf("transport: checkpoint age exception: %w", err)
-		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(age))
+		nExc++
 	}
-	return nil
+	binary.LittleEndian.PutUint32(dst[at:], uint32(nExc))
+	return dst
 }
 
 // readAgeExceptions reads the sparse age block into ages (already filled
@@ -390,15 +366,23 @@ func readCount(r io.Reader, what string) (int, error) {
 // same directory, then rename, so a server killed mid-write never leaves a
 // truncated checkpoint behind.
 func SaveCheckpoint(path string, ck *Checkpoint) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	img, err := ck.appendTo(nil)
+	if err != nil {
+		return err
+	}
+	return saveImage(path, img)
+}
+
+// saveImage is SaveCheckpoint for an already encoded image: one write(2).
+func saveImage(path string, img []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("transport: checkpoint temp: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := ck.Write(tmp); err != nil {
+	if _, err := tmp.Write(img); err != nil {
 		tmp.Close()
-		return err
+		return fmt.Errorf("transport: checkpoint write: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("transport: checkpoint close: %w", err)

@@ -56,7 +56,7 @@ type ClientConfig struct {
 	// merged trace file shows client work inside the server's round tree.
 	Tracer *telemetry.Tracer
 	// Events, when non-nil, receives one JSONL line per client lifecycle
-	// event (join, skip, done).
+	// event (join, done).
 	Events *telemetry.EventLog
 	// Health, when non-nil, self-monitors this client: each round's local
 	// loss and update feed a single-client monitor, so the norm z-score
@@ -211,7 +211,7 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 				return nil, err
 			}
 		case MsgSkip:
-			cfg.Events.Emit("skip", int(m.Round), "")
+			// Reserved: this server never sends it, older ones did.
 		case MsgDone:
 			cfg.Events.Emit("done", int(m.Round), "")
 			return m.Params, nil

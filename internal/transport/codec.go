@@ -54,8 +54,9 @@ const (
 	MsgDelta
 	// MsgDone ends the session; Params carries the final global model.
 	MsgDone
-	// MsgSkip tells a client it is not in this round's cohort (partial
-	// participation); the client just waits for the next message.
+	// MsgSkip is reserved: it told a client it was outside the round's cohort.
+	// The server never sends it — a client outside the cohort hears nothing
+	// until its next MsgAssign — and receivers ignore it.
 	MsgSkip
 )
 

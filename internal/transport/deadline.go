@@ -30,7 +30,10 @@ type DeadlineConn struct {
 	sendTimeout atomic.Int64
 	recvTimeout atomic.Int64
 
-	recvCh    chan recvResult
+	recvCh chan recvResult
+	// readErr is the inner Recv error that ended the pump, nil while the peer
+	// is readable: how an owner that is not receiving learns the peer is gone.
+	readErr   atomic.Pointer[error]
 	closed    chan struct{}
 	closeOnce sync.Once
 }
@@ -70,6 +73,10 @@ func (c *DeadlineConn) SetTimeouts(sendTimeout, recvTimeout time.Duration) {
 func (c *DeadlineConn) pump() {
 	for {
 		m, err := c.inner.Recv()
+		if err != nil {
+			gone := err // a copy: &err would heap-allocate err on every frame
+			c.readErr.Store(&gone)
+		}
 		select {
 		case c.recvCh <- recvResult{m, err}:
 			if err != nil {

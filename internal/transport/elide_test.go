@@ -35,6 +35,7 @@ type elideRun struct {
 	shape  func(*ServerConfig)
 	client func(i int, cfg *ClientConfig) // optional per-client config edit
 	server func(i int, c Conn) Conn       // optional server-side conn wrapper
+	dial   func(i int, c Conn) Conn       // optional client-side conn wrapper
 	plans  map[int]FaultPlan              // client-side fault plans
 	// mayFail lists client slots whose RunClient is expected to error.
 	mayFail map[int]bool
@@ -61,6 +62,9 @@ func (r elideRun) run(t *testing.T, fx *federatedFixture) *ServerResult {
 		serverConns[i], clientConns[i] = Pipe()
 		if r.server != nil {
 			serverConns[i] = r.server(i, serverConns[i])
+		}
+		if r.dial != nil {
+			clientConns[i] = r.dial(i, clientConns[i])
 		}
 	}
 	var wg sync.WaitGroup

@@ -57,6 +57,8 @@ type testLedgerLine struct {
 	MMDDim     int       `json:"mmd_dim"`
 	MMD        []float64 `json:"mmd"`
 	DeltaAges  []int     `json:"delta_ages"`
+	Evicted    []int     `json:"evicted"`
+	Rejoins    int       `json:"rejoins"`
 }
 
 func decodeLedgerFile(t *testing.T, buf *bytes.Buffer) []testLedgerLine {

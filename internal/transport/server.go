@@ -49,8 +49,8 @@ type ServerConfig struct {
 	// FeatureDim is d, required for rFedAvg+.
 	FeatureDim int
 	// SampleRatio enables partial participation: each round only
-	// ⌈SR·N⌉ clients train; the rest receive MsgSkip. Values ≤ 0 or ≥ 1
-	// mean full participation.
+	// ⌈SR·N⌉ clients train; the rest are sent nothing that round. Values ≤ 0
+	// or ≥ 1 mean full participation.
 	SampleRatio float64
 	// Seed drives cohort sampling and the server side of stochastic wire
 	// quantization (keyed per round/client, so resume is bitwise).
@@ -228,9 +228,10 @@ type session struct {
 	// rec is the reused ledger record; its slices are refilled each round
 	// attempt so steady-state capture allocates nothing.
 	rec telemetry.RoundRecord
-	// lastRejoins attributes boundary rejoins to the following attempt's
-	// ledger record.
-	lastRejoins int
+	// lastRejoins and lastEvictions attribute what happened at the round
+	// boundary (rejoins, dead peers reaped) to the following attempt's ledger
+	// record.
+	lastRejoins, lastEvictions int
 	// pending holds handshaked rejoiners that arrived before their crashed
 	// predecessor's eviction surfaced; they are re-placed at every round
 	// boundary until a slot frees up.
@@ -250,6 +251,18 @@ type session struct {
 	// healthScratch is the δ̄^{-k} buffer behind the health monitor's
 	// per-client drift reads (session-owned so the read allocates nothing).
 	healthScratch []float64
+
+	// members, ioErrs and ioMsgs are the network phases' scratch: the member
+	// list of the phase in progress, and per-slot results the IO pool writes at
+	// a member's own index and the phase clears as it reads them.
+	members []int
+	ioErrs  []error
+	ioMsgs  []*Message
+
+	// ck is the checkpoint view session.checkpoint refills and ckImage its
+	// encoded bytes, both reused from one checkpoint to the next.
+	ck      Checkpoint
+	ckImage []byte
 }
 
 // pendingJoin is a rejoining client that completed its handshake but is
@@ -409,6 +422,8 @@ func Serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 		active:     make([]bool, len(conns)),
 		samples:    make([]float64, len(conns)),
 		held:       make([]int, len(conns)),
+		ioErrs:     make([]error, len(conns)),
+		ioMsgs:     make([]*Message, len(conns)),
 		global:     append([]float64(nil), cfg.InitialParams...),
 		table:      core.NewDeltaTable(len(conns), max(cfg.FeatureDim, 1)),
 		res:        &ServerResult{},
@@ -465,6 +480,7 @@ func Serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.lastEvictions = len(s.res.Evictions) // join failures belong to no round
 
 	startRound := 0
 	if cfg.Resume != nil {
@@ -478,7 +494,7 @@ func Serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 
 	attempts := 0
 	for round := startRound; round < cfg.Rounds; {
-		s.admitRejoins()
+		s.admitRejoins(round)
 		ok := s.activeCount() >= s.minClients || s.waitForQuorum()
 		if ok {
 			ok = s.runRound(round, attempts+1)
@@ -670,40 +686,47 @@ func (s *session) checkpoint(nextRound int) {
 	if s.cfg.CheckpointPath == "" {
 		return
 	}
-	ck := &Checkpoint{
-		Round:       nextRound,
-		Global:      append([]float64(nil), s.global...),
-		RoundLosses: append([]float64(nil), s.res.RoundLosses...),
-	}
+	// ck is a view, not a copy: nothing mutates the model, the δ rows or the
+	// age tracks between rounds, and the encoder only reads them. Its slot-sized
+	// slices and the encoded image are session-owned, so the steady state
+	// allocates nothing that grows with the slots.
+	ck := &s.ck
+	ck.Round, ck.Global, ck.RoundLosses = nextRound, s.global, s.res.RoundLosses
 	if s.cfg.Algorithm == AlgoRFedAvgPlus {
 		// Sparse capture: only occupied (ever-Set) rows carry float data;
 		// never-joined slots stay nil and cost nothing on disk. Ages stay
 		// dense in memory (ints), encoded as ticks-default + exceptions.
-		ck.DeltaRows = make([][]float64, len(s.conns))
-		ck.DeltaAges = make([]int, len(s.conns))
-		s.table.ForEachRow(func(k int, row []float64) {
-			ck.DeltaRows[k] = append([]float64(nil), row...)
-		})
+		if ck.DeltaRows == nil {
+			ck.DeltaRows = make([][]float64, len(s.conns))
+			ck.DeltaAges = make([]int, len(s.conns))
+		}
+		s.table.ForEachRow(func(k int, row []float64) { ck.DeltaRows[k] = row })
 		for k := range ck.DeltaAges {
 			ck.DeltaAges[k] = s.table.Age(k)
 		}
 		ck.DeltaTicks = s.table.Ticks()
 	}
-	ck.UpdateAges = make([]int, s.updAges.Len())
+	if ck.UpdateAges == nil {
+		ck.UpdateAges = make([]int, s.updAges.Len())
+	}
 	s.updAges.ForEach(func(k, age int) { ck.UpdateAges[k] = age })
 	ck.UpdateTicks = s.updAges.Ticks()
 	// Parked-but-unaggregated updates ship with the checkpoint so a resumed
 	// session folds exactly what this one would have.
-	for _, b := range s.folds() {
-		ck.Buffered = append(ck.Buffered, BufferedUpdate{
-			Client: b.Client, Round: b.Round, Loss: b.Loss,
-			Params: append([]float64(nil), b.Params...),
-		})
+	ck.Buffered = ck.Buffered[:0]
+	for _, b := range s.buffered { // slot order, as folds() returns them
+		if b != nil {
+			ck.Buffered = append(ck.Buffered, *b)
+		}
 	}
 	span := telemetry.StartSpan(s.metrics.checkpointSec)
 	tCk := s.cfg.Tracer.Start("checkpoint", s.sessCtx)
 	tCk.Round = nextRound
-	err := SaveCheckpoint(s.cfg.CheckpointPath, ck)
+	img, err := ck.appendTo(s.ckImage[:0])
+	if err == nil {
+		s.ckImage = img
+		err = saveImage(s.cfg.CheckpointPath, img)
+	}
 	tCk.End()
 	span.End()
 	if err != nil {
@@ -724,9 +747,23 @@ func (s *session) closePending() {
 	s.pending = nil
 }
 
-// admitRejoins re-places parked rejoiners (whose slot may have freed since
-// last round) and drains the rejoin channel without blocking.
-func (s *session) admitRejoins() {
+// admitRejoins runs at every round boundary: it reaps dead idle peers,
+// re-places parked rejoiners (whose slot may have freed since last round) and
+// drains the rejoin channel without blocking.
+//
+// The reap is what a frame to every slot used to give for free. A client
+// outside the cohort is sent nothing, so no send can fail on it; its deadline
+// pump still sees the read fail, and the slot is evicted here. A busy (async)
+// slot is left to its in-flight receiver. Without RoundDeadline there is no
+// pump: such a peer is evicted when it is next sampled.
+func (s *session) admitRejoins(round int) {
+	for i, c := range s.conns {
+		if dc, ok := c.(*DeadlineConn); ok && s.active[i] && !s.busy[i] {
+			if err := dc.readErr.Load(); err != nil {
+				s.evict(i, round, fmt.Sprintf("peer gone: %v", *err))
+			}
+		}
+	}
 	parked := s.pending
 	s.pending = nil
 	for _, p := range parked {
@@ -849,7 +886,6 @@ func (s *session) runRound(round, attempt int) bool {
 	rec.Algo = string(s.cfg.Algorithm)
 	rec.Round, rec.Attempt = round, attempt
 	rec.Loss = math.NaN()
-	evBefore := len(s.res.Evictions)
 	sentBefore, recvBefore := s.metrics.bytesSent.Value(), s.metrics.bytesRecv.Value()
 	elidedBefore := s.metrics.elided.Value()
 
@@ -866,13 +902,13 @@ func (s *session) runRound(round, attempt int) bool {
 		rec.DownBytes = s.metrics.bytesSent.Value() - sentBefore
 		rec.UpBytes = s.metrics.bytesRecv.Value() - recvBefore
 		rec.Elided = int(s.metrics.elided.Value() - elidedBefore)
-		for _, ev := range s.res.Evictions[evBefore:] {
+		for _, ev := range s.res.Evictions[s.lastEvictions:] {
 			rec.Evicted = append(rec.Evicted, ev.Client)
 		}
 		rec.Rejoins = s.res.Rejoins - s.lastRejoins
 		s.cfg.Ledger.Record(rec)
 	}
-	s.lastRejoins = s.res.Rejoins
+	s.lastRejoins, s.lastEvictions = s.res.Rejoins, len(s.res.Evictions)
 	return ok
 }
 
@@ -886,6 +922,7 @@ func (s *session) runRound(round, attempt int) bool {
 // died, and a retried attempt re-samples the same cohort instead of
 // silently consuming extra draws and perturbing every later round.
 func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
+	defer clear(s.ioMsgs) // the round's frames must not outlive it
 	rec := &s.rec
 	plus := s.cfg.Algorithm == AlgoRFedAvgPlus
 	population := s.active
@@ -915,19 +952,14 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 		}
 	}
 
-	// Sync #1: assign work to the cohort; skip everyone else. Assign frames
-	// carry the round span's context so client-side spans join the tree.
+	// Sync #1: assign work to the cohort; everyone else hears nothing. Assign
+	// frames carry the round span's context so client-side spans join the tree.
 	ctx, cancel := s.phaseCtx()
 	bSpan := telemetry.StartSpan(s.metrics.broadcastSec)
 	tb := s.cfg.Tracer.Start("broadcast", roundCtx)
 	tb.Round = round
-	s.broadcastActive(ctx, round, roundCtx, func(i int) *Message {
-		if s.cfg.Async && s.busy[i] {
-			return nil // mid-round straggler: it gets nothing until it delivers
-		}
-		if !cohort[i] {
-			return &Message{Type: MsgSkip, Round: int32(round), ClientID: int32(i)}
-		}
+	members := s.membersOf(cohort)
+	s.broadcastActive(ctx, round, roundCtx, members, func(i int) *Message {
 		sl := s.codec.slot(i)
 		m := &Message{Type: MsgAssign, Round: int32(round), ClientID: int32(i), Want: sl.upd}
 		// The client still holds this model from last round's MsgDeltaReq:
@@ -959,7 +991,7 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 	if s.cfg.Async {
 		updates = s.gatherAsyncUpdates(round, cohort, tg.Context())
 	} else {
-		updates = s.gatherActive(ctx, round, cohort, MsgUpdate, "gather_client", tg.Context())
+		updates = s.gatherActive(ctx, round, members, MsgUpdate, "gather_client", tg.Context())
 	}
 	tg.End()
 	gSpan.End()
@@ -1133,13 +1165,8 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 		td := s.cfg.Tracer.Start("delta_sync", roundCtx)
 		td.Round = round
 		ctx2, cancel2 := s.phaseCtx()
-		s.broadcastActive(ctx2, round, roundCtx, func(i int) *Message {
-			if s.cfg.Async && s.busy[i] {
-				return nil
-			}
-			if !delivered[i] {
-				return &Message{Type: MsgSkip, Round: int32(round), ClientID: int32(i)}
-			}
+		members = s.membersOf(delivered)
+		s.broadcastActive(ctx2, round, roundCtx, members, func(i int) *Message {
 			m := &Message{Type: MsgDeltaReq, Round: int32(round), ClientID: int32(i), Want: s.codec.slot(i).delta}
 			s.modelPayload(m, i, round+1)
 			if whole {
@@ -1147,7 +1174,7 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 			}
 			return m
 		})
-		deltas := s.gatherActive(ctx2, round, delivered, MsgDelta, "delta_client", td.Context())
+		deltas := s.gatherActive(ctx2, round, members, MsgDelta, "delta_client", td.Context())
 		cancel2()
 		for i, m := range deltas {
 			if m == nil {
@@ -1273,54 +1300,64 @@ func cohortRNG(seed int64, round int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1_000_003 + int64(round)*7919 + 17))
 }
 
-// broadcastActive sends mk(i) to every active connection over the bounded
-// IO pool, stamping the round span's context onto each frame; clients whose
-// send fails are evicted (serially, after the pool drains).
-func (s *session) broadcastActive(ctx context.Context, round int, span telemetry.SpanContext, mk func(i int) *Message) {
-	errs := make([]error, len(s.conns))
-	ioParallel(len(s.conns), s.cfg.IOWorkers, func(i int) {
-		if !s.active[i] {
-			return
+// membersOf lists the active slots marked in mask, in slot order — the only
+// slots a network phase touches. The list is session scratch, valid until the
+// next call.
+func (s *session) membersOf(mask []bool) []int {
+	s.members = s.members[:0]
+	for i, in := range mask {
+		if in && s.active[i] {
+			s.members = append(s.members, i)
 		}
+	}
+	return s.members
+}
+
+// broadcastActive sends mk(i) to every member over the bounded IO pool,
+// stamping the round span's context onto each frame; clients whose send
+// fails are evicted (serially, in slot order, after the pool drains).
+func (s *session) broadcastActive(ctx context.Context, round int, span telemetry.SpanContext, members []int, mk func(i int) *Message) {
+	ioParallel(len(members), s.cfg.IOWorkers, func(j int) {
+		i := members[j]
 		m := mk(i)
-		if m == nil {
-			return // async mode: nothing for an in-flight straggler
-		}
 		m.setSpanContext(span)
-		errs[i] = sendCtx(ctx, s.conns[i], m)
+		s.ioErrs[i] = sendCtx(ctx, s.conns[i], m)
 	})
-	for i, err := range errs {
-		if err != nil {
+	for _, i := range members {
+		if err := s.ioErrs[i]; err != nil {
+			s.ioErrs[i] = nil
 			s.evict(i, round, fmt.Sprintf("broadcast: %v", err))
 		}
 	}
 }
 
 // gatherActive receives one message of the expected type (for the current
-// round) from every active connection marked in from; other slots are nil.
-// Clients that error, time out, or flood garbage are evicted and their
-// slot stays nil. Each wait is recorded as a per-client span under the
-// phase span — the raw material for straggler attribution.
-func (s *session) gatherActive(ctx context.Context, round int, from []bool, want MsgType, spanName string, parent telemetry.SpanContext) []*Message {
-	msgs := make([]*Message, len(s.conns))
-	errs := make([]error, len(s.conns))
-	ioParallel(len(s.conns), s.cfg.IOWorkers, func(i int) {
-		if !from[i] || !s.active[i] {
-			return
+// round) from every member still active; other slots are nil. Clients that
+// error, time out, or flood garbage are evicted and their slot stays nil.
+// Each wait is recorded as a per-client span under the phase span — the raw
+// material for straggler attribution. The result is session scratch, indexed
+// by slot and valid until the next gather.
+func (s *session) gatherActive(ctx context.Context, round int, members []int, want MsgType, spanName string, parent telemetry.SpanContext) []*Message {
+	msgs := s.ioMsgs
+	clear(msgs)
+	ioParallel(len(members), s.cfg.IOWorkers, func(j int) {
+		i := members[j]
+		if !s.active[i] {
+			return // evicted by the broadcast just before
 		}
 		sp := s.cfg.Tracer.Start(spanName, parent)
 		sp.Round, sp.Client = round, i
 		start := time.Now()
-		msgs[i], errs[i] = gatherOne(ctx, s.conns[i], want, round)
+		msgs[i], s.ioErrs[i] = gatherOne(ctx, s.conns[i], want, round)
 		sp.End()
-		if s.ctrl != nil && want == MsgUpdate && errs[i] == nil {
+		if s.ctrl != nil && want == MsgUpdate && s.ioErrs[i] == nil {
 			// Per-slot EWMA write: no two goroutines share a slot.
 			s.ctrl.observe(i, time.Since(start))
 		}
 	})
-	for i, err := range errs {
-		if err != nil {
-			msgs[i] = nil
+	for _, i := range members {
+		if err := s.ioErrs[i]; err != nil {
+			s.ioErrs[i], msgs[i] = nil, nil
 			s.evict(i, round, fmt.Sprintf("gather: %v", err))
 		}
 	}
@@ -1390,14 +1427,21 @@ func sampleCohort(rng *rand.Rand, n int, sr float64) []bool {
 	return sampleCohortActive(rng, active, sr, 1)
 }
 
-// finiteSlice reports whether every element is finite.
+// finiteSlice reports whether every element is finite. x−x is 0 for a finite
+// x and NaN for ±Inf or NaN, and NaN is sticky under +, so the pass carries no
+// per-element branch; four sums keep the adds from waiting on each other.
 func finiteSlice(v []float64) bool {
-	for _, x := range v {
-		if !isFinite(x) {
-			return false
-		}
+	var a0, a1, a2, a3 float64
+	for ; len(v) >= 4; v = v[4:] {
+		a0 += v[0] - v[0]
+		a1 += v[1] - v[1]
+		a2 += v[2] - v[2]
+		a3 += v[3] - v[3]
 	}
-	return true
+	for _, x := range v {
+		a0 += x - x
+	}
+	return a0+a1+a2+a3 == 0
 }
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
