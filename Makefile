@@ -1,16 +1,16 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all ci build vet test test-race telemetry-smoke health-smoke chaos-smoke scale-smoke bench bench-json bench-compare bench-smoke bench-e2e-smoke fuzz-short repro-fast repro-bench examples
+.PHONY: all ci build vet test test-race test-purego telemetry-smoke health-smoke chaos-smoke scale-smoke bench bench-json bench-compare bench-smoke bench-e2e-smoke fuzz-short repro-fast repro-bench examples
 
 all: build vet test test-race
 
 # The full CI gate, in dependency order: static checks and unit tests, the
-# race pass, the observability smoke (metrics scrape + trace/ledger
+# race pass, the scalar-kernel pass, the observability smoke (metrics scrape + trace/ledger
 # validation), the live health-monitor smoke, the async straggler matrix
 # under the race detector, the 100k-client scale smoke, the decoder fuzz
 # pass, the hot-path benchmark regression gate, the parallel-speedup
 # smoke, and the repo benchmark's own smoke test.
-ci: vet test test-race telemetry-smoke health-smoke chaos-smoke scale-smoke fuzz-short bench-compare bench-smoke bench-e2e-smoke
+ci: vet test test-race test-purego telemetry-smoke health-smoke chaos-smoke scale-smoke fuzz-short bench-compare bench-smoke bench-e2e-smoke
 
 build:
 	go build ./...
@@ -35,6 +35,12 @@ test: vet
 # which checks the framing's unsafe.Slice views of float64 payloads.
 test-race:
 	go test -race ./internal/fl/... ./internal/tensor/... ./internal/nn/... ./internal/transport/...
+
+# The purego tag drops the AVX2 micro-kernel and SIMD element loops, so this
+# is the only run that puts the scalar kernels every non-amd64 build uses
+# through the GEMM property tests and the fused-conv bit-identity test.
+test-purego:
+	go test -tags purego ./internal/tensor/ ./internal/nn/
 
 # Smoke-test the observability surface: run a short in-process federated
 # session against a fresh registry, scrape /metrics over HTTP, and fail if

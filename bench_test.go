@@ -132,9 +132,11 @@ func BenchmarkAblationLambda(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDeltaBatch varies the batch bound used when computing δ
-// over a client's shard (design decision 2: batch-mean vs full-dataset
-// maps differ only in evaluation granularity, not in the optimization).
+// BenchmarkAblationDeltaBatch varies DeltaBatch, the bound on the δ pass's
+// gather buffer. It is not a speed or accuracy setting: δ is bit-identical
+// for every value (core.TestComputeDeltaBatchInvariant) and the forward
+// costs the same per sample at any batch, so both rows should report the
+// same final-acc and near-equal time.
 func BenchmarkAblationDeltaBatch(b *testing.B) {
 	t, run := ablationFederation(b, 1)
 	for _, tc := range []struct {

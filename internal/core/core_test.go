@@ -111,6 +111,32 @@ func TestComputeDeltaMatchesManualMean(t *testing.T) {
 	}
 }
 
+// TestComputeDeltaBatchInvariant: DeltaBatch only bounds the gather buffer.
+// Every forward computes a sample's features from that sample alone in a
+// fixed reduction order, and the column sums add rows in shard order, so δ is
+// the same to the bit however the shard is cut into batches — which is what
+// lets deployments pick the bound by memory alone.
+func TestComputeDeltaBatchInvariant(t *testing.T) {
+	ds := data.SynthMNIST(300, 3)
+	for name, build := range map[string]nn.Builder{
+		"cnn": nn.NewImageCNN(data.SynthMNISTSpec, 24),
+		"mlp": nn.NewMLP(ds.Features(), 64, 24, ds.Classes),
+	} {
+		net := build(5)
+		arena := nn.NewArena()
+		want := ComputeDelta(net, ds, ds.Len())
+		got := make([]float64, net.FeatureDim)
+		for _, batch := range []int{1, 7, 32, 256} {
+			ComputeDeltaInto(got, arena, net, ds, batch)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%s batch %d: delta[%d] = %v, batch %d gives %v", name, batch, j, got[j], ds.Len(), want[j])
+				}
+			}
+		}
+	}
+}
+
 func TestDeltaTable(t *testing.T) {
 	tab := NewDeltaTable(3, 2)
 	tab.Set(0, []float64{1, 0})

@@ -21,8 +21,9 @@ type RFedAvg struct {
 	// Lambda is the regularization weight λ, which doubles as the
 	// normalization factor for the feature magnitude (Sec. VI-A).
 	Lambda float64
-	// DeltaBatch bounds the batch used for computing δ over the local
-	// dataset; 0 means 256.
+	// DeltaBatch bounds the gather buffer of the δ pass (rows copied out of
+	// the local dataset per forward); 0 means 256. δ is the same to the bit
+	// for every value, and the pass costs the same per sample.
 	DeltaBatch int
 	// NoiseDelta, if non-nil, perturbs a client's map in place before it is
 	// sent to the server — the DP Gaussian mechanism of the privacy

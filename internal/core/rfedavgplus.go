@@ -24,7 +24,9 @@ import (
 type RFedAvgPlus struct {
 	// Lambda is the regularization weight λ.
 	Lambda float64
-	// DeltaBatch bounds the batch used for computing δ; 0 means 256.
+	// DeltaBatch bounds the gather buffer of the δ pass (rows copied out of
+	// the local dataset per forward); 0 means 256. δ is the same to the bit
+	// for every value, and the pass costs the same per sample.
 	DeltaBatch int
 	// NoiseDelta, if non-nil, perturbs a client's map in place before it is
 	// sent to the server (privacy evaluation, Fig. 12).

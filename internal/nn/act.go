@@ -9,6 +9,8 @@ import (
 // ReLU is the rectified linear activation, max(0, x). Its output and
 // gradient buffers are layer-owned scratch, reused across steps.
 type ReLU struct {
+	// mask records which inputs of the last training-mode Forward were
+	// positive; an evaluation-mode Forward empties it.
 	mask    []bool
 	out, dx *tensor.Tensor
 }
@@ -16,38 +18,54 @@ type ReLU struct {
 // NewReLU creates a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward computes max(0, x) and records which inputs were positive.
+// Forward computes x where x > 0 and +0 elsewhere (−0 and NaN included)
+// and, in training mode, records which inputs were positive.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.out = tensor.EnsureShape(r.out, x.Shape()...)
-	out := r.out
-	if cap(r.mask) < x.Size() {
-		r.mask = make([]bool, x.Size())
-	}
-	r.mask = r.mask[:x.Size()]
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			out.Data[i] = 0
-			r.mask[i] = false
+	in := x.Data
+	out := r.out.Data[:len(in)]
+	if !train {
+		r.mask = r.mask[:0]
+		for i, v := range in {
+			out[i] = keepIf(v, v > 0)
 		}
+		return r.out
 	}
-	return out
+	if cap(r.mask) < len(in) {
+		r.mask = make([]bool, len(in))
+	}
+	mask := r.mask[:len(in)]
+	r.mask = mask
+	for i, v := range in {
+		out[i] = keepIf(v, v > 0)
+		mask[i] = v > 0
+	}
+	return r.out
+}
+
+// keepIf returns v when keep is set and +0 otherwise, selecting on the bit
+// pattern so it compiles to a conditional move: on activations that are
+// positive about half the time, a branch mispredicts every other element.
+func keepIf(v float64, keep bool) float64 {
+	var m uint64
+	if keep {
+		m = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(v) & m)
 }
 
 // Backward zeroes the gradient where the input was non-positive.
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	r.dx = tensor.EnsureShape(r.dx, dout.Shape()...)
-	dx := r.dx
-	for i, v := range dout.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = 0
-		}
+	if len(r.mask) != dout.Size() {
+		panic(staleBackward("ReLU", "elements", dout.Size(), len(r.mask)))
 	}
-	return dx
+	r.dx = tensor.EnsureShape(r.dx, dout.Shape()...)
+	g := dout.Data
+	dx, mask := r.dx.Data[:len(g)], r.mask[:len(g)]
+	for i, v := range g {
+		dx[i] = keepIf(v, mask[i])
+	}
+	return r.dx
 }
 
 // Params returns nil: ReLU has no parameters.

@@ -10,25 +10,22 @@ import (
 // Conv2D is a 2-D convolution over channel-major images. The layer consumes
 // rank-2 activations of shape (batch, InC·InH·InW) and produces
 // (batch, OutC·OutH·OutW), where each sample is laid out channel-major
-// (c, y, x). The implementation lowers convolution to matrix multiply via
-// im2col, which turns the training hot loop into the parallel matmul kernel.
+// (c, y, x). The forward pass and the parameter gradients are GEMMs whose
+// patch operand is packed straight from the image (tensor.ConvForward,
+// tensor.ConvBackwardParams); no im2col matrix is built for either.
 type Conv2D struct {
-	InC, InH, InW int
-	OutC          int
-	K             int // square kernel size
-	Stride        int
-	Pad           int
-	OutH, OutW    int
+	tensor.ConvGeom
 
 	w, b *Param
 
-	cols *tensor.Tensor // cached im2col matrix for backward
-	bsz  int
+	// x is the input of the last training-mode Forward, nil after an
+	// evaluation-mode one: Backward differentiates exactly that pass.
+	x *tensor.Tensor
 
-	// Reusable scratch, sized on first use: the matmul product, the
-	// channel-major output, the gathered output gradient, the column
-	// gradient, and the input gradient.
-	prod, out, dmat, dcols, dx *tensor.Tensor
+	// Reusable scratch, sized on first use: the channel-major output, and
+	// for the input gradient the gathered output gradient, the column
+	// gradient, and the result.
+	out, dmat, dcols, dx *tensor.Tensor
 }
 
 // NewConv2D creates a convolution layer with He-normal weights.
@@ -41,9 +38,11 @@ func NewConv2D(rng *rand.Rand, inC, inH, inW, outC, k, stride, pad int) *Conv2D 
 	}
 	fanIn := inC * k * k
 	return &Conv2D{
-		InC: inC, InH: inH, InW: inW,
-		OutC: outC, K: k, Stride: stride, Pad: pad,
-		OutH: outH, OutW: outW,
+		ConvGeom: tensor.ConvGeom{
+			InC: inC, InH: inH, InW: inW,
+			OutC: outC, K: k, Stride: stride, Pad: pad,
+			OutH: outH, OutW: outW,
+		},
 		w: newParam("conv.w", tensor.HeNormal(rng, fanIn, outC, fanIn)),
 		b: newParam("conv.b", tensor.New(outC)),
 	}
@@ -52,56 +51,31 @@ func NewConv2D(rng *rand.Rand, inC, inH, inW, outC, k, stride, pad int) *Conv2D 
 // OutFeatures returns the flattened output width OutC·OutH·OutW.
 func (c *Conv2D) OutFeatures() int { return c.OutC * c.OutH * c.OutW }
 
-// Forward lowers the batch to an im2col matrix and multiplies by the kernel.
+// Forward convolves the batch. In training mode it retains x for Backward;
+// an evaluation-mode pass retains nothing.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	bsz := x.Dim(0)
 	if x.Dim(1) != c.InC*c.InH*c.InW {
 		panic(fmt.Sprintf("nn: Conv2D input width %d, want %d", x.Dim(1), c.InC*c.InH*c.InW))
 	}
-	c.bsz = bsz
-	ohw := c.OutH * c.OutW
-	ickk := c.InC * c.K * c.K
-	c.cols = tensor.EnsureShape(c.cols, bsz*ohw, ickk)
-	cols := c.cols
-	for b := 0; b < bsz; b++ {
-		img := x.Row(b)
-		c.im2col(img, cols.Data[b*ohw*ickk:(b+1)*ohw*ickk])
+	c.x = nil
+	if train {
+		c.x = x
 	}
-
-	// (B·OH·OW, ICKK) · (OutC, ICKK)ᵀ → (B·OH·OW, OutC)
-	c.prod = tensor.EnsureShape(c.prod, bsz*ohw, c.OutC)
-	prod := tensor.MatMulTransBInto(c.prod, cols, c.w.W)
-	prod.AddRowVector(c.b.W.Data)
-
-	// Scatter to channel-major output layout (B, OutC·OH·OW). Channel-outer
-	// order keeps the writes contiguous (a full OH·OW plane per channel) and
-	// the long ohw loop innermost; the strided reads revisit each prod cache
-	// line OutC times while it is still hot.
-	c.out = tensor.EnsureShape(c.out, bsz, c.OutC*ohw)
-	out := c.out
-	for b := 0; b < bsz; b++ {
-		orow := out.Row(b)
-		pbase := prod.Data[b*ohw*c.OutC:]
-		for oc := 0; oc < c.OutC; oc++ {
-			dst := orow[oc*ohw : (oc+1)*ohw]
-			for p := range dst {
-				dst[p] = pbase[p*c.OutC+oc]
-			}
-		}
-	}
-	return out
+	c.out = tensor.EnsureShape(c.out, x.Dim(0), c.OutFeatures())
+	tensor.ConvForward(c.out, x, c.w.W, c.b.W.Data, c.ConvGeom)
+	return c.out
 }
 
 // Backward accumulates kernel/bias gradients and returns the input gradient
 // via col2im.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	bsz := c.bsz
+	c.backwardParams(dout)
+	bsz := dout.Dim(0)
 	ohw := c.OutH * c.OutW
 	ickk := c.InC * c.K * c.K
 
 	// Gather dout into the matmul layout (B·OH·OW, OutC), channel-outer so
-	// the reads stream a contiguous OH·OW plane per channel (the transpose of
-	// the forward scatter).
+	// the reads stream a contiguous OH·OW plane per channel.
 	c.dmat = tensor.EnsureShape(c.dmat, bsz*ohw, c.OutC)
 	dmat := c.dmat
 	for b := 0; b < bsz; b++ {
@@ -114,10 +88,6 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-
-	// dW += dmatᵀ·cols ; db += Σ dmat.
-	tensor.MatMulTransAAcc(c.w.G, dmat, c.cols)
-	tensor.AccumColSums(c.b.G.Data, dmat)
 
 	// dcols = dmat·W, then scatter back to image space. dx receives
 	// scatter-adds from col2im, so it must be zeroed before reuse.
@@ -132,23 +102,32 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+// backwardParams is the parameter half of Backward: dW and db from dout and
+// the retained input.
+func (c *Conv2D) backwardParams(dout *tensor.Tensor) {
+	bsz, have := dout.Dim(0), 0
+	if c.x != nil {
+		have = c.x.Dim(0)
+	}
+	if have != bsz {
+		panic(staleBackward("Conv2D", "samples", bsz, have))
+	}
+	tensor.ConvBackwardParams(c.w.G, c.b.G.Data, dout, c.x, c.ConvGeom)
+}
+
 // Params returns the kernel and bias parameters.
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 
 // Im2col expands one channel-major image (length InC·InH·InW) into dst
 // (length OutH·OutW·InC·K²), a row per output position and a column per
-// (channel, ky, kx) tap. Exported for the micro-benchmark harness.
+// (channel, ky, kx) tap; out-of-bounds taps are 0. The layer does not use
+// this matrix: it is the micro-benchmark's case and the building block of
+// the tests' reference forward and backward.
 func (c *Conv2D) Im2col(img, dst []float64) {
 	if len(img) != c.InC*c.InH*c.InW || len(dst) != c.OutH*c.OutW*c.InC*c.K*c.K {
 		panic(fmt.Sprintf("nn: Im2col img(%d) dst(%d), want %d and %d",
 			len(img), len(dst), c.InC*c.InH*c.InW, c.OutH*c.OutW*c.InC*c.K*c.K))
 	}
-	c.im2col(img, dst)
-}
-
-// im2col expands one channel-major image into dst, a row per output
-// position and a column per (channel, ky, kx) tap; out-of-bounds taps are 0.
-func (c *Conv2D) im2col(img, dst []float64) {
 	ickk := c.InC * c.K * c.K
 	for oy := 0; oy < c.OutH; oy++ {
 		for ox := 0; ox < c.OutW; ox++ {
@@ -173,7 +152,7 @@ func (c *Conv2D) im2col(img, dst []float64) {
 }
 
 // col2im scatter-adds column gradients back into image space (the adjoint
-// of im2col).
+// of Im2col).
 func (c *Conv2D) col2im(cols, img []float64) {
 	ickk := c.InC * c.K * c.K
 	for oy := 0; oy < c.OutH; oy++ {

@@ -38,10 +38,15 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward accumulates dW = xᵀ·dout and db = Σ dout, and returns
 // dx = dout·Wᵀ.
 func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	tensor.MatMulTransAAcc(d.w.G, d.x, dout)
-	tensor.AccumColSums(d.b.G.Data, dout)
+	d.backwardParams(dout)
 	d.dx = tensor.EnsureShape(d.dx, dout.Dim(0), d.In)
 	return tensor.MatMulTransBInto(d.dx, dout, d.w.W)
+}
+
+// backwardParams is the parameter half of Backward.
+func (d *Dense) backwardParams(dout *tensor.Tensor) {
+	tensor.MatMulTransAAcc(d.w.G, d.x, dout)
+	tensor.AccumColSums(d.b.G.Data, dout)
 }
 
 // Params returns the weight and bias parameters.

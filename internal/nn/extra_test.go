@@ -48,7 +48,7 @@ func TestMaxPoolKnownValues(t *testing.T) {
 		9, 10, 13, 14,
 		11, 12, 15, 16,
 	}, 1, 16)
-	out := m.Forward(x, false)
+	out := m.Forward(x, true)
 	want := []float64{4, 8, 12, 16}
 	for i := range want {
 		if out.Data[i] != want[i] {

@@ -31,12 +31,16 @@ func newParam(name string, w *tensor.Tensor) *Param {
 }
 
 // Layer is a differentiable module. Forward consumes a (batch, in) tensor
-// and returns a (batch, out) tensor, caching whatever it needs for the
-// backward pass. Backward consumes the loss gradient with respect to the
-// layer's output and returns the gradient with respect to its input, or nil
-// for layers with no differentiable input (e.g. Embedding); parameter
-// gradients are *accumulated* into Params().G, so callers must ZeroGrad
-// between optimizer steps.
+// and returns a (batch, out) tensor; with train set it also caches whatever
+// the backward pass needs. Backward consumes the loss gradient with respect
+// to the output of the last training-mode Forward and returns the gradient
+// with respect to its input, or nil for layers with no differentiable input
+// (e.g. Embedding); parameter gradients are *accumulated* into Params().G,
+// so callers must ZeroGrad between optimizer steps.
+//
+// An evaluation-mode Forward may cache nothing: Conv2D, ReLU and MaxPool2D
+// drop their backward state on one, and their Backward panics rather than
+// differentiate an older pass (see staleBackward).
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(dout *tensor.Tensor) *tensor.Tensor
@@ -59,10 +63,25 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward runs all layers in reverse order. It stops early if a layer
-// reports no input gradient (nil), which only the first layer may do.
+// paramBackwarder is implemented by layers that can accumulate their
+// parameter gradients without forming the input gradient.
+type paramBackwarder interface {
+	backwardParams(dout *tensor.Tensor)
+}
+
+// Backward runs all layers in reverse order. Only the first layer may report
+// no input gradient (nil) — and a first layer that can skip it does: nothing
+// sits below a Sequential's first layer to consume that gradient, and for a
+// Dense or Conv2D it costs a GEMM as large as the forward one. Parameter
+// gradients are the same either way.
 func (s *Sequential) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
+		if i == 0 {
+			if pb, ok := s.Layers[0].(paramBackwarder); ok {
+				pb.backwardParams(dout)
+				return nil
+			}
+		}
 		dout = s.Layers[i].Backward(dout)
 		if dout == nil {
 			if i != 0 {
@@ -72,6 +91,15 @@ func (s *Sequential) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return dout
+}
+
+// staleBackward is the panic message of a layer whose Backward does not match
+// the state its last Forward cached: want is the size dout implies, have the
+// size cached — 0 after an evaluation-mode Forward, which caches nothing.
+func staleBackward(layer, unit string, want, have int) string {
+	return fmt.Sprintf("nn: %s.Backward over %d %s, but the last Forward cached %d for it "+
+		"(0: it ran in evaluation mode); run a training-mode Forward of this batch first",
+		layer, want, unit, have)
 }
 
 // Params returns the concatenated parameters of all layers.

@@ -30,8 +30,9 @@ func NewMaxPool2D(c, inH, inW, k int) *MaxPool2D {
 // OutFeatures returns the flattened output width C·OutH·OutW.
 func (m *MaxPool2D) OutFeatures() int { return m.C * m.OutH * m.OutW }
 
-// Forward takes the max over each pooling window, recording the argmax for
-// the backward pass.
+// Forward takes the max over each pooling window and, in training mode,
+// records the argmax for the backward pass; an evaluation-mode Forward
+// empties that record.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	bsz := x.Dim(0)
 	if x.Dim(1) != m.C*m.InH*m.InW {
@@ -39,10 +40,13 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	m.out = tensor.EnsureShape(m.out, bsz, m.OutFeatures())
 	out := m.out
-	if cap(m.argmax) < out.Size() {
-		m.argmax = make([]int, out.Size())
+	m.argmax = m.argmax[:0]
+	if train {
+		if cap(m.argmax) < out.Size() {
+			m.argmax = make([]int, out.Size())
+		}
+		m.argmax = m.argmax[:out.Size()]
 	}
-	m.argmax = m.argmax[:out.Size()]
 	for b := 0; b < bsz; b++ {
 		img := x.Row(b)
 		orow := out.Row(b)
@@ -51,20 +55,25 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			chOut := c * m.OutH * m.OutW
 			for oy := 0; oy < m.OutH; oy++ {
 				for ox := 0; ox < m.OutW; ox++ {
+					// best = the window's largest value under >, first one
+					// on ties. Both it (as bits) and its index are integer
+					// selects, so the scan carries no data-dependent branch.
 					best, arg := math.Inf(-1), -1
+					bestBits := math.Float64bits(best)
 					for ky := 0; ky < m.K; ky++ {
-						iy := oy*m.K + ky
-						for kx := 0; kx < m.K; kx++ {
-							ix := ox*m.K + kx
-							idx := chIn + iy*m.InW + ix
-							if img[idx] > best {
-								best, arg = img[idx], idx
+						base := chIn + (oy*m.K+ky)*m.InW + ox*m.K
+						for kx, v := range img[base : base+m.K] {
+							if vBits := math.Float64bits(v); v > best {
+								bestBits, arg = vBits, base+kx
 							}
+							best = math.Float64frombits(bestBits)
 						}
 					}
 					o := chOut + oy*m.OutW + ox
 					orow[o] = best
-					m.argmax[b*out.Dim(1)+o] = arg
+					if train {
+						m.argmax[b*out.Dim(1)+o] = arg
+					}
 				}
 			}
 		}
@@ -75,6 +84,9 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward routes each output gradient to the input position that won the
 // max in the forward pass.
 func (m *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	if len(m.argmax) != dout.Size() {
+		panic(staleBackward("MaxPool2D", "elements", dout.Size(), len(m.argmax)))
+	}
 	bsz := dout.Dim(0)
 	// dx receives scatter-adds, so the reused buffer must be zeroed.
 	m.dx = tensor.EnsureShape(m.dx, bsz, m.C*m.InH*m.InW)

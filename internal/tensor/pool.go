@@ -146,6 +146,7 @@ func poolSubmit(j *kernelJob, extra int) int {
 const (
 	kindGemm = int32(iota)
 	kindFor
+	kindConv
 )
 
 // kernelJob is one parallel kernel invocation, shared by the caller and the
@@ -189,6 +190,9 @@ type kernelJob struct {
 	forFn   func(i int)
 	forNext atomic.Int64
 
+	// kindConv: conv.sample(b) for b in [0, forN), claimed through forNext.
+	conv convCall
+
 	runners atomic.Int32
 	next    *kernelJob
 }
@@ -228,6 +232,7 @@ func jobGet() *kernelJob {
 func jobPut(j *kernelJob) {
 	j.out, j.a, j.b = nil, nil, nil
 	j.forFn = nil
+	j.conv = convCall{}
 	jobPool.Lock()
 	j.next = jobPool.head
 	jobPool.head = j
@@ -249,6 +254,8 @@ func (j *kernelJob) run(s *gemmScratch) {
 		j.runGemm(s)
 	case kindFor:
 		j.runFor()
+	case kindConv:
+		j.runConv(s)
 	}
 }
 

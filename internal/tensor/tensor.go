@@ -1,6 +1,6 @@
 // Package tensor implements dense, row-major, float64 tensors and the
 // numerical kernels (elementwise ops, reductions, parallel matrix multiply,
-// im2col) needed to train the neural networks used throughout this
+// convolution) needed to train the neural networks used throughout this
 // repository. It is deliberately small: contiguous storage only, no views,
 // no broadcasting beyond the few patterns the nn package needs. That keeps
 // every backward pass easy to audit against a numerical gradient check.

@@ -35,7 +35,9 @@ type ClientConfig struct {
 	// Lambda is the regularization weight λ, used when the server runs
 	// rFedAvg+ (it is harmless otherwise: a zero-length target disables it).
 	Lambda float64
-	// DeltaBatch bounds δ computation batches; 0 means 256.
+	// DeltaBatch bounds the gather buffer of the δ pass (rows copied out of
+	// the shard per forward); 0 means 256. δ is the same to the bit for
+	// every value, and the pass costs the same per sample.
 	DeltaBatch int
 
 	// Caps advertises the wire-compression schemes this client accepts in
@@ -85,6 +87,9 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 		caps = compress.AllCaps()
 	}
 	cc := &clientCodec{caps: caps, ef: cfg.ErrorFeedback, seed: cfg.Seed}
+	// The δ pass's scratch and result live as long as the session: Send has
+	// finished reading a δ by the time the next MsgDeltaReq overwrites it.
+	arena, delta := nn.NewArena(), make([]float64, net.FeatureDim)
 
 	if err := conn.Send(&Message{Type: MsgJoin, ClientID: int32(cfg.ClientID),
 		NumSamples: int64(shard.Len()), Caps: caps}); err != nil {
@@ -199,7 +204,7 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 			}
 			net.SetFlat(params)
 			held = m.Round + 1
-			delta := core.ComputeDelta(net, shard, cfg.DeltaBatch)
+			core.ComputeDeltaInto(delta, arena, net, shard, cfg.DeltaBatch)
 			cd.End()
 			out := &Message{Type: MsgDelta, Round: m.Round, ClientID: m.ClientID}
 			if want := compress.Negotiate(m.Want, cc.caps); want == compress.SchemeDense {
