@@ -1,16 +1,16 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all ci build vet test test-race test-purego telemetry-smoke health-smoke chaos-smoke scale-smoke bench bench-json bench-compare bench-smoke bench-e2e-smoke fuzz-short repro-fast repro-bench examples
+.PHONY: all ci build vet test test-race test-purego golden telemetry-smoke health-smoke chaos-smoke scale-smoke bench bench-json bench-compare bench-smoke bench-e2e-smoke fuzz-short repro-fast repro-bench examples
 
 all: build vet test test-race
 
 # The full CI gate, in dependency order: static checks and unit tests, the
-# race pass, the scalar-kernel pass, the observability smoke (metrics scrape + trace/ledger
+# race pass, the scalar-kernel pass, the golden-session gate, the observability smoke (metrics scrape + trace/ledger
 # validation), the live health-monitor smoke, the async straggler matrix
 # under the race detector, the 100k-client scale smoke, the decoder fuzz
 # pass, the hot-path benchmark regression gate, the parallel-speedup
 # smoke, and the repo benchmark's own smoke test.
-ci: vet test test-race test-purego telemetry-smoke health-smoke chaos-smoke scale-smoke fuzz-short bench-compare bench-smoke bench-e2e-smoke
+ci: vet test test-race test-purego golden telemetry-smoke health-smoke chaos-smoke scale-smoke fuzz-short bench-compare bench-smoke bench-e2e-smoke
 
 build:
 	go build ./...
@@ -31,16 +31,28 @@ test: vet
 
 # Race-detect the packages where goroutines share state: the worker pool and
 # kernel budget (fl), the parallel matmul kernels (tensor), the layer scratch
-# reuse (nn), and the wire protocol (transport). -race also turns on checkptr,
-# which checks the framing's unsafe.Slice views of float64 payloads.
+# reuse (nn), the wire protocol (transport), and the codec whose error
+# histograms every client goroutine observes into (compress). -race also turns
+# on checkptr, which checks the framing's unsafe.Slice views of float64 payloads.
 test-race:
-	go test -race ./internal/fl/... ./internal/tensor/... ./internal/nn/... ./internal/transport/...
+	go test -race ./internal/fl/... ./internal/tensor/... ./internal/nn/... ./internal/transport/... ./internal/compress/...
 
 # The purego tag drops the AVX2 micro-kernel and SIMD element loops, so this
 # is the only run that puts the scalar kernels every non-amd64 build uses
 # through the GEMM property tests and the fused-conv bit-identity test.
 test-purego:
 	go test -tags purego ./internal/tensor/ ./internal/nn/
+
+# The fixed-seed sessions of testdata/golden_sessions.json are the bit-identity
+# gate for anything that touches a round's arithmetic, and the test skips
+# itself where the host's float kernels differ from the recording's. On amd64
+# — the recording's architecture — a skip means the gate did not run: fail.
+golden:
+	@out=$$(go test ./internal/transport -run '^TestElideGoldenSessions$$' -count 1 -v) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	if [ "$$(go env GOARCH)" = amd64 ] && echo "$$out" | grep -q -- '--- SKIP'; then \
+		echo "golden: TestElideGoldenSessions skipped on amd64 — the bit-identity gate did not run"; exit 1; \
+	fi
 
 # Smoke-test the observability surface: run a short in-process federated
 # session against a fresh registry, scrape /metrics over HTTP, and fail if

@@ -90,8 +90,11 @@ func trainStepCase(name string, builder nn.Builder, ds *data.Dataset, batch int)
 // codecCase benchmarks one wire-codec scheme's encode+decode round trip on
 // an n-element vector — the per-client cost the transport layer adds to
 // every compressed round. Both directions run on retained buffers, so the
-// steady state must stay at 0 allocs/op.
-func codecCase(name string, s compress.Scheme, n int) Case {
+// steady state must stay at 0 allocs/op. The plain case times the exported
+// primitives back to back; the fused one times what a round runs: the
+// sender's encode with the error and the residual from the same pass, and the
+// receiver's rebuild onto its reference.
+func codecCase(name string, s compress.Scheme, n int, fused bool) Case {
 	return Case{Name: name, Bench: func(b *testing.B) {
 		r := rand.New(rand.NewSource(9))
 		v := make([]float64, n)
@@ -99,13 +102,20 @@ func codecCase(name string, s compress.Scheme, n int) Case {
 			v[i] = r.NormFloat64()
 		}
 		buf := make([]byte, compress.EncodedBytes(s, n))
-		recon := make([]float64, n)
+		recon, resid := make([]float64, n), make([]float64, n)
 		b.SetBytes(int64(8 * n))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			compress.EncodeInto(s, buf, v, r)
-			if err := compress.DecodeInto(recon, s, buf); err != nil {
+			var err error
+			if fused {
+				compress.EncodeResidual(s, buf, v, r, nil, resid)
+				err = compress.DecodeAddInto(recon, v, s, buf)
+			} else {
+				compress.EncodeInto(s, buf, v, r)
+				err = compress.DecodeInto(recon, s, buf)
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -296,9 +306,10 @@ func Cases() []Case {
 				tbl.MeanExcludingInto(dst, i%100_000)
 			}
 		}},
-		codecCase("codec/q8-16k", compress.SchemeInt8, 16*1024),
-		codecCase("codec/q8-64k", compress.SchemeInt8, 64*1024),
-		codecCase("codec/q1-64k", compress.SchemeBit1, 64*1024),
+		codecCase("codec/q8-16k", compress.SchemeInt8, 16*1024, false),
+		codecCase("codec/q8-64k", compress.SchemeInt8, 64*1024, false),
+		codecCase("codec/q1-64k", compress.SchemeBit1, 64*1024, false),
+		codecCase("codec/q8-64k-fused", compress.SchemeInt8, 64*1024, true),
 		frameWriteCase(),
 		frameReadCase(),
 		checkpointSaveCase(),

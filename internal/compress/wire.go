@@ -40,6 +40,10 @@ const NumSchemes = int(numSchemes)
 // Valid reports whether s names a defined scheme.
 func (s Scheme) Valid() bool { return s < numSchemes }
 
+// Stochastic reports whether encoding under s draws from the caller's RNG:
+// two encodes of one vector under any other scheme are the same bytes.
+func (s Scheme) Stochastic() bool { return s == SchemeInt8 }
+
 // String returns the scheme's canonical name ("dense", "f32", "q8", "q1").
 func (s Scheme) String() string {
 	switch s {
@@ -128,42 +132,69 @@ func EncodedBytes(s Scheme, n int) int {
 	}
 }
 
-// EncodeInto encodes v into dst, which must be exactly EncodedBytes(s,
-// len(v)) long. rng drives stochastic rounding (SchemeInt8) and may be nil
-// for the deterministic schemes. It allocates nothing.
-func EncodeInto(s Scheme, dst []byte, v []float64, rng *rand.Rand) {
-	if want := EncodedBytes(s, len(v)); len(dst) != want {
-		panic(fmt.Sprintf("compress: EncodeInto dst has %d bytes, want %d", len(dst), want))
+// A payload is a header — empty, or the float32 scale of a quantizing scheme —
+// and a body of fixed width per coordinate. The four entry points are drivers
+// around one body encoder and one body decoder, so a scheme's arithmetic is
+// written once.
+
+// headerBytes is the size of s's payload header.
+func headerBytes(s Scheme) int { return EncodedBytes(s, 0) }
+
+// putScale writes s's header for v and returns the scale as the peer reads it
+// back: max|v| (q8) or mean|v| (q1) through float32, so values quantize
+// against what the peer multiplies by. A degenerate scale (zero or non-finite
+// input) is stored as 0 and the peer reconstructs zeros instead of NaNs.
+func putScale(s Scheme, dst []byte, v []float64) float64 {
+	a := 0.0
+	switch s {
+	case SchemeInt8:
+		for _, x := range v {
+			if b := math.Abs(x); b > a { // a NaN never wins
+				a = b
+			}
+		}
+		a = float64(float32(a))
+	case SchemeBit1:
+		for _, x := range v {
+			a += math.Abs(x)
+		}
+		a /= float64(max(len(v), 1))
+	default:
+		return 0
 	}
+	if math.IsInf(a, 0) || math.IsNaN(a) {
+		a = 0
+	}
+	binary.LittleEndian.PutUint32(dst, math.Float32bits(float32(a)))
+	return float64(float32(a))
+}
+
+// getScale reads the scale putScale wrote.
+func getScale(s Scheme, src []byte) float64 {
+	if headerBytes(s) == 0 {
+		return 0
+	}
+	return float64(math.Float32frombits(binary.LittleEndian.Uint32(src)))
+}
+
+// encodeBody writes the body bytes of v's coordinates. A SchemeBit1 body
+// starts on a byte: callers split a vector at multiples of 8.
+func encodeBody(s Scheme, body []byte, v []float64, scale float64, rng *rand.Rand) {
 	switch s {
 	case SchemeDense:
 		for i, x := range v {
-			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
+			binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(x))
 		}
 	case SchemeF32:
 		for i, x := range v {
-			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(float32(x)))
+			binary.LittleEndian.PutUint32(body[4*i:], math.Float32bits(float32(x)))
 		}
 	case SchemeInt8:
-		maxAbs := 0.0
-		for _, x := range v {
-			if a := math.Abs(x); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		// The scale is stored as float32 and decoded back through the same
-		// rounding, so encode against the decoded value to stay unbiased. A
-		// degenerate scale (zero or non-finite input) is stored as 0 so the
-		// peer reconstructs zeros instead of NaNs.
-		scale := float64(float32(maxAbs))
-		if scale == 0 || math.IsInf(scale, 0) || math.IsNaN(scale) {
-			binary.LittleEndian.PutUint32(dst, 0)
-			for i := range v {
-				dst[4+i] = 0
-			}
+		if scale == 0 {
+			clear(body)
 			return
 		}
-		binary.LittleEndian.PutUint32(dst, math.Float32bits(float32(maxAbs)))
+		// Stochastic rounding onto the ±127 grid: one draw per coordinate.
 		for i, x := range v {
 			t := x / scale * 127
 			lo := math.Floor(t)
@@ -176,32 +207,62 @@ func EncodeInto(s Scheme, dst []byte, v []float64, rng *rand.Rand) {
 			} else if q < -127 {
 				q = -127
 			}
-			dst[4+i] = byte(int8(q))
+			body[i] = byte(int8(q))
 		}
 	case SchemeBit1:
-		sum := 0.0
-		for _, x := range v {
-			sum += math.Abs(x)
-		}
-		scale := 0.0
-		if len(v) > 0 {
-			scale = sum / float64(len(v))
-		}
-		if math.IsInf(scale, 0) || math.IsNaN(scale) {
-			scale = 0
-		}
-		binary.LittleEndian.PutUint32(dst, math.Float32bits(float32(scale)))
-		for i := 4; i < len(dst); i++ {
-			dst[i] = 0
-		}
+		clear(body)
 		for i, x := range v {
 			if x >= 0 {
-				dst[4+i/8] |= 1 << (i % 8)
+				body[i/8] |= 1 << (i % 8)
 			}
 		}
-	default:
-		panic(fmt.Sprintf("compress: EncodeInto with invalid scheme %d", s))
 	}
+}
+
+// int8Grid[b] is float64(int8(b))/127, the grid point a SchemeInt8 body byte
+// decodes to before scaling: a load per coordinate instead of a division,
+// with the quotient the division gives.
+var int8Grid = func() (g [256]float64) {
+	for b := range g {
+		g[b] = float64(int8(b)) / 127
+	}
+	return g
+}()
+
+// decodeBody is encodeBody's inverse on len(dst) coordinates.
+func decodeBody(dst []float64, s Scheme, body []byte, scale float64) {
+	switch s {
+	case SchemeDense:
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+		}
+	case SchemeF32:
+		for i := range dst {
+			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:])))
+		}
+	case SchemeInt8:
+		for i := range dst {
+			dst[i] = int8Grid[body[i]] * scale
+		}
+	case SchemeBit1:
+		for i := range dst {
+			if body[i/8]&(1<<(i%8)) != 0 {
+				dst[i] = scale
+			} else {
+				dst[i] = -scale
+			}
+		}
+	}
+}
+
+// EncodeInto encodes v into dst, which must be exactly EncodedBytes(s,
+// len(v)) long. rng drives stochastic rounding (SchemeInt8) and may be nil
+// for the deterministic schemes. It allocates nothing.
+func EncodeInto(s Scheme, dst []byte, v []float64, rng *rand.Rand) {
+	if !s.Valid() || len(dst) != EncodedBytes(s, len(v)) {
+		panic(fmt.Sprintf("compress: encode under scheme %d into %d bytes for %d values", s, len(dst), len(v)))
+	}
+	encodeBody(s, dst[headerBytes(s):], v, putScale(s, dst, v), rng)
 }
 
 // DecodeInto decodes an s-encoded payload into dst, whose length must be
@@ -209,35 +270,82 @@ func EncodeInto(s Scheme, dst []byte, v []float64, rng *rand.Rand) {
 // a size mismatch, because it sits on the wire path where src arrives from
 // an untrusted peer. It allocates nothing.
 func DecodeInto(dst []float64, s Scheme, src []byte) error {
+	if err := checkPayload(s, len(dst), src); err != nil {
+		return err
+	}
+	decodeBody(dst, s, src[headerBytes(s):], getScale(s, src))
+	return nil
+}
+
+func checkPayload(s Scheme, n int, src []byte) error {
 	if !s.Valid() {
 		return fmt.Errorf("compress: decode with invalid scheme %d", s)
 	}
-	if want := EncodedBytes(s, len(dst)); len(src) != want {
-		return fmt.Errorf("compress: %s payload has %d bytes, want %d for %d values",
-			s, len(src), want, len(dst))
+	if want := EncodedBytes(s, n); len(src) != want {
+		return fmt.Errorf("compress: %s payload has %d bytes, want %d for %d values", s, len(src), want, n)
 	}
-	switch s {
-	case SchemeDense:
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-		}
-	case SchemeF32:
-		for i := range dst {
-			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
-		}
-	case SchemeInt8:
-		scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(src)))
-		for i := range dst {
-			dst[i] = float64(int8(src[4+i])) / 127 * scale
-		}
-	case SchemeBit1:
-		scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(src)))
-		for i := range dst {
-			if src[4+i/8]&(1<<(i%8)) != 0 {
-				dst[i] = scale
-			} else {
-				dst[i] = -scale
+	return nil
+}
+
+// fusedBlock is how many coordinates the fused drivers take at a time: 4 KiB
+// of floats, so a block's bytes and its decode are still in L1 for the next
+// step, and a multiple of 8. Coordinates [lo, hi) of an s-payload p, lo on a
+// block boundary, are p[EncodedBytes(s, lo):EncodedBytes(s, hi)].
+const fusedBlock = 512
+
+// EncodeResidual is EncodeInto for a sender that also needs what the peer
+// will decode. One pass over u emits dst's bytes (EncodeInto's, with the same
+// rng draws), returns RelError(u, decode(dst)) and, where the slices are
+// non-nil, writes recon[i] = decode(dst)[i] and resid[i] = u[i] −
+// decode(dst)[i] — the error-feedback carry. Either may be u itself. Every
+// value comes from the body encoder, the body decoder and RelError's
+// expression in its order: nothing differs from running the three one after
+// another except the passes over memory.
+func EncodeResidual(s Scheme, dst []byte, u []float64, rng *rand.Rand, recon, resid []float64) float64 {
+	if !s.Valid() || len(dst) != EncodedBytes(s, len(u)) ||
+		(recon != nil && len(recon) != len(u)) || (resid != nil && len(resid) != len(u)) {
+		panic(fmt.Sprintf("compress: encode under scheme %d into %d bytes, %d and %d outputs for %d values",
+			s, len(dst), len(recon), len(resid), len(u)))
+	}
+	scale := putScale(s, dst, u)
+	var num, den float64
+	var dec [fusedBlock]float64
+	for lo := 0; lo < len(u); lo += fusedBlock {
+		hi := min(lo+fusedBlock, len(u))
+		body := dst[EncodedBytes(s, lo):EncodedBytes(s, hi)]
+		encodeBody(s, body, u[lo:hi], scale, rng)
+		decodeBody(dec[:hi-lo], s, body, scale)
+		for i, r := range dec[:hi-lo] {
+			x := u[lo+i]
+			d := x - r
+			num, den = num+d*d, den+x*x
+			if recon != nil {
+				recon[lo+i] = r
 			}
+			if resid != nil {
+				resid[lo+i] = d
+			}
+		}
+	}
+	return relErr(num, den)
+}
+
+// DecodeAddInto is DecodeInto followed by dst[i] += ref[i] in one pass: the
+// receiver's rebuild of a difference-coded payload. dst may be ref itself.
+func DecodeAddInto(dst, ref []float64, s Scheme, src []byte) error {
+	if err := checkPayload(s, len(dst), src); err != nil {
+		return err
+	}
+	if len(ref) != len(dst) {
+		return fmt.Errorf("compress: %d-value payload on a %d-value reference", len(dst), len(ref))
+	}
+	scale := getScale(s, src)
+	var dec [fusedBlock]float64
+	for lo := 0; lo < len(dst); lo += fusedBlock {
+		hi := min(lo+fusedBlock, len(dst))
+		decodeBody(dec[:hi-lo], s, src[EncodedBytes(s, lo):EncodedBytes(s, hi)], scale)
+		for i, r := range dec[:hi-lo] {
+			dst[lo+i] = r + ref[lo+i]
 		}
 	}
 	return nil
@@ -252,6 +360,15 @@ func RNG(seed int64, round, client int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1_000_003 + int64(round)*7919 + int64(client+1)*104729 + 7))
 }
 
+// RNGFor is RNG for an encode under s, and nil where s draws nothing —
+// seeding a math/rand source costs a 607-word pass nobody would read.
+func RNGFor(s Scheme, seed int64, round, client int) *rand.Rand {
+	if !s.Stochastic() {
+		return nil
+	}
+	return RNG(seed, round, client)
+}
+
 // RelError returns the relative L2 reconstruction error ‖v − recon‖/‖v‖
 // (0 for a zero input), the quantity the compression telemetry histograms.
 func RelError(v, recon []float64) float64 {
@@ -261,6 +378,10 @@ func RelError(v, recon []float64) float64 {
 		num += d * d
 		den += v[i] * v[i]
 	}
+	return relErr(num, den)
+}
+
+func relErr(num, den float64) float64 {
 	if den == 0 {
 		return 0
 	}

@@ -247,6 +247,16 @@ func TestWireHotPathZeroAllocs(t *testing.T) {
 		}); n != 0 {
 			t.Fatalf("DecodeInto(%v) allocates %v/op", s, n)
 		}
+		// The fused calls the round loop actually makes, in place.
+		u := append([]float64(nil), v...)
+		if n := testing.AllocsPerRun(50, func() {
+			EncodeResidual(s, dst, u, rng, nil, u)
+			if err := DecodeAddInto(back, back, s, dst); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("EncodeResidual+DecodeAddInto(%v) allocate %v/op", s, n)
+		}
 	}
 }
 

@@ -201,11 +201,9 @@ type Worker struct {
 	net      *nn.Network
 	localOpt opt.Optimizer
 	arena    *nn.Arena // scratch for batches, loss gradients, δ maps
-	// Codec scratch: the difference/encode/decode buffers of CompressUplink,
-	// grown once to model size so the steady-state round loop is alloc-free.
-	cupd   []float64
-	crecon []float64
-	cbuf   []byte
+	// cbuf is CompressUplink's payload buffer, grown once to the model's
+	// packed size so the steady-state round loop is alloc-free.
+	cbuf []byte
 	// spanCtx is the worker's current client_round span, the parent for
 	// spans started inside the client's local work. Like net and arena it
 	// is single-goroutine: only the worker's own task touches it.
@@ -742,7 +740,9 @@ func (f *Federation) UplinkBytes(n int) int64 {
 // leaves vec untouched). When ref is non-nil the payload is
 // difference-coded against it — the transport client's Δ-against-broadcast
 // framing — and, with CompressEF on, the client's residual folds in first.
-// δ maps pass ref == nil (direct encode, no error feedback).
+// δ maps pass ref == nil (direct encode, no error feedback). Everything
+// happens in vec: difference, quantization (compress.EncodeResidual, the one
+// pass the transport client runs) and rebuild.
 //
 // class separates a round's payload streams (0 for model updates, 1 for δ
 // maps), mirroring the transport layer's per-class RNG salts; the stream is
@@ -752,47 +752,31 @@ func (f *Federation) CompressUplink(w *Worker, round int, c *Client, class int, 
 	if s == compress.SchemeDense {
 		return math.NaN()
 	}
-	upd := resizeFloats(&w.cupd, len(vec))
-	if ref == nil {
-		copy(upd, vec)
-	} else {
-		for i := range upd {
-			upd[i] = vec[i] - ref[i]
+	var resid []float64
+	if ref != nil {
+		for i := range vec {
+			vec[i] -= ref[i]
 		}
 		if f.Cfg.CompressEF {
-			r := f.efResidual[c.ID]
-			if len(r) != len(upd) {
-				r = make([]float64, len(upd))
-				f.efResidual[c.ID] = r
+			if resid = f.efResidual[c.ID]; len(resid) != len(vec) {
+				resid = make([]float64, len(vec))
+				f.efResidual[c.ID] = resid
 			}
-			for i := range upd {
-				upd[i] += r[i]
+			for i := range vec {
+				vec[i] += resid[i]
 			}
 		}
 	}
-	nb := compress.EncodedBytes(s, len(upd))
+	nb := compress.EncodedBytes(s, len(vec))
 	if cap(w.cbuf) < nb {
 		w.cbuf = make([]byte, nb)
 	}
-	buf := w.cbuf[:nb]
-	compress.EncodeInto(s, buf, upd, compress.RNG(f.Cfg.Seed, round, c.ID+class*len(f.Clients)))
-	recon := resizeFloats(&w.crecon, len(upd))
-	if err := compress.DecodeInto(recon, s, buf); err != nil {
-		panic(fmt.Sprintf("fl: self-decode of %v uplink failed: %v", s, err))
-	}
-	rel := compress.RelError(upd, recon)
+	rng := compress.RNGFor(s, f.Cfg.Seed, round, c.ID+class*len(f.Clients))
+	rel := compress.EncodeResidual(s, w.cbuf[:nb], vec, rng, vec, resid)
 	compress.ObserveReconError(s, rel)
-	if ref == nil {
-		copy(vec, recon)
-	} else {
-		if f.Cfg.CompressEF {
-			r := f.efResidual[c.ID]
-			for i := range r {
-				r[i] = upd[i] - recon[i]
-			}
-		}
+	if ref != nil {
 		for i := range vec {
-			vec[i] = ref[i] + recon[i]
+			vec[i] = ref[i] + vec[i]
 		}
 	}
 	return rel

@@ -24,8 +24,8 @@ type lateMsg struct {
 
 // BufferedUpdate is a validated, decoded update that arrived after its round
 // closed, parked until the next aggregation folds it in with the staleness
-// discount fl.StalenessWeight(round-Round, λ). Params are an owned copy —
-// the codec's decode buffers are reused every round.
+// discount fl.StalenessWeight(round-Round, λ). Params belong to the entry: the
+// late frame's own slice, or the buffer its packed payload was rebuilt into.
 type BufferedUpdate struct {
 	Client int
 	Round  int
@@ -127,7 +127,8 @@ func (s *session) handleLate(lm lateMsg, round int, updates []*Message) bool {
 // for δ rows. Invalid ones evict the sender, exactly like the fresh path.
 func (s *session) park(lm lateMsg, round int) {
 	i, m := lm.client, lm.m
-	params, err := s.decodeUpdate(i, m)
+	var own []float64 // a packed update is rebuilt straight into its parking buffer
+	params, err := s.decodeUpdate(i, m, &own)
 	if err != nil {
 		s.evict(i, round, err.Error())
 		return
@@ -149,16 +150,21 @@ func (s *session) park(lm lateMsg, round int) {
 		Client: i,
 		Round:  lm.round,
 		Loss:   m.Loss,
-		Params: append([]float64(nil), params...),
+		Params: params,
 	}
 	s.metrics.buffered.Set(float64(s.bufferedCount()))
 	s.logf("buffered client %d's update for round %d (arrived in round %d)", i, lm.round, round)
 }
 
-// decodeUpdate reconstructs an update's dense params, decoding and
-// de-difference-coding the packed form against the reference the client
-// trained from. Shared by the fresh validation loop and the late park path.
-func (s *session) decodeUpdate(i int, m *Message) ([]float64, error) {
+// decodeUpdate reconstructs an update's dense params. A packed update is
+// difference-coded: one pass rebuilds reference + decode(payload) into *dst,
+// the caller's buffer for it. The reference is what the client decoded its
+// last model payload to — the exact global under a dense broadcast, the shared
+// decode under a deterministic lossy one, the slot's own payload under a
+// stochastic one; an async session reads the slot's copy of the first two,
+// which the live ones may have advanced past before a straggler's update
+// lands. Shared by the fresh validation loop and the late park path.
+func (s *session) decodeUpdate(i int, m *Message, dst *[]float64) ([]float64, error) {
 	if m.PParams.N == 0 {
 		return m.Params, nil
 	}
@@ -166,22 +172,22 @@ func (s *session) decodeUpdate(i int, m *Message) ([]float64, error) {
 		return nil, fmt.Errorf("sent packed update of %d params, want %d", m.PParams.N, len(s.global))
 	}
 	sl := s.codec.slot(i)
-	dec := resizeFloats(&sl.updDec, len(s.global))
-	if err := compress.DecodeInto(dec, m.PParams.Scheme, m.PParams.Data); err != nil {
+	out, ref := resizeFloats(dst, len(s.global)), s.global
+	switch {
+	case sl.bcast.Stochastic():
+		if err := compress.DecodeInto(out, sl.bcast, sl.bcastBuf); err != nil {
+			return nil, fmt.Errorf("packed update with no broadcast to rebuild it on: %v", err)
+		}
+		ref = out
+	case s.cfg.Async && len(sl.ref) == len(s.global):
+		ref = sl.ref
+	case sl.bcast != compress.SchemeDense:
+		ref = s.codec.bcastRef
+	}
+	if err := compress.DecodeAddInto(out, ref, m.PParams.Scheme, m.PParams.Data); err != nil {
 		return nil, fmt.Errorf("packed update: %v", err)
 	}
-	// The diff reference is what the client received in its assign frame: the
-	// decoded lossy broadcast, or — async mode with a dense broadcast — the
-	// copy of the then-current global kept in bcastRef (the live global may
-	// have advanced past it before a straggler's update lands).
-	ref := s.global
-	if sl.bcast != compress.SchemeDense || (s.cfg.Async && len(sl.bcastRef) == len(s.global)) {
-		ref = sl.bcastRef
-	}
-	for j := range dec {
-		dec[j] += ref[j]
-	}
-	return dec, nil
+	return out, nil
 }
 
 // bufferedCount reports how many updates are parked.

@@ -70,6 +70,11 @@ type ClientConfig struct {
 // RunClient joins a federated session on conn with the given local shard
 // and participates until MsgDone, returning the final global parameters.
 func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, error) {
+	return runClient(conn, shard, cfg, new(clientCodec))
+}
+
+// runClient is RunClient on a codec the caller can look into afterwards.
+func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec) ([]float64, error) {
 	if cfg.LocalSteps <= 0 || cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("transport: client needs positive LocalSteps and BatchSize")
 	}
@@ -86,7 +91,7 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 	if caps == 0 {
 		caps = compress.AllCaps()
 	}
-	cc := &clientCodec{caps: caps, ef: cfg.ErrorFeedback, seed: cfg.Seed}
+	*cc = clientCodec{caps: caps, ef: cfg.ErrorFeedback, seed: cfg.Seed}
 	// The δ pass's scratch and result live as long as the session: Send has
 	// finished reading a δ by the time the next MsgDeltaReq overwrites it.
 	arena, delta := nn.NewArena(), make([]float64, net.FeatureDim)
@@ -127,9 +132,11 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 			// hostile one might not; clamp again so the reply never carries a
 			// scheme this client did not offer.
 			want := compress.Negotiate(m.Want, cc.caps)
+			cc.up = want
 			// params is the model this round trains from: the packed update is
 			// the difference against it and the self-monitor measures from it.
-			// An elided assign's model is the one net already holds.
+			// An elided assign's model is the one net already holds: the slice
+			// it was loaded from where the codec kept it, else a flat copy.
 			var params []float64
 			switch {
 			case !elided:
@@ -138,13 +145,9 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 					return nil, err
 				}
 				net.SetFlat(params)
-				if want != compress.SchemeDense {
-					cc.assigned = append(cc.assigned[:0], params...)
-				}
-			case want != compress.SchemeDense:
-				params = resizeFloats(&cc.assigned, nParams)
-				nn.FlattenTo(params, net.Params())
-			case cfg.Health != nil:
+			case cc.ref != nil:
+				params = cc.ref
+			case want != compress.SchemeDense || cfg.Health != nil:
 				params = net.GetFlat()
 			}
 			target, err := cc.downTarget(m)
@@ -167,26 +170,24 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 				Type: MsgUpdate, Round: m.Round, ClientID: m.ClientID,
 				NumSamples: int64(shard.Len()), Loss: loss,
 			}
-			// Flatten the trained model into a buffer this client already
-			// owns where one is free. The self-monitor needs both the model
-			// and params afterwards, so it gets a fresh slice.
+			// A packed update is taken straight off the network's tensors. The
+			// dense reply and the self-monitor need the trained model flat: in
+			// the assign's own Params where free — a received assign belongs to
+			// its receiver (see Conn), SetFlat was its last reader — else fresh.
 			var flat []float64
 			switch {
-			case cfg.Health == nil && want != compress.SchemeDense:
-				// encodeUpdate takes the difference in place in the Δ buffer.
-				flat = resizeFloats(&cc.upd, nParams)
-			case cfg.Health == nil && len(m.Params) > 0:
-				// A received assign belongs to its receiver (see Conn) and
-				// SetFlat was its last reader: answer in its Params.
-				flat = m.Params
-			default:
+			case cfg.Health != nil || (want == compress.SchemeDense && len(m.Params) == 0):
 				flat = make([]float64, nParams)
+			case want == compress.SchemeDense:
+				flat = m.Params
 			}
-			nn.FlattenTo(flat, net.Params())
+			if flat != nil {
+				nn.FlattenTo(flat, net.Params())
+			}
 			if want == compress.SchemeDense {
 				out.Params = flat
 			} else {
-				out.PParams = cc.encodeUpdate(want, int(m.Round), int(m.ClientID), flat)
+				out.PParams = cc.encodeUpdate(want, int(m.Round), int(m.ClientID), net.Params(), params)
 			}
 			err = conn.Send(out)
 			ser.End()
@@ -226,23 +227,29 @@ func RunClient(conn Conn, shard *data.Dataset, cfg ClientConfig) ([]float64, err
 	}
 }
 
-// clientCodec is the client half of the compressed wire path: decode
-// buffers for packed downlink payloads and the encode/residual buffers of
-// the lossy uplink. Buffers grow once to model size, so the steady-state
-// round loop does not allocate in the codec layer.
+// clientCodec is the client half of the compressed wire path: the decode
+// buffers of packed downlink payloads and, for a lossy uplink, the reference
+// the update is difference-coded against, the carry it is quantized in and
+// its bytes. Buffers grow once to model size, so the steady-state round loop
+// does not allocate in the codec layer.
 type clientCodec struct {
 	caps compress.Caps
 	ef   bool
 	seed int64
+	up   compress.Scheme // uplink scheme of the last assign
 
-	params   []float64 // decoded downlink model
-	target   []float64 // decoded downlink δ target
-	assigned []float64 // model this round trained from (the Δ reference)
-	upd      []float64 // Δ = local − assigned (+ residual)
-	residual []float64 // error-feedback carry-over, zero at (re)join
-	recon    []float64 // decode(encode(upd)) for residual update + telemetry
-	packed   []byte    // update encode buffer
-	packedD  []byte    // δ encode buffer
+	params []float64 // decoded downlink model
+	target []float64 // decoded downlink δ target
+	// ref is the slice the network was last loaded from, kept while a packed
+	// update may be difference-coded against it: params, or a dense frame's
+	// own Params.
+	ref []float64
+	// carry is where the update is formed and quantized: local − ref plus,
+	// under error feedback, what the last quantization left behind — held
+	// here between rounds, zero at (re)join.
+	carry   []float64
+	packed  []byte // update encode buffer
+	packedD []byte // δ encode buffer
 }
 
 // downParams returns a frame's model params, decoding the packed form into
@@ -254,13 +261,15 @@ func (c *clientCodec) downParams(m *Message, n int) ([]float64, error) {
 			m.Type, len(m.Params), m.PParams.N, n)
 	}
 	if m.PParams.N == 0 {
+		c.ref = nil
+		if c.up != compress.SchemeDense {
+			c.ref = m.Params
+		}
 		return m.Params, nil
 	}
-	dst := resizeFloats(&c.params, n)
-	if err := c.decode(dst, m.PParams); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	var err error
+	c.ref, err = c.decode(&c.params, m.PParams)
+	return c.ref, err
 }
 
 // downTarget returns a frame's δ target, decoding the packed form when
@@ -269,63 +278,52 @@ func (c *clientCodec) downTarget(m *Message) ([]float64, error) {
 	if m.PDelta.N == 0 {
 		return m.Delta, nil
 	}
-	dst := resizeFloats(&c.target, int(m.PDelta.N))
-	if err := c.decode(dst, m.PDelta); err != nil {
-		return nil, err
+	return c.decode(&c.target, m.PDelta)
+}
+
+// decode decodes pv into *buf, grown to fit once and reused after.
+func (c *clientCodec) decode(buf *[]float64, pv PackedVec) ([]float64, error) {
+	dst := resizeFloats(buf, int(pv.N))
+	if err := compress.DecodeInto(dst, pv.Scheme, pv.Data); err != nil {
+		return nil, fmt.Errorf("transport: packed downlink: %w", err)
 	}
 	return dst, nil
 }
 
-func (c *clientCodec) decode(dst []float64, pv PackedVec) error {
-	if err := compress.DecodeInto(dst, pv.Scheme, pv.Data); err != nil {
-		return fmt.Errorf("transport: packed downlink: %w", err)
+// encodeUpdate difference-codes the trained model against ref, the model the
+// round started from, folds in the error-feedback carry, and quantizes the sum
+// where it stands under s with the (Seed, round, slot)-keyed RNG — so a
+// resumed client (EF off) reproduces the exact payload bytes of an
+// uninterrupted run. With error feedback the same pass leaves the new carry.
+func (c *clientCodec) encodeUpdate(s compress.Scheme, round, slot int, local []*nn.Param, ref []float64) PackedVec {
+	u := resizeFloats(&c.carry, len(ref))
+	off := 0
+	for _, p := range local {
+		w := p.W.Data
+		seg, r := u[off:off+len(w)], ref[off:off+len(w)]
+		off += len(w)
+		if c.ef {
+			for i, x := range w {
+				seg[i] = x - r[i] + seg[i]
+			}
+		} else {
+			for i, x := range w {
+				seg[i] = x - r[i]
+			}
+		}
 	}
-	return nil
-}
-
-// encodeUpdate difference-codes the trained model against the assigned
-// broadcast, folds in the error-feedback residual, and encodes under s with
-// the (Seed, round, slot)-keyed RNG — so a resumed client (EF off)
-// reproduces the exact payload bytes of an uninterrupted run. local may be
-// c.upd itself, in which case the difference is taken in place.
-func (c *clientCodec) encodeUpdate(s compress.Scheme, round, slot int, local []float64) PackedVec {
-	upd := resizeFloats(&c.upd, len(local))
-	for i := range upd {
-		upd[i] = local[i] - c.assigned[i]
-	}
+	var resid []float64
 	if c.ef {
-		if len(c.residual) != len(upd) {
-			c.residual = make([]float64, len(upd))
-		}
-		for i := range upd {
-			upd[i] += c.residual[i]
-		}
+		resid = u
 	}
-	pv := packVec(&c.packed, s, upd, compress.RNG(c.seed, round, slot))
-	recon := resizeFloats(&c.recon, len(upd))
-	if err := compress.DecodeInto(recon, s, pv.Data); err != nil {
-		panic(fmt.Sprintf("transport: self-decode of update failed: %v", err))
-	}
-	compress.ObserveReconError(s, compress.RelError(upd, recon))
-	if c.ef {
-		for i := range c.residual {
-			c.residual[i] = upd[i] - recon[i]
-		}
-	}
-	return pv
+	return packVec(&c.packed, s, u, compress.RNGFor(s, c.seed, round, slot), nil, resid)
 }
 
 // encodeDelta encodes a δ map directly (no reference, no error feedback:
 // rows are regularization targets, not accumulated state). The RNG salt is
 // offset from the update encode's so the two streams of one round differ.
 func (c *clientCodec) encodeDelta(s compress.Scheme, round, slot int, delta []float64) PackedVec {
-	pv := packVec(&c.packedD, s, delta, compress.RNG(c.seed, round, slot+1<<16))
-	recon := resizeFloats(&c.recon, len(delta))
-	if err := compress.DecodeInto(recon, s, pv.Data); err != nil {
-		panic(fmt.Sprintf("transport: self-decode of δ failed: %v", err))
-	}
-	compress.ObserveReconError(s, compress.RelError(delta, recon))
-	return pv
+	return packVec(&c.packedD, s, delta, compress.RNGFor(s, c.seed, round, slot+1<<16), nil, nil)
 }
 
 // clientRoundRNG derives the client's mini-batch stream for one round from

@@ -39,6 +39,10 @@ type elideRun struct {
 	plans  map[int]FaultPlan              // client-side fault plans
 	// mayFail lists client slots whose RunClient is expected to error.
 	mayFail map[int]bool
+	// sess and codecs, when set, are the session and the per-client codecs the
+	// run uses, for the caller to look into afterwards.
+	sess   *session
+	codecs []*clientCodec
 }
 
 func (r elideRun) run(t *testing.T, fx *federatedFixture) *ServerResult {
@@ -81,12 +85,20 @@ func (r elideRun) run(t *testing.T, fx *federatedFixture) *ServerResult {
 			if plan, ok := r.plans[i]; ok {
 				conn = NewFaultConn(conn, plan)
 			}
-			if _, err := RunClient(conn, fx.shards[i], cfg); err != nil && !r.mayFail[i] {
+			cc := new(clientCodec)
+			if r.codecs != nil {
+				cc = r.codecs[i]
+			}
+			if _, err := runClient(conn, fx.shards[i], cfg, cc); err != nil && !r.mayFail[i] {
 				t.Errorf("client %d: %v", i, err)
 			}
 		}(i)
 	}
-	res, err := Serve(scfg, serverConns)
+	sess := r.sess
+	if sess == nil {
+		sess = new(session)
+	}
+	res, err := sess.serve(scfg, serverConns)
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
@@ -162,8 +174,10 @@ func hashFloats(v []float64) string {
 // goldenRuns are the fixed-seed sessions whose outputs must stay equal to
 // the bit: dense with a 3-of-4 cohort (full assigns only), dense with the
 // whole fleet (elided assigns from round 1 on — the benchmark's dense fleet),
-// the benchmark's f32-broadcast + q8-uplink + error-feedback shape, and
-// buffered async with packed updates diff-coded against a dense broadcast.
+// the benchmark's f32-broadcast + q8-uplink + error-feedback shape,
+// buffered async with packed updates diff-coded against a dense broadcast,
+// and the f32/q8 policy with one dense-only client beside three that take it
+// (recorded while every slot still got its own encode of the broadcast).
 var goldenRuns = map[string]elideRun{
 	"dense":      {algo: AlgoRFedAvgPlus, shape: func(c *ServerConfig) { c.SampleRatio = 0.75 }},
 	"dense-full": {algo: AlgoRFedAvgPlus},
@@ -176,6 +190,15 @@ var goldenRuns = map[string]elideRun{
 		c.Async, c.SampleRatio, c.StalenessLambda = true, 0.5, 0.5
 		c.Codec = CodecPolicy{Update: compress.SchemeInt8}
 	}},
+	"mixed-caps": {algo: AlgoRFedAvgPlus,
+		shape: func(c *ServerConfig) {
+			c.Codec = CodecPolicy{Broadcast: compress.SchemeF32, Update: compress.SchemeInt8, Delta: compress.SchemeInt8}
+		},
+		client: func(i int, cfg *ClientConfig) {
+			if i == 0 {
+				cfg.Caps = compress.CapsOf() // dense only
+			}
+		}},
 }
 
 type goldenSession struct {

@@ -272,14 +272,13 @@ type pendingJoin struct {
 	join *Message
 }
 
-// sessionCodec is the per-client negotiated wire-compression state: the
-// scheme chosen per payload class from the join handshake's caps, plus the
-// encode/decode buffers of the compressed path. Slot state is allocated
+// sessionCodec is the negotiated wire-compression state: per client, the
+// scheme chosen per payload class from the join handshake's caps; per session,
+// the model-sized buffers of the compressed path. Slot state is allocated
 // lazily at a client's first (re)join handshake — a session sized for 100k
-// potential slots holds one pointer per slot until a client actually
-// connects, not ten buffers. Slots are indexed by client, so the concurrent
-// broadcast goroutines never share buffers, and each slot's buffers reach
-// zero steady-state allocations once grown.
+// potential slots holds one pointer per slot until a client connects — and a
+// synchronous session's slot holds nothing model-sized: codec memory follows
+// the cohort, not the slots ever sampled.
 type sessionCodec struct {
 	policy CodecPolicy
 	seed   int64
@@ -287,6 +286,17 @@ type sessionCodec struct {
 	nslot  int // slots with allocated state (negotiated at least once)
 
 	slots []*codecSlot
+
+	// A broadcast scheme that draws no randomness encodes a model the same for
+	// everyone: bcast is version bcastVer under policy.Broadcast, encoded once
+	// and sent to every slot that negotiated it, and bcastRef what they decode
+	// it to — the reference their packed updates are rebuilt against.
+	bcastVer int
+	bcast    PackedVec
+	bcastRef []float64
+	// stage[j] holds the round's j-th rebuilt packed update until the round
+	// has aggregated it; it grows to the largest cohort seen.
+	stage [][]float64
 }
 
 // codecSlot is one client's negotiated schemes and codec buffers. The zero
@@ -299,20 +309,21 @@ type codecSlot struct {
 	upd   compress.Scheme // client→server trained model
 	delta compress.Scheme // δ payloads, both directions
 
-	// bcastRef is the last model payload this slot was sent, as the client
-	// decoded it — the reference its packed (difference-coded) update is
-	// reconstructed against. Only maintained where s.global cannot stand in:
-	// a lossy bcast, or an async session with packed updates.
-	bcastRef  []float64
-	bcastBuf  []byte // packed model params (MsgAssign/MsgDeltaReq)
+	// bcastBuf is the slot's model payload under a stochastic broadcast scheme
+	// — a (Seed, version, slot) stream each, nothing to share — and with that
+	// the reference its packed update is rebuilt against.
+	bcastBuf []byte
+	// ref is an async session's copy of what the slot's last model payload
+	// decodes to: a straggler's packed update may land after the model and
+	// the shared broadcast have moved on.
+	ref       []float64
 	targetBuf []byte // MsgAssign packed δ target
-	updDec    []float64
 	deltaDec  []float64
 }
 
 func (c *sessionCodec) init(policy CodecPolicy, seed int64, n int) {
 	c.policy, c.seed, c.n = policy, seed, n
-	c.nslot = 0
+	c.nslot, c.bcastVer = 0, -1
 	c.slots = make([]*codecSlot, n)
 }
 
@@ -352,46 +363,57 @@ func resizeFloats(buf *[]float64, n int) []float64 {
 	return *buf
 }
 
-// packVec encodes v under s into *buf (grown as needed, reused otherwise)
-// and returns the framed payload.
-func packVec(buf *[]byte, s compress.Scheme, v []float64, rng *rand.Rand) PackedVec {
+// packVec encodes v under s into *buf (grown as needed, reused otherwise),
+// records the reconstruction error and returns the framed payload. recon and
+// resid are compress.EncodeResidual's optional outputs from the same pass:
+// what the peer will decode, and what it will be missing.
+func packVec(buf *[]byte, s compress.Scheme, v []float64, rng *rand.Rand, recon, resid []float64) PackedVec {
 	need := compress.EncodedBytes(s, len(v))
 	if cap(*buf) < need {
 		*buf = make([]byte, need)
 	}
 	b := (*buf)[:need]
 	*buf = b
-	compress.EncodeInto(s, b, v, rng)
+	compress.ObserveReconError(s, compress.EncodeResidual(s, b, v, rng, recon, resid))
 	return PackedVec{Scheme: s, N: int32(len(v)), Data: b}
+}
+
+// shareBroadcast encodes the current global — model version `version` — once
+// for all the slots a deterministic broadcast scheme serves, ahead of the IO
+// fan-out. MsgDeltaReq(r) and the assigns of round r+1 carry the same version
+// and share the encode; a resumed session starts with none cached.
+func (s *session) shareBroadcast(version int) {
+	c := &s.codec
+	bs := c.policy.Broadcast
+	if bs == compress.SchemeDense || !bs.Valid() || bs.Stochastic() || c.bcastVer == version {
+		return
+	}
+	c.bcast = packVec(&c.bcast.Data, bs, s.global, nil, resizeFloats(&c.bcastRef, len(s.global)), nil)
+	c.bcastVer = version
 }
 
 // modelPayload puts the current global on m for slot i — version counts the
 // aggregations behind it, so round r's MsgAssign carries version r and its
-// MsgDeltaReq version r+1 — dense or packed as negotiated, and keeps
-// bcastRef in step. The encode RNG is keyed by (Seed, version, slot), not by
-// frame type: MsgDeltaReq(r) and a full MsgAssign(r+1) are the same bytes, so
-// a client trains from the same model whether its assign was elided, retried
-// or the first after a resume.
+// MsgDeltaReq version r+1 — dense or packed as negotiated; the caller has run
+// shareBroadcast(version). A stochastic scheme's RNG is keyed by (Seed,
+// version, slot), not by frame type: MsgDeltaReq(r) and a full MsgAssign(r+1)
+// are the same bytes, so a client trains from the same model whether its
+// assign was elided, retried or the first after a resume.
 func (s *session) modelPayload(m *Message, i, version int) {
 	sl := s.codec.slot(i)
-	bs := sl.bcast
-	if bs == compress.SchemeDense {
+	ref := s.global
+	switch bs := sl.bcast; {
+	case bs == compress.SchemeDense:
 		m.Params = s.global
-		if s.cfg.Async && sl.upd != compress.SchemeDense {
-			// A packed update is diff-coded against this payload, which a
-			// straggler's update may outlive — keep a copy as reference.
-			copy(resizeFloats(&sl.bcastRef, len(s.global)), s.global)
-		}
+	case bs.Stochastic():
+		m.PParams = packVec(&sl.bcastBuf, bs, s.global, compress.RNG(s.cfg.Seed, version, i+s.codec.n), nil, nil)
 		return
+	default:
+		m.PParams, ref = s.codec.bcast, s.codec.bcastRef
 	}
-	m.PParams = packVec(&sl.bcastBuf, bs, s.global, compress.RNG(s.cfg.Seed, version, i+s.codec.n))
-	// Keep the decoded payload: it is both what the client trains from and
-	// the reference its packed update is rebuilt against.
-	ref := resizeFloats(&sl.bcastRef, len(s.global))
-	if err := compress.DecodeInto(ref, bs, m.PParams.Data); err != nil {
-		panic(fmt.Sprintf("transport: self-decode of broadcast failed: %v", err))
+	if s.cfg.Async && sl.upd != compress.SchemeDense {
+		copy(resizeFloats(&sl.ref, len(ref)), ref)
 	}
-	compress.ObserveReconError(bs, compress.RelError(s.global, ref))
 }
 
 // Serve runs a synchronous federated session over the given established
@@ -406,6 +428,11 @@ func (s *session) modelPayload(m *Message, i, version int) {
 // times before the session aborts. Evicted clients may reconnect through
 // cfg.Rejoin and are re-admitted at the next round boundary.
 func Serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
+	return new(session).serve(cfg, conns)
+}
+
+// serve is Serve on a session the caller can look into afterwards.
+func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("transport: no clients")
 	}
@@ -415,7 +442,7 @@ func Serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 	if cfg.Algorithm == AlgoRFedAvgPlus && cfg.FeatureDim <= 0 {
 		return nil, fmt.Errorf("transport: rfedavg+ requires FeatureDim")
 	}
-	s := &session{
+	*s = session{
 		cfg:        cfg,
 		minClients: max(cfg.MinClients, 1),
 		conns:      make([]Conn, len(conns)),
@@ -959,6 +986,7 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 	tb := s.cfg.Tracer.Start("broadcast", roundCtx)
 	tb.Round = round
 	members := s.membersOf(cohort)
+	s.shareBroadcast(round)
 	s.broadcastActive(ctx, round, roundCtx, members, func(i int) *Message {
 		sl := s.codec.slot(i)
 		m := &Message{Type: MsgAssign, Round: int32(round), ClientID: int32(i), Want: sl.upd}
@@ -975,7 +1003,7 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 			target := s.table.MeanExcluding(i)
 			if ds := sl.delta; ds != compress.SchemeDense && len(target) > 0 {
 				// Salted one stride past the model encode's stream (modelPayload).
-				m.PDelta = packVec(&sl.targetBuf, ds, target, compress.RNG(s.cfg.Seed, round, i+2*s.codec.n))
+				m.PDelta = packVec(&sl.targetBuf, ds, target, compress.RNGFor(ds, s.cfg.Seed, round, i+2*s.codec.n), nil, nil)
 			} else {
 				m.Delta = target
 			}
@@ -1003,12 +1031,18 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 	// reference is the decoded broadcast the client trained from (the exact
 	// global when the broadcast itself went dense).
 	delivered := make([]bool, len(s.conns))
-	valid := 0
+	valid, staged := 0, 0
 	for i, m := range updates {
 		if m == nil {
 			continue
 		}
-		params, err := s.decodeUpdate(i, m)
+		if staged == len(s.codec.stage) {
+			s.codec.stage = append(s.codec.stage, nil)
+		}
+		params, err := s.decodeUpdate(i, m, &s.codec.stage[staged])
+		if m.PParams.N > 0 {
+			staged++
+		}
 		if err != nil {
 			s.evict(i, round, err.Error())
 			updates[i] = nil
@@ -1166,6 +1200,7 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 		td.Round = round
 		ctx2, cancel2 := s.phaseCtx()
 		members = s.membersOf(delivered)
+		s.shareBroadcast(round + 1)
 		s.broadcastActive(ctx2, round, roundCtx, members, func(i int) *Message {
 			m := &Message{Type: MsgDeltaReq, Round: int32(round), ClientID: int32(i), Want: s.codec.slot(i).delta}
 			s.modelPayload(m, i, round+1)
