@@ -18,11 +18,9 @@ import (
 )
 
 // BenchmarkMicro runs the hot-path micro-benchmarks (train step, im2col,
-// matmul, δ computation) with kernel parallelism pinned to 1, matching the
-// serial rows of the JSON reports. The same cases back `flbench
-// -bench-json`, which records them into the per-PR BENCH_*.json files; run
-// with -benchmem to see the steady-state B/op and allocs/op the arena
-// design targets.
+// matmul, δ computation, codecs, framing) with kernel parallelism pinned to
+// 1, for local profiling; run with -benchmem to see the steady-state B/op
+// and allocs/op the arena design targets.
 func BenchmarkMicro(b *testing.B) {
 	for _, c := range bench.Cases() {
 		c := c
@@ -69,7 +67,6 @@ func BenchmarkTheoryConvergence(b *testing.B)     { benchExperiment(b, "theory")
 // Extension experiments (see DESIGN.md "Extensions beyond the paper").
 
 func BenchmarkExtBaselines(b *testing.B)       { benchExperiment(b, "extbaselines") }
-func BenchmarkExtCompression(b *testing.B)     { benchExperiment(b, "extcompress") }
 func BenchmarkExtSamplers(b *testing.B)        { benchExperiment(b, "extsampler") }
 func BenchmarkExtPersonalization(b *testing.B) { benchExperiment(b, "extpersonal") }
 func BenchmarkExtKernelMMD(b *testing.B)       { benchExperiment(b, "extkernel") }

@@ -11,19 +11,6 @@
 // figure of the paper; see DESIGN.md for the experiment index and
 // EXPERIMENTS.md for recorded paper-vs-measured results.
 //
-// With -bench-json <path> it instead runs the hot-path micro-benchmarks
-// (train step, im2col, matmul, δ computation) and records ns/op, B/op, and
-// allocs/op as JSON — the per-PR regression records kept in BENCH_*.json
-// (BENCH_hotpath.json, BENCH_gemm.json, …). With -bench-compare PREV,CUR it
-// diffs two such records and exits non-zero when a case regressed by more
-// than 10% of a best-of-3 ns/op measurement or grew its steady-state
-// allocations (`make bench-compare`); it warns when either record was made
-// at GOMAXPROCS=1 (whose parallel_speedup columns are ~1.0 by construction)
-// and fails on that with -require-multicore. With -bench-smoke it measures
-// the two largest Scaling shapes serial vs NumCPU-parallel and exits
-// non-zero when the parallel kernel path is not at least break-even
-// (`make bench-smoke`; skipped with a warning on single-CPU machines).
-//
 // With -telemetry-smoke it runs a short in-process federated session against
 // a fresh metric registry, scrapes the /metrics endpoint, and exits non-zero
 // if any core series is missing — the CI gate behind `make telemetry-smoke`.
@@ -35,10 +22,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
 	"repro/internal/telemetry"
@@ -52,10 +37,6 @@ func main() {
 		outPath    = flag.String("o", "", "write the result to this file instead of stdout")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		quiet      = flag.Bool("q", false, "suppress progress logging")
-		benchJSON  = flag.String("bench-json", "", "run hot-path micro-benchmarks, write JSON report to this path, and exit")
-		benchCmp   = flag.String("bench-compare", "", "compare two bench JSON records given as PREV,CUR; exit 1 on >10% ns/op regression")
-		benchSmoke = flag.Bool("bench-smoke", false, "assert the parallel kernel path beats serial on the largest shapes; skips with a warning on single-CPU machines")
-		reqMulti   = flag.Bool("require-multicore", false, "with -bench-compare: fail when either record was made at GOMAXPROCS=1 or num_cpu=1")
 		smoke      = flag.Bool("telemetry-smoke", false, "run a short instrumented session, scrape /metrics, and fail on missing core series")
 		healthURL  = flag.String("health-scrape", "", "poll this /debug/fl/health URL until it serves a live snapshot with per-client scores and a firing alert, then exit (the health-smoke CI gate)")
 		scrapeWait = flag.Duration("scrape-timeout", 60*time.Second, "give up on -health-scrape after this long")
@@ -78,37 +59,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("telemetry smoke test passed")
-		return
-	}
-
-	if *benchSmoke {
-		if err := bench.Smoke(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "flbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchCmp != "" {
-		prevPath, curPath, ok := strings.Cut(*benchCmp, ",")
-		if !ok {
-			fmt.Fprintln(os.Stderr, "flbench: -bench-compare wants PREV,CUR (two JSON paths)")
-			os.Exit(2)
-		}
-		if err := bench.CompareFiles(prevPath, curPath, os.Stdout, *reqMulti); err != nil {
-			fmt.Fprintln(os.Stderr, "flbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchJSON != "" {
-		fmt.Fprintln(os.Stderr, "running hot-path micro-benchmarks…")
-		if err := bench.WriteJSON(*benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "flbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "wrote", *benchJSON)
 		return
 	}
 

@@ -54,10 +54,3 @@ func ExampleNewGaussianMechanism() {
 	fmt.Printf("per-coordinate noise std: %.1f\n", mech.NoiseStd())
 	// Output: per-coordinate noise std: 0.1
 }
-
-// ExampleNewQuantizer shows compressed uploads via the public API.
-func ExampleNewQuantizer() {
-	q := rfedavg.NewQuantizer(8)
-	fmt.Println(q.Name())
-	// Output: q8
-}

@@ -1,10 +1,10 @@
-// Efficient uplink: bandwidth-constrained devices compress their model
-// updates (8-bit quantization / top-k sparsification with error feedback)
-// while the server biases selection toward struggling clients
-// (power-of-choice). Together these extensions shrink upload volume by an
-// order of magnitude at minor accuracy cost — the communication-efficiency
-// directions from the paper's related work, composed with its federated
-// runtime.
+// Efficient uplink: bandwidth-constrained devices upload their model
+// updates under a lossy wire scheme (float32, 8-bit or 1-bit quantization,
+// the last two with error feedback) while the server biases selection
+// toward struggling clients (power-of-choice). Together these shrink upload
+// volume by up to an order of magnitude at minor accuracy cost — the
+// communication-efficiency directions from the paper's related work, on the
+// same codec a real deployment frames on the socket.
 //
 //	go run ./examples/efficient_uplink
 package main
@@ -30,34 +30,31 @@ func main() {
 		LR:          rfedavg.ConstLR(0.1),
 	}
 
-	type variant struct {
+	variants := []struct {
 		name    string
-		alg     func(numParams int) rfedavg.Algorithm
+		scheme  rfedavg.Scheme
+		ef      bool
 		sampler rfedavg.Sampler
-	}
-	variants := []variant{
-		{"dense + uniform", func(p int) rfedavg.Algorithm { return rfedavg.NewFedAvg() }, rfedavg.Uniform},
-		{"8-bit + uniform", func(p int) rfedavg.Algorithm {
-			return rfedavg.NewCompressedFedAvg(rfedavg.NewQuantizer(8), true)
-		}, rfedavg.Uniform},
-		{"top-2% + uniform", func(p int) rfedavg.Algorithm {
-			return rfedavg.NewCompressedFedAvg(rfedavg.NewTopK(p/50), true)
-		}, rfedavg.Uniform},
-		{"8-bit + power-of-choice", func(p int) rfedavg.Algorithm {
-			return rfedavg.NewCompressedFedAvg(rfedavg.NewQuantizer(8), true)
-		}, rfedavg.NewPowerOfChoiceSampler(3)},
+	}{
+		{"dense + uniform", rfedavg.SchemeDense, false, rfedavg.Uniform},
+		{"f32 + uniform", rfedavg.SchemeF32, false, rfedavg.Uniform},
+		{"q8+EF + uniform", rfedavg.SchemeInt8, true, rfedavg.Uniform},
+		{"q1+EF + uniform", rfedavg.SchemeBit1, true, rfedavg.Uniform},
+		{"q8+EF + power-of-choice", rfedavg.SchemeInt8, true, rfedavg.NewPowerOfChoiceSampler(3)},
 	}
 
 	fmt.Println("20 devices, 25% participation, totally non-IID MNIST, 15 rounds:")
 	for _, v := range variants {
 		cfg := base
 		cfg.Sampler = v.sampler
+		cfg.Compress, cfg.CompressEF = v.scheme, v.ef
 		fed := rfedavg.NewFederation(cfg, shards, test)
-		hist := rfedavg.Run(fed, v.alg(fed.NumParams()), 15)
+		hist := rfedavg.Run(fed, rfedavg.NewFedAvg(), 15)
 		up, _ := hist.TotalBytes()
 		fmt.Printf("  %-24s final acc %.4f  upload %6.2f MiB\n",
 			v.name, hist.FinalAccuracy(3), float64(up)/(1<<20))
 	}
-	fmt.Println("\nexpected shape: compressed uploads cost little accuracy for ~10-30× fewer bytes;")
+	fmt.Println("\nexpected shape: f32 is free at half the bytes and q8 costs little accuracy for 8× fewer; q1 (64× fewer)")
+	fmt.Println("converges far slower when a device is sampled too rarely for its error feedback to catch up;")
 	fmt.Println("loss-biased sampling speeds early rounds on skewed data")
 }

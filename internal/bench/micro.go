@@ -1,22 +1,15 @@
 // Package bench defines the hot-path micro-benchmarks (train step, im2col,
-// matmul, δ computation, wire codecs and framing) shared by `go test -bench
-// BenchmarkMicro` and the `flbench -bench-json` regression recorder, plus
-// the JSON compare gate behind `make bench-compare`. Keeping the cases in
-// one place guarantees the JSON trajectory in BENCH_*.json measures exactly
-// what the test benchmarks measure.
+// matmul, δ computation, wire codecs and framing) that `go test -bench
+// BenchmarkMicro` runs for local profiling. The regression gate is the repo
+// benchmark under benchmark/, whose per-layer probes cover the same layers.
 package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"math/rand"
-	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/compress"
 	"repro/internal/core"
@@ -28,36 +21,10 @@ import (
 )
 
 // Case is one named micro-benchmark. Bench must not set the kernel
-// parallelism itself: the harness pins it (1 for the serial measurement,
-// NumCPU for the scaling measurement of Scaling cases), so one case
-// definition serves both rows of the report.
+// parallelism itself: RunSerial pins it.
 type Case struct {
-	Name    string
-	Scaling bool // also measured at NumCPU kernel parallelism
-	Bench   func(b *testing.B)
-}
-
-// Result is one case's measurement, the schema of a BENCH_*.json row.
-// NsPerOp, BytesPerOp, and AllocsPerOp are measured with kernel parallelism
-// pinned to 1 (matching the per-worker budget inside a fully subscribed
-// MapClients pool). For Scaling cases, NsPerOpParallel is the same
-// measurement at kernel parallelism NumCPU and ParallelSpeedup the serial/
-// parallel ratio (1.0 on a single-core machine).
-type Result struct {
-	Name            string  `json:"name"`
-	NsPerOp         float64 `json:"ns_per_op"`
-	BytesPerOp      int64   `json:"bytes_per_op"`
-	AllocsPerOp     int64   `json:"allocs_per_op"`
-	NsPerOpParallel float64 `json:"ns_per_op_parallel,omitempty"`
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
-}
-
-// Report is the top-level BENCH_*.json document.
-type Report struct {
-	Generated  string   `json:"generated"`
-	GoMaxProcs int      `json:"go_maxprocs"`
-	NumCPU     int      `json:"num_cpu"`
-	Results    []Result `json:"results"`
+	Name  string
+	Bench func(b *testing.B)
 }
 
 func synthDataset(rng *rand.Rand, n, features, classes int) *data.Dataset {
@@ -72,7 +39,7 @@ func synthDataset(rng *rand.Rand, n, features, classes int) *data.Dataset {
 // trainStepCase benchmarks steady-state LocalTrain steps on a single-worker
 // federation.
 func trainStepCase(name string, builder nn.Builder, ds *data.Dataset, batch int) Case {
-	return Case{Name: name, Scaling: true, Bench: func(b *testing.B) {
+	return Case{Name: name, Bench: func(b *testing.B) {
 		cfg := fl.Config{Builder: builder, ModelSeed: 1, Seed: 2, LocalSteps: 1, BatchSize: batch, Workers: 1}
 		f := fl.NewFederation(cfg, []*data.Dataset{ds}, nil)
 		w, c := f.Worker(0), f.Clients[0]
@@ -226,7 +193,7 @@ func Cases() []Case {
 				c.Im2col(img, dst)
 			}
 		}},
-		{Name: "matmul/64x128x64", Scaling: true, Bench: func(b *testing.B) {
+		{Name: "matmul/64x128x64", Bench: func(b *testing.B) {
 			r := rand.New(rand.NewSource(5))
 			x := tensor.RandNormal(r, 1, 64, 128)
 			y := tensor.RandNormal(r, 1, 128, 64)
@@ -237,10 +204,7 @@ func Cases() []Case {
 				tensor.MatMulInto(out, x, y)
 			}
 		}},
-		{Name: "matmul/512x256x256", Scaling: true, Bench: func(b *testing.B) {
-			// Large enough (131k output elements) to cross the kernels'
-			// parallel threshold, so the scaling row measures real
-			// macro-block fan-out rather than the serial fast path.
+		{Name: "matmul/512x256x256", Bench: func(b *testing.B) {
 			r := rand.New(rand.NewSource(7))
 			x := tensor.RandNormal(r, 1, 512, 256)
 			y := tensor.RandNormal(r, 1, 256, 256)
@@ -251,7 +215,7 @@ func Cases() []Case {
 				tensor.MatMulInto(out, x, y)
 			}
 		}},
-		{Name: "compute-delta/512x64", Scaling: true, Bench: func(b *testing.B) {
+		{Name: "compute-delta/512x64", Bench: func(b *testing.B) {
 			r := rand.New(rand.NewSource(6))
 			ds := synthDataset(r, 512, 64, 10)
 			net := nn.NewMLP(64, 64, 32, 10)(1)
@@ -264,7 +228,7 @@ func Cases() []Case {
 				core.ComputeDeltaInto(dst, arena, net, ds, 256)
 			}
 		}},
-		{Name: "pairwise-mmd/64x128", Scaling: true, Bench: func(b *testing.B) {
+		{Name: "pairwise-mmd/64x128", Bench: func(b *testing.B) {
 			// The server-side MMD matrix over a 64-client table: the N×N
 			// distance loop the ledger records each round, parallelized
 			// over the kernel pool (64·64·128 crosses its fan-out gate).
@@ -316,83 +280,10 @@ func Cases() []Case {
 	}
 }
 
-// RunSerial runs one case with the kernel parallelism pinned to 1, the
-// configuration BenchmarkMicro and the serial columns of the JSON report
-// use.
+// RunSerial runs one case with the kernel parallelism pinned to 1, matching
+// the per-worker budget inside a fully subscribed MapClients pool.
 func RunSerial(b *testing.B, c Case) {
 	prev := tensor.SetKernelParallelism(1)
 	defer tensor.SetKernelParallelism(prev)
 	c.Bench(b)
-}
-
-// benchRuns is how many times benchmarkAt repeats each case. The compare
-// gate (`flbench -bench-compare`) fails on a >10% ns/op regression, but on
-// shared machines CPU steal and scheduler interference inflate individual
-// runs by 20% or more — interference is strictly additive, so the *minimum*
-// of the repeats is the robust estimator of the code's true cost (a run can
-// be slowed by noise, never sped up by it). Taking a median instead lets a
-// single noisy-majority recording fail the gate on untouched code.
-const benchRuns = 3
-
-func benchmarkAt(par int, c Case) testing.BenchmarkResult {
-	prev := tensor.SetKernelParallelism(par)
-	defer tensor.SetKernelParallelism(prev)
-	runs := make([]testing.BenchmarkResult, benchRuns)
-	for i := range runs {
-		runs[i] = testing.Benchmark(c.Bench)
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].NsPerOp() < runs[j].NsPerOp() })
-	return runs[0]
-}
-
-// Micro runs every case through testing.Benchmark (best of benchRuns
-// repetitions) and collects the results: all cases at kernel parallelism 1,
-// Scaling cases additionally at NumCPU.
-func Micro() []Result {
-	ncpu := runtime.NumCPU()
-	var out []Result
-	for _, c := range Cases() {
-		serial := benchmarkAt(1, c)
-		r := Result{
-			Name:        c.Name,
-			NsPerOp:     float64(serial.NsPerOp()),
-			BytesPerOp:  serial.AllocedBytesPerOp(),
-			AllocsPerOp: serial.AllocsPerOp(),
-		}
-		if c.Scaling {
-			par := benchmarkAt(ncpu, c)
-			r.NsPerOpParallel = float64(par.NsPerOp())
-			if r.NsPerOpParallel > 0 {
-				r.ParallelSpeedup = r.NsPerOp / r.NsPerOpParallel
-			}
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// WriteJSON runs the suite and records the report at path. The file is
-// created before the suite runs, so an unwritable path fails immediately
-// instead of after a minute of benchmarking.
-func WriteJSON(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	rep := Report{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Results:    Micro(),
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := f.Write(append(buf, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

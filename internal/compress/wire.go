@@ -1,3 +1,10 @@
+// Package compress is the update codec: four fixed wire schemes (raw
+// float64, float32, QSGD-style stochastic 8-bit, 1-bit sign) with a
+// self-describing byte encoding, the capability negotiation that picks one
+// per payload class, and the fused encode→residual pass error feedback
+// needs. The transport frames these bytes on the socket and the simulator
+// runs the same encode on every simulated upload, so a byte count or a
+// reconstruction error means the same thing in both.
 package compress
 
 import (
@@ -8,8 +15,7 @@ import (
 )
 
 // Scheme names one of the fixed wire codecs the transport can negotiate per
-// payload class. Unlike the Compressor interface (whose payloads are opaque
-// Go values), a Scheme has a self-describing byte encoding: any peer that
+// payload class. A Scheme has a self-describing byte encoding: any peer that
 // knows the scheme tag and the original element count can decode the
 // payload, which is what lets the frame codec validate lengths before
 // allocating.

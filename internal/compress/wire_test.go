@@ -7,6 +7,14 @@ import (
 	"testing"
 )
 
+func randVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
 func TestSchemeStringsAndParse(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -256,47 +264,6 @@ func TestWireHotPathZeroAllocs(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Fatalf("EncodeResidual+DecodeAddInto(%v) allocate %v/op", s, n)
-		}
-	}
-}
-
-// CompressReuse/DecompressInto must reach zero steady-state allocations for
-// every built-in compressor once buffers have grown.
-func TestCompressorReuseZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	v := randVec(rng, 2048)
-	back := make([]float64, len(v))
-	for _, c := range []Compressor{Identity{}, NewQuantizer(8), NewTopK(64), NewCountSketch(5, 256, 1)} {
-		p := CompressReuse(c, nil, v, rng) // warm up buffers
-		DecompressInto(p, back)
-		if n := testing.AllocsPerRun(50, func() {
-			p = CompressReuse(c, p, v, rng)
-			DecompressInto(p, back)
-		}); n != 0 {
-			t.Fatalf("%s: compress+decompress reuse allocates %v/op", c.Name(), n)
-		}
-	}
-}
-
-// Reuse paths must produce the same payloads as the allocating paths.
-func TestCompressReuseMatchesCompress(t *testing.T) {
-	for _, c := range []Compressor{Identity{}, NewQuantizer(8), NewTopK(64), NewCountSketch(5, 256, 1)} {
-		rngA := rand.New(rand.NewSource(27))
-		rngB := rand.New(rand.NewSource(27))
-		vrng := rand.New(rand.NewSource(28))
-		var prev Payload
-		for i := 0; i < 3; i++ {
-			v := randVec(vrng, 777)
-			fresh := c.Compress(v, rngA).Decompress(len(v))
-			prev = CompressReuse(c, prev, v, rngB)
-			reused := make([]float64, len(v))
-			DecompressInto(prev, reused)
-			for j := range fresh {
-				if fresh[j] != reused[j] {
-					t.Fatalf("%s: reuse path diverges at round %d coord %d: %v vs %v",
-						c.Name(), i, j, fresh[j], reused[j])
-				}
-			}
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"extbaselines", "extcompress", "extkernel", "extpersonal", "extsampler", "extwire",
+		"extbaselines", "extkernel", "extpersonal", "extsampler", "extwire",
 		"fig1", "fig10", "fig11", "fig12", "fig2", "fig4", "fig6", "fig8",
 		"fig9a", "fig9b", "fig9c", "fig9d", "table1", "table2", "table3", "theory",
 	}

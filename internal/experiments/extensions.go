@@ -13,13 +13,12 @@ import (
 )
 
 // Extension experiments beyond the paper's evaluation: the additional
-// baselines (MOON, FedNova), compressed uploads, adaptive client sampling,
+// baselines (MOON, FedNova), the wire-codec sweep, adaptive client sampling,
 // personalization, and the full-kernel MMD diagnostic. These realize the
 // directions the paper's related-work and future-work sections identify.
 
 func init() {
 	Register("extbaselines", "Extension: MOON and FedNova vs the paper's methods", runExtBaselines)
-	Register("extcompress", "Extension: compressed uploads (QSGD, top-k) accuracy/bytes trade-off", runExtCompress)
 	Register("extsampler", "Extension: adaptive client sampling (size-weighted, power-of-choice)", runExtSampler)
 	Register("extpersonal", "Extension: personalization — fine-tuning each algorithm's global model", runExtPersonal)
 	Register("extkernel", "Extension: full RBF-kernel MMD between clients after training", runExtKernel)
@@ -48,47 +47,10 @@ func runExtBaselines(scale Scale, log io.Writer) (*Result, error) {
 	return res, nil
 }
 
-func runExtCompress(scale Scale, log io.Writer) (*Result, error) {
-	t, err := NewTask("mnist", scale, 1)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{ID: "extcompress", Title: Title("extcompress"),
-		Header: []string{"scheme", "final acc", "upload bytes", "vs dense"}}
-	type variant struct {
-		name string
-		mk   func(p int) fl.Algorithm
-	}
-	variants := []variant{
-		{"dense", func(p int) fl.Algorithm { return fl.NewFedAvg() }},
-		{"q8+EF", func(p int) fl.Algorithm { return fl.NewCompressedFedAvg(compress.NewQuantizer(8), true) }},
-		{"q4+EF", func(p int) fl.Algorithm { return fl.NewCompressedFedAvg(compress.NewQuantizer(4), true) }},
-		{"top2%+EF", func(p int) fl.Algorithm { return fl.NewCompressedFedAvg(compress.NewTopK(p/50), true) }},
-	}
-	var denseUp int64
-	for _, v := range variants {
-		if log != nil {
-			fmt.Fprintf(log, "  extcompress %s…\n", v.name)
-		}
-		cfg := t.Config(Silo, 1, 0)
-		f := fl.NewFederation(cfg, t.Shards(Silo, 0, 13), t.Test)
-		h := fl.Run(f, v.mk(f.NumParams()), t.Rounds())
-		up, _ := h.TotalBytes()
-		if v.name == "dense" {
-			denseUp = up
-		}
-		res.AddRow(v.name, fmt.Sprintf("%.4f", h.FinalAccuracy(3)),
-			metrics.FormatBytes(up), fmt.Sprintf("%.1f%%", 100*float64(up)/float64(denseUp)))
-	}
-	res.Note("MNIST cross-silo non-IID; EF = error feedback; accuracy should degrade gracefully as bytes shrink")
-	return res, nil
-}
-
 // runExtWire sweeps the negotiated wire codec (the scheme set the transport
-// layer frames on the socket, as opposed to extcompress's algorithm-level
-// compressors) across every scheme, under rFedAvg+ so both the model uplink
-// and the δ-map sync are quantized. The table is the bytes-vs-accuracy
-// trade-off DESIGN.md's wire-compression section documents.
+// layer frames on the socket) across every scheme, under rFedAvg+ so both
+// the model uplink and the δ-map sync are quantized. The table is the
+// bytes-vs-accuracy trade-off DESIGN.md's wire-compression section documents.
 func runExtWire(scale Scale, log io.Writer) (*Result, error) {
 	t, err := NewTask("mnist", scale, 1)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -110,64 +109,6 @@ func seq(lo, hi int) []int {
 		out[i] = lo + i
 	}
 	return out
-}
-
-// --- CompressedFedAvg ---
-
-func TestCompressedFedAvgLearns(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		c    compress.Compressor
-	}{
-		{"identity", compress.Identity{}},
-		{"q8", compress.NewQuantizer(8)},
-		{"topk", compress.NewTopK(2000)},
-	} {
-		f := tinyFederation(t, 4, 0.0, 1.0)
-		alg := NewCompressedFedAvg(tc.c, true)
-		h := Run(f, alg, 8)
-		if h.FinalAccuracy(2) < 0.5 {
-			t.Fatalf("%s: accuracy %v", tc.name, h.FinalAccuracy(2))
-		}
-	}
-}
-
-func TestCompressedFedAvgSavesUpload(t *testing.T) {
-	fDense := tinyFederation(t, 4, 1.0, 1.0)
-	hDense := Run(fDense, NewFedAvg(), 2)
-	fQ := tinyFederation(t, 4, 1.0, 1.0)
-	hQ := Run(fQ, NewCompressedFedAvg(compress.NewQuantizer(8), true), 2)
-	upD, _ := hDense.TotalBytes()
-	upQ, _ := hQ.TotalBytes()
-	if upQ >= upD/4 {
-		t.Fatalf("8-bit upload %d should be ≪ dense %d", upQ, upD)
-	}
-}
-
-func TestCompressedFedAvgIdentityMatchesFedAvg(t *testing.T) {
-	fA := tinyFederation(t, 3, 0.0, 1.0)
-	hA := Run(fA, NewFedAvg(), 3)
-	fB := tinyFederation(t, 3, 0.0, 1.0)
-	hB := Run(fB, NewCompressedFedAvg(compress.Identity{}, false), 3)
-	for i := range hA.Rounds {
-		if math.Abs(hA.Rounds[i].TrainLoss-hB.Rounds[i].TrainLoss) > 1e-12 {
-			t.Fatalf("identity compression must reproduce FedAvg exactly (round %d)", i)
-		}
-	}
-}
-
-func TestErrorFeedbackHelpsTopK(t *testing.T) {
-	run := func(ef bool) float64 {
-		f := tinyFederation(t, 4, 0.0, 1.0)
-		// Aggressive sparsification: keep ~2% of coordinates.
-		k := f.NumParams() / 50
-		h := Run(f, NewCompressedFedAvg(compress.NewTopK(k), ef), 10)
-		return h.FinalAccuracy(3)
-	}
-	with, without := run(true), run(false)
-	if with < without-0.02 {
-		t.Fatalf("error feedback should not hurt: with %v, without %v", with, without)
-	}
 }
 
 // --- FedNova ---

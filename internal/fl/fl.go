@@ -782,15 +782,6 @@ func (f *Federation) CompressUplink(w *Worker, round int, c *Client, class int, 
 	return rel
 }
 
-// resizeFloats returns *buf resized to n, reallocating only on growth.
-func resizeFloats(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
 // MeanReconErr averages the finite per-client reconstruction errors of a
 // round; NaN when none were recorded.
 func MeanReconErr(outs []ClientOut) float64 {

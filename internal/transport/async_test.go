@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"strings"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 )
 
 // runAsyncFixtureSession runs one end-to-end session over pipe connections,
@@ -200,38 +198,6 @@ func TestCheckpointV2RoundTrip(t *testing.T) {
 			t.Fatalf("buffered[%d]: got %+v, want %+v", i, g, b)
 		}
 		sameF("buffered params", g.Params, b.Params)
-	}
-}
-
-// A version-1 checkpoint (written before the async sections existed) still
-// reads: the async state simply starts empty.
-func TestCheckpointV1Compat(t *testing.T) {
-	global := []float64{0.5, 1.5}
-	losses := []float64{3.25}
-	var buf bytes.Buffer
-	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:], ckptMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], 1) // version 1: ends after losses
-	binary.LittleEndian.PutUint32(hdr[8:], 1)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(global)))
-	binary.LittleEndian.PutUint32(hdr[16:], 0)
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(len(losses)))
-	buf.Write(hdr[:])
-	if err := tensor.EncodeFloats(&buf, global); err != nil {
-		t.Fatal(err)
-	}
-	if err := tensor.EncodeFloats(&buf, losses); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatalf("v1 checkpoint must still read: %v", err)
-	}
-	if ck.Round != 1 || len(ck.Global) != 2 || len(ck.RoundLosses) != 1 {
-		t.Fatalf("v1 decode: %+v", ck)
-	}
-	if ck.UpdateAges != nil || ck.Buffered != nil {
-		t.Fatalf("v1 checkpoint must have empty async state, got ages %v buffered %v", ck.UpdateAges, ck.Buffered)
 	}
 }
 

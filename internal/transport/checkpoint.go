@@ -23,27 +23,25 @@ type Checkpoint struct {
 	// Global is the aggregated model at the end of round Round-1.
 	Global []float64
 	// DeltaRows is the δ table (nil for plain FedAvg sessions). Slots whose
-	// client never reported a map hold a nil row; the version-3 encoding
-	// writes only the non-nil rows, so checkpoint bytes scale with the
-	// occupied slots, not the slot count.
+	// client never reported a map hold a nil row; the encoding writes only
+	// the non-nil rows, so checkpoint bytes scale with the occupied slots,
+	// not the slot count.
 	DeltaRows [][]float64
 	// DeltaAges[k] is how many rounds ago row k was last refreshed (dense in
-	// memory; on disk v3 stores the ticks default plus exceptions).
+	// memory; on disk it is the ticks default plus exceptions).
 	DeltaAges []int
 	// DeltaTicks is the δ table's round counter — the age every never-Set
-	// row reports, and the default age the sparse encoding assumes
-	// (version ≥ 3; 0 when restored from an older file).
+	// row reports, and the default age the sparse encoding assumes.
 	DeltaTicks int
 	// RoundLosses is the loss history of the completed rounds.
 	RoundLosses []float64
 	// UpdateAges[k] is how many rounds ago slot k's model update was last
-	// aggregated (version ≥ 2; nil when restored from a v1 file).
+	// aggregated.
 	UpdateAges []int
-	// UpdateTicks is the update-age track's round counter (version ≥ 3).
+	// UpdateTicks is the update-age track's round counter.
 	UpdateTicks int
 	// Buffered holds the async mode's parked-but-unaggregated late updates,
-	// so a resumed session folds exactly what the killed one would have
-	// (version ≥ 2).
+	// so a resumed session folds exactly what the killed one would have.
 	Buffered []BufferedUpdate
 }
 
@@ -67,7 +65,7 @@ func (ck *Checkpoint) Write(w io.Writer) error {
 	return nil
 }
 
-// appendTo appends the version-3 image of ck to dst. It only reads ck's
+// appendTo appends the image of ck to dst. It only reads ck's
 // slices, so ck may be a view of live session state.
 func (ck *Checkpoint) appendTo(dst []byte) ([]byte, error) {
 	// Reserve an upper bound up front: growing a fresh buffer by doubling
@@ -86,7 +84,7 @@ func (ck *Checkpoint) appendTo(dst []byte) ([]byte, error) {
 	}
 	dst = appendFloats(dst, ck.Global)
 	if len(ck.DeltaRows) > 0 {
-		// Version-3 sparse δ section: dim, the ticks default age, then one
+		// Sparse δ section: dim, the ticks default age, then one
 		// (slot, age, row) entry per occupied row — never-Set slots cost
 		// nothing — then (slot, age) exceptions for unoccupied slots whose
 		// age differs from the ticks default.
@@ -121,7 +119,7 @@ func (ck *Checkpoint) appendTo(dst []byte) ([]byte, error) {
 		dst = appendAgeExceptions(dst, ck.DeltaRows, ck.DeltaAges, ck.DeltaTicks)
 	}
 	dst = appendFloats(dst, ck.RoundLosses)
-	// Update-age section (since v2, sparse since v3): slot count, the ticks
+	// Update-age section: slot count, the ticks
 	// default, then (slot, age) exceptions — a steady-state session where
 	// most slots never delivered writes a handful of pairs, not N ages.
 	dst = le.AppendUint32(dst, uint32(len(ck.UpdateAges)))
@@ -204,9 +202,8 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if binary.LittleEndian.Uint32(hdr[0:]) != ckptMagic {
 		return nil, fmt.Errorf("transport: not a checkpoint (bad magic)")
 	}
-	version := binary.LittleEndian.Uint32(hdr[4:])
-	if version < 1 || version > ckptVersion {
-		return nil, fmt.Errorf("transport: unsupported checkpoint version %d", version)
+	if version := binary.LittleEndian.Uint32(hdr[4:]); version != ckptVersion {
+		return nil, fmt.Errorf("transport: checkpoint version %d, this build reads only version %d", version, ckptVersion)
 	}
 	round := int(binary.LittleEndian.Uint32(hdr[8:]))
 	np := int(binary.LittleEndian.Uint32(hdr[12:]))
@@ -220,7 +217,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if ck.Global, err = tensor.DecodeFloats(r, np); err != nil {
 		return nil, err
 	}
-	if rows > 0 && version >= 3 {
+	if rows > 0 {
 		// Sparse δ section: dim, ticks default, occupied (slot, age, row)
 		// entries, then (slot, age) exceptions for unoccupied slots.
 		var dimBuf [4]byte
@@ -265,42 +262,15 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if err := readAgeExceptions(r, ck.DeltaAges, "δ age exception"); err != nil {
 			return nil, err
 		}
-	} else if rows > 0 {
-		// Dense v1/v2 δ section: every slot carries a row and a 4-byte age.
-		var dimBuf [4]byte
-		if _, err := io.ReadFull(r, dimBuf[:]); err != nil {
-			return nil, fmt.Errorf("transport: checkpoint δ dim: %w", err)
-		}
-		dim := int(binary.LittleEndian.Uint32(dimBuf[:]))
-		if dim <= 0 || dim > ckptMaxCount {
-			return nil, fmt.Errorf("transport: implausible checkpoint δ dim %d", dim)
-		}
-		ck.DeltaRows = make([][]float64, rows)
-		for k := range ck.DeltaRows {
-			if ck.DeltaRows[k], err = tensor.DecodeFloats(r, dim); err != nil {
-				return nil, err
-			}
-		}
-		ages := make([]byte, 4*rows)
-		if _, err := io.ReadFull(r, ages); err != nil {
-			return nil, fmt.Errorf("transport: checkpoint δ ages: %w", err)
-		}
-		ck.DeltaAges = make([]int, rows)
-		for k := range ck.DeltaAges {
-			ck.DeltaAges[k] = int(binary.LittleEndian.Uint32(ages[4*k:]))
-		}
 	}
 	if ck.RoundLosses, err = tensor.DecodeFloats(r, nl); err != nil {
 		return nil, err
-	}
-	if version < 2 {
-		return ck, nil // v1 files end here; async state starts empty
 	}
 	nAges, err := readCount(r, "update-age count")
 	if err != nil {
 		return nil, err
 	}
-	if nAges > 0 && version >= 3 {
+	if nAges > 0 {
 		ticks, err := readCount(r, "update-age ticks")
 		if err != nil {
 			return nil, err
@@ -312,15 +282,6 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		}
 		if err := readAgeExceptions(r, ck.UpdateAges, "update-age exception"); err != nil {
 			return nil, err
-		}
-	} else if nAges > 0 {
-		buf := make([]byte, 4*nAges)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("transport: checkpoint update ages: %w", err)
-		}
-		ck.UpdateAges = make([]int, nAges)
-		for k := range ck.UpdateAges {
-			ck.UpdateAges[k] = int(binary.LittleEndian.Uint32(buf[4*k:]))
 		}
 	}
 	nBuf, err := readCount(r, "buffered count")

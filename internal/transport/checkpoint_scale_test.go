@@ -3,11 +3,11 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
 // A 10k-slot checkpoint with sparse δ occupancy must round-trip bitwise:
@@ -140,60 +140,23 @@ func TestCheckpointSizeFollowsOccupancy(t *testing.T) {
 	}
 }
 
-// Dense v1 files (every slot a row, ages as a flat u32 block) must still
-// load: the sparse encoding is v3, the readers are forever.
-func TestCheckpointReadsDenseV1(t *testing.T) {
-	global := []float64{1, 2}
-	rows := [][]float64{{0.5, -0.5}, {1.5, -1.5}, {2.5, -2.5}}
-	ages := []int{1, 2, 3}
-	losses := []float64{0.75}
-
-	var buf bytes.Buffer
-	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:], ckptMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], 1) // version 1: dense, ends at losses
-	binary.LittleEndian.PutUint32(hdr[8:], 9)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(global)))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(rows)))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(len(losses)))
-	buf.Write(hdr[:])
-	if err := tensor.EncodeFloats(&buf, global); err != nil {
-		t.Fatal(err)
-	}
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(rows[0])))
-	buf.Write(u32[:])
-	for _, row := range rows {
-		if err := tensor.EncodeFloats(&buf, row); err != nil {
-			t.Fatal(err)
+// Files of an older version are refused by the header alone: the error names
+// the version found and the one supported, and nothing is sized from the
+// header's counts (a reader that went on would fail on the missing payload
+// instead).
+func TestCheckpointRefusesOldVersions(t *testing.T) {
+	for _, version := range []uint32{1, 2} {
+		var hdr [24]byte
+		binary.LittleEndian.PutUint32(hdr[0:], ckptMagic)
+		binary.LittleEndian.PutUint32(hdr[4:], version)
+		binary.LittleEndian.PutUint32(hdr[8:], 9)
+		binary.LittleEndian.PutUint32(hdr[12:], ckptMaxCount)
+		binary.LittleEndian.PutUint32(hdr[16:], ckptMaxCount)
+		binary.LittleEndian.PutUint32(hdr[20:], ckptMaxCount)
+		_, err := ReadCheckpoint(bytes.NewReader(hdr[:]))
+		want := fmt.Sprintf("checkpoint version %d, this build reads only version %d", version, ckptVersion)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d header: got %v, want an error containing %q", version, err, want)
 		}
-	}
-	for _, age := range ages {
-		binary.LittleEndian.PutUint32(u32[:], uint32(age))
-		buf.Write(u32[:])
-	}
-	if err := tensor.EncodeFloats(&buf, losses); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Round != 9 || got.DeltaTicks != 0 {
-		t.Fatalf("round=%d ticks=%d, want 9 and 0 (v1 has no ticks)", got.Round, got.DeltaTicks)
-	}
-	for k, row := range rows {
-		for j, v := range row {
-			if got.DeltaRows[k][j] != v {
-				t.Fatalf("v1 row %d mismatch", k)
-			}
-		}
-		if got.DeltaAges[k] != ages[k] {
-			t.Fatalf("v1 age %d = %d, want %d", k, got.DeltaAges[k], ages[k])
-		}
-	}
-	if len(got.RoundLosses) != 1 || got.RoundLosses[0] != 0.75 {
-		t.Fatalf("v1 losses mismatch: %v", got.RoundLosses)
 	}
 }

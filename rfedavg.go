@@ -199,27 +199,22 @@ func NewMOON(mu, tau float64) *fl.MOON { return fl.NewMOON(mu, tau) }
 // steps and normalized aggregation.
 func NewFedNova() *fl.FedNova { return fl.NewFedNova() }
 
-// NewCompressedFedAvg creates FedAvg with lossy-compressed client uploads
-// and optional error feedback.
-func NewCompressedFedAvg(c Compressor, errorFeedback bool) *fl.CompressedFedAvg {
-	return fl.NewCompressedFedAvg(c, errorFeedback)
-}
+// Scheme names the codec a client's uploads are framed with — on the
+// socket and in the simulator alike. Set Config.Compress to one of the
+// constants below; Config.CompressEF adds per-client error feedback.
+type Scheme = compress.Scheme
 
-// Compressor turns dense update vectors into compact lossy payloads.
-type Compressor = compress.Compressor
-
-// NewQuantizer creates QSGD-style stochastic uniform quantization with the
-// given bit width.
-func NewQuantizer(bits uint) Compressor { return compress.NewQuantizer(bits) }
-
-// NewTopK creates top-k sparsification.
-func NewTopK(k int) Compressor { return compress.NewTopK(k) }
-
-// NewCountSketch creates count-sketch compression with an R×W counter
-// table.
-func NewCountSketch(rows, width int, seed int64) Compressor {
-	return compress.NewCountSketch(rows, width, seed)
-}
+// The wire schemes. See internal/compress for their encodings.
+const (
+	// SchemeDense ships raw float64, lossless (the default).
+	SchemeDense = compress.SchemeDense
+	// SchemeF32 rounds to float32.
+	SchemeF32 = compress.SchemeF32
+	// SchemeInt8 is QSGD-style stochastic 8-bit quantization, unbiased.
+	SchemeInt8 = compress.SchemeInt8
+	// SchemeBit1 is 1-bit sign quantization; pair it with CompressEF.
+	SchemeBit1 = compress.SchemeBit1
+)
 
 // Sampler selects each round's participating cohort.
 type Sampler = fl.Sampler
