@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all ci build vet test test-race test-purego golden telemetry-smoke health-smoke chaos-smoke scale-smoke bench bench-e2e-smoke fuzz-short repro-fast repro-bench examples loc
+.PHONY: all ci build vet test test-race test-purego golden telemetry-smoke health-smoke chaos-smoke scale-smoke bench bench-conv bench-e2e-smoke fuzz-short repro-fast repro-bench examples loc
 
 all: build vet test test-race
 
@@ -38,7 +38,11 @@ test-race:
 
 # The purego tag drops the AVX2 micro-kernel and SIMD element loops, so this
 # is the only run that puts the scalar kernels every non-amd64 build uses
-# through the GEMM property tests and the fused-conv bit-identity test.
+# through the GEMM property tests and nn's three conv bit-identity tests
+# (TestConvForwardMatchesIm2colReference,
+# TestConvBackwardParamsMatchesIm2colReference and
+# TestConvBackwardInputMatchesCol2imReference, none of them amd64-gated), and
+# through TestMaxPoolNonFiniteWindows.
 test-purego:
 	go test -tags purego ./internal/tensor/ ./internal/nn/
 
@@ -138,6 +142,13 @@ chaos-smoke:
 # figure plus ablations and micro-benchmarks.
 bench:
 	go test -bench=. -benchmem ./...
+
+# The conv path alone, in seconds, for timing and profiling by hand (add
+# -cpuprofile): the CNN train step, conv2's forward at the δ pass's batch and
+# its full backward. Not a gate, not in ci. Each / in -bench starts a new
+# name level, and the case names carry slashes of their own.
+bench-conv:
+	go test -run '^$$' -bench 'BenchmarkMicro/^(train-step|conv-)/^(conv|8x7x7)' -benchmem .
 
 # The repo benchmark (benchmark/, its own module, invisible to ./...) ships
 # a smoke test that builds it and runs every workload briefly.

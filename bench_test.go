@@ -17,7 +17,7 @@ import (
 	"repro/internal/fl"
 )
 
-// BenchmarkMicro runs the hot-path micro-benchmarks (train step, im2col,
+// BenchmarkMicro runs the hot-path micro-benchmarks (train step, conv,
 // matmul, δ computation, codecs, framing) with kernel parallelism pinned to
 // 1, for local profiling; run with -benchmem to see the steady-state B/op
 // and allocs/op the arena design targets.

@@ -1,4 +1,4 @@
-// Package bench defines the hot-path micro-benchmarks (train step, im2col,
+// Package bench defines the hot-path micro-benchmarks (train step, conv,
 // matmul, δ computation, wire codecs and framing) that `go test -bench
 // BenchmarkMicro` runs for local profiling. The regression gate is the repo
 // benchmark under benchmark/, whose per-layer probes cover the same layers.
@@ -50,6 +50,32 @@ func trainStepCase(name string, builder nn.Builder, ds *data.Dataset, batch int)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			f.LocalTrain(w, c, rng, o)
+		}
+	}}
+}
+
+// convCase benchmarks the image CNN's second convolution (8×7×7 → 16×7×7,
+// 3×3, pad 1): its evaluation-mode forward — at batch 256 the δ pass's call —
+// or, with backward set, the full Backward of a training step (parameter and
+// input gradients) after an untimed training-mode forward.
+func convCase(name string, batch int, backward bool) Case {
+	return Case{Name: name, Bench: func(b *testing.B) {
+		r := rand.New(rand.NewSource(4))
+		c := nn.NewConv2D(r, 8, 7, 7, 16, 3, 1, 1)
+		x := tensor.RandNormal(r, 1, batch, 8*7*7)
+		dout := tensor.RandNormal(r, 1, batch, c.OutFeatures())
+		c.Forward(x, backward)
+		if backward {
+			c.Backward(dout) // warm up the gradient scratch
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if backward {
+				c.Backward(dout)
+			} else {
+				c.Forward(x, false)
+			}
 		}
 	}}
 }
@@ -179,20 +205,8 @@ func Cases() []Case {
 		trainStepCase("train-step/dense", nn.NewMLP(64, 64, 32, 10), denseDS, 32),
 		trainStepCase("train-step/conv",
 			nn.NewImageCNN(nn.ImageSpec{C: 1, H: 14, W: 14, Classes: 10}, 32), convDS, 16),
-		{Name: "im2col/1x28x28-k3", Bench: func(b *testing.B) {
-			r := rand.New(rand.NewSource(4))
-			c := nn.NewConv2D(r, 1, 28, 28, 8, 3, 1, 1)
-			img := make([]float64, 28*28)
-			for i := range img {
-				img[i] = r.NormFloat64()
-			}
-			dst := make([]float64, c.OutH*c.OutW*3*3)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Im2col(img, dst)
-			}
-		}},
+		convCase("conv-forward/8x7x7-k3/b256", 256, false),
+		convCase("conv-backward/8x7x7-k3/b32", 32, true),
 		{Name: "matmul/64x128x64", Bench: func(b *testing.B) {
 			r := rand.New(rand.NewSource(5))
 			x := tensor.RandNormal(r, 1, 64, 128)

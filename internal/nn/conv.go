@@ -12,7 +12,8 @@ import (
 // (batch, OutC·OutH·OutW), where each sample is laid out channel-major
 // (c, y, x). The forward pass and the parameter gradients are GEMMs whose
 // patch operand is packed straight from the image (tensor.ConvForward,
-// tensor.ConvBackwardParams); no im2col matrix is built for either.
+// tensor.ConvBackwardParams); no im2col matrix is built for either. The
+// input gradient is a plain GEMM followed by tensor.ConvBackwardInput.
 type Conv2D struct {
 	tensor.ConvGeom
 
@@ -66,8 +67,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return c.out
 }
 
-// Backward accumulates kernel/bias gradients and returns the input gradient
-// via col2im.
+// Backward accumulates kernel/bias gradients and returns the input gradient:
+// the output gradient times the kernel, scattered back to image space.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	c.backwardParams(dout)
 	bsz := dout.Dim(0)
@@ -89,17 +90,12 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 
-	// dcols = dmat·W, then scatter back to image space. dx receives
-	// scatter-adds from col2im, so it must be zeroed before reuse.
+	// dcols = dmat·W, then scatter back to image space, which overwrites dx.
 	c.dcols = tensor.EnsureShape(c.dcols, bsz*ohw, ickk)
 	dcols := tensor.MatMulInto(c.dcols, dmat, c.w.W)
 	c.dx = tensor.EnsureShape(c.dx, bsz, c.InC*c.InH*c.InW)
-	dx := c.dx
-	dx.Zero()
-	for b := 0; b < bsz; b++ {
-		c.col2im(dcols.Data[b*ohw*ickk:(b+1)*ohw*ickk], dx.Row(b))
-	}
-	return dx
+	tensor.ConvBackwardInput(c.dx, dcols, c.ConvGeom)
+	return c.dx
 }
 
 // backwardParams is the parameter half of Backward: dW and db from dout and
@@ -117,63 +113,3 @@ func (c *Conv2D) backwardParams(dout *tensor.Tensor) {
 
 // Params returns the kernel and bias parameters.
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
-
-// Im2col expands one channel-major image (length InC·InH·InW) into dst
-// (length OutH·OutW·InC·K²), a row per output position and a column per
-// (channel, ky, kx) tap; out-of-bounds taps are 0. The layer does not use
-// this matrix: it is the micro-benchmark's case and the building block of
-// the tests' reference forward and backward.
-func (c *Conv2D) Im2col(img, dst []float64) {
-	if len(img) != c.InC*c.InH*c.InW || len(dst) != c.OutH*c.OutW*c.InC*c.K*c.K {
-		panic(fmt.Sprintf("nn: Im2col img(%d) dst(%d), want %d and %d",
-			len(img), len(dst), c.InC*c.InH*c.InW, c.OutH*c.OutW*c.InC*c.K*c.K))
-	}
-	ickk := c.InC * c.K * c.K
-	for oy := 0; oy < c.OutH; oy++ {
-		for ox := 0; ox < c.OutW; ox++ {
-			row := dst[(oy*c.OutW+ox)*ickk:]
-			for ch := 0; ch < c.InC; ch++ {
-				chImg := img[ch*c.InH*c.InW:]
-				for ky := 0; ky < c.K; ky++ {
-					iy := oy*c.Stride - c.Pad + ky
-					for kx := 0; kx < c.K; kx++ {
-						ix := ox*c.Stride - c.Pad + kx
-						q := (ch*c.K+ky)*c.K + kx
-						if iy < 0 || iy >= c.InH || ix < 0 || ix >= c.InW {
-							row[q] = 0
-						} else {
-							row[q] = chImg[iy*c.InW+ix]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// col2im scatter-adds column gradients back into image space (the adjoint
-// of Im2col).
-func (c *Conv2D) col2im(cols, img []float64) {
-	ickk := c.InC * c.K * c.K
-	for oy := 0; oy < c.OutH; oy++ {
-		for ox := 0; ox < c.OutW; ox++ {
-			row := cols[(oy*c.OutW+ox)*ickk:]
-			for ch := 0; ch < c.InC; ch++ {
-				chImg := img[ch*c.InH*c.InW:]
-				for ky := 0; ky < c.K; ky++ {
-					iy := oy*c.Stride - c.Pad + ky
-					if iy < 0 || iy >= c.InH {
-						continue
-					}
-					for kx := 0; kx < c.K; kx++ {
-						ix := ox*c.Stride - c.Pad + kx
-						if ix < 0 || ix >= c.InW {
-							continue
-						}
-						chImg[iy*c.InW+ix] += row[(ch*c.K+ky)*c.K+kx]
-					}
-				}
-			}
-		}
-	}
-}

@@ -21,7 +21,7 @@ func refConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 	ickk := c.InC * c.K * c.K
 	cols := tensor.New(bsz*ohw, ickk)
 	for b := 0; b < bsz; b++ {
-		c.Im2col(x.Row(b), cols.Data[b*ohw*ickk:(b+1)*ohw*ickk])
+		refIm2col(c, x.Row(b), cols.Data[b*ohw*ickk:(b+1)*ohw*ickk])
 	}
 	prod := tensor.MatMulTransBInto(tensor.New(bsz*ohw, c.OutC), cols, c.w.W)
 	prod.AddRowVector(c.b.W.Data)
@@ -36,6 +36,21 @@ func refConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// refGatherDout transposes each sample's channel-major output gradient into
+// the (B·OH·OW, OutC) matrix both reference backward halves multiply with.
+func refGatherDout(c *Conv2D, dout *tensor.Tensor) *tensor.Tensor {
+	ohw := c.OutH * c.OutW
+	dmat := tensor.New(dout.Dim(0)*ohw, c.OutC)
+	for b := 0; b < dout.Dim(0); b++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			for p := 0; p < ohw; p++ {
+				dmat.Data[(b*ohw+p)*c.OutC+oc] = dout.Data[(b*c.OutC+oc)*ohw+p]
+			}
+		}
+	}
+	return dmat
+}
+
 // refConvBackwardParams is the parameter-gradient half of the backward pass
 // as the layer used to run it: gather dout into a (B·OH·OW, OutC) matrix,
 // then dW += dmatᵀ·cols against the explicit im2col matrix and db += its
@@ -45,17 +60,83 @@ func refConvBackwardParams(c *Conv2D, x, dout, dw *tensor.Tensor, db []float64) 
 	ohw := c.OutH * c.OutW
 	ickk := c.InC * c.K * c.K
 	cols := tensor.New(bsz*ohw, ickk)
-	dmat := tensor.New(bsz*ohw, c.OutC)
 	for b := 0; b < bsz; b++ {
-		c.Im2col(x.Row(b), cols.Data[b*ohw*ickk:(b+1)*ohw*ickk])
-		for oc := 0; oc < c.OutC; oc++ {
-			for p := 0; p < ohw; p++ {
-				dmat.Data[(b*ohw+p)*c.OutC+oc] = dout.Data[(b*c.OutC+oc)*ohw+p]
+		refIm2col(c, x.Row(b), cols.Data[b*ohw*ickk:(b+1)*ohw*ickk])
+	}
+	dmat := refGatherDout(c, dout)
+	tensor.MatMulTransAAcc(dw, dmat, cols)
+	tensor.AccumColSums(db, dmat)
+}
+
+// refIm2col expands one channel-major image (length InC·InH·InW) into dst
+// (length OutH·OutW·InC·K²), a row per output position and a column per
+// (channel, ky, kx) tap; out-of-bounds taps are 0. No layer builds this
+// matrix: it is the building block of the reference forward and backward.
+func refIm2col(c *Conv2D, img, dst []float64) {
+	ickk := c.InC * c.K * c.K
+	for oy := 0; oy < c.OutH; oy++ {
+		for ox := 0; ox < c.OutW; ox++ {
+			row := dst[(oy*c.OutW+ox)*ickk:]
+			for ch := 0; ch < c.InC; ch++ {
+				chImg := img[ch*c.InH*c.InW:]
+				for ky := 0; ky < c.K; ky++ {
+					iy := oy*c.Stride - c.Pad + ky
+					for kx := 0; kx < c.K; kx++ {
+						ix := ox*c.Stride - c.Pad + kx
+						q := (ch*c.K+ky)*c.K + kx
+						if iy < 0 || iy >= c.InH || ix < 0 || ix >= c.InW {
+							row[q] = 0
+						} else {
+							row[q] = chImg[iy*c.InW+ix]
+						}
+					}
+				}
 			}
 		}
 	}
-	tensor.MatMulTransAAcc(dw, dmat, cols)
-	tensor.AccumColSums(db, dmat)
+}
+
+// refCol2im scatter-adds column gradients back into image space (the adjoint
+// of refIm2col), testing every tap against the image bounds — the input
+// gradient as the layer ran it before tensor.ConvBackwardInput.
+func refCol2im(c *Conv2D, cols, img []float64) {
+	ickk := c.InC * c.K * c.K
+	for oy := 0; oy < c.OutH; oy++ {
+		for ox := 0; ox < c.OutW; ox++ {
+			row := cols[(oy*c.OutW+ox)*ickk:]
+			for ch := 0; ch < c.InC; ch++ {
+				chImg := img[ch*c.InH*c.InW:]
+				for ky := 0; ky < c.K; ky++ {
+					iy := oy*c.Stride - c.Pad + ky
+					if iy < 0 || iy >= c.InH {
+						continue
+					}
+					for kx := 0; kx < c.K; kx++ {
+						ix := ox*c.Stride - c.Pad + kx
+						if ix < 0 || ix >= c.InW {
+							continue
+						}
+						chImg[iy*c.InW+ix] += row[(ch*c.K+ky)*c.K+kx]
+					}
+				}
+			}
+		}
+	}
+}
+
+// refConvBackwardInput is the input gradient through the explicit matrices:
+// gather dout into (B·OH·OW, OutC), multiply by the kernel, and refCol2im
+// each sample's block into a zeroed image.
+func refConvBackwardInput(c *Conv2D, dout *tensor.Tensor) *tensor.Tensor {
+	bsz := dout.Dim(0)
+	ohw := c.OutH * c.OutW
+	ickk := c.InC * c.K * c.K
+	dcols := tensor.MatMulInto(tensor.New(bsz*ohw, ickk), refGatherDout(c, dout), c.w.W)
+	dx := tensor.New(bsz, c.InC*c.InH*c.InW)
+	for b := 0; b < bsz; b++ {
+		refCol2im(c, dcols.Data[b*ohw*ickk:(b+1)*ohw*ickk], dx.Row(b))
+	}
+	return dx
 }
 
 type convCase struct{ inC, inH, inW, outC, k, stride, pad int }
@@ -68,7 +149,9 @@ func (g convCase) String() string {
 // every fast path: stride 2, pad 0/1/2, non-square images, OutC not a
 // multiple of the 4-row micro-tile, OutH·OutW not a multiple of the 8-column
 // one, output rows shorter than a panel, InC·K² over one and two k-blocks of
-// 256, and more positions than one NC block. Random draws follow.
+// 256, more positions than one NC block, padding wider than the kernel (whole
+// windows in the border), stride wider than the kernel (input columns no
+// window reads), and a 1×1 kernel. Random draws follow.
 func convCases(rng *rand.Rand) []convCase {
 	cases := []convCase{
 		{1, 28, 28, 8, 3, 1, 1},
@@ -81,8 +164,12 @@ func convCases(rng *rand.Rand) []convCase {
 		{8, 5, 5, 3, 9, 1, 4},
 		{1, 3, 3, 1, 3, 1, 0},
 		{1, 46, 47, 2, 3, 1, 1}, // 2,162 positions: two NC column blocks
+		{1, 4, 4, 2, 3, 1, 3},
+		{2, 9, 8, 3, 2, 3, 0},
+		{3, 5, 6, 4, 1, 1, 0},
+		{2, 5, 5, 3, 1, 2, 1},
 	}
-	for len(cases) < 25 {
+	for len(cases) < 29 {
 		g := convCase{1 + rng.Intn(5), 3 + rng.Intn(10), 3 + rng.Intn(10), 1 + rng.Intn(9),
 			1 + rng.Intn(5), 1 + rng.Intn(2), rng.Intn(3)}
 		if g.inH+2*g.pad >= g.k && g.inW+2*g.pad >= g.k {
@@ -161,21 +248,63 @@ func TestConvBackwardParamsMatchesIm2colReference(t *testing.T) {
 	}
 }
 
-// TestConvForwardZeroAllocs: after one warm-up pass neither mode allocates,
-// on the serial path or through the kernel pool.
+// TestConvBackwardInputMatchesCol2imReference holds Backward's input gradient
+// to the bounds-tested scatter with ==. Each layer runs its batches back to
+// back, 37 before 1 before 37, so dx, the column gradient and the kernel
+// scratch's padded image are all reused dirty, larger and smaller.
+func TestConvBackwardInputMatchesCol2imReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, g := range convCases(rng) {
+		c := NewConv2D(rng, g.inC, g.inH, g.inW, g.outC, g.k, g.stride, g.pad)
+		for pass, bsz := range []int{37, 1, 37} {
+			x := tensor.RandNormal(rng, 1, bsz, g.inC*g.inH*g.inW)
+			dout := tensor.RandNormal(rng, 1, bsz, c.OutFeatures())
+			want := refConvBackwardInput(c, dout)
+			c.Forward(x, true)
+			got := c.Backward(dout)
+			if !got.SameShape(want) {
+				t.Fatalf("%v pass %d batch %d: shape %v, want %v", g, pass, bsz, got.Shape(), want.Shape())
+			}
+			for i, v := range got.Data {
+				if v != want.Data[i] {
+					t.Fatalf("%v pass %d batch %d: dx[%d] = %v, reference %v", g, pass, bsz, i, v, want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestConvForwardZeroAllocs: after one warm-up pass neither mode's Forward
+// allocates, and neither does a full training step (Forward then Backward),
+// on either conv layer of NewImageCNN, on the serial path or through the
+// kernel pool.
 func TestConvForwardZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	c := NewConv2D(rng, 8, 14, 14, 16, 3, 1, 1)
-	x := tensor.RandNormal(rng, 1, 32, 8*14*14)
-	for _, par := range []int{1, 4} {
-		for _, train := range []bool{true, false} {
+	feat := NewImageCNN(ImageSpec{C: 1, H: 14, W: 14, Classes: 10}, 32)(1).Feature
+	for _, l := range feat.Layers {
+		c, ok := l.(*Conv2D)
+		if !ok {
+			continue
+		}
+		x := tensor.RandNormal(rng, 1, 32, c.InC*c.InH*c.InW)
+		dout := tensor.RandNormal(rng, 1, 32, c.OutFeatures())
+		for _, par := range []int{1, 4} {
 			prev := tensor.SetKernelParallelism(par)
-			c.Forward(x, train)
-			allocs := testing.AllocsPerRun(10, func() { c.Forward(x, train) })
-			tensor.SetKernelParallelism(prev)
-			if allocs != 0 {
-				t.Fatalf("par %d train %v: Forward allocated %v times per call after warm-up, want 0", par, train, allocs)
+			for _, step := range []struct {
+				name string
+				run  func()
+			}{
+				{"eval Forward", func() { c.Forward(x, false) }},
+				{"train Forward", func() { c.Forward(x, true) }},
+				{"Forward+Backward", func() { c.Forward(x, true); c.Backward(dout) }},
+			} {
+				step.run()
+				if allocs := testing.AllocsPerRun(10, step.run); allocs != 0 {
+					t.Errorf("%dx%dx%d par %d: %s allocated %v times per call after warm-up, want 0",
+						c.InC, c.InH, c.InW, par, step.name, allocs)
+				}
 			}
+			tensor.SetKernelParallelism(prev)
 		}
 	}
 }

@@ -69,6 +69,68 @@ func TestMaxPoolKnownValues(t *testing.T) {
 	}
 }
 
+// TestMaxPoolNonFiniteWindows: a NaN anywhere in a window is the window's
+// output (it used to vanish, and an all-NaN window left argmax at −1 for
+// Backward to index with), ±Inf compete as ordinary values, and argmax is a
+// cell of the window in every case, first on ties — in both modes, with the
+// training-mode gradient landing on exactly that cell.
+func TestMaxPoolNonFiniteWindows(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		window [4]float64
+		arg    int
+	}{
+		{[4]float64{nan, nan, nan, nan}, 0},
+		{[4]float64{1, nan, 3, 2}, 1},
+		{[4]float64{1, 9, nan, nan}, 2},
+		{[4]float64{nan, 1, inf, 3}, 0},
+		{[4]float64{inf, 1, nan, 3}, 2},
+		{[4]float64{-inf, -inf, -inf, -inf}, 0},
+		{[4]float64{-inf, -inf, 3, -inf}, 2},
+		{[4]float64{-inf, inf, 1, inf}, 1},
+		{[4]float64{2, 5, 5, 1}, 1},
+		{[4]float64{math.Copysign(0, -1), 0, 0, -1}, 0},
+	} {
+		for _, train := range []bool{true, false} {
+			m := NewMaxPool2D(1, 2, 2, 2)
+			out := m.Forward(tensor.FromSlice(tc.window[:], 1, 4), train)
+			if got, want := math.Float64bits(out.Data[0]), math.Float64bits(tc.window[tc.arg]); got != want {
+				t.Fatalf("window %v train %v: output %v, want cell %d", tc.window, train, out.Data[0], tc.arg)
+			}
+			if !train {
+				continue
+			}
+			dx := m.Backward(tensor.FromSlice([]float64{7}, 1, 1))
+			for i, v := range dx.Data {
+				want := 0.0
+				if i == tc.arg {
+					want = 7
+				}
+				if v != want {
+					t.Fatalf("window %v: dx %v, want 7 at cell %d only", tc.window, dx.Data, tc.arg)
+				}
+			}
+		}
+	}
+
+	// One NaN in a batch of two 2-channel images: only its window sees it,
+	// and argmax is an offset into the sample, not the band.
+	rng := rand.New(rand.NewSource(11))
+	m := NewMaxPool2D(2, 4, 4, 2)
+	x := tensor.RandNormal(rng, 1, 2, 32)
+	const at = 16 + 3*4 + 2 // channel 1, y 3, x 2
+	x.Row(1)[at] = nan
+	out := m.Forward(x, true)
+	for i, v := range out.Data {
+		if isNaN, want := v != v, i == 8+4+3; isNaN != want {
+			t.Fatalf("out[%d] = %v, NaN expected only at the poisoned window", i, v)
+		}
+	}
+	if got := m.argmax[8+4+3]; got != at {
+		t.Fatalf("argmax of the poisoned window = %d, want %d", got, at)
+	}
+}
+
 // TestLSTMDeterministicAcrossForwardCalls verifies stateless-per-call
 // semantics: the same input gives the same output on repeated calls.
 func TestLSTMDeterministicAcrossForwardCalls(t *testing.T) {

@@ -32,7 +32,9 @@ func (m *MaxPool2D) OutFeatures() int { return m.C * m.OutH * m.OutW }
 
 // Forward takes the max over each pooling window and, in training mode,
 // records the argmax for the backward pass; an evaluation-mode Forward
-// empties that record.
+// empties that record. A window's maximum is its largest value, the first on
+// ties, and its first NaN if it holds one, so a diverged activation reaches
+// the output instead of vanishing; argmax always names a cell of the window.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	bsz := x.Dim(0)
 	if x.Dim(1) != m.C*m.InH*m.InW {
@@ -47,38 +49,48 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		m.argmax = m.argmax[:out.Size()]
 	}
-	for b := 0; b < bsz; b++ {
-		img := x.Row(b)
-		orow := out.Row(b)
-		for c := 0; c < m.C; c++ {
-			chIn := c * m.InH * m.InW
-			chOut := c * m.OutH * m.OutW
-			for oy := 0; oy < m.OutH; oy++ {
-				for ox := 0; ox < m.OutW; ox++ {
-					// best = the window's largest value under >, first one
-					// on ties. Both it (as bits) and its index are integer
-					// selects, so the scan carries no data-dependent branch.
-					best, arg := math.Inf(-1), -1
-					bestBits := math.Float64bits(best)
-					for ky := 0; ky < m.K; ky++ {
-						base := chIn + (oy*m.K+ky)*m.InW + ox*m.K
-						for kx, v := range img[base : base+m.K] {
-							if vBits := math.Float64bits(v); v > best {
-								bestBits, arg = vBits, base+kx
-							}
-							best = math.Float64frombits(bestBits)
-						}
-					}
-					o := chOut + oy*m.OutW + ox
-					orow[o] = best
-					if train {
-						m.argmax[b*out.Dim(1)+o] = arg
-					}
-				}
-			}
+	// Windows tile the image, so output row r of the whole batch — sample,
+	// channel and oy flattened — pools the r-th band of K input rows.
+	band := m.K * m.InW
+	for r := 0; r < bsz*m.C*m.OutH; r++ {
+		var arow []int
+		if train {
+			arow = m.argmax[r*m.OutW:][:m.OutW]
 		}
+		poolBand(out.Data[r*m.OutW:][:m.OutW], arow, x.Data[r*band:][:band], m.InW, m.K, r%(m.C*m.OutH)*band)
 	}
 	return out
+}
+
+// poolBand pools one band of k image rows of width inW into orow and, when
+// arow is not nil, writes each winner's index there, base being the band's
+// offset in its sample. It is a function of its own so that the scan's few
+// live values stay in registers.
+func poolBand(orow []float64, arow []int, rows []float64, inW, k, base int) {
+	for ox := range orow {
+		// best and its index are carried as integers and updated by selects,
+		// so the scan has no data-dependent branch. v replaces best unless
+		// v <= best, which also lets a NaN in; a NaN best is never replaced.
+		arg := ox * k
+		best := rows[arg]
+		bestBits := math.Float64bits(best)
+		for r := arg; r < len(rows); r += inW {
+			for i, v := range rows[r : r+k] {
+				vBits, at := math.Float64bits(v), r+i
+				if v <= best {
+					vBits, at = bestBits, arg
+				}
+				if best == best {
+					bestBits, arg = vBits, at
+				}
+				best = math.Float64frombits(bestBits)
+			}
+		}
+		orow[ox] = best
+		if arow != nil {
+			arow[ox] = base + arg
+		}
+	}
 }
 
 // Backward routes each output gradient to the input position that won the

@@ -14,6 +14,14 @@ import "fmt"
 // k order per KC block — the same bits the im2col → MatMulTransB → bias →
 // transpose pipeline produced (internal/nn's tests keep that pipeline as the
 // reference and compare with ==).
+//
+// Every pass that walks an image's patches — this one, the parameter
+// gradients' packTaps, the input gradient's scatter — works on a zero-padded
+// copy of the sample ((InH+2·Pad) × (InW+2·Pad) per channel, in the worker's
+// kernel scratch). There the window of output position (oy, ox) has its
+// corner at (oy·Stride, ox·Stride) and no tap of any window is outside the
+// buffer, so a tap is an offset from the corner and nobody tests a
+// coordinate.
 
 // ConvGeom is the geometry of a square-kernel 2-D convolution over
 // channel-major (c, y, x) images. OutH and OutW must be the values the other
@@ -27,15 +35,57 @@ type ConvGeom struct {
 	OutH, OutW    int
 }
 
+// check panics unless g is a geometry the offset-table packers may trust:
+// positive sizes, and OutH/OutW exactly what the other fields imply. An
+// inconsistent one would index past the padded image into whatever a larger
+// call left in the scratch.
+func (g *ConvGeom) check(op string) {
+	ph, pw := g.InH+2*g.Pad, g.InW+2*g.Pad
+	if g.InC < 1 || g.InH < 1 || g.InW < 1 || g.OutC < 1 || g.K < 1 || g.Stride < 1 || g.Pad < 0 ||
+		g.K > ph || g.K > pw || g.OutH != (ph-g.K)/g.Stride+1 || g.OutW != (pw-g.K)/g.Stride+1 {
+		panic(fmt.Sprintf("tensor: %s: inconsistent geometry %+v", op, *g))
+	}
+}
+
+// paddedSize is the length of one sample's zero-padded image.
+func (g *ConvGeom) paddedSize() int { return g.InC * (g.InH + 2*g.Pad) * (g.InW + 2*g.Pad) }
+
+// tapOffset is the distance in the padded image from a window's corner to
+// its tap q = (ch·K+ky)·K+kx.
+func (g *ConvGeom) tapOffset(q int) int {
+	ph, pw := g.InH+2*g.Pad, g.InW+2*g.Pad
+	return q/(g.K*g.K)*ph*pw + q/g.K%g.K*pw + q%g.K
+}
+
+// padCopy copies between one sample's image and the interior of its padded
+// copy, row by row: image → padded, or padded → image when crop is set. It
+// never writes the border; whoever needs zeros there clears padded first.
+func padCopy(padded, img []float64, g *ConvGeom, crop bool) {
+	pw := g.InW + 2*g.Pad
+	for ch := 0; ch < g.InC; ch++ {
+		for y := 0; y < g.InH; y++ {
+			p := padded[(ch*(g.InH+2*g.Pad)+y+g.Pad)*pw+g.Pad:][:g.InW]
+			r := img[(ch*g.InH+y)*g.InW:][:g.InW]
+			if crop {
+				copy(r, p)
+			} else {
+				copy(p, r)
+			}
+		}
+	}
+}
+
 // convCall is one ConvForward invocation: the operands as flat slices plus
-// the packed kernel, shared read-only by every goroutine working on it.
+// the packed kernel and the tap offsets, shared read-only by every goroutine
+// working on it.
 type convCall struct {
 	g            ConvGeom
 	out, x, bias []float64
 	// pa holds the packed kernel: the panels of k-block [pc, pc+kc) start at
 	// pa[mcp·pc], mcp being OutC rounded up to MR.
-	pa  []float64
-	mcp int
+	pa   []float64
+	mcp  int
+	taps []int // taps[q] = g.tapOffset(q)
 }
 
 // ConvForward computes the convolution of every row of x (batch ×
@@ -44,6 +94,7 @@ type convCall struct {
 // independent, so large calls spread them over the kernel worker pool within
 // the SetKernelParallelism budget; the result does not depend on the split.
 func ConvForward(out, x, w *Tensor, bias []float64, g ConvGeom) {
+	g.check("ConvForward")
 	k, n := g.InC*g.K*g.K, g.OutH*g.OutW
 	bsz, inW := mustMatrix("ConvForward", "x", x)
 	if ob, ow := mustMatrix("ConvForward", "out", out); inW != g.InC*g.InH*g.InW || ob != bsz || ow != g.OutC*n {
@@ -62,7 +113,14 @@ func ConvForward(out, x, w *Tensor, bias []float64, g ConvGeom) {
 	for pc := 0; pc < k; pc += gemmKC {
 		packA(s.a[mcp*pc:], w.Data, k, false, 0, pc, g.OutC, min(gemmKC, k-pc))
 	}
-	c := convCall{g: g, out: out.Data, x: x.Data, bias: bias, pa: s.a, mcp: mcp}
+	if cap(s.taps) < k {
+		s.taps = make([]int, k)
+	}
+	s.taps = s.taps[:k]
+	for q := range s.taps {
+		s.taps[q] = g.tapOffset(q)
+	}
+	c := convCall{g: g, out: out.Data, x: x.Data, bias: bias, pa: s.a, mcp: mcp, taps: s.taps}
 	if workers := min(KernelParallelism(), bsz); workers > 1 && flops >= gemmParFlops {
 		j := jobGet()
 		j.kind = kindConv
@@ -79,9 +137,9 @@ func ConvForward(out, x, w *Tensor, bias []float64, g ConvGeom) {
 	gemmPutScratch(s)
 }
 
-// runConv claims samples one at a time until the batch is done. Workers pack
-// patches into their own scratch's b buffer; nobody writes c.pa (the caller's
-// s.a) while the job runs.
+// runConv claims samples one at a time until the batch is done. Workers pad
+// and pack into their own scratch's img and b buffers; nobody writes c.pa or
+// c.taps (the caller's s.a and s.taps) while the job runs.
 func (j *kernelJob) runConv(s *gemmScratch) {
 	n := int64(j.forN)
 	for {
@@ -93,14 +151,16 @@ func (j *kernelJob) runConv(s *gemmScratch) {
 	}
 }
 
-// sample computes output row b. With a single k-block the row starts at the
-// bias and the micro-kernel accumulates onto it; with several, it starts at
-// zero and the bias goes on last, which is the order the unfused pipeline
-// rounded in.
+// sample computes output row b from a padded copy of image b. With a single
+// k-block the row starts at the bias and the micro-kernel accumulates onto
+// it; with several, it starts at zero and the bias goes on last, which is the
+// order the unfused pipeline rounded in.
 func (c *convCall) sample(b int, s *gemmScratch) {
 	g := &c.g
 	k, n := g.InC*g.K*g.K, g.OutH*g.OutW
-	img := c.x[b*g.InC*g.InH*g.InW:][:g.InC*g.InH*g.InW]
+	s.img = growFloats(s.img, g.paddedSize())
+	clear(s.img)
+	padCopy(s.img, c.x[b*g.InC*g.InH*g.InW:][:g.InC*g.InH*g.InW], g, false)
 	orow := c.out[b*g.OutC*n:][:g.OutC*n]
 	biasFirst := k <= gemmKC
 	for oc := 0; oc < g.OutC; oc++ {
@@ -119,7 +179,7 @@ func (c *convCall) sample(b int, s *gemmScratch) {
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
 			s.b = growFloats(s.b, kc*ncp)
-			packPatches(s.b, img, g, pc, kc, jc, nc)
+			packPatches(s.b, s.img, c.taps[pc:pc+kc], g, jc, nc)
 			gemmMacro(orow, n, c.pa[c.mcp*pc:], s.b, 0, jc, g.OutC, nc, kc)
 		}
 	}
@@ -134,66 +194,32 @@ func (c *convCall) sample(b int, s *gemmScratch) {
 	}
 }
 
-// patchRun is a run of consecutive columns of one packed panel that fall in
-// the same output row: n columns starting at panel column c, whose top-left
-// taps sit at image coordinates (iy, ix), ix advancing by Stride per column.
-type patchRun struct{ c, n, iy, ix int }
-
-// packPatches packs rows [pc, pc+kc) × columns [jc, jc+nc) of one image's
-// patch matrix into dst in packB's layout (NR-wide k-major panels, zero
-// padded past nc). Row (ch·K+ky)·K+kx, column oy·OutW+ox of that matrix is
-// img[ch, oy·Stride−Pad+ky, ox·Stride−Pad+kx], or 0 outside the image. A
-// panel's eight columns are consecutive output positions, so they split into
-// at most a few runs along image rows, each with one row test per tap; at
-// stride 1 a run that fills the panel inside the image is a straight copy.
-func packPatches(dst, img []float64, g *ConvGeom, pc, kc, jc, nc int) {
+// packPatches packs the rows named by taps × columns [jc, jc+nc) of one
+// padded image's patch matrix into dst in packB's layout (NR-wide k-major
+// panels). Row (ch·K+ky)·K+kx, column oy·OutW+ox of that matrix is the padded
+// image at the window corner (oy·Stride, ox·Stride) plus the row's tap
+// offset, so a panel row is eight loads at the panel's eight corner offsets
+// from one tap's base. Where packB pads the last panel with zeros, the
+// columns past nc here repeat the image's first window: gemmMacro runs the
+// micro-kernel on a partial tile's full width and drops those columns, so
+// what they hold is never seen, and the loop over taps has no tail case.
+func packPatches(dst, pimg []float64, taps []int, g *ConvGeom, jc, nc int) {
+	kc, pw := len(taps), g.InW+2*g.Pad
+	oy, ox := jc/g.OutW, jc%g.OutW
 	for jr := 0; jr < nc; jr += gemmNR {
 		panel := dst[(jr/gemmNR)*kc*gemmNR:][:kc*gemmNR]
 		nr := min(gemmNR, nc-jr)
-		var runs [gemmNR]patchRun
-		nruns := 0
-		for c := 0; c < nr; nruns++ {
-			oy, ox := (jc+jr+c)/g.OutW, (jc+jr+c)%g.OutW
-			l := min(nr-c, g.OutW-ox)
-			runs[nruns] = patchRun{c, l, oy*g.Stride - g.Pad, ox*g.Stride - g.Pad}
-			c += l
+		var at [gemmNR]int
+		for c := 0; c < nr; c++ {
+			at[c] = (oy*pw + ox) * g.Stride
+			if ox++; ox == g.OutW {
+				ox, oy = 0, oy+1
+			}
 		}
-		ch, ky, kx := pc/(g.K*g.K), pc/g.K%g.K, pc%g.K
-		for p := 0; p < kc; p++ {
-			d := panel[p*gemmNR : p*gemmNR+gemmNR]
-			plane := img[ch*g.InH*g.InW:][:g.InH*g.InW]
-			for _, r := range runs[:nruns] {
-				dd := d[r.c : r.c+r.n]
-				iy, ix := r.iy+ky, r.ix+kx
-				if iy < 0 || iy >= g.InH {
-					clear(dd)
-					continue
-				}
-				row := plane[iy*g.InW:][:g.InW]
-				if g.Stride == 1 && r.n == gemmNR && ix >= 0 && ix+gemmNR <= g.InW {
-					// A whole panel row inside the image, the common case:
-					// eight moves beat a memmove call.
-					src := row[ix : ix+gemmNR : ix+gemmNR]
-					d[0], d[1], d[2], d[3] = src[0], src[1], src[2], src[3]
-					d[4], d[5], d[6], d[7] = src[4], src[5], src[6], src[7]
-					continue
-				}
-				for c := range dd {
-					if x := ix + c*g.Stride; x >= 0 && x < g.InW {
-						dd[c] = row[x]
-					} else {
-						dd[c] = 0
-					}
-				}
-			}
-			for c := nr; c < gemmNR; c++ {
-				d[c] = 0
-			}
-			if kx++; kx == g.K {
-				if kx, ky = 0, ky+1; ky == g.K {
-					ky, ch = 0, ch+1
-				}
-			}
+		for p, t := range taps {
+			d, src := panel[p*gemmNR:][:gemmNR], pimg[t:]
+			d[0], d[1], d[2], d[3] = src[at[0]], src[at[1]], src[at[2]], src[at[3]]
+			d[4], d[5], d[6], d[7] = src[at[4]], src[at[5]], src[at[6]], src[at[7]]
 		}
 	}
 }
@@ -210,6 +236,7 @@ func packPatches(dst, img []float64, g *ConvGeom, pc, kc, jc, nc int) {
 // micro-kernel are those of MatMulTransAAcc over an explicit gathered
 // gradient and im2col matrix, so the gradients are the same to the bit.
 func ConvBackwardParams(dw *Tensor, dbias []float64, dout, x *Tensor, g ConvGeom) {
+	g.check("ConvBackwardParams")
 	n, ohw := g.InC*g.K*g.K, g.OutH*g.OutW
 	bsz, inW := mustMatrix("ConvBackwardParams", "x", x)
 	if dr, dc := mustMatrix("ConvBackwardParams", "dout", dout); inW != g.InC*g.InH*g.InW || dr != bsz || dc != g.OutC*ohw {
@@ -223,13 +250,22 @@ func ConvBackwardParams(dw *Tensor, dbias []float64, dout, x *Tensor, g ConvGeom
 	gemmFlops.Add(2 * int64(m) * int64(n) * int64(k))
 
 	s := gemmGetScratch()
+	isz, psz := g.InC*g.InH*g.InW, g.paddedSize()
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
 		ncp := (nc + gemmNR - 1) / gemmNR * gemmNR
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
+			// Pad the samples this k-block's positions belong to, and no
+			// more: a block is a few images, not the batch.
+			b0, b1 := pc/ohw, (pc+kc-1)/ohw
+			s.img = growFloats(s.img, (b1-b0+1)*psz)
+			clear(s.img)
+			for b := b0; b <= b1; b++ {
+				padCopy(s.img[(b-b0)*psz:][:psz], x.Data[b*isz:][:isz], &g, false)
+			}
 			s.b = growFloats(s.b, kc*ncp)
-			packTaps(s.b, x.Data, &g, pc, kc, jc, nc)
+			packTaps(s.b, s.img, &g, pc-b0*ohw, kc, jc, nc)
 			for ic := 0; ic < m; ic += gemmMC {
 				mc := min(gemmMC, m-ic)
 				mcp := (mc + gemmMR - 1) / gemmMR * gemmMR
@@ -294,45 +330,27 @@ func packOutGrad(dst, dout []float64, outC, ohw, ic, pc, mc, kc int) {
 	}
 }
 
-// packTaps packs rows [pc, pc+kc) × columns [jc, jc+nc) of the batch's
-// transposed patch matrix into dst in packB's layout: row b·OutH·OutW+pos,
-// column (ch·K+ky)·K+kx is x[b, ch, oy·Stride−Pad+ky, ox·Stride−Pad+kx], or
-// 0 outside the image. A panel's eight taps sit at fixed offsets from the
-// window's top-left corner, so a window wholly inside the image is eight
-// loads at precomputed offsets; only border windows test each tap.
-func packTaps(dst, x []float64, g *ConvGeom, pc, kc, jc, nc int) {
-	ohw, plane := g.OutH*g.OutW, g.InH*g.InW
+// packTaps packs rows [pc, pc+kc) × columns [jc, jc+nc) of the transposed
+// patch matrix of the padded images in pimg into dst in packB's layout: row
+// b·OutH·OutW+pos, column (ch·K+ky)·K+kx is padded image b at the window
+// corner (oy·Stride, ox·Stride) plus the tap's offset. A panel's eight taps
+// sit at fixed offsets from that corner, so a panel row is eight loads at
+// precomputed offsets; columns past nc repeat the corner itself (see
+// packPatches).
+func packTaps(dst, pimg []float64, g *ConvGeom, pc, kc, jc, nc int) {
+	ohw, ph, pw := g.OutH*g.OutW, g.InH+2*g.Pad, g.InW+2*g.Pad
 	for jr := 0; jr < nc; jr += gemmNR {
 		panel := dst[(jr/gemmNR)*kc*gemmNR:][:kc*gemmNR]
 		nr := min(gemmNR, nc-jr)
-		var off, ky, kx [gemmNR]int
+		var off [gemmNR]int
 		for c := 0; c < nr; c++ {
-			q := jc + jr + c
-			ky[c], kx[c] = q/g.K%g.K, q%g.K
-			off[c] = q/(g.K*g.K)*plane + ky[c]*g.InW + kx[c]
+			off[c] = g.tapOffset(jc + jr + c)
 		}
 		b, oy, ox := pc/ohw, pc%ohw/g.OutW, pc%ohw%g.OutW
 		for p := 0; p < kc; p++ {
-			d := panel[p*gemmNR : p*gemmNR+gemmNR]
-			iy0, ix0 := oy*g.Stride-g.Pad, ox*g.Stride-g.Pad
-			base := b*g.InC*plane + iy0*g.InW + ix0
-			if iy0 >= 0 && iy0+g.K <= g.InH && ix0 >= 0 && ix0+g.K <= g.InW {
-				src := x[base:]
-				for c := 0; c < nr; c++ {
-					d[c] = src[off[c]]
-				}
-			} else {
-				for c := 0; c < nr; c++ {
-					if iy, ix := iy0+ky[c], ix0+kx[c]; iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
-						d[c] = x[base+off[c]]
-					} else {
-						d[c] = 0
-					}
-				}
-			}
-			for c := nr; c < gemmNR; c++ {
-				d[c] = 0
-			}
+			d, src := panel[p*gemmNR:][:gemmNR], pimg[b*g.InC*ph*pw+(oy*pw+ox)*g.Stride:]
+			d[0], d[1], d[2], d[3] = src[off[0]], src[off[1]], src[off[2]], src[off[3]]
+			d[4], d[5], d[6], d[7] = src[off[4]], src[off[5]], src[off[6]], src[off[7]]
 			if ox++; ox == g.OutW {
 				if ox, oy = 0, oy+1; oy == g.OutH {
 					oy, b = 0, b+1
@@ -340,4 +358,44 @@ func packTaps(dst, x []float64, g *ConvGeom, pc, kc, jc, nc int) {
 			}
 		}
 	}
+}
+
+// ConvBackwardInput turns the column gradient dcols (batch·OutH·OutW ×
+// InC·K², a row per output position and a column per (c, ky, kx) tap — the
+// output gradient times the kernel) into the input gradient dx (batch ×
+// InC·InH·InW), overwriting it: every tap's gradient is added to the input
+// element it read. Per sample the adds land in a zeroed padded image, border
+// taps in the border, and the interior is copied out; each dx element
+// receives its terms in (oy, ox, ky, kx) order.
+func ConvBackwardInput(dx, dcols *Tensor, g ConvGeom) {
+	g.check("ConvBackwardInput")
+	ickk, ohw, isz := g.InC*g.K*g.K, g.OutH*g.OutW, g.InC*g.InH*g.InW
+	bsz, dw := mustMatrix("ConvBackwardInput", "dx", dx)
+	if cr, cw := mustMatrix("ConvBackwardInput", "dcols", dcols); dw != isz || cr != bsz*ohw || cw != ickk {
+		panic(fmt.Sprintf("tensor: ConvBackwardInput dx %v dcols %v for geometry %+v", dx.shape, dcols.shape, g))
+	}
+	kk, ph, pw := g.K*g.K, g.InH+2*g.Pad, g.InW+2*g.Pad
+	s := gemmGetScratch()
+	s.img = growFloats(s.img, g.paddedSize())
+	for b := 0; b < bsz; b++ {
+		clear(s.img)
+		cols := dcols.Data[b*ohw*ickk:][:ohw*ickk]
+		for ch := 0; ch < g.InC; ch++ {
+			plane := s.img[ch*ph*pw:][:ph*pw]
+			for oy := 0; oy < g.OutH; oy++ {
+				for ox := 0; ox < g.OutW; ox++ {
+					taps := cols[(oy*g.OutW+ox)*ickk+ch*kk:][:kk]
+					corner := (oy*pw + ox) * g.Stride
+					for ky := 0; ky < g.K; ky++ {
+						row := plane[corner+ky*pw:][:g.K]
+						for kx, v := range taps[ky*g.K:][:g.K] {
+							row[kx] += v
+						}
+					}
+				}
+			}
+		}
+		padCopy(s.img, dx.Data[b*isz:][:isz], &g, true)
+	}
+	gemmPutScratch(s)
 }

@@ -66,10 +66,13 @@ var gemmUseFMA = fmaIsFast()
 
 // gemmScratch is one worker's packing storage: a holds the packed A block
 // (≤ MC×KC plus micro-tile padding), b the packed B block (≤ KC×NC plus
-// padding). Buffers grow on demand and are reused across calls via the free
-// list below; they never shrink.
+// padding). The convolution passes (conv.go) add img, one or a few samples'
+// zero-padded images, and taps, a call's tap-offset table. Buffers grow on
+// demand and are reused across calls via the free list below; they never
+// shrink.
 type gemmScratch struct {
-	a, b []float64
+	a, b, img []float64
+	taps      []int
 	// Packed-A block cache for the parallel 2-D schedule (gemm_parallel.go):
 	// a holds the pack of the (cachePc, cacheIc) block of op(A) for job
 	// generation cacheGen. Worker scratches are pinned, so the cache
