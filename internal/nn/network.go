@@ -1,6 +1,10 @@
 package nn
 
-import "repro/internal/tensor"
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
 
 // Network is a model split into the feature mapping φ(·; w̃) and a
 // classification head on top of it — the parameter decomposition
@@ -14,6 +18,7 @@ type Network struct {
 
 	feat   *tensor.Tensor // cached φ output for Backward
 	params []*Param       // cached Params() result; the layer set is fixed
+	flat   []float64      // the weights as one vector, once Flat or AdoptFlat ran
 }
 
 // NewNetwork assembles a network from a feature extractor producing
@@ -86,6 +91,36 @@ func (n *Network) GetFlat() []float64 { return Flatten(n.Params()) }
 // SetFlat loads parameters from a flat vector produced by GetFlat on a
 // network with the same architecture.
 func (n *Network) SetFlat(v []float64) { Unflatten(n.Params(), v) }
+
+// Flat returns the weights themselves as one vector in Params order, not a
+// copy: writing it writes the weights, and training writes it. The first call
+// moves the builder's separate tensors onto one slice; later calls return it.
+func (n *Network) Flat() []float64 {
+	if n.flat == nil {
+		n.AdoptFlat(n.GetFlat())
+	}
+	return n.flat
+}
+
+// AdoptFlat makes v the weights: every parameter tensor is re-pointed at its
+// segment of v, nothing is copied, and the caller must stop using v as
+// anything else. The Params and their gradients stay the same objects, so
+// optimizer state survives. Adopting the vector Flat returns is a no-op.
+func (n *Network) AdoptFlat(v []float64) {
+	if len(v) != n.NumParams() {
+		panic(fmt.Sprintf("nn: AdoptFlat size mismatch: params have %d elements, v has %d", n.NumParams(), len(v)))
+	}
+	if len(v) > 0 && len(n.flat) > 0 && &v[0] == &n.flat[0] {
+		return
+	}
+	off := 0
+	for _, p := range n.Params() {
+		end := off + p.W.Size()
+		p.W.Data = v[off:end:end]
+		off = end
+	}
+	n.flat = v
+}
 
 // Builder constructs a fresh network of a fixed architecture from a seed.
 // All worker replicas in a federated run are created through the same

@@ -102,11 +102,37 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 	}
 	cfg.Events.Emit("join", -1, "")
 
+	// load makes params, a frame's model, the weights. A dense frame nobody
+	// needs after training — no lossy uplink to difference against it, no
+	// self-monitor — becomes the weights: no copy, and nothing at all when the
+	// conn read it into them. From then on lent is those weights, and a conn
+	// that can (see streamConn.lend; a wrapped or in-process one cannot) is
+	// offered them before each Recv: every frame that carries a model replaces
+	// them anyway. Any other frame is copied in, and if it landed in the lent
+	// weights it keeps them and the network moves onto storage of its own.
+	lender, _ := conn.(interface{ lend([]float64) })
+	var lent []float64
+	load := func(params []float64) {
+		if cc.ref == nil && cfg.Health == nil {
+			net.AdoptFlat(params)
+			lent = params
+			return
+		}
+		if sameVector(params, lent) {
+			net.AdoptFlat(make([]float64, nParams))
+		}
+		net.SetFlat(params)
+		lent = nil
+	}
+
 	// held is the round whose MsgAssign may arrive without a model: net still
 	// carries it from the previous round's MsgDeltaReq (computing δ only reads
 	// the weights). answered is the last round an assign was answered for.
 	held, answered := int32(-1), int32(-1)
 	for {
+		if lender != nil && lent != nil {
+			lender.lend(lent)
+		}
 		m, err := conn.Recv()
 		if err != nil {
 			if err == io.EOF {
@@ -144,7 +170,7 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 				if params, err = cc.downParams(m, nParams); err != nil {
 					return nil, err
 				}
-				net.SetFlat(params)
+				load(params)
 			case cc.ref != nil:
 				params = cc.ref
 			case want != compress.SchemeDense || cfg.Health != nil:
@@ -170,22 +196,10 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 				Type: MsgUpdate, Round: m.Round, ClientID: m.ClientID,
 				NumSamples: int64(shard.Len()), Loss: loss,
 			}
-			// A packed update is taken straight off the network's tensors. The
-			// dense reply and the self-monitor need the trained model flat: in
-			// the assign's own Params where free — a received assign belongs to
-			// its receiver (see Conn), SetFlat was its last reader — else fresh.
-			var flat []float64
-			switch {
-			case cfg.Health != nil || (want == compress.SchemeDense && len(m.Params) == 0):
-				flat = make([]float64, nParams)
-			case want == compress.SchemeDense:
-				flat = m.Params
-			}
-			if flat != nil {
-				nn.FlattenTo(flat, net.Params())
-			}
+			// The dense reply is the weights themselves — nothing trains until
+			// Send returns; a packed one is taken off the network's tensors.
 			if want == compress.SchemeDense {
-				out.Params = flat
+				out.Params = net.Flat()
 			} else {
 				out.PParams = cc.encodeUpdate(want, int(m.Round), int(m.ClientID), net.Params(), params)
 			}
@@ -195,7 +209,9 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 			if err != nil {
 				return nil, err
 			}
-			cfg.Health.ObserveSelf(int(m.Round), int(m.ClientID), loss, flat, params)
+			if cfg.Health != nil {
+				cfg.Health.ObserveSelf(int(m.Round), int(m.ClientID), loss, net.Flat(), params)
+			}
 		case MsgDeltaReq:
 			cd := cfg.Tracer.Start("compute_delta", m.SpanContext())
 			cd.Round, cd.Client = int(m.Round), int(m.ClientID)
@@ -203,7 +219,7 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 			if err != nil {
 				return nil, err
 			}
-			net.SetFlat(params)
+			load(params)
 			held = m.Round + 1
 			core.ComputeDeltaInto(delta, arena, net, shard, cfg.DeltaBatch)
 			cd.End()
@@ -324,6 +340,11 @@ func (c *clientCodec) encodeUpdate(s compress.Scheme, round, slot int, local []*
 // offset from the update encode's so the two streams of one round differ.
 func (c *clientCodec) encodeDelta(s compress.Scheme, round, slot int, delta []float64) PackedVec {
 	return packVec(&c.packedD, s, delta, compress.RNGFor(s, c.seed, round, slot+1<<16), nil, nil)
+}
+
+// sameVector reports whether a and b are one slice, not equal copies.
+func sameVector(a, b []float64) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
 // clientRoundRNG derives the client's mini-batch stream for one round from

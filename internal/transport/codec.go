@@ -243,13 +243,17 @@ func validPacked(scheme byte, n, dataLen int) error {
 	return nil
 }
 
-// readFloats reads n wire floats straight into a fresh slice's memory; a
-// big-endian host then fixes the byte order in place.
-func readFloats(r io.Reader, n int, le bool) ([]float64, error) {
+// readFloats reads n wire floats straight into a slice's memory — lent when
+// that holds exactly n, else fresh; a big-endian host then fixes the byte
+// order in place.
+func readFloats(r io.Reader, n int, le bool, lent []float64) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	v := make([]float64, n)
+	v := lent
+	if len(v) != n {
+		v = make([]float64, n)
+	}
 	b := floatBytes(v, true)
 	_, err := io.ReadFull(r, b)
 	if !le {
@@ -266,7 +270,13 @@ func readFloats(r io.Reader, n int, le bool) ([]float64, error) {
 // short read returns an error and no message.
 func ReadMessage(r io.Reader) (*Message, error) { return readFrame(r, hostLE) }
 
-func readFrame(r io.Reader, le bool) (*Message, error) {
+func readFrame(r io.Reader, le bool) (*Message, error) { return readFrameInto(r, le, nil) }
+
+// readFrameInto is readFrame for a receiver that lends storage: a dense Params
+// section of exactly len(lent) floats is read into lent and returned as
+// m.Params. Nothing is written to lent before every header check has passed;
+// a read that fails part-way leaves it partly overwritten.
+func readFrameInto(r io.Reader, le bool, lent []float64) (*Message, error) {
 	// The header scratch rides in the message's allocation; on its own it
 	// would escape through the io.Reader into a second one.
 	fr := new(struct {
@@ -316,8 +326,8 @@ func readFrame(r io.Reader, le bool) (*Message, error) {
 			body, np, nd, plen, dlen)
 	}
 	var err error
-	if m.Params, err = readFloats(r, np, le); err == nil {
-		m.Delta, err = readFloats(r, nd, le)
+	if m.Params, err = readFloats(r, np, le, lent); err == nil {
+		m.Delta, err = readFloats(r, nd, le, nil)
 	}
 	if err == nil && plen+dlen > 0 {
 		packed := make([]byte, plen+dlen)

@@ -143,6 +143,7 @@ func FuzzReadMessage(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		m, err := ReadMessage(bytes.NewReader(raw))
+		fuzzLent(t, raw, m, err)
 		if err != nil {
 			if m != nil {
 				t.Fatalf("error %v came with a partially filled message %+v", err, m)

@@ -16,6 +16,15 @@ import (
 // slice handed to Send; swap in a new one. A message returned by Recv
 // belongs to the receiver: no other endpoint shares its slices.
 //
+// A dense RunClient builds on those two rules to hold one model-sized buffer,
+// its network's weights. A received dense model may become the weights
+// (nn.Network.AdoptFlat, no copy). The update is sent from the weights, so
+// they are not touched until Send returns. And a conn that reads frames
+// itself is lent adopted weights before each Recv (streamConn.lend): a lent
+// slice may come back as m.Params. Nothing is pooled — a buffer kept between
+// rounds would show in the heap the benchmark reads there; the weights are
+// the one model-sized thing a client keeps anyway.
+//
 // A connection carries each global model once: after a MsgDeltaReq the
 // client keeps that model loaded and the next MsgAssign may arrive
 // payload-less (see MsgAssign). That state is per connection — a new Conn,
@@ -39,6 +48,9 @@ type streamConn struct {
 	fs       frameScratch
 	sent     atomic.Int64
 	received atomic.Int64
+	// lent is the receiver's offer for the next Recv, made and consumed on the
+	// goroutine that calls it (see lend).
+	lent []float64
 }
 
 // NewStreamConn wraps a byte stream in the message protocol.
@@ -55,8 +67,17 @@ func (c *streamConn) Send(m *Message) error {
 	return nil
 }
 
+// lend offers v to the next Recv, and to that one only: a frame whose dense
+// Params section holds exactly len(v) floats is read into v and comes back
+// with m.Params aliasing it; any other frame leaves v untouched. The caller
+// must be ready to lose v's contents to such a frame — a failed read included —
+// and calls lend on the goroutine that then calls Recv.
+func (c *streamConn) lend(v []float64) { c.lent = v }
+
 func (c *streamConn) Recv() (*Message, error) {
-	m, err := ReadMessage(c.rw)
+	lent := c.lent
+	c.lent = nil
+	m, err := readFrameInto(c.rw, hostLE, lent)
 	if err != nil {
 		return nil, err
 	}

@@ -254,10 +254,12 @@ type session struct {
 
 	// members, ioErrs and ioMsgs are the network phases' scratch: the member
 	// list of the phase in progress, and per-slot results the IO pool writes at
-	// a member's own index and the phase clears as it reads them.
-	members []int
-	ioErrs  []error
-	ioMsgs  []*Message
+	// a member's own index and the phase clears as it reads them. delivered
+	// marks the slots whose update the attempt in progress aggregates.
+	members   []int
+	ioErrs    []error
+	ioMsgs    []*Message
+	delivered []bool
 
 	// ck is the checkpoint view session.checkpoint refills and ckImage its
 	// encoded bytes, both reused from one checkpoint to the next.
@@ -451,6 +453,7 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 		held:       make([]int, len(conns)),
 		ioErrs:     make([]error, len(conns)),
 		ioMsgs:     make([]*Message, len(conns)),
+		delivered:  make([]bool, len(conns)),
 		global:     append([]float64(nil), cfg.InitialParams...),
 		table:      core.NewDeltaTable(len(conns), max(cfg.FeatureDim, 1)),
 		res:        &ServerResult{},
@@ -1030,7 +1033,8 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 	// difference-coded: params = reference + decode(payload), where the
 	// reference is the decoded broadcast the client trained from (the exact
 	// global when the broadcast itself went dense).
-	delivered := make([]bool, len(s.conns))
+	delivered := s.delivered
+	clear(delivered)
 	valid, staged := 0, 0
 	for i, m := range updates {
 		if m == nil {
@@ -1480,10 +1484,3 @@ func finiteSlice(v []float64) bool {
 }
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
