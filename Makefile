@@ -29,12 +29,13 @@ test: vet
 	go test ./...
 
 # Race-detect the packages where goroutines share state: the worker pool and
-# kernel budget (fl), the parallel matmul kernels (tensor), the layer scratch
-# reuse (nn), the wire protocol (transport), and the codec whose error
-# histograms every client goroutine observes into (compress). -race also turns
-# on checkptr, which checks the framing's unsafe.Slice views of float64 payloads.
+# kernel budget (fl), the sharded aggregate's per-shard partials (engine), the
+# parallel matmul kernels (tensor), the layer scratch reuse (nn), the wire
+# protocol (transport), and the codec whose error histograms every client
+# goroutine observes into (compress). -race also turns on checkptr, which checks
+# the framing's unsafe.Slice views of float64 payloads.
 test-race:
-	go test -race ./internal/fl/... ./internal/tensor/... ./internal/nn/... ./internal/transport/... ./internal/compress/...
+	go test -race ./internal/fl/... ./internal/engine/... ./internal/tensor/... ./internal/nn/... ./internal/transport/... ./internal/compress/...
 
 # The purego tag drops the AVX2 micro-kernel and SIMD element loops, so this
 # is the only run that puts the scalar kernels every non-amd64 build uses
@@ -111,7 +112,9 @@ health-smoke:
 # flsim session over 100k simulated clients must finish inside a wall-clock
 # budget with peak heap bounded well below anything O(N·d) would need —
 # steady-state memory tracks the sampled cohort, not the client count. The
-# run exercises the sharded aggregation path, the streaming δ table, the
+# run drives the simulator, whose cohort of 100 reaches the sharded
+# aggregation path through engine.Aggregate (the transport server's; before
+# PR 21 the simulator had only a serial average), the streaming δ table, the
 # summary-mode ledger, and — with -health on — the monitor's O(cohort)
 # memory claim; the ledger line must carry the sampled MMD block and the
 # health summary triple, never per-client arrays.

@@ -163,6 +163,8 @@ type DeltaTable struct {
 	streaming bool
 	sum       []float64
 	fresh     int
+
+	drift []float64 // Drift's δ̄^{-k} scratch
 }
 
 // NewDeltaTable creates an all-zero table for n clients with d-dimensional
@@ -431,12 +433,15 @@ func (t *DeltaTable) TightObjective(k int) float64 {
 	return MMDSquaredMeans(t.row(k), t.MeanExcluding(k))
 }
 
-// TightObjectiveInto is TightObjective with the δ̄^{-k} target computed
-// into a caller-owned scratch of length Dim instead of a fresh allocation
-// — the alloc-free read behind the health monitor's per-client drift
-// signal.
-func (t *DeltaTable) TightObjectiveInto(scratch []float64, k int) float64 {
-	return MMDSquaredMeans(t.row(k), t.MeanExcludingInto(scratch, k))
+// Drift returns √r̃_k = ‖δ^k - δ̄^{-k}‖, the health monitor's per-client
+// MMD drift signal. The target is computed into table-owned scratch, so the
+// read allocates nothing after the first; like the mutators it is not safe
+// for concurrent use.
+func (t *DeltaTable) Drift(k int) float64 {
+	if len(t.drift) != t.Dim {
+		t.drift = make([]float64, t.Dim)
+	}
+	return math.Sqrt(MMDSquaredMeans(t.row(k), t.MeanExcludingInto(t.drift, k)))
 }
 
 // pairwiseParMin is the minimum N·N·Dim volume before PairwiseMMDInto fans

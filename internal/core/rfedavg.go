@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 
+	"repro/internal/engine"
 	"repro/internal/fl"
 	"repro/internal/tensor"
 )
@@ -54,14 +55,8 @@ func (a *RFedAvg) GlobalParams() []float64 { return a.global }
 // Table exposes the server's δ table (read-only use in tests/experiments).
 func (a *RFedAvg) Table() *DeltaTable { return a.table }
 
-// PairwiseMMDInto implements fl.MMDReporter over the server's δ table.
-func (a *RFedAvg) PairwiseMMDInto(dst []float64) []float64 { return a.table.PairwiseMMDInto(dst) }
-
-// SampledMMDInto implements fl.SampledMMDReporter over the server's δ
-// table: the K×K sub-matrix over ids instead of the full N×N block.
-func (a *RFedAvg) SampledMMDInto(dst []float64, ids []int) []float64 {
-	return a.table.SampledMMDInto(dst, ids)
-}
+// MMDTable implements fl.MMDReporter over the server's δ table.
+func (a *RFedAvg) MMDTable() engine.MMDTable { return a.table }
 
 // Round runs one rFedAvg communication round (lines 3–13 of Algorithm 1).
 func (a *RFedAvg) Round(round int, sampled []int) fl.RoundResult {

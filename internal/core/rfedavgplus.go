@@ -1,9 +1,9 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 
+	"repro/internal/engine"
 	"repro/internal/fl"
 	"repro/internal/tensor"
 )
@@ -45,13 +45,9 @@ type RFedAvgPlus struct {
 	f      *fl.Federation
 	global []float64
 	table  *DeltaTable
-	// healthScratch backs the health monitor's alloc-free drift reads.
-	healthScratch []float64
-	// held[k] is the round in which client k need not download the model:
-	// it took part in the previous round's second synchronization, which
-	// every client was sampled into, and still has that model loaded (the
-	// transport server's held-model rule); -1 otherwise.
-	held []int
+	// held says which clients need not download the next round's model:
+	// the second synchronization already delivered it.
+	held engine.Held
 }
 
 // DefaultStreamN is the client count at which rFedAvg+ servers (sim and
@@ -80,10 +76,7 @@ func (a *RFedAvgPlus) Setup(f *fl.Federation) {
 	if streamN > 0 && n >= streamN {
 		a.table.SetStreaming(true)
 	}
-	a.held = make([]int, n)
-	for k := range a.held {
-		a.held[k] = -1
-	}
+	a.held = make(engine.Held, n)
 }
 
 // GlobalParams returns the current global model.
@@ -92,16 +85,8 @@ func (a *RFedAvgPlus) GlobalParams() []float64 { return a.global }
 // Table exposes the server's δ table (read-only use in tests/experiments).
 func (a *RFedAvgPlus) Table() *DeltaTable { return a.table }
 
-// PairwiseMMDInto implements fl.MMDReporter over the server's δ table.
-func (a *RFedAvgPlus) PairwiseMMDInto(dst []float64) []float64 {
-	return a.table.PairwiseMMDInto(dst)
-}
-
-// SampledMMDInto implements fl.SampledMMDReporter over the server's δ
-// table: the K×K sub-matrix over ids instead of the full N×N block.
-func (a *RFedAvgPlus) SampledMMDInto(dst []float64, ids []int) []float64 {
-	return a.table.SampledMMDInto(dst, ids)
-}
+// MMDTable implements fl.MMDReporter over the server's δ table.
+func (a *RFedAvgPlus) MMDTable() engine.MMDTable { return a.table }
 
 // Round runs one rFedAvg+ communication round (lines 4–18 of Algorithm 2).
 func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
@@ -133,7 +118,8 @@ func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
 	// discount; in sync mode agg == outs and the weights are plain n_k.
 	agg, ages := f.ApplyAsync(round, outs)
 	norms := fl.UpdateNorms(a.global, agg)
-	a.global = fl.WeightedAverageStale(agg, ages, f.Cfg.StalenessLambda)
+	var loss float64
+	a.global, loss = f.Aggregate(a.global, agg, ages)
 
 	// Second communication (lines 13–16): the server sends the *new global*
 	// model; every fresh client recomputes its map with it. Clients whose
@@ -160,15 +146,11 @@ func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
 		a.table.Set(out.Client.ID, out.Aux)
 	}
 	// Per-client MMD drift for the health monitor, off the freshly
-	// synchronized rows: √‖δ_k − δ̄^{-k}‖ into algorithm-owned scratch.
+	// synchronized rows.
 	if h := f.Cfg.Health; h != nil {
-		if len(a.healthScratch) != f.FeatureDim() {
-			a.healthScratch = make([]float64, f.FeatureDim())
-		}
 		for _, out := range deltaOuts {
-			id := out.Client.ID
-			if a.table.Occupied(id) {
-				h.ObserveDrift(id, math.Sqrt(a.table.TightObjectiveInto(a.healthScratch, id)))
+			if id := out.Client.ID; a.table.Occupied(id) {
+				h.ObserveDrift(id, a.table.Drift(id))
 			}
 		}
 	}
@@ -179,25 +161,23 @@ func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
 
 	// Each model version ships once per client: whoever recomputed its map
 	// last round already holds this round's model. A hold starts only in a
-	// round that sampled nobody out, so bytes per round follow from the
-	// configuration and not from which cohorts the seed makes overlap.
+	// round that sampled nobody out (engine.Held).
 	elided := 0
 	for _, k := range sampled {
-		if a.held[k] == round {
+		if a.held.Assign(k, round) {
 			elided++
 		}
-		a.held[k] = -1
 	}
 	if len(sampled) == len(a.held) {
 		for _, k := range fresh {
-			a.held[k] = round + 1
+			a.held.Hold(k, round+1)
 		}
 	}
 
 	p, p2 := int64(len(sampled)), int64(len(fresh))
 	d := f.FeatureDim()
 	rr := fl.RoundResult{
-		TrainLoss:    fl.MeanLossStale(agg, ages, f.Cfg.StalenessLambda),
+		TrainLoss:    loss,
 		ClientLosses: fl.LossMap(agg),
 		ClientNorms:  norms,
 		// Down: (model + average map) in sync #1 — less the models already

@@ -1,0 +1,324 @@
+// Package engine is the arithmetic of one federated round, written once for
+// the two drivers that run it, the internal/fl simulator and the
+// internal/transport server: draw the cohort, validate what came back, weigh
+// it, aggregate — the paper's server step, Alg. 2 line 12 / Eq. (1),
+// w ← Σ pₖwₖ renormalised over the cohort — feed the health monitor and fill
+// the ledger record. It is a leaf: it knows nothing of connections, worker
+// pools or algorithms.
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+
+	"repro/internal/health"
+	"repro/internal/telemetry"
+	"repro/internal/tensor"
+)
+
+// Update is one client's trained model as the server step sees it.
+type Update struct {
+	Client  int
+	Samples float64 // the client's shard size nₖ, its aggregation weight before renormalisation
+	Age     int     // rounds since the round it trained for; read only for late updates
+	Loss    float64 // mean local training loss
+	Params  []float64
+}
+
+// Sample draws a round's cohort: ⌈sr·n⌉ distinct ones of the n eligible
+// clients, uniformly, in draw order; sr outside (0,1) means all of them, in
+// index order. The cohort is clamped to at least max(1, minK) members (bounded
+// by n): tiny sample ratios — ⌈sr·n⌉ rounding below the quorum, or a float
+// product flushing to 0 — otherwise produce rounds that can never reach quorum
+// and stall a retry loop. A cohort that takes everyone draws nothing from rng.
+func Sample(rng *rand.Rand, eligible []bool, sr float64, minK int) []int {
+	idx := make([]int, 0, len(eligible))
+	for i, e := range eligible {
+		if e {
+			idx = append(idx, i)
+		}
+	}
+	if sr <= 0 || sr >= 1 {
+		return idx
+	}
+	k := max(int(math.Ceil(sr*float64(len(idx)))), minK, 1)
+	if k >= len(idx) {
+		return idx
+	}
+	cohort := rng.Perm(len(idx))[:k]
+	for j, p := range cohort {
+		cohort[j] = idx[p]
+	}
+	return cohort
+}
+
+// Finite reports whether every element is finite. x−x is 0 for a finite x and
+// NaN for ±Inf or NaN, and NaN is sticky under +, so the pass carries no
+// per-element branch; four sums keep the adds from waiting on each other.
+func Finite(v []float64) bool {
+	var a0, a1, a2, a3 float64
+	for ; len(v) >= 4; v = v[4:] {
+		a0 += v[0] - v[0]
+		a1 += v[1] - v[1]
+		a2 += v[2] - v[2]
+		a3 += v[3] - v[3]
+	}
+	for _, x := range v {
+		a0 += x - x
+	}
+	return a0+a1+a2+a3 == 0
+}
+
+// Validate is the gate an update passes before it may reach an aggregate: it
+// must have the model's n parameters, and a single NaN/Inf in them or in the
+// loss would poison the global model silently. The error is the reason the
+// sender is dropped for.
+func Validate(u Update, n int) error {
+	if len(u.Params) != n {
+		return fmt.Errorf("sent %d params, want %d", len(u.Params), n)
+	}
+	if !Finite(u.Params) || u.Loss-u.Loss != 0 {
+		return errors.New("non-finite update (NaN/Inf in params or loss)")
+	}
+	return nil
+}
+
+// StalenessWeight is the discount w(age) = 1/(1+age)^λ applied to an update
+// folded into a later round than the one it trained for (FedBuff-style
+// buffered aggregation). Age 0 and λ ≤ 0 weigh 1.
+func StalenessWeight(age int, lambda float64) float64 {
+	if age <= 0 || lambda <= 0 {
+		return 1
+	}
+	return 1 / math.Pow(1+float64(age), lambda)
+}
+
+const (
+	// Shards is the fixed shard count of the parallel aggregation path. A
+	// constant — never the core count — so the floating-point reduction order,
+	// and therefore the trained model, is identical on every machine and
+	// across kill/resume boundaries.
+	Shards = 16
+	// ShardMin is the number of fresh updates at which Aggregate switches to
+	// the sharded path. Below it the serial loop is both faster and keeps
+	// every small-cohort run's exact floating-point story.
+	ShardMin = 64
+)
+
+// Aggregate writes the weighted mean of the updates into dst and returns the
+// equally weighted mean loss. A fresh update weighs Samples/Σ, a late one
+// Samples·StalenessWeight(Age, λ)/Σ, with Σ the sum of those numerators: the
+// weights renormalise to 1 over whoever actually delivered. ok is false, and
+// dst untouched, when Σ ≤ 0 — 0/0 would NaN the whole model.
+//
+// "Late" is the caller's word, not Age > 0: a retried attempt folds an update
+// parked by the failed attempt of the same round, at age 0. Fresh updates
+// accumulate in slice order; from ShardMin of them on, update u goes to shard
+// u.Client % Shards, each shard accumulates in slice order and a fixed binary
+// tree combines the partials — no goroutine touches all updates, and the order
+// is the same on every run and machine. Late updates follow serially.
+func Aggregate(dst []float64, fresh, late []Update, lambda float64) (loss float64, ok bool) {
+	sharded := len(fresh) >= ShardMin
+	wsum := 0.0
+	if sharded {
+		wsum = shardWeights(fresh)
+	} else {
+		for i := range fresh {
+			wsum += fresh[i].Samples
+		}
+	}
+	for i := range late {
+		wsum += late[i].Samples * StalenessWeight(late[i].Age, lambda)
+	}
+	if !(wsum > 0) {
+		return math.NaN(), false
+	}
+	clear(dst)
+	if sharded {
+		loss = shardUpdates(dst, fresh, wsum)
+	} else {
+		for i := range fresh {
+			wi := fresh[i].Samples / wsum
+			tensor.AxpyFloats(dst, wi, fresh[i].Params)
+			loss += wi * fresh[i].Loss
+		}
+	}
+	for i := range late {
+		wi := late[i].Samples * StalenessWeight(late[i].Age, lambda) / wsum
+		tensor.AxpyFloats(dst, wi, late[i].Params)
+		loss += wi * late[i].Loss
+	}
+	return loss, true
+}
+
+// treeReduce combines the shard partials in a fixed binary tree: partial lo
+// absorbs partial lo+span at each level. Fixed shape → fixed FP order.
+func treeReduce(absorb func(lo, hi int)) {
+	for span := 1; span < Shards; span *= 2 {
+		for lo := 0; lo+span < Shards; lo += 2 * span {
+			absorb(lo, lo+span)
+		}
+	}
+}
+
+// shardWeights is Σ Samples over the fresh updates in the sharded order.
+func shardWeights(fresh []Update) float64 {
+	var part [Shards]float64
+	for i := range fresh {
+		part[fresh[i].Client%Shards] += fresh[i].Samples
+	}
+	treeReduce(func(lo, hi int) { part[lo] += part[hi] })
+	return part[0]
+}
+
+// shardUpdates adds Σ (Samples/wsum)·Params over the fresh updates to dst
+// (zeroed by the caller) and returns their share of the mean loss.
+func shardUpdates(dst []float64, fresh []Update, wsum float64) float64 {
+	type partial struct {
+		sum  []float64
+		loss float64
+	}
+	part := make([]partial, Shards)
+	tensor.ParallelFor(Shards, func(sh int) {
+		p := &part[sh]
+		for i := range fresh {
+			u := &fresh[i]
+			if u.Client%Shards != sh {
+				continue
+			}
+			wi := u.Samples / wsum
+			if p.sum == nil {
+				p.sum = make([]float64, len(dst))
+			}
+			tensor.AxpyFloats(p.sum, wi, u.Params)
+			p.loss += wi * u.Loss
+		}
+	})
+	// Shards that received nothing stay nil and are skipped without
+	// perturbing the order of the others.
+	treeReduce(func(lo, hi int) {
+		a, b := &part[lo], &part[hi]
+		if b.sum != nil {
+			if a.sum == nil {
+				a.sum, b.sum = b.sum, nil
+			} else {
+				tensor.AddFloats(a.sum, b.sum)
+			}
+		}
+		a.loss += b.loss
+	})
+	if part[0].sum != nil {
+		tensor.AddFloats(dst, part[0].sum)
+	}
+	return part[0].loss
+}
+
+// ObserveHealth feeds one round's validated updates to the health monitor
+// against the model they trained from: one direction-sum pass, then one
+// observation per fresh update; late ones are credited with their age. A nil
+// monitor observes nothing.
+func ObserveHealth(h *health.Monitor, round int, global []float64, fresh, late []Update) {
+	if h == nil {
+		return
+	}
+	h.BeginRound(round)
+	for i := range fresh {
+		h.AccumDirection(fresh[i].Params, global)
+	}
+	for i := range fresh {
+		h.ObserveUpdate(fresh[i].Client, fresh[i].Loss, fresh[i].Params, global)
+	}
+	for i := range late {
+		h.ObserveFold(late[i].Client, late[i].Age)
+	}
+}
+
+// Held is the one-model-per-version rule: entry k names the round whose
+// assignment to client k may omit the model, because the previous round's
+// second synchronisation sent k exactly that model. The zero entry holds
+// nothing. Callers start a hold only in a round that sampled nobody out: under
+// cohort sampling the overlap of consecutive cohorts is a draw of the seed, and
+// eliding it would make bytes per round differ from seed to seed.
+type Held []int
+
+// Assign reports whether round's assignment to k may omit the model. Any
+// assign, elided or not, ends the hold, so a retried attempt ships the model
+// in full.
+func (h Held) Assign(k, round int) bool {
+	elide := h[k] == round+1
+	h[k] = 0
+	return elide
+}
+
+// Hold records that k was just sent the model round will start from.
+func (h Held) Hold(k, round int) { h[k] = round + 1 }
+
+// Drop ends k's hold: it was evicted, or a rejoiner took its place.
+func (h Held) Drop(k int) { h[k] = 0 }
+
+// Detail reports whether a session of n clients records per-client ledger
+// detail (loss/norm/age/score arrays and the N×N MMD block) or, above limit,
+// summary statistics. A limit of 0 means telemetry.DefaultLedgerDetailN;
+// negative means full detail at any n.
+func Detail(limit, n int) bool {
+	if limit == 0 {
+		limit = telemetry.DefaultLedgerDetailN
+	}
+	return limit < 0 || n <= limit
+}
+
+// LedgerUpdate adds one aggregated update to rec's client block: id, loss and
+// update norm ‖wₖ − w‖ in detail mode; above it the arrays would be O(N) per
+// line, so min/mean/max instead. A NaN norm means the driver measured none.
+func LedgerUpdate(rec *telemetry.RoundRecord, detail bool, client int, loss, norm float64) {
+	if detail {
+		rec.ClientID = append(rec.ClientID, client)
+		rec.ClientLoss = append(rec.ClientLoss, loss)
+		if !math.IsNaN(norm) {
+			rec.ClientNorm = append(rec.ClientNorm, norm)
+		}
+		return
+	}
+	rec.LossStats.Add(loss)
+	if !math.IsNaN(norm) {
+		rec.NormStats.Add(norm)
+	}
+}
+
+// MMDTable is what the ledger reads of a δ table; *core.DeltaTable is one.
+type MMDTable interface {
+	PairwiseMMDInto(dst []float64) []float64
+	SampleRows(k int) []int
+	SampledMMDInto(dst []float64, ids []int) []float64
+}
+
+// LedgerMMD records the pairwise MMD block of an n-row δ table: the full N×N
+// matrix in detail mode; above it that would be O(N²) floats per line, so a
+// deterministic K×K sub-matrix with its row ids instead.
+func LedgerMMD(rec *telemetry.RoundRecord, detail bool, t MMDTable, n int) {
+	if detail {
+		rec.MMD = t.PairwiseMMDInto(rec.MMD)
+		rec.MMDDim = n
+		return
+	}
+	rec.MMDSample = t.SampleRows(telemetry.LedgerMMDSampleK)
+	rec.MMD = t.SampledMMDInto(rec.MMD, rec.MMDSample)
+	rec.MMDDim = len(rec.MMDSample)
+}
+
+// LedgerHealth records the health round just closed: verdict, unhealthy count,
+// and per-client scores aligned with rec.ClientID in detail mode or a
+// min/mean/max triple over the cohort above it.
+func LedgerHealth(rec *telemetry.RoundRecord, detail bool, h *health.Monitor) {
+	rec.Verdict = h.LastVerdict()
+	rec.Unhealthy = h.UnhealthyCount()
+	if detail {
+		for _, id := range rec.ClientID {
+			rec.Health = append(rec.Health, h.Score(id))
+		}
+		return
+	}
+	h.CohortScores(func(_ int, score float64) { rec.HealthStats.Add(score) })
+}

@@ -1,0 +1,543 @@
+package engine
+
+import (
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/tensor"
+)
+
+// mask marks ids in an n-slot mask and fails on a repeated or out-of-range id:
+// a cohort is a set.
+func mask(t *testing.T, n int, ids []int) []bool {
+	t.Helper()
+	m := make([]bool, n)
+	for _, i := range ids {
+		if i < 0 || i >= n || m[i] {
+			t.Fatalf("cohort %v repeats or leaves [0,%d)", ids, n)
+		}
+		m[i] = true
+	}
+	return m
+}
+
+func count(m []bool) int {
+	n := 0
+	for _, c := range m {
+		if c {
+			n++
+		}
+	}
+	return n
+}
+
+// Regression for the cohort-size underflow: tiny sample ratios used to
+// round ⌈sr·N⌉ below MinClients (or to 0 via float flush), producing
+// rounds that could never reach quorum. The sampler must clamp to
+// max(1, minK), bounded by the active population.
+func TestCohortClampedToQuorum(t *testing.T) {
+	active := make([]bool, 100000)
+	for i := range active {
+		active[i] = true
+	}
+	rng := rand.New(rand.NewSource(1))
+	// sr·N rounds to 1, quorum needs 8 → clamp to 8.
+	if got := count(mask(t, len(active), Sample(rng, active, 1e-5, 8))); got != 8 {
+		t.Fatalf("cohort size = %d, want quorum clamp 8", got)
+	}
+	// No quorum floor: still at least one member.
+	if got := count(mask(t, len(active), Sample(rng, active, 1e-12, 0))); got != 1 {
+		t.Fatalf("cohort size = %d, want floor 1", got)
+	}
+	// Clamp cannot exceed the active population.
+	small := []bool{true, false, true, true, false}
+	in := mask(t, len(small), Sample(rng, small, 0.5, 10))
+	if got := count(in); got != 3 {
+		t.Fatalf("cohort size = %d, want all 3 active", got)
+	}
+	for i, a := range small {
+		if in[i] != a {
+			t.Fatalf("slot %d: sampled %v, active %v", i, in[i], a)
+		}
+	}
+	// Unclamped region untouched: sr·N well above minK keeps ⌈sr·N⌉.
+	if got := count(mask(t, len(active), Sample(rng, active, 0.001, 8))); got != 100 {
+		t.Fatalf("cohort size = %d, want ⌈0.001·100000⌉ = 100", got)
+	}
+}
+
+func TestSampleCohort(t *testing.T) {
+	all := func(n int) []bool {
+		m := make([]bool, n)
+		for i := range m {
+			m[i] = true
+		}
+		return m
+	}
+	rng := rand.New(rand.NewSource(1))
+	full := mask(t, 5, Sample(rng, all(5), 0, 1))
+	for _, in := range full {
+		if !in {
+			t.Fatal("SR=0 must mean full participation")
+		}
+	}
+	part := mask(t, 10, Sample(rng, all(10), 0.3, 1))
+	if got := count(part); got != 3 {
+		t.Fatalf("SR=0.3 cohort size %d, want 3", got)
+	}
+}
+
+// Sample is the simulator's historical draw — rng.Perm(n)[:k] over everyone,
+// in draw order — and a cohort that takes everyone leaves rng untouched.
+func TestSampleIsPermPrefix(t *testing.T) {
+	all := make([]bool, 40)
+	for i := range all {
+		all[i] = true
+	}
+	got := Sample(rand.New(rand.NewSource(5)), all, 0.2, 1)
+	want := rand.New(rand.NewSource(5)).Perm(40)[:8]
+	if len(got) != len(want) {
+		t.Fatalf("cohort %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cohort %v, want %v", got, want)
+		}
+	}
+	for _, sr := range []float64{0, 1, 0.99} {
+		if c := Sample(nil, all, sr, 1); len(c) != 40 || c[0] != 0 || c[39] != 39 {
+			t.Fatalf("sr %v: cohort %v, want everyone in index order", sr, c)
+		}
+	}
+}
+
+func TestValidate(t *testing.T) {
+	ok := Update{Loss: 0.5, Params: []float64{1, -2, 3}}
+	if err := Validate(ok, 3); err != nil {
+		t.Fatalf("valid update rejected: %v", err)
+	}
+	if err := Validate(ok, 4); err == nil {
+		t.Fatal("short update accepted")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := Validate(Update{Loss: bad, Params: ok.Params}, 3); err == nil {
+			t.Fatalf("loss %v accepted", bad)
+		}
+		if err := Validate(Update{Params: []float64{1, bad, 3}}, 3); err == nil {
+			t.Fatalf("parameter %v accepted", bad)
+		}
+	}
+}
+
+func TestHeld(t *testing.T) {
+	h := make(Held, 3)
+	if h.Assign(0, 0) {
+		t.Fatal("a fresh entry holds round 0's model")
+	}
+	h.Hold(1, 5)
+	if h.Assign(1, 4) {
+		t.Fatal("hold for round 5 elided round 4's assign")
+	}
+	h.Hold(1, 5)
+	if !h.Assign(1, 5) {
+		t.Fatal("hold for round 5 did not elide its assign")
+	}
+	if h.Assign(1, 5) {
+		t.Fatal("the hold survived an assign")
+	}
+	h.Hold(2, 7)
+	h.Drop(2)
+	if h.Assign(2, 7) {
+		t.Fatal("the hold survived a drop")
+	}
+}
+
+// --- the parent commit's aggregation, kept as the reference ---
+
+// refUpdate is what the transport server's loops read of a delivered frame.
+type refUpdate struct {
+	Loss   float64
+	Params []float64
+}
+
+const aggShards, shardMinAgg = 16, 64
+
+type aggPartial struct {
+	sum  []float64
+	loss float64
+	wsum float64
+}
+
+func shardedWeightSum(samples []float64, delivered []bool) float64 {
+	partials := make([]aggPartial, aggShards)
+	var wg sync.WaitGroup
+	wg.Add(aggShards)
+	for sh := 0; sh < aggShards; sh++ {
+		go func(sh int) {
+			defer wg.Done()
+			w := 0.0
+			for i := sh; i < len(delivered); i += aggShards {
+				if delivered[i] {
+					w += samples[i]
+				}
+			}
+			partials[sh].wsum = w
+		}(sh)
+	}
+	wg.Wait()
+	for span := 1; span < aggShards; span *= 2 {
+		for lo := 0; lo+span < aggShards; lo += 2 * span {
+			partials[lo].wsum += partials[lo+span].wsum
+		}
+	}
+	return partials[0].wsum
+}
+
+func shardedAggregate(next []float64, updates []*refUpdate, samples []float64, wsum float64) float64 {
+	partials := make([]aggPartial, aggShards)
+	var wg sync.WaitGroup
+	wg.Add(aggShards)
+	for sh := 0; sh < aggShards; sh++ {
+		go func(sh int) {
+			defer wg.Done()
+			p := &partials[sh]
+			for i := sh; i < len(updates); i += aggShards {
+				m := updates[i]
+				if m == nil {
+					continue
+				}
+				wi := samples[i] / wsum
+				if p.sum == nil {
+					p.sum = make([]float64, len(next))
+				}
+				tensor.AxpyFloats(p.sum, wi, m.Params)
+				p.loss += wi * m.Loss
+			}
+		}(sh)
+	}
+	wg.Wait()
+	for span := 1; span < aggShards; span *= 2 {
+		for lo := 0; lo+span < aggShards; lo += 2 * span {
+			a, b := &partials[lo], &partials[lo+span]
+			if b.sum != nil {
+				if a.sum == nil {
+					a.sum, b.sum = b.sum, nil
+				} else {
+					tensor.AddFloats(a.sum, b.sum)
+				}
+			}
+			a.loss += b.loss
+		}
+	}
+	if partials[0].sum != nil {
+		tensor.AddFloats(next, partials[0].sum)
+	}
+	return partials[0].loss
+}
+
+// refFold is a parked update as the parent's server kept it.
+type refFold struct {
+	Client, Age int
+	refUpdate
+}
+
+// refAggregate is the parent's attemptRound from the weight sum to the last
+// fold: slot-indexed updates (nil = evicted, failed or unsampled), folds in
+// slot order.
+func refAggregate(updates []*refUpdate, samples []float64, folds []refFold, lambda float64, dim int) (next []float64, loss float64, ok bool) {
+	delivered := make([]bool, len(updates))
+	valid := 0
+	for i, m := range updates {
+		if m != nil {
+			delivered[i] = true
+			valid++
+		}
+	}
+	sharded := valid >= shardMinAgg
+	wsum := 0.0
+	if sharded {
+		wsum = shardedWeightSum(samples, delivered)
+	} else {
+		for i, d := range delivered {
+			if d {
+				wsum += samples[i]
+			}
+		}
+	}
+	for _, b := range folds {
+		wsum += samples[b.Client] * StalenessWeight(b.Age, lambda)
+	}
+	if wsum <= 0 {
+		return nil, 0, false
+	}
+	next = make([]float64, dim)
+	if sharded {
+		loss = shardedAggregate(next, updates, samples, wsum)
+	} else {
+		for i, m := range updates {
+			if m == nil {
+				continue
+			}
+			wi := samples[i] / wsum
+			tensor.AxpyFloats(next, wi, m.Params)
+			loss += wi * m.Loss
+		}
+	}
+	for _, b := range folds {
+		wi := samples[b.Client] * StalenessWeight(b.Age, lambda) / wsum
+		tensor.AxpyFloats(next, wi, b.Params)
+		loss += wi * b.Loss
+	}
+	return next, loss, true
+}
+
+// cohortCase is one random round in both shapes: the parent's slot-indexed
+// arrays and the engine's update lists.
+type cohortCase struct {
+	updates []*refUpdate
+	samples []float64
+	folds   []refFold
+	fresh   []Update
+	late    []Update
+}
+
+// randomCohort draws a round over slots client slots: each delivers with
+// probability deliver (the rest are the evicted, failed and unsampled ones),
+// and each of the others is a parked fold with probability fold, one in three
+// of them at age 0 — an update parked by a failed attempt of the same round.
+func randomCohort(rng *rand.Rand, slots, dim int, deliver, fold float64) cohortCase {
+	c := cohortCase{updates: make([]*refUpdate, slots), samples: make([]float64, slots)}
+	vec := func() []float64 {
+		v := make([]float64, dim)
+		for j := range v {
+			v[j] = rng.NormFloat64()
+		}
+		return v
+	}
+	for i := 0; i < slots; i++ {
+		c.samples[i] = float64(1 + rng.Intn(500))
+		switch {
+		case rng.Float64() < deliver:
+			m := &refUpdate{Loss: rng.Float64() * 3, Params: vec()}
+			c.updates[i] = m
+			c.fresh = append(c.fresh, Update{Client: i, Samples: c.samples[i], Loss: m.Loss, Params: m.Params})
+		case rng.Float64() < fold:
+			f := refFold{Client: i, Age: rng.Intn(3), refUpdate: refUpdate{Loss: rng.Float64() * 3, Params: vec()}}
+			c.folds = append(c.folds, f)
+			c.late = append(c.late, Update{Client: i, Samples: c.samples[i], Age: f.Age, Loss: f.Loss, Params: f.Params})
+		}
+	}
+	return c
+}
+
+// Aggregate is the parent server's arithmetic to the bit: serial and sharded,
+// with evicted slots, with folds, with an age-0 fold.
+func TestAggregateMatchesParentServer(t *testing.T) {
+	const dim = 37
+	rng := rand.New(rand.NewSource(21))
+	serial, sharded, zeroAge := 0, 0, 0
+	for trial := 0; trial < 60; trial++ {
+		slots := 3 + rng.Intn(60) // mostly below the threshold …
+		if trial%2 == 1 {
+			slots = 70 + rng.Intn(200) // … and mostly above it
+		}
+		lambda := []float64{0, 0.5, 1.3}[trial%3]
+		c := randomCohort(rng, slots, dim, 0.4+0.6*rng.Float64(), 0.5)
+		want, wantLoss, wantOK := refAggregate(c.updates, c.samples, c.folds, lambda, dim)
+		got := make([]float64, dim)
+		for j := range got {
+			got[j] = math.NaN() // Aggregate owes nothing to dst's contents
+		}
+		loss, ok := Aggregate(got, c.fresh, c.late, lambda)
+		if ok != wantOK {
+			t.Fatalf("trial %d: ok %v, parent %v", trial, ok, wantOK)
+		}
+		if !ok {
+			continue
+		}
+		if len(c.fresh) >= ShardMin {
+			sharded++
+		} else {
+			serial++
+		}
+		for _, u := range c.late {
+			if u.Age == 0 {
+				zeroAge++
+			}
+		}
+		if loss != wantLoss {
+			t.Fatalf("trial %d (%d fresh, %d late): loss %v, parent %v", trial, len(c.fresh), len(c.late), loss, wantLoss)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("trial %d (%d fresh, %d late): param %d = %v, parent %v", trial, len(c.fresh), len(c.late), j, got[j], want[j])
+			}
+		}
+	}
+	if serial < 10 || sharded < 10 || zeroAge < 10 {
+		t.Fatalf("coverage: %d serial, %d sharded, %d age-0 folds", serial, sharded, zeroAge)
+	}
+}
+
+// The sharded reduction must agree with the serial slot-order loop to
+// floating-point reassociation tolerance, and must itself be bitwise
+// deterministic across runs — the property that makes it safe for the
+// resume contract.
+func TestShardedAggregateMatchesSerial(t *testing.T) {
+	const n, dim = 157, 33
+	rng := rand.New(rand.NewSource(9))
+	var fresh []Update
+	for i := 0; i < n; i++ {
+		samples := float64(10 + rng.Intn(90))
+		if rng.Float64() < 0.2 { // missing slots (undelivered updates)
+			continue
+		}
+		params := make([]float64, dim)
+		for j := range params {
+			params[j] = rng.NormFloat64()
+		}
+		fresh = append(fresh, Update{Client: i, Samples: samples, Loss: rng.Float64(), Params: params})
+	}
+
+	wsum := shardWeights(fresh)
+	serialW := 0.0
+	for _, u := range fresh {
+		serialW += u.Samples
+	}
+	if math.Abs(wsum-serialW) > 1e-9*serialW {
+		t.Fatalf("shardWeights = %g, serial = %g", wsum, serialW)
+	}
+
+	serial := make([]float64, dim)
+	serialLoss := 0.0
+	for _, u := range fresh {
+		wi := u.Samples / serialW
+		tensor.AxpyFloats(serial, wi, u.Params)
+		serialLoss += wi * u.Loss
+	}
+
+	next := make([]float64, dim)
+	loss := shardUpdates(next, fresh, wsum)
+	for j := range next {
+		if d := math.Abs(next[j] - serial[j]); d > 1e-12*(1+math.Abs(serial[j])) {
+			t.Fatalf("param %d: sharded %g vs serial %g", j, next[j], serial[j])
+		}
+	}
+	if d := math.Abs(loss - serialLoss); d > 1e-12 {
+		t.Fatalf("sharded loss %g vs serial %g", loss, serialLoss)
+	}
+
+	// Run-to-run bitwise determinism: identical inputs, identical bits.
+	next2 := make([]float64, dim)
+	loss2 := shardUpdates(next2, fresh, wsum)
+	if loss != loss2 {
+		t.Fatalf("sharded loss differs across runs: %v vs %v", loss, loss2)
+	}
+	for j := range next {
+		if math.Float64bits(next[j]) != math.Float64bits(next2[j]) {
+			t.Fatalf("param %d differs bitwise across sharded runs", j)
+		}
+	}
+}
+
+// The invariants the round leans on, over random cohorts on both sides of
+// the shard threshold: after any eviction/fold pattern the effective weights
+// sum to 1, the sharded order agrees with the serial one, and a second run
+// repeats the first to the bit.
+func TestAggregateInvariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 40; trial++ {
+		slots := 2 + rng.Intn(40)
+		if trial%2 == 1 {
+			slots = 80 + rng.Intn(150)
+		}
+		lambda := []float64{0, 0.5, 2}[trial%3]
+		c := randomCohort(rng, slots, 1, 0.3+0.7*rng.Float64(), 0.6)
+		// Update j reports the j-th basis vector, so dst[j] is its weight.
+		all := append(append([]Update(nil), c.fresh...), c.late...)
+		if len(all) == 0 {
+			continue
+		}
+		for j := range all {
+			all[j].Params = make([]float64, len(all))
+			all[j].Params[j] = 1
+		}
+		fresh, late := all[:len(c.fresh)], all[len(c.fresh):]
+		weights := make([]float64, len(all))
+		loss, ok := Aggregate(weights, fresh, late, lambda)
+		if !ok {
+			t.Fatalf("trial %d: positive sample counts, ok false", trial)
+		}
+		sum, wantLoss, den := 0.0, 0.0, 0.0
+		for j, w := range weights {
+			if w <= 0 {
+				t.Fatalf("trial %d: update %d weighs %v", trial, j, w)
+			}
+			sum += w
+			n := all[j].Samples
+			if j >= len(fresh) {
+				n *= StalenessWeight(all[j].Age, lambda)
+			}
+			wantLoss += n * all[j].Loss
+			den += n
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Fatalf("trial %d (%d fresh, %d late): weights sum to %v", trial, len(fresh), len(late), sum)
+		}
+		if math.Abs(loss-wantLoss/den) > 1e-12*(1+wantLoss/den) {
+			t.Fatalf("trial %d: loss %v, want %v", trial, loss, wantLoss/den)
+		}
+		// Serial order over the same updates: slice order, one accumulator.
+		for j, u := range all {
+			n := u.Samples
+			if j >= len(fresh) {
+				n *= StalenessWeight(u.Age, lambda)
+			}
+			if d := math.Abs(weights[j] - n/den); d > 1e-12 {
+				t.Fatalf("trial %d: update %d weighs %v, serial %v", trial, j, weights[j], n/den)
+			}
+		}
+		again := make([]float64, len(all))
+		loss2, _ := Aggregate(again, fresh, late, lambda)
+		if math.Float64bits(loss) != math.Float64bits(loss2) {
+			t.Fatalf("trial %d: loss differs between runs: %v vs %v", trial, loss, loss2)
+		}
+		for j := range again {
+			if math.Float64bits(again[j]) != math.Float64bits(weights[j]) {
+				t.Fatalf("trial %d: weight %d differs between runs", trial, j)
+			}
+		}
+	}
+}
+
+// With nothing to weigh, Aggregate says so and leaves dst alone: 0/0 would
+// NaN the whole model.
+func TestAggregateEmptyCohort(t *testing.T) {
+	for name, c := range map[string]struct{ fresh, late []Update }{
+		"nothing":        {},
+		"zero samples":   {fresh: []Update{{Client: 0, Params: []float64{1, 2}}}},
+		"only zero late": {late: []Update{{Client: 1, Age: 2, Params: []float64{3, 4}}}},
+	} {
+		dst := []float64{7, -7}
+		loss, ok := Aggregate(dst, c.fresh, c.late, 0.5)
+		if ok || !math.IsNaN(loss) {
+			t.Errorf("%s: ok %v, loss %v; want false, NaN", name, ok, loss)
+		}
+		if dst[0] != 7 || dst[1] != -7 {
+			t.Errorf("%s: dst overwritten: %v", name, dst)
+		}
+	}
+}
+
+// The serial path — every cohort below ShardMin, so every simulator round and
+// every small fleet — allocates nothing.
+func TestAggregateSerialAllocatesNothing(t *testing.T) {
+	c := randomCohort(rand.New(rand.NewSource(4)), ShardMin-1, 64, 1, 0)
+	late := []Update{{Client: 900, Samples: 10, Age: 2, Loss: 1, Params: make([]float64, 64)}}
+	dst := make([]float64, 64)
+	if avg := testing.AllocsPerRun(50, func() { Aggregate(dst, c.fresh, late, 0.5) }); avg != 0 {
+		t.Fatalf("serial Aggregate allocates %.1f objects/op, want 0", avg)
+	}
+}

@@ -1,11 +1,11 @@
-package transport
+package engine
 
 import (
 	"math"
 	"testing"
 )
 
-// finiteSliceRef is the predicate finiteSlice replaced, one classified
+// finiteSliceRef is the predicate Finite replaced, one classified
 // element at a time.
 func finiteSliceRef(v []float64) bool {
 	for _, x := range v {
@@ -33,8 +33,8 @@ func TestFiniteSliceMatchesPredicate(t *testing.T) {
 	cases = append(cases, []float64{math.Inf(1), 0, 0, 0, math.Inf(-1)},
 		[]float64{math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)})
 	for _, v := range cases {
-		if got, want := finiteSlice(v), finiteSliceRef(v); got != want {
-			t.Errorf("finiteSlice(%v) = %v, want %v", v, got, want)
+		if got, want := Finite(v), finiteSliceRef(v); got != want {
+			t.Errorf("Finite(%v) = %v, want %v", v, got, want)
 		}
 	}
 }
@@ -47,7 +47,7 @@ func BenchmarkFiniteSlice(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		fn   func([]float64) bool
-	}{{"pass", finiteSlice}, {"predicate", finiteSliceRef}} {
+	}{{"pass", Finite}, {"predicate", finiteSliceRef}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(8 * len(v)))
 			for i := 0; i < b.N; i++ {

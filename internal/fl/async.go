@@ -1,24 +1,9 @@
 package fl
 
 import (
-	"math"
 	"math/rand"
 	"sort"
-
-	"repro/internal/tensor"
 )
-
-// StalenessWeight is the discount w(age) = 1/(1+age)^λ applied to a model
-// update folded into a later round than the one it trained for (FedBuff-
-// style buffered aggregation). Fresh updates (age 0) and λ ≤ 0 weigh 1.
-// Both the simulation (Config.Async) and the transport server use this one
-// definition, so sim and deployment results stay comparable.
-func StalenessWeight(age int, lambda float64) float64 {
-	if age <= 0 || lambda <= 0 {
-		return 1
-	}
-	return 1 / math.Pow(1+float64(age), lambda)
-}
 
 // deferredOut is one client's finished-but-unaggregated round output,
 // parked until the next round folds it in with a staleness discount.
@@ -41,9 +26,9 @@ func (f *Federation) asyncLatency(round, client int) float64 {
 	return lat
 }
 
-// ApplyAsync is the simulation twin of the transport server's buffered
-// round close. Given a round's fresh client outputs, it keeps the BufferK
-// fastest under the seeded latency model, parks the stragglers for a later
+// ApplyAsync closes a buffered round as the transport server does, with the
+// latency model deciding who arrived: given a round's fresh client outputs, it
+// keeps the BufferK fastest, parks the stragglers for a later
 // round, and folds every previously parked output back in. It returns the
 // aggregation set (fresh outputs in sampled order, then folds in client
 // order) with per-entry staleness ages aligned to it; ages is nil when
@@ -127,52 +112,6 @@ func (f *Federation) filterAsyncBusy(sampled []int) []int {
 		}
 	}
 	return kept
-}
-
-// WeightedAverageStale is WeightedAverage with a staleness discount: entry
-// i is weighted by n_i·w(ages[i]) with w from StalenessWeight. A nil ages
-// slice reproduces WeightedAverage bit for bit (every weight is exactly
-// n_i), so sync callers can share this one code path.
-func WeightedAverageStale(outs []ClientOut, ages []int, lambda float64) []float64 {
-	var dst []float64
-	den := 0.0
-	for i, o := range outs {
-		if o.Params == nil {
-			continue
-		}
-		w := float64(o.Client.Data.Len())
-		if ages != nil {
-			w *= StalenessWeight(ages[i], lambda)
-		}
-		if dst == nil {
-			dst = make([]float64, len(o.Params))
-		}
-		tensor.AxpyFloats(dst, w, o.Params)
-		den += w
-	}
-	if dst == nil {
-		panic("fl: WeightedAverageStale with no reporting clients")
-	}
-	tensor.ScaleFloats(dst, 1/den)
-	return dst
-}
-
-// MeanLossStale is MeanLoss under the same staleness-discounted weights as
-// WeightedAverageStale; nil ages reproduces MeanLoss exactly.
-func MeanLossStale(outs []ClientOut, ages []int, lambda float64) float64 {
-	num, den := 0.0, 0.0
-	for i, o := range outs {
-		w := float64(o.Client.Data.Len())
-		if ages != nil {
-			w *= StalenessWeight(ages[i], lambda)
-		}
-		num += o.Loss * w
-		den += w
-	}
-	if den == 0 {
-		return math.NaN()
-	}
-	return num / den
 }
 
 // FreshIDs returns the client indices of the age-0 entries of an

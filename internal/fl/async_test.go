@@ -5,8 +5,33 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/nn"
 )
+
+// WeightedAverageStale and MeanLossStale were the simulator's own
+// staleness-discounted reducers; the tests below were written against them and
+// now reach the one server step through the conversion Federation.Aggregate
+// uses.
+func aggregateStale(outs []ClientOut, ages []int, lambda float64) ([]float64, float64) {
+	fresh, late := split(nil, nil, outs, ages)
+	dst := make([]float64, len(outs[0].Params))
+	loss, ok := engine.Aggregate(dst, fresh, late, lambda)
+	if !ok {
+		panic("aggregateStale with no reporting clients")
+	}
+	return dst, loss
+}
+
+func WeightedAverageStale(outs []ClientOut, ages []int, lambda float64) []float64 {
+	avg, _ := aggregateStale(outs, ages, lambda)
+	return avg
+}
+
+func MeanLossStale(outs []ClientOut, ages []int, lambda float64) float64 {
+	_, loss := aggregateStale(outs, ages, lambda)
+	return loss
+}
 
 func TestStalenessWeight(t *testing.T) {
 	cases := []struct {
@@ -23,14 +48,14 @@ func TestStalenessWeight(t *testing.T) {
 		{1, 0.5, 1 / math.Sqrt(2)},
 	}
 	for _, c := range cases {
-		if got := StalenessWeight(c.age, c.lambda); math.Abs(got-c.want) > 1e-15 {
+		if got := engine.StalenessWeight(c.age, c.lambda); math.Abs(got-c.want) > 1e-15 {
 			t.Errorf("StalenessWeight(%d, %g) = %v, want %v", c.age, c.lambda, got, c.want)
 		}
 	}
 	// Monotone: older updates never weigh more.
-	prev := StalenessWeight(0, 0.5)
+	prev := engine.StalenessWeight(0, 0.5)
 	for age := 1; age < 10; age++ {
-		w := StalenessWeight(age, 0.5)
+		w := engine.StalenessWeight(age, 0.5)
 		if w > prev {
 			t.Fatalf("weight increased with age: w(%d)=%v > w(%d)=%v", age, w, age-1, prev)
 		}
@@ -154,7 +179,7 @@ func TestApplyAsyncDefersAndFolds(t *testing.T) {
 	var want []float64
 	den := 0.0
 	for i, o := range agg1 {
-		w := float64(o.Client.Data.Len()) * StalenessWeight(ages1[i], 1.0)
+		w := float64(o.Client.Data.Len()) * engine.StalenessWeight(ages1[i], 1.0)
 		if want == nil {
 			want = make([]float64, len(o.Params))
 		}

@@ -23,6 +23,43 @@ func TestUniformSamplerIsDefault(t *testing.T) {
 	}
 }
 
+// UniformSampler draws through engine.Sample since PR 21; these ordered
+// cohorts were recorded at its parent, from rng.Perm(N)[:⌈SR·N⌉] — a cohort
+// that takes everyone (SR = 1, or ⌈0.99·33⌉ = 33) is the index order, drawn
+// from nothing.
+func TestUniformSamplerPinnedCohorts(t *testing.T) {
+	ds := data.SynthMNIST(1000, 1)
+	for _, c := range []struct {
+		seed  int64
+		round int
+		n     int
+		sr    float64
+		want  []int
+	}{
+		{1, 0, 10, 0.3, []int{5, 1, 8}},
+		{7, 3, 16, 0.25, []int{7, 13, 9, 1}},
+		{42, 11, 100, 0.1, []int{22, 56, 70, 97, 25, 82, 12, 40, 81, 92}},
+		{9, 4, 1000, 0.004, []int{982, 548, 745, 465}},
+		{5005, 129, 8, 1, seq(0, 8)},
+		{-3, 2, 33, 0.99, seq(0, 33)},
+	} {
+		shards := make([]*data.Dataset, c.n)
+		for k := range shards {
+			shards[k] = ds.Subset([]int{k})
+		}
+		cfg := Config{Builder: nn.NewMLP(ds.Features(), 2, 2, ds.Classes), Seed: c.seed, SampleRatio: c.sr, Workers: 1}
+		got := UniformSampler{}.Sample(NewFederation(cfg, shards, nil), c.round)
+		if len(got) != len(c.want) {
+			t.Fatalf("seed %d round %d N %d SR %v: cohort %v, want %v", c.seed, c.round, c.n, c.sr, got, c.want)
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Fatalf("seed %d round %d N %d SR %v: cohort %v, want %v", c.seed, c.round, c.n, c.sr, got, c.want)
+			}
+		}
+	}
+}
+
 func TestSizeWeightedSamplerPrefersLargeShards(t *testing.T) {
 	// Build a federation with one huge client and many tiny ones.
 	big := data.SynthMNIST(300, 1)

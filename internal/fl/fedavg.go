@@ -37,10 +37,11 @@ func (a *FedAvg) Round(round int, sampled []int) RoundResult {
 	})
 	agg, ages := f.ApplyAsync(round, outs)
 	norms := UpdateNorms(a.global, agg)
-	a.global = WeightedAverageStale(agg, ages, f.Cfg.StalenessLambda)
+	var loss float64
+	a.global, loss = f.Aggregate(a.global, agg, ages)
 	p := int64(len(sampled))
 	rr := RoundResult{
-		TrainLoss:    MeanLossStale(agg, ages, f.Cfg.StalenessLambda),
+		TrainLoss:    loss,
 		ClientLosses: LossMap(agg),
 		ClientNorms:  norms,
 		DownBytes:    p * PayloadBytes(f.NumParams()),

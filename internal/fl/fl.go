@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -53,8 +54,8 @@ type Config struct {
 	// Compress selects the wire codec applied to every simulated uplink
 	// payload (client updates and δ maps): each vector is lossy-encoded
 	// before the server sees it and the accounted UpBytes shrink to the
-	// scheme's wire size — the simulation twin of the transport layer's
-	// negotiated codec. The zero value (SchemeDense) disables it. The
+	// scheme's wire size, as under the transport layer's negotiated codec
+	// (same encoder). The zero value (SchemeDense) disables it. The
 	// quantizer RNG is keyed to (Seed, round, client), so compressed runs
 	// stay deterministic under worker rescheduling.
 	Compress compress.Scheme
@@ -62,12 +63,12 @@ type Config struct {
 	// compressed update (EF-SGD); δ maps are never error-fed.
 	CompressEF bool
 
-	// Async enables the simulation twin of the transport layer's buffered
-	// aggregation (FedBuff-style): each round aggregates only the BufferK
-	// fastest sampled clients under a seeded latency model; the rest are
-	// parked and folded into a later round's aggregate with the staleness
-	// discount 1/(1+age)^StalenessLambda. Deterministic: latency draws are
-	// keyed to (Seed, round, client).
+	// Async enables buffered aggregation (FedBuff-style): each round
+	// aggregates only the BufferK fastest sampled clients under a seeded
+	// latency model, standing in for the arrivals the transport server
+	// observes; the rest are parked and folded into a later round's aggregate
+	// with the server's discount, engine.StalenessWeight(age, StalenessLambda).
+	// Deterministic: latency draws are keyed to (Seed, round, client).
 	Async bool
 	// BufferK is the async buffer size; ≤ 0 (or ≥ the cohort size) closes
 	// every round over the full cohort.
@@ -97,9 +98,9 @@ type Config struct {
 	Events *telemetry.EventLog
 
 	// Health, when non-nil, scores every sampled client's contribution in
-	// real time (the simulation twin of the transport server's monitor):
-	// each parameter-reporting MapClients pass feeds it one observation
-	// per client, async folds are credited with their age, and Run closes
+	// real time through the transport server's feed (engine.ObserveHealth):
+	// each parameter-reporting MapClients pass gives it one observation per
+	// valid update, async folds are credited with their age, and Run closes
 	// each scoring round after the algorithm's Round returns.
 	Health *health.Monitor
 	// Byzantine marks simulated adversaries by client ID: after local
@@ -195,6 +196,12 @@ type Federation struct {
 
 	// deferred holds parked async outputs by client ID (Config.Async).
 	deferred map[int]*deferredOut
+
+	// everyone is the all-true eligibility mask UniformSampler draws from;
+	// fresh is the engine's view of the outputs at hand, emptied after each
+	// use so no round's parameters outlive it here.
+	everyone []bool
+	fresh    []engine.Update
 }
 
 type Worker struct {
@@ -229,8 +236,9 @@ func NewFederation(cfg Config, shards []*data.Dataset, test *data.Dataset) *Fede
 	for _, s := range shards {
 		total += s.Len()
 	}
-	f := &Federation{Cfg: cfg, Test: test}
+	f := &Federation{Cfg: cfg, Test: test, everyone: make([]bool, len(shards))}
 	for i, s := range shards {
+		f.everyone[i] = true
 		f.Clients = append(f.Clients, &Client{ID: i, Data: s, Weight: float64(s.Len()) / float64(total)})
 	}
 	if cfg.Workers > len(shards) {
@@ -281,17 +289,6 @@ func (f *Federation) cohortSize() int {
 		k = len(f.Clients)
 	}
 	return k
-}
-
-// uniformSample is the paper's scheme: ⌈SR·N⌉ distinct clients uniformly.
-func (f *Federation) uniformSample(round int) []int {
-	n := len(f.Clients)
-	k := f.cohortSize()
-	if k >= n {
-		return allClients(n)
-	}
-	rng := f.roundRNG(round, -1)
-	return rng.Perm(n)[:k]
 }
 
 // roundRNG derives a deterministic RNG for a (round, client) pair so runs
@@ -346,8 +343,7 @@ func (f *Federation) MapClients(round int, sampled []int, work func(w *Worker, c
 	close(tasks)
 	wg.Wait()
 	restore()
-	f.observeHealth(round, outs)
-	return outs
+	return f.admit(round, outs)
 }
 
 // tamper applies a client's configured Byzantine rewrite to its reported
@@ -367,46 +363,43 @@ func (f *Federation) tamper(w *Worker, out *ClientOut) {
 	}
 }
 
-// observeHealth feeds a parameter-reporting MapClients pass to the health
-// monitor: one direction-accumulation sweep, then one observation per
-// client, against the global the workers trained from. Passes without
-// parameter outputs (the δ sync) are skipped.
-func (f *Federation) observeHealth(round int, outs []ClientOut) {
-	h := f.Cfg.Health
-	if h == nil {
-		return
+// update is the engine's view of a parameter-reporting output: the client's
+// shard size is its weight.
+func (o ClientOut) update(age int) engine.Update {
+	return engine.Update{Client: o.Client.ID, Samples: float64(o.Client.Data.Len()), Age: age, Loss: o.Loss, Params: o.Params}
+}
+
+// admit is the server's gate on a MapClients pass. Every reported update is
+// validated as the transport server validates a frame; a failing one is left
+// out of the outputs — so out of the aggregate, the health feed and the
+// ledger's client block — with one invalid_update event, where the server
+// evicts the sender. The valid ones feed the health monitor against the global
+// the workers trained from. Passes without parameter outputs (the δ sync) go
+// through untouched.
+func (f *Federation) admit(round int, outs []ClientOut) []ClientOut {
+	kept, ups := outs[:0], f.fresh[:0]
+	for _, o := range outs {
+		if o.Params != nil {
+			u := o.update(0)
+			if err := engine.Validate(u, f.numParams); err != nil {
+				f.Cfg.Events.Emit("invalid_update", round, fmt.Sprintf("client %d: %v", u.Client, err))
+				continue
+			}
+			ups = append(ups, u)
+		}
+		kept = append(kept, o)
 	}
-	var global []float64
-	for _, w := range f.workers {
-		if w.loadedFlat != nil {
-			global = w.loadedFlat
-			break
+	if len(ups) > 0 {
+		for _, w := range f.workers {
+			if w.loadedFlat != nil {
+				engine.ObserveHealth(f.Cfg.Health, round, w.loadedFlat, ups, nil)
+				break
+			}
 		}
 	}
-	if global == nil {
-		return
-	}
-	any := false
-	for i := range outs {
-		if outs[i].Params != nil {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	h.BeginRound(round)
-	for i := range outs {
-		if outs[i].Params != nil {
-			h.AccumDirection(outs[i].Params, global)
-		}
-	}
-	for i := range outs {
-		if outs[i].Params != nil {
-			h.ObserveUpdate(outs[i].Client.ID, outs[i].Loss, outs[i].Params, global)
-		}
-	}
+	clear(ups)
+	f.fresh = ups
+	return kept
 }
 
 // splitKernelBudget divides the machine's parallelism budget among the
@@ -537,28 +530,52 @@ func MeanLoss(outs []ClientOut) float64 {
 	return num / den
 }
 
+// split appends an aggregation set's parameter-reporting outputs to fresh
+// and late as engine updates; an entry is late when ages gives it a positive
+// age (ApplyAsync folds only what an earlier round parked).
+func split(fresh, late []engine.Update, agg []ClientOut, ages []int) (_, _ []engine.Update) {
+	for i, o := range agg {
+		switch {
+		case o.Params == nil:
+		case ages != nil && ages[i] > 0:
+			late = append(late, o.update(ages[i]))
+		default:
+			fresh = append(fresh, o.update(0))
+		}
+	}
+	return fresh, late
+}
+
 // WeightedAverage aggregates client parameter vectors weighted by shard
 // size — the server update w ← Σ p_k w_k, normalized over the sampled
-// cohort for partial participation.
+// cohort for partial participation (engine.Aggregate with nothing late).
 func WeightedAverage(outs []ClientOut) []float64 {
+	fresh, _ := split(nil, nil, outs, nil)
 	var dst []float64
-	den := 0.0
-	for _, o := range outs {
-		if o.Params == nil {
-			continue
-		}
-		n := float64(o.Client.Data.Len())
-		if dst == nil {
-			dst = make([]float64, len(o.Params))
-		}
-		tensor.AxpyFloats(dst, n, o.Params)
-		den += n
+	if len(fresh) > 0 {
+		dst = make([]float64, len(fresh[0].Params))
 	}
-	if dst == nil {
+	if _, ok := engine.Aggregate(dst, fresh, nil, 0); !ok {
 		panic("fl: WeightedAverage with no reporting clients")
 	}
-	tensor.ScaleFloats(dst, 1/den)
 	return dst
+}
+
+// Aggregate is the server step over an aggregation set from ApplyAsync: the
+// next global model and the round's mean training loss, fresh outputs weighted
+// by shard size and folded ones discounted by their staleness. When nothing
+// valid reported it returns global itself and a NaN loss — the simulator's
+// equivalent of a failed attempt.
+func (f *Federation) Aggregate(global []float64, agg []ClientOut, ages []int) ([]float64, float64) {
+	fresh, late := split(f.fresh[:0], nil, agg, ages)
+	next := make([]float64, len(global))
+	loss, ok := engine.Aggregate(next, fresh, late, f.Cfg.StalenessLambda)
+	clear(fresh)
+	f.fresh = fresh
+	if !ok {
+		return global, loss
+	}
+	return next, loss
 }
 
 // evalBatches runs the model over ds in evaluation batches of size b,
@@ -705,18 +722,10 @@ func UpdateNorms(global []float64, outs []ClientOut) map[int]float64 {
 }
 
 // MMDReporter is implemented by algorithms that maintain a server-side δ
-// table (rFedAvg, rFedAvg+) and can report the pairwise MMD matrix the
-// regularizer is shrinking. dst is reused when it has capacity; the returned
-// slice is row-major N×N.
+// table (rFedAvg, rFedAvg+); the ledger records the pairwise MMD matrix the
+// regularizer is shrinking from it.
 type MMDReporter interface {
-	PairwiseMMDInto(dst []float64) []float64
-}
-
-// SampledMMDReporter is the large-N refinement of MMDReporter: the K×K MMD
-// sub-matrix over the given δ rows, so a ledger line never materializes the
-// N×N block. Both δ-table algorithms implement it.
-type SampledMMDReporter interface {
-	SampledMMDInto(dst []float64, ids []int) []float64
+	MMDTable() engine.MMDTable
 }
 
 // PayloadBytes is the wire size of a message carrying n float64 values
@@ -885,84 +894,29 @@ func (f *Federation) recordLedger(alg Algorithm, round int, sampled []int, res R
 		rec.UpScheme = res.UpScheme
 		rec.ReconErr = res.ReconErr
 	}
-	if f.ledgerDetail() {
-		for _, ci := range sampled {
-			id := f.Clients[ci].ID
-			loss, ok := res.ClientLosses[id]
-			if !ok {
-				continue
-			}
-			rec.ClientID = append(rec.ClientID, id)
-			rec.ClientLoss = append(rec.ClientLoss, loss)
-			if res.ClientNorms != nil {
-				rec.ClientNorm = append(rec.ClientNorm, res.ClientNorms[id])
-			}
+	detail := engine.Detail(f.Cfg.LedgerDetailN, len(f.Clients))
+	for _, ci := range sampled {
+		id := f.Clients[ci].ID
+		loss, ok := res.ClientLosses[id]
+		if !ok {
+			continue
 		}
-		if mr, ok := alg.(MMDReporter); ok {
-			rec.MMD = mr.PairwiseMMDInto(rec.MMD)
-			rec.MMDDim = len(f.Clients)
+		norm := math.NaN()
+		if res.ClientNorms != nil {
+			norm = res.ClientNorms[id]
 		}
-	} else {
-		for _, ci := range sampled {
-			id := f.Clients[ci].ID
-			loss, ok := res.ClientLosses[id]
-			if !ok {
-				continue
-			}
+		if !detail {
 			rec.Cohort++
-			rec.LossStats.Add(loss)
-			if res.ClientNorms != nil {
-				rec.NormStats.Add(res.ClientNorms[id])
-			}
 		}
-		if mr, ok := alg.(SampledMMDReporter); ok {
-			rec.MMDSample = ledgerSampleRows(rec.MMDSample, len(f.Clients), telemetry.LedgerMMDSampleK)
-			rec.MMD = mr.SampledMMDInto(rec.MMD, rec.MMDSample)
-			rec.MMDDim = len(rec.MMDSample)
-		}
+		engine.LedgerUpdate(rec, detail, id, loss, norm)
+	}
+	if mr, ok := alg.(MMDReporter); ok {
+		engine.LedgerMMD(rec, detail, mr.MMDTable(), len(f.Clients))
 	}
 	if h := f.Cfg.Health; h != nil {
-		rec.Verdict = h.LastVerdict()
-		rec.Unhealthy = h.UnhealthyCount()
-		if f.ledgerDetail() {
-			for _, id := range rec.ClientID {
-				rec.Health = append(rec.Health, h.Score(id))
-			}
-		} else {
-			h.CohortScores(func(_ int, score float64) { rec.HealthStats.Add(score) })
-		}
+		engine.LedgerHealth(rec, detail, h)
 	}
 	f.Cfg.Ledger.Record(rec)
-}
-
-// ledgerDetail reports whether this federation records per-client ledger
-// arrays (small N) or summary statistics (above the detail threshold).
-func (f *Federation) ledgerDetail() bool {
-	n := f.Cfg.LedgerDetailN
-	if n == 0 {
-		n = telemetry.DefaultLedgerDetailN
-	}
-	return n < 0 || len(f.Clients) <= n
-}
-
-// ledgerSampleRows fills ids with k evenly-spaced client indices spanning
-// [0, n-1] — the sim-side twin of core.DeltaTable.SampleRows.
-func ledgerSampleRows(ids []int, n, k int) []int {
-	if k > n {
-		k = n
-	}
-	ids = ids[:0]
-	if k <= 0 {
-		return ids
-	}
-	if k == 1 {
-		return append(ids, 0)
-	}
-	step := float64(n-1) / float64(k-1)
-	for i := 0; i < k; i++ {
-		ids = append(ids, int(float64(i)*step+0.5))
-	}
-	return ids
 }
 
 // String renders a client for diagnostics.

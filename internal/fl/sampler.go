@@ -2,8 +2,11 @@ package fl
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"sync"
+
+	"repro/internal/engine"
 )
 
 // Sampler selects the participating cohort of a round. The paper samples
@@ -29,9 +32,14 @@ type UniformSampler struct{}
 // Name returns "uniform".
 func (UniformSampler) Name() string { return "uniform" }
 
-// Sample draws the cohort uniformly without replacement.
+// Sample draws the cohort uniformly without replacement — engine.Sample, the
+// transport server's draw, over the whole federation.
 func (UniformSampler) Sample(f *Federation, round int) []int {
-	return f.uniformSample(round)
+	var rng *rand.Rand
+	if f.Cfg.SampleRatio < 1 { // full participation draws nothing
+		rng = f.roundRNG(round, -1)
+	}
+	return engine.Sample(rng, f.everyone, f.Cfg.SampleRatio, 1)
 }
 
 // SizeWeightedSampler draws clients with probability proportional to shard

@@ -3,11 +3,10 @@ package transport
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/compress"
-	"repro/internal/fl"
+	"repro/internal/engine"
 	"repro/internal/telemetry"
 )
 
@@ -24,8 +23,8 @@ type lateMsg struct {
 
 // BufferedUpdate is a validated, decoded update that arrived after its round
 // closed, parked until the next aggregation folds it in with the staleness
-// discount fl.StalenessWeight(round-Round, λ). Params belong to the entry: the
-// late frame's own slice, or the buffer its packed payload was rebuilt into.
+// discount engine.StalenessWeight(round-Round, λ). Params belong to the entry:
+// the late frame's own slice, or the buffer its packed payload was rebuilt into.
 type BufferedUpdate struct {
 	Client int
 	Round  int
@@ -133,12 +132,8 @@ func (s *session) park(lm lateMsg, round int) {
 		s.evict(i, round, err.Error())
 		return
 	}
-	if len(params) != len(s.global) {
-		s.evict(i, round, fmt.Sprintf("sent %d params, want %d", len(params), len(s.global)))
-		return
-	}
-	if !finiteSlice(params) || !isFinite(m.Loss) {
-		s.evict(i, round, "non-finite update (NaN/Inf in params or loss)")
+	if err := engine.Validate(engine.Update{Loss: m.Loss, Params: params}, len(s.global)); err != nil {
+		s.evict(i, round, err.Error())
 		return
 	}
 	if age := round - lm.round; s.cfg.MaxStaleness > 0 && age > s.cfg.MaxStaleness {
@@ -201,27 +196,18 @@ func (s *session) bufferedCount() int {
 	return n
 }
 
-// folds returns the parked updates to fold into the current aggregation, in
-// slot order (deterministic given identical buffered state — the resume
-// contract). The entries stay parked until clearFolds; a failed attempt
-// must not consume them.
-func (s *session) folds() []*BufferedUpdate {
-	var f []*BufferedUpdate
-	for _, b := range s.buffered {
+// folds returns the parked updates to fold into round's aggregation, aged
+// against it, in slot order (deterministic given identical buffered state —
+// the resume contract). The entries stay parked until the aggregation has
+// succeeded; a failed attempt must not consume them.
+func (s *session) folds(round int) []engine.Update {
+	var f []engine.Update
+	for i, b := range s.buffered {
 		if b != nil {
-			f = append(f, b)
+			f = append(f, engine.Update{Client: i, Samples: s.samples[i], Age: round - b.Round, Loss: b.Loss, Params: b.Params})
 		}
 	}
-	sort.Slice(f, func(a, b int) bool { return f[a].Client < f[b].Client })
 	return f
-}
-
-// clearFolds removes folded entries after a successful aggregation.
-func (s *session) clearFolds(f []*BufferedUpdate) {
-	for _, b := range f {
-		s.buffered[b.Client] = nil
-	}
-	s.metrics.buffered.Set(float64(s.bufferedCount()))
 }
 
 // gatherAsyncUpdates is the buffered-round counterpart of gatherActive for
@@ -309,7 +295,3 @@ func (s *session) restoreAsync(ck *Checkpoint) error {
 	s.metrics.buffered.Set(float64(s.bufferedCount()))
 	return nil
 }
-
-// staleWeight is the transport server's view of the shared staleness
-// discount (one definition for sim and deployment).
-func staleWeight(age int, lambda float64) float64 { return fl.StalenessWeight(age, lambda) }

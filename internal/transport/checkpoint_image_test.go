@@ -159,7 +159,10 @@ func deepCheckpoint(s *session, nextRound int) *Checkpoint {
 		ck.DeltaAges[k] = s.table.Age(k)
 	}
 	s.updAges.ForEach(func(k, age int) { ck.UpdateAges[k] = age })
-	for _, b := range s.folds() {
+	for _, b := range s.buffered { // slot order
+		if b == nil {
+			continue
+		}
 		cp := *b
 		cp.Params = append([]float64(nil), b.Params...)
 		ck.Buffered = append(ck.Buffered, cp)

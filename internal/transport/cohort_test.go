@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/telemetry"
 )
 
@@ -102,8 +103,8 @@ func TestCohortReapsDeadUnsampledPeer(t *testing.T) {
 		seed++
 		idle := append([]bool(nil), all...)
 		for r := 0; r <= closeRound+2; r++ {
-			for i, in := range sampleCohortActive(cohortRNG(seed, r), all, 0.25, 1) {
-				idle[i] = idle[i] && !in
+			for _, i := range engine.Sample(cohortRNG(seed, r), all, 0.25, 1) {
+				idle[i] = false
 			}
 		}
 		for i, is := range idle {

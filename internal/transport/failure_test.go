@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -193,26 +192,6 @@ func TestServePartialParticipation(t *testing.T) {
 	}
 	if fx.accuracy(res.FinalParams) <= fx.accuracy(scfg.InitialParams) {
 		t.Fatal("partial-participation session did not learn")
-	}
-}
-
-func TestSampleCohort(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	full := sampleCohort(rng, 5, 0)
-	for _, in := range full {
-		if !in {
-			t.Fatal("SR=0 must mean full participation")
-		}
-	}
-	part := sampleCohort(rng, 10, 0.3)
-	count := 0
-	for _, in := range part {
-		if in {
-			count++
-		}
-	}
-	if count != 3 {
-		t.Fatalf("SR=0.3 cohort size %d, want 3", count)
 	}
 }
 

@@ -1,54 +1,12 @@
 package transport
 
 import (
-	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/compress"
-	"repro/internal/tensor"
 )
-
-// Regression for the cohort-size underflow: tiny sample ratios used to
-// round ⌈sr·N⌉ below MinClients (or to 0 via float flush), producing
-// rounds that could never reach quorum. The sampler must clamp to
-// max(1, minK), bounded by the active population.
-func TestCohortClampedToQuorum(t *testing.T) {
-	active := make([]bool, 100000)
-	for i := range active {
-		active[i] = true
-	}
-	count := func(cohort []bool) int {
-		n := 0
-		for _, c := range cohort {
-			if c {
-				n++
-			}
-		}
-		return n
-	}
-
-	rng := rand.New(rand.NewSource(1))
-	// sr·N rounds to 1, quorum needs 8 → clamp to 8.
-	if got := count(sampleCohortActive(rng, active, 1e-5, 8)); got != 8 {
-		t.Fatalf("cohort size = %d, want quorum clamp 8", got)
-	}
-	// No quorum floor: still at least one member.
-	if got := count(sampleCohortActive(rng, active, 1e-12, 0)); got != 1 {
-		t.Fatalf("cohort size = %d, want floor 1", got)
-	}
-	// Clamp cannot exceed the active population.
-	small := []bool{true, false, true, true, false}
-	if got := count(sampleCohortActive(rng, small, 0.5, 10)); got != 3 {
-		t.Fatalf("cohort size = %d, want all 3 active", got)
-	}
-	// Unclamped region untouched: sr·N well above minK keeps ⌈sr·N⌉.
-	if got := count(sampleCohortActive(rng, active, 0.001, 8)); got != 100 {
-		t.Fatalf("cohort size = %d, want ⌈0.001·100000⌉ = 100", got)
-	}
-}
 
 // Regression for the eager O(N) codec allocation: a session sized for
 // 100k slots must hold only a pointer per slot until a client's join
@@ -115,75 +73,6 @@ func TestIOParallelBoundedAndComplete(t *testing.T) {
 	ioParallel(3, 64, func(i int) { mu.Lock(); seen[i] = true; mu.Unlock() })
 	if len(seen) != 3 {
 		t.Fatalf("visited %d of 3 slots with oversized pool", len(seen))
-	}
-}
-
-// The sharded reduction must agree with the serial slot-order loop to
-// floating-point reassociation tolerance, and must itself be bitwise
-// deterministic across runs — the property that makes it safe for the
-// resume contract.
-func TestShardedAggregateMatchesSerial(t *testing.T) {
-	const n, dim = 157, 33
-	rng := rand.New(rand.NewSource(9))
-	updates := make([]*Message, n)
-	samples := make([]float64, n)
-	delivered := make([]bool, n)
-	for i := 0; i < n; i++ {
-		samples[i] = float64(10 + rng.Intn(90))
-		if rng.Float64() < 0.2 { // missing slots (undelivered updates)
-			continue
-		}
-		delivered[i] = true
-		params := make([]float64, dim)
-		for j := range params {
-			params[j] = rng.NormFloat64()
-		}
-		updates[i] = &Message{Loss: rng.Float64(), Params: params}
-	}
-
-	wsum := shardedWeightSum(samples, delivered)
-	serialW := 0.0
-	for i, d := range delivered {
-		if d {
-			serialW += samples[i]
-		}
-	}
-	if math.Abs(wsum-serialW) > 1e-9*serialW {
-		t.Fatalf("shardedWeightSum = %g, serial = %g", wsum, serialW)
-	}
-
-	serial := make([]float64, dim)
-	serialLoss := 0.0
-	for i, m := range updates {
-		if m == nil {
-			continue
-		}
-		wi := samples[i] / serialW
-		tensor.AxpyFloats(serial, wi, m.Params)
-		serialLoss += wi * m.Loss
-	}
-
-	next := make([]float64, dim)
-	loss := shardedAggregate(next, updates, samples, wsum)
-	for j := range next {
-		if d := math.Abs(next[j] - serial[j]); d > 1e-12*(1+math.Abs(serial[j])) {
-			t.Fatalf("param %d: sharded %g vs serial %g", j, next[j], serial[j])
-		}
-	}
-	if d := math.Abs(loss - serialLoss); d > 1e-12 {
-		t.Fatalf("sharded loss %g vs serial %g", loss, serialLoss)
-	}
-
-	// Run-to-run bitwise determinism: identical inputs, identical bits.
-	next2 := make([]float64, dim)
-	loss2 := shardedAggregate(next2, updates, samples, wsum)
-	if loss != loss2 {
-		t.Fatalf("sharded loss differs across runs: %v vs %v", loss, loss2)
-	}
-	for j := range next {
-		if math.Float64bits(next[j]) != math.Float64bits(next2[j]) {
-			t.Fatalf("param %d differs bitwise across sharded runs", j)
-		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/health"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
@@ -216,11 +217,9 @@ type session struct {
 	res        *ServerResult
 	metrics    *serverMetrics
 	lastFault  string
-	// held[i] is the round whose MsgAssign may omit the model, because slot
-	// i's connection was sent exactly that model in the previous round's
-	// MsgDeltaReq and that round's cohort was the whole population; -1 means
-	// the next assign ships it in full.
-	held []int
+	// held says which slots' next MsgAssign may omit the model: the round's
+	// MsgDeltaReq already carried it.
+	held engine.Held
 	// codec is the per-client negotiated wire-compression state.
 	codec sessionCodec
 	// sessCtx is the root span all round/checkpoint spans parent to.
@@ -248,23 +247,33 @@ type session struct {
 	updAges  *core.AgeTrack
 	ctrl     *deadlineController
 
-	// healthScratch is the δ̄^{-k} buffer behind the health monitor's
-	// per-client drift reads (session-owned so the read allocates nothing).
-	healthScratch []float64
-
 	// members, ioErrs and ioMsgs are the network phases' scratch: the member
 	// list of the phase in progress, and per-slot results the IO pool writes at
-	// a member's own index and the phase clears as it reads them. delivered
-	// marks the slots whose update the attempt in progress aggregates.
+	// a member's own index and the phase clears as it reads them. fresh holds
+	// the attempt's validated updates — views of its frames, cleared with them —
+	// and delivered marks the slots whose update it aggregates.
 	members   []int
 	ioErrs    []error
 	ioMsgs    []*Message
+	fresh     []engine.Update
 	delivered []bool
 
 	// ck is the checkpoint view session.checkpoint refills and ckImage its
 	// encoded bytes, both reused from one checkpoint to the next.
 	ck      Checkpoint
 	ckImage []byte
+}
+
+// streamThreshold resolves a StreamN knob: 0 → the core default, negative →
+// disabled (0), positive → itself.
+func streamThreshold(streamN int) int {
+	if streamN == 0 {
+		return core.DefaultStreamN
+	}
+	if streamN < 0 {
+		return 0
+	}
+	return streamN
 }
 
 // pendingJoin is a rejoining client that completed its handshake but is
@@ -420,7 +429,9 @@ func (s *session) modelPayload(m *Message, i, version int) {
 
 // Serve runs a synchronous federated session over the given established
 // client connections, then sends MsgDone with the final model and returns
-// it. It is the real-deployment counterpart of fl.Run + core.RFedAvgPlus.
+// it. It drives the rounds fl.Run + core.RFedAvgPlus simulate over real
+// connections; the round's arithmetic — cohort draw, validation, weights,
+// aggregate, health and ledger observation — is internal/engine in both.
 //
 // Unlike the straight-line happy path it replaces, the protocol loop is
 // structured around *round attempts*: clients that error, time out past
@@ -450,7 +461,7 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 		conns:      make([]Conn, len(conns)),
 		active:     make([]bool, len(conns)),
 		samples:    make([]float64, len(conns)),
-		held:       make([]int, len(conns)),
+		held:       make(engine.Held, len(conns)),
 		ioErrs:     make([]error, len(conns)),
 		ioMsgs:     make([]*Message, len(conns)),
 		delivered:  make([]bool, len(conns)),
@@ -487,7 +498,6 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 	for i, c := range conns {
 		s.conns[i] = s.wrap(c)
 		s.active[i] = true
-		s.held[i] = -1
 	}
 	maxRetries := cfg.MaxRoundRetries
 	if maxRetries <= 0 {
@@ -635,7 +645,7 @@ func (s *session) evict(i, round int, reason string) {
 		return
 	}
 	s.active[i] = false
-	s.held[i] = -1
+	s.held.Drop(i)
 	s.conns[i].Close()
 	s.res.Evictions = append(s.res.Evictions, Eviction{Client: i, Round: round, Reason: reason})
 	s.metrics.evictions.Inc()
@@ -881,24 +891,13 @@ func (s *session) place(p pendingJoin) {
 	}
 	s.conns[slot] = p.conn
 	s.active[slot] = true
-	s.held[slot] = -1
+	s.held.Drop(slot)
 	s.samples[slot] = float64(p.join.NumSamples)
 	s.codec.negotiate(slot, p.join.Caps)
 	s.res.Rejoins++
 	s.metrics.rejoins.Inc()
 	s.logf("client rejoined into slot %d (%d samples, δ age %d)", slot, p.join.NumSamples, s.table.Age(slot))
 	s.event("rejoin", -1, fmt.Sprintf("slot %d", slot))
-}
-
-// ledgerDetail reports whether the session is small enough for per-client
-// ledger detail (full loss/norm/age arrays and the N×N MMD block);
-// above the threshold rounds ledger summary statistics instead.
-func (s *session) ledgerDetail() bool {
-	n := s.cfg.LedgerDetailN
-	if n == 0 {
-		n = telemetry.DefaultLedgerDetailN
-	}
-	return n < 0 || len(s.conns) <= n
 }
 
 // runRound wraps one round attempt with its observability capture: the
@@ -952,8 +951,12 @@ func (s *session) runRound(round, attempt int) bool {
 // died, and a retried attempt re-samples the same cohort instead of
 // silently consuming extra draws and perturbing every later round.
 func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
-	defer clear(s.ioMsgs) // the round's frames must not outlive it
+	defer func() { // the round's frames, and the views of them, must not outlive it
+		clear(s.ioMsgs)
+		clear(s.fresh)
+	}()
 	rec := &s.rec
+	detail := engine.Detail(s.cfg.LedgerDetailN, len(s.conns))
 	plus := s.cfg.Algorithm == AlgoRFedAvgPlus
 	population := s.active
 	if s.cfg.Async {
@@ -969,11 +972,11 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 			rec.DeadlineSec = d.Seconds()
 		}
 	}
-	cohort := sampleCohortActive(cohortRNG(s.cfg.Seed, round), population, s.cfg.SampleRatio, s.minClients)
-	// A hold starts only in a round that sampled nobody out. Under cohort
-	// sampling the overlap of consecutive cohorts is a draw of the seed:
-	// eliding it would make bytes per round differ from seed to seed, for
-	// SampleRatio/3 of the traffic.
+	cohort := make([]bool, len(population))
+	for _, i := range engine.Sample(cohortRNG(s.cfg.Seed, round), population, s.cfg.SampleRatio, s.minClients) {
+		cohort[i] = true
+	}
+	// A hold starts only in a round that sampled nobody out (engine.Held).
 	whole := true
 	for i, in := range population {
 		if in && !cohort[i] {
@@ -994,14 +997,12 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 		sl := s.codec.slot(i)
 		m := &Message{Type: MsgAssign, Round: int32(round), ClientID: int32(i), Want: sl.upd}
 		// The client still holds this model from last round's MsgDeltaReq:
-		// ship it once. Any assign, elided or not, ends the hold, so a retried
-		// attempt sends the model in full.
-		if s.held[i] == round {
+		// ship it once.
+		if s.held.Assign(i, round) {
 			s.metrics.elided.Inc()
 		} else {
 			s.modelPayload(m, i, round)
 		}
-		s.held[i] = -1
 		if plus {
 			target := s.table.MeanExcluding(i)
 			if ds := sl.delta; ds != compress.SchemeDense && len(target) > 0 {
@@ -1028,14 +1029,13 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 	gSpan.End()
 	cancel()
 
-	// Validate before aggregating: a single NaN/Inf in params or loss
-	// would otherwise poison the global model silently. Packed updates are
-	// difference-coded: params = reference + decode(payload), where the
-	// reference is the decoded broadcast the client trained from (the exact
-	// global when the broadcast itself went dense).
+	// Validate before aggregating. Packed updates are difference-coded:
+	// params = reference + decode(payload), where the reference is the decoded
+	// broadcast the client trained from (the exact global when the broadcast
+	// itself went dense).
 	delivered := s.delivered
 	clear(delivered)
-	valid, staged := 0, 0
+	fresh, staged := s.fresh[:0], 0
 	for i, m := range updates {
 		if m == nil {
 			continue
@@ -1049,7 +1049,6 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 		}
 		if err != nil {
 			s.evict(i, round, err.Error())
-			updates[i] = nil
 			continue
 		}
 		if s.cfg.Ledger != nil && rec.UpScheme == "" {
@@ -1059,138 +1058,57 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 				rec.UpScheme = compress.SchemeDense.String()
 			}
 		}
-		m.Params = params
-		switch {
-		case len(m.Params) != len(s.global):
-			s.evict(i, round, fmt.Sprintf("sent %d params, want %d", len(m.Params), len(s.global)))
-			updates[i] = nil
-		case !finiteSlice(m.Params) || !isFinite(m.Loss):
-			s.evict(i, round, "non-finite update (NaN/Inf in params or loss)")
-			updates[i] = nil
-		default:
-			delivered[i] = true
-			valid++
+		u := engine.Update{Client: i, Samples: s.samples[i], Loss: m.Loss, Params: params}
+		if err := engine.Validate(u, len(s.global)); err != nil {
+			s.evict(i, round, err.Error())
+			continue
 		}
+		delivered[i] = true
+		fresh = append(fresh, u)
 	}
+	s.fresh = fresh
 	// Parked late updates (already validated at park time) count toward the
 	// quorum and fold into this aggregation with their staleness discount.
-	var folds []*BufferedUpdate
+	var late []engine.Update
 	if s.cfg.Async {
-		folds = s.folds()
+		late = s.folds(round)
 	}
-	if valid+len(folds) < s.minClients {
+	if len(fresh)+len(late) < s.minClients {
 		return false
 	}
-	// Health observation runs against the validated cohort while s.global
-	// is still the model the clients trained from: one direction-sum pass,
-	// then one ObserveUpdate per update; folds are credited with their age.
-	if h := s.cfg.Health; h != nil {
-		h.BeginRound(round)
-		for _, m := range updates {
-			if m != nil {
-				h.AccumDirection(m.Params, s.global)
-			}
-		}
-		for i, m := range updates {
-			if m != nil {
-				h.ObserveUpdate(i, m.Loss, m.Params, s.global)
-			}
-		}
-		for _, b := range folds {
-			h.ObserveFold(b.Client, round-b.Round)
-		}
-	}
-	// Renormalize the aggregation weights over the survivors that actually
-	// delivered. valid ≥ 1 and every join carried > 0 samples, but guard
-	// the division anyway: 0/0 here would NaN the whole model.
-	//
-	// Large cohorts take the sharded path: slots partition by i % aggShards,
-	// each shard worker accumulates its partial weighted sum, and a fixed
-	// binary tree combines the partials — no goroutine touches all updates,
-	// and the FP order is constant across runs and machines. Below the
-	// threshold the serial slot-order loop runs, bitwise-identical to the
-	// pre-sharding server.
-	sharded := valid >= shardMinAgg
-	wsum := 0.0
-	if sharded {
-		wsum = shardedWeightSum(s.samples, delivered)
-	} else {
-		for i, d := range delivered {
-			if d {
-				wsum += s.samples[i]
-			}
-		}
-	}
-	for _, b := range folds {
-		wsum += s.samples[b.Client] * staleWeight(round-b.Round, s.cfg.StalenessLambda)
-	}
-	if wsum <= 0 {
+	// Health, aggregate and ledger all read the validated cohort while
+	// s.global is still the model the clients trained from.
+	engine.ObserveHealth(s.cfg.Health, round, s.global, fresh, late)
+	next := make([]float64, len(s.global))
+	loss, ok := engine.Aggregate(next, fresh, late, s.cfg.StalenessLambda)
+	if !ok {
 		s.lastFault = "empty effective cohort (wsum = 0)"
 		return false
 	}
-	next := make([]float64, len(s.global))
-	loss := 0.0
-	if sharded {
-		loss = shardedAggregate(next, updates, s.samples, wsum)
-	} else {
-		for i, m := range updates {
-			if m == nil {
-				continue
-			}
-			wi := s.samples[i] / wsum
-			tensor.AxpyFloats(next, wi, m.Params)
-			loss += wi * m.Loss
-		}
-	}
 	if s.cfg.Ledger != nil {
-		rec.Cohort = valid + len(folds)
-		if s.ledgerDetail() {
-			for i, m := range updates {
-				if m == nil {
-					continue
-				}
-				// Update norm ‖w_k − w_global‖ against the model the client
-				// trained from (s.global is not overwritten until below),
-				// on the SIMD squared-distance kernel.
-				d := tensor.SquaredDistanceFloats(m.Params, s.global)
-				rec.ClientID = append(rec.ClientID, i)
-				rec.ClientLoss = append(rec.ClientLoss, m.Loss)
-				rec.ClientNorm = append(rec.ClientNorm, math.Sqrt(d))
-			}
-		} else {
-			// Above LedgerDetailN the per-client arrays would be O(N) per
-			// line; record min/mean/max over the delivered cohort instead.
-			var lt, nt telemetry.StatTriple
-			for _, m := range updates {
-				if m == nil {
-					continue
-				}
-				lt.Add(m.Loss)
-				nt.Add(math.Sqrt(tensor.SquaredDistanceFloats(m.Params, s.global)))
-			}
-			rec.LossStats, rec.NormStats = lt, nt
+		rec.Cohort = len(fresh) + len(late)
+		for _, u := range fresh {
+			norm := math.Sqrt(tensor.SquaredDistanceFloats(u.Params, s.global))
+			engine.LedgerUpdate(rec, detail, u.Client, u.Loss, norm)
 		}
 	}
-	for _, b := range folds {
-		age := round - b.Round
-		wi := s.samples[b.Client] * staleWeight(age, s.cfg.StalenessLambda) / wsum
-		tensor.AxpyFloats(next, wi, b.Params)
-		loss += wi * b.Loss
+	for _, u := range late {
 		// A folded client is idle again: it joins the second synchronization
 		// (rFedAvg+), refreshing the δ row its lateness let go stale.
-		delivered[b.Client] = true
+		delivered[u.Client] = true
+		s.buffered[u.Client] = nil
 		s.metrics.lateFolds.Inc()
 		lf := s.cfg.Tracer.Start("late_fold", roundCtx)
-		lf.Round, lf.Client = round, b.Client
+		lf.Round, lf.Client = round, u.Client
 		lf.End()
 		if s.cfg.Ledger != nil {
-			rec.LateID = append(rec.LateID, b.Client)
-			rec.LateAge = append(rec.LateAge, age)
+			rec.LateID = append(rec.LateID, u.Client)
+			rec.LateAge = append(rec.LateAge, u.Age)
 		}
 		s.logf("folded client %d's round-%d update into round %d (age %d, weight %.3f)",
-			b.Client, b.Round, round, age, staleWeight(age, s.cfg.StalenessLambda))
+			u.Client, round-u.Age, round, u.Age, engine.StalenessWeight(u.Age, s.cfg.StalenessLambda))
 	}
-	s.clearFolds(folds)
+	s.metrics.buffered.Set(float64(s.bufferedCount()))
 	s.global = next
 	s.res.RoundLosses = append(s.res.RoundLosses, loss)
 	rec.Loss = loss
@@ -1209,7 +1127,7 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 			m := &Message{Type: MsgDeltaReq, Round: int32(round), ClientID: int32(i), Want: s.codec.slot(i).delta}
 			s.modelPayload(m, i, round+1)
 			if whole {
-				s.held[i] = round + 1
+				s.held.Hold(i, round+1)
 			}
 			return m
 		})
@@ -1234,19 +1152,18 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 			switch {
 			case len(m.Delta) != s.cfg.FeatureDim:
 				s.evict(i, round, fmt.Sprintf("sent δ of %d dims, want %d", len(m.Delta), s.cfg.FeatureDim))
-			case !finiteSlice(m.Delta):
+			case !engine.Finite(m.Delta):
 				s.evict(i, round, "non-finite δ map")
 			default:
 				s.table.Set(i, m.Delta)
 			}
 		}
-		// Per-client MMD drift for the health monitor: √‖δ_k − δ̄^{-k}‖
-		// over the freshly synchronized rows, into session-owned scratch.
+		// Per-client MMD drift for the health monitor, over the freshly
+		// synchronized rows.
 		if h := s.cfg.Health; h != nil {
-			scratch := resizeFloats(&s.healthScratch, s.cfg.FeatureDim)
 			for i, m := range deltas {
 				if m != nil && s.table.Occupied(i) {
-					h.ObserveDrift(i, math.Sqrt(s.table.TightObjectiveInto(scratch, i)))
+					h.ObserveDrift(i, s.table.Drift(i))
 				}
 			}
 		}
@@ -1276,18 +1193,8 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 		s.ctrl.retune(s.conns, s.active)
 	}
 	if s.cfg.Ledger != nil {
-		detail := s.ledgerDetail()
 		if plus {
-			if detail {
-				rec.MMD = s.table.PairwiseMMDInto(rec.MMD)
-				rec.MMDDim = s.table.N
-			} else {
-				// The full matrix would be O(N²) floats per line; ledger a
-				// deterministic K×K sub-matrix with its row ids instead.
-				rec.MMDSample = s.table.SampleRows(telemetry.LedgerMMDSampleK)
-				rec.MMD = s.table.SampledMMDInto(rec.MMD, rec.MMDSample)
-				rec.MMDDim = len(rec.MMDSample)
-			}
+			engine.LedgerMMD(rec, detail, s.table, s.table.N)
 		}
 		stale := 0
 		var at telemetry.StatTriple
@@ -1312,17 +1219,9 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 	// then ledger the result (per-client scores in detail mode, a
 	// min/mean/max triple in summary mode).
 	if h := s.cfg.Health; h != nil {
-		verdict := h.EndRound(loss)
+		h.EndRound(loss)
 		if s.cfg.Ledger != nil {
-			rec.Verdict = verdict
-			rec.Unhealthy = h.UnhealthyCount()
-			if s.ledgerDetail() {
-				for _, id := range rec.ClientID {
-					rec.Health = append(rec.Health, h.Score(id))
-				}
-			} else {
-				h.CohortScores(func(_ int, score float64) { rec.HealthStats.Add(score) })
-			}
+			engine.LedgerHealth(rec, detail, h)
 		}
 	}
 
@@ -1421,66 +1320,3 @@ func gatherOne(ctx context.Context, c Conn, want MsgType, round int) (*Message, 
 		}
 	}
 }
-
-// sampleCohortActive marks ⌈sr·(active count)⌉ distinct active
-// participants; sr outside (0,1) means every active client. The cohort is
-// clamped to at least max(1, minK) members (bounded by the active count):
-// tiny sample ratios — ⌈sr·N⌉ rounding below the quorum, or a float
-// product flushing to 0 — otherwise produce rounds that can never reach
-// MinClients and stall the retry loop instead of training.
-func sampleCohortActive(rng *rand.Rand, active []bool, sr float64, minK int) []bool {
-	cohort := make([]bool, len(active))
-	if sr <= 0 || sr >= 1 {
-		copy(cohort, active)
-		return cohort
-	}
-	idx := make([]int, 0, len(active))
-	for i, a := range active {
-		if a {
-			idx = append(idx, i)
-		}
-	}
-	k := int(math.Ceil(sr * float64(len(idx))))
-	if k < minK {
-		k = minK
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > len(idx) {
-		k = len(idx)
-	}
-	for _, p := range rng.Perm(len(idx))[:k] {
-		cohort[idx[p]] = true
-	}
-	return cohort
-}
-
-// sampleCohort is sampleCohortActive over a fully active population with no
-// quorum floor beyond the ≥ 1 clamp.
-func sampleCohort(rng *rand.Rand, n int, sr float64) []bool {
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
-	return sampleCohortActive(rng, active, sr, 1)
-}
-
-// finiteSlice reports whether every element is finite. x−x is 0 for a finite
-// x and NaN for ±Inf or NaN, and NaN is sticky under +, so the pass carries no
-// per-element branch; four sums keep the adds from waiting on each other.
-func finiteSlice(v []float64) bool {
-	var a0, a1, a2, a3 float64
-	for ; len(v) >= 4; v = v[4:] {
-		a0 += v[0] - v[0]
-		a1 += v[1] - v[1]
-		a2 += v[2] - v[2]
-		a3 += v[3] - v[3]
-	}
-	for _, x := range v {
-		a0 += x - x
-	}
-	return a0+a1+a2+a3 == 0
-}
-
-func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
