@@ -185,8 +185,11 @@ examples:
 
 # Non-test Go lines for the module and per internal package — the count
 # ROADMAP's net-negative goal is held to. benchmark/ is its own module and
-# .bench_build/ is what running it leaves behind; neither counts.
+# .bench_build/ is what running it leaves behind; neither counts. The drivers
+# row is fl + transport + engine, the sum the engine merge's ≥ 25 % target is
+# counted against (6,040 after PR 21).
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -exec cat {} + | wc -l; }; \
 	printf '%-24s %6d\n' module $$(count .); \
+	printf '%-24s %6d\n' drivers $$(count internal/fl internal/transport internal/engine); \
 	for d in internal/* cmd/*; do printf '%-24s %6d\n' $$d $$(count $$d); done

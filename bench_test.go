@@ -129,29 +129,6 @@ func BenchmarkAblationLambda(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDeltaBatch varies DeltaBatch, the bound on the δ pass's
-// gather buffer. It is not a speed or accuracy setting: δ is bit-identical
-// for every value (core.TestComputeDeltaBatchInvariant) and the forward
-// costs the same per sample at any batch, so both rows should report the
-// same final-acc and near-equal time.
-func BenchmarkAblationDeltaBatch(b *testing.B) {
-	t, run := ablationFederation(b, 1)
-	for _, tc := range []struct {
-		name  string
-		batch int
-	}{{"delta-batch-16", 16}, {"delta-batch-256", 256}} {
-		b.Run(tc.name, func(b *testing.B) {
-			acc := 0.0
-			for i := 0; i < b.N; i++ {
-				alg := core.NewRFedAvgPlus(t.Lambda)
-				alg.DeltaBatch = tc.batch
-				acc = run(alg)
-			}
-			b.ReportMetric(acc, "final-acc")
-		})
-	}
-}
-
 // BenchmarkLocalRoundCost isolates one communication round per iteration —
 // the per-round wall-clock comparison behind Fig. 10c/d.
 func BenchmarkLocalRoundCost(b *testing.B) {

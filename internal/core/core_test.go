@@ -73,7 +73,7 @@ func TestRegFeatureGradNumeric(t *testing.T) {
 		target[i] = rng.NormFloat64()
 	}
 	const lambda = 0.3
-	grad := RegFeatureGrad(feat, target, lambda)
+	grad := regGrad(nn.NewArena(), feat, target, lambda)
 	const eps, tol = 1e-6, 1e-7
 	for i := range feat.Data {
 		orig := feat.Data[i]
@@ -100,7 +100,8 @@ func TestComputeDeltaMatchesManualMean(t *testing.T) {
 	small := &data.Dataset{X: x, Y: ds.Y[:10], Classes: 10}
 
 	for _, batch := range []int{3, 10, 256} {
-		delta := ComputeDelta(net, small, batch)
+		delta := make([]float64, net.FeatureDim)
+		ComputeDeltaInto(delta, nn.NewArena(), net, small, batch)
 		feat := net.Features(small.X)
 		want := tensor.ColMean(feat)
 		for j := range want {
@@ -111,11 +112,11 @@ func TestComputeDeltaMatchesManualMean(t *testing.T) {
 	}
 }
 
-// TestComputeDeltaBatchInvariant: DeltaBatch only bounds the gather buffer.
+// TestComputeDeltaBatchInvariant: the batch only bounds the gather buffer.
 // Every forward computes a sample's features from that sample alone in a
 // fixed reduction order, and the column sums add rows in shard order, so δ is
-// the same to the bit however the shard is cut into batches — which is what
-// lets deployments pick the bound by memory alone.
+// the same to the bit however the shard is cut into batches — which is why
+// the algorithms and the transport client pass a constant, not an option.
 func TestComputeDeltaBatchInvariant(t *testing.T) {
 	ds := data.SynthMNIST(300, 3)
 	for name, build := range map[string]nn.Builder{
@@ -124,8 +125,8 @@ func TestComputeDeltaBatchInvariant(t *testing.T) {
 	} {
 		net := build(5)
 		arena := nn.NewArena()
-		want := ComputeDelta(net, ds, ds.Len())
-		got := make([]float64, net.FeatureDim)
+		want, got := make([]float64, net.FeatureDim), make([]float64, net.FeatureDim)
+		ComputeDeltaInto(want, arena, net, ds, ds.Len())
 		for _, batch := range []int{1, 7, 32, 256} {
 			ComputeDeltaInto(got, arena, net, ds, batch)
 			for j := range want {

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -37,19 +38,13 @@ func MMDSquaredMeans(da, db []float64) float64 {
 	return tensor.SquaredDistanceFloats(da, db)
 }
 
-// ComputeDelta evaluates δ = (1/n)·Σ φ(x_j) over all of ds with the
-// network's current parameters, batching to bound memory (line 10 of
-// Algorithm 1 / line 15 of Algorithm 2).
-func ComputeDelta(net *nn.Network, ds *data.Dataset, batch int) []float64 {
-	sum := make([]float64, net.FeatureDim)
-	ComputeDeltaInto(sum, nil, net, ds, batch)
-	return sum
-}
-
-// ComputeDeltaInto is ComputeDelta writing into dst (length FeatureDim).
-// The index slice and gather buffer are reused across batches; when arena is
-// non-nil they come from it ("delta.idx"/"delta.x" keys), so repeated calls
-// on the same worker allocate nothing after warm-up.
+// ComputeDeltaInto evaluates δ = (1/n)·Σ φ(x_j) over all of ds with the
+// network's current parameters into dst (length FeatureDim), batching to
+// bound memory (line 10 of Algorithm 1 / line 15 of Algorithm 2). δ is the
+// same to the bit for every batch; ≤ 0 means 256. The index slice and the
+// gather buffer are the arena's training batch (engine.BatchIdx/BatchRows),
+// which the pass overwrites, so a client that trains and reports δ holds one
+// such buffer and repeated calls allocate nothing after warm-up.
 func ComputeDeltaInto(dst []float64, arena *nn.Arena, net *nn.Network, ds *data.Dataset, batch int) {
 	if len(dst) != net.FeatureDim {
 		panic(fmt.Sprintf("core: delta dst dim %d vs feature dim %d", len(dst), net.FeatureDim))
@@ -58,29 +53,14 @@ func ComputeDeltaInto(dst []float64, arena *nn.Arena, net *nn.Network, ds *data.
 		batch = 256
 	}
 	n := ds.Len()
-	for j := range dst {
-		dst[j] = 0
-	}
-	var idx []int
-	var x *tensor.Tensor
+	clear(dst)
 	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		if arena != nil {
-			idx = arena.Ints("delta.idx", hi-lo)
-			x = arena.Tensor("delta.x", hi-lo, ds.Features())
-		} else {
-			if cap(idx) < hi-lo {
-				idx = make([]int, hi-lo)
-			}
-			idx = idx[:hi-lo]
-			x = tensor.EnsureShape(x, hi-lo, ds.Features())
-		}
+		hi := min(lo+batch, n)
+		idx := arena.Ints(engine.BatchIdx, hi-lo)
 		for i := range idx {
 			idx[i] = lo + i
 		}
+		x := arena.Tensor(engine.BatchRows, hi-lo, ds.Features())
 		ds.GatherInto(idx, x, nil)
 		tensor.AccumColSums(dst, net.Features(x))
 	}
@@ -94,19 +74,13 @@ func RegLoss(feat *tensor.Tensor, target []float64, lambda float64) float64 {
 	return lambda * MMDSquaredMeans(tensor.ColMean(feat), target)
 }
 
-// RegFeatureGrad returns the gradient of λ·‖δ_batch - target‖² with respect
-// to the batch's feature activations: every row receives
+// RegFeatureGradInto writes the gradient of λ·‖δ_batch - target‖² with
+// respect to the batch's feature activations into the caller-provided grad
+// (same shape as feat, fully overwritten): every row receives
 // (2λ/B)·(δ_batch - target). This is the extra feature-level gradient the
 // local step of both rFedAvg and rFedAvg+ injects (line 9 of Algorithms
-// 1–2).
-func RegFeatureGrad(feat *tensor.Tensor, target []float64, lambda float64) *tensor.Tensor {
-	return RegFeatureGradInto(tensor.New(feat.Dim(0), feat.Dim(1)), make([]float64, feat.Dim(1)),
-		feat, target, lambda)
-}
-
-// RegFeatureGradInto is RegFeatureGrad writing into the caller-provided grad
-// (same shape as feat, fully overwritten) using mean (length d) as scratch
-// for the batch feature mean. It returns grad.
+// 1–2). mean (length d) is scratch for the batch feature mean. It returns
+// grad.
 func RegFeatureGradInto(grad *tensor.Tensor, mean []float64, feat *tensor.Tensor, target []float64, lambda float64) *tensor.Tensor {
 	b, d := feat.Dim(0), feat.Dim(1)
 	if len(target) != d {
@@ -125,6 +99,21 @@ func RegFeatureGradInto(grad *tensor.Tensor, mean []float64, feat *tensor.Tensor
 		copy(grad.Row(r), mean)
 	}
 	return grad
+}
+
+// regGrad is RegFeatureGradInto on arena's "reg.grad" and "reg.mean".
+func regGrad(arena *nn.Arena, feat *tensor.Tensor, target []float64, lambda float64) *tensor.Tensor {
+	return RegFeatureGradInto(
+		arena.Tensor("reg.grad", feat.Dim(0), feat.Dim(1)),
+		arena.Tensor("reg.mean", feat.Dim(1)).Data,
+		feat, target, lambda)
+}
+
+// RegTerm is the λ·r_k term of the client objective F_k = f_k + λ·r_k as a
+// local-step hook (engine.LocalSteps.FeatGrad) against a fixed target map,
+// with its buffers in arena. len(target) must be the feature width.
+func RegTerm(arena *nn.Arena, target []float64, lambda float64) func(feat *tensor.Tensor) *tensor.Tensor {
+	return func(feat *tensor.Tensor) *tensor.Tensor { return regGrad(arena, feat, target, lambda) }
 }
 
 // DeltaTable is the server-side table of client maps

@@ -22,10 +22,6 @@ type RFedAvg struct {
 	// Lambda is the regularization weight λ, which doubles as the
 	// normalization factor for the feature magnitude (Sec. VI-A).
 	Lambda float64
-	// DeltaBatch bounds the gather buffer of the δ pass (rows copied out of
-	// the local dataset per forward); 0 means 256. δ is the same to the bit
-	// for every value, and the pass costs the same per sample.
-	DeltaBatch int
 	// NoiseDelta, if non-nil, perturbs a client's map in place before it is
 	// sent to the server — the DP Gaussian mechanism of the privacy
 	// evaluation (Fig. 12).
@@ -73,10 +69,7 @@ func (a *RFedAvg) Round(round int, sampled []int) fl.RoundResult {
 			// local step. All buffers come from the worker's arena, so the
 			// recompute costs FLOPs, not allocations.
 			target := table.MeanExcludingInto(w.Arena().Tensor("reg.target", d).Data, c.ID)
-			return RegFeatureGradInto(
-				w.Arena().Tensor("reg.grad", feat.Dim(0), feat.Dim(1)),
-				w.Arena().Tensor("reg.mean", d).Data,
-				feat, target, a.Lambda)
+			return regGrad(w.Arena(), feat, target, a.Lambda)
 		}
 		loss := f.LocalTrain(w, c, rng, o)
 		// Line 10: δ^k recomputed with the client's *local* model. The
@@ -86,7 +79,7 @@ func (a *RFedAvg) Round(round int, sampled []int) fl.RoundResult {
 		delta := make([]float64, d)
 		cd := f.Cfg.Tracer.Start("compute_delta", w.SpanContext())
 		cd.Round, cd.Client = round, c.ID
-		ComputeDeltaInto(delta, w.Arena(), w.Net(), c.Data, a.DeltaBatch)
+		ComputeDeltaInto(delta, w.Arena(), w.Net(), c.Data, 0)
 		cd.End()
 		if a.NoiseDelta != nil {
 			a.NoiseDelta(delta, rng)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fl"
-	"repro/internal/tensor"
 )
 
 // RFedAvgPlus implements Algorithm 2 of the paper. It fixes rFedAvg's two
@@ -24,10 +23,6 @@ import (
 type RFedAvgPlus struct {
 	// Lambda is the regularization weight λ.
 	Lambda float64
-	// DeltaBatch bounds the gather buffer of the δ pass (rows copied out of
-	// the local dataset per forward); 0 means 256. δ is the same to the bit
-	// for every value, and the pass costs the same per sample.
-	DeltaBatch int
 	// NoiseDelta, if non-nil, perturbs a client's map in place before it is
 	// sent to the server (privacy evaluation, Fig. 12).
 	NoiseDelta func(delta []float64, rng *rand.Rand)
@@ -103,12 +98,7 @@ func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
 		// only for the sampled cohort instead of all N clients.
 		target := a.table.MeanExcludingInto(w.Arena().Tensor("reg.target", f.FeatureDim()).Data, c.ID)
 		o := f.DefaultLocalOpts(round)
-		o.FeatGrad = func(feat *tensor.Tensor) *tensor.Tensor {
-			return RegFeatureGradInto(
-				w.Arena().Tensor("reg.grad", feat.Dim(0), feat.Dim(1)),
-				w.Arena().Tensor("reg.mean", feat.Dim(1)).Data,
-				feat, target, a.Lambda)
-		}
+		o.FeatGrad = RegTerm(w.Arena(), target, a.Lambda)
 		loss := f.LocalTrain(w, c, rng, o)
 		out := fl.ClientOut{Client: c, Params: w.Net().GetFlat(), Loss: loss}
 		out.ReconErr = f.CompressUplink(w, round, c, 0, global, out.Params)
@@ -133,7 +123,7 @@ func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
 		delta := make([]float64, f.FeatureDim())
 		cd := f.Cfg.Tracer.Start("compute_delta", w.SpanContext())
 		cd.Round, cd.Client = round, c.ID
-		ComputeDeltaInto(delta, w.Arena(), w.Net(), c.Data, a.DeltaBatch)
+		ComputeDeltaInto(delta, w.Arena(), w.Net(), c.Data, 0)
 		cd.End()
 		if a.NoiseDelta != nil {
 			a.NoiseDelta(delta, rng)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -119,7 +120,7 @@ func TestRegFeatureGradMatchesScalar(t *testing.T) {
 	}
 	target := randVec(rng, d)
 	lambda := 0.35
-	grad := RegFeatureGrad(feat, target, lambda)
+	grad := regGrad(nn.NewArena(), feat, target, lambda)
 
 	mean := tensor.ColMean(feat)
 	scale := 2 * lambda / float64(b)

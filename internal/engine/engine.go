@@ -1,9 +1,11 @@
 // Package engine is the arithmetic of one federated round, written once for
 // the two drivers that run it, the internal/fl simulator and the
-// internal/transport server: draw the cohort, validate what came back, weigh
-// it, aggregate — the paper's server step, Alg. 2 line 12 / Eq. (1),
-// w ← Σ pₖwₖ renormalised over the cohort — feed the health monitor and fill
-// the ledger record. It is a leaf: it knows nothing of connections, worker
+// internal/transport server. The server's half: draw the cohort, validate
+// what came back, weigh it, aggregate — the paper's server step, Alg. 2 line
+// 12 / Eq. (1), w ← Σ pₖwₖ renormalised over the cohort — feed the health
+// monitor and fill the ledger record. The client's half (trainer.go): E
+// mini-batch steps on F_k = f_k + λ·r_k, Algs. 1–2 lines 6–9. It sits below
+// the drivers and internal/core: it knows nothing of connections, worker
 // pools or algorithms.
 package engine
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fl"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/tsne"
 )
@@ -79,9 +80,11 @@ func featureDivergence(t *Task, f *fl.Federation, global []float64, k, perClient
 	var rows [][]float64
 	var owners []int
 	rng := rand.New(rand.NewSource(99))
+	arena := nn.NewArena()
 	for c := 0; c < k; c++ {
 		ds := f.Clients[c].Data
-		deltas[c] = core.ComputeDelta(net, ds, 256)
+		deltas[c] = make([]float64, net.FeatureDim)
+		core.ComputeDeltaInto(deltas[c], arena, net, ds, 0)
 		idx := ds.RandomBatch(rng, perClient)
 		x, _ := ds.Gather(idx)
 		feat := net.Features(x)

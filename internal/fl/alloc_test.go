@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/nn"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -80,6 +81,10 @@ func TestTelemetryCountersAdvanceWithoutAllocs(t *testing.T) {
 		f.LocalTrain(w, c, trainRNG, o)
 	}
 
+	// The counters are the engine's; a registry hands back the series
+	// registered under a name.
+	reg := telemetry.Default()
+	localSteps, trainSamples := reg.Counter("fl_local_steps_total", ""), reg.Counter("fl_train_samples_total", "")
 	stepsBefore := localSteps.Value()
 	samplesBefore := trainSamples.Value()
 	const runs = 20

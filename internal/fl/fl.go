@@ -120,18 +120,6 @@ type Byzantine struct {
 	Scale float64
 }
 
-// factor is the update rewrite factor; 1 means the client acts honestly.
-func (b Byzantine) factor() float64 {
-	fac := 1.0
-	if b.Scale > 0 {
-		fac = b.Scale
-	}
-	if b.SignFlip {
-		fac = -fac
-	}
-	return fac
-}
-
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -205,9 +193,9 @@ type Federation struct {
 }
 
 type Worker struct {
-	net      *nn.Network
-	localOpt opt.Optimizer
-	arena    *nn.Arena // scratch for batches, loss gradients, δ maps
+	// t is the network, the local solver and the arena behind batches, loss
+	// gradients and δ maps.
+	t engine.Trainer
 	// cbuf is CompressUplink's payload buffer, grown once to the model's
 	// packed size so the steady-state round loop is alloc-free.
 	cbuf []byte
@@ -246,13 +234,13 @@ func NewFederation(cfg Config, shards []*data.Dataset, test *data.Dataset) *Fede
 		f.Cfg.Workers = cfg.Workers
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		f.workers = append(f.workers, &Worker{
-			net:      cfg.Builder(cfg.ModelSeed),
-			localOpt: cfg.NewOptimizer(),
-			arena:    nn.NewArena(),
-		})
+		f.workers = append(f.workers, &Worker{t: engine.Trainer{
+			Net:   cfg.Builder(cfg.ModelSeed),
+			Opt:   cfg.NewOptimizer(),
+			Arena: nn.NewArena(),
+		}})
 	}
-	f.numParams = f.workers[0].net.NumParams()
+	f.numParams = f.workers[0].t.Net.NumParams()
 	f.efResidual = make([][]float64, len(shards))
 	return f
 }
@@ -261,7 +249,7 @@ func NewFederation(cfg Config, shards []*data.Dataset, test *data.Dataset) *Fede
 func (f *Federation) NumParams() int { return f.numParams }
 
 // FeatureDim returns d, the width of φ's output (the δ dimension).
-func (f *Federation) FeatureDim() int { return f.workers[0].net.FeatureDim }
+func (f *Federation) FeatureDim() int { return f.workers[0].t.Net.FeatureDim }
 
 // InitialParams returns a fresh copy of the initial global model w_0.
 func (f *Federation) InitialParams() []float64 {
@@ -354,13 +342,7 @@ func (f *Federation) tamper(w *Worker, out *ClientOut) {
 	if !ok || out.Params == nil || len(w.loadedFlat) != len(out.Params) {
 		return
 	}
-	fac := bz.factor()
-	if fac == 1 {
-		return
-	}
-	for i, g := range w.loadedFlat {
-		out.Params[i] = g + fac*(out.Params[i]-g)
-	}
+	engine.Tamper(out.Params, w.loadedFlat, bz.SignFlip, bz.Scale)
 }
 
 // update is the engine's view of a parameter-reporting output: the client's
@@ -420,69 +402,18 @@ func (f *Federation) splitKernelBudget() func() {
 }
 
 // LocalOpts parameterizes one client's local training.
-type LocalOpts struct {
-	Round int
-	E, B  int
-	// LR returns the learning rate for local step i of this round,
-	// following the global step index t = round·E + i.
-	LR func(i int) float64
-	// FeatGrad, if non-nil, returns the extra gradient to inject at the
-	// feature layer (the distribution regularizer's contribution). It
-	// receives the batch's feature activations.
-	FeatGrad func(feat *tensor.Tensor) *tensor.Tensor
-	// FeatGradX is FeatGrad that additionally receives the input batch,
-	// for methods whose feature gradient needs auxiliary forward passes
-	// over the same batch (MOON's contrastive term). When both are set,
-	// FeatGradX wins.
-	FeatGradX func(x, feat *tensor.Tensor) *tensor.Tensor
-	// PostGrad, if non-nil, runs after backprop and before the optimizer
-	// step to modify parameter gradients (FedProx proximal term, SCAFFOLD
-	// control variates).
-	PostGrad func(params []*nn.Param)
-}
+type LocalOpts = engine.LocalSteps
 
 // LocalTrain runs E mini-batch steps of the local solver on c's shard using
 // w's network (which the caller must have loaded with the start parameters)
-// and returns the mean training loss. This is lines 6–9 of Algorithms 1–2
-// and the local loop of every baseline.
+// and returns the mean training loss: engine.Trainer.Steps under this
+// driver's local_steps span.
 func (f *Federation) LocalTrain(w *Worker, c *Client, rng *rand.Rand, o LocalOpts) float64 {
 	ls := f.Cfg.Tracer.Start("local_steps", w.spanCtx)
 	ls.Round, ls.Client = o.Round, c.ID
-	params := w.net.Params()
-	totalLoss := 0.0
-	samples := 0
-	perm := w.arena.Ints("batch.perm", c.Data.Len())
-	for i := 0; i < o.E; i++ {
-		idx := c.Data.RandomBatchInto(rng, o.B, perm)
-		samples += len(idx)
-		x := w.arena.Tensor("batch.x", len(idx), c.Data.Features())
-		y := w.arena.Ints("batch.y", len(idx))
-		c.Data.GatherInto(idx, x, y)
-		_, logits := w.net.Forward(x, true)
-		dlogits := w.arena.Tensor("batch.dlogits", logits.Dim(0), logits.Dim(1))
-		loss := nn.SoftmaxCrossEntropyInto(dlogits, logits, y)
-		totalLoss += loss
-		var dfeat *tensor.Tensor
-		switch {
-		case o.FeatGradX != nil:
-			dfeat = o.FeatGradX(x, w.net.LastFeatures())
-		case o.FeatGrad != nil:
-			mg := f.Cfg.Tracer.Start("mmd_grad", ls.Context())
-			mg.Round, mg.Client = o.Round, c.ID
-			dfeat = o.FeatGrad(w.net.LastFeatures())
-			mg.End()
-		}
-		w.net.ZeroGrad()
-		w.net.Backward(dlogits, dfeat)
-		if o.PostGrad != nil {
-			o.PostGrad(params)
-		}
-		w.localOpt.Step(params, o.LR(i))
-	}
-	localSteps.Add(int64(o.E))
-	trainSamples.Add(int64(samples))
+	loss := w.t.Steps(c.Data, rng, o, ls)
 	ls.End()
-	return totalLoss / float64(o.E)
+	return loss
 }
 
 // DefaultLocalOpts builds LocalOpts for a round from the federation config.
@@ -499,18 +430,18 @@ func (f *Federation) DefaultLocalOpts(round int) LocalOpts {
 // LoadModel points w's network at the given flat parameters and resets the
 // local optimizer state, the client-side half of "w_cE^k ← w_cE".
 func (w *Worker) LoadModel(flat []float64) {
-	w.net.SetFlat(flat)
-	w.localOpt.Reset()
+	w.t.Net.SetFlat(flat)
+	w.t.Opt.Reset()
 	w.loadedFlat = flat
 }
 
 // Net exposes the worker's network to algorithm implementations.
-func (w *Worker) Net() *nn.Network { return w.net }
+func (w *Worker) Net() *nn.Network { return w.t.Net }
 
 // Arena exposes the worker's scratch arena to algorithm implementations.
 // Like the network, it is single-goroutine: only the worker's own task may
 // touch it.
-func (w *Worker) Arena() *nn.Arena { return w.arena }
+func (w *Worker) Arena() *nn.Arena { return w.t.Arena }
 
 // Worker returns worker i of the pool, for benchmarks and single-worker
 // drivers that bypass MapClients.
@@ -587,14 +518,14 @@ func evalBatches(w *Worker, ds *data.Dataset, b int, fn func(logits *tensor.Tens
 		if hi > ds.Len() {
 			hi = ds.Len()
 		}
-		idx := w.arena.Ints("eval.idx", hi-lo)
+		idx := w.t.Arena.Ints("eval.idx", hi-lo)
 		for i := range idx {
 			idx[i] = lo + i
 		}
-		x := w.arena.Tensor("eval.x", hi-lo, ds.Features())
-		y := w.arena.Ints("eval.y", hi-lo)
+		x := w.t.Arena.Tensor("eval.x", hi-lo, ds.Features())
+		y := w.t.Arena.Ints("eval.y", hi-lo)
 		ds.GatherInto(idx, x, y)
-		fn(w.net.Predict(x), y)
+		fn(w.t.Net.Predict(x), y)
 	}
 }
 
@@ -602,7 +533,7 @@ func evalBatches(w *Worker, ds *data.Dataset, b int, fn func(logits *tensor.Tens
 // ds, batching to bound memory.
 func (f *Federation) Evaluate(flat []float64, ds *data.Dataset) float64 {
 	w := f.workers[0]
-	w.net.SetFlat(flat)
+	w.t.Net.SetFlat(flat)
 	correct := 0
 	evalBatches(w, ds, f.Cfg.EvalBatch, func(logits *tensor.Tensor, y []int) {
 		for i := 0; i < logits.Dim(0); i++ {
@@ -618,7 +549,7 @@ func (f *Federation) Evaluate(flat []float64, ds *data.Dataset) float64 {
 // by flat parameters on ds.
 func (f *Federation) EvaluateConfusion(flat []float64, ds *data.Dataset) *metrics.Confusion {
 	w := f.workers[0]
-	w.net.SetFlat(flat)
+	w.t.Net.SetFlat(flat)
 	conf := metrics.NewConfusion(ds.Classes)
 	evalBatches(w, ds, f.Cfg.EvalBatch, func(logits *tensor.Tensor, y []int) {
 		for i := 0; i < logits.Dim(0); i++ {
@@ -639,7 +570,7 @@ func (f *Federation) EvaluatePerClient(flat []float64) []float64 {
 		wg.Add(1)
 		go func(w *Worker) {
 			defer wg.Done()
-			w.net.SetFlat(flat)
+			w.t.Net.SetFlat(flat)
 			for k := range tasks {
 				ds := f.Clients[k].Data
 				correct := 0

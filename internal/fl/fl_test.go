@@ -293,7 +293,7 @@ func TestRMSPropLocalSolver(t *testing.T) {
 	f.Cfg.LR = opt.ConstLR(0.01)
 	// Rebuild workers with the new optimizer factory.
 	for _, w := range f.workers {
-		w.localOpt = opt.NewRMSProp()
+		w.t.Opt = opt.NewRMSProp()
 	}
 	h := Run(f, NewFedAvg(), 6)
 	if h.FinalAccuracy(2) < 0.5 {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -54,10 +55,9 @@ func (f *Federation) Personalize(global []float64, o PersonalizeOptions) []float
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			net := f.Cfg.Builder(f.Cfg.ModelSeed)
-			localOpt := f.Cfg.NewOptimizer()
+			t := &engine.Trainer{Net: f.Cfg.Builder(f.Cfg.ModelSeed), Opt: f.Cfg.NewOptimizer(), Arena: nn.NewArena()}
 			for k := range tasks {
-				accs[k] = personalizeOne(net, localOpt, f.Clients[k], global, o)
+				accs[k] = personalizeOne(t, f.Clients[k], global, o)
 			}
 		}()
 	}
@@ -69,10 +69,7 @@ func (f *Federation) Personalize(global []float64, o PersonalizeOptions) []float
 	return accs
 }
 
-func personalizeOne(net *nn.Network, localOpt interface {
-	Step(params []*nn.Param, lr float64)
-	Reset()
-}, c *Client, global []float64, o PersonalizeOptions) float64 {
+func personalizeOne(t *engine.Trainer, c *Client, global []float64, o PersonalizeOptions) float64 {
 	rng := rand.New(rand.NewSource(o.Seed*1_000_003 + int64(c.ID+1)*7919))
 	n := c.Data.Len()
 	perm := rng.Perm(n)
@@ -85,9 +82,9 @@ func personalizeOne(net *nn.Network, localOpt interface {
 	}
 	tuneIdx, holdIdx := perm[:cut], perm[cut:]
 
-	net.SetFlat(global)
-	localOpt.Reset()
-	params := net.Params()
+	t.Net.SetFlat(global)
+	t.Opt.Reset()
+	params := t.Net.Params()
 	for s := 0; s < o.Steps; s++ {
 		b := o.BatchSize
 		if b > len(tuneIdx) {
@@ -98,16 +95,12 @@ func personalizeOne(net *nn.Network, localOpt interface {
 		for i, j := range sub {
 			batch[i] = tuneIdx[j]
 		}
-		x, y := c.Data.Gather(batch)
-		_, logits := net.Forward(x, true)
-		_, dlogits := nn.SoftmaxCrossEntropy(logits, y)
-		net.ZeroGrad()
-		net.Backward(dlogits, nil)
-		localOpt.Step(params, o.LR)
+		t.Batch(c.Data, batch)
+		t.Opt.Step(params, o.LR)
 	}
 
 	x, y := c.Data.Gather(holdIdx)
-	logits := net.Predict(x)
+	logits := t.Net.Predict(x)
 	correct := 0
 	for i := 0; i < logits.Dim(0); i++ {
 		if tensor.MaxIndex(logits.Row(i)) == y[i] {

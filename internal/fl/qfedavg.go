@@ -3,8 +3,6 @@ package fl
 import (
 	"math"
 	"math/rand"
-
-	"repro/internal/nn"
 )
 
 // QFedAvg (q-FFL, Li et al., ICLR 2020) reweights the aggregation toward
@@ -44,8 +42,9 @@ func (a *QFedAvg) Round(round int, sampled []int) RoundResult {
 	lr0 := o.LR(0)
 	outs := f.MapClients(round, sampled, func(w *Worker, c *Client, rng *rand.Rand) ClientOut {
 		w.LoadModel(global)
-		// F_k(w^t): loss of the global model on one large local batch.
-		fk := a.sampleLoss(w, c, rng)
+		// F_k(w^t): loss of the global model on one evaluation-sized local
+		// batch.
+		fk := w.t.Loss(c.Data, w.t.Draw(c.Data, rng, f.Cfg.EvalBatch))
 		loss := f.LocalTrain(w, c, rng, o)
 		local := w.Net().GetFlat()
 		// Δw_k = L·(w^t - ŵ_k), with L = 1/η as in q-FFL.
@@ -85,17 +84,4 @@ func (a *QFedAvg) Round(round int, sampled []int) RoundResult {
 		DownBytes:    p * PayloadBytes(f.NumParams()),
 		UpBytes:      p * (PayloadBytes(f.NumParams()) + PayloadBytes(1)),
 	}
-}
-
-// sampleLoss estimates F_k(w) on one evaluation batch of the client's data.
-func (a *QFedAvg) sampleLoss(w *Worker, c *Client, rng *rand.Rand) float64 {
-	b := a.f.Cfg.EvalBatch
-	if b > c.Data.Len() {
-		b = c.Data.Len()
-	}
-	idx := c.Data.RandomBatch(rng, b)
-	x, y := c.Data.Gather(idx)
-	logits := w.Net().Predict(x)
-	loss, _ := nn.SoftmaxCrossEntropy(logits, y)
-	return loss
 }

@@ -62,23 +62,6 @@ func (a *Scaffold) clientVariate(id int) []float64 {
 	return ck
 }
 
-// gradAtGlobal computes the mean gradient of one evaluation-sized batch of
-// c's data at the model currently loaded in w (the fresh global model).
-func (a *Scaffold) gradAtGlobal(w *Worker, c *Client, rng *rand.Rand) []float64 {
-	b := a.f.Cfg.EvalBatch
-	if b > c.Data.Len() {
-		b = c.Data.Len()
-	}
-	idx := c.Data.RandomBatch(rng, b)
-	x, y := c.Data.Gather(idx)
-	net := w.Net()
-	_, logits := net.Forward(x, true)
-	_, dlogits := nn.SoftmaxCrossEntropy(logits, y)
-	net.ZeroGrad()
-	net.Backward(dlogits, nil)
-	return nn.FlattenGrads(net.Params())
-}
-
 // Round runs one SCAFFOLD round.
 func (a *Scaffold) Round(round int, sampled []int) RoundResult {
 	f := a.f
@@ -88,9 +71,11 @@ func (a *Scaffold) Round(round int, sampled []int) RoundResult {
 		ck := a.clientVariate(c.ID)
 		w.LoadModel(global)
 
-		// Option I refresh target: the gradient of one large local batch at
-		// the global model, computed before local training perturbs w.
-		ckNew := a.gradAtGlobal(w, c, rng)
+		// Option I refresh target: the gradient of one evaluation-sized
+		// local batch at the global model, computed before local training
+		// perturbs w.
+		w.t.Batch(c.Data, w.t.Draw(c.Data, rng, f.Cfg.EvalBatch))
+		ckNew := nn.FlattenGrads(w.Net().Params())
 
 		o := f.DefaultLocalOpts(round)
 		o.PostGrad = func(params []*nn.Param) {

@@ -106,6 +106,14 @@ func (s ActiveSpan) Context() SpanContext {
 	return SpanContext{Trace: s.trace, Span: s.span}
 }
 
+// Child starts a span under s on s's tracer, tagged with s's round and
+// client. A child of an inert span is inert.
+func (s ActiveSpan) Child(name string) ActiveSpan {
+	c := s.tracer.Start(name, s.Context())
+	c.Round, c.Client = s.Round, s.Client
+	return c
+}
+
 // End completes the span, emits it, and returns its duration. Inert spans
 // (nil tracer) just return the elapsed time since their zero start.
 func (s ActiveSpan) End() time.Duration {

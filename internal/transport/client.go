@@ -8,6 +8,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/health"
 	"repro/internal/nn"
 	"repro/internal/opt"
@@ -35,10 +36,6 @@ type ClientConfig struct {
 	// Lambda is the regularization weight λ, used when the server runs
 	// rFedAvg+ (it is harmless otherwise: a zero-length target disables it).
 	Lambda float64
-	// DeltaBatch bounds the gather buffer of the δ pass (rows copied out of
-	// the shard per forward); 0 means 256. δ is the same to the bit for
-	// every value, and the pass costs the same per sample.
-	DeltaBatch int
 
 	// Caps advertises the wire-compression schemes this client accepts in
 	// its join handshake; the server never picks a scheme outside them. The
@@ -84,17 +81,19 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 	if cfg.NewOptimizer == nil {
 		cfg.NewOptimizer = func() opt.Optimizer { return opt.NewSGD() }
 	}
-	net := cfg.Builder(cfg.ModelSeed)
+	// One arena for the session: the train batch and the δ pass gather into
+	// the same buffer (engine.BatchRows).
+	trainer := engine.Trainer{Net: cfg.Builder(cfg.ModelSeed), Opt: cfg.NewOptimizer(), Arena: nn.NewArena()}
+	net := trainer.Net
 	nParams := net.NumParams()
-	localOpt := cfg.NewOptimizer()
 	caps := cfg.Caps
 	if caps == 0 {
 		caps = compress.AllCaps()
 	}
 	*cc = clientCodec{caps: caps, ef: cfg.ErrorFeedback, seed: cfg.Seed}
-	// The δ pass's scratch and result live as long as the session: Send has
-	// finished reading a δ by the time the next MsgDeltaReq overwrites it.
-	arena, delta := nn.NewArena(), make([]float64, net.FeatureDim)
+	// The δ pass's result lives as long as the session: Send has finished
+	// reading a δ by the time the next MsgDeltaReq overwrites it.
+	delta := make([]float64, net.FeatureDim)
 
 	if err := conn.Send(&Message{Type: MsgJoin, ClientID: int32(cfg.ClientID),
 		NumSamples: int64(shard.Len()), Caps: caps}); err != nil {
@@ -176,19 +175,26 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 			case want != compress.SchemeDense || cfg.Health != nil:
 				params = net.GetFlat()
 			}
-			target, err := cc.downTarget(m)
+			target, err := cc.downTarget(m, net.FeatureDim)
 			if err != nil {
 				return nil, err
 			}
-			localOpt.Reset()
+			trainer.Opt.Reset()
 			// Batch sampling is keyed to (Seed, round), not a session-long
 			// stream: a client that crashed and rejoined at round r draws
 			// the same mini-batches as one that never left, which keeps a
 			// resumed session bitwise-identical to an uninterrupted one.
 			rng := clientRoundRNG(cfg.Seed, m.Round)
+			round, e := int(m.Round), cfg.LocalSteps
+			o := engine.LocalSteps{E: e, B: cfg.BatchSize,
+				LR: func(i int) float64 { return cfg.LR.LR(round*e + i) }}
+			// A zero-length target is "no regulariser": FedAvg, or round 0.
+			if len(target) > 0 && cfg.Lambda != 0 {
+				o.FeatGrad = core.RegTerm(trainer.Arena, target, cfg.Lambda)
+			}
 			ls := cfg.Tracer.Start("local_steps", cr.Context())
 			ls.Round, ls.Client = cr.Round, cr.Client
-			loss := localSteps(net, localOpt, shard, rng, cfg, int(m.Round), target, ls.Context())
+			loss := trainer.Steps(shard, rng, o, ls)
 			ls.End()
 			ser := cfg.Tracer.Start("serialize", cr.Context())
 			ser.Round, ser.Client = cr.Round, cr.Client
@@ -221,7 +227,7 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 			}
 			load(params)
 			held = m.Round + 1
-			core.ComputeDeltaInto(delta, arena, net, shard, cfg.DeltaBatch)
+			core.ComputeDeltaInto(delta, trainer.Arena, net, shard, 0)
 			cd.End()
 			out := &Message{Type: MsgDelta, Round: m.Round, ClientID: m.ClientID}
 			if want := compress.Negotiate(m.Want, cc.caps); want == compress.SchemeDense {
@@ -289,8 +295,13 @@ func (c *clientCodec) downParams(m *Message, n int) ([]float64, error) {
 }
 
 // downTarget returns a frame's δ target, decoding the packed form when
-// present.
-func (c *clientCodec) downTarget(m *Message) ([]float64, error) {
+// present. No target at all means "no regulariser"; one that is not the
+// d-wide feature map is an error, as a wrong-sized model is.
+func (c *clientCodec) downTarget(m *Message, d int) ([]float64, error) {
+	if n := len(m.Delta) + int(m.PDelta.N); n != 0 && n != d || (m.PDelta.N != 0 && len(m.Delta) != 0) {
+		return nil, fmt.Errorf("transport: message type %d carries %d dense + %d packed δ target values, feature map has %d",
+			m.Type, len(m.Delta), m.PDelta.N, d)
+	}
 	if m.PDelta.N == 0 {
 		return m.Delta, nil
 	}
@@ -352,32 +363,4 @@ func sameVector(a, b []float64) bool {
 // (same mixing constants as fl.roundRNG and the server's cohortRNG).
 func clientRoundRNG(seed int64, round int32) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1_000_003 + int64(round)*7919 + 1))
-}
-
-// localSteps runs E local mini-batch steps, with the distribution
-// regularizer attached when a target map was assigned. The MMD-gradient
-// computation of each regularized step is traced as its own child span.
-func localSteps(net *nn.Network, localOpt opt.Optimizer, shard *data.Dataset,
-	rng *rand.Rand, cfg ClientConfig, round int, target []float64, parent telemetry.SpanContext) float64 {
-	params := net.Params()
-	total := 0.0
-	for i := 0; i < cfg.LocalSteps; i++ {
-		idx := shard.RandomBatch(rng, cfg.BatchSize)
-		x, y := shard.Gather(idx)
-		feat, logits := net.Forward(x, true)
-		loss, dlogits := nn.SoftmaxCrossEntropy(logits, y)
-		total += loss
-		net.ZeroGrad()
-		if len(target) == net.FeatureDim && cfg.Lambda != 0 {
-			mg := cfg.Tracer.Start("mmd_grad", parent)
-			mg.Round, mg.Client = round, cfg.ClientID
-			rg := core.RegFeatureGrad(feat, target, cfg.Lambda)
-			mg.End()
-			net.Backward(dlogits, rg)
-		} else {
-			net.Backward(dlogits, nil)
-		}
-		localOpt.Step(params, cfg.LR.LR(round*cfg.LocalSteps+i))
-	}
-	return total / float64(cfg.LocalSteps)
 }

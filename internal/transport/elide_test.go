@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/engine"
+	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/telemetry"
 )
@@ -214,9 +216,10 @@ type goldenFile struct {
 }
 
 func kernelProbe(fx *federatedFixture) string {
-	net := fx.builder(fx.ccfg.ModelSeed)
-	localSteps(net, opt.NewSGD(), fx.shards[0], rand.New(rand.NewSource(1)), fx.ccfg, 0, nil, telemetry.SpanContext{})
-	return hashFloats(net.GetFlat())
+	tr := engine.Trainer{Net: fx.builder(fx.ccfg.ModelSeed), Opt: opt.NewSGD(), Arena: nn.NewArena()}
+	tr.Steps(fx.shards[0], rand.New(rand.NewSource(1)), engine.LocalSteps{
+		E: fx.ccfg.LocalSteps, B: fx.ccfg.BatchSize, LR: fx.ccfg.LR.LR}, telemetry.ActiveSpan{})
+	return hashFloats(tr.Net.GetFlat())
 }
 
 // The sessions in testdata/golden_sessions.json were recorded on the parent
@@ -444,20 +447,30 @@ func TestRunClientRejectsBadModelFrames(t *testing.T) {
 		return PackedVec{Scheme: compress.SchemeF32, N: int32(n), Data: make([]byte, compress.EncodedBytes(compress.SchemeF32, n))}
 	}
 	good := &Message{Type: MsgDeltaReq, Round: 0, Params: make([]float64, n)}
+	// A δ target that is neither absent nor the feature map's width: the
+	// client must not drop the regulariser silently (it did) nor reach
+	// RegFeatureGradInto's dimension panic. The error names both lengths.
+	short := []float64{1, 2, 3}
+	var buf []byte
+	badTarget := fmt.Sprintf("packed δ target values, feature map has %d", fx.builder(fx.ccfg.ModelSeed).FeatureDim)
 	cases := []struct {
 		name   string
 		frames []*Message
+		want   string // what the error must say, when it matters
 	}{
-		{"short dense assign", []*Message{{Type: MsgAssign, Params: make([]float64, n-1)}}},
-		{"long dense assign", []*Message{{Type: MsgAssign, Params: make([]float64, n+1)}}},
-		{"wrong-N packed assign", []*Message{{Type: MsgAssign, PParams: packed(n - 1)}}},
-		{"dense and packed assign", []*Message{{Type: MsgAssign, Params: make([]float64, n), PParams: packed(n)}}},
-		{"payload-less assign, nothing held", []*Message{{Type: MsgAssign}}},
-		{"payload-less assign, wrong round", []*Message{good, {Type: MsgAssign, Round: 5}}},
-		{"payload-less assign after the hold was used", []*Message{good, {Type: MsgAssign, Round: 1}, {Type: MsgAssign, Round: 2}}},
-		{"payload-less δ request", []*Message{{Type: MsgDeltaReq}}},
-		{"short dense δ request", []*Message{{Type: MsgDeltaReq, Params: make([]float64, n-1)}}},
-		{"wrong-N packed δ request", []*Message{{Type: MsgDeltaReq, PParams: packed(n + 1)}}},
+		{"3 dense target values", []*Message{{Type: MsgAssign, Params: make([]float64, n), Delta: short}}, "3 dense + 0 " + badTarget},
+		{"3 packed target values", []*Message{{Type: MsgAssign, Params: make([]float64, n),
+			PDelta: packVec(&buf, compress.SchemeF32, short, nil, nil, nil)}}, "0 dense + 3 " + badTarget},
+		{"short dense assign", []*Message{{Type: MsgAssign, Params: make([]float64, n-1)}}, ""},
+		{"long dense assign", []*Message{{Type: MsgAssign, Params: make([]float64, n+1)}}, ""},
+		{"wrong-N packed assign", []*Message{{Type: MsgAssign, PParams: packed(n - 1)}}, ""},
+		{"dense and packed assign", []*Message{{Type: MsgAssign, Params: make([]float64, n), PParams: packed(n)}}, ""},
+		{"payload-less assign, nothing held", []*Message{{Type: MsgAssign}}, ""},
+		{"payload-less assign, wrong round", []*Message{good, {Type: MsgAssign, Round: 5}}, ""},
+		{"payload-less assign after the hold was used", []*Message{good, {Type: MsgAssign, Round: 1}, {Type: MsgAssign, Round: 2}}, ""},
+		{"payload-less δ request", []*Message{{Type: MsgDeltaReq}}, ""},
+		{"short dense δ request", []*Message{{Type: MsgDeltaReq, Params: make([]float64, n-1)}}, ""},
+		{"wrong-N packed δ request", []*Message{{Type: MsgDeltaReq, PParams: packed(n + 1)}}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -480,6 +493,9 @@ func TestRunClientRejectsBadModelFrames(t *testing.T) {
 			case err := <-done:
 				if err == nil {
 					t.Fatal("RunClient accepted the frame")
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("RunClient returned %q, want it to name %q", err, tc.want)
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("RunClient neither failed nor returned")

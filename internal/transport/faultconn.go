@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // FaultPlan is a seeded schedule of injected faults around a Conn. All
@@ -55,18 +57,6 @@ type FaultPlan struct {
 	// update path: they rewrite Params against the last dense model payload
 	// received and leave compressed frames untouched.
 	ScaleUpdate float64
-}
-
-// updateFactor is the Byzantine rewrite factor; 1 means honest.
-func (p *FaultPlan) updateFactor() float64 {
-	fac := 1.0
-	if p.ScaleUpdate > 0 {
-		fac = p.ScaleUpdate
-	}
-	if p.SignFlipUpdate {
-		fac = -fac
-	}
-	return fac
 }
 
 // FaultConn wraps a Conn with the injected-fault schedule of a FaultPlan.
@@ -135,15 +125,14 @@ func (c *FaultConn) Send(m *Message) error {
 	if roll(c.plan.DropSendProb) {
 		return nil // lost in flight: local success, nothing on the wire
 	}
-	if fac := c.plan.updateFactor(); fac != 1 && m.Type == MsgUpdate && len(m.Params) > 0 {
+	if m.Type == MsgUpdate && len(m.Params) > 0 {
+		// ref is empty unless the plan is Byzantine (see Recv).
 		c.mu.Lock()
 		ref := c.ref
 		c.mu.Unlock()
 		if len(ref) == len(m.Params) {
 			m = m.Clone()
-			for i := range m.Params {
-				m.Params[i] = ref[i] + fac*(m.Params[i]-ref[i])
-			}
+			engine.Tamper(m.Params, ref, c.plan.SignFlipUpdate, c.plan.ScaleUpdate)
 		}
 	}
 	if roll(c.plan.CorruptProb) {
@@ -182,7 +171,7 @@ func (c *FaultConn) Recv() (*Message, error) {
 		time.Sleep(delay)
 	}
 	m, err := c.inner.Recv()
-	if err == nil && c.plan.updateFactor() != 1 && (m.Type == MsgAssign || m.Type == MsgDeltaReq) && len(m.Params) > 0 {
+	if err == nil && (c.plan.SignFlipUpdate || c.plan.ScaleUpdate > 0) && (m.Type == MsgAssign || m.Type == MsgDeltaReq) && len(m.Params) > 0 {
 		c.mu.Lock()
 		c.ref = append(c.ref[:0], m.Params...)
 		c.mu.Unlock()

@@ -504,14 +504,14 @@ func TestLendUplinkSwitchKeepsRoundStartModel(t *testing.T) {
 // over loopback TCP a dense rFedAvg+ client allocates less than a quarter of
 // one model per steady-state round — and, behind a conn that hides lend (a
 // deadline or tracing wrapper), the δ request's read and nothing else
-// model-sized. The peer is a script that replays pre-encoded frames and
+// model-sized — in fewer than 16 objects, none of them the local step's. The peer is a script that replays pre-encoded frames and
 // discards the replies, so nothing model-sized is allocated on its side of
 // the measurement.
 func TestDenseClientRoundAllocatesNoModel(t *testing.T) {
 	const rounds, featureDim = 6, 12
 	train := data.SynthMNIST(64, 1)
-	// A wide first layer over small batches: a round's other allocations (the
-	// mini-batch gathers) stay far below a quarter of the model.
+	// A wide first layer: a round's other allocations (frames and their
+	// headers) stay far below a quarter of the model.
 	builder := nn.NewMLP(train.Features(), 160, featureDim, train.Classes)
 	model := builder(7).GetFlat()
 	cfg := ClientConfig{Builder: builder, ModelSeed: 7, Seed: 3,
@@ -577,6 +577,12 @@ func TestDenseClientRoundAllocatesNoModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			perRound := float64(after.TotalAlloc-before.TotalAlloc) / (rounds - 2)
+			// What is left is per frame and per round — four Messages, the
+			// target slice, the round's two closures — and nothing per step:
+			// the parent's local loop alone made 12 objects here.
+			if objects := float64(after.Mallocs-before.Mallocs) / (rounds - 2); objects >= 16 {
+				t.Fatalf("%.1f objects allocated per steady-state round, want under 16", objects)
+			}
 			if models := perRound / float64(8*len(model)); models >= tc.modelsAtMost {
 				t.Fatalf("%.0f bytes (%.2f models) allocated per steady-state round, want under %.2f", perRound, models, tc.modelsAtMost)
 			} else {
