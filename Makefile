@@ -29,13 +29,14 @@ test: vet
 	go test ./...
 
 # Race-detect the packages where goroutines share state: the worker pool and
-# kernel budget (fl), the sharded aggregate's per-shard partials (engine), the
+# kernel budget (fl), the two client halves that read one DeltaTable from every
+# worker (core), the sharded aggregate's per-shard partials (engine), the
 # parallel matmul kernels (tensor), the layer scratch reuse (nn), the wire
 # protocol (transport), and the codec whose error histograms every client
 # goroutine observes into (compress). -race also turns on checkptr, which checks
 # the framing's unsafe.Slice views of float64 payloads.
 test-race:
-	go test -race ./internal/fl/... ./internal/engine/... ./internal/tensor/... ./internal/nn/... ./internal/transport/... ./internal/compress/...
+	go test -race ./internal/fl/... ./internal/core/... ./internal/engine/... ./internal/tensor/... ./internal/nn/... ./internal/transport/... ./internal/compress/...
 
 # The purego tag drops the AVX2 micro-kernel and SIMD element loops, so this
 # is the only run that puts the scalar kernels every non-amd64 build uses

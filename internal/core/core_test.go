@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -391,16 +392,16 @@ func TestRFedAvgDeterministic(t *testing.T) {
 func TestNoiseDeltaHookIsApplied(t *testing.T) {
 	f := tinyFederation(t, 3, 0.0)
 	a := NewRFedAvgPlus(1e-3)
-	called := 0
+	var called atomic.Int64 // the hook runs on the worker pool
 	a.NoiseDelta = func(delta []float64, rng *rand.Rand) {
-		called++
+		called.Add(1)
 		for i := range delta {
 			delta[i] = 42
 		}
 	}
 	fl.Run(f, a, 1)
-	if called != 3 {
-		t.Fatalf("NoiseDelta called %d times, want 3", called)
+	if called.Load() != 3 {
+		t.Fatalf("NoiseDelta called %d times, want 3", called.Load())
 	}
 	for _, v := range a.Table().Get(0) {
 		if v != 42 {

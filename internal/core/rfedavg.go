@@ -27,9 +27,8 @@ type RFedAvg struct {
 	// evaluation (Fig. 12).
 	NoiseDelta func(delta []float64, rng *rand.Rand)
 
-	f      *fl.Federation
-	global []float64
-	table  *DeltaTable
+	fl.Base
+	table *DeltaTable
 }
 
 // NewRFedAvg creates Algorithm 1 with regularization weight λ.
@@ -38,15 +37,14 @@ func NewRFedAvg(lambda float64) *RFedAvg { return &RFedAvg{Lambda: lambda} }
 // Name returns "rFedAvg".
 func (a *RFedAvg) Name() string { return "rFedAvg" }
 
-// Setup initializes the global model w_0 and the zero table δ_0.
+// Setup initializes the global model w_0 and the zero table δ_0 and binds both
+// halves. Down: the model and the N·d table; up: the model and the client's
+// own map, each under the uplink codec.
 func (a *RFedAvg) Setup(f *fl.Federation) {
-	a.f = f
-	a.global = f.InitialParams()
-	a.table = NewDeltaTable(len(f.Clients), f.FeatureDim())
+	n, d := len(f.Clients), f.FeatureDim()
+	a.Init(f, fl.Method{Local: a.local, Server: a.server, AuxUp: d, AuxDown: n * d, AuxCoded: true})
+	a.table = NewDeltaTable(n, d)
 }
-
-// GlobalParams returns the current global model.
-func (a *RFedAvg) GlobalParams() []float64 { return a.global }
 
 // Table exposes the server's δ table (read-only use in tests/experiments).
 func (a *RFedAvg) Table() *DeltaTable { return a.table }
@@ -54,62 +52,48 @@ func (a *RFedAvg) Table() *DeltaTable { return a.table }
 // MMDTable implements fl.MMDReporter over the server's δ table.
 func (a *RFedAvg) MMDTable() engine.MMDTable { return a.table }
 
-// Round runs one rFedAvg communication round (lines 3–13 of Algorithm 1).
-func (a *RFedAvg) Round(round int, sampled []int) fl.RoundResult {
-	f := a.f
-	global := a.global
-	table := a.table // the broadcast (delayed) copy used by all clients this round
-	outs := f.MapClients(round, sampled, func(w *fl.Worker, c *fl.Client, rng *rand.Rand) fl.ClientOut {
-		w.LoadModel(global)
-		o := f.DefaultLocalOpts(round)
-		d := f.FeatureDim()
-		o.FeatGrad = func(feat *tensor.Tensor) *tensor.Tensor {
-			// Faithful to Algorithm 1: the client holds the full table and
-			// accumulates the pairwise target itself, an O(N·d) pass per
-			// local step. All buffers come from the worker's arena, so the
-			// recompute costs FLOPs, not allocations.
-			target := table.MeanExcludingInto(w.Arena().Tensor("reg.target", d).Data, c.ID)
-			return regGrad(w.Arena(), feat, target, a.Lambda)
-		}
-		loss := f.LocalTrain(w, c, rng, o)
-		// Line 10: δ^k recomputed with the client's *local* model. The
-		// result is freshly allocated per client (it outlives the worker's
-		// turn: the server stores it after the round), but the gather
-		// buffers behind it come from the arena.
-		delta := make([]float64, d)
-		cd := f.Cfg.Tracer.Start("compute_delta", w.SpanContext())
-		cd.Round, cd.Client = round, c.ID
-		ComputeDeltaInto(delta, w.Arena(), w.Net(), c.Data, 0)
-		cd.End()
-		if a.NoiseDelta != nil {
-			a.NoiseDelta(delta, rng)
-		}
-		out := fl.ClientOut{Client: c, Params: w.Net().GetFlat(), Loss: loss, Aux: delta}
-		out.ReconErr = f.CompressUplink(w, round, c, 0, global, out.Params)
-		f.CompressUplink(w, round, c, 1, nil, delta)
-		return out
-	})
+// local is lines 6–10 of Algorithm 1: E steps on F'_k against the broadcast
+// (delayed) table — the server half does not write it before the round's
+// clients are done — then δ^k recomputed with the client's *local* model.
+func (a *RFedAvg) local(round int, w *fl.Worker, c *fl.Client, rng *rand.Rand) (float64, []float64) {
+	f := a.F
+	o := f.DefaultLocalOpts(round)
+	d := f.FeatureDim()
+	o.FeatGrad = func(feat *tensor.Tensor) *tensor.Tensor {
+		// Faithful to Algorithm 1: the client holds the full table and
+		// accumulates the pairwise target itself, an O(N·d) pass per
+		// local step. All buffers come from the worker's arena, so the
+		// recompute costs FLOPs, not allocations.
+		target := a.table.MeanExcludingInto(w.Arena().Tensor("reg.target", d).Data, c.ID)
+		return regGrad(w.Arena(), feat, target, a.Lambda)
+	}
+	loss := f.LocalTrain(w, c, rng, o)
+	return loss, clientDelta(f, w, c, round, rng, a.NoiseDelta)
+}
 
-	// Lines 12–13: aggregate models, refresh the sampled clients' rows.
-	norms := fl.UpdateNorms(a.global, outs)
-	a.global = fl.WeightedAverage(outs)
-	for _, out := range outs {
+// server is lines 12–13: the mean is the next global; refresh the reporting
+// clients' rows.
+func (a *RFedAvg) server(_ int, _, mean []float64, agg []fl.ClientOut, _ []int) []float64 {
+	for _, out := range agg {
 		a.table.Set(out.Client.ID, out.Aux)
 	}
 	a.table.Tick()
+	return mean
+}
 
-	p := int64(len(sampled))
-	n := len(f.Clients)
-	d := f.FeatureDim()
-	rr := fl.RoundResult{
-		TrainLoss:    fl.MeanLoss(outs),
-		ClientLosses: fl.LossMap(outs),
-		ClientNorms:  norms,
-		// Down: model + the N·d table, per sampled client.
-		DownBytes: p * (fl.PayloadBytes(f.NumParams()) + fl.PayloadBytes(n*d)),
-		// Up: model + own map, each under the configured uplink codec.
-		UpBytes: p * (f.UplinkBytes(f.NumParams()) + f.UplinkBytes(d)),
+// clientDelta computes client c's map δ^c with the model w's network holds,
+// under a compute_delta span, and applies the privacy hook. The result is
+// freshly allocated per client (it outlives the worker's turn: the server
+// stores it after the round), but the gather buffers behind it come from the
+// arena.
+func clientDelta(f *fl.Federation, w *fl.Worker, c *fl.Client, round int, rng *rand.Rand, noise func([]float64, *rand.Rand)) []float64 {
+	delta := make([]float64, f.FeatureDim())
+	cd := f.Cfg.Tracer.Start("compute_delta", w.SpanContext())
+	cd.Round, cd.Client = round, c.ID
+	ComputeDeltaInto(delta, w.Arena(), w.Net(), c.Data, 0)
+	cd.End()
+	if noise != nil {
+		noise(delta, rng)
 	}
-	f.AnnotateCodec(&rr, outs)
-	return rr
+	return delta
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/engine"
@@ -37,9 +38,11 @@ type RFedAvgPlus struct {
 	// (1024); negative disables streaming regardless of N.
 	StreamN int
 
-	f      *fl.Federation
-	global []float64
-	table  *DeltaTable
+	fl.Base
+	table *DeltaTable
+	// fresh is who the round just closed can still reach: the clients of its
+	// age-0 entries, left by the server half for the second synchronization.
+	fresh []int
 	// held says which clients need not download the next round's model:
 	// the second synchronization already delivered it.
 	held engine.Held
@@ -57,11 +60,11 @@ func NewRFedAvgPlus(lambda float64) *RFedAvgPlus { return &RFedAvgPlus{Lambda: l
 // Name returns "rFedAvg+".
 func (a *RFedAvgPlus) Name() string { return "rFedAvg+" }
 
-// Setup initializes the global model and the zero table.
+// Setup initializes the global model and the zero table and binds both halves;
+// the average map δ̄^{-k} travels down beside the model.
 func (a *RFedAvgPlus) Setup(f *fl.Federation) {
-	a.f = f
-	a.global = f.InitialParams()
 	n, d := len(f.Clients), f.FeatureDim()
+	a.Init(f, fl.Method{Local: a.local, Server: a.server, AuxDown: d})
 	a.table = NewDeltaTable(n, d)
 	a.table.MaxStale = a.MaxStale
 	streamN := a.StreamN
@@ -74,62 +77,47 @@ func (a *RFedAvgPlus) Setup(f *fl.Federation) {
 	a.held = make(engine.Held, n)
 }
 
-// GlobalParams returns the current global model.
-func (a *RFedAvgPlus) GlobalParams() []float64 { return a.global }
-
 // Table exposes the server's δ table (read-only use in tests/experiments).
 func (a *RFedAvgPlus) Table() *DeltaTable { return a.table }
 
 // MMDTable implements fl.MMDReporter over the server's δ table.
 func (a *RFedAvgPlus) MMDTable() engine.MMDTable { return a.table }
 
-// Round runs one rFedAvg+ communication round (lines 4–18 of Algorithm 2).
+// local is the first communication's client side: E steps against δ̄^{-k}.
+// The wire ships only δ̄^{-k} (lines 17–18 of Algorithm 2): O(d) per sampled
+// client, not the O(N·d) table. The simulation computes it here on demand —
+// the table is unmutated since last round's Tick, so this reads the same state
+// an end-of-round precompute would, and only for the sampled cohort.
+func (a *RFedAvgPlus) local(round int, w *fl.Worker, c *fl.Client, rng *rand.Rand) (float64, []float64) {
+	f := a.F
+	target := a.table.MeanExcludingInto(w.Arena().Tensor("reg.target", f.FeatureDim()).Data, c.ID)
+	o := f.DefaultLocalOpts(round)
+	o.FeatGrad = RegTerm(w.Arena(), target, a.Lambda)
+	return f.LocalTrain(w, c, rng, o), nil
+}
+
+// server keeps the mean and notes who reported fresh. Clients whose update was
+// folded late trained for an older round and are still considered in flight, so
+// their δ rows simply age until they are sampled fresh again (the MaxStale
+// bound then excludes overripe rows).
+func (a *RFedAvgPlus) server(_ int, _, mean []float64, agg []fl.ClientOut, ages []int) []float64 {
+	a.fresh = fl.FreshIDs(agg, ages)
+	return mean
+}
+
+// Round runs one rFedAvg+ communication round (lines 4–18 of Algorithm 2): the
+// shared round is the first communication — w_cE and δ̄^{-k} down, local
+// training, w back up, aggregation — and the second (lines 13–16) follows it:
+// the server sends the *new global* model and every fresh client recomputes
+// its map with it.
 func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
-	f := a.f
-	global := a.global
-
-	// First communication: w_cE and δ̄^{-k} down; local training; w back up.
-	outs := f.MapClients(round, sampled, func(w *fl.Worker, c *fl.Client, rng *rand.Rand) fl.ClientOut {
-		w.LoadModel(global)
-		// The wire ships only δ̄^{-k} (lines 17–18 of Algorithm 2): O(d) per
-		// sampled client, not the O(N·d) table. The simulation computes it
-		// here on demand — the table is unmutated since last round's Tick, so
-		// this reads the same state the old end-of-round precompute saw, and
-		// only for the sampled cohort instead of all N clients.
-		target := a.table.MeanExcludingInto(w.Arena().Tensor("reg.target", f.FeatureDim()).Data, c.ID)
-		o := f.DefaultLocalOpts(round)
-		o.FeatGrad = RegTerm(w.Arena(), target, a.Lambda)
-		loss := f.LocalTrain(w, c, rng, o)
-		out := fl.ClientOut{Client: c, Params: w.Net().GetFlat(), Loss: loss}
-		out.ReconErr = f.CompressUplink(w, round, c, 0, global, out.Params)
-		return out
-	})
-	// Async mode folds previously parked updates in with a staleness
-	// discount; in sync mode agg == outs and the weights are plain n_k.
-	agg, ages := f.ApplyAsync(round, outs)
-	norms := fl.UpdateNorms(a.global, agg)
-	var loss float64
-	a.global, loss = f.Aggregate(a.global, agg, ages)
-
-	// Second communication (lines 13–16): the server sends the *new global*
-	// model; every fresh client recomputes its map with it. Clients whose
-	// update was folded late trained for an older round and are still
-	// considered in flight, so their δ rows simply age until they are
-	// sampled fresh again (the MaxStale bound then excludes overripe rows).
-	fresh := fl.FreshIDs(agg, ages)
-	newGlobal := a.global
+	a.fresh = nil
+	rr := a.Base.Round(round, sampled)
+	f, fresh := a.F, a.fresh
 	deltaOuts := f.MapClients(round, fresh, func(w *fl.Worker, c *fl.Client, rng *rand.Rand) fl.ClientOut {
-		w.Net().SetFlat(newGlobal)
-		delta := make([]float64, f.FeatureDim())
-		cd := f.Cfg.Tracer.Start("compute_delta", w.SpanContext())
-		cd.Round, cd.Client = round, c.ID
-		ComputeDeltaInto(delta, w.Arena(), w.Net(), c.Data, 0)
-		cd.End()
-		if a.NoiseDelta != nil {
-			a.NoiseDelta(delta, rng)
-		}
-		out := fl.ClientOut{Client: c, Aux: delta}
-		out.ReconErr = f.CompressUplink(w, round, c, 1, nil, delta)
+		w.Net().SetFlat(a.Global)
+		out := fl.ClientOut{Client: c, Aux: clientDelta(f, w, c, round, rng, a.NoiseDelta)}
+		out.ReconErr = f.CompressUplink(w, round, c, 1, nil, out.Aux)
 		return out
 	})
 	for _, out := range deltaOuts {
@@ -164,21 +152,14 @@ func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
 		}
 	}
 
-	p, p2 := int64(len(sampled)), int64(len(fresh))
-	d := f.FeatureDim()
-	rr := fl.RoundResult{
-		TrainLoss:    loss,
-		ClientLosses: fl.LossMap(agg),
-		ClientNorms:  norms,
-		// Down: (model + average map) in sync #1 — less the models already
-		// held — and the new model in sync #2 (only fresh clients take part
-		// in the second synchronization).
-		DownBytes: (p-int64(elided)+p2)*fl.PayloadBytes(f.NumParams()) + p*fl.PayloadBytes(d),
-		Elided:    elided,
-		// Up: model in sync #1, own map in sync #2, each under the
-		// configured uplink codec.
-		UpBytes: p*f.UplinkBytes(f.NumParams()) + p2*f.UplinkBytes(d),
+	// The second synchronization's share of the round: the new model down to
+	// the fresh clients — less the models already held in sync #1 — and their
+	// maps up under the uplink codec.
+	rr.Elided = elided
+	rr.DownBytes += int64(len(fresh)-elided) * fl.PayloadBytes(f.NumParams())
+	rr.UpBytes += int64(len(fresh)) * f.UplinkBytes(f.FeatureDim())
+	if m := fl.MeanReconErr(deltaOuts); !math.IsNaN(m) {
+		rr.ReconErr = (rr.ReconErr + m) / 2
 	}
-	f.AnnotateCodec(&rr, outs, deltaOuts)
 	return rr
 }

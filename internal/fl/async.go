@@ -26,7 +26,7 @@ func (f *Federation) asyncLatency(round, client int) float64 {
 	return lat
 }
 
-// ApplyAsync closes a buffered round as the transport server does, with the
+// applyAsync closes a buffered round as the transport server does, with the
 // latency model deciding who arrived: given a round's fresh client outputs, it
 // keeps the BufferK fastest, parks the stragglers for a later
 // round, and folds every previously parked output back in. It returns the
@@ -34,7 +34,7 @@ func (f *Federation) asyncLatency(round, client int) float64 {
 // order) with per-entry staleness ages aligned to it; ages is nil when
 // nothing was deferred or folded (the sync-identical fast path). With
 // Config.Async off it returns (outs, nil) unchanged.
-func (f *Federation) ApplyAsync(round int, outs []ClientOut) ([]ClientOut, []int) {
+func (f *Federation) applyAsync(round int, outs []ClientOut) ([]ClientOut, []int) {
 	if !f.Cfg.Async {
 		return outs, nil
 	}

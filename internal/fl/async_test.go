@@ -11,7 +11,7 @@ import (
 
 // WeightedAverageStale and MeanLossStale were the simulator's own
 // staleness-discounted reducers; the tests below were written against them and
-// now reach the one server step through the conversion Federation.Aggregate
+// now reach the one server step through the conversion Federation.aggregate
 // uses.
 func aggregateStale(outs []ClientOut, ages []int, lambda float64) ([]float64, float64) {
 	fresh, late := split(nil, nil, outs, ages)
@@ -94,12 +94,12 @@ func fakeOuts(f *Federation, ids []int) []ClientOut {
 }
 
 // With async off (or BufferK covering the cohort and nothing deferred),
-// ApplyAsync is the identity: same outs, nil ages — and the stale-weighted
+// applyAsync is the identity: same outs, nil ages — and the stale-weighted
 // reducers must then be bitwise-identical to their synchronous forms.
 func TestApplyAsyncIdentityWhenNothingDeferred(t *testing.T) {
 	f := newAsyncFederation(t, 4, Config{Async: true, BufferK: 0, Seed: 9})
 	outs := fakeOuts(f, []int{0, 1, 2, 3})
-	agg, ages := f.ApplyAsync(0, outs)
+	agg, ages := f.applyAsync(0, outs)
 	if ages != nil {
 		t.Fatalf("BufferK=0 deferred something: ages %v", ages)
 	}
@@ -114,8 +114,15 @@ func TestApplyAsyncIdentityWhenNothingDeferred(t *testing.T) {
 			t.Fatalf("nil-ages stale average diverges at %d: %v vs %v", j, stale[j], sync[j])
 		}
 	}
-	if math.Float64bits(MeanLoss(outs)) != math.Float64bits(MeanLossStale(agg, ages, 0.7)) {
-		t.Fatal("nil-ages stale mean loss diverges from MeanLoss")
+	n, want := 0.0, 0.0
+	for _, o := range outs {
+		n += float64(o.Client.Data.Len())
+	}
+	for _, o := range outs {
+		want += float64(o.Client.Data.Len()) / n * o.Loss
+	}
+	if got := MeanLossStale(agg, ages, 0.7); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("nil-ages stale mean loss %v, synchronous Σ(nₖ/n)·ℓₖ = %v", got, want)
 	}
 }
 
@@ -124,7 +131,7 @@ func TestApplyAsyncIdentityWhenNothingDeferred(t *testing.T) {
 func TestApplyAsyncDefersAndFolds(t *testing.T) {
 	f := newAsyncFederation(t, 4, Config{Async: true, BufferK: 2, Seed: 9, SlowFactor: []float64{1, 1, 20, 1}})
 
-	agg0, ages0 := f.ApplyAsync(0, fakeOuts(f, []int{0, 1, 2, 3}))
+	agg0, ages0 := f.applyAsync(0, fakeOuts(f, []int{0, 1, 2, 3}))
 	if len(agg0) != 2 {
 		t.Fatalf("round 0 kept %d updates, want BufferK=2", len(agg0))
 	}
@@ -153,7 +160,7 @@ func TestApplyAsyncDefersAndFolds(t *testing.T) {
 
 	// Round 1 over the remaining clients: the round-0 deferrals fold in at
 	// age 1.
-	agg1, ages1 := f.ApplyAsync(1, fakeOuts(f, busyFiltered))
+	agg1, ages1 := f.applyAsync(1, fakeOuts(f, busyFiltered))
 	if f.AsyncDeferred() != 0 {
 		t.Fatalf("folds did not drain: %d still deferred", f.AsyncDeferred())
 	}
@@ -203,7 +210,7 @@ func TestApplyAsyncDefersAndFolds(t *testing.T) {
 func TestApplyAsyncDeterministic(t *testing.T) {
 	pick := func() []int {
 		f := newAsyncFederation(t, 6, Config{Async: true, BufferK: 3, Seed: 42})
-		agg, _ := f.ApplyAsync(0, fakeOuts(f, []int{0, 1, 2, 3, 4, 5}))
+		agg, _ := f.applyAsync(0, fakeOuts(f, []int{0, 1, 2, 3, 4, 5}))
 		var ids []int
 		for _, o := range agg {
 			ids = append(ids, o.Client.ID)

@@ -7,7 +7,10 @@ import (
 	"testing/quick"
 
 	"repro/internal/data"
+	"repro/internal/health"
+	"repro/internal/metrics"
 	"repro/internal/nn"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -179,19 +182,38 @@ func TestFedNovaStepsScaleWithShardSize(t *testing.T) {
 
 func TestFedNovaUniformStepsMatchesFedAvg(t *testing.T) {
 	// With ProportionalSteps off, FedNova's normalized update reduces to
-	// exactly FedAvg's averaged model.
-	fA := tinyFederation(t, 3, 0.0, 1.0)
-	hA := Run(fA, NewFedAvg(), 3)
-	fB := tinyFederation(t, 3, 0.0, 1.0)
-	nova := &FedNova{ProportionalSteps: false}
-	hB := Run(fB, nova, 3)
-	for i := range hA.Rounds {
-		if math.Abs(hA.Rounds[i].TrainLoss-hB.Rounds[i].TrainLoss) > 1e-9 {
-			t.Fatalf("round %d: FedNova(uniform) loss %v != FedAvg %v",
-				i, hB.Rounds[i].TrainLoss, hA.Rounds[i].TrainLoss)
+	// exactly FedAvg's averaged model — also with a sign-flipping client in
+	// the cohort: FedNova reports the local model like everyone else, so the
+	// Byzantine rewrite mirrors a model around the global and the health
+	// monitor measures ‖w_k − w‖, not a normalized step read as a model (which
+	// sent the loss to 34 by round 2).
+	for name, byz := range map[string]map[int]Byzantine{"honest": nil, "signflip": {1: {SignFlip: true}}} {
+		run := func(alg Algorithm) (*metrics.History, map[int]float64) {
+			f := tinyFederation(t, 3, 0.0, 1.0)
+			f.Cfg.Byzantine = byz
+			f.Cfg.Health = health.New(health.Config{Registry: telemetry.NewRegistry()})
+			h := Run(f, alg, 3)
+			norms := map[int]float64{}
+			for _, c := range f.Cfg.Health.Snapshot(0).Clients {
+				norms[c.ID] = float64(c.Norm)
+			}
+			return h, norms
 		}
-		if math.Abs(hA.Rounds[i].TestAcc-hB.Rounds[i].TestAcc) > 1e-9 {
-			t.Fatalf("round %d accuracies differ", i)
+		hA, normsA := run(NewFedAvg())
+		hB, normsB := run(&FedNova{ProportionalSteps: false})
+		for i := range hA.Rounds {
+			if math.Abs(hA.Rounds[i].TrainLoss-hB.Rounds[i].TrainLoss) > 1e-9 {
+				t.Fatalf("%s round %d: FedNova(uniform) loss %v != FedAvg %v",
+					name, i, hB.Rounds[i].TrainLoss, hA.Rounds[i].TrainLoss)
+			}
+			if math.Abs(hA.Rounds[i].TestAcc-hB.Rounds[i].TestAcc) > 1e-9 {
+				t.Fatalf("%s round %d accuracies differ", name, i)
+			}
+		}
+		for id, want := range normsA {
+			if len(normsA) != 3 || math.Abs(normsB[id]-want) > 1e-9 {
+				t.Fatalf("%s: health monitor saw client norms %v under FedNova, %v under FedAvg", name, normsB, normsA)
+			}
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package fl
 
-import "math/rand"
-
 // FedAvgM is FedAvg with server-side momentum (Hsu et al., 2019): the
 // server treats the averaged client delta as a pseudo-gradient and applies
 // a momentum update, which damps the oscillations client drift causes on
@@ -14,8 +12,7 @@ type FedAvgM struct {
 	// Beta = 0.
 	ServerLR float64
 
-	f        *Federation
-	global   []float64
+	Base
 	velocity []float64
 }
 
@@ -25,37 +22,20 @@ func NewFedAvgM(beta float64) *FedAvgM { return &FedAvgM{Beta: beta, ServerLR: 1
 // Name returns "FedAvgM".
 func (a *FedAvgM) Name() string { return "FedAvgM" }
 
-// Setup initializes the global model and velocity.
+// Setup initializes the global model and velocity and binds the momentum
+// server half.
 func (a *FedAvgM) Setup(f *Federation) {
-	a.f = f
-	a.global = f.InitialParams()
+	a.Init(f, Method{Server: a.server})
 	a.velocity = make([]float64, f.NumParams())
 }
 
-// GlobalParams returns the current global model.
-func (a *FedAvgM) GlobalParams() []float64 { return a.global }
-
-// Round runs one server-momentum round.
-func (a *FedAvgM) Round(round int, sampled []int) RoundResult {
-	f := a.f
-	global := a.global
-	outs := f.MapClients(round, sampled, func(w *Worker, c *Client, rng *rand.Rand) ClientOut {
-		w.LoadModel(global)
-		loss := f.LocalTrain(w, c, rng, f.DefaultLocalOpts(round))
-		return ClientOut{Client: c, Params: w.Net().GetFlat(), Loss: loss}
-	})
-	avg := WeightedAverage(outs)
-	// Pseudo-gradient d = w_global - w̄; v ← βv + d; w ← w - lr·v.
-	for i := range a.global {
-		d := a.global[i] - avg[i]
+// server applies the pseudo-gradient d = w_global - w̄: v ← βv + d;
+// w ← w - lr·v.
+func (a *FedAvgM) server(_ int, global, avg []float64, _ []ClientOut, _ []int) []float64 {
+	for i := range global {
+		d := global[i] - avg[i]
 		a.velocity[i] = a.Beta*a.velocity[i] + d
-		a.global[i] -= a.ServerLR * a.velocity[i]
+		global[i] -= a.ServerLR * a.velocity[i]
 	}
-	p := int64(len(sampled))
-	return RoundResult{
-		TrainLoss:    MeanLoss(outs),
-		ClientLosses: LossMap(outs),
-		DownBytes:    p * PayloadBytes(f.NumParams()),
-		UpBytes:      p * PayloadBytes(f.NumParams()),
-	}
+	return global
 }

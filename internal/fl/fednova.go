@@ -4,9 +4,10 @@ import "math/rand"
 
 // FedNova (Wang et al., NeurIPS 2020) fixes FedAvg's objective
 // inconsistency when clients perform *different numbers of local steps*:
-// each client reports its normalized update d_k = (w_global - w_k)/τ_k, and
-// the server applies w ← w_global - τ_eff·Σ p_k·d_k with
-// τ_eff = Σ p_k·τ_k. With homogeneous steps it reduces to FedAvg exactly.
+// each client reports τ_k beside its local model, the server forms the
+// normalized update d_k = (w_global - w_k)/τ_k and applies
+// w ← w_global - τ_eff·Σ p_k·d_k with τ_eff = Σ p_k·τ_k. With homogeneous
+// steps it reduces to FedAvg exactly.
 //
 // Here heterogeneity arises naturally from quantity skew: a client's local
 // steps scale with its shard size, τ_k = max(1, round(E·n_k/n̄)).
@@ -15,8 +16,7 @@ type FedNova struct {
 	// size; when false every client runs E steps (≡ FedAvg).
 	ProportionalSteps bool
 
-	f      *Federation
-	global []float64
+	Base
 }
 
 // NewFedNova creates the FedNova baseline with size-proportional local
@@ -26,26 +26,23 @@ func NewFedNova() *FedNova { return &FedNova{ProportionalSteps: true} }
 // Name returns "FedNova".
 func (a *FedNova) Name() string { return "FedNova" }
 
-// Setup initializes the global model.
+// Setup initializes the global model and binds both halves; τ_k travels up
+// beside the model.
 func (a *FedNova) Setup(f *Federation) {
-	a.f = f
-	a.global = f.InitialParams()
+	a.Init(f, Method{Local: a.local, Server: a.server, AuxUp: 1})
 }
-
-// GlobalParams returns the current global model.
-func (a *FedNova) GlobalParams() []float64 { return a.global }
 
 // LocalSteps returns τ_k for a client.
 func (a *FedNova) LocalSteps(c *Client) int {
-	e := a.f.Cfg.LocalSteps
+	e := a.F.Cfg.LocalSteps
 	if !a.ProportionalSteps {
 		return e
 	}
 	mean := 0.0
-	for _, cl := range a.f.Clients {
+	for _, cl := range a.F.Clients {
 		mean += float64(cl.Data.Len())
 	}
-	mean /= float64(len(a.f.Clients))
+	mean /= float64(len(a.F.Clients))
 	tau := int(float64(e)*float64(c.Data.Len())/mean + 0.5)
 	if tau < 1 {
 		tau = 1
@@ -53,45 +50,33 @@ func (a *FedNova) LocalSteps(c *Client) int {
 	return tau
 }
 
-// Round runs one FedNova round.
-func (a *FedNova) Round(round int, sampled []int) RoundResult {
-	f := a.f
-	global := a.global
-	outs := f.MapClients(round, sampled, func(w *Worker, c *Client, rng *rand.Rand) ClientOut {
-		w.LoadModel(global)
-		o := f.DefaultLocalOpts(round)
-		o.E = a.LocalSteps(c)
-		loss := f.LocalTrain(w, c, rng, o)
-		local := w.Net().GetFlat()
-		// Normalized update d_k = (w_global - w_k)/τ_k.
-		tau := float64(o.E)
-		d := make([]float64, len(local))
-		for i := range d {
-			d[i] = (global[i] - local[i]) / tau
-		}
-		return ClientOut{Client: c, Params: d, Loss: loss, Aux: []float64{tau}}
-	})
+// local runs τ_k steps and reports τ_k beside the local model.
+func (a *FedNova) local(round int, w *Worker, c *Client, rng *rand.Rand) (float64, []float64) {
+	o := a.F.DefaultLocalOpts(round)
+	o.E = a.LocalSteps(c)
+	return a.F.LocalTrain(w, c, rng, o), []float64{float64(o.E)}
+}
 
-	// τ_eff = Σ p̃_k·τ_k over the cohort; w ← w - τ_eff·Σ p̃_k·d_k.
+// server derives each normalized update d_k = (w_global - w_k)/τ_k from the
+// reported model, in place, and applies w ← w - τ_eff·Σ p̃_k·d_k with
+// τ_eff = Σ p̃_k·τ_k over the aggregation set.
+func (a *FedNova) server(_ int, global, dbar []float64, agg []ClientOut, ages []int) []float64 {
 	den := 0.0
-	for _, o := range outs {
-		den += float64(o.Client.Data.Len())
+	for i, o := range agg {
+		den += float64(o.Client.Data.Len()) * a.F.foldWeight(ages, i)
 	}
 	tauEff := 0.0
-	for _, o := range outs {
-		pk := float64(o.Client.Data.Len()) / den
-		tauEff += pk * o.Aux[0]
+	for i, o := range agg {
+		tau := o.Aux[0]
+		for j, local := range o.Params {
+			o.Params[j] = (global[j] - local) / tau
+		}
+		pk := float64(o.Client.Data.Len()) * a.F.foldWeight(ages, i) / den
+		tauEff += pk * tau
 	}
-	dbar := WeightedAverage(outs)
-	for i := range a.global {
-		a.global[i] -= tauEff * dbar[i]
+	a.F.aggregate(dbar, agg, ages)
+	for i := range global {
+		global[i] -= tauEff * dbar[i]
 	}
-
-	p := int64(len(sampled))
-	return RoundResult{
-		TrainLoss:    MeanLoss(outs),
-		ClientLosses: LossMap(outs),
-		DownBytes:    p * PayloadBytes(f.NumParams()),
-		UpBytes:      p * (PayloadBytes(f.NumParams()) + PayloadBytes(1)),
-	}
+	return global
 }

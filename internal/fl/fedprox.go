@@ -14,8 +14,7 @@ type FedProx struct {
 	// image benchmarks and 0.01 for Sent140).
 	Mu float64
 
-	f      *Federation
-	global []float64
+	Base
 }
 
 // NewFedProx creates a FedProx baseline with the given proximal μ.
@@ -24,42 +23,23 @@ func NewFedProx(mu float64) *FedProx { return &FedProx{Mu: mu} }
 // Name returns "FedProx".
 func (a *FedProx) Name() string { return "FedProx" }
 
-// Setup initializes the global model.
-func (a *FedProx) Setup(f *Federation) {
-	a.f = f
-	a.global = f.InitialParams()
-}
+// Setup initializes the global model and binds the proximal client half.
+func (a *FedProx) Setup(f *Federation) { a.Init(f, Method{Local: a.local}) }
 
-// GlobalParams returns the current global model.
-func (a *FedProx) GlobalParams() []float64 { return a.global }
-
-// Round runs one FedProx round: FedAvg plus the proximal gradient
-// μ·(w - w_global) added after every local backprop.
-func (a *FedProx) Round(round int, sampled []int) RoundResult {
-	f := a.f
-	global := a.global // capture: workers must all prox toward the same snapshot
-	outs := f.MapClients(round, sampled, func(w *Worker, c *Client, rng *rand.Rand) ClientOut {
-		w.LoadModel(global)
-		o := f.DefaultLocalOpts(round)
-		o.PostGrad = func(params []*nn.Param) {
-			off := 0
-			for _, p := range params {
-				wd, gd := p.W.Data, p.G.Data
-				for i := range wd {
-					gd[i] += a.Mu * (wd[i] - global[off+i])
-				}
-				off += len(wd)
+// local is FedAvg's client half plus the proximal gradient μ·(w - w_global)
+// added after every local backprop.
+func (a *FedProx) local(round int, w *Worker, c *Client, rng *rand.Rand) (float64, []float64) {
+	global := a.Global // every worker proxes toward the round's snapshot
+	o := a.F.DefaultLocalOpts(round)
+	o.PostGrad = func(params []*nn.Param) {
+		off := 0
+		for _, p := range params {
+			wd, gd := p.W.Data, p.G.Data
+			for i := range wd {
+				gd[i] += a.Mu * (wd[i] - global[off+i])
 			}
+			off += len(wd)
 		}
-		loss := f.LocalTrain(w, c, rng, o)
-		return ClientOut{Client: c, Params: w.Net().GetFlat(), Loss: loss}
-	})
-	a.global = WeightedAverage(outs)
-	p := int64(len(sampled))
-	return RoundResult{
-		TrainLoss:    MeanLoss(outs),
-		ClientLosses: LossMap(outs),
-		DownBytes:    p * PayloadBytes(f.NumParams()),
-		UpBytes:      p * PayloadBytes(f.NumParams()),
 	}
+	return a.F.LocalTrain(w, c, rng, o), nil
 }

@@ -1,9 +1,10 @@
 // Package fl is the federated-learning substrate: clients, the server
 // round loop, client sampling, weighted aggregation, parallel local
-// training, evaluation, and communication accounting. The baseline
-// algorithms the paper compares against (FedAvg, FedProx, SCAFFOLD,
-// q-FedAvg) live here; the paper's own algorithms (rFedAvg, rFedAvg+) build
-// on this package from internal/core.
+// training, evaluation, and communication accounting. Every method runs one
+// round, Base.Round, and is the two halves it binds to it (Method). The
+// baselines the paper compares against (FedAvg, FedProx, SCAFFOLD, q-FedAvg)
+// and three more (FedAvgM, FedNova, MOON) live here; the paper's own
+// algorithms (rFedAvg, rFedAvg+) build on this package from internal/core.
 package fl
 
 import (
@@ -447,23 +448,9 @@ func (w *Worker) Arena() *nn.Arena { return w.t.Arena }
 // drivers that bypass MapClients.
 func (f *Federation) Worker(i int) *Worker { return f.workers[i] }
 
-// MeanLoss reports the data-size-weighted mean of client losses.
-func MeanLoss(outs []ClientOut) float64 {
-	num, den := 0.0, 0.0
-	for _, o := range outs {
-		n := float64(o.Client.Data.Len())
-		num += o.Loss * n
-		den += n
-	}
-	if den == 0 {
-		return math.NaN()
-	}
-	return num / den
-}
-
 // split appends an aggregation set's parameter-reporting outputs to fresh
 // and late as engine updates; an entry is late when ages gives it a positive
-// age (ApplyAsync folds only what an earlier round parked).
+// age (applyAsync folds only what an earlier round parked).
 func split(fresh, late []engine.Update, agg []ClientOut, ages []int) (_, _ []engine.Update) {
 	for i, o := range agg {
 		switch {
@@ -492,21 +479,17 @@ func WeightedAverage(outs []ClientOut) []float64 {
 	return dst
 }
 
-// Aggregate is the server step over an aggregation set from ApplyAsync: the
-// next global model and the round's mean training loss, fresh outputs weighted
-// by shard size and folded ones discounted by their staleness. When nothing
-// valid reported it returns global itself and a NaN loss — the simulator's
-// equivalent of a failed attempt.
-func (f *Federation) Aggregate(global []float64, agg []ClientOut, ages []int) ([]float64, float64) {
+// aggregate is the server step over an aggregation set from applyAsync: it
+// writes the mean model into dst — fresh outputs weighted by shard size, folded
+// ones discounted by their staleness — and returns the round's mean training
+// loss. ok is false, dst untouched and the loss NaN when nothing valid
+// reported: the simulator's equivalent of a failed attempt.
+func (f *Federation) aggregate(dst []float64, agg []ClientOut, ages []int) (loss float64, ok bool) {
 	fresh, late := split(f.fresh[:0], nil, agg, ages)
-	next := make([]float64, len(global))
-	loss, ok := engine.Aggregate(next, fresh, late, f.Cfg.StalenessLambda)
+	loss, ok = engine.Aggregate(dst, fresh, late, f.Cfg.StalenessLambda)
 	clear(fresh)
 	f.fresh = fresh
-	if !ok {
-		return global, loss
-	}
-	return next, loss
+	return loss, ok
 }
 
 // evalBatches runs the model over ds in evaluation batches of size b,
@@ -618,7 +601,8 @@ type RoundResult struct {
 	ClientLosses map[int]float64
 	// ClientNorms holds each participating client's update norm
 	// ‖w_k − w_global‖₂ relative to the round's starting model, a drift
-	// signal the run ledger records. Algorithms may leave it nil.
+	// signal the run ledger records. An Algorithm that does not run
+	// Base.Round may leave it nil.
 	ClientNorms map[int]float64
 	// UpScheme names the uplink wire codec ("q8", "q1", …); empty means the
 	// round's uplinks were dense.
@@ -628,8 +612,8 @@ type RoundResult struct {
 	ReconErr float64
 }
 
-// LossMap collects per-client losses from client outputs.
-func LossMap(outs []ClientOut) map[int]float64 {
+// lossMap collects per-client losses from client outputs.
+func lossMap(outs []ClientOut) map[int]float64 {
 	m := make(map[int]float64, len(outs))
 	for _, o := range outs {
 		m[o.Client.ID] = o.Loss
@@ -637,11 +621,10 @@ func LossMap(outs []ClientOut) map[int]float64 {
 	return m
 }
 
-// UpdateNorms computes each reporting client's update norm ‖w_k − w‖₂
-// against the round's starting global model w. Callers must invoke it
-// before overwriting the global with the new aggregate. The per-client
-// distance runs on the SIMD squared-distance kernel.
-func UpdateNorms(global []float64, outs []ClientOut) map[int]float64 {
+// updateNorms computes each reporting client's update norm ‖w_k − w‖₂
+// against the round's starting global model w. The per-client distance runs
+// on the SIMD squared-distance kernel.
+func updateNorms(global []float64, outs []ClientOut) map[int]float64 {
 	m := make(map[int]float64, len(outs))
 	for _, o := range outs {
 		if o.Params == nil {
@@ -736,29 +719,6 @@ func MeanReconErr(outs []ClientOut) float64 {
 		return math.NaN()
 	}
 	return sum / float64(n)
-}
-
-// AnnotateCodec stamps rr with the configured uplink codec and the mean
-// reconstruction error across the round's outputs; a no-op under the dense
-// codec.
-func (f *Federation) AnnotateCodec(rr *RoundResult, outs ...[]ClientOut) {
-	s := f.Cfg.Compress
-	if s == compress.SchemeDense {
-		return
-	}
-	rr.UpScheme = s.String()
-	sum, n := 0.0, 0
-	for _, os := range outs {
-		if m := MeanReconErr(os); !math.IsNaN(m) {
-			sum += m
-			n++
-		}
-	}
-	if n == 0 {
-		rr.ReconErr = math.NaN()
-	} else {
-		rr.ReconErr = sum / float64(n)
-	}
 }
 
 // Run executes rounds of alg over f, recording metrics per round. With a

@@ -97,17 +97,6 @@ func TestWeightedAverage(t *testing.T) {
 	}
 }
 
-func TestMeanLoss(t *testing.T) {
-	mk := func(n int, loss float64) ClientOut {
-		ds := &data.Dataset{X: tensor.New(n, 1), Y: make([]int, n), Classes: 2}
-		return ClientOut{Client: &Client{Data: ds}, Loss: loss}
-	}
-	got := MeanLoss([]ClientOut{mk(1, 1), mk(3, 5)})
-	if math.Abs(got-4) > 1e-12 {
-		t.Fatalf("MeanLoss = %v", got)
-	}
-}
-
 func TestPayloadBytes(t *testing.T) {
 	if PayloadBytes(0) != 24 || PayloadBytes(100) != 824 {
 		t.Fatalf("PayloadBytes: %d, %d", PayloadBytes(0), PayloadBytes(100))

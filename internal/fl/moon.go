@@ -26,10 +26,9 @@ type MOON struct {
 	// Tau is the contrastive temperature (MOON uses 0.5).
 	Tau float64
 
-	f      *Federation
-	global []float64
-	mu     sync.Mutex
-	prev   map[int][]float64 // previous local model per client
+	Base
+	mu   sync.Mutex
+	prev map[int][]float64 // previous local model per client
 }
 
 // NewMOON creates a MOON baseline.
@@ -38,15 +37,12 @@ func NewMOON(mu, tau float64) *MOON { return &MOON{Mu: mu, Tau: tau} }
 // Name returns "MOON".
 func (a *MOON) Name() string { return "MOON" }
 
-// Setup initializes the global model and the per-client previous models.
+// Setup initializes the global model and the per-client previous models and
+// binds the contrastive client half.
 func (a *MOON) Setup(f *Federation) {
-	a.f = f
-	a.global = f.InitialParams()
+	a.Init(f, Method{Local: a.local})
 	a.prev = make(map[int][]float64)
 }
-
-// GlobalParams returns the current global model.
-func (a *MOON) GlobalParams() []float64 { return a.global }
 
 func (a *MOON) prevModel(id int) []float64 {
 	a.mu.Lock()
@@ -60,39 +56,25 @@ func (a *MOON) setPrev(id int, params []float64) {
 	a.prev[id] = params
 }
 
-// Round runs one MOON round.
-func (a *MOON) Round(round int, sampled []int) RoundResult {
-	f := a.f
-	global := a.global
-	outs := f.MapClients(round, sampled, func(w *Worker, c *Client, rng *rand.Rand) ClientOut {
-		w.LoadModel(global)
-		// Auxiliary frozen networks: the global model and the client's
-		// previous local model (global on the client's first round).
-		globNet := f.Cfg.Builder(f.Cfg.ModelSeed)
-		globNet.SetFlat(global)
-		prevNet := f.Cfg.Builder(f.Cfg.ModelSeed)
-		if p := a.prevModel(c.ID); p != nil {
-			prevNet.SetFlat(p)
-		} else {
-			prevNet.SetFlat(global)
-		}
-		o := f.DefaultLocalOpts(round)
-		o.FeatGradX = func(x, feat *tensor.Tensor) *tensor.Tensor {
-			return a.contrastiveGrad(feat, globNet.Features(x), prevNet.Features(x))
-		}
-		loss := f.LocalTrain(w, c, rng, o)
-		local := w.Net().GetFlat()
-		a.setPrev(c.ID, append([]float64(nil), local...))
-		return ClientOut{Client: c, Params: local, Loss: loss}
-	})
-	a.global = WeightedAverage(outs)
-	p := int64(len(sampled))
-	return RoundResult{
-		TrainLoss:    MeanLoss(outs),
-		ClientLosses: LossMap(outs),
-		DownBytes:    p * PayloadBytes(f.NumParams()),
-		UpBytes:      p * PayloadBytes(f.NumParams()),
+// local trains against two frozen auxiliary networks: the global model and
+// the client's previous local model (global on the client's first round).
+func (a *MOON) local(round int, w *Worker, c *Client, rng *rand.Rand) (float64, []float64) {
+	f := a.F
+	globNet := f.Cfg.Builder(f.Cfg.ModelSeed)
+	globNet.SetFlat(a.Global)
+	prevNet := f.Cfg.Builder(f.Cfg.ModelSeed)
+	if p := a.prevModel(c.ID); p != nil {
+		prevNet.SetFlat(p)
+	} else {
+		prevNet.SetFlat(a.Global)
 	}
+	o := f.DefaultLocalOpts(round)
+	o.FeatGradX = func(x, feat *tensor.Tensor) *tensor.Tensor {
+		return a.contrastiveGrad(feat, globNet.Features(x), prevNet.Features(x))
+	}
+	loss := f.LocalTrain(w, c, rng, o)
+	a.setPrev(c.ID, w.Net().GetFlat())
+	return loss, nil
 }
 
 // contrastiveGrad returns ∂(μ/B·Σ ℓ_con)/∂z for a batch of features z

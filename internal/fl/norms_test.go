@@ -7,7 +7,7 @@ import (
 )
 
 // Equivalence tests for the aggregation/norm paths rewired onto the SIMD
-// kernels (UpdateNorms, WeightedAverage): each must agree with a private
+// kernels (updateNorms, WeightedAverage): each must agree with a private
 // scalar reference within reassociation tolerance.
 
 func TestUpdateNormsMatchesScalar(t *testing.T) {
@@ -27,9 +27,9 @@ func TestUpdateNormsMatchesScalar(t *testing.T) {
 		}
 		outs[2].Params = nil // non-reporting client must be skipped
 
-		got := UpdateNorms(global, outs)
+		got := updateNorms(global, outs)
 		if _, ok := got[2]; ok {
-			t.Fatal("UpdateNorms included a client with nil Params")
+			t.Fatal("updateNorms included a client with nil Params")
 		}
 		for c, o := range outs {
 			if o.Params == nil {

@@ -1,0 +1,128 @@
+package fl
+
+import (
+	"math/rand"
+
+	"repro/internal/compress"
+	"repro/internal/engine"
+)
+
+// Method is what sets a federated method apart from FedAvg: the objective its
+// clients minimise and the way its server combines what they report. A method
+// binds its halves once, in Setup (Base.Init) — a func value made per client
+// would cost the round an allocation a client — and the round calls each half
+// once per client and once per round.
+type Method struct {
+	// Local is the client half. It runs on worker w, whose network holds the
+	// round's global model, trains it on c's shard and returns the mean
+	// training loss and the payload that travels beside the model (δ map,
+	// control-variate difference, a scalar). It may touch w, c's data and the
+	// method's own per-client state, and read Base.Global; the model it leaves
+	// in w's network is what the round reports. Nil is FedAvg's: LocalTrain
+	// with DefaultLocalOpts(round).
+	Local func(round int, w *Worker, c *Client, rng *rand.Rand) (loss float64, aux []float64)
+	// Server is the server half. global is the model the round started from,
+	// mean the aggregate of the reported models (fresh weighted by shard size,
+	// folded ones discounted), agg and ages the aggregation set behind it. It
+	// returns the next global and may reuse either slice for it; a half that
+	// weighs clients itself multiplies a folded entry's terms by
+	// engine.StalenessWeight(ages[i], StalenessLambda), as the mean does. It is
+	// not called in a round where nothing valid reported. Nil is FedAvg's: the
+	// mean is the next global.
+	Server func(round int, global, mean []float64, agg []ClientOut, ages []int) []float64
+	// AuxUp and AuxDown count the floats that travel beside the model, up
+	// and down, per sampled client; the byte columns are computed from them.
+	AuxUp, AuxDown int
+	// AuxCoded says the uplink payload is a δ map: it goes through the uplink
+	// codec as the model does (class 1, never error-fed) and is accounted at
+	// the codec's size. Control variates and scalars stay dense.
+	AuxCoded bool
+}
+
+// Base is the state every method shares — the federation and the global
+// model — and the one round they all run. Methods embed it.
+type Base struct {
+	F      *Federation
+	Global []float64
+	m      Method
+}
+
+// Init points the method at f, initializes the global model w_0 and binds the
+// method's two halves.
+func (b *Base) Init(f *Federation, m Method) { b.F, b.Global, b.m = f, f.InitialParams(), m }
+
+// Setup is Init with FedAvg's halves, for methods that add none.
+func (b *Base) Setup(f *Federation) { b.Init(f, Method{}) }
+
+// GlobalParams returns the current global model.
+func (b *Base) GlobalParams() []float64 { return b.Global }
+
+// Round runs one communication round: every sampled client loads the global
+// model, runs the client half and reports its local model through the uplink
+// codec; the async buffer decides what closes the round; the engine's
+// aggregate gives the mean and the round's loss; the server half turns the
+// mean into the next global. The codec, the buffer, the update norms and (in
+// MapClients) the validation gate and health feed belong to the round, so
+// they act on every method alike.
+func (b *Base) Round(round int, sampled []int) RoundResult {
+	f, m, global := b.F, &b.m, b.Global
+	outs := f.MapClients(round, sampled, func(w *Worker, c *Client, rng *rand.Rand) ClientOut {
+		w.LoadModel(global)
+		out := ClientOut{Client: c}
+		if m.Local != nil {
+			out.Loss, out.Aux = m.Local(round, w, c, rng)
+		} else {
+			out.Loss = f.LocalTrain(w, c, rng, f.DefaultLocalOpts(round))
+		}
+		out.Params = w.Net().GetFlat()
+		out.ReconErr = f.CompressUplink(w, round, c, 0, global, out.Params)
+		if m.AuxCoded {
+			f.CompressUplink(w, round, c, 1, nil, out.Aux)
+		}
+		return out
+	})
+	agg, ages := f.applyAsync(round, outs)
+	norms := updateNorms(global, agg)
+	next := make([]float64, len(global))
+	loss, ok := f.aggregate(next, agg, ages)
+	if ok {
+		if m.Server != nil {
+			next = m.Server(round, global, next, agg, ages)
+		}
+		b.Global = next
+	}
+
+	// Down: the model and AuxDown floats, dense. Up: the model under the
+	// uplink codec, and AuxUp floats under it or dense.
+	n := f.NumParams()
+	down, up := PayloadBytes(n), f.UplinkBytes(n)
+	if m.AuxDown > 0 {
+		down += PayloadBytes(m.AuxDown)
+	}
+	if m.AuxCoded {
+		up += f.UplinkBytes(m.AuxUp)
+	} else if m.AuxUp > 0 {
+		up += PayloadBytes(m.AuxUp)
+	}
+	p := int64(len(sampled))
+	rr := RoundResult{
+		TrainLoss:    loss,
+		ClientLosses: lossMap(agg),
+		ClientNorms:  norms,
+		DownBytes:    p * down,
+		UpBytes:      p * up,
+	}
+	if s := f.Cfg.Compress; s != compress.SchemeDense {
+		rr.UpScheme, rr.ReconErr = s.String(), MeanReconErr(outs)
+	}
+	return rr
+}
+
+// foldWeight is the discount on entry i of an aggregation set: 1 for a fresh
+// entry, engine.StalenessWeight for one folded from an earlier round.
+func (f *Federation) foldWeight(ages []int, i int) float64 {
+	if ages == nil {
+		return 1
+	}
+	return engine.StalenessWeight(ages[i], f.Cfg.StalenessLambda)
+}

@@ -27,8 +27,7 @@ type Scaffold struct {
 	// models, so the practical default is a generous clip.
 	ClipNorm float64
 
-	f       *Federation
-	global  []float64
+	Base
 	c       []float64         // server control variate
 	clientC map[int][]float64 // per-client control variates, lazily allocated
 	mu      sync.Mutex        // guards clientC
@@ -40,16 +39,14 @@ func NewScaffold(etaG float64) *Scaffold { return &Scaffold{EtaG: etaG, ClipNorm
 // Name returns "Scaffold".
 func (a *Scaffold) Name() string { return "Scaffold" }
 
-// Setup initializes the global model and zero control variates.
+// Setup initializes the global model and zero control variates and binds
+// both halves; SCAFFOLD ships model + control variate in both directions.
 func (a *Scaffold) Setup(f *Federation) {
-	a.f = f
-	a.global = f.InitialParams()
-	a.c = make([]float64, f.NumParams())
+	n := f.NumParams()
+	a.Init(f, Method{Local: a.local, Server: a.server, AuxUp: n, AuxDown: n})
+	a.c = make([]float64, n)
 	a.clientC = make(map[int][]float64, len(f.Clients))
 }
-
-// GlobalParams returns the current global model.
-func (a *Scaffold) GlobalParams() []float64 { return a.global }
 
 func (a *Scaffold) clientVariate(id int) []float64 {
 	a.mu.Lock()
@@ -62,65 +59,54 @@ func (a *Scaffold) clientVariate(id int) []float64 {
 	return ck
 }
 
-// Round runs one SCAFFOLD round.
-func (a *Scaffold) Round(round int, sampled []int) RoundResult {
-	f := a.f
-	global := a.global
-	serverC := a.c
-	outs := f.MapClients(round, sampled, func(w *Worker, c *Client, rng *rand.Rand) ClientOut {
-		ck := a.clientVariate(c.ID)
-		w.LoadModel(global)
+// local corrects every gradient step by (c - c_k) and reports Δc_k beside the
+// local model. a.c is not written before the round's clients are done.
+func (a *Scaffold) local(round int, w *Worker, c *Client, rng *rand.Rand) (float64, []float64) {
+	f, serverC := a.F, a.c
+	ck := a.clientVariate(c.ID)
 
-		// Option I refresh target: the gradient of one evaluation-sized
-		// local batch at the global model, computed before local training
-		// perturbs w.
-		w.t.Batch(c.Data, w.t.Draw(c.Data, rng, f.Cfg.EvalBatch))
-		ckNew := nn.FlattenGrads(w.Net().Params())
+	// Option I refresh target: the gradient of one evaluation-sized
+	// local batch at the global model, computed before local training
+	// perturbs w.
+	w.t.Batch(c.Data, w.t.Draw(c.Data, rng, f.Cfg.EvalBatch))
+	ckNew := nn.FlattenGrads(w.Net().Params())
 
-		o := f.DefaultLocalOpts(round)
-		o.PostGrad = func(params []*nn.Param) {
-			off := 0
-			for _, p := range params {
-				gd := p.G.Data
-				for i := range gd {
-					gd[i] += serverC[off+i] - ck[off+i]
-				}
-				off += len(gd)
+	o := f.DefaultLocalOpts(round)
+	o.PostGrad = func(params []*nn.Param) {
+		off := 0
+		for _, p := range params {
+			gd := p.G.Data
+			for i := range gd {
+				gd[i] += serverC[off+i] - ck[off+i]
 			}
-			if a.ClipNorm > 0 {
-				opt.ClipGradNorm(params, a.ClipNorm)
-			}
+			off += len(gd)
 		}
-		loss := f.LocalTrain(w, c, rng, o)
-		local := w.Net().GetFlat()
-
-		dc := make([]float64, len(local))
-		for i := range dc {
-			dc[i] = ckNew[i] - ck[i]
-			ck[i] = ckNew[i]
+		if a.ClipNorm > 0 {
+			opt.ClipGradNorm(params, a.ClipNorm)
 		}
-		return ClientOut{Client: c, Params: local, Loss: loss, Aux: dc}
-	})
-
-	// Server: w ← w + η_g·(w̄ - w); c ← c + (|S|/N)·mean(Δc).
-	avg := WeightedAverage(outs)
-	for i := range a.global {
-		a.global[i] += a.EtaG * (avg[i] - a.global[i])
 	}
-	scale := 1.0 / float64(len(f.Clients))
-	for _, o := range outs {
+	loss := f.LocalTrain(w, c, rng, o)
+
+	dc := make([]float64, len(ck))
+	for i := range dc {
+		dc[i] = ckNew[i] - ck[i]
+		ck[i] = ckNew[i]
+	}
+	return loss, dc
+}
+
+// server: w ← w + η_g·(w̄ - w); c ← c + (|S|/N)·mean(Δc). Δc is a
+// difference the client has already applied to c_k, so a folded one counts in
+// full: c stays the mean of the c_k.
+func (a *Scaffold) server(_ int, global, avg []float64, agg []ClientOut, _ []int) []float64 {
+	for i := range global {
+		global[i] += a.EtaG * (avg[i] - global[i])
+	}
+	scale := 1.0 / float64(len(a.F.Clients))
+	for _, o := range agg {
 		for i, v := range o.Aux {
 			a.c[i] += scale * v
 		}
 	}
-
-	p := int64(len(sampled))
-	// SCAFFOLD ships model + control variate in both directions.
-	perClient := PayloadBytes(f.NumParams()) * 2
-	return RoundResult{
-		TrainLoss:    MeanLoss(outs),
-		ClientLosses: LossMap(outs),
-		DownBytes:    p * perClient,
-		UpBytes:      p * perClient,
-	}
+	return global
 }
