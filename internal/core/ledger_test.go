@@ -35,6 +35,10 @@ type coreLedgerLine struct {
 	MMDDim    int       `json:"mmd_dim"`
 	MMDSample []int     `json:"mmd_sample"`
 	MMD       []float64 `json:"mmd"`
+	DeltaAges []int     `json:"delta_ages"`
+	StaleRows *int      `json:"stale_rows"`
+	LateID    []int     `json:"late_id"`
+	LateAge   []int     `json:"late_age"`
 }
 
 func decodeCoreLedger(t *testing.T, buf *bytes.Buffer) []coreLedgerLine {
@@ -309,4 +313,55 @@ func TestSimLedgerSummaryModeAboveDetailN(t *testing.T) {
 	if mass <= 0 {
 		t.Error("sampled MMD sub-matrix is all zero on a populated table")
 	}
+}
+
+// The simulator's ledger carries the server's blocks, written by the same
+// engine calls: the cohort that aggregated, every δ row's age with the stale
+// count, and an async round's folds with their ages.
+func TestSimLedgerCarriesServerBlocks(t *testing.T) {
+	const clients = 6
+	var buf bytes.Buffer
+	f := ledgerFederation(t, clients, nil, telemetry.NewRunLedger(&buf))
+	a := NewRFedAvgPlus(1e-3)
+	a.MaxStale = 1
+	fl.Run(f, a, 2)
+	for i, l := range decodeCoreLedger(t, &buf) {
+		if l.Cohort != clients || len(l.DeltaAges) != clients || l.StaleRows == nil || *l.StaleRows != 0 {
+			t.Fatalf("line %d: cohort %d, delta_ages %v, stale_rows %v; want %d, %d ages, 0",
+				i, l.Cohort, l.DeltaAges, l.StaleRows, clients, clients)
+		}
+		for k, age := range l.DeltaAges {
+			if age != 1 {
+				t.Fatalf("line %d: row %d age %d, want 1 (refreshed, then ticked)", i, k, age)
+			}
+		}
+	}
+
+	buf.Reset()
+	f = ledgerFederation(t, clients, nil, telemetry.NewRunLedger(&buf))
+	f.Cfg.Async, f.Cfg.BufferK = true, 3
+	f.Cfg.SlowFactor = []float64{1, 1, 1, 1, 6, 6}
+	fl.Run(f, fl.NewFedAvg(), 2)
+	lines := decodeCoreLedger(t, &buf)
+	if l := lines[0]; l.Cohort != 3 || len(l.LateID) != 0 {
+		t.Fatalf("round 0: cohort %d, late %v; want 3 fresh, nothing folded", l.Cohort, l.LateID)
+	}
+	l := lines[1]
+	if l.Cohort != 6 || len(l.ClientID) != 3 || len(l.LateID) != 3 || len(l.LateAge) != 3 {
+		t.Fatalf("round 1: cohort %d, fresh %v, late %v/%v; want 3 fresh + 3 folded", l.Cohort, l.ClientID, l.LateID, l.LateAge)
+	}
+	for j, id := range l.LateID {
+		if l.LateAge[j] != 1 || contains(lines[0].ClientID, id) {
+			t.Fatalf("round 1 folded client %d at age %d; want a round-0 straggler at age 1", id, l.LateAge[j])
+		}
+	}
+}
+
+func contains(xs []int, x int) bool {
+	for _, v := range xs {
+		if v == x {
+			return true
+		}
+	}
+	return false
 }

@@ -13,11 +13,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/data"
 	"repro/internal/engine"
+	"repro/internal/health"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -164,6 +166,28 @@ func NewDeltaTable(n, d int) *DeltaTable {
 		zero: make([]float64, d)}
 }
 
+// DefaultStreamN is the client count from which a server table streams when
+// its StreamN knob is left 0. Below it the exact per-target pass is cheap and
+// keeps bitwise-stable summation order.
+const DefaultStreamN = 1024
+
+// NewServerTable is the δ table an rFedAvg+ server keeps for n clients, in the
+// simulator and the transport server alike: rows unrefreshed for more than
+// maxStale rounds drop out of the targets (0 keeps them), and the table
+// streams (SetStreaming) from streamN clients on — 0 means DefaultStreamN,
+// negative never.
+func NewServerTable(n, d, maxStale, streamN int) *DeltaTable {
+	t := NewDeltaTable(n, d)
+	t.MaxStale = maxStale
+	if streamN == 0 {
+		streamN = DefaultStreamN
+	}
+	if streamN > 0 && n >= streamN {
+		t.SetStreaming(true)
+	}
+	return t
+}
+
 // SetStreaming switches the table's incremental-aggregate mode on or off,
 // rebuilding the running mean state on enable. Streaming changes the
 // floating-point summation order of MeanExcluding (one shared running sum
@@ -192,7 +216,7 @@ func (t *DeltaTable) rebuildStream() {
 	}
 	t.fresh = 0
 	for k, row := range t.rows {
-		if t.stale(k) {
+		if t.Stale(k) {
 			continue
 		}
 		t.fresh++
@@ -211,7 +235,7 @@ func (t *DeltaTable) Set(k int, delta []float64) {
 	if t.streaming {
 		// Retire the row's previous contribution (zero for a nil row), then
 		// account the fresh one; Tick's exact rebuild bounds the drift.
-		if !t.stale(k) {
+		if !t.Stale(k) {
 			if t.rows[k] != nil {
 				tensor.AxpyFloats(t.sum, -1, t.rows[k])
 			}
@@ -230,6 +254,21 @@ func (t *DeltaTable) Set(k int, delta []float64) {
 	t.ages[k] = 0
 }
 
+// Accept is a server's gate on a client-reported map: it must have the
+// table's width and no NaN/Inf, which would poison every other client's
+// target. An accepted map is Set; a rejected one leaves row k as it was, and
+// the error is the reason the sender is dropped for.
+func (t *DeltaTable) Accept(k int, delta []float64) error {
+	if len(delta) != t.Dim {
+		return fmt.Errorf("sent δ of %d dims, want %d", len(delta), t.Dim)
+	}
+	if !engine.Finite(delta) {
+		return errors.New("non-finite δ map")
+	}
+	t.Set(k, delta)
+	return nil
+}
+
 // Get returns client k's map (read-only view). Never-Set rows return a
 // shared zero vector; callers must not write through the result.
 func (t *DeltaTable) Get(k int) []float64 {
@@ -246,9 +285,6 @@ func (t *DeltaTable) row(k int) []float64 {
 	}
 	return t.zero
 }
-
-// Occupied reports whether row k was ever Set (has allocated storage).
-func (t *DeltaTable) Occupied(k int) bool { return t.rows[k] != nil }
 
 // OccupiedCount returns how many rows were ever Set — the quantity the
 // table's memory footprint and a sparse checkpoint's size scale with.
@@ -273,7 +309,7 @@ func (t *DeltaTable) Age(k int) int { return t.ages[k] }
 // across the MaxStale bound.
 func (t *DeltaTable) SetAge(k, age int) {
 	if t.streaming {
-		was := t.stale(k)
+		was := t.Stale(k)
 		now := t.MaxStale > 0 && age > t.MaxStale
 		if was != now {
 			if now { // fresh → stale: retire the row's contribution
@@ -324,9 +360,9 @@ func (t *DeltaTable) Tick() {
 	}
 }
 
-// stale reports whether row k should be excluded from regularization
-// targets because it outlived the staleness bound.
-func (t *DeltaTable) stale(k int) bool {
+// Stale reports whether row k is excluded from regularization targets
+// because it outlived the staleness bound.
+func (t *DeltaTable) Stale(k int) bool {
 	return t.MaxStale > 0 && t.ages[k] > t.MaxStale
 }
 
@@ -363,7 +399,7 @@ func (t *DeltaTable) MeanExcludingInto(dst []float64, k int) []float64 {
 	if t.streaming {
 		m := t.fresh
 		copy(dst, t.sum)
-		if !t.stale(k) {
+		if !t.Stale(k) {
 			m--
 			if t.rows[k] != nil {
 				tensor.AxpyFloats(dst, -1, t.rows[k])
@@ -383,7 +419,7 @@ func (t *DeltaTable) MeanExcludingInto(dst []float64, k int) []float64 {
 	}
 	contributors := 0
 	for j, row := range t.rows {
-		if j == k || t.stale(j) {
+		if j == k || t.Stale(j) {
 			continue
 		}
 		contributors++
@@ -431,6 +467,21 @@ func (t *DeltaTable) Drift(k int) float64 {
 		t.drift = make([]float64, t.Dim)
 	}
 	return math.Sqrt(MMDSquaredMeans(t.row(k), t.MeanExcludingInto(t.drift, k)))
+}
+
+// ObserveDrift gives the health monitor the Drift of every row Set since the
+// last Tick — age 0 and stored; before the first Tick never-Set rows are age 0
+// too — so after a δ synchronisation, the maps it refreshed. A nil monitor
+// observes nothing.
+func (t *DeltaTable) ObserveDrift(h *health.Monitor) {
+	if h == nil {
+		return
+	}
+	for k, age := range t.ages {
+		if age == 0 && t.rows[k] != nil {
+			h.ObserveDrift(k, t.Drift(k))
+		}
+	}
 }
 
 // pairwiseParMin is the minimum N·N·Dim volume before PairwiseMMDInto fans

@@ -3,7 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"repro/internal/health"
+	"repro/internal/telemetry"
 )
 
 // streamTablePair drives two tables — one exact, one streaming — through an
@@ -116,9 +120,6 @@ func TestDeltaTableLazyRows(t *testing.T) {
 	if got := tb.OccupiedCount(); got != 2 {
 		t.Fatalf("OccupiedCount = %d, want 2", got)
 	}
-	if !tb.Occupied(7) || tb.Occupied(8) {
-		t.Fatalf("Occupied(7)=%v Occupied(8)=%v, want true/false", tb.Occupied(7), tb.Occupied(8))
-	}
 	seen := 0
 	tb.ForEachRow(func(k int, r []float64) {
 		seen++
@@ -136,6 +137,83 @@ func TestDeltaTableLazyRows(t *testing.T) {
 	if math.Abs(m[0]-want) > 1e-12 {
 		t.Fatalf("MeanExcluding(0)[0] = %g, want %g", m[0], want)
 	}
+}
+
+// NewServerTable is the one StreamN resolution both drivers use: 0 inherits
+// DefaultStreamN, negative never streams, a positive value is the threshold
+// itself; MaxStale is passed through.
+func TestNewServerTableStreamN(t *testing.T) {
+	for _, c := range []struct {
+		n, streamN int
+		want       bool
+	}{
+		{DefaultStreamN - 1, 0, false},
+		{DefaultStreamN, 0, true},
+		{100_000, -1, false},
+		{4999, 5000, false},
+		{5000, 5000, true},
+		{8, 8, true},
+		{7, 8, false},
+	} {
+		tb := NewServerTable(c.n, 2, 3, c.streamN)
+		if tb.Streaming() != c.want || tb.MaxStale != 3 || tb.N != c.n {
+			t.Errorf("NewServerTable(%d, 2, 3, %d): streaming %v, MaxStale %d, N %d; want streaming %v",
+				c.n, c.streamN, tb.Streaming(), tb.MaxStale, tb.N, c.want)
+		}
+	}
+}
+
+// Accept is the server's δ gate: a wrong width or a NaN/Inf map is refused
+// with the server's eviction reason and leaves the row as it was.
+func TestDeltaTableAccept(t *testing.T) {
+	tb := NewDeltaTable(3, 2)
+	if err := tb.Accept(1, []float64{1, 2}); err != nil {
+		t.Fatalf("finite map refused: %v", err)
+	}
+	for _, c := range []struct {
+		delta []float64
+		want  string
+	}{
+		{[]float64{1}, "sent δ of 1 dims, want 2"},
+		{[]float64{math.NaN(), 0}, "non-finite δ map"},
+		{[]float64{0, math.Inf(-1)}, "non-finite δ map"},
+	} {
+		if err := tb.Accept(1, c.delta); err == nil || err.Error() != c.want {
+			t.Errorf("Accept(%v) = %v, want %q", c.delta, err, c.want)
+		}
+		if r := tb.Get(1); r[0] != 1 || r[1] != 2 {
+			t.Fatalf("refused map %v changed the row to %v", c.delta, r)
+		}
+	}
+}
+
+// ObserveDrift reads the rows Set since the last Tick and nothing else — not
+// the never-Set rows, which are age 0 too before the first Tick.
+func TestDeltaTableObserveDrift(t *testing.T) {
+	tb := NewDeltaTable(4, 2)
+	h := health.New(health.Config{Registry: telemetry.NewRegistry()})
+	drifted := func() (ids []int) {
+		for _, c := range h.Snapshot(0).Clients {
+			if !math.IsNaN(float64(c.Drift)) {
+				ids = append(ids, c.ID)
+			}
+		}
+		sort.Ints(ids)
+		return ids
+	}
+	tb.Set(1, []float64{1, 0})
+	tb.Set(2, []float64{0, 1})
+	tb.ObserveDrift(h)
+	if got := drifted(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("round 0 observed drift for %v, want [1 2]", got)
+	}
+	tb.Tick()
+	tb.Set(3, []float64{1, 1})
+	tb.ObserveDrift(h)
+	if n := h.Snapshot(0).Observed; n != 3 {
+		t.Fatalf("round 1: %d clients observed, want 3 (row 3 added, row 0 never Set)", n)
+	}
+	tb.ObserveDrift(nil) // a nil monitor observes nothing
 }
 
 // TestDeltaTableTicksCounter pins the Ticks round counter used by sparse

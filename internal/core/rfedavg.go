@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/engine"
@@ -73,12 +74,21 @@ func (a *RFedAvg) local(round int, w *fl.Worker, c *fl.Client, rng *rand.Rand) (
 
 // server is lines 12–13: the mean is the next global; refresh the reporting
 // clients' rows.
-func (a *RFedAvg) server(_ int, _, mean []float64, agg []fl.ClientOut, _ []int) []float64 {
-	for _, out := range agg {
-		a.table.Set(out.Client.ID, out.Aux)
-	}
+func (a *RFedAvg) server(round int, _, mean []float64, agg []fl.ClientOut, _ []int) []float64 {
+	acceptDeltas(a.F, a.table, round, agg)
 	a.table.Tick()
 	return mean
+}
+
+// acceptDeltas offers every reported map to t through the server's gate
+// (DeltaTable.Accept). A rejected map leaves its row as it was and costs one
+// invalid_delta event, where the transport server evicts the sender.
+func acceptDeltas(f *fl.Federation, t *DeltaTable, round int, outs []fl.ClientOut) {
+	for _, o := range outs {
+		if err := t.Accept(o.Client.ID, o.Aux); err != nil {
+			f.Cfg.Events.Emit("invalid_delta", round, fmt.Sprintf("client %d: %v", o.Client.ID, err))
+		}
+	}
 }
 
 // clientDelta computes client c's map δ^c with the model w's network holds,

@@ -34,8 +34,8 @@ type RFedAvgPlus struct {
 	MaxStale int
 	// StreamN switches the δ table to its streaming (running-sum) mode when
 	// the federation has at least StreamN clients, making each δ̄^{-k} an
-	// O(d) read instead of an O(N·d) pass. 0 means the default threshold
-	// (1024); negative disables streaming regardless of N.
+	// O(d) read instead of an O(N·d) pass. 0 means DefaultStreamN; negative
+	// disables streaming regardless of N (NewServerTable).
 	StreamN int
 
 	fl.Base
@@ -48,12 +48,6 @@ type RFedAvgPlus struct {
 	held engine.Held
 }
 
-// DefaultStreamN is the client count at which rFedAvg+ servers (sim and
-// transport) switch the δ table to streaming mode when their StreamN knob
-// is left 0. Below it the exact per-target pass is cheap and keeps
-// bitwise-stable summation order.
-const DefaultStreamN = 1024
-
 // NewRFedAvgPlus creates Algorithm 2 with regularization weight λ.
 func NewRFedAvgPlus(lambda float64) *RFedAvgPlus { return &RFedAvgPlus{Lambda: lambda} }
 
@@ -65,15 +59,7 @@ func (a *RFedAvgPlus) Name() string { return "rFedAvg+" }
 func (a *RFedAvgPlus) Setup(f *fl.Federation) {
 	n, d := len(f.Clients), f.FeatureDim()
 	a.Init(f, fl.Method{Local: a.local, Server: a.server, AuxDown: d})
-	a.table = NewDeltaTable(n, d)
-	a.table.MaxStale = a.MaxStale
-	streamN := a.StreamN
-	if streamN == 0 {
-		streamN = DefaultStreamN
-	}
-	if streamN > 0 && n >= streamN {
-		a.table.SetStreaming(true)
-	}
+	a.table = NewServerTable(n, d, a.MaxStale, a.StreamN)
 	a.held = make(engine.Held, n)
 }
 
@@ -120,18 +106,8 @@ func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
 		out.ReconErr = f.CompressUplink(w, round, c, 1, nil, out.Aux)
 		return out
 	})
-	for _, out := range deltaOuts {
-		a.table.Set(out.Client.ID, out.Aux)
-	}
-	// Per-client MMD drift for the health monitor, off the freshly
-	// synchronized rows.
-	if h := f.Cfg.Health; h != nil {
-		for _, out := range deltaOuts {
-			if id := out.Client.ID; a.table.Occupied(id) {
-				h.ObserveDrift(id, a.table.Drift(id))
-			}
-		}
-	}
+	acceptDeltas(f, a.table, round, deltaOuts)
+	a.table.ObserveDrift(f.Cfg.Health)
 	// Staleness accounting: unsampled clients' rows age; refreshed rows
 	// reset to age 1. Past MaxStale a row falls out of the next round's
 	// on-demand δ̄^{-k} targets.

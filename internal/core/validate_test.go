@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/fl"
 	"repro/internal/telemetry"
@@ -90,5 +92,78 @@ func TestRoundWithNothingValidKeepsGlobal(t *testing.T) {
 		if a.GlobalParams()[j] != w {
 			t.Fatalf("param %d moved: %v → %v", j, w, a.GlobalParams()[j])
 		}
+	}
+}
+
+// oneWorker rebuilds f over the same shards with a single worker, so clients
+// train — and call their hooks — in sampled order.
+func oneWorker(f *fl.Federation) *fl.Federation {
+	cfg := f.Cfg
+	cfg.Workers = 1
+	shards := make([]*data.Dataset, len(f.Clients))
+	for k, c := range f.Clients {
+		shards[k] = c.Data
+	}
+	return fl.NewFederation(cfg, shards, f.Test)
+}
+
+// A non-finite δ map goes through the server's gate (DeltaTable.Accept) in the
+// simulator too: it is refused with one invalid_delta event and its row keeps
+// the previous map. Stored, the NaN would reach the other clients' targets and
+// leave round 1 with 2 of 4 valid updates.
+func TestNonFiniteDeltaRefused(t *testing.T) {
+	const rounds = 3
+	type tabled interface {
+		fl.Algorithm
+		Table() *DeltaTable
+	}
+	for name, mk := range map[string]func(noise func([]float64, *rand.Rand)) tabled{
+		"rFedAvg": func(noise func([]float64, *rand.Rand)) tabled {
+			a := NewRFedAvg(1e-3)
+			a.NoiseDelta = noise
+			return a
+		},
+		"rFedAvg+": func(noise func([]float64, *rand.Rand)) tabled {
+			a := NewRFedAvgPlus(1e-3)
+			a.NoiseDelta = noise
+			return a
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			calls := 0
+			a := mk(func(delta []float64, _ *rand.Rand) {
+				if calls++; calls == 1 {
+					delta[0] = math.NaN()
+				}
+			})
+			var events bytes.Buffer
+			f := oneWorker(tinyFederation(t, 4, 0.0))
+			f.Cfg.Events = telemetry.NewEventLog(&events)
+			a.Setup(f)
+			table := a.Table()
+			before := append([]float64(nil), table.Get(0)...)
+			for r := 0; r < rounds; r++ {
+				res := a.Round(r, f.SampleClients(r))
+				if len(res.ClientLosses) != 4 || math.IsNaN(res.TrainLoss) {
+					t.Fatalf("round %d aggregated %d of 4 (loss %v)", r, len(res.ClientLosses), res.TrainLoss)
+				}
+				if r == 0 {
+					for i, v := range table.Get(0) {
+						if v != before[i] {
+							t.Fatalf("refused map changed row 0: %v → %v", before, table.Get(0))
+						}
+					}
+				}
+			}
+			lines := strings.Split(strings.TrimSpace(events.String()), "\n")
+			if len(lines) != 1 {
+				t.Fatalf("%d events, want one:\n%s", len(lines), events.String())
+			}
+			for _, want := range []string{`"event":"invalid_delta"`, `"round":0`, "client 0: non-finite δ map"} {
+				if !strings.Contains(lines[0], want) {
+					t.Fatalf("event lacks %s: %s", want, lines[0])
+				}
+			}
+		})
 	}
 }

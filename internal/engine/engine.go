@@ -3,10 +3,10 @@
 // internal/transport server. The server's half: draw the cohort, validate
 // what came back, weigh it, aggregate — the paper's server step, Alg. 2 line
 // 12 / Eq. (1), w ← Σ pₖwₖ renormalised over the cohort — feed the health
-// monitor and fill the ledger record. The client's half (trainer.go): E
-// mini-batch steps on F_k = f_k + λ·r_k, Algs. 1–2 lines 6–9. It sits below
-// the drivers and internal/core: it knows nothing of connections, worker
-// pools or algorithms.
+// monitor and fill the ledger record (Close, EndRound). The client's half
+// (trainer.go): E mini-batch steps on F_k = f_k + λ·r_k, Algs. 1–2 lines 6–9.
+// It sits below the drivers and internal/core: it knows nothing of
+// connections, worker pools or algorithms.
 package engine
 
 import (
@@ -217,24 +217,72 @@ func shardUpdates(dst []float64, fresh []Update, wsum float64) float64 {
 	return part[0].loss
 }
 
-// ObserveHealth feeds one round's validated updates to the health monitor
-// against the model they trained from: one direction-sum pass, then one
-// observation per fresh update; late ones are credited with their age. A nil
-// monitor observes nothing.
-func ObserveHealth(h *health.Monitor, round int, global []float64, fresh, late []Update) {
+// Close is what a round does with its validated updates once they are in
+// hand, against global, the model they trained from. It feeds the health
+// monitor h — one direction-sum pass, one observation per fresh update, late
+// ones credited with their age — then aggregates into dst (Aggregate). When
+// the aggregate succeeds and rec is non-nil it fills the ledger's client block:
+// id, loss and update norm ‖wₖ − w‖ per fresh update in detail mode (above it
+// the arrays would be O(N) per line, so min/mean/max instead), the cohort size
+// and the folded clients with their ages. A nil monitor observes nothing.
+func Close(h *health.Monitor, rec *telemetry.RoundRecord, detail bool, round int, global, dst []float64, fresh, late []Update, lambda float64) (loss float64, ok bool) {
+	if h != nil {
+		h.BeginRound(round)
+		for i := range fresh {
+			h.AccumDirection(fresh[i].Params, global)
+		}
+		for i := range fresh {
+			h.ObserveUpdate(fresh[i].Client, fresh[i].Loss, fresh[i].Params, global)
+		}
+		for i := range late {
+			h.ObserveFold(late[i].Client, late[i].Age)
+		}
+	}
+	loss, ok = Aggregate(dst, fresh, late, lambda)
+	if !ok || rec == nil {
+		return loss, ok
+	}
+	rec.Cohort = len(fresh) + len(late)
+	for i := range fresh {
+		u := &fresh[i]
+		norm := math.Sqrt(tensor.SquaredDistanceFloats(u.Params, global))
+		if detail {
+			rec.ClientID = append(rec.ClientID, u.Client)
+			rec.ClientLoss = append(rec.ClientLoss, u.Loss)
+			rec.ClientNorm = append(rec.ClientNorm, norm)
+		} else {
+			rec.LossStats.Add(u.Loss)
+			rec.NormStats.Add(norm)
+		}
+	}
+	for i := range late {
+		rec.LateID = append(rec.LateID, late[i].Client)
+		rec.LateAge = append(rec.LateAge, late[i].Age)
+	}
+	return loss, ok
+}
+
+// EndRound closes the health round — robust statistics, scores, rules,
+// verdict — and, with rec non-nil, ledgers it: verdict, unhealthy count, and
+// per-client scores aligned with rec.ClientID in detail mode or a min/mean/max
+// triple over the cohort above it. A nil monitor does nothing.
+func EndRound(h *health.Monitor, rec *telemetry.RoundRecord, detail bool, loss float64) {
 	if h == nil {
 		return
 	}
-	h.BeginRound(round)
-	for i := range fresh {
-		h.AccumDirection(fresh[i].Params, global)
+	h.EndRound(loss)
+	if rec == nil {
+		return
 	}
-	for i := range fresh {
-		h.ObserveUpdate(fresh[i].Client, fresh[i].Loss, fresh[i].Params, global)
+	rec.Verdict = h.LastVerdict()
+	rec.Unhealthy = h.UnhealthyCount()
+	if detail {
+		for _, id := range rec.ClientID {
+			rec.Health = append(rec.Health, h.Score(id))
+		}
+		return
 	}
-	for i := range late {
-		h.ObserveFold(late[i].Client, late[i].Age)
-	}
+	h.CohortScores(func(_ int, score float64) { rec.HealthStats.Add(score) })
 }
 
 // Held is the one-model-per-version rule: entry k names the round whose
@@ -271,29 +319,13 @@ func Detail(limit, n int) bool {
 	return limit < 0 || n <= limit
 }
 
-// LedgerUpdate adds one aggregated update to rec's client block: id, loss and
-// update norm ‖wₖ − w‖ in detail mode; above it the arrays would be O(N) per
-// line, so min/mean/max instead. A NaN norm means the driver measured none.
-func LedgerUpdate(rec *telemetry.RoundRecord, detail bool, client int, loss, norm float64) {
-	if detail {
-		rec.ClientID = append(rec.ClientID, client)
-		rec.ClientLoss = append(rec.ClientLoss, loss)
-		if !math.IsNaN(norm) {
-			rec.ClientNorm = append(rec.ClientNorm, norm)
-		}
-		return
-	}
-	rec.LossStats.Add(loss)
-	if !math.IsNaN(norm) {
-		rec.NormStats.Add(norm)
-	}
-}
-
 // MMDTable is what the ledger reads of a δ table; *core.DeltaTable is one.
 type MMDTable interface {
 	PairwiseMMDInto(dst []float64) []float64
 	SampleRows(k int) []int
 	SampledMMDInto(dst []float64, ids []int) []float64
+	Age(k int) int
+	Stale(k int) bool
 }
 
 // LedgerMMD records the pairwise MMD block of an n-row δ table: the full N×N
@@ -310,17 +342,18 @@ func LedgerMMD(rec *telemetry.RoundRecord, detail bool, t MMDTable, n int) {
 	rec.MMDDim = len(rec.MMDSample)
 }
 
-// LedgerHealth records the health round just closed: verdict, unhealthy count,
-// and per-client scores aligned with rec.ClientID in detail mode or a
-// min/mean/max triple over the cohort above it.
-func LedgerHealth(rec *telemetry.RoundRecord, detail bool, h *health.Monitor) {
-	rec.Verdict = h.LastVerdict()
-	rec.Unhealthy = h.UnhealthyCount()
-	if detail {
-		for _, id := range rec.ClientID {
-			rec.Health = append(rec.Health, h.Score(id))
+// LedgerAges records the row ages of an n-row δ table — every row's in detail
+// mode, a min/mean/max triple above it — and how many rows are past its
+// staleness bound.
+func LedgerAges(rec *telemetry.RoundRecord, detail bool, t MMDTable, n int) {
+	for k := 0; k < n; k++ {
+		if detail {
+			rec.DeltaAges = append(rec.DeltaAges, t.Age(k))
+		} else {
+			rec.AgeStats.Add(float64(t.Age(k)))
 		}
-		return
+		if t.Stale(k) {
+			rec.StaleRows++
+		}
 	}
-	h.CohortScores(func(_ int, score float64) { rec.HealthStats.Add(score) })
 }

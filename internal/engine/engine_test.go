@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -539,5 +540,62 @@ func TestAggregateSerialAllocatesNothing(t *testing.T) {
 	dst := make([]float64, 64)
 	if avg := testing.AllocsPerRun(50, func() { Aggregate(dst, c.fresh, late, 0.5) }); avg != 0 {
 		t.Fatalf("serial Aggregate allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// Close's ledger block holds each fresh update's norm ‖wₖ − w‖ (SIMD
+// squared-distance kernel) to a private scalar reference within reassociation
+// tolerance, with id and loss aligned and the late folds listed with their
+// ages. Without a record, or when the aggregate fails, it writes no block.
+func TestCloseLedgerNormsMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	vec := func(dim int) []float64 {
+		v := make([]float64, dim)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	for _, dim := range []int{1, 7, 8, 33, 1000} {
+		global := vec(dim)
+		fresh := make([]Update, 4)
+		for c := range fresh {
+			fresh[c] = Update{Client: 10 + c, Samples: float64(c + 1), Loss: float64(c), Params: vec(dim)}
+		}
+		late := []Update{{Client: 3, Samples: 2, Age: 2, Loss: 9, Params: vec(dim)}}
+		var rec telemetry.RoundRecord
+		rec.Reset()
+		if _, ok := Close(nil, &rec, true, 0, global, make([]float64, dim), fresh, late, 0.5); !ok {
+			t.Fatalf("dim=%d: aggregate failed", dim)
+		}
+		if rec.Cohort != 5 || len(rec.ClientNorm) != 4 || len(rec.LateID) != 1 || rec.LateID[0] != 3 || rec.LateAge[0] != 2 {
+			t.Fatalf("dim=%d: cohort %d, %d norms, late %v/%v", dim, rec.Cohort, len(rec.ClientNorm), rec.LateID, rec.LateAge)
+		}
+		for c, u := range fresh {
+			s := 0.0
+			for i, v := range u.Params {
+				d := v - global[i]
+				s += d * d
+			}
+			if rec.ClientID[c] != u.Client || rec.ClientLoss[c] != u.Loss {
+				t.Fatalf("dim=%d entry %d: id %d loss %v, want %d %v", dim, c, rec.ClientID[c], rec.ClientLoss[c], u.Client, u.Loss)
+			}
+			if got, want := rec.ClientNorm[c], math.Sqrt(s); math.Abs(got-want) > 1e-12*float64(dim+1) {
+				t.Fatalf("dim=%d client %d: norm %v vs scalar %v", dim, u.Client, got, want)
+			}
+		}
+	}
+
+	if _, ok := Close(nil, nil, true, 0, []float64{0}, []float64{0}, []Update{{Samples: 1, Params: []float64{1}}}, nil, 0); !ok {
+		t.Fatal("nil record: aggregate failed")
+	}
+	var rec telemetry.RoundRecord
+	rec.Reset()
+	zero := []Update{{Client: 1, Params: []float64{1}}} // Σ nₖ = 0
+	if _, ok := Close(nil, &rec, true, 0, []float64{0}, []float64{0}, zero, zero, 0); ok {
+		t.Fatal("zero-weight cohort aggregated")
+	}
+	if rec.Cohort != 0 || len(rec.ClientID) != 0 || len(rec.ClientNorm) != 0 || len(rec.LateID) != 0 {
+		t.Fatalf("failed aggregate wrote a client block: %+v", rec)
 	}
 }

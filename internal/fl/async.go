@@ -89,7 +89,6 @@ func (f *Federation) applyAsync(round int, outs []ClientOut) ([]ClientOut, []int
 		d := f.deferred[id]
 		agg = append(agg, d.out)
 		ages = append(ages, round-d.round)
-		f.Cfg.Health.ObserveFold(id, round-d.round)
 		delete(f.deferred, id)
 	}
 	return agg, ages

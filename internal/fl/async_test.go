@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/engine"
+	"repro/internal/health"
 	"repro/internal/nn"
+	"repro/internal/telemetry"
 )
 
 // WeightedAverageStale and MeanLossStale were the simulator's own
@@ -235,4 +237,25 @@ func contains(xs []int, x int) bool {
 		}
 	}
 	return false
+}
+
+// The health monitor is fed what the round aggregates, as on the server: an
+// async round's parked stragglers are scored when they fold, not when they
+// finish training, so round 0 scores three of the six clients.
+func TestAsyncHealthFeedsAggregatedOnly(t *testing.T) {
+	f := newAsyncFederation(t, 6, Config{Async: true, BufferK: 3, Seed: 42, SlowFactor: []float64{1, 1, 1, 1, 6, 6}})
+	f.Cfg.Health = health.New(health.Config{Registry: telemetry.NewRegistry()})
+	a := NewFedAvg()
+	a.Setup(f)
+	res := a.Round(0, f.SampleClients(0))
+	var scored []int
+	f.Cfg.Health.CohortScores(func(id int, _ float64) { scored = append(scored, id) })
+	if len(res.ClientLosses) != 3 || len(scored) != 3 {
+		t.Fatalf("aggregated %d clients, health scored %v; want the 3 aggregated", len(res.ClientLosses), scored)
+	}
+	for _, id := range scored {
+		if _, ok := res.ClientLosses[id]; !ok {
+			t.Fatalf("health scored parked client %d (aggregated %v)", id, res.ClientLosses)
+		}
+	}
 }

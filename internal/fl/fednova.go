@@ -74,7 +74,7 @@ func (a *FedNova) server(_ int, global, dbar []float64, agg []ClientOut, ages []
 		pk := float64(o.Client.Data.Len()) * a.F.foldWeight(ages, i) / den
 		tauEff += pk * tau
 	}
-	a.F.aggregate(dbar, agg, ages)
+	a.F.aggregate(nil, nil, 0, nil, dbar, agg, ages)
 	for i := range global {
 		global[i] -= tauEff * dbar[i]
 	}

@@ -87,8 +87,9 @@ type Config struct {
 	// the same span tree the transport deployment produces.
 	Tracer *telemetry.Tracer
 	// Ledger, when non-nil, receives one training-dynamics line per round
-	// (loss, per-client losses/update norms, the pairwise MMD matrix when
-	// the algorithm maintains a δ table, and the accounted wire bytes).
+	// (loss, per-client losses/update norms, async folds, the pairwise MMD
+	// matrix and row ages when the algorithm maintains a δ table, and the
+	// accounted wire bytes).
 	Ledger *telemetry.RunLedger
 	// LedgerDetailN caps per-client ledger detail: federations with more
 	// clients record summary statistics and a sampled MMD sub-matrix
@@ -98,11 +99,11 @@ type Config struct {
 	// Events, when non-nil, receives one JSONL line per lifecycle event.
 	Events *telemetry.EventLog
 
-	// Health, when non-nil, scores every sampled client's contribution in
-	// real time through the transport server's feed (engine.ObserveHealth):
-	// each parameter-reporting MapClients pass gives it one observation per
-	// valid update, async folds are credited with their age, and Run closes
-	// each scoring round after the algorithm's Round returns.
+	// Health, when non-nil, scores every aggregated client's contribution in
+	// real time through the transport server's feed (engine.Close): one
+	// observation per update the round aggregates, async folds credited with
+	// their age, and Run closes each scoring round (engine.EndRound) after the
+	// algorithm's Round returns.
 	Health *health.Monitor
 	// Byzantine marks simulated adversaries by client ID: after local
 	// training each marked client's reported update is rewritten to
@@ -206,9 +207,8 @@ type Worker struct {
 	spanCtx telemetry.SpanContext
 	// loadedFlat aliases the flat slice of the last LoadModel call — the
 	// global this worker's current client trained from, which the
-	// Byzantine rewrite mirrors around and the health monitor diffs
-	// against. Cleared at every MapClients entry so a pass that skips
-	// LoadModel (the δ pass) cannot leak a stale reference.
+	// Byzantine rewrite mirrors around. Cleared at every MapClients entry so
+	// a pass that skips LoadModel (the δ pass) cannot leak a stale reference.
 	loadedFlat []float64
 }
 
@@ -356,32 +356,19 @@ func (o ClientOut) update(age int) engine.Update {
 // validated as the transport server validates a frame; a failing one is left
 // out of the outputs — so out of the aggregate, the health feed and the
 // ledger's client block — with one invalid_update event, where the server
-// evicts the sender. The valid ones feed the health monitor against the global
-// the workers trained from. Passes without parameter outputs (the δ sync) go
-// through untouched.
+// evicts the sender. Passes without parameter outputs (the δ sync) go through
+// untouched.
 func (f *Federation) admit(round int, outs []ClientOut) []ClientOut {
-	kept, ups := outs[:0], f.fresh[:0]
+	kept := outs[:0]
 	for _, o := range outs {
 		if o.Params != nil {
-			u := o.update(0)
-			if err := engine.Validate(u, f.numParams); err != nil {
-				f.Cfg.Events.Emit("invalid_update", round, fmt.Sprintf("client %d: %v", u.Client, err))
+			if err := engine.Validate(o.update(0), f.numParams); err != nil {
+				f.Cfg.Events.Emit("invalid_update", round, fmt.Sprintf("client %d: %v", o.Client.ID, err))
 				continue
 			}
-			ups = append(ups, u)
 		}
 		kept = append(kept, o)
 	}
-	if len(ups) > 0 {
-		for _, w := range f.workers {
-			if w.loadedFlat != nil {
-				engine.ObserveHealth(f.Cfg.Health, round, w.loadedFlat, ups, nil)
-				break
-			}
-		}
-	}
-	clear(ups)
-	f.fresh = ups
 	return kept
 }
 
@@ -479,17 +466,31 @@ func WeightedAverage(outs []ClientOut) []float64 {
 	return dst
 }
 
-// aggregate is the server step over an aggregation set from applyAsync: it
-// writes the mean model into dst — fresh outputs weighted by shard size, folded
-// ones discounted by their staleness — and returns the round's mean training
-// loss. ok is false, dst untouched and the loss NaN when nothing valid
-// reported: the simulator's equivalent of a failed attempt.
-func (f *Federation) aggregate(dst []float64, agg []ClientOut, ages []int) (loss float64, ok bool) {
+// aggregate is the round close (engine.Close) over an aggregation set from
+// applyAsync: it feeds h against global, writes the mean model into dst — fresh
+// outputs weighted by shard size, folded ones discounted by their staleness —
+// fills rec's client block and returns the round's mean training loss. ok is
+// false, dst untouched and the loss NaN when nothing valid reported: the
+// simulator's equivalent of a failed attempt. With h and rec nil it is the
+// bare aggregate.
+func (f *Federation) aggregate(h *health.Monitor, rec *telemetry.RoundRecord, round int, global, dst []float64, agg []ClientOut, ages []int) (loss float64, ok bool) {
 	fresh, late := split(f.fresh[:0], nil, agg, ages)
-	loss, ok = engine.Aggregate(dst, fresh, late, f.Cfg.StalenessLambda)
+	loss, ok = engine.Close(h, rec, f.detail(), round, global, dst, fresh, late, f.Cfg.StalenessLambda)
 	clear(fresh)
 	f.fresh = fresh
 	return loss, ok
+}
+
+// detail reports whether the ledger records per-client detail (engine.Detail).
+func (f *Federation) detail() bool { return engine.Detail(f.Cfg.LedgerDetailN, len(f.Clients)) }
+
+// roundRec is the ledger record the round in progress fills; nil without a
+// ledger. Run resets it before each round.
+func (f *Federation) roundRec() *telemetry.RoundRecord {
+	if f.Cfg.Ledger == nil {
+		return nil
+	}
+	return &f.rec
 }
 
 // evalBatches runs the model over ds in evaluation batches of size b,
@@ -599,11 +600,6 @@ type RoundResult struct {
 	// ClientLosses holds each participating client's mean local training
 	// loss, consumed by loss-adaptive samplers.
 	ClientLosses map[int]float64
-	// ClientNorms holds each participating client's update norm
-	// ‖w_k − w_global‖₂ relative to the round's starting model, a drift
-	// signal the run ledger records. An Algorithm that does not run
-	// Base.Round may leave it nil.
-	ClientNorms map[int]float64
 	// UpScheme names the uplink wire codec ("q8", "q1", …); empty means the
 	// round's uplinks were dense.
 	UpScheme string
@@ -621,20 +617,6 @@ func lossMap(outs []ClientOut) map[int]float64 {
 	return m
 }
 
-// updateNorms computes each reporting client's update norm ‖w_k − w‖₂
-// against the round's starting global model w. The per-client distance runs
-// on the SIMD squared-distance kernel.
-func updateNorms(global []float64, outs []ClientOut) map[int]float64 {
-	m := make(map[int]float64, len(outs))
-	for _, o := range outs {
-		if o.Params == nil {
-			continue
-		}
-		m[o.Client.ID] = math.Sqrt(tensor.SquaredDistanceFloats(o.Params, global))
-	}
-	return m
-}
-
 // MMDReporter is implemented by algorithms that maintain a server-side δ
 // table (rFedAvg, rFedAvg+); the ledger records the pairwise MMD matrix the
 // regularizer is shrinking from it.
@@ -642,9 +624,13 @@ type MMDReporter interface {
 	MMDTable() engine.MMDTable
 }
 
-// PayloadBytes is the wire size of a message carrying n float64 values
-// under the transport codec (8 bytes per value plus framing). Table III and
-// Fig. 10's communication numbers are computed with this.
+// PayloadBytes is the simulator's accounted size of one payload of n float64
+// values: 8 bytes per value plus a nominal 24 bytes of framing. Table III and
+// Fig. 10's simulated communication numbers are computed with it. It is not
+// the transport frame: a dense frame is PayloadBytes(n) + 52 (a 72-byte
+// header and a 4-byte length prefix), and an assign carrying the model and a
+// δ target is one frame on the wire where this counts two payloads. The
+// O(dN²) vs O(dN) comparison holds under either count; the byte totals differ.
 func PayloadBytes(nFloats int) int64 { return int64(8*nFloats) + 24 }
 
 // UplinkBytes is the accounted wire size of one n-float uplink payload
@@ -737,12 +723,13 @@ func Run(f *Federation, alg Algorithm, rounds int) *metrics.History {
 		tRound.Round = c
 		f.roundCtx = tRound.Context()
 		start := time.Now()
+		f.rec.Reset()
 		res := alg.Round(c, sampled)
-		f.Cfg.Health.EndRound(res.TrainLoss)
+		engine.EndRound(f.Cfg.Health, f.roundRec(), f.detail(), res.TrainLoss)
 		tRound.End()
 		// Ledger timing comes from its own clock: an inert span (nil
 		// tracer) has no meaningful start to measure from.
-		f.recordLedger(alg, c, sampled, res, time.Since(start))
+		f.recordLedger(alg, c, res, time.Since(start))
 		if obs, ok := f.Cfg.Sampler.(LossObserver); ok {
 			for id, loss := range res.ClientLosses {
 				obs.Observe(id, loss)
@@ -767,15 +754,15 @@ func Run(f *Federation, alg Algorithm, rounds int) *metrics.History {
 	return h
 }
 
-// recordLedger writes one run-ledger line for a completed round. The record
-// is reused across rounds; simulated rounds never fail, so attempt is always
-// 1 and ok true.
-func (f *Federation) recordLedger(alg Algorithm, round int, sampled []int, res RoundResult, dur time.Duration) {
-	if f.Cfg.Ledger == nil {
+// recordLedger completes and writes the run-ledger line of a round whose close
+// (Base.Round) and health verdict filled the client and health blocks. The
+// record is reused across rounds; simulated rounds never fail, so attempt is
+// always 1 and ok true.
+func (f *Federation) recordLedger(alg Algorithm, round int, res RoundResult, dur time.Duration) {
+	rec := f.roundRec()
+	if rec == nil {
 		return
 	}
-	rec := &f.rec
-	rec.Reset()
 	rec.Algo = alg.Name()
 	rec.Round, rec.Attempt, rec.OK = round, 1, true
 	rec.Loss = res.TrainLoss
@@ -785,27 +772,10 @@ func (f *Federation) recordLedger(alg Algorithm, round int, sampled []int, res R
 		rec.UpScheme = res.UpScheme
 		rec.ReconErr = res.ReconErr
 	}
-	detail := engine.Detail(f.Cfg.LedgerDetailN, len(f.Clients))
-	for _, ci := range sampled {
-		id := f.Clients[ci].ID
-		loss, ok := res.ClientLosses[id]
-		if !ok {
-			continue
-		}
-		norm := math.NaN()
-		if res.ClientNorms != nil {
-			norm = res.ClientNorms[id]
-		}
-		if !detail {
-			rec.Cohort++
-		}
-		engine.LedgerUpdate(rec, detail, id, loss, norm)
-	}
 	if mr, ok := alg.(MMDReporter); ok {
-		engine.LedgerMMD(rec, detail, mr.MMDTable(), len(f.Clients))
-	}
-	if h := f.Cfg.Health; h != nil {
-		engine.LedgerHealth(rec, detail, h)
+		t, detail, n := mr.MMDTable(), f.detail(), len(f.Clients)
+		engine.LedgerMMD(rec, detail, t, n)
+		engine.LedgerAges(rec, detail, t, n)
 	}
 	f.Cfg.Ledger.Record(rec)
 }

@@ -6,48 +6,8 @@ import (
 	"testing"
 )
 
-// Equivalence tests for the aggregation/norm paths rewired onto the SIMD
-// kernels (updateNorms, WeightedAverage): each must agree with a private
-// scalar reference within reassociation tolerance.
-
-func TestUpdateNormsMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, dim := range []int{1, 7, 8, 33, 1000} {
-		global := make([]float64, dim)
-		for i := range global {
-			global[i] = rng.NormFloat64()
-		}
-		outs := make([]ClientOut, 4)
-		for c := range outs {
-			p := make([]float64, dim)
-			for i := range p {
-				p[i] = rng.NormFloat64()
-			}
-			outs[c] = ClientOut{Client: &Client{ID: c}, Params: p}
-		}
-		outs[2].Params = nil // non-reporting client must be skipped
-
-		got := updateNorms(global, outs)
-		if _, ok := got[2]; ok {
-			t.Fatal("updateNorms included a client with nil Params")
-		}
-		for c, o := range outs {
-			if o.Params == nil {
-				continue
-			}
-			s := 0.0
-			for i, v := range o.Params {
-				d := v - global[i]
-				s += d * d
-			}
-			want := math.Sqrt(s)
-			if math.Abs(got[c]-want) > 1e-12*float64(dim+1) {
-				t.Fatalf("dim=%d client %d: norm %v vs scalar %v", dim, c, got[c], want)
-			}
-		}
-	}
-}
-
+// WeightedAverage runs on the SIMD kernels (engine.Aggregate): it must agree
+// with a private scalar reference within reassociation tolerance.
 func TestWeightedAverageMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	dim := 513

@@ -59,11 +59,11 @@ func (b *Base) GlobalParams() []float64 { return b.Global }
 
 // Round runs one communication round: every sampled client loads the global
 // model, runs the client half and reports its local model through the uplink
-// codec; the async buffer decides what closes the round; the engine's
-// aggregate gives the mean and the round's loss; the server half turns the
-// mean into the next global. The codec, the buffer, the update norms and (in
-// MapClients) the validation gate and health feed belong to the round, so
-// they act on every method alike.
+// codec; the async buffer decides what closes the round; the engine's close
+// feeds the health monitor, gives the mean and the round's loss and fills the
+// ledger's client block; the server half turns the mean into the next global.
+// The codec, the buffer, the close and (in MapClients) the validation gate
+// belong to the round, so they act on every method alike.
 func (b *Base) Round(round int, sampled []int) RoundResult {
 	f, m, global := b.F, &b.m, b.Global
 	outs := f.MapClients(round, sampled, func(w *Worker, c *Client, rng *rand.Rand) ClientOut {
@@ -82,9 +82,8 @@ func (b *Base) Round(round int, sampled []int) RoundResult {
 		return out
 	})
 	agg, ages := f.applyAsync(round, outs)
-	norms := updateNorms(global, agg)
 	next := make([]float64, len(global))
-	loss, ok := f.aggregate(next, agg, ages)
+	loss, ok := f.aggregate(f.Cfg.Health, f.roundRec(), round, global, next, agg, ages)
 	if ok {
 		if m.Server != nil {
 			next = m.Server(round, global, next, agg, ages)
@@ -108,7 +107,6 @@ func (b *Base) Round(round int, sampled []int) RoundResult {
 	rr := RoundResult{
 		TrainLoss:    loss,
 		ClientLosses: lossMap(agg),
-		ClientNorms:  norms,
 		DownBytes:    p * down,
 		UpBytes:      p * up,
 	}

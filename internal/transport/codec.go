@@ -1,9 +1,10 @@
 // Package transport provides the wire protocol for running the federated
 // algorithms across real processes: a compact binary codec, in-process and
 // TCP connections with byte accounting, and a synchronous server/client
-// implementation of FedAvg and rFedAvg+ (the flagship algorithm). The
-// simulation path in internal/fl uses the same PayloadBytes accounting, so
-// Table III's communication numbers agree between simulated and real runs.
+// implementation of FedAvg and rFedAvg+ (the flagship algorithm). Its byte
+// counts are frames as written (Message.EncodedSize); the simulator's
+// fl.PayloadBytes is a nominal count that agrees with them on Table III's
+// scaling, not on its byte totals.
 package transport
 
 import (

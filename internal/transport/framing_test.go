@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/fl"
 )
 
 // encodeFrame writes m through a fresh scratch, on the in-place (host byte
@@ -347,5 +348,20 @@ func TestClientUpdateInAssignBufferIsTransportInvariant(t *testing.T) {
 			t.Error("the sign-flipping client left no trace in the round losses")
 		}
 		honest = want
+	}
+}
+
+// fl.PayloadBytes is the simulator's nominal count, not the frame: a dense
+// frame of n floats is 52 bytes more — a 72-byte header and a 4-byte length
+// prefix against the nominal 24 — at every n.
+func TestDenseFrameIsPayloadBytesPlus52(t *testing.T) {
+	for _, n := range []int{0, 48, 39_418} {
+		m := &Message{Type: MsgUpdate, Params: make([]float64, n)}
+		if got := len(encodeFrame(t, m, false)); got != m.EncodedSize() {
+			t.Fatalf("n=%d: wrote %d bytes, EncodedSize says %d", n, got, m.EncodedSize())
+		}
+		if d := int64(m.EncodedSize()) - fl.PayloadBytes(n); d != 52 {
+			t.Errorf("n=%d: EncodedSize − PayloadBytes = %d, want 52", n, d)
+		}
 	}
 }

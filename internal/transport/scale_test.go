@@ -75,17 +75,3 @@ func TestIOParallelBoundedAndComplete(t *testing.T) {
 		t.Fatalf("visited %d of 3 slots with oversized pool", len(seen))
 	}
 }
-
-// streamThreshold knob semantics: 0 inherits the core default, negative
-// disables streaming, positive passes through.
-func TestStreamThresholdKnob(t *testing.T) {
-	if got := streamThreshold(0); got <= 0 {
-		t.Fatalf("streamThreshold(0) = %d, want the positive core default", got)
-	}
-	if got := streamThreshold(-1); got != 0 {
-		t.Fatalf("streamThreshold(-1) = %d, want 0 (disabled)", got)
-	}
-	if got := streamThreshold(5000); got != 5000 {
-		t.Fatalf("streamThreshold(5000) = %d, want 5000", got)
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/health"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 )
 
 // CodecPolicy is the server's preferred wire scheme per payload class. Each
@@ -264,18 +263,6 @@ type session struct {
 	ckImage []byte
 }
 
-// streamThreshold resolves a StreamN knob: 0 → the core default, negative →
-// disabled (0), positive → itself.
-func streamThreshold(streamN int) int {
-	if streamN == 0 {
-		return core.DefaultStreamN
-	}
-	if streamN < 0 {
-		return 0
-	}
-	return streamN
-}
-
 // pendingJoin is a rejoining client that completed its handshake but is
 // waiting for an evicted slot.
 type pendingJoin struct {
@@ -466,12 +453,8 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 		ioMsgs:     make([]*Message, len(conns)),
 		delivered:  make([]bool, len(conns)),
 		global:     append([]float64(nil), cfg.InitialParams...),
-		table:      core.NewDeltaTable(len(conns), max(cfg.FeatureDim, 1)),
+		table:      core.NewServerTable(len(conns), max(cfg.FeatureDim, 1), cfg.MaxStaleness, cfg.StreamN),
 		res:        &ServerResult{},
-	}
-	s.table.MaxStale = cfg.MaxStaleness
-	if streamN := streamThreshold(cfg.StreamN); streamN > 0 && len(conns) >= streamN {
-		s.table.SetStreaming(true)
 	}
 	s.codec.init(cfg.Codec, cfg.Seed, len(conns))
 	s.metrics = newServerMetrics(cfg.Metrics, cfg.Algorithm)
@@ -955,7 +938,10 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 		clear(s.ioMsgs)
 		clear(s.fresh)
 	}()
-	rec := &s.rec
+	var rec *telemetry.RoundRecord // the attempt's ledger record; nil without a ledger
+	if s.cfg.Ledger != nil {
+		rec = &s.rec
+	}
 	detail := engine.Detail(s.cfg.LedgerDetailN, len(s.conns))
 	plus := s.cfg.Algorithm == AlgoRFedAvgPlus
 	population := s.active
@@ -967,10 +953,8 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 		s.awaitAvail(round)
 		population = s.asyncEligible()
 	}
-	if s.cfg.Ledger != nil {
-		if d := s.curDeadline(); d > 0 {
-			rec.DeadlineSec = d.Seconds()
-		}
+	if d := s.curDeadline(); rec != nil && d > 0 {
+		rec.DeadlineSec = d.Seconds()
 	}
 	cohort := make([]bool, len(population))
 	for _, i := range engine.Sample(cohortRNG(s.cfg.Seed, round), population, s.cfg.SampleRatio, s.minClients) {
@@ -1051,7 +1035,7 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 			s.evict(i, round, err.Error())
 			continue
 		}
-		if s.cfg.Ledger != nil && rec.UpScheme == "" {
+		if rec != nil && rec.UpScheme == "" {
 			if m.PParams.N > 0 {
 				rec.UpScheme = m.PParams.Scheme.String()
 			} else if len(params) > 0 {
@@ -1076,21 +1060,13 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 	if len(fresh)+len(late) < s.minClients {
 		return false
 	}
-	// Health, aggregate and ledger all read the validated cohort while
-	// s.global is still the model the clients trained from.
-	engine.ObserveHealth(s.cfg.Health, round, s.global, fresh, late)
+	// The close reads the validated cohort while s.global is still the model
+	// the clients trained from.
 	next := make([]float64, len(s.global))
-	loss, ok := engine.Aggregate(next, fresh, late, s.cfg.StalenessLambda)
+	loss, ok := engine.Close(s.cfg.Health, rec, detail, round, s.global, next, fresh, late, s.cfg.StalenessLambda)
 	if !ok {
 		s.lastFault = "empty effective cohort (wsum = 0)"
 		return false
-	}
-	if s.cfg.Ledger != nil {
-		rec.Cohort = len(fresh) + len(late)
-		for _, u := range fresh {
-			norm := math.Sqrt(tensor.SquaredDistanceFloats(u.Params, s.global))
-			engine.LedgerUpdate(rec, detail, u.Client, u.Loss, norm)
-		}
 	}
 	for _, u := range late {
 		// A folded client is idle again: it joins the second synchronization
@@ -1101,17 +1077,15 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 		lf := s.cfg.Tracer.Start("late_fold", roundCtx)
 		lf.Round, lf.Client = round, u.Client
 		lf.End()
-		if s.cfg.Ledger != nil {
-			rec.LateID = append(rec.LateID, u.Client)
-			rec.LateAge = append(rec.LateAge, u.Age)
-		}
 		s.logf("folded client %d's round-%d update into round %d (age %d, weight %.3f)",
 			u.Client, round-u.Age, round, u.Age, engine.StalenessWeight(u.Age, s.cfg.StalenessLambda))
 	}
 	s.metrics.buffered.Set(float64(s.bufferedCount()))
 	s.global = next
 	s.res.RoundLosses = append(s.res.RoundLosses, loss)
-	rec.Loss = loss
+	if rec != nil {
+		rec.Loss = loss
+	}
 
 	// Sync #2 (rFedAvg+ only): ship the new global model, gather maps.
 	// A client lost here keeps its previous (now stale) row — the
@@ -1149,24 +1123,11 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 				}
 				m.Delta = dec
 			}
-			switch {
-			case len(m.Delta) != s.cfg.FeatureDim:
-				s.evict(i, round, fmt.Sprintf("sent δ of %d dims, want %d", len(m.Delta), s.cfg.FeatureDim))
-			case !engine.Finite(m.Delta):
-				s.evict(i, round, "non-finite δ map")
-			default:
-				s.table.Set(i, m.Delta)
+			if err := s.table.Accept(i, m.Delta); err != nil {
+				s.evict(i, round, err.Error())
 			}
 		}
-		// Per-client MMD drift for the health monitor, over the freshly
-		// synchronized rows.
-		if h := s.cfg.Health; h != nil {
-			for i, m := range deltas {
-				if m != nil && s.table.Occupied(i) {
-					h.ObserveDrift(i, s.table.Drift(i))
-				}
-			}
-		}
+		s.table.ObserveDrift(s.cfg.Health)
 		td.End()
 		dSpan.End()
 	}
@@ -1192,39 +1153,13 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 		s.ctrl.update()
 		s.ctrl.retune(s.conns, s.active)
 	}
-	if s.cfg.Ledger != nil {
+	if rec != nil {
 		if plus {
 			engine.LedgerMMD(rec, detail, s.table, s.table.N)
 		}
-		stale := 0
-		var at telemetry.StatTriple
-		for k := 0; k < s.table.N; k++ {
-			age := s.table.Age(k)
-			if detail {
-				rec.DeltaAges = append(rec.DeltaAges, age)
-			} else {
-				at.Add(float64(age))
-			}
-			if s.cfg.MaxStaleness > 0 && age > s.cfg.MaxStaleness {
-				stale++
-			}
-		}
-		if !detail {
-			rec.AgeStats = at
-		}
-		rec.StaleRows = stale
+		engine.LedgerAges(rec, detail, s.table, s.table.N)
 	}
-
-	// Close the health round: robust statistics, scores, rules, verdict —
-	// then ledger the result (per-client scores in detail mode, a
-	// min/mean/max triple in summary mode).
-	if h := s.cfg.Health; h != nil {
-		h.EndRound(loss)
-		if s.cfg.Ledger != nil {
-			engine.LedgerHealth(rec, detail, h)
-		}
-	}
-
+	engine.EndRound(s.cfg.Health, rec, detail, loss)
 	s.res.Cohorts = append(s.res.Cohorts, RoundCohort{Round: round, Mask: cohort})
 	s.metrics.rounds.Inc()
 	return true
