@@ -37,8 +37,12 @@ test: vet
 # the /debug/fl/health handler reads (health), and the series every client
 # goroutine and IO-pool worker writes (telemetry). -race also turns on
 # checkptr, which checks the framing's unsafe.Slice views of float64 payloads.
+# The second line repeats the pipe and lend tests: whether a pipe frame is
+# copied into a parked receiver's lent weights or queued is the scheduler's
+# choice, so one pass sees only some of the interleavings.
 test-race:
 	go test -race ./internal/fl/... ./internal/core/... ./internal/engine/... ./internal/tensor/... ./internal/nn/... ./internal/transport/... ./internal/compress/... ./internal/health/... ./internal/telemetry/...
+	go test -race -count=20 -run 'Pipe|Lend' ./internal/transport/
 
 # The purego tag drops the AVX2 micro-kernel and SIMD element loops, so this
 # is the only run that puts the scalar kernels every non-amd64 build uses

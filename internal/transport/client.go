@@ -105,7 +105,7 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 	// needs after training — no lossy uplink to difference against it, no
 	// self-monitor — becomes the weights: no copy, and nothing at all when the
 	// conn read it into them. From then on lent is those weights, and a conn
-	// that can (see streamConn.lend; a wrapped or in-process one cannot) is
+	// that can (streamConn and inprocConn lend; a wrapped one cannot) is
 	// offered them before each Recv: every frame that carries a model replaces
 	// them anyway. Any other frame is copied in, and if it landed in the lent
 	// weights it keeps them and the network moves onto storage of its own.

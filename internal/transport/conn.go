@@ -19,11 +19,12 @@ import (
 // A dense RunClient builds on those two rules to hold one model-sized buffer,
 // its network's weights. A received dense model may become the weights
 // (nn.Network.AdoptFlat, no copy). The update is sent from the weights, so
-// they are not touched until Send returns. And a conn that reads frames
-// itself is lent adopted weights before each Recv (streamConn.lend): a lent
-// slice may come back as m.Params. Nothing is pooled — a buffer kept between
-// rounds would show in the heap the benchmark reads there; the weights are
-// the one model-sized thing a client keeps anyway.
+// they are not touched until Send returns. And an unwrapped stream or pipe
+// conn is lent adopted weights before each Recv (lend): a lent slice may come
+// back as m.Params, written only by that conn while its owner waits in that
+// Recv. Nothing is pooled — a buffer kept between rounds would show in the
+// heap the benchmark reads there; the weights are the one model-sized thing
+// a client keeps anyway.
 //
 // A connection carries each global model once: after a MsgDeltaReq the
 // client keeps that model loaded and the next MsgAssign may arrive
@@ -129,67 +130,120 @@ func (l *Listener) Close() error { return l.l.Close() }
 
 // inprocConn is one endpoint of an in-process connection pair.
 type inprocConn struct {
-	in       chan *Message
-	out      chan *Message
+	in, out  *pipeQueue
 	sent     atomic.Int64
 	received atomic.Int64
-	closed   chan struct{}
+	// lent is the receiver's offer for the next Recv, made and consumed on the
+	// goroutine that calls it (see lend).
+	lent []float64
+}
+
+// pipeDepth is how many frames one direction of a Pipe holds before Send
+// waits for the receiver.
+const pipeDepth = 16
+
+// pipeQueue is one direction of a Pipe: a monitor over the frames sent and
+// not yet received.
+type pipeQueue struct {
+	mu     sync.Mutex
+	cond   sync.Cond // broadcast when a frame is queued or taken, and on close
+	frames [pipeDepth]*Message
+	head   int // frames[head] is the oldest of n queued, in ring order
+	n      int
+	// parked is set while the receiver waits in Recv on an empty queue, and
+	// lent is its offer until a Send copies a frame into it.
+	parked bool
+	lent   []float64
+	closed bool
+}
+
+func newPipeQueue() *pipeQueue {
+	q := new(pipeQueue)
+	q.cond.L = &q.mu
+	return q
 }
 
 // Pipe returns two connected in-process endpoints, used by tests and by
-// single-process multi-goroutine deployments. The channel buffer is large
-// enough that the synchronous round protocol never deadlocks.
+// single-process multi-goroutine deployments. Each direction queues up to 16
+// frames before Send waits, which the synchronous round protocol never
+// reaches; a Send to a receiver already parked in Recv never waits. Closing
+// either endpoint closes both.
 func Pipe() (Conn, Conn) {
-	a2b := make(chan *Message, 16)
-	b2a := make(chan *Message, 16)
-	closed := make(chan struct{})
-	a := &inprocConn{in: b2a, out: a2b, closed: closed}
-	b := &inprocConn{in: a2b, out: b2a, closed: closed}
-	return a, b
+	a2b, b2a := newPipeQueue(), newPipeQueue()
+	return &inprocConn{in: b2a, out: a2b}, &inprocConn{in: a2b, out: b2a}
 }
 
+// Send delivers a copy: a TCP conn naturally isolates the two endpoints
+// through encode/decode, and pipes must match, or every pipe client of one
+// broadcast would share the server's backing slice by reference. A frame for
+// a receiver parked on an empty queue with an offer it fits is copied into
+// the lent slice — its owner is blocked until this frame wakes it — and any
+// other frame is queued as a Clone.
 func (c *inprocConn) Send(m *Message) error {
-	// Check closure first: with a buffered channel the select below could
-	// otherwise pick the send arm even after Close.
-	select {
-	case <-c.closed:
-		return fmt.Errorf("transport: send on closed pipe")
-	default:
+	q := c.out
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.n == pipeDepth && !q.closed {
+		q.cond.Wait()
 	}
-	// Deliver a deep copy: a TCP conn naturally isolates the two endpoints
-	// through encode/decode, and pipes must match, or every pipe client of
-	// one broadcast would share the server's backing slice by reference.
-	select {
-	case <-c.closed:
+	if q.closed {
 		return fmt.Errorf("transport: send on closed pipe")
-	case c.out <- m.Clone():
-		c.sent.Add(int64(m.EncodedSize()))
-		return nil
 	}
+	var d *Message
+	if lent := q.lent; len(lent) > 0 && len(m.Params) == len(lent) {
+		shallow := *m
+		shallow.Params = nil
+		d = shallow.Clone()
+		d.Params = lent
+		copy(lent, m.Params)
+		q.lent = nil
+	} else {
+		d = m.Clone()
+	}
+	q.frames[(q.head+q.n)%pipeDepth] = d
+	q.n++
+	q.cond.Broadcast()
+	c.sent.Add(int64(m.EncodedSize()))
+	return nil
 }
 
+// lend is streamConn.lend for a pipe: the offer reaches a Send only if this
+// Recv finds nothing queued and parks.
+func (c *inprocConn) lend(v []float64) { c.lent = v }
+
+// Recv returns the oldest queued frame, waiting for one; after Close it
+// drains what is queued, then reports io.EOF.
 func (c *inprocConn) Recv() (*Message, error) {
-	select {
-	case <-c.closed:
-		// Drain anything already queued before reporting closure.
-		select {
-		case m := <-c.in:
-			c.received.Add(int64(m.EncodedSize()))
-			return m, nil
-		default:
-			return nil, io.EOF
+	lent := c.lent
+	c.lent = nil
+	q := c.in
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.n == 0 && !q.closed {
+		q.parked, q.lent = true, lent
+		for q.n == 0 && !q.closed {
+			q.cond.Wait()
 		}
-	case m := <-c.in:
-		c.received.Add(int64(m.EncodedSize()))
-		return m, nil
+		q.parked, q.lent = false, nil
 	}
+	if q.n == 0 {
+		return nil, io.EOF
+	}
+	m := q.frames[q.head]
+	q.frames[q.head] = nil
+	q.head = (q.head + 1) % pipeDepth
+	q.n--
+	q.cond.Broadcast()
+	c.received.Add(int64(m.EncodedSize()))
+	return m, nil
 }
 
 func (c *inprocConn) Close() error {
-	select {
-	case <-c.closed:
-	default:
-		close(c.closed)
+	for _, q := range [2]*pipeQueue{c.in, c.out} {
+		q.mu.Lock()
+		q.closed = true
+		q.cond.Broadcast()
+		q.mu.Unlock()
 	}
 	return nil
 }

@@ -46,75 +46,135 @@ func untouched(v []float64) bool {
 	return true
 }
 
+// lendConn is a conn RunClient can lend its weights to.
+type lendConn interface {
+	Conn
+	lend([]float64)
+}
+
+// lendKinds are the conns that take offers. open returns a receiver that gets
+// msgs in order: a streamConn reading their frames, or a pipe end each is sent
+// to once it is parked in Recv with nothing queued.
+var lendKinds = []struct {
+	name string
+	open func(t *testing.T, msgs ...*Message) lendConn
+}{
+	{"stream", func(t *testing.T, msgs ...*Message) lendConn {
+		var raw []byte
+		for _, m := range msgs {
+			raw = append(raw, encodeFrame(t, m, false)...)
+		}
+		return &streamConn{rw: discardConn{bytes.NewReader(raw)}}
+	}},
+	{"pipe", func(t *testing.T, msgs ...*Message) lendConn {
+		a, b := Pipe()
+		t.Cleanup(func() { a.Close() })
+		recv := b.(*inprocConn)
+		go func() {
+			for _, m := range msgs {
+				if !waitParked(recv) || a.Send(m) != nil {
+					return
+				}
+			}
+		}()
+		return recv
+	}},
+}
+
+// waitParked waits until c is parked in Recv with nothing queued; false once
+// the pipe is closed.
+func waitParked(c *inprocConn) bool {
+	q := c.in
+	for {
+		q.mu.Lock()
+		parked, closed := q.parked && q.n == 0, q.closed
+		q.mu.Unlock()
+		if closed || parked {
+			return !closed
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
 // TestLendSemantics: the offer is for one Recv and for one shape of frame —
-// a dense Params section of exactly the lent length.
+// a dense Params section of exactly the lent length — on every conn kind
+// that takes offers. A pipe takes it only while its receiver is parked.
 func TestLendSemantics(t *testing.T) {
 	const n = 300
 	model := randomFloats(rand.New(rand.NewSource(21)), n)
-	frame := func(m *Message) []byte { return encodeFrame(t, m, false) }
-	match := frame(&Message{Type: MsgDeltaReq, Round: 3, Params: model})
+	match := &Message{Type: MsgDeltaReq, Round: 3, Params: model}
 	packed := make([]byte, compress.EncodedBytes(compress.SchemeF32, n))
-	declined := map[string][]byte{
-		"shorter model":  frame(&Message{Type: MsgAssign, Params: model[:n-1]}),
-		"longer model":   frame(&Message{Type: MsgAssign, Params: append(model[:n:n], 1)}),
-		"packed model":   frame(&Message{Type: MsgAssign, PParams: PackedVec{Scheme: compress.SchemeF32, N: n, Data: packed}}),
-		"elided assign":  frame(&Message{Type: MsgAssign, Round: 4, Delta: model[:12]}),
-		"δ of the model": frame(&Message{Type: MsgAssign, Delta: model}),
+	declined := map[string]*Message{
+		"shorter model":  {Type: MsgAssign, Params: model[:n-1]},
+		"longer model":   {Type: MsgAssign, Params: append(model[:n:n], 1)},
+		"packed model":   {Type: MsgAssign, PParams: PackedVec{Scheme: compress.SchemeF32, N: n, Data: packed}},
+		"elided assign":  {Type: MsgAssign, Round: 4, Delta: model[:12]},
+		"δ of the model": {Type: MsgAssign, Delta: model},
 	}
-	for name, raw := range declined {
+	for name, want := range declined {
 		t.Run(name, func(t *testing.T) {
-			// The declined frame is followed by a matching one: the offer must
-			// be gone by then.
-			c := &streamConn{rw: discardConn{bytes.NewReader(append(append([]byte(nil), raw...), match...))}}
-			lent := make([]float64, n)
-			sentinels(lent)
-			c.lend(lent)
-			want, err := ReadMessage(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := c.Recv()
-			if err != nil || !sameMessage(got, want) {
-				t.Fatalf("declined frame read as %+v, %v", got, err)
-			}
-			if sameVector(got.Params, lent) || !untouched(lent) {
-				t.Fatal("a frame the offer does not cover was read into the lent slice")
-			}
-			next, err := c.Recv()
-			if err != nil || !sameFloatBits(next.Params, model) {
-				t.Fatalf("following frame: %+v, %v", next, err)
-			}
-			if sameVector(next.Params, lent) || !untouched(lent) {
-				t.Fatal("the offer outlived the Recv it was made for")
+			for _, kind := range lendKinds {
+				t.Run(kind.name, func(t *testing.T) {
+					// The declined frame is followed by a matching one: the
+					// offer must be gone by then.
+					c := kind.open(t, want, match)
+					lent := make([]float64, n)
+					sentinels(lent)
+					c.lend(lent)
+					got, err := c.Recv()
+					if err != nil || !sameMessage(got, want) {
+						t.Fatalf("declined frame read as %+v, %v", got, err)
+					}
+					if sameVector(got.Params, lent) || !untouched(lent) {
+						t.Fatal("a frame the offer does not cover was read into the lent slice")
+					}
+					next, err := c.Recv()
+					if err != nil || !sameFloatBits(next.Params, model) {
+						t.Fatalf("following frame: %+v, %v", next, err)
+					}
+					if sameVector(next.Params, lent) || !untouched(lent) {
+						t.Fatal("the offer outlived the Recv it was made for")
+					}
+				})
 			}
 		})
 	}
 	t.Run("matching model", func(t *testing.T) {
-		both := frame(&Message{Type: MsgAssign, Round: 5, Params: model, Delta: model})
-		c := &streamConn{rw: discardConn{bytes.NewReader(append(append([]byte(nil), match...), both...))}}
-		for _, wantDelta := range [][]float64{nil, model} {
-			lent := make([]float64, n)
-			sentinels(lent)
-			c.lend(lent)
-			m, err := c.Recv()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameVector(m.Params, lent) || !sameFloatBits(lent, model) {
-				t.Fatal("a matching frame's Params must be the lent slice, filled with the model")
-			}
-			if !sameFloatBits(m.Delta, wantDelta) || sameVector(m.Delta, lent) {
-				t.Fatal("Delta is never read into lent storage")
-			}
-		}
-		if got, want := c.BytesReceived(), int64(len(match)+len(both)); got != want {
-			t.Fatalf("BytesReceived %d, want %d", got, want)
+		both := &Message{Type: MsgAssign, Round: 5, Params: model, Delta: model}
+		for _, kind := range lendKinds {
+			t.Run(kind.name, func(t *testing.T) {
+				c := kind.open(t, match, both, match)
+				var lent []float64
+				for _, wantDelta := range [][]float64{nil, model} {
+					lent = make([]float64, n)
+					sentinels(lent)
+					c.lend(lent)
+					m, err := c.Recv()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameVector(m.Params, lent) || !sameFloatBits(lent, model) {
+						t.Fatal("a matching frame's Params must be the lent slice, filled with the model")
+					}
+					if !sameFloatBits(m.Delta, wantDelta) || sameVector(m.Delta, lent) {
+						t.Fatal("Delta is never read into lent storage")
+					}
+				}
+				// The offer expires with the Recv it was made for.
+				sentinels(lent)
+				if m, err := c.Recv(); err != nil || sameVector(m.Params, lent) || !untouched(lent) {
+					t.Fatal("a matching frame after the offer's Recv was read into the lent slice")
+				}
+				if got, want := c.BytesReceived(), int64(2*match.EncodedSize()+both.EncodedSize()); got != want {
+					t.Fatalf("BytesReceived %d, want %d", got, want)
+				}
+			})
 		}
 	})
 	t.Run("big-endian host", func(t *testing.T) {
 		lent := make([]float64, n)
 		sentinels(lent)
-		m, err := readFrameInto(bytes.NewReader(match), false, lent)
+		m, err := readFrameInto(bytes.NewReader(encodeFrame(t, match, false)), false, lent)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,11 +183,141 @@ func TestLendSemantics(t *testing.T) {
 		}
 	})
 	t.Run("short read", func(t *testing.T) {
-		c := &streamConn{rw: discardConn{bytes.NewReader(match[:len(match)-8*n/2])}}
+		raw := encodeFrame(t, match, false)
+		c := &streamConn{rw: discardConn{bytes.NewReader(raw[:len(raw)-8*n/2])}}
 		lent := make([]float64, n)
 		c.lend(lent)
 		if m, err := c.Recv(); err == nil || m != nil {
 			t.Fatalf("truncated frame read as (%v, %v)", m, err)
+		}
+	})
+	t.Run("pipe", func(t *testing.T) { testPipeLend(t, model) })
+}
+
+// testPipeLend is what only a pipe can get wrong: a frame that waited in the
+// queue, a sender that reuses its slices, order across the two deliveries,
+// and Close.
+func testPipeLend(t *testing.T, model []float64) {
+	n := len(model)
+	pair := func(t *testing.T) (send func(*Message), recv *inprocConn) {
+		a, b := Pipe()
+		t.Cleanup(func() { a.Close() })
+		return func(m *Message) {
+			if err := a.Send(m); err != nil {
+				t.Error(err)
+			}
+		}, b.(*inprocConn)
+	}
+	offered := func(c *inprocConn) []float64 {
+		lent := make([]float64, n)
+		sentinels(lent)
+		c.lend(lent)
+		return lent
+	}
+	t.Run("queued before Recv", func(t *testing.T) {
+		send, c := pair(t)
+		send(&Message{Type: MsgDeltaReq, Params: model})
+		lent := offered(c)
+		m, err := c.Recv()
+		if err != nil || !sameFloatBits(m.Params, model) {
+			t.Fatalf("queued frame: %+v, %v", m, err)
+		}
+		if sameVector(m.Params, lent) || sameVector(m.Params, model) || !untouched(lent) {
+			t.Fatal("a queued frame must arrive in a fresh slice, not the lent one nor the sender's")
+		}
+	})
+	t.Run("sender's slices", func(t *testing.T) {
+		send, c := pair(t)
+		delta := model[:12]
+		scratch := func() *Message {
+			return &Message{Type: MsgAssign, Params: slices.Clone(model), Delta: slices.Clone(delta)}
+		}
+		overwrite := func(m *Message) {
+			clear(m.Params)
+			clear(m.Delta)
+		}
+		queued := scratch()
+		send(queued)
+		overwrite(queued)
+		first, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lent := offered(c)
+		direct := scratch()
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			if waitParked(c) {
+				send(direct)
+				overwrite(direct)
+			}
+		}()
+		second, err := c.Recv()
+		if err != nil || !sameVector(second.Params, lent) {
+			t.Fatalf("parked receiver: %v, or Params are not the lent slice", err)
+		}
+		<-sent
+		for i, m := range []*Message{first, second} {
+			if !sameFloatBits(m.Params, model) || !sameFloatBits(m.Delta, delta) {
+				t.Fatalf("frame %d changed with the sender's slices after Send returned", i)
+			}
+		}
+	})
+	t.Run("FIFO", func(t *testing.T) {
+		send, c := pair(t)
+		req := func(r int32) *Message { return &Message{Type: MsgDeltaReq, Round: r, Params: model} }
+		send(req(0))
+		send(req(1))
+		// 2 goes to a parked receiver; 3 and 4 follow straight on, to the
+		// queue or to the receiver parked again, whichever the scheduler makes.
+		go func() {
+			if waitParked(c) {
+				send(req(2))
+				send(req(3))
+				send(req(4))
+			}
+		}()
+		for r := int32(0); r < 5; r++ {
+			lent := offered(c)
+			m, err := c.Recv()
+			if err != nil || m.Round != r || !sameFloatBits(m.Params, model) {
+				t.Fatalf("Recv %d: round %v, %v", r, m, err)
+			}
+			if landed := sameVector(m.Params, lent); (r < 2 && landed) || (r == 2 && !landed) {
+				t.Fatalf("round %d landed in the offer: %v", r, landed)
+			}
+		}
+	})
+	t.Run("close drains", func(t *testing.T) {
+		send, c := pair(t)
+		send(&Message{Type: MsgAssign, Round: 0, Params: model})
+		send(&Message{Type: MsgAssign, Round: 1})
+		c.Close()
+		for r := int32(0); r < 2; r++ {
+			lent := offered(c)
+			if m, err := c.Recv(); err != nil || m.Round != r || sameVector(m.Params, lent) {
+				t.Fatalf("queued frame %d after Close: %+v, %v", r, m, err)
+			}
+		}
+		lent := offered(c)
+		if m, err := c.Recv(); err != io.EOF || m != nil || !untouched(lent) {
+			t.Fatalf("drained pipe: (%v, %v), want io.EOF", m, err)
+		}
+		if err := c.Send(&Message{Type: MsgUpdate}); err == nil {
+			t.Fatal("Send on a closed pipe succeeded")
+		}
+	})
+	t.Run("close wakes a parked receiver", func(t *testing.T) {
+		_, c := pair(t)
+		go func() {
+			if waitParked(c) {
+				c.Close()
+			}
+		}()
+		lent := offered(c)
+		if m, err := c.Recv(); err != io.EOF || m != nil || !untouched(lent) {
+			t.Fatalf("parked receiver on Close: (%v, %v), want io.EOF", m, err)
 		}
 	})
 }
@@ -167,19 +357,21 @@ func fuzzLent(t *testing.T, raw []byte, plain *Message, plainErr error) {
 	}
 }
 
-// lendSpy is a client's streamConn that counts the offers RunClient makes and
-// the frames that landed in one.
+// lendSpy is a client's conn that counts the offers RunClient makes and the
+// frames that landed in one.
 type lendSpy struct {
-	*streamConn
+	lendConn
+	offer         []float64
 	lends, landed int
 }
 
-func (s *lendSpy) lend(v []float64) { s.lends++; s.streamConn.lend(v) }
+func (s *lendSpy) lend(v []float64) { s.lends++; s.offer = v; s.lendConn.lend(v) }
 
 func (s *lendSpy) Recv() (*Message, error) {
-	lent := s.streamConn.lent
-	m, err := s.streamConn.Recv()
-	if err == nil && sameVector(m.Params, lent) {
+	offer := s.offer
+	s.offer = nil
+	m, err := s.lendConn.Recv()
+	if err == nil && sameVector(m.Params, offer) {
 		s.landed++
 	}
 	return m, err
@@ -214,9 +406,9 @@ func (a *lendOutcome) diff(b *lendOutcome) error {
 	return nil
 }
 
-// lendRun is one loopback-TCP session on the shared fixture. With hide set
-// every client conn is wrapped so that RunClient cannot see lend — the path
-// every conn took before lending existed.
+// lendRun is one session on the shared fixture, over loopback TCP or pipes.
+// With hide set every client conn is wrapped so that RunClient cannot see
+// lend — the path every conn took before lending existed.
 type lendRun struct {
 	algo   Algorithm
 	shape  func(*ServerConfig)
@@ -225,11 +417,12 @@ type lendRun struct {
 	// lives, when set, replaces the plain RunClient call of one slot: it gets
 	// a dialer for further connections (server ends go to the rejoin queue).
 	lives func(i int, first Conn, redial func() Conn, run func(Conn) ([]float64, error)) ([]float64, error)
-	// stream wraps the socket of a client's first life below the framing.
-	stream func(i int, nc net.Conn) io.ReadWriteCloser
+	// cut, when positive, is how many bytes a slot's first life reads before
+	// its conn fails — over TCP below the framing, part-way through a frame.
+	cut func(i int) int
 }
 
-func (r lendRun) run(t *testing.T, fx *federatedFixture, hide bool) *lendOutcome {
+func (r lendRun) run(t *testing.T, fx *federatedFixture, overPipe, hide bool) *lendOutcome {
 	t.Helper()
 	clients := len(fx.shards)
 	out := &lendOutcome{clientFinals: make([][]float64, clients), spies: make([]*lendSpy, clients)}
@@ -245,15 +438,29 @@ func (r lendRun) run(t *testing.T, fx *federatedFixture, hide bool) *lendOutcome
 	var mu sync.Mutex
 	var ends [][2]Conn // every connection's server and client end
 	dial := func(i int, first bool) (server, client Conn) {
-		s, c := tcpPair(t)
-		var rw io.ReadWriteCloser = c
-		if first && r.stream != nil {
-			rw = r.stream(i, c)
+		budget := 0
+		if first && r.cut != nil {
+			budget = r.cut(i)
 		}
-		sc := &lendSpy{streamConn: &streamConn{rw: rw}}
-		server, client = NewStreamConn(s), sc
+		sc := new(lendSpy)
+		if overPipe {
+			var c Conn
+			server, c = Pipe()
+			sc.lendConn = c.(*inprocConn)
+			if budget > 0 {
+				sc.lendConn = &cutPipe{inprocConn: c.(*inprocConn), budget: int64(budget)}
+			}
+		} else {
+			s, c := tcpPair(t)
+			var rw io.ReadWriteCloser = c
+			if budget > 0 {
+				rw = &cutStream{Conn: c, budget: budget}
+			}
+			server, sc.lendConn = NewStreamConn(s), &streamConn{rw: rw}
+		}
+		client = sc
 		if hide {
-			client = struct{ Conn }{sc.streamConn}
+			client = struct{ Conn }{sc.lendConn}
 		} else if first {
 			out.spies[i] = sc
 		}
@@ -331,10 +538,26 @@ func (c *cutStream) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// cutPipe is cutStream for a pipe end: the Recv that takes the received
+// total past budget bytes fails, with its frame already delivered.
+type cutPipe struct {
+	*inprocConn
+	budget int64
+}
+
+func (c *cutPipe) Recv() (*Message, error) {
+	m, err := c.inprocConn.Recv()
+	if err == nil && c.BytesReceived() > c.budget {
+		return nil, fmt.Errorf("cut pipe: killed")
+	}
+	return m, err
+}
+
 // TestLendModeEdges runs each session shape twice over loopback TCP — lend
 // visible to RunClient, lend hidden — and requires the same losses, models
 // and wire bytes to the bit; landed pins how many frames slot 0's conn read
-// into the weights, so that a case cannot pass by never lending.
+// into the weights, so that a case cannot pass by never lending. Each shape
+// then runs over pipes, lend visible, and must match the TCP run.
 func TestLendModeEdges(t *testing.T) {
 	fx := newFixture(t, 4)
 	nParams := fx.builder(fx.ccfg.ModelSeed).NumParams()
@@ -380,11 +603,11 @@ func TestLendModeEdges(t *testing.T) {
 		// with the cut, both lives lend.
 		{"kill and rejoin", lendRun{algo: AlgoRFedAvgPlus,
 			shape: func(c *ServerConfig) { c.MinClients = 4 },
-			stream: func(i int, nc net.Conn) io.ReadWriteCloser {
+			cut: func(i int) int {
 				if i != 2 {
-					return nc
+					return 0
 				}
-				return &cutStream{Conn: nc, budget: 8*nParams*5/2 + 1024}
+				return 8*nParams*5/2 + 1024
 			},
 			lives: func(i int, first Conn, redial func() Conn, run func(Conn) ([]float64, error)) ([]float64, error) {
 				if i != 2 {
@@ -399,7 +622,7 @@ func TestLendModeEdges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			lent, hidden := tc.run.run(t, fx, false), tc.run.run(t, fx, true)
+			lent, hidden := tc.run.run(t, fx, false, false), tc.run.run(t, fx, false, true)
 			if err := lent.diff(hidden); err != nil {
 				t.Fatalf("lending changed the session: %v", err)
 			}
@@ -409,6 +632,18 @@ func TestLendModeEdges(t *testing.T) {
 			if lent.rejoins != tc.rejoins {
 				t.Fatalf("%d rejoins, want %d", lent.rejoins, tc.rejoins)
 			}
+			// A pipe delivers into the offer only to a receiver already
+			// parked, so how many frames land is the scheduler's; that some
+			// do, or none where TCP lands none, is not.
+			t.Run("pipe", func(t *testing.T) {
+				piped := tc.run.run(t, fx, true, false)
+				if err := piped.diff(lent); err != nil {
+					t.Fatalf("the pipe session differs from the TCP one: %v", err)
+				}
+				if spy := piped.spies[0]; tc.landed >= 0 && (spy.landed > 0) != (tc.landed > 0) {
+					t.Fatalf("slot 0: %d frames landed in lent weights (%d offers), TCP lands %d", spy.landed, spy.lends, tc.landed)
+				}
+			})
 		})
 	}
 }
@@ -501,12 +736,14 @@ func TestLendUplinkSwitchKeepsRoundStartModel(t *testing.T) {
 }
 
 // TestDenseClientRoundAllocatesNoModel is the regression test for the claim:
-// over loopback TCP a dense rFedAvg+ client allocates less than a quarter of
-// one model per steady-state round — and, behind a conn that hides lend (a
-// deadline or tracing wrapper), the δ request's read and nothing else
-// model-sized — in fewer than 16 objects, none of them the local step's. The peer is a script that replays pre-encoded frames and
-// discards the replies, so nothing model-sized is allocated on its side of
-// the measurement.
+// over loopback TCP or a pipe a dense rFedAvg+ client allocates less than a
+// quarter of one model per steady-state round — and, behind a conn that hides
+// lend (a deadline or tracing wrapper), the δ request's read and nothing else
+// model-sized — in fewer than 16 objects, none of them the local step's. The
+// peer is a script that replays pre-built frames and discards the replies,
+// so nothing model-sized is allocated on its side of the measurement: over
+// TCP it skips the reply bytes, over a pipe it lends one buffer to its own
+// Recv and sends each frame only once both ends are parked in Recv.
 func TestDenseClientRoundAllocatesNoModel(t *testing.T) {
 	const rounds, featureDim = 6, 12
 	train := data.SynthMNIST(64, 1)
@@ -516,25 +753,32 @@ func TestDenseClientRoundAllocatesNoModel(t *testing.T) {
 	model := builder(7).GetFlat()
 	cfg := ClientConfig{Builder: builder, ModelSeed: 7, Seed: 3,
 		LocalSteps: 1, BatchSize: 4, LR: opt.ConstLR(0.01), Lambda: 1e-3}
-	// Every frame is encoded before a measured window opens.
-	frame := func(m *Message) []byte { return encodeFrame(t, m, false) }
-	var script [rounds][2][]byte
+	var script [rounds][2]*Message
 	for r := range script {
-		script[r][0] = frame(&Message{Type: MsgAssign, Round: int32(r), Delta: make([]float64, featureDim)})
-		script[r][1] = frame(&Message{Type: MsgDeltaReq, Round: int32(r), Params: model})
+		script[r][0] = &Message{Type: MsgAssign, Round: int32(r), Delta: make([]float64, featureDim)}
+		script[r][1] = &Message{Type: MsgDeltaReq, Round: int32(r), Params: model}
 	}
-	script[0][0] = frame(&Message{Type: MsgAssign, Params: model})
-	bye := frame(&Message{Type: MsgDone, Params: model})
+	script[0][0] = &Message{Type: MsgAssign, Params: model}
+	bye := &Message{Type: MsgDone, Params: model}
+	all := []*Message{bye}
+	for r := range script {
+		all = append(all, script[r][:]...)
+	}
 
 	for _, tc := range []struct {
 		name         string
-		hide         bool
+		pipe, hide   bool
 		modelsAtMost float64
-	}{{"lend visible", false, 0.25}, {"lend hidden", true, 1.25}} {
+	}{{"lend visible", false, false, 0.25}, {"lend hidden", false, true, 1.25}, {"pipe, lend visible", true, false, 0.25}} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, c := tcpPair(t)
-			defer s.Close()
-			conn := NewStreamConn(c)
+			var conn Conn
+			var send func(*Message)
+			var reply func()
+			if tc.pipe {
+				conn, send, reply = scriptedPipePeer(t, len(model))
+			} else {
+				conn, send, reply = scriptedTCPPeer(t, all...)
+			}
 			if tc.hide {
 				conn = struct{ Conn }{conn}
 			}
@@ -543,23 +787,6 @@ func TestDenseClientRoundAllocatesNoModel(t *testing.T) {
 				_, err := RunClient(conn, train, cfg)
 				done <- err
 			}()
-			// reply reads one frame off the socket without decoding it.
-			var prefix [4]byte
-			reply := func() {
-				t.Helper()
-				if _, err := io.ReadFull(s, prefix[:]); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := io.CopyN(io.Discard, s, int64(binary.LittleEndian.Uint32(prefix[:]))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			send := func(raw []byte) {
-				t.Helper()
-				if _, err := s.Write(raw); err != nil {
-					t.Fatal(err)
-				}
-			}
 			reply() // join
 			var before, after runtime.MemStats
 			for r := range script {
@@ -590,4 +817,62 @@ func TestDenseClientRoundAllocatesNoModel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// scriptedTCPPeer is the TCP side of TestDenseClientRoundAllocatesNoModel:
+// the client's conn, a send that writes msgs' frames — every one encoded
+// before a measured window opens — and a reply that skips one frame's bytes
+// without decoding them.
+func scriptedTCPPeer(t *testing.T, msgs ...*Message) (Conn, func(*Message), func()) {
+	s, c := tcpPair(t)
+	t.Cleanup(func() { s.Close() })
+	frames := map[*Message][]byte{}
+	for _, m := range msgs {
+		frames[m] = encodeFrame(t, m, false)
+	}
+	send := func(m *Message) {
+		if _, err := s.Write(frames[m]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var prefix [4]byte
+	reply := func() {
+		if _, err := io.ReadFull(s, prefix[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.CopyN(io.Discard, s, int64(binary.LittleEndian.Uint32(prefix[:]))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewStreamConn(c), send, reply
+}
+
+// scriptedPipePeer is the pipe side: the peer's end lends one model-sized
+// buffer to each Recv, and a sender goroutine hands each frame to the pipe
+// once the client is parked (so a model lands in its weights) and the peer is
+// too (so the reply lands in the buffer).
+func scriptedPipePeer(t *testing.T, nParams int) (Conn, func(*Message), func()) {
+	a, b := Pipe()
+	peer, client := a.(*inprocConn), b.(*inprocConn)
+	t.Cleanup(func() { peer.Close() })
+	frames := make(chan *Message)
+	go func() {
+		for m := range frames {
+			// MsgDone gets no reply: nothing parks the peer for it.
+			if !waitParked(client) || m.Type != MsgDone && !waitParked(peer) || peer.Send(m) != nil {
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() { close(frames) })
+	buf := make([]float64, nParams)
+	reply := func() {
+		peer.lend(buf)
+		if _, err := peer.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A sent frame is in flight until the reply's Recv parks.
+	send := func(m *Message) { frames <- m }
+	return client, send, reply
 }
