@@ -1,11 +1,11 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all ci build vet test test-race test-purego golden telemetry-smoke health-smoke chaos-smoke scale-smoke bench bench-conv bench-e2e-smoke fuzz-short repro-fast repro-bench examples loc
+.PHONY: all ci build vet test test-race test-purego golden telemetry-smoke health-smoke chaos-smoke scale-smoke bench bench-e2e-smoke fuzz-short repro-fast repro-bench examples loc
 
 all: build vet test test-race
 
 # The full CI gate, in dependency order: static checks and unit tests, the
-# race pass, the scalar-kernel pass, the golden-session gate, the observability smoke (metrics scrape + trace/ledger
+# race pass, the scalar-kernel pass, the golden-session gate, the observability smoke (trace/ledger
 # validation), the live health-monitor smoke, the async straggler matrix
 # under the race detector, the 100k-client scale smoke, the decoder fuzz
 # pass, and the repo benchmark's own smoke test.
@@ -65,13 +65,13 @@ golden:
 		echo "golden: TestElideGoldenSessions skipped on amd64 — the bit-identity gate did not run"; exit 1; \
 	fi
 
-# Smoke-test the observability surface: run a short in-process federated
-# session against a fresh registry, scrape /metrics over HTTP, and fail if
-# any core series (phase histograms, fault counters, byte series) is gone.
-# Then run a traced flsim and validate the trace + ledger files end to end:
-# fltrace fails when either file is empty or any line is not valid JSON.
+# Smoke-test the observability files end to end: run a traced flsim and
+# validate the trace + ledger files (fltrace fails when either file is empty
+# or any line is not valid JSON), then check a q8 run's ledger names its
+# uplink scheme. The live /metrics scrape, its series and the codec byte
+# series are go test's (TestChaosSessionMetricsScrape, TestHTTPEndpoints,
+# TestServeCompressedUplinkBytesReduction).
 telemetry-smoke:
-	go run ./cmd/flbench -telemetry-smoke
 	@tmp=$$(mktemp -d) && \
 	go run ./cmd/flsim -dataset mnist -method rfedavg+ -clients 4 -rounds 2 \
 		-e 2 -b 16 -train 400 -test 100 \
@@ -149,16 +149,9 @@ chaos-smoke:
 		-run 'TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncBufferKZeroMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide|TestCohortWireLaw|TestCohortReapsDeadUnsampledPeer'
 
 # The full benchmark harness: one testing.B benchmark per paper table and
-# figure plus ablations and micro-benchmarks.
+# figure plus ablations.
 bench:
 	go test -bench=. -benchmem ./...
-
-# The conv path alone, in seconds, for timing and profiling by hand (add
-# -cpuprofile): the CNN train step, conv2's forward at the δ pass's batch and
-# its full backward. Not a gate, not in ci. Each / in -bench starts a new
-# name level, and the case names carry slashes of their own.
-bench-conv:
-	go test -run '^$$' -bench 'BenchmarkMicro/^(train-step|conv-)/^(conv|8x7x7)' -benchmem .
 
 # The repo benchmark (benchmark/, its own module, invisible to ./...) ships
 # a smoke test that builds it and runs every workload briefly.

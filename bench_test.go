@@ -4,29 +4,17 @@ package rfedavg
 // the paper, each delegating to the experiment runner at "bench" scale
 // (fast presets; run `go run ./cmd/flbench -exp <id> -scale fast|paper`
 // for the real regenerations recorded in EXPERIMENTS.md), plus ablation
-// benchmarks for the design decisions called out in DESIGN.md and
-// micro-benchmarks for the training hot paths.
+// benchmarks for the design decisions called out in DESIGN.md. Per-layer
+// timings of the hot paths are the repo benchmark's probes (benchmark/).
 
 import (
 	"io"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fl"
 )
-
-// BenchmarkMicro runs the hot-path micro-benchmarks (train step, conv,
-// matmul, δ computation, codecs, framing) with kernel parallelism pinned to
-// 1, for local profiling; run with -benchmem to see the steady-state B/op
-// and allocs/op the arena design targets.
-func BenchmarkMicro(b *testing.B) {
-	for _, c := range bench.Cases() {
-		c := c
-		b.Run(c.Name, func(b *testing.B) { bench.RunSerial(b, c) })
-	}
-}
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()

@@ -11,9 +11,6 @@
 // figure of the paper; see DESIGN.md for the experiment index and
 // EXPERIMENTS.md for recorded paper-vs-measured results.
 //
-// With -telemetry-smoke it runs a short in-process federated session against
-// a fresh metric registry, scrapes the /metrics endpoint, and exits non-zero
-// if any core series is missing — the CI gate behind `make telemetry-smoke`.
 // -telemetry prints the process registry summary after an experiment run.
 package main
 
@@ -37,7 +34,6 @@ func main() {
 		outPath    = flag.String("o", "", "write the result to this file instead of stdout")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		quiet      = flag.Bool("q", false, "suppress progress logging")
-		smoke      = flag.Bool("telemetry-smoke", false, "run a short instrumented session, scrape /metrics, and fail on missing core series")
 		healthURL  = flag.String("health-scrape", "", "poll this /debug/fl/health URL until it serves a live snapshot with per-client scores and a firing alert, then exit (the health-smoke CI gate)")
 		scrapeWait = flag.Duration("scrape-timeout", 60*time.Second, "give up on -health-scrape after this long")
 		showTelem  = cliflags.Summary()
@@ -50,15 +46,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("health scrape passed")
-		return
-	}
-
-	if *smoke {
-		if err := telemetrySmoke(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "flbench: telemetry-smoke:", err)
-			os.Exit(1)
-		}
-		fmt.Println("telemetry smoke test passed")
 		return
 	}
 

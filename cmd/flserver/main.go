@@ -76,15 +76,17 @@ func main() {
 		ckptEvery  = flag.Int("checkpoint-every", 1, "checkpoint period in rounds")
 		resume     = flag.Bool("resume", false, "resume from -checkpoint if it exists")
 
-		ioWorkers = flag.Int("io-workers", 0, "goroutine budget for per-client send/recv phases (0 = 8×GOMAXPROCS capped at 256); bounds per-phase goroutines at large client counts")
-		streamN   = flag.Int("stream-n", 0, "client count at which the δ table switches to streaming mean maintenance (0 = default threshold, negative = never)")
-		detailN   = cliflags.LedgerDetail()
+		detailN = cliflags.LedgerDetail()
 
 		telemetryAddr = flag.String("telemetry-addr", "", "serve /metrics, /healthz, /debug/pprof, and /debug/fl/health on this address (empty disables)")
 		healthF       = cliflags.HealthFlags()
 		obs           = cliflags.Register(true, true, true)
 	)
 	flag.Parse()
+	if *resume && *ckptPath == "" {
+		fmt.Fprintln(os.Stderr, "flserver: -resume requires -checkpoint")
+		os.Exit(2)
+	}
 	if err := obs.Open(); err != nil {
 		fmt.Fprintln(os.Stderr, "flserver:", err)
 		os.Exit(1)
@@ -194,10 +196,8 @@ func main() {
 		Ledger:        obs.Ledger,
 		Health:        mon,
 		LedgerDetailN: *detailN,
-		IOWorkers:     *ioWorkers,
-		StreamN:       *streamN,
 	}
-	if *resume && *ckptPath != "" {
+	if *resume {
 		if ck, err := transport.LoadCheckpoint(*ckptPath); err == nil {
 			cfg.Resume = ck
 			fmt.Printf("resuming from %s at round %d\n", *ckptPath, ck.Round)

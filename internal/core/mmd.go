@@ -166,23 +166,20 @@ func NewDeltaTable(n, d int) *DeltaTable {
 		zero: make([]float64, d)}
 }
 
-// DefaultStreamN is the client count from which a server table streams when
-// its StreamN knob is left 0. Below it the exact per-target pass is cheap and
-// keeps bitwise-stable summation order.
+// DefaultStreamN is the client count from which a server table streams.
+// Below it the exact per-target pass is cheap and keeps bitwise-stable
+// summation order.
 const DefaultStreamN = 1024
 
 // NewServerTable is the δ table an rFedAvg+ server keeps for n clients, in the
 // simulator and the transport server alike: rows unrefreshed for more than
 // maxStale rounds drop out of the targets (0 keeps them), and the table
-// streams (SetStreaming) from streamN clients on — 0 means DefaultStreamN,
-// negative never.
-func NewServerTable(n, d, maxStale, streamN int) *DeltaTable {
+// streams (SetStreaming) from DefaultStreamN clients on, making every δ̄^{-k}
+// an O(d) read instead of an O(N·d) pass.
+func NewServerTable(n, d, maxStale int) *DeltaTable {
 	t := NewDeltaTable(n, d)
 	t.MaxStale = maxStale
-	if streamN == 0 {
-		streamN = DefaultStreamN
-	}
-	if streamN > 0 && n >= streamN {
+	if n >= DefaultStreamN {
 		t.SetStreaming(true)
 	}
 	return t

@@ -139,26 +139,20 @@ func TestDeltaTableLazyRows(t *testing.T) {
 	}
 }
 
-// NewServerTable is the one StreamN resolution both drivers use: 0 inherits
-// DefaultStreamN, negative never streams, a positive value is the threshold
-// itself; MaxStale is passed through.
+// NewServerTable is the one streaming threshold both drivers use: a table
+// streams from DefaultStreamN clients on; MaxStale is passed through.
 func TestNewServerTableStreamN(t *testing.T) {
 	for _, c := range []struct {
-		n, streamN int
-		want       bool
+		n    int
+		want bool
 	}{
-		{DefaultStreamN - 1, 0, false},
-		{DefaultStreamN, 0, true},
-		{100_000, -1, false},
-		{4999, 5000, false},
-		{5000, 5000, true},
-		{8, 8, true},
-		{7, 8, false},
+		{DefaultStreamN - 1, false},
+		{DefaultStreamN, true},
 	} {
-		tb := NewServerTable(c.n, 2, 3, c.streamN)
+		tb := NewServerTable(c.n, 2, 3)
 		if tb.Streaming() != c.want || tb.MaxStale != 3 || tb.N != c.n {
-			t.Errorf("NewServerTable(%d, 2, 3, %d): streaming %v, MaxStale %d, N %d; want streaming %v",
-				c.n, c.streamN, tb.Streaming(), tb.MaxStale, tb.N, c.want)
+			t.Errorf("NewServerTable(%d, 2, 3): streaming %v, MaxStale %d, N %d; want streaming %v",
+				c.n, tb.Streaming(), tb.MaxStale, tb.N, c.want)
 		}
 	}
 }

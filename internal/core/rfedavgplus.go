@@ -32,11 +32,6 @@ type RFedAvgPlus struct {
 	// MaxStale rounds has its row excluded from the δ̄^{-k} targets until
 	// it is refreshed. 0 keeps every row forever (Algorithm 2 verbatim).
 	MaxStale int
-	// StreamN switches the δ table to its streaming (running-sum) mode when
-	// the federation has at least StreamN clients, making each δ̄^{-k} an
-	// O(d) read instead of an O(N·d) pass. 0 means DefaultStreamN; negative
-	// disables streaming regardless of N (NewServerTable).
-	StreamN int
 
 	fl.Base
 	table *DeltaTable
@@ -59,7 +54,7 @@ func (a *RFedAvgPlus) Name() string { return "rFedAvg+" }
 func (a *RFedAvgPlus) Setup(f *fl.Federation) {
 	n, d := len(f.Clients), f.FeatureDim()
 	a.Init(f, fl.Method{Local: a.local, Server: a.server, AuxDown: d})
-	a.table = NewServerTable(n, d, a.MaxStale, a.StreamN)
+	a.table = NewServerTable(n, d, a.MaxStale)
 	a.held = make(engine.Held, n)
 }
 

@@ -68,7 +68,7 @@ func (c *deadlineController) clamp(d time.Duration) time.Duration {
 	return d
 }
 
-// current returns the deadline to apply to the next phase/operation.
+// current returns the deadline to apply to the next phase.
 func (c *deadlineController) current() time.Duration {
 	return time.Duration(c.cur.Load())
 }
@@ -112,18 +112,4 @@ func (c *deadlineController) update() time.Duration {
 	c.cur.Store(int64(d))
 	c.gauge.Set(d.Seconds())
 	return d
-}
-
-// retune pushes the current deadline into every live DeadlineConn so the
-// per-operation Send/Recv bounds track it, not the construction-time guess.
-func (c *deadlineController) retune(conns []Conn, active []bool) {
-	d := c.current()
-	for i, conn := range conns {
-		if !active[i] {
-			continue
-		}
-		if dc, ok := conn.(*DeadlineConn); ok {
-			dc.SetTimeouts(d, d)
-		}
-	}
 }

@@ -76,30 +76,6 @@ func TestDeadlineControllerClampsToFloor(t *testing.T) {
 	}
 }
 
-// retune pushes the controller's deadline into live DeadlineConns and skips
-// inactive slots.
-func TestDeadlineControllerRetune(t *testing.T) {
-	ctrl, _ := newTestController(2, time.Second, 10*time.Millisecond, 2*time.Second)
-	a1, _ := Pipe()
-	a2, _ := Pipe()
-	d1 := NewDeadlineConn(a1, time.Second, time.Second)
-	d2 := NewDeadlineConn(a2, time.Second, time.Second)
-
-	for round := 0; round < 20; round++ {
-		ctrl.observe(0, 100*time.Millisecond)
-		ctrl.observe(1, 100*time.Millisecond)
-		ctrl.update()
-	}
-	ctrl.retune([]Conn{d1, d2}, []bool{true, false})
-	want := ctrl.current()
-	if got := time.Duration(d1.recvTimeout.Load()); got != want {
-		t.Fatalf("active conn recv timeout %v, want %v", got, want)
-	}
-	if got := time.Duration(d2.recvTimeout.Load()); got != time.Second {
-		t.Fatalf("inactive conn retuned to %v, want untouched 1s", got)
-	}
-}
-
 // The controller sits on the per-round hot path next to the
 // allocation-free telemetry: observing and retargeting must not allocate.
 func TestDeadlineControllerZeroAlloc(t *testing.T) {

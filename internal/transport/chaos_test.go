@@ -273,7 +273,7 @@ func TestServeRejoinAfterEviction(t *testing.T) {
 		sNew, cNew := Pipe()
 		rejoin <- sNew
 		cfg.ClientID = 2
-		final, err := RunClient(NewDeadlineConn(cNew, 0, 30*time.Second), fx.shards[2], cfg)
+		final, err := RunClient(cNew, fx.shards[2], cfg)
 		if err != nil {
 			t.Errorf("rejoined client: %v", err)
 			return
@@ -602,6 +602,9 @@ func TestChaosSessionMetricsScrape(t *testing.T) {
 		`rfl_bytes_sent_total{algo="rfedavg+"}`,
 		`rfl_bytes_received_total{algo="rfedavg+"}`,
 		`rfl_delta_staleness_age_bucket`,
+		`rfl_delta_stale_rows`,
+		`rfl_rejoins_total`,
+		`rfl_model_elided_total`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)

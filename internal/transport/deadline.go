@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ErrTimeout marks a Send/Recv that exceeded its deadline. The server
@@ -14,21 +13,18 @@ import (
 // round continues over the survivors.
 var ErrTimeout = errors.New("transport: deadline exceeded")
 
-// ErrClosed marks an operation on a DeadlineConn after Close.
+// ErrClosed marks an operation on a deadline-wrapped conn after Close.
 var ErrClosed = errors.New("transport: connection closed")
 
-// DeadlineConn wraps any Conn with per-operation Send/Recv timeouts and
-// context-based variants. A background pump goroutine owns the inner Recv,
-// so a timed-out Recv does not lose its message: the frame stays buffered
-// and the next Recv (or RecvContext) call observes it. The pump exits when
-// the inner connection errors or the wrapper is closed.
-type DeadlineConn struct {
-	inner Conn
-	// Timeouts are stored as atomic nanosecond counts so the adaptive
-	// deadline controller can retune a live connection (SetTimeouts) while
-	// the protocol goroutines Send/Recv on it.
-	sendTimeout atomic.Int64
-	recvTimeout atomic.Int64
+// deadlineConn is how a server with RoundDeadline set holds each client conn:
+// every phase sends and receives under its phase context (SendContext,
+// RecvContext). A background pump goroutine owns the inner Recv, so a receive
+// abandoned when its context expires does not lose its frame: the frame stays
+// buffered and the next receive observes it. The pump exits when the inner
+// connection errors or the wrapper is closed. Send and the byte counters pass
+// through to the inner conn.
+type deadlineConn struct {
+	Conn
 
 	recvCh chan recvResult
 	// readErr is the inner Recv error that ended the pump, nil while the peer
@@ -43,36 +39,20 @@ type recvResult struct {
 	err error
 }
 
-// NewDeadlineConn wraps inner with the given Send and Recv timeouts; a zero
-// timeout disables the bound for that direction (context-based deadlines
-// via SendContext/RecvContext still apply).
-func NewDeadlineConn(inner Conn, sendTimeout, recvTimeout time.Duration) *DeadlineConn {
-	c := &DeadlineConn{
-		inner:  inner,
+// newDeadlineConn wraps inner and starts its receive pump.
+func newDeadlineConn(inner Conn) *deadlineConn {
+	c := &deadlineConn{
+		Conn:   inner,
 		recvCh: make(chan recvResult, 4),
 		closed: make(chan struct{}),
 	}
-	c.sendTimeout.Store(int64(sendTimeout))
-	c.recvTimeout.Store(int64(recvTimeout))
 	go c.pump()
 	return c
 }
 
-// SetTimeouts retunes both per-operation bounds; safe to call concurrently
-// with Send/Recv. A zero value disables the bound for that direction, and a
-// negative value leaves the current bound unchanged.
-func (c *DeadlineConn) SetTimeouts(sendTimeout, recvTimeout time.Duration) {
-	if sendTimeout >= 0 {
-		c.sendTimeout.Store(int64(sendTimeout))
-	}
-	if recvTimeout >= 0 {
-		c.recvTimeout.Store(int64(recvTimeout))
-	}
-}
-
-func (c *DeadlineConn) pump() {
+func (c *deadlineConn) pump() {
 	for {
-		m, err := c.inner.Recv()
+		m, err := c.Conn.Recv()
 		if err != nil {
 			gone := err // a copy: &err would heap-allocate err on every frame
 			c.readErr.Store(&gone)
@@ -88,20 +68,12 @@ func (c *DeadlineConn) pump() {
 	}
 }
 
-// Recv receives with the configured timeout.
-func (c *DeadlineConn) Recv() (*Message, error) {
-	ctx := context.Background()
-	if to := time.Duration(c.recvTimeout.Load()); to > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, to)
-		defer cancel()
-	}
-	return c.RecvContext(ctx)
-}
+// Recv receives with no bound, through the pump.
+func (c *deadlineConn) Recv() (*Message, error) { return c.RecvContext(context.Background()) }
 
 // RecvContext receives, giving up when ctx expires. The in-flight frame is
 // not lost on expiry; it is delivered to the next receive call.
-func (c *DeadlineConn) RecvContext(ctx context.Context) (*Message, error) {
+func (c *deadlineConn) RecvContext(ctx context.Context) (*Message, error) {
 	// Prefer an already-buffered frame over racing a done context.
 	select {
 	case r := <-c.recvCh:
@@ -118,32 +90,21 @@ func (c *DeadlineConn) RecvContext(ctx context.Context) (*Message, error) {
 	}
 }
 
-// Send sends with the configured timeout.
-func (c *DeadlineConn) Send(m *Message) error {
-	ctx := context.Background()
-	if to := time.Duration(c.sendTimeout.Load()); to > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, to)
-		defer cancel()
-	}
-	return c.SendContext(ctx, m)
-}
-
 // SendContext sends, giving up when ctx expires. A send abandoned on
 // timeout keeps running in the background until the inner connection is
 // closed, so callers that see ErrTimeout should Close the conn (the server
 // does: eviction closes it), which unblocks the straggler.
-func (c *DeadlineConn) SendContext(ctx context.Context, m *Message) error {
+func (c *deadlineConn) SendContext(ctx context.Context, m *Message) error {
 	select {
 	case <-c.closed:
 		return ErrClosed
 	default:
 	}
 	if ctx.Done() == nil {
-		return c.inner.Send(m)
+		return c.Conn.Send(m)
 	}
 	done := make(chan error, 1)
-	go func() { done <- c.inner.Send(m) }()
+	go func() { done <- c.Conn.Send(m) }()
 	select {
 	case err := <-done:
 		return err
@@ -156,55 +117,25 @@ func (c *DeadlineConn) SendContext(ctx context.Context, m *Message) error {
 
 // Close closes the wrapper and the inner connection, unblocking the pump
 // and any abandoned background send.
-func (c *DeadlineConn) Close() error {
+func (c *deadlineConn) Close() error {
 	c.closeOnce.Do(func() { close(c.closed) })
-	return c.inner.Close()
+	return c.Conn.Close()
 }
 
-// BytesSent reports the inner connection's counter.
-func (c *DeadlineConn) BytesSent() int64 { return c.inner.BytesSent() }
-
-// BytesReceived reports the inner connection's counter.
-func (c *DeadlineConn) BytesReceived() int64 { return c.inner.BytesReceived() }
-
-// recvCtx receives from any Conn under ctx. DeadlineConns use their pump
-// (no goroutine churn, no lost frames); for plain Conns with an expirable
-// ctx a one-shot goroutine is used — its abandoned Recv unblocks when the
-// caller closes the conn, which eviction does.
+// recvCtx receives from a session conn under ctx. A phase context can expire
+// only when deadlines are on, and then every session conn is a deadlineConn;
+// an unwrapped conn is only ever read with no bound.
 func recvCtx(ctx context.Context, c Conn) (*Message, error) {
-	if dc, ok := c.(*DeadlineConn); ok {
+	if dc, ok := c.(*deadlineConn); ok {
 		return dc.RecvContext(ctx)
 	}
-	if ctx.Done() == nil {
-		return c.Recv()
-	}
-	ch := make(chan recvResult, 1)
-	go func() {
-		m, err := c.Recv()
-		ch <- recvResult{m, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.m, r.err
-	case <-ctx.Done():
-		return nil, fmt.Errorf("%w: recv: %v", ErrTimeout, ctx.Err())
-	}
+	return c.Recv()
 }
 
-// sendCtx sends on any Conn under ctx, mirroring recvCtx.
+// sendCtx sends on a session conn under ctx, mirroring recvCtx.
 func sendCtx(ctx context.Context, c Conn, m *Message) error {
-	if dc, ok := c.(*DeadlineConn); ok {
+	if dc, ok := c.(*deadlineConn); ok {
 		return dc.SendContext(ctx, m)
 	}
-	if ctx.Done() == nil {
-		return c.Send(m)
-	}
-	done := make(chan error, 1)
-	go func() { done <- c.Send(m) }()
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-		return fmt.Errorf("%w: send: %v", ErrTimeout, ctx.Err())
-	}
+	return c.Send(m)
 }

@@ -98,7 +98,7 @@ func newServerMetrics(reg *telemetry.Registry, algo Algorithm) *serverMetrics {
 		clientRoundSec: reg.Histogram("rfl_client_round_seconds",
 			"per-client wall time from assignment to update delivery", telemetry.DefDurationBuckets),
 		adaptiveDeadline: reg.Gauge("rfl_adaptive_deadline_seconds",
-			"current adaptive per-operation deadline applied to client connections"),
+			"current adaptive deadline bounding each protocol phase of a round"),
 		lateFolds: reg.Counter("rfl_late_folds_total",
 			"buffered updates folded into a later round with a staleness discount"),
 		buffered: reg.Gauge("rfl_buffered_updates",
@@ -137,7 +137,7 @@ func (m *serverMetrics) observeUpdateAges(t *core.AgeTrack) {
 
 // meter wraps a connection so every framed message is counted into the
 // session's per-algorithm byte series. The wrapper sits *inside* any
-// DeadlineConn (sendCtx/recvCtx type-assert *DeadlineConn on the outside),
+// deadlineConn (sendCtx/recvCtx type-assert *deadlineConn on the outside),
 // so deadline semantics are untouched.
 func (m *serverMetrics) meter(c Conn) Conn {
 	return &meteredConn{Conn: c, m: m}

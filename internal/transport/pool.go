@@ -11,30 +11,22 @@ import (
 	"sync/atomic"
 )
 
-// defaultIOWorkers is the per-phase goroutine budget when ServerConfig
-// leaves IOWorkers at 0. IO phases block on the network rather than the
-// CPU, so the pool oversubscribes the cores — but stays bounded and far
-// below one goroutine per client at scale.
-func defaultIOWorkers() int {
-	w := 8 * runtime.GOMAXPROCS(0)
-	if w > 256 {
-		w = 256
-	}
-	return w
-}
+// ioWorkers is the server's per-phase goroutine budget. IO phases block on
+// the network rather than the CPU, so the pool oversubscribes the cores —
+// but stays bounded and far below one goroutine per client at scale. Async
+// update gathers still dedicate one in-flight receiver per cohort member,
+// which is O(cohort), not O(N).
+func ioWorkers() int { return min(8*runtime.GOMAXPROCS(0), 256) }
 
 // ioParallel runs fn(i) for every i in [0, n) on at most workers
 // goroutines and waits for all of them. Slot order across workers is not
 // deterministic, so fn must either be commutative or record into per-slot
 // storage (the server's phases write errs[i]/updates[i] and do all
-// order-sensitive folding serially afterwards). workers <= 0 selects the
-// default budget; a single-slot phase runs inline with no goroutines.
+// order-sensitive folding serially afterwards). A single-slot phase runs
+// inline with no goroutines.
 func ioParallel(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
-	}
-	if workers <= 0 {
-		workers = defaultIOWorkers()
 	}
 	if workers > n {
 		workers = n

@@ -150,19 +150,6 @@ type ServerConfig struct {
 	// the default threshold (telemetry.DefaultLedgerDetailN); negative means
 	// full detail at any N.
 	LedgerDetailN int
-	// IOWorkers bounds the goroutine fan-out of each network phase (join,
-	// broadcast, gather, done): slots are multiplexed over a fixed pool
-	// instead of one goroutine per client, so a 100k-slot session bursts
-	// O(IOWorkers) goroutines per phase, not O(N). 0 means the default
-	// budget (8×GOMAXPROCS, capped at 256). Async update gathers still
-	// dedicate one in-flight receiver per cohort member — that is O(cohort),
-	// which subsampling keeps small.
-	IOWorkers int
-	// StreamN switches the δ table to its streaming (running-sum) mode when
-	// the session has at least StreamN client slots, making every δ̄^{-k}
-	// target an O(d) read instead of an O(N·d) pass. 0 means the core
-	// default (1024); negative disables streaming regardless of N.
-	StreamN int
 }
 
 // Eviction records one client dropped from a session.
@@ -439,8 +426,14 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("transport: non-positive rounds %d", cfg.Rounds)
 	}
-	if cfg.Algorithm == AlgoRFedAvgPlus && cfg.FeatureDim <= 0 {
-		return nil, fmt.Errorf("transport: rfedavg+ requires FeatureDim")
+	switch cfg.Algorithm {
+	case AlgoFedAvg:
+	case AlgoRFedAvgPlus:
+		if cfg.FeatureDim <= 0 {
+			return nil, fmt.Errorf("transport: rfedavg+ requires FeatureDim")
+		}
+	default:
+		return nil, fmt.Errorf("transport: unknown algorithm %q (want %q or %q)", cfg.Algorithm, AlgoFedAvg, AlgoRFedAvgPlus)
 	}
 	*s = session{
 		cfg:        cfg,
@@ -453,7 +446,7 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 		ioMsgs:     make([]*Message, len(conns)),
 		delivered:  make([]bool, len(conns)),
 		global:     append([]float64(nil), cfg.InitialParams...),
-		table:      core.NewServerTable(len(conns), max(cfg.FeatureDim, 1), cfg.MaxStaleness, cfg.StreamN),
+		table:      core.NewServerTable(len(conns), max(cfg.FeatureDim, 1), cfg.MaxStaleness),
 		res:        &ServerResult{},
 	}
 	s.codec.init(cfg.Codec, cfg.Seed, len(conns))
@@ -548,7 +541,7 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 	// a session whose training already succeeded.
 	s.closePending()
 	ctx, cancel := s.phaseCtx()
-	ioParallel(len(s.conns), s.cfg.IOWorkers, func(i int) {
+	ioParallel(len(s.conns), ioWorkers(), func(i int) {
 		if !s.active[i] {
 			return
 		}
@@ -563,11 +556,11 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 
 // wrap meters a conn into the session's byte series and puts the deadline
 // wrapper around it when deadlines are on. The metering wrapper goes inside
-// the DeadlineConn so sendCtx/recvCtx still see a *DeadlineConn.
+// the deadlineConn so sendCtx/recvCtx still see a *deadlineConn.
 func (s *session) wrap(c Conn) Conn {
 	c = s.metrics.meter(c)
 	if s.cfg.RoundDeadline > 0 {
-		return NewDeadlineConn(c, s.cfg.RoundDeadline, s.cfg.RoundDeadline)
+		return newDeadlineConn(c)
 	}
 	return c
 }
@@ -645,7 +638,7 @@ func (s *session) collectJoins() error {
 	defer cancel()
 	msgs := make([]*Message, len(s.conns))
 	errs := make([]error, len(s.conns))
-	ioParallel(len(s.conns), s.cfg.IOWorkers, func(i int) {
+	ioParallel(len(s.conns), ioWorkers(), func(i int) {
 		msgs[i], errs[i] = recvCtx(ctx, s.conns[i])
 	})
 	for i, m := range msgs {
@@ -781,7 +774,7 @@ func (s *session) closePending() {
 // pump: such a peer is evicted when it is next sampled.
 func (s *session) admitRejoins(round int) {
 	for i, c := range s.conns {
-		if dc, ok := c.(*DeadlineConn); ok && s.active[i] && !s.busy[i] {
+		if dc, ok := c.(*deadlineConn); ok && s.active[i] && !s.busy[i] {
 			if err := dc.readErr.Load(); err != nil {
 				s.evict(i, round, fmt.Sprintf("peer gone: %v", *err))
 			}
@@ -1148,10 +1141,9 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 	s.updAges.Tick()
 	s.metrics.observeUpdateAges(s.updAges)
 	if s.ctrl != nil {
-		// Retarget the deadline from this round's observed client latencies
-		// and push it into the live connections' Send/Recv bounds.
+		// Retarget the next phases' deadline from this round's observed
+		// client latencies.
 		s.ctrl.update()
-		s.ctrl.retune(s.conns, s.active)
 	}
 	if rec != nil {
 		if plus {
@@ -1190,7 +1182,7 @@ func (s *session) membersOf(mask []bool) []int {
 // stamping the round span's context onto each frame; clients whose send
 // fails are evicted (serially, in slot order, after the pool drains).
 func (s *session) broadcastActive(ctx context.Context, round int, span telemetry.SpanContext, members []int, mk func(i int) *Message) {
-	ioParallel(len(members), s.cfg.IOWorkers, func(j int) {
+	ioParallel(len(members), ioWorkers(), func(j int) {
 		i := members[j]
 		m := mk(i)
 		m.setSpanContext(span)
@@ -1213,7 +1205,7 @@ func (s *session) broadcastActive(ctx context.Context, round int, span telemetry
 func (s *session) gatherActive(ctx context.Context, round int, members []int, want MsgType, spanName string, parent telemetry.SpanContext) []*Message {
 	msgs := s.ioMsgs
 	clear(msgs)
-	ioParallel(len(members), s.cfg.IOWorkers, func(j int) {
+	ioParallel(len(members), ioWorkers(), func(j int) {
 		i := members[j]
 		if !s.active[i] {
 			return // evicted by the broadcast just before

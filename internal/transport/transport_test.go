@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/nn"
@@ -324,6 +326,12 @@ func TestServeRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Serve(ServerConfig{Rounds: 1, Algorithm: AlgoRFedAvgPlus, InitialParams: []float64{1}}, []Conn{a}); err == nil {
 		t.Fatal("rfedavg+ without FeatureDim accepted")
+	}
+	// A method the server does not speak is refused by name before the join,
+	// not trained as FedAvg under its label.
+	_, err := Serve(ServerConfig{Rounds: 1, Algorithm: "rfedavg", InitialParams: []float64{1}, RoundDeadline: 50 * time.Millisecond}, []Conn{a})
+	if err == nil || !strings.Contains(err.Error(), `"rfedavg"`) {
+		t.Fatalf("unknown algorithm: got %v, want an error naming \"rfedavg\"", err)
 	}
 }
 
