@@ -158,12 +158,12 @@ bench:
 bench-e2e-smoke:
 	cd benchmark && go test .
 
-# A short fuzz pass over the two wire decoders: the tensor codec and the
-# transport frame reader with its packed (compressed) payload headers.
-# Malformed, truncated, or forged input must error, never panic or
-# over-allocate.
+# A short fuzz pass over the two decoders that read untrusted bytes: the
+# checkpoint file reader and the transport frame reader with its packed
+# (compressed) payload headers. Malformed, truncated, or forged input must
+# error, never panic or over-allocate.
 fuzz-short:
-	go test ./internal/tensor -run '^$$' -fuzz FuzzDecode -fuzztime 10s
+	go test ./internal/transport -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 10s
 	go test ./internal/transport -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 
 # Regenerate every table/figure at the fast scale (minutes each; raw

@@ -103,11 +103,6 @@ func KernelMMDSquared(k Kernel, a, b *tensor.Tensor) float64 {
 	return v
 }
 
-// KernelMMD returns sqrt(KernelMMDSquared).
-func KernelMMD(k Kernel, a, b *tensor.Tensor) float64 {
-	return math.Sqrt(KernelMMDSquared(k, a, b))
-}
-
 func gatherRows(ts ...*tensor.Tensor) [][]float64 {
 	var rows [][]float64
 	for _, t := range ts {

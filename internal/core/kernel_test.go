@@ -27,8 +27,8 @@ func TestLinearKernelMMDMatchesMeanDistance(t *testing.T) {
 func TestRBFMMDZeroOnIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := tensor.RandNormal(rng, 1, 30, 4)
-	if got := KernelMMD(RBFKernel{Gamma: 1}, a, a.Clone()); got > 1e-7 {
-		t.Fatalf("MMD(a,a) = %v", got)
+	if got := KernelMMDSquared(RBFKernel{Gamma: 1}, a, a.Clone()); got > 1e-14 {
+		t.Fatalf("MMD²(a,a) = %v", got)
 	}
 }
 

@@ -91,8 +91,8 @@ func TestStepsMatchesParentLocalSteps(t *testing.T) {
 				for tname, target := range targets {
 					t.Run(fmt.Sprintf("%s/E=%d/B=%d/%s", name, e, b, tname), func(t *testing.T) {
 						cfg := refConfig{LocalSteps: e, BatchSize: b, LR: opt.InverseDecayLR{Mu: 1, Gamma: 20}, Lambda: 0.3}
-						refNet, refOpt, refRNG := build(9), opt.NewSGDMomentum(0.9), rand.New(rand.NewSource(17))
-						tr := &engine.Trainer{Net: build(9), Opt: opt.NewSGDMomentum(0.9), Arena: nn.NewArena()}
+						refNet, refOpt, refRNG := build(9), opt.NewRMSProp(), rand.New(rand.NewSource(17))
+						tr := &engine.Trainer{Net: build(9), Opt: opt.NewRMSProp(), Arena: nn.NewArena()}
 						rng := rand.New(rand.NewSource(17))
 						for round := 0; round < 2; round++ {
 							want := refLocalSteps(refNet, refOpt, shard, refRNG, cfg, round, target)

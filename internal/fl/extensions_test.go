@@ -340,22 +340,6 @@ func TestPersonalizeDeterministic(t *testing.T) {
 	}
 }
 
-func TestEvaluateConfusion(t *testing.T) {
-	f := tinyFederation(t, 3, 1.0, 1.0)
-	a := NewFedAvg()
-	h := Run(f, a, 6)
-	conf := f.EvaluateConfusion(a.GlobalParams(), f.Test)
-	if conf.Total() != f.Test.Len() {
-		t.Fatalf("confusion covers %d of %d samples", conf.Total(), f.Test.Len())
-	}
-	if math.Abs(conf.Accuracy()-h.FinalAccuracy(1)) > 1e-12 {
-		t.Fatalf("confusion accuracy %v != final accuracy %v", conf.Accuracy(), h.FinalAccuracy(1))
-	}
-	if conf.MacroF1() <= 0 {
-		t.Fatal("macro F1 must be positive after training")
-	}
-}
-
 // Property: WeightedAverage of identical vectors is that vector, and the
 // average is permutation-invariant.
 func TestQuickWeightedAverageProperties(t *testing.T) {

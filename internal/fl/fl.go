@@ -529,20 +529,6 @@ func (f *Federation) Evaluate(flat []float64, ds *data.Dataset) float64 {
 	return float64(correct) / float64(ds.Len())
 }
 
-// EvaluateConfusion computes the full confusion matrix of the model given
-// by flat parameters on ds.
-func (f *Federation) EvaluateConfusion(flat []float64, ds *data.Dataset) *metrics.Confusion {
-	w := f.workers[0]
-	w.t.Net.SetFlat(flat)
-	conf := metrics.NewConfusion(ds.Classes)
-	evalBatches(w, ds, f.Cfg.EvalBatch, func(logits *tensor.Tensor, y []int) {
-		for i := 0; i < logits.Dim(0); i++ {
-			conf.Add(y[i], tensor.MaxIndex(logits.Row(i)))
-		}
-	})
-	return conf
-}
-
 // EvaluatePerClient returns the global model's accuracy on every client's
 // local data — the per-client scatter of the fairness evaluation (Fig. 11).
 func (f *Federation) EvaluatePerClient(flat []float64) []float64 {

@@ -117,28 +117,6 @@ func (h *History) MeanRoundSeconds() float64 {
 	return s / float64(len(h.Rounds))
 }
 
-// AccuracySeries returns (round, accuracy) pairs for evaluated rounds, the
-// series behind the accuracy curves in Figs. 2, 4, 6, 8.
-func (h *History) AccuracySeries() (rounds []int, accs []float64) {
-	for _, r := range h.Rounds {
-		if !math.IsNaN(r.TestAcc) {
-			rounds = append(rounds, r.Round+1)
-			accs = append(accs, r.TestAcc)
-		}
-	}
-	return rounds, accs
-}
-
-// LossSeries returns (round, train loss) pairs, the series behind the loss
-// curves in Figs. 3, 5, 7.
-func (h *History) LossSeries() (rounds []int, losses []float64) {
-	for _, r := range h.Rounds {
-		rounds = append(rounds, r.Round+1)
-		losses = append(losses, r.TrainLoss)
-	}
-	return rounds, losses
-}
-
 // Fairness summarizes the distribution of per-client accuracies (Fig. 11).
 type Fairness struct {
 	Mean, Std   float64

@@ -57,18 +57,6 @@ func TestTotalBytesAndMeanSeconds(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	h := mkHistory()
-	rounds, accs := h.AccuracySeries()
-	if len(rounds) != 3 || rounds[0] != 2 || accs[2] != 0.8 {
-		t.Fatalf("AccuracySeries = %v %v", rounds, accs)
-	}
-	lr, losses := h.LossSeries()
-	if len(lr) != 5 || losses[0] != 1.0 {
-		t.Fatalf("LossSeries = %v %v", lr, losses)
-	}
-}
-
 func TestFairness(t *testing.T) {
 	accs := []float64{0.9, 0.5, 0.7, 0.8, 0.6, 0.95, 0.85, 0.75, 0.65, 0.55}
 	f := NewFairness(accs)

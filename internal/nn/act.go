@@ -103,38 +103,7 @@ func (t *Tanh) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // Params returns nil: Tanh has no parameters.
 func (t *Tanh) Params() []*Param { return nil }
 
-// Sigmoid is the logistic activation 1/(1+e^-x).
-type Sigmoid struct {
-	y  *tensor.Tensor // cached output, doubling as the reusable out buffer
-	dx *tensor.Tensor
-}
-
-// NewSigmoid creates a Sigmoid activation layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-// Forward computes σ(x).
-func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s.y = tensor.EnsureShape(s.y, x.Shape()...)
-	for i, v := range x.Data {
-		s.y.Data[i] = sigmoid(v)
-	}
-	return s.y
-}
-
-// Backward computes dout · σ(x)(1-σ(x)).
-func (s *Sigmoid) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	s.dx = tensor.EnsureShape(s.dx, dout.Shape()...)
-	dx := s.dx
-	for i, v := range dout.Data {
-		y := s.y.Data[i]
-		dx.Data[i] = v * y * (1 - y)
-	}
-	return dx
-}
-
-// Params returns nil: Sigmoid has no parameters.
-func (s *Sigmoid) Params() []*Param { return nil }
-
+// sigmoid is the logistic function 1/(1+e^-x), the LSTM's gate activation.
 func sigmoid(x float64) float64 {
 	// Split by sign for numerical stability at large |x|.
 	if x >= 0 {

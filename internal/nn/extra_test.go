@@ -158,44 +158,6 @@ func TestLSTMForgetBiasInit(t *testing.T) {
 	}
 }
 
-// TestDropoutInsideNetworkTraining verifies a network containing dropout
-// still trains and evaluates deterministically in eval mode.
-func TestDropoutInsideNetworkTraining(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	feat := NewSequential(
-		NewDense(rng, 6, 16), NewReLU(),
-		NewDropout(rng, 0.3),
-		NewDense(rng, 16, 8), NewReLU(),
-	)
-	net := NewNetwork(feat, NewDense(rng, 8, 2), 8)
-	x := tensor.RandNormal(rng, 1, 64, 6)
-	labels := make([]int, 64)
-	for i := range labels {
-		if x.Row(i)[0]+x.Row(i)[1] > 0 {
-			labels[i] = 1
-		}
-	}
-	for step := 0; step < 200; step++ {
-		_, logits := net.Forward(x, true)
-		_, dl := SoftmaxCrossEntropy(logits, labels)
-		net.ZeroGrad()
-		net.Backward(dl, nil)
-		for _, p := range net.Params() {
-			p.W.Axpy(-0.3, p.G)
-		}
-	}
-	if acc := Accuracy(net.Predict(x), labels); acc < 0.9 {
-		t.Fatalf("dropout network train accuracy %v", acc)
-	}
-	// Eval must be deterministic.
-	a, b := net.Predict(x), net.Predict(x)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatal("eval-mode prediction must be deterministic under dropout")
-		}
-	}
-}
-
 // TestSequentialNilGradientOnlyFirstLayer: a mid-stack embedding (nil input
 // gradient) must panic loudly instead of silently truncating backprop.
 func TestSequentialNilGradientOnlyFirstLayer(t *testing.T) {
@@ -230,7 +192,7 @@ func TestCrossEntropyAgainstManual(t *testing.T) {
 func TestFeatureParamsSubset(t *testing.T) {
 	net := NewMLP(4, 6, 3, 2)(1)
 	all := net.Params()
-	feat := net.FeatureParams()
+	feat := net.Feature.Params()
 	if len(feat) >= len(all) {
 		t.Fatal("head must own parameters too")
 	}
@@ -239,101 +201,4 @@ func TestFeatureParamsSubset(t *testing.T) {
 			t.Fatal("feature params must prefix the full list")
 		}
 	}
-}
-
-func TestLayerNormGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	l := NewLayerNorm(6)
-	// Perturb gain/bias so the affine path is exercised.
-	for i := range l.g.W.Data {
-		l.g.W.Data[i] = 0.5 + rng.Float64()
-		l.b.W.Data[i] = rng.NormFloat64() * 0.3
-	}
-	x := tensor.RandNormal(rng, 1, 4, 6)
-	checkLayerGradients(t, l, x, 1e-6, 1e-4)
-}
-
-func TestLayerNormNormalizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	l := NewLayerNorm(50)
-	x := tensor.RandNormal(rng, 3, 8, 50)
-	for i := 0; i < 8; i++ {
-		for j := range x.Row(i) {
-			x.Row(i)[j] += 5 // shift: must be removed
-		}
-	}
-	out := l.Forward(x, true)
-	for i := 0; i < 8; i++ {
-		row := out.Row(i)
-		mean, sq := 0.0, 0.0
-		for _, v := range row {
-			mean += v
-		}
-		mean /= 50
-		for _, v := range row {
-			d := v - mean
-			sq += d * d
-		}
-		std := math.Sqrt(sq / 50)
-		if math.Abs(mean) > 1e-9 || math.Abs(std-1) > 0.01 {
-			t.Fatalf("row %d: mean %v std %v", i, mean, std)
-		}
-	}
-}
-
-func TestGRUGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	l := NewGRU(rng, 3, 4, 5)
-	x := tensor.RandNormal(rng, 1, 2, 5*3)
-	checkLayerGradients(t, l, x, 1e-6, 2e-5)
-}
-
-func TestTextGRUTrains(t *testing.T) {
-	// A GRU text model must learn a trivial token-presence task.
-	rng := rand.New(rand.NewSource(23))
-	spec := TextSpec{Vocab: 20, T: 6, Classes: 2}
-	net := NewTextGRU(spec, 8, 12, 8)(1)
-	n := 120
-	x := tensor.New(n, 6)
-	labels := make([]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < 6; j++ {
-			x.Row(i)[j] = float64(rng.Intn(19) + 1)
-		}
-		if i%2 == 0 { // class 0 contains token 0
-			x.Row(i)[rng.Intn(6)] = 0
-		} else {
-			labels[i] = 1
-		}
-	}
-	for step := 0; step < 150; step++ {
-		_, logits := net.Forward(x, true)
-		_, dl := SoftmaxCrossEntropy(logits, labels)
-		net.ZeroGrad()
-		net.Backward(dl, nil)
-		for _, p := range net.Params() {
-			p.W.Axpy(-0.3, p.G)
-		}
-	}
-	if acc := Accuracy(net.Predict(x), labels); acc < 0.95 {
-		t.Fatalf("GRU train accuracy %v", acc)
-	}
-}
-
-func TestGRUInputWidthPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	l := NewGRU(rng, 3, 4, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on wrong input width")
-		}
-	}()
-	l.Forward(tensor.New(1, 7), true)
-}
-
-func TestLayerNormInSequentialWithDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	s := NewSequential(NewDense(rng, 5, 8), NewLayerNorm(8), NewReLU(), NewDense(rng, 8, 3))
-	x := tensor.RandNormal(rng, 1, 3, 5)
-	checkLayerGradients(t, s, x, 1e-6, 1e-4)
 }

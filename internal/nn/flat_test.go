@@ -33,14 +33,14 @@ func sameFloats(a, b []float64) bool {
 
 // A network training in an adopted vector and its twin loaded by SetFlat see
 // the same losses, gradients and weights, step for step — also when a second
-// model arrives mid-way and the momentum optimizer is not reset: its state
-// belongs to the Params, which AdoptFlat leaves in place.
+// model arrives mid-way and the stateful RMSProp optimizer is not reset: its
+// state belongs to the Params, which AdoptFlat leaves in place.
 func TestAdoptFlatTrainsLikeSetFlat(t *testing.T) {
 	const steps, batch = 4, 9
 	for name, model := range flatModels {
 		for optName, newOpt := range map[string]func() opt.Optimizer{
-			"sgd":      func() opt.Optimizer { return opt.NewSGD() },
-			"momentum": func() opt.Optimizer { return opt.NewSGDMomentum(0.9) },
+			"sgd":     func() opt.Optimizer { return opt.NewSGD() },
+			"rmsprop": func() opt.Optimizer { return opt.NewRMSProp() },
 		} {
 			t.Run(name+"/"+optName, func(t *testing.T) {
 				adopted, loaded := model.build(1), model.build(1)

@@ -16,9 +16,8 @@ type Network struct {
 	Head       Layer
 	FeatureDim int
 
-	feat   *tensor.Tensor // cached φ output for Backward
-	params []*Param       // cached Params() result; the layer set is fixed
-	flat   []float64      // the weights as one vector, once Flat or AdoptFlat ran
+	params []*Param  // cached Params() result; the layer set is fixed
+	flat   []float64 // the weights as one vector, once Flat or AdoptFlat ran
 }
 
 // NewNetwork assembles a network from a feature extractor producing
@@ -31,15 +30,9 @@ func NewNetwork(feature *Sequential, head Layer, featureDim int) *Network {
 func (n *Network) Forward(x *tensor.Tensor, train bool) (feat, logits *tensor.Tensor) {
 	forwardPasses.Inc()
 	feat = n.Feature.Forward(x, train)
-	n.feat = feat
 	logits = n.Head.Forward(feat, train)
 	return feat, logits
 }
-
-// LastFeatures returns the feature activations cached by the most recent
-// Forward call. The distribution regularizer reads them to form its
-// feature-level gradient.
-func (n *Network) LastFeatures() *tensor.Tensor { return n.feat }
 
 // Features runs only the feature extractor (evaluation mode).
 func (n *Network) Features(x *tensor.Tensor) *tensor.Tensor {
@@ -75,9 +68,6 @@ func (n *Network) Params() []*Param {
 	}
 	return n.params
 }
-
-// FeatureParams returns only w̃, the parameters of φ.
-func (n *Network) FeatureParams() []*Param { return n.Feature.Params() }
 
 // NumParams returns the total number of scalar parameters.
 func (n *Network) NumParams() int { return NumElements(n.Params()) }

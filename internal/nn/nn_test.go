@@ -52,44 +52,6 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainEvalModes(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	d := NewDropout(rng, 0.5)
-	x := tensor.New(100, 100)
-	x.Fill(1)
-	// Eval: identity.
-	out := d.Forward(x, false)
-	if out != x {
-		t.Fatal("Dropout in eval mode must be the identity")
-	}
-	// Train: roughly half dropped, survivors scaled by 2.
-	out = d.Forward(x, true)
-	zeros, twos := 0, 0
-	for _, v := range out.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-			twos++
-		default:
-			t.Fatalf("unexpected dropout output %v", v)
-		}
-	}
-	frac := float64(zeros) / float64(zeros+twos)
-	if frac < 0.45 || frac > 0.55 {
-		t.Fatalf("dropout rate %v far from 0.5", frac)
-	}
-	// Backward applies the same mask.
-	g := tensor.New(100, 100)
-	g.Fill(1)
-	dg := d.Backward(g)
-	for i, v := range dg.Data {
-		if (out.Data[i] == 0) != (v == 0) {
-			t.Fatal("backward mask differs from forward mask")
-		}
-	}
-}
-
 func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	net := NewMLP(4, 6, 3, 2)(7)
 	v := net.GetFlat()

@@ -1,8 +1,7 @@
 // Package opt implements the optimizers and learning-rate schedules used in
-// the paper's experiments: plain SGD (the FedAvg local solver), SGD with
-// momentum, RMSProp (the Sent140 local solver), Adam, the theoretical
-// schedule η_t = 2/(μ(γ+t)) from the convergence analysis, and global-norm
-// gradient clipping.
+// the paper's experiments: plain SGD (the FedAvg local solver), RMSProp (the
+// Sent140 local solver), the theoretical schedule η_t = 2/(μ(γ+t)) from the
+// convergence analysis, and global-norm gradient clipping.
 package opt
 
 import (
@@ -18,62 +17,31 @@ type Optimizer interface {
 	// Step applies one update with learning rate lr and clears nothing;
 	// callers zero gradients themselves.
 	Step(params []*nn.Param, lr float64)
-	// Reset clears internal state (momentum, moment estimates), used when a
-	// client restarts local training from a fresh global model.
+	// Reset clears internal state (e.g. RMSProp's squared-gradient
+	// averages), used when a client restarts local training from a fresh
+	// global model.
 	Reset()
 }
 
-// SGD is stochastic gradient descent with optional momentum and weight
-// decay. With Momentum == 0 it is the plain update w ← w - lr·g used by
-// FedAvg's local solver.
-type SGD struct {
-	Momentum    float64
-	WeightDecay float64
-	velocity    [][]float64
-}
+// SGD is plain stochastic gradient descent, w ← w - lr·g: FedAvg's local
+// solver. It keeps no state.
+type SGD struct{}
 
 // NewSGD creates a plain SGD optimizer.
 func NewSGD() *SGD { return &SGD{} }
 
-// NewSGDMomentum creates SGD with the given momentum coefficient.
-func NewSGDMomentum(momentum float64) *SGD { return &SGD{Momentum: momentum} }
-
-// Step applies w ← w - lr·(g + wd·w), with momentum buffering when enabled.
+// Step applies w ← w - lr·g.
 func (s *SGD) Step(params []*nn.Param, lr float64) {
-	if s.Momentum == 0 {
-		for _, p := range params {
-			w, g := p.W.Data, p.G.Data
-			if s.WeightDecay != 0 {
-				for i := range w {
-					w[i] -= lr * (g[i] + s.WeightDecay*w[i])
-				}
-			} else {
-				for i := range w {
-					w[i] -= lr * g[i]
-				}
-			}
-		}
-		return
-	}
-	if s.velocity == nil {
-		s.velocity = allocState(params)
-	}
-	for k, p := range params {
-		w, g, v := p.W.Data, p.G.Data, s.velocity[k]
+	for _, p := range params {
+		w, g := p.W.Data, p.G.Data
 		for i := range w {
-			gi := g[i]
-			if s.WeightDecay != 0 {
-				gi += s.WeightDecay * w[i]
-			}
-			v[i] = s.Momentum*v[i] + gi
-			w[i] -= lr * v[i]
+			w[i] -= lr * g[i]
 		}
 	}
 }
 
-// Reset clears the momentum buffers in place, keeping their storage so a
-// worker reused across rounds does not re-allocate optimizer state.
-func (s *SGD) Reset() { zeroState(s.velocity) }
+// Reset does nothing: SGD has no state.
+func (s *SGD) Reset() {}
 
 // RMSProp is the RMSProp optimizer (Tieleman & Hinton), the local solver
 // the paper uses for the Sent140 LSTM.
@@ -90,7 +58,10 @@ func NewRMSProp() *RMSProp { return &RMSProp{Alpha: 0.99, Eps: 1e-8} }
 // Step applies the RMSProp update.
 func (r *RMSProp) Step(params []*nn.Param, lr float64) {
 	if r.sq == nil {
-		r.sq = allocState(params)
+		r.sq = make([][]float64, len(params))
+		for k, p := range params {
+			r.sq[k] = make([]float64, p.W.Size())
+		}
 	}
 	for k, p := range params {
 		w, g, sq := p.W.Data, p.G.Data, r.sq[k]
@@ -101,60 +72,12 @@ func (r *RMSProp) Step(params []*nn.Param, lr float64) {
 	}
 }
 
-// Reset clears the squared-gradient accumulators in place.
-func (r *RMSProp) Reset() { zeroState(r.sq) }
-
-// Adam is the Adam optimizer with bias correction.
-type Adam struct {
-	Beta1, Beta2, Eps float64
-	m, v              [][]float64
-	t                 int
-}
-
-// NewAdam creates an Adam optimizer with the standard defaults.
-func NewAdam() *Adam { return &Adam{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8} }
-
-// Step applies the Adam update.
-func (a *Adam) Step(params []*nn.Param, lr float64) {
-	if a.m == nil {
-		a.m = allocState(params)
-		a.v = allocState(params)
-		a.t = 0
+// Reset clears the squared-gradient accumulators in place, keeping their
+// storage so a worker reused across rounds does not re-allocate them.
+func (r *RMSProp) Reset() {
+	for _, sq := range r.sq {
+		clear(sq)
 	}
-	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for k, p := range params {
-		w, g, m, v := p.W.Data, p.G.Data, a.m[k], a.v[k]
-		for i := range w {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g[i]
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g[i]*g[i]
-			w[i] -= lr * (m[i] / c1) / (math.Sqrt(v[i]/c2) + a.Eps)
-		}
-	}
-}
-
-// Reset clears the moment estimates (in place) and the step counter.
-func (a *Adam) Reset() {
-	zeroState(a.m)
-	zeroState(a.v)
-	a.t = 0
-}
-
-func zeroState(st [][]float64) {
-	for _, s := range st {
-		for i := range s {
-			s[i] = 0
-		}
-	}
-}
-
-func allocState(params []*nn.Param) [][]float64 {
-	st := make([][]float64, len(params))
-	for i, p := range params {
-		st[i] = make([]float64, p.W.Size())
-	}
-	return st
 }
 
 // ClipGradNorm rescales all gradients so their global L2 norm is at most
@@ -207,15 +130,3 @@ func NewTheoremLR(mu, l float64, e int) InverseDecayLR {
 
 // LR returns 2/(μ(γ+t)).
 func (s InverseDecayLR) LR(t int) float64 { return 2 / (s.Mu * (s.Gamma + float64(t))) }
-
-// StepDecayLR multiplies Base by Factor every Every steps.
-type StepDecayLR struct {
-	Base   float64
-	Factor float64
-	Every  int
-}
-
-// LR returns Base·Factor^⌊t/Every⌋.
-func (s StepDecayLR) LR(t int) float64 {
-	return s.Base * math.Pow(s.Factor, float64(t/s.Every))
-}

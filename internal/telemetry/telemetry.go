@@ -170,15 +170,6 @@ var DefDurationBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// LinearBuckets returns count buckets of the given width starting at start.
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 type metricKind uint8
 
 const (

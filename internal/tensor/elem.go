@@ -3,7 +3,7 @@ package tensor
 import "fmt"
 
 // This file is the elementwise/reduction kernel layer: flat []float64
-// primitives (axpy, scale, add, Hadamard, sum, dot, squared distance) with a
+// primitives (axpy, scale, add, subtract, sum, dot, squared distance) with a
 // CPUID-dispatched AVX2 implementation and a pure-Go fallback, mirroring the
 // GEMM micro-kernel split in gemm_amd64.s. The Tensor methods in ops.go and
 // the MMD/δ paths in internal/core are thin wrappers over these, so every
@@ -79,18 +79,6 @@ func SubFloats(dst, x []float64) {
 	}
 	for i, v := range x {
 		dst[i] -= v
-	}
-}
-
-// MulFloats sets dst[i] *= x[i] (the Hadamard product in place).
-func MulFloats(dst, x []float64) {
-	mustSameLen("MulFloats", len(dst), len(x))
-	if elemUseAVX2 && len(dst) >= elemSIMDMin {
-		elemMulAVX2(&dst[0], &x[0], len(dst))
-		return
-	}
-	for i, v := range x {
-		dst[i] *= v
 	}
 }
 

@@ -18,9 +18,6 @@ func elemScaleAVX2(dst *float64, n int, a float64)
 func elemAddAVX2(dst, x *float64, n int)
 
 //go:noescape
-func elemMulAVX2(dst, x *float64, n int)
-
-//go:noescape
 func elemSumAVX2(x *float64, n int) float64
 
 //go:noescape

@@ -3,7 +3,7 @@
 #include "textflag.h"
 
 // AVX2+FMA elementwise and reduction kernels. The in-place kernels (axpy,
-// scale, add, mul) process 8 doubles per iteration (two YMM vectors), then a
+// scale, add) process 8 doubles per iteration (two YMM vectors), then a
 // 4-wide tail, then scalars. The reductions (sum, dot, sqdist) run four
 // independent YMM accumulators (16 doubles per iteration) to hide FMA
 // latency, fold them horizontally, and finish the sub-vector tail in scalar
@@ -151,56 +151,6 @@ add_scalar:
 	JNZ    add_scalar
 
 add_done:
-	VZEROUPPER
-	RET
-
-// func elemMulAVX2(dst, x *float64, n int)
-//
-// dst[i] *= x[i]  (Hadamard)
-TEXT ·elemMulAVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-
-	MOVQ CX, AX
-	SHRQ $3, AX
-	JZ   mul_tail4
-
-mul_loop8:
-	VMOVUPD (SI), Y1
-	VMOVUPD 32(SI), Y2
-	VMULPD  (DI), Y1, Y1
-	VMULPD  32(DI), Y2, Y2
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y2, 32(DI)
-	ADDQ    $64, SI
-	ADDQ    $64, DI
-	DECQ    AX
-	JNZ     mul_loop8
-
-mul_tail4:
-	TESTQ $4, CX
-	JZ    mul_tail1
-	VMOVUPD (SI), Y1
-	VMULPD  (DI), Y1, Y1
-	VMOVUPD Y1, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-
-mul_tail1:
-	ANDQ $3, CX
-	JZ   mul_done
-
-mul_scalar:
-	VMOVSD (SI), X1
-	VMULSD (DI), X1, X1
-	VMOVSD X1, (DI)
-	ADDQ   $8, SI
-	ADDQ   $8, DI
-	DECQ   CX
-	JNZ    mul_scalar
-
-mul_done:
 	VZEROUPPER
 	RET
 

@@ -17,10 +17,6 @@ func elemAddAVX2(dst, x *float64, n int) {
 	panic("tensor: elemAddAVX2 called without assembly support")
 }
 
-func elemMulAVX2(dst, x *float64, n int) {
-	panic("tensor: elemMulAVX2 called without assembly support")
-}
-
 func elemSumAVX2(x *float64, n int) float64 {
 	panic("tensor: elemSumAVX2 called without assembly support")
 }

@@ -142,15 +142,15 @@ func TestGemmRandomShapes(t *testing.T) {
 	}
 }
 
-// TestGemmParallelPath forces multi-worker dispatch (output large enough to
-// pass parallelThreshold) and verifies every variant still matches the
+// TestGemmParallelPath forces multi-worker dispatch (work large enough to
+// pass gemmParFlops) and verifies every variant still matches the
 // reference — macro-block ranges must tile [0,m) exactly with no overlap.
 func TestGemmParallelPath(t *testing.T) {
 	prev := SetKernelParallelism(4)
 	defer SetKernelParallelism(prev)
 	rng := rand.New(rand.NewSource(14))
-	// 137×211 output = 28 907 elements ≥ parallelThreshold; 137 is not a
-	// multiple of any tile or chunk size.
+	// 137×53×211 is 3.1 Mflop ≥ gemmParFlops; 137 is not a multiple of any
+	// tile or chunk size.
 	checkAllVariantsAgainstNaive(t, rng, 137, 53, 211)
 	checkAllVariantsAgainstNaive(t, rng, 160, 300, 160)
 }

@@ -11,11 +11,6 @@ import (
 // gemm.go. The transpose variants are folded into the core's packing step,
 // so every variant shares the same register-tiled micro-kernel.
 
-// parallelThreshold is the minimum number of output elements before a matmul
-// kernel fans work out to multiple goroutines; below it, the goroutine
-// overhead outweighs the parallelism.
-const parallelThreshold = 16 * 1024
-
 // kernelPar caps how many goroutines one kernel invocation may fan out to;
 // 0 means "use GOMAXPROCS". It exists because the kernels are themselves
 // called from worker pools (fl.Federation.MapClients): without a shared
@@ -41,44 +36,6 @@ func KernelParallelism() int {
 		return int(v)
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// parallelRows splits [0,m) into contiguous non-empty chunks — boundaries
-// aligned to a multiple of align (≥1) — and runs fn over them on the kernel
-// worker pool, the caller included. workers is clamped to the number of
-// align-units, so every chunk is non-empty: the old chunk-rounding scheme
-// could leave the final (caller-run) chunk empty, or strand workers with no
-// range at all, when ⌈m/workers⌉ rounded up to align overshot m. Units are
-// spread as evenly as possible (the first units%workers chunks get one
-// extra), so no worker waits on a chunk twice the size of its neighbour's.
-func parallelRows(workers, m, align int, fn func(lo, hi int)) {
-	if m <= 0 {
-		return
-	}
-	if align < 1 {
-		align = 1
-	}
-	units := (m + align - 1) / align
-	if workers > units {
-		workers = units
-	}
-	if workers <= 1 {
-		fn(0, m)
-		return
-	}
-	q, r := units/workers, units%workers
-	ParallelFor(workers, func(w int) {
-		lo := w*q + min(w, r)
-		hi := lo + q
-		if w < r {
-			hi++
-		}
-		lo, hi = lo*align, hi*align
-		if hi > m {
-			hi = m
-		}
-		fn(lo, hi)
-	})
 }
 
 // MatMul returns a×b for rank-2 tensors with inner dimensions matching:

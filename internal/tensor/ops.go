@@ -34,15 +34,6 @@ func Sub(t, u *Tensor) *Tensor {
 	return out
 }
 
-// Mul returns the elementwise (Hadamard) product t ⊙ u as a new tensor.
-func Mul(t, u *Tensor) *Tensor {
-	mustSameShape("Mul", t, u)
-	out := New(t.shape...)
-	copy(out.Data, t.Data)
-	MulFloats(out.Data, u.Data)
-	return out
-}
-
 // Scale returns a*t as a new tensor.
 func Scale(t *Tensor, a float64) *Tensor {
 	out := New(t.shape...)
@@ -82,22 +73,6 @@ func SubInto(out, t, u *Tensor) *Tensor {
 	default:
 		copy(out.Data, t.Data)
 		SubFloats(out.Data, u.Data)
-	}
-	return out
-}
-
-// MulInto sets out = t ⊙ u elementwise and returns out. out may alias t or u.
-func MulInto(out, t, u *Tensor) *Tensor {
-	mustSameShape("MulInto", t, u)
-	mustSameShape("MulInto", out, t)
-	switch {
-	case sameData(out.Data, t.Data):
-		MulFloats(out.Data, u.Data)
-	case sameData(out.Data, u.Data):
-		MulFloats(out.Data, t.Data)
-	default:
-		copy(out.Data, t.Data)
-		MulFloats(out.Data, u.Data)
 	}
 	return out
 }

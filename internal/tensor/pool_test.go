@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +11,7 @@ import (
 // schedule (gemm_parallel.go): correctness against the naive reference
 // across tile-boundary shapes, the zero-steady-state-allocation invariant,
 // deadlock freedom under concurrent top-level MatMul callers, and the
-// chunking properties of parallelRows/ParallelFor.
+// index scheduling of ParallelFor.
 
 // TestGemmParallel2DShapes drives every MatMul variant through the pool
 // scheduler on shapes chosen to straddle every boundary of the 2-D schedule:
@@ -113,71 +112,6 @@ func TestConcurrentMatMulNoDeadlock(t *testing.T) {
 	case e := <-errs:
 		t.Fatal(e)
 	default:
-	}
-}
-
-// TestParallelRowsChunking checks the repaired chunking: chunks exactly
-// cover [0, m), every chunk is non-empty, interior boundaries are aligned,
-// and the chunk count equals min(workers, ⌈m/align⌉) — the old rounding
-// could produce an empty caller-run final chunk or strand workers entirely.
-func TestParallelRowsChunking(t *testing.T) {
-	defer SetKernelParallelism(SetKernelParallelism(8))
-	cases := []struct {
-		workers, m, align int
-		wantChunks        int
-	}{
-		{4, 3, 8, 1},    // align > m: one unit, serial
-		{8, 20, 4, 5},   // workers > units: clamp to 5 non-empty chunks
-		{4, 16, 4, 4},   // exact boundary split
-		{3, 10, 1, 3},   // uneven: 4,3,3
-		{2, 7, 4, 2},    // final chunk clipped to m
-		{1, 9, 4, 1},    // single worker: one inline call
-		{5, 5, 1, 5},    // one unit each
-		{4, 128, 4, 4},  // even aligned split
-		{7, 129, 4, 7},  // 33 units over 7 workers
-		{16, 12, 16, 1}, // align beyond m with many workers
-	}
-	for _, tc := range cases {
-		var mu sync.Mutex
-		type span struct{ lo, hi int }
-		var spans []span
-		parallelRows(tc.workers, tc.m, tc.align, func(lo, hi int) {
-			mu.Lock()
-			spans = append(spans, span{lo, hi})
-			mu.Unlock()
-		})
-		sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-		if len(spans) != tc.wantChunks {
-			t.Errorf("parallelRows(%d, %d, %d): %d chunks, want %d",
-				tc.workers, tc.m, tc.align, len(spans), tc.wantChunks)
-			continue
-		}
-		prev := 0
-		for i, s := range spans {
-			if s.lo != prev {
-				t.Errorf("parallelRows(%d, %d, %d): chunk %d starts at %d, want %d",
-					tc.workers, tc.m, tc.align, i, s.lo, prev)
-			}
-			if s.hi <= s.lo {
-				t.Errorf("parallelRows(%d, %d, %d): empty chunk [%d,%d)",
-					tc.workers, tc.m, tc.align, s.lo, s.hi)
-			}
-			if i < len(spans)-1 && s.hi%tc.align != 0 {
-				t.Errorf("parallelRows(%d, %d, %d): interior boundary %d not aligned to %d",
-					tc.workers, tc.m, tc.align, s.hi, tc.align)
-			}
-			prev = s.hi
-		}
-		if prev != tc.m {
-			t.Errorf("parallelRows(%d, %d, %d): chunks end at %d, want %d",
-				tc.workers, tc.m, tc.align, prev, tc.m)
-		}
-	}
-	// m == 0 must not call fn at all.
-	called := false
-	parallelRows(4, 0, 4, func(lo, hi int) { called = true })
-	if called {
-		t.Error("parallelRows with m=0 invoked fn")
 	}
 }
 

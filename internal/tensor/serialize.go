@@ -7,81 +7,8 @@ import (
 	"math"
 )
 
-// The wire format for a tensor is:
-//
-//	uint32 rank | rank × uint32 dims | size × float64 (little endian)
-//
-// It is used by the transport codec so that Table III's δ payload sizes are
-// measured on real encoded bytes rather than estimated.
-
-// EncodedSize returns the number of bytes Encode will write for t.
-func (t *Tensor) EncodedSize() int { return 4 + 4*len(t.shape) + 8*len(t.Data) }
-
-// Encode writes t to w in the wire format.
-func (t *Tensor) Encode(w io.Writer) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(t.shape)))
-	if _, err := w.Write(buf[:4]); err != nil {
-		return fmt.Errorf("tensor: encode rank: %w", err)
-	}
-	for _, d := range t.shape {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(d))
-		if _, err := w.Write(buf[:4]); err != nil {
-			return fmt.Errorf("tensor: encode dim: %w", err)
-		}
-	}
-	return EncodeFloats(w, t.Data)
-}
-
-// Decode reads a tensor in the wire format from r.
-func Decode(r io.Reader) (*Tensor, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return nil, fmt.Errorf("tensor: decode rank: %w", err)
-	}
-	rank := int(binary.LittleEndian.Uint32(buf[:]))
-	const maxRank = 8
-	if rank <= 0 || rank > maxRank {
-		return nil, fmt.Errorf("tensor: decode: invalid rank %d", rank)
-	}
-	const maxElems = 1 << 28 // 2 GiB of float64; anything larger is corrupt
-	shape := make([]int, rank)
-	size := 1
-	for i := range shape {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, fmt.Errorf("tensor: decode dim: %w", err)
-		}
-		shape[i] = int(binary.LittleEndian.Uint32(buf[:]))
-		if shape[i] <= 0 || shape[i] > maxElems {
-			return nil, fmt.Errorf("tensor: decode: invalid dim %d", shape[i])
-		}
-		// Checking the running product per dim keeps size ≤ maxElems·maxElems,
-		// so the multiplication can never wrap a 64-bit int.
-		size *= shape[i]
-		if size > maxElems {
-			return nil, fmt.Errorf("tensor: decode: implausible size %d", size)
-		}
-	}
-	data, err := DecodeFloats(r, size)
-	if err != nil {
-		return nil, err
-	}
-	return FromSlice(data, shape...), nil
-}
-
-// EncodeFloats writes a float64 slice (without a length prefix) to w.
-func EncodeFloats(w io.Writer, v []float64) error {
-	buf := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("tensor: encode floats: %w", err)
-	}
-	return nil
-}
-
-// DecodeFloats reads exactly n float64 values from r. The output grows in
+// DecodeFloats reads exactly n little-endian float64 values from r — the
+// float payload form of the transport checkpoint file. The output grows in
 // bounded chunks as bytes actually arrive, so a forged length prefix on a
 // truncated stream costs at most one chunk of memory before the read fails —
 // never the full 8n bytes the header claims.

@@ -12,8 +12,7 @@ import (
 )
 
 // Tensor is a dense, contiguous, row-major array of float64 values.
-// The zero value is not usable; construct tensors with New, Zeros, or
-// FromSlice.
+// The zero value is not usable; construct tensors with New or FromSlice.
 type Tensor struct {
 	shape []int
 	Data  []float64
@@ -37,10 +36,6 @@ func New(shape ...int) *Tensor {
 	}
 	return &Tensor{shape: append([]int(nil), shape...), Data: make([]float64, n)}
 }
-
-// Zeros is an alias of New, named for readability at call sites that care
-// about the initial contents.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
 
 // EnsureShape returns a tensor of the given shape, reusing t's backing
 // storage when it has enough capacity and allocating a fresh tensor

@@ -15,8 +15,8 @@ import (
 // A Checkpoint captures everything the server needs to resume a killed
 // session at a round boundary: the global model, the rFedAvg+ δ table with
 // its per-row staleness ages, the per-round loss history, and the index of
-// the next round to run. Float payloads reuse the tensor wire codec, so the
-// same bounded-allocation decoding guarantees apply to checkpoint files.
+// the next round to run. Float payloads are read with tensor.DecodeFloats,
+// which grows its output only as bytes arrive.
 type Checkpoint struct {
 	// Round is the next round index (i.e. the number of completed rounds).
 	Round int
@@ -51,6 +51,12 @@ const (
 	// ckptMaxCount bounds every length field read from disk so a corrupt
 	// header cannot force a huge allocation.
 	ckptMaxCount = 1 << 24
+	// ckptMaxSlots bounds the two slot counts (δ rows, update ages): the
+	// reader allocates slot-sized slices before reading any byte that backs
+	// them, so forged counts cost at most 40 MiB (32 for the δ rows and their
+	// ages, 8 for the update ages). 2²⁰ slots is over 10× the 100k-client
+	// scale target.
+	ckptMaxSlots = 1 << 20
 )
 
 // Write writes the checkpoint to w in one Write call.
@@ -209,7 +215,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	np := int(binary.LittleEndian.Uint32(hdr[12:]))
 	rows := int(binary.LittleEndian.Uint32(hdr[16:]))
 	nl := int(binary.LittleEndian.Uint32(hdr[20:]))
-	if round > ckptMaxCount || np > ckptMaxCount || rows > ckptMaxCount || nl > ckptMaxCount {
+	if round > ckptMaxCount || np > ckptMaxCount || rows > ckptMaxSlots || nl > ckptMaxCount {
 		return nil, fmt.Errorf("transport: implausible checkpoint counts (round=%d params=%d rows=%d losses=%d)", round, np, rows, nl)
 	}
 	ck := &Checkpoint{Round: round}
@@ -269,6 +275,9 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	nAges, err := readCount(r, "update-age count")
 	if err != nil {
 		return nil, err
+	}
+	if nAges > ckptMaxSlots {
+		return nil, fmt.Errorf("transport: implausible checkpoint update-age count %d", nAges)
 	}
 	if nAges > 0 {
 		ticks, err := readCount(r, "update-age ticks")

@@ -2,8 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -91,4 +93,89 @@ func TestCheckpointRejectsCorrupt(t *testing.T) {
 	if _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "absent")); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// forgedSlotHeader is a checkpoint that claims rows δ slots or ages
+// update-age slots and ends right after the fields that size them: 36 bytes
+// for the δ form, 32 for the update-age one.
+func forgedSlotHeader(rows, ages uint32) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, ckptMagic)
+	b = le.AppendUint32(b, ckptVersion)
+	b = le.AppendUint32(b, 0)    // round
+	b = le.AppendUint32(b, 0)    // params
+	b = le.AppendUint32(b, rows) // δ slots
+	b = le.AppendUint32(b, 0)    // losses
+	if rows > 0 {
+		b = le.AppendUint32(b, 1) // δ dim
+		b = le.AppendUint32(b, 0) // δ ticks
+		b = le.AppendUint32(b, 0) // occupied rows
+		return b
+	}
+	b = le.AppendUint32(b, ages)
+	return le.AppendUint32(b, 0) // update-age ticks
+}
+
+// A header that claims many slots and carries none of their bytes fails
+// within a 64 MiB allocation budget: the slot slices are sized from counts
+// no byte backs, so those counts are bounded by ckptMaxSlots, not by the
+// 2²⁴ ckptMaxCount every other length gets.
+func TestCheckpointForgedSlotCountsAllocateLittle(t *testing.T) {
+	const budget = 64 << 20
+	for _, raw := range [][]byte{
+		forgedSlotHeader(1<<24, 0),
+		forgedSlotHeader(ckptMaxSlots, 0),
+		forgedSlotHeader(0, 1<<24),
+		forgedSlotHeader(0, ckptMaxSlots),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadCheckpoint(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%d-byte forged checkpoint accepted", len(raw))
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > budget {
+			t.Fatalf("%d-byte forged checkpoint allocated %.1f MiB before failing (%v), want ≤ 64",
+				len(raw), float64(d)/(1<<20), err)
+		}
+	}
+}
+
+// FuzzReadCheckpoint feeds arbitrary bytes to the checkpoint reader: every
+// input must come back as an error or as a checkpoint that re-encodes, and
+// whose image reads back to itself — never a panic.
+func FuzzReadCheckpoint(f *testing.F) {
+	var golden bytes.Buffer
+	if err := goldenCheckpoint().Write(&golden); err != nil {
+		f.Fatal(err)
+	}
+	img := golden.Bytes()
+	f.Add(img)
+	for cut := 0; cut < len(img); cut += 4 {
+		f.Add(append([]byte(nil), img[:cut]...))
+	}
+	f.Add(forgedSlotHeader(ckptMaxSlots, 0))
+	f.Add(forgedSlotHeader(0, ckptMaxSlots))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		ck, err := ReadCheckpoint(bytes.NewReader(raw))
+		if err != nil {
+			if ck != nil {
+				t.Fatalf("error %v came with a checkpoint", err)
+			}
+			return
+		}
+		img, err := ck.appendTo(nil)
+		if err != nil {
+			t.Fatalf("a checkpoint that read does not re-encode: %v", err)
+		}
+		back, err := ReadCheckpoint(bytes.NewReader(img))
+		if err != nil {
+			t.Fatalf("the re-encoded image does not read: %v", err)
+		}
+		if again, err := back.appendTo(nil); err != nil || !bytes.Equal(again, img) {
+			t.Fatalf("re-encoding is not a fixed point (%v)", err)
+		}
+	})
 }

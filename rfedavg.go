@@ -59,8 +59,6 @@ type (
 	History = metrics.History
 	// Fairness summarizes per-client accuracy (Fig. 11).
 	Fairness = metrics.Fairness
-	// Confusion is a class-by-class confusion matrix.
-	Confusion = metrics.Confusion
 	// Network is a model split into feature extractor φ and head.
 	Network = nn.Network
 	// Builder constructs a fresh Network from a seed.
@@ -114,12 +112,6 @@ func NewImageCNN(spec ImageSpec, featureDim int) Builder {
 // NewTextLSTM builds the paper's LSTM model for a text task.
 func NewTextLSTM(spec TextSpec, embedDim, hidden, featureDim int) Builder {
 	return nn.NewTextLSTM(spec, embedDim, hidden, featureDim)
-}
-
-// NewTextGRU builds a GRU variant of the text model (lighter recurrent
-// cell, same feature-layer shape).
-func NewTextGRU(spec TextSpec, embedDim, hidden, featureDim int) Builder {
-	return nn.NewTextGRU(spec, embedDim, hidden, featureDim)
 }
 
 // NewMLP builds a small MLP, handy for tests and toy runs.

@@ -171,10 +171,3 @@ func TestPersonalizeViaAPI(t *testing.T) {
 		t.Fatalf("personalized %d clients", len(accs))
 	}
 }
-
-func TestTextGRUViaAPI(t *testing.T) {
-	net := NewTextGRU(SynthSent140Spec, 8, 12, 16)(1)
-	if net.FeatureDim != 16 {
-		t.Fatalf("GRU feature dim %d", net.FeatureDim)
-	}
-}
