@@ -54,12 +54,24 @@ test-race:
 test-purego:
 	go test -tags purego ./internal/tensor/ ./internal/nn/
 
+# $(call require-tests,PKG,PATTERN) fails unless every |-separated
+# alternative of PATTERN names at least one test, fuzz target or benchmark in
+# PKG, so a renamed test cannot drop silently out of a target's -run or -fuzz.
+define require-tests
+	@list=$$(go test -list '.*' $(1)) || { echo "$$list"; exit 1; }; \
+	for alt in $$(echo '$(2)' | tr '|' ' '); do \
+		echo "$$list" | grep -Eq -- "$$alt" || { echo "$(1): no test matches $$alt"; exit 1; }; \
+	done
+endef
+
 # The fixed-seed sessions of testdata/golden_sessions.json are the bit-identity
 # gate for anything that touches a round's arithmetic, and the test skips
 # itself where the host's float kernels differ from the recording's. On amd64
 # — the recording's architecture — a skip means the gate did not run: fail.
+GOLDEN_TESTS = ^TestElideGoldenSessions$$
 golden:
-	@out=$$(go test ./internal/transport -run '^TestElideGoldenSessions$$' -count 1 -v) || { echo "$$out"; exit 1; }; \
+	$(call require-tests,./internal/transport,$(GOLDEN_TESTS))
+	@out=$$(go test ./internal/transport -run '$(GOLDEN_TESTS)' -count 1 -v) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	if [ "$$(go env GOARCH)" = amd64 ] && echo "$$out" | grep -q -- '--- SKIP'; then \
 		echo "golden: TestElideGoldenSessions skipped on amd64 — the bit-identity gate did not run"; exit 1; \
@@ -138,15 +150,16 @@ scale-smoke:
 
 # Prove the async robustness claim under the race detector: the seeded
 # straggler matrix (async per-round wall clock within ~1.2× fault-free
-# while sync degrades), the end-to-end fold/buffer session, the BufferK=0
+# while sync degrades), the end-to-end fold/buffer session, the full-buffer
 # bitwise-sync equivalence, the buffered-checkpoint resume path, the
 # held-model state machine (elided assigns through retry, rejoin, resume,
 # duplicated and corrupted frames), and the silent-non-member rules (frames
 # only to the cohort; a dead idle peer reaped at the round boundary and its
 # slot handed to a rejoiner).
+CHAOS_TESTS = TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncFullBufferMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide|TestCohortWireLaw|TestCohortReapsDeadUnsampledPeer
 chaos-smoke:
-	go test -race -count 1 ./internal/transport \
-		-run 'TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncBufferKZeroMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide|TestCohortWireLaw|TestCohortReapsDeadUnsampledPeer'
+	$(call require-tests,./internal/transport,$(CHAOS_TESTS))
+	go test -race -count 1 ./internal/transport -run '$(CHAOS_TESTS)'
 
 # The full benchmark harness: one testing.B benchmark per paper table and
 # figure plus ablations.
@@ -163,8 +176,9 @@ bench-e2e-smoke:
 # (compressed) payload headers. Malformed, truncated, or forged input must
 # error, never panic or over-allocate.
 fuzz-short:
-	go test ./internal/transport -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 10s
-	go test ./internal/transport -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
+	$(call require-tests,./internal/transport,^FuzzReadCheckpoint$$|^FuzzReadMessage$$)
+	go test ./internal/transport -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s
+	go test ./internal/transport -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 10s
 
 # Regenerate every table/figure at the fast scale (minutes each; raw
 # outputs land in results/).

@@ -8,7 +8,7 @@
 // Every client of one session must use the same -dataset, -featdim, and
 // -modelseed as the server, and a distinct -shard in [0, -of).
 //
-// The server's asynchronous mode (flserver -async) is transparent here: a
+// The server's asynchronous mode (flserver -buffer-k) is transparent here: a
 // client that misses a round's buffer keeps training and uploads as usual;
 // the server parks the late update and folds it into a later round.
 package main
@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/data"
+	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/telemetry"
@@ -91,7 +92,7 @@ func main() {
 		pool = data.SynthSent140(*of, *trainN / *of, *dataSeed)
 		builder = nn.NewTextLSTM(data.SynthSent140Spec, 16, 32, *featureDim)
 		newOpt = func() opt.Optimizer { return opt.NewRMSProp() }
-		if *lr == 0.1 {
+		if !cliflags.WasSet(flag.CommandLine, "lr") {
 			*lr = 0.01
 		}
 	default:
@@ -139,10 +140,10 @@ func main() {
 		conn, err := transport.Dial(*addr)
 		if err == nil {
 			var final []float64
-			final, err = RunAndReport(conn, mine, cfg)
+			final, err = transport.RunClient(conn, mine, cfg)
 			if err == nil {
 				fmt.Printf("done: received final model (%d params); sent %s, received %s\n",
-					len(final), fmtBytes(conn.BytesSent()), fmtBytes(conn.BytesReceived()))
+					len(final), metrics.FormatBytes(conn.BytesSent()), metrics.FormatBytes(conn.BytesReceived()))
 				conn.Close()
 				obs.Close()
 				if *showTelem {
@@ -164,21 +165,5 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "flclient: %v — rejoining in %s (%d/%d)\n", err, sleep.Round(time.Millisecond), attempt+1, *retries)
 		time.Sleep(sleep)
-	}
-}
-
-// RunAndReport wraps transport.RunClient (split out for clarity).
-func RunAndReport(conn transport.Conn, shard *data.Dataset, cfg transport.ClientConfig) ([]float64, error) {
-	return transport.RunClient(conn, shard, cfg)
-}
-
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.2f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
 	}
 }

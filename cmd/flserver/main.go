@@ -15,16 +15,17 @@
 // evicted at the deadline and the round completes over the survivors;
 // clients reconnecting later (flclient -retries) are re-admitted at the
 // next round boundary. -min-clients sets the quorum below which a round is
-// retried, and -checkpoint makes the server persist round checkpoints so a
-// killed session can be resumed with -resume.
+// retried (twice, then the session aborts), and -checkpoint makes the server
+// persist a checkpoint after every round so a killed session can be resumed
+// with -resume.
 //
-// Asynchronous aggregation: -async closes each round once the -buffer-k
+// Asynchronous aggregation: -buffer-k K > 0 closes each round once the K
 // fastest updates arrive; stragglers keep running and their updates are
 // folded into the next round's aggregate, discounted by 1/(1+age)^λ
 // (-staleness-lambda). -adaptive-deadline replaces the fixed -deadline with
 // a per-round deadline tracking per-client round-time EWMAs, clamped to
-// [-min-deadline, -max-deadline]. Buffered updates survive checkpoints, so
-// -resume restores them bit-for-bit.
+// [deadline/8, deadline]. Buffered updates survive checkpoints, so -resume
+// restores them bit-for-bit.
 //
 // Observability: -telemetry-addr starts an HTTP listener exposing the
 // process's metric registry as Prometheus text at /metrics, a liveness
@@ -69,11 +70,9 @@ func main() {
 
 		async      = cliflags.AsyncFlags(true)
 		deadline   = flag.Duration("deadline", 30*time.Second, "per-phase deadline; clients that miss it are evicted (0 disables)")
-		minClients = flag.Int("min-clients", 1, "quorum: rounds with fewer valid updates are retried")
-		maxRetries = flag.Int("max-retries", 2, "consecutive failed attempts of one round before aborting")
+		minClients = flag.Int("min-clients", 1, "quorum: rounds with fewer valid updates are retried, twice at most before the session aborts")
 		maxStale   = flag.Int("max-stale", 0, "exclude δ rows older than this many rounds from targets (0 = keep forever)")
-		ckptPath   = flag.String("checkpoint", "", "write atomic round checkpoints to this file")
-		ckptEvery  = flag.Int("checkpoint-every", 1, "checkpoint period in rounds")
+		ckptPath   = flag.String("checkpoint", "", "write an atomic checkpoint to this file after every round")
 		resume     = flag.Bool("resume", false, "resume from -checkpoint if it exists")
 
 		detailN = cliflags.LedgerDetail()
@@ -172,17 +171,12 @@ func main() {
 		Seed:             *seed,
 		RoundDeadline:    *deadline,
 		MinClients:       *minClients,
-		Async:            *async.Enabled,
 		BufferK:          *async.BufferK,
 		StalenessLambda:  *async.StalenessLambda,
 		AdaptiveDeadline: *async.Adaptive,
-		MinDeadline:      *async.MinDeadline,
-		MaxDeadline:      *async.MaxDeadline,
-		MaxRoundRetries:  *maxRetries,
 		MaxStaleness:     *maxStale,
 		Rejoin:           rejoin,
 		CheckpointPath:   *ckptPath,
-		CheckpointEvery:  *ckptEvery,
 		Codec: transport.CodecPolicy{
 			Broadcast: bcastScheme,
 			Update:    upScheme,

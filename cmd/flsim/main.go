@@ -8,7 +8,7 @@
 //	      -e 5 -b 50 -sr 1.0 -sim 0 -lambda 5e-3
 //	flsim -dataset sent140 -method fedavg -natural -clients 20 -rounds 10
 //
-// Asynchronous aggregation: -async keeps only the -buffer-k fastest updates
+// Asynchronous aggregation: -buffer-k K > 0 keeps only the K fastest updates
 // per round (under a simulated latency model; -slow makes chosen clients
 // persistently slow) and folds deferred updates into later rounds with the
 // 1/(1+age)^λ staleness discount (-staleness-lambda).
@@ -111,7 +111,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "flsim:", err)
 		os.Exit(2)
 	}
-	if !flagWasSet("lr") {
+	if !cliflags.WasSet(flag.CommandLine, "lr") {
 		*lr = defLR
 	}
 
@@ -160,7 +160,6 @@ func main() {
 		NewOptimizer:    newOpt,
 		Compress:        scheme,
 		CompressEF:      *compressEF,
-		Async:           *async.Enabled,
 		BufferK:         *async.BufferK,
 		StalenessLambda: *async.StalenessLambda,
 		SlowFactor:      slowFactor,
@@ -355,14 +354,4 @@ func parseSlow(v string, clients int) ([]float64, error) {
 		}
 	}
 	return fs, nil
-}
-
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/compress"
 	"repro/internal/health"
@@ -25,12 +24,9 @@ const (
 	summaryHelp  = "print the process metric registry summary after the run"
 	compressHelp = "wire-compression scheme for uplink payloads: dense (off), f32, q8, or q1"
 
-	asyncHelp    = "asynchronous buffered aggregation: close each round at the buffer-k fastest updates and fold stragglers into later rounds with a staleness discount"
-	bufferKHelp  = "async buffer size K: fresh updates that close a round (0 = whole cohort)"
+	bufferKHelp  = "asynchronous buffered aggregation: close each round at the K fastest updates and fold stragglers into later rounds with a staleness discount (0 = synchronous rounds)"
 	lambdaSHelp  = "staleness-discount exponent λ: a fold aged a rounds weighs 1/(1+a)^λ (0 disables the discount)"
-	adaptiveHelp = "replace the fixed -deadline with an adaptive per-round deadline from per-client round-time EWMAs (requires -deadline > 0 as the ceiling)"
-	minDlHelp    = "adaptive-deadline floor (0 = deadline/8)"
-	maxDlHelp    = "adaptive-deadline ceiling (0 = deadline)"
+	adaptiveHelp = "replace the fixed -deadline with an adaptive per-round deadline from per-client round-time EWMAs, clamped to [deadline/8, deadline] (requires -deadline > 0)"
 )
 
 // Telemetry holds the observability flags a binary registered and, after
@@ -63,34 +59,39 @@ func Register(events, trace, ledger bool) *Telemetry {
 	return t
 }
 
-// Async holds the shared asynchronous-aggregation flags. The adaptive-
-// deadline trio is registered only for deployment drivers (flserver) —
-// the simulator has no wall-clock deadlines to adapt.
+// Async holds the shared asynchronous-aggregation flags: a -buffer-k above 0
+// turns buffered rounds on. -adaptive-deadline is registered only for
+// deployment drivers (flserver) — the simulator has no wall-clock deadlines
+// to adapt.
 type Async struct {
-	Enabled         *bool
 	BufferK         *int
 	StalenessLambda *float64
-
-	Adaptive    *bool
-	MinDeadline *time.Duration
-	MaxDeadline *time.Duration
+	Adaptive        *bool
 }
 
-// AsyncFlags installs the shared -async, -buffer-k, and -staleness-lambda
-// flags, plus -adaptive-deadline/-min-deadline/-max-deadline when adaptive
-// is set, on the default flag set.
+// AsyncFlags installs the shared -buffer-k and -staleness-lambda flags, plus
+// -adaptive-deadline when adaptive is set, on the default flag set.
 func AsyncFlags(adaptive bool) *Async {
 	a := &Async{
-		Enabled:         flag.Bool("async", false, asyncHelp),
 		BufferK:         flag.Int("buffer-k", 0, bufferKHelp),
 		StalenessLambda: flag.Float64("staleness-lambda", 0.5, lambdaSHelp),
 	}
 	if adaptive {
 		a.Adaptive = flag.Bool("adaptive-deadline", false, adaptiveHelp)
-		a.MinDeadline = flag.Duration("min-deadline", 0, minDlHelp)
-		a.MaxDeadline = flag.Duration("max-deadline", 0, maxDlHelp)
 	}
 	return a
+}
+
+// WasSet reports whether the named flag was given on fs's command line, so
+// a binary can tell an explicit value from the flag's default.
+func WasSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == name {
+			set = true
+		}
+	})
+	return set
 }
 
 // Health holds the shared run-health-monitor flags.

@@ -339,7 +339,7 @@ func TestSimLedgerCarriesServerBlocks(t *testing.T) {
 
 	buf.Reset()
 	f = ledgerFederation(t, clients, nil, telemetry.NewRunLedger(&buf))
-	f.Cfg.Async, f.Cfg.BufferK = true, 3
+	f.Cfg.BufferK = 3
 	f.Cfg.SlowFactor = []float64{1, 1, 1, 1, 6, 6}
 	fl.Run(f, fl.NewFedAvg(), 2)
 	lines := decodeCoreLedger(t, &buf)

@@ -45,7 +45,7 @@ func runMethod(t *testing.T, alg fl.Algorithm, mode string, rounds int) (methodR
 	case "q8":
 		f.Cfg.Compress, f.Cfg.CompressEF = compress.SchemeInt8, true
 	case "async":
-		f.Cfg.Async, f.Cfg.BufferK, f.Cfg.StalenessLambda = true, 3, 0.5
+		f.Cfg.BufferK, f.Cfg.StalenessLambda = 3, 0.5
 	}
 	alg.Setup(f)
 	var r methodRun
@@ -115,7 +115,7 @@ func TestMethodsPinned(t *testing.T) {
 	}
 }
 
-// Config.Compress and Config.Async are properties of the round, so they act
+// Config.Compress and Config.BufferK are properties of the round, so they act
 // on every method: under q8 each sampled client's model travels at the codec's
 // size (a δ map too; SCAFFOLD's Δc and the scalars stay dense) and the trained
 // model differs from the dense run's; under a buffer smaller than the cohort

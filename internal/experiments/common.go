@@ -143,7 +143,6 @@ func (t *Task) Config(setting Setting, seed int64, lrOverride float64) fl.Config
 		Seed:         seed * 17,
 		LR:           opt.ConstLR(lr),
 		NewOptimizer: t.NewOpt,
-		EvalEvery:    t.P.EvalEvery,
 	}
 	if setting == Silo {
 		cfg.LocalSteps, cfg.BatchSize, cfg.SampleRatio = t.P.SiloE, t.P.SiloB, 1.0

@@ -34,9 +34,6 @@ type Preset struct {
 	SentUsers, SentPerUser int
 	// FEMNIST generator: writers and mean samples per writer.
 	FemWriters, FemPerWriter int
-
-	// EvalEvery controls how often the global model is tested.
-	EvalEvery int
 }
 
 // For returns the preset of a scale.
@@ -52,7 +49,6 @@ func For(scale Scale) Preset {
 			Rounds:     map[string]int{"mnist": 60, "cifar": 200, "sent140": 30, "femnist": 80},
 			SentUsers:  500, SentPerUser: 40,
 			FemWriters: 500, FemPerWriter: 40,
-			EvalEvery: 1,
 		}
 	case ScaleFast:
 		return Preset{
@@ -64,7 +60,6 @@ func For(scale Scale) Preset {
 			Rounds:     map[string]int{"mnist": 12, "cifar": 30, "sent140": 10, "femnist": 12},
 			SentUsers:  40, SentPerUser: 40,
 			FemWriters: 40, FemPerWriter: 30,
-			EvalEvery: 1,
 		}
 	default: // ScaleBench
 		return Preset{
@@ -76,7 +71,6 @@ func For(scale Scale) Preset {
 			Rounds:     map[string]int{"mnist": 4, "cifar": 6, "sent140": 3, "femnist": 4},
 			SentUsers:  20, SentPerUser: 25,
 			FemWriters: 20, FemPerWriter: 20,
-			EvalEvery: 1,
 		}
 	}
 }

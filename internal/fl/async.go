@@ -33,17 +33,17 @@ func (f *Federation) asyncLatency(round, client int) float64 {
 // aggregation set (fresh outputs in sampled order, then folds in client
 // order) with per-entry staleness ages aligned to it; ages is nil when
 // nothing was deferred or folded (the sync-identical fast path). With
-// Config.Async off it returns (outs, nil) unchanged.
+// BufferK ≤ 0 it returns (outs, nil) unchanged.
 func (f *Federation) applyAsync(round int, outs []ClientOut) ([]ClientOut, []int) {
-	if !f.Cfg.Async {
+	k := f.Cfg.BufferK
+	if k <= 0 {
 		return outs, nil
 	}
 	if f.deferred == nil {
 		f.deferred = make(map[int]*deferredOut, len(f.Clients))
 	}
-	k := f.Cfg.BufferK
 	fresh := outs
-	if k >= 1 && k < len(outs) {
+	if k < len(outs) {
 		// Rank this round's cohort by simulated arrival; defer the rest.
 		order := make([]int, len(outs))
 		for i := range order {

@@ -95,15 +95,15 @@ func fakeOuts(f *Federation, ids []int) []ClientOut {
 	return outs
 }
 
-// With async off (or BufferK covering the cohort and nothing deferred),
-// applyAsync is the identity: same outs, nil ages — and the stale-weighted
-// reducers must then be bitwise-identical to their synchronous forms.
+// With BufferK covering the cohort and nothing deferred, applyAsync is the
+// identity: same outs, nil ages — and the stale-weighted reducers must then
+// be bitwise-identical to their synchronous forms.
 func TestApplyAsyncIdentityWhenNothingDeferred(t *testing.T) {
-	f := newAsyncFederation(t, 4, Config{Async: true, BufferK: 0, Seed: 9})
+	f := newAsyncFederation(t, 4, Config{BufferK: 4, Seed: 9})
 	outs := fakeOuts(f, []int{0, 1, 2, 3})
 	agg, ages := f.applyAsync(0, outs)
 	if ages != nil {
-		t.Fatalf("BufferK=0 deferred something: ages %v", ages)
+		t.Fatalf("BufferK=4 over a cohort of 4 deferred something: ages %v", ages)
 	}
 	if len(agg) != len(outs) {
 		t.Fatalf("agg has %d entries, want %d", len(agg), len(outs))
@@ -131,7 +131,7 @@ func TestApplyAsyncIdentityWhenNothingDeferred(t *testing.T) {
 // BufferK keeps the K lowest-latency clients and defers the rest; the
 // deferred updates fold into the next round with their age.
 func TestApplyAsyncDefersAndFolds(t *testing.T) {
-	f := newAsyncFederation(t, 4, Config{Async: true, BufferK: 2, Seed: 9, SlowFactor: []float64{1, 1, 20, 1}})
+	f := newAsyncFederation(t, 4, Config{BufferK: 2, Seed: 9, SlowFactor: []float64{1, 1, 20, 1}})
 
 	agg0, ages0 := f.applyAsync(0, fakeOuts(f, []int{0, 1, 2, 3}))
 	if len(agg0) != 2 {
@@ -211,7 +211,7 @@ func TestApplyAsyncDefersAndFolds(t *testing.T) {
 // configuration defers the same clients every time.
 func TestApplyAsyncDeterministic(t *testing.T) {
 	pick := func() []int {
-		f := newAsyncFederation(t, 6, Config{Async: true, BufferK: 3, Seed: 42})
+		f := newAsyncFederation(t, 6, Config{BufferK: 3, Seed: 42})
 		agg, _ := f.applyAsync(0, fakeOuts(f, []int{0, 1, 2, 3, 4, 5}))
 		var ids []int
 		for _, o := range agg {
@@ -243,7 +243,7 @@ func contains(xs []int, x int) bool {
 // async round's parked stragglers are scored when they fold, not when they
 // finish training, so round 0 scores three of the six clients.
 func TestAsyncHealthFeedsAggregatedOnly(t *testing.T) {
-	f := newAsyncFederation(t, 6, Config{Async: true, BufferK: 3, Seed: 42, SlowFactor: []float64{1, 1, 1, 1, 6, 6}})
+	f := newAsyncFederation(t, 6, Config{BufferK: 3, Seed: 42, SlowFactor: []float64{1, 1, 1, 1, 6, 6}})
 	f.Cfg.Health = health.New(health.Config{Registry: telemetry.NewRegistry()})
 	a := NewFedAvg()
 	a.Setup(f)

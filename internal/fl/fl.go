@@ -44,10 +44,6 @@ type Config struct {
 
 	// Workers bounds parallel local training; 0 means GOMAXPROCS.
 	Workers int
-	// EvalEvery evaluates the global model every k rounds; 0 means 1.
-	EvalEvery int
-	// EvalBatch is the evaluation batch size; 0 means 256.
-	EvalBatch int
 	// Sampler selects each round's cohort; nil means UniformSampler (the
 	// paper's setting).
 	Sampler Sampler
@@ -64,21 +60,19 @@ type Config struct {
 	// compressed update (EF-SGD); δ maps are never error-fed.
 	CompressEF bool
 
-	// Async enables buffered aggregation (FedBuff-style): each round
+	// BufferK > 0 enables buffered aggregation (FedBuff-style): each round
 	// aggregates only the BufferK fastest sampled clients under a seeded
 	// latency model, standing in for the arrivals the transport server
 	// observes; the rest are parked and folded into a later round's aggregate
 	// with the server's discount, engine.StalenessWeight(age, StalenessLambda).
-	// Deterministic: latency draws are keyed to (Seed, round, client).
-	Async bool
-	// BufferK is the async buffer size; ≤ 0 (or ≥ the cohort size) closes
-	// every round over the full cohort.
+	// Deterministic: latency draws are keyed to (Seed, round, client). 0 (or
+	// a buffer of at least the cohort) closes every round over the full cohort.
 	BufferK int
 	// StalenessLambda is λ in the staleness discount applied to folded
 	// updates; ≤ 0 disables discounting (late updates weigh like fresh).
 	StalenessLambda float64
 	// SlowFactor[k] scales client k's simulated latency (unset entries mean
-	// 1), modeling persistent stragglers; consulted only when Async is on.
+	// 1), modeling persistent stragglers; consulted only when BufferK > 0.
 	SlowFactor []float64
 
 	// Tracer, when non-nil, records identified spans for the simulation
@@ -125,12 +119,6 @@ type Byzantine struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.EvalEvery <= 0 {
-		c.EvalEvery = 1
-	}
-	if c.EvalBatch <= 0 {
-		c.EvalBatch = 256
 	}
 	if c.NewOptimizer == nil {
 		c.NewOptimizer = func() opt.Optimizer { return opt.NewSGD() }
@@ -184,7 +172,7 @@ type Federation struct {
 	// rec is the reused ledger record; its slices are refilled each round.
 	rec telemetry.RoundRecord
 
-	// deferred holds parked async outputs by client ID (Config.Async).
+	// deferred holds parked async outputs by client ID (Config.BufferK).
 	deferred map[int]*deferredOut
 
 	// everyone is the all-true eligibility mask UniformSampler draws from;
@@ -262,7 +250,7 @@ func (f *Federation) InitialParams() []float64 {
 // and round number.
 func (f *Federation) SampleClients(round int) []int {
 	sampled := f.Cfg.Sampler.Sample(f, round)
-	if f.Cfg.Async {
+	if f.Cfg.BufferK > 0 {
 		sampled = f.filterAsyncBusy(sampled)
 	}
 	return sampled
@@ -493,12 +481,15 @@ func (f *Federation) roundRec() *telemetry.RoundRecord {
 	return &f.rec
 }
 
-// evalBatches runs the model over ds in evaluation batches of size b,
-// assembling each batch in w's arena, and calls fn with every batch's
-// logits and labels.
-func evalBatches(w *Worker, ds *data.Dataset, b int, fn func(logits *tensor.Tensor, y []int)) {
-	for lo := 0; lo < ds.Len(); lo += b {
-		hi := lo + b
+// evalBatch is the evaluation batch size, and the sample count of SCAFFOLD's
+// and q-FedAvg's full-model draws.
+const evalBatch = 256
+
+// evalBatches runs the model over ds in batches of evalBatch, assembling each
+// batch in w's arena, and calls fn with every batch's logits and labels.
+func evalBatches(w *Worker, ds *data.Dataset, fn func(logits *tensor.Tensor, y []int)) {
+	for lo := 0; lo < ds.Len(); lo += evalBatch {
+		hi := lo + evalBatch
 		if hi > ds.Len() {
 			hi = ds.Len()
 		}
@@ -519,7 +510,7 @@ func (f *Federation) Evaluate(flat []float64, ds *data.Dataset) float64 {
 	w := f.workers[0]
 	w.t.Net.SetFlat(flat)
 	correct := 0
-	evalBatches(w, ds, f.Cfg.EvalBatch, func(logits *tensor.Tensor, y []int) {
+	evalBatches(w, ds, func(logits *tensor.Tensor, y []int) {
 		for i := 0; i < logits.Dim(0); i++ {
 			if tensor.MaxIndex(logits.Row(i)) == y[i] {
 				correct++
@@ -544,7 +535,7 @@ func (f *Federation) EvaluatePerClient(flat []float64) []float64 {
 			for k := range tasks {
 				ds := f.Clients[k].Data
 				correct := 0
-				evalBatches(w, ds, f.Cfg.EvalBatch, func(logits *tensor.Tensor, y []int) {
+				evalBatches(w, ds, func(logits *tensor.Tensor, y []int) {
 					for i := 0; i < logits.Dim(0); i++ {
 						if tensor.MaxIndex(logits.Row(i)) == y[i] {
 							correct++
@@ -731,7 +722,7 @@ func Run(f *Federation, alg Algorithm, rounds int) *metrics.History {
 			ReconErr:  res.ReconErr,
 			TestAcc:   math.NaN(),
 		}
-		if f.Test != nil && (c%f.Cfg.EvalEvery == f.Cfg.EvalEvery-1 || c == rounds-1) {
+		if f.Test != nil {
 			stats.TestAcc = f.Evaluate(alg.GlobalParams(), f.Test)
 		}
 		h.Append(stats)

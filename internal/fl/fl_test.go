@@ -233,25 +233,9 @@ func TestEvaluatePerClient(t *testing.T) {
 	}
 }
 
-func TestEvalEverySkipsRounds(t *testing.T) {
-	f := tinyFederation(t, 3, 1.0, 1.0)
-	f.Cfg.EvalEvery = 3
-	h := Run(f, NewFedAvg(), 7)
-	evaluated := 0
-	for _, r := range h.Rounds {
-		if !math.IsNaN(r.TestAcc) {
-			evaluated++
-		}
-	}
-	// Rounds 2, 5 (every 3rd) and the final round 6.
-	if evaluated != 3 {
-		t.Fatalf("evaluated %d rounds, want 3", evaluated)
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Workers <= 0 || c.EvalEvery != 1 || c.EvalBatch != 256 ||
+	if c.Workers <= 0 ||
 		c.SampleRatio != 1 || c.LocalSteps != 1 || c.BatchSize != 32 {
 		t.Fatalf("bad defaults: %+v", c)
 	}

@@ -18,36 +18,26 @@ import (
 
 // PersonalizeOptions configures the per-client fine-tuning evaluation.
 type PersonalizeOptions struct {
-	// Steps of local fine-tuning SGD; 0 evaluates the global model as-is.
+	// Steps of local fine-tuning SGD, in batches of the federation's batch
+	// size; 0 evaluates the global model as-is.
 	Steps int
-	// BatchSize for fine-tuning; 0 uses the federation's batch size.
-	BatchSize int
 	// LR for fine-tuning; 0 uses 0.01.
 	LR float64
-	// HoldoutFraction of each shard reserved for evaluation; 0 uses 0.25.
-	HoldoutFraction float64
 	// Seed controls the shard split and batch order.
 	Seed int64
 }
 
-func (o PersonalizeOptions) withDefaults(f *Federation) PersonalizeOptions {
-	if o.BatchSize <= 0 {
-		o.BatchSize = f.Cfg.BatchSize
-	}
-	if o.LR <= 0 {
-		o.LR = 0.01
-	}
-	if o.HoldoutFraction <= 0 || o.HoldoutFraction >= 1 {
-		o.HoldoutFraction = 0.25
-	}
-	return o
-}
+// holdoutFraction is the share of each shard Personalize reserves for
+// evaluation.
+const holdoutFraction = 0.25
 
 // Personalize fine-tunes the global model independently on every client
 // and returns each client's held-out accuracy. The global model is not
 // modified.
 func (f *Federation) Personalize(global []float64, o PersonalizeOptions) []float64 {
-	o = o.withDefaults(f)
+	if o.LR <= 0 {
+		o.LR = 0.01
+	}
 	accs := make([]float64, len(f.Clients))
 	tasks := make(chan int)
 	var wg sync.WaitGroup
@@ -57,7 +47,7 @@ func (f *Federation) Personalize(global []float64, o PersonalizeOptions) []float
 			defer wg.Done()
 			t := &engine.Trainer{Net: f.Cfg.Builder(f.Cfg.ModelSeed), Opt: f.Cfg.NewOptimizer(), Arena: nn.NewArena()}
 			for k := range tasks {
-				accs[k] = personalizeOne(t, f.Clients[k], global, o)
+				accs[k] = personalizeOne(t, f.Clients[k], global, o, f.Cfg.BatchSize)
 			}
 		}()
 	}
@@ -69,11 +59,11 @@ func (f *Federation) Personalize(global []float64, o PersonalizeOptions) []float
 	return accs
 }
 
-func personalizeOne(t *engine.Trainer, c *Client, global []float64, o PersonalizeOptions) float64 {
+func personalizeOne(t *engine.Trainer, c *Client, global []float64, o PersonalizeOptions, batchSize int) float64 {
 	rng := rand.New(rand.NewSource(o.Seed*1_000_003 + int64(c.ID+1)*7919))
 	n := c.Data.Len()
 	perm := rng.Perm(n)
-	cut := int(float64(n) * (1 - o.HoldoutFraction))
+	cut := int(float64(n) * (1 - holdoutFraction))
 	if cut < 1 {
 		cut = 1
 	}
@@ -86,10 +76,7 @@ func personalizeOne(t *engine.Trainer, c *Client, global []float64, o Personaliz
 	t.Opt.Reset()
 	params := t.Net.Params()
 	for s := 0; s < o.Steps; s++ {
-		b := o.BatchSize
-		if b > len(tuneIdx) {
-			b = len(tuneIdx)
-		}
+		b := min(batchSize, len(tuneIdx))
 		batch := make([]int, b)
 		sub := rng.Perm(len(tuneIdx))[:b]
 		for i, j := range sub {

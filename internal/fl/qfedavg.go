@@ -34,7 +34,7 @@ func (a *QFedAvg) Setup(f *Federation) {
 // evaluation-sized local batch, beside the trained model.
 func (a *QFedAvg) local(round int, w *Worker, c *Client, rng *rand.Rand) (float64, []float64) {
 	f := a.F
-	fk := w.t.Loss(c.Data, w.t.Draw(c.Data, rng, f.Cfg.EvalBatch))
+	fk := w.t.Loss(c.Data, w.t.Draw(c.Data, rng, evalBatch))
 	return f.LocalTrain(w, c, rng, f.DefaultLocalOpts(round)), []float64{fk}
 }
 

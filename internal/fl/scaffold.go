@@ -68,7 +68,7 @@ func (a *Scaffold) local(round int, w *Worker, c *Client, rng *rand.Rand) (float
 	// Option I refresh target: the gradient of one evaluation-sized
 	// local batch at the global model, computed before local training
 	// perturbs w.
-	w.t.Batch(c.Data, w.t.Draw(c.Data, rng, f.Cfg.EvalBatch))
+	w.t.Batch(c.Data, w.t.Draw(c.Data, rng, evalBatch))
 	ckNew := nn.FlattenGrads(w.Net().Params())
 
 	o := f.DefaultLocalOpts(round)

@@ -73,7 +73,7 @@ const DefaultWindow = 256
 const DefaultUnhealthyBelow = 0.5
 
 // Config parameterizes a Monitor. The zero value is usable: default
-// registry, no event log, default rules, window, and threshold.
+// registry, no event log, default rules.
 type Config struct {
 	// Registry receives the rfl_health_* metrics (Default() when nil).
 	Registry *telemetry.Registry
@@ -81,11 +81,6 @@ type Config struct {
 	Events *telemetry.EventLog
 	// Rules are the alert thresholds; nil means DefaultRules().
 	Rules []Rule
-	// Window is the norm-ring length (DefaultWindow when 0).
-	Window int
-	// UnhealthyBelow is the unhealthy-score threshold
-	// (DefaultUnhealthyBelow when 0).
-	UnhealthyBelow float64
 }
 
 // clientState is the per-client rolling record, allocated once when the
@@ -126,9 +121,8 @@ type clientState struct {
 type Monitor struct {
 	mu sync.Mutex
 
-	events         *telemetry.EventLog
-	rules          []Rule
-	unhealthyBelow float64
+	events *telemetry.EventLog
+	rules  []Rule
 
 	// Per-client slots, indexed by client ID, grown on demand; observed
 	// lists the IDs with live state in first-seen order.
@@ -191,34 +185,25 @@ func New(cfg Config) *Monitor {
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	w := cfg.Window
-	if w <= 0 {
-		w = DefaultWindow
-	}
 	rules := cfg.Rules
 	if rules == nil {
 		rules = DefaultRules()
 	}
-	thr := cfg.UnhealthyBelow
-	if thr <= 0 {
-		thr = DefaultUnhealthyBelow
-	}
 	return &Monitor{
-		events:         cfg.Events,
-		rules:          rules,
-		unhealthyBelow: thr,
-		verdict:        "ok",
-		runLoss:        math.NaN(),
-		prevLoss:       math.NaN(),
-		ring:           make([]float64, w),
-		mScoreMin:      reg.Gauge("rfl_health_score_min", "lowest client health score in the last round"),
-		mScoreMean:     reg.Gauge("rfl_health_score_mean", "mean client health score in the last round"),
-		mUnhealthy:     reg.Gauge("rfl_health_unhealthy_clients", "clients scoring below the unhealthy threshold in the last round"),
-		mVerdict:       reg.Gauge("rfl_health_round_verdict", "last round verdict: 0 ok, 1 warn, 2 critical"),
-		mCohort:        reg.Gauge("rfl_health_cohort", "clients scored in the last round"),
-		cAlerts:        reg.Counter("rfl_health_alerts_total", "health alert events emitted (edge-triggered)"),
-		cUpdates:       reg.Counter("rfl_health_updates_total", "client updates observed by the health monitor"),
-		cRounds:        reg.Counter("rfl_health_rounds_total", "rounds scored by the health monitor"),
+		events:     cfg.Events,
+		rules:      rules,
+		verdict:    "ok",
+		runLoss:    math.NaN(),
+		prevLoss:   math.NaN(),
+		ring:       make([]float64, DefaultWindow),
+		mScoreMin:  reg.Gauge("rfl_health_score_min", "lowest client health score in the last round"),
+		mScoreMean: reg.Gauge("rfl_health_score_mean", "mean client health score in the last round"),
+		mUnhealthy: reg.Gauge("rfl_health_unhealthy_clients", "clients scoring below the unhealthy threshold in the last round"),
+		mVerdict:   reg.Gauge("rfl_health_round_verdict", "last round verdict: 0 ok, 1 warn, 2 critical"),
+		mCohort:    reg.Gauge("rfl_health_cohort", "clients scored in the last round"),
+		cAlerts:    reg.Counter("rfl_health_alerts_total", "health alert events emitted (edge-triggered)"),
+		cUpdates:   reg.Counter("rfl_health_updates_total", "client updates observed by the health monitor"),
+		cRounds:    reg.Counter("rfl_health_rounds_total", "rounds scored by the health monitor"),
 	}
 }
 
@@ -481,7 +466,7 @@ func (m *Monitor) EndRound(roundLoss float64) string {
 		if math.IsNaN(scoreMin) || st.score < scoreMin {
 			scoreMin = st.score
 		}
-		if st.score < m.unhealthyBelow {
+		if st.score < DefaultUnhealthyBelow {
 			unhealthy++
 		}
 	}
@@ -641,7 +626,7 @@ func (m *Monitor) UnhealthyCount() int {
 	defer m.mu.Unlock()
 	n := 0
 	for _, st := range m.cohort {
-		if m.effectiveScoreLocked(st) < m.unhealthyBelow {
+		if m.effectiveScoreLocked(st) < DefaultUnhealthyBelow {
 			n++
 		}
 	}

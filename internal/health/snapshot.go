@@ -95,7 +95,7 @@ func (m *Monitor) Snapshot(topN int) Snapshot {
 		}
 		scoreSum += score
 		scored++
-		if score < m.unhealthyBelow {
+		if score < DefaultUnhealthyBelow {
 			snap.Unhealthy++
 		}
 		cs := ClientSnapshot{

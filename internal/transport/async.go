@@ -174,7 +174,7 @@ func (s *session) decodeUpdate(i int, m *Message, dst *[]float64) ([]float64, er
 			return nil, fmt.Errorf("packed update with no broadcast to rebuild it on: %v", err)
 		}
 		ref = out
-	case s.cfg.Async && len(sl.ref) == len(s.global):
+	case s.cfg.BufferK > 0 && len(sl.ref) == len(s.global):
 		ref = sl.ref
 	case sl.bcast != compress.SchemeDense:
 		ref = s.codec.bcastRef
@@ -218,8 +218,8 @@ func (s *session) folds(round int) []engine.Update {
 // delivery in whichever round it lands.
 //
 // The fresh target is BufferK, raised so that fresh + parked folds can
-// still reach quorum, and capped at the cohort size; BufferK ≤ 0 waits for
-// the whole cohort (async plumbing, synchronous semantics).
+// still reach quorum, and capped at the cohort size; a BufferK of at least
+// the cohort waits for all of it (async plumbing, synchronous semantics).
 func (s *session) gatherAsyncUpdates(round int, cohort []bool, parent telemetry.SpanContext) []*Message {
 	n := 0
 	for i := range s.conns {
@@ -235,10 +235,7 @@ func (s *session) gatherAsyncUpdates(round int, cohort []bool, parent telemetry.
 			s.lateCh <- lateMsg{client: i, round: round, m: m, err: err, span: sp}
 		}(i, s.conns[i], sp)
 	}
-	k := s.cfg.BufferK
-	if k <= 0 || k > n {
-		k = n
-	}
+	k := min(s.cfg.BufferK, n)
 	if need := s.minClients - s.bufferedCount(); k < need {
 		k = need
 		if k > n {

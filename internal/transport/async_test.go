@@ -75,7 +75,6 @@ func TestAsyncSessionFoldsStraggler(t *testing.T) {
 	}
 	res := runAsyncFixtureSession(t, fx, clients, plans, func(c *ServerConfig) {
 		c.Rounds = rounds
-		c.Async = true
 		c.BufferK = clients - 1
 		c.StalenessLambda = 0.5
 		c.RoundDeadline = 10 * time.Second
@@ -108,26 +107,26 @@ func TestAsyncSessionFoldsStraggler(t *testing.T) {
 	}
 }
 
-// BufferK = 0 is async plumbing with synchronous semantics: every cohort
-// member is awaited, nothing is parked, and the result must be bitwise
-// identical to the synchronous path — the guarantee that lets async
-// sessions resume deterministically.
-func TestAsyncBufferKZeroMatchesSync(t *testing.T) {
+// A buffer as large as the fleet is async plumbing with synchronous
+// semantics: every cohort member is awaited, nothing is parked, and the
+// result must be bitwise identical to the synchronous path — the guarantee
+// that lets async sessions resume deterministically.
+func TestAsyncFullBufferMatchesSync(t *testing.T) {
 	const clients, rounds = 4, 4
 	fx := newFixture(t, clients)
-	shape := func(async bool) func(*ServerConfig) {
+	shape := func(bufferK int) func(*ServerConfig) {
 		return func(c *ServerConfig) {
 			c.Rounds = rounds
 			c.SampleRatio = 0.5
-			c.Async = async
+			c.BufferK = bufferK
 			c.Metrics = telemetry.NewRegistry()
 		}
 	}
-	syncRes := runAsyncFixtureSession(t, fx, clients, nil, shape(false))
-	asyncRes := runAsyncFixtureSession(t, fx, clients, nil, shape(true))
+	syncRes := runAsyncFixtureSession(t, fx, clients, nil, shape(0))
+	asyncRes := runAsyncFixtureSession(t, fx, clients, nil, shape(clients))
 
 	if !sameCohorts(syncRes.Cohorts, asyncRes.Cohorts) {
-		t.Fatalf("async BufferK=0 sampled different cohorts:\nsync:  %v\nasync: %v", syncRes.Cohorts, asyncRes.Cohorts)
+		t.Fatalf("async BufferK=%d sampled different cohorts:\nsync:  %v\nasync: %v", clients, syncRes.Cohorts, asyncRes.Cohorts)
 	}
 	if len(syncRes.RoundLosses) != len(asyncRes.RoundLosses) {
 		t.Fatalf("round counts differ: sync %d, async %d", len(syncRes.RoundLosses), len(asyncRes.RoundLosses))
@@ -212,9 +211,8 @@ func TestResumeRestoresBufferedUpdates(t *testing.T) {
 	reg1 := telemetry.NewRegistry()
 	runAsyncFixtureSession(t, fx, clients, nil, func(c *ServerConfig) {
 		c.Rounds = 1
-		c.Async = true
+		c.BufferK = clients
 		c.CheckpointPath = ckptPath
-		c.CheckpointEvery = 1
 		c.Metrics = reg1
 	})
 	ck, err := LoadCheckpoint(ckptPath)
@@ -240,7 +238,7 @@ func TestResumeRestoresBufferedUpdates(t *testing.T) {
 	var ledger bytes.Buffer
 	res := runAsyncFixtureSession(t, fx, clients, nil, func(c *ServerConfig) {
 		c.Rounds = 3
-		c.Async = true
+		c.BufferK = clients
 		c.Resume = ck
 		c.Metrics = reg2
 		c.Ledger = telemetry.NewRunLedger(&ledger)

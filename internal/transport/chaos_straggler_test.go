@@ -122,12 +122,11 @@ func TestAsyncStragglerMatrix(t *testing.T) {
 	syncMean := meanRound(run(plans, nil))
 
 	asyncLines := run(plans, func(c *ServerConfig) {
-		c.Async = true
 		c.BufferK = clients - 1
 		c.StalenessLambda = 0.5
 		c.MinClients = clients / 2
 		c.AdaptiveDeadline = true
-		c.MinDeadline = 2 * time.Second
+		c.RoundDeadline = 16 * time.Second // the controller's floor, 16s/8, is 2s
 	})
 	asyncMean := meanRound(asyncLines)
 

@@ -311,11 +311,10 @@ func TestServeQuorumRetriesThenAborts(t *testing.T) {
 	fx := newFixture(t, 2)
 	net := fx.builder(fx.ccfg.ModelSeed)
 	scfg := ServerConfig{
-		Algorithm:       AlgoFedAvg,
-		Rounds:          4,
-		InitialParams:   net.GetFlat(),
-		MinClients:      2,
-		MaxRoundRetries: 2,
+		Algorithm:     AlgoFedAvg,
+		Rounds:        4,
+		InitialParams: net.GetFlat(),
+		MinClients:    2,
 	}
 
 	s0, c0 := Pipe()
@@ -337,7 +336,7 @@ func TestServeQuorumRetriesThenAborts(t *testing.T) {
 
 	_, err := Serve(scfg, []Conn{s0, s1})
 	if err == nil {
-		t.Fatal("session below quorum must abort after MaxRoundRetries")
+		t.Fatal("session below quorum must abort after maxRoundRetries")
 	}
 	if !strings.Contains(err.Error(), "failed after") {
 		t.Fatalf("abort error should mention retry exhaustion: %v", err)
@@ -379,13 +378,11 @@ func TestServeCheckpointKillResume(t *testing.T) {
 	// process being killed looks the same from the protocol's viewpoint:
 	// the session dies). The checkpoint of round 4 must survive on disk.
 	scfg := ServerConfig{
-		Algorithm:       AlgoRFedAvgPlus,
-		Rounds:          6,
-		InitialParams:   net.GetFlat(),
-		FeatureDim:      net.FeatureDim,
-		MaxRoundRetries: 1,
-		CheckpointPath:  ckptPath,
-		CheckpointEvery: 1,
+		Algorithm:      AlgoRFedAvgPlus,
+		Rounds:         6,
+		InitialParams:  net.GetFlat(),
+		FeatureDim:     net.FeatureDim,
+		CheckpointPath: ckptPath,
 	}
 	serverConns := make([]Conn, clients)
 	clientConns := make([]Conn, clients)

@@ -189,7 +189,7 @@ var goldenRuns = map[string]elideRun{
 		},
 		client: func(_ int, cfg *ClientConfig) { cfg.ErrorFeedback = true }},
 	"async": {algo: AlgoRFedAvgPlus, shape: func(c *ServerConfig) {
-		c.Async, c.SampleRatio, c.StalenessLambda = true, 0.5, 0.5
+		c.BufferK, c.SampleRatio, c.StalenessLambda = 4, 0.5, 0.5
 		c.Codec = CodecPolicy{Update: compress.SchemeInt8}
 	}},
 	"mixed-caps": {algo: AlgoRFedAvgPlus,
@@ -377,7 +377,7 @@ func TestElideResumeStochasticBroadcastBitwise(t *testing.T) {
 	run := func(rounds int, path string, resume *Checkpoint, log *frameLog) *ServerResult {
 		return elideRun{algo: AlgoRFedAvgPlus, server: log.wrap, shape: func(c *ServerConfig) {
 			c.Rounds = rounds
-			c.CheckpointPath, c.CheckpointEvery, c.Resume = path, 1, resume
+			c.CheckpointPath, c.Resume = path, resume
 			c.Codec = CodecPolicy{Broadcast: compress.SchemeInt8, Update: compress.SchemeInt8, Delta: compress.SchemeInt8}
 		}}.run(t, fx)
 	}

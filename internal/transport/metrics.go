@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"sync/atomic"
+
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/telemetry"
@@ -37,6 +39,10 @@ type serverMetrics struct {
 	// elided counts MsgAssign frames sent without the model because the
 	// client already held it — why down_bytes sits a model below 2 per round.
 	elided *telemetry.Counter
+	// sent, recv and nElided are this session's own share of the three series
+	// above, which every session of the algorithm on one registry adds to: the
+	// ledger's per-attempt byte and elision columns are deltas of these.
+	sent, recv, nElided atomic.Int64
 
 	// schemeSent/schemeRecv split the vector-payload bytes (dense float64
 	// plus packed data, without frame headers) by wire codec, so a scrape
@@ -163,11 +169,19 @@ func countSchemes(ctrs *[compress.NumSchemes]*telemetry.Counter, m *Message) {
 	}
 }
 
+// elide counts one MsgAssign sent without the model.
+func (m *serverMetrics) elide() {
+	m.elided.Inc()
+	m.nElided.Add(1)
+}
+
 func (c *meteredConn) Send(m *Message) error {
 	if err := c.Conn.Send(m); err != nil {
 		return err
 	}
-	c.m.bytesSent.Add(int64(m.EncodedSize()))
+	n := int64(m.EncodedSize())
+	c.m.bytesSent.Add(n)
+	c.m.sent.Add(n)
 	countSchemes(&c.m.schemeSent, m)
 	return nil
 }
@@ -177,7 +191,9 @@ func (c *meteredConn) Recv() (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.m.bytesRecv.Add(int64(m.EncodedSize()))
+	n := int64(m.EncodedSize())
+	c.m.bytesRecv.Add(n)
+	c.m.recv.Add(n)
 	countSchemes(&c.m.schemeRecv, m)
 	return m, nil
 }

@@ -273,3 +273,95 @@ func TestTraceContextSurvivesWire(t *testing.T) {
 		t.Fatalf("SpanContext() = %+v", ctx)
 	}
 }
+
+// holdConn is a client conn whose first MsgUpdate waits for release, after
+// closing held: its session sits in round 0 meanwhile.
+type holdConn struct {
+	Conn
+	held, release chan struct{}
+	once          sync.Once
+}
+
+func (c *holdConn) Send(m *Message) error {
+	if m.Type == MsgUpdate {
+		c.once.Do(func() {
+			close(c.held)
+			<-c.release
+		})
+	}
+	return c.Conn.Send(m)
+}
+
+// Every session of one algorithm on a registry adds to the same byte and
+// elision series, so the ledger counts the session's own conns: a session
+// whose round 0 stays open while another one runs start to finish on the same
+// registry records the byte columns it records alone.
+func TestLedgerBytesAreTheSessionsOwn(t *testing.T) {
+	fx := newFixture(t, 4)
+	reg := telemetry.NewRegistry()
+	// run serves a 2-round session on reg with hold, if set, around client
+	// 0's conn.
+	run := func(ledger *bytes.Buffer, hold *holdConn) error {
+		net := fx.builder(fx.ccfg.ModelSeed)
+		cfg := ServerConfig{Algorithm: AlgoRFedAvgPlus, Rounds: 2, InitialParams: net.GetFlat(),
+			FeatureDim: net.FeatureDim, Seed: 5, Metrics: reg}
+		if ledger != nil {
+			cfg.Ledger = telemetry.NewRunLedger(ledger)
+		}
+		server := make([]Conn, len(fx.shards))
+		var wg sync.WaitGroup
+		for i := range server {
+			var c Conn
+			server[i], c = Pipe()
+			if i == 0 && hold != nil {
+				hold.Conn, c = c, hold
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := RunClient(c, fx.shards[i], fx.ccfg); err != nil {
+					t.Errorf("client %d: %v", i, err)
+				}
+			}()
+		}
+		_, err := Serve(cfg, server)
+		if err != nil {
+			for _, c := range server {
+				c.Close()
+			}
+		}
+		wg.Wait()
+		return err
+	}
+	var solo bytes.Buffer
+	if err := run(&solo, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	hold := &holdConn{held: make(chan struct{}), release: make(chan struct{})}
+	other := make(chan error, 1)
+	go func() {
+		defer close(hold.release)
+		<-hold.held
+		other <- run(nil, nil)
+	}()
+	var shared bytes.Buffer
+	if err := run(&shared, hold); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-other; err != nil {
+		t.Fatalf("the other session: %v", err)
+	}
+
+	want, got := decodeLedgerFile(t, &solo), decodeLedgerFile(t, &shared)
+	if len(got) != len(want) {
+		t.Fatalf("%d ledger lines beside another session, %d alone", len(got), len(want))
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if g.UpBytes != w.UpBytes || g.DownBytes != w.DownBytes || g.Elided != w.Elided {
+			t.Errorf("round %d: up %d down %d elided %d beside another session, %d %d %d alone",
+				w.Round, g.UpBytes, g.DownBytes, g.Elided, w.UpBytes, w.DownBytes, w.Elided)
+		}
+	}
+}

@@ -63,15 +63,14 @@ func runCompressedDeterministicSession(t *testing.T, fx *federatedFixture, round
 	const clients = 4
 	net := fx.builder(fx.ccfg.ModelSeed)
 	scfg := ServerConfig{
-		Algorithm:       AlgoRFedAvgPlus,
-		Rounds:          rounds,
-		InitialParams:   net.GetFlat(),
-		FeatureDim:      net.FeatureDim,
-		SampleRatio:     0.5,
-		Seed:            5,
-		CheckpointPath:  ckptPath,
-		CheckpointEvery: 1,
-		Resume:          resume,
+		Algorithm:      AlgoRFedAvgPlus,
+		Rounds:         rounds,
+		InitialParams:  net.GetFlat(),
+		FeatureDim:     net.FeatureDim,
+		SampleRatio:    0.5,
+		Seed:           5,
+		CheckpointPath: ckptPath,
+		Resume:         resume,
 		Codec: CodecPolicy{
 			Update: compress.SchemeInt8,
 			Delta:  compress.SchemeInt8,

@@ -16,16 +16,15 @@ func runDeterministicSession(t *testing.T, fx *federatedFixture, rounds int, ckp
 	const clients = 4
 	net := fx.builder(fx.ccfg.ModelSeed)
 	scfg := ServerConfig{
-		Algorithm:       AlgoRFedAvgPlus,
-		Rounds:          rounds,
-		InitialParams:   net.GetFlat(),
-		FeatureDim:      net.FeatureDim,
-		SampleRatio:     0.5,
-		Seed:            5,
-		CheckpointPath:  ckptPath,
-		CheckpointEvery: 1,
-		Resume:          resume,
-		Metrics:         reg,
+		Algorithm:      AlgoRFedAvgPlus,
+		Rounds:         rounds,
+		InitialParams:  net.GetFlat(),
+		FeatureDim:     net.FeatureDim,
+		SampleRatio:    0.5,
+		Seed:           5,
+		CheckpointPath: ckptPath,
+		Resume:         resume,
+		Metrics:        reg,
 	}
 	serverConns := make([]Conn, clients)
 	clientConns := make([]Conn, clients)

@@ -69,14 +69,12 @@ type ServerConfig struct {
 	// updates fails and is retried (the global model is kept unchanged).
 	// Values < 1 mean 1.
 	MinClients int
-	// Async enables buffered (FedBuff-style) rounds: a round closes once
-	// BufferK cohort members delivered (quorum still respected), stragglers
-	// keep running and their updates are folded into a later round with the
-	// staleness discount 1/(1+age)^StalenessLambda. Slots with an update in
-	// flight or parked are excluded from new cohorts until it settles.
-	Async bool
-	// BufferK is the fresh-arrival target of an async round; ≤ 0 waits for
-	// the whole cohort (async plumbing, synchronous semantics).
+	// BufferK > 0 makes rounds buffered (FedBuff-style): a round closes once
+	// BufferK cohort members delivered (capped at the cohort, raised to keep
+	// quorum), stragglers keep running and their updates are folded into a
+	// later round with the staleness discount 1/(1+age)^StalenessLambda.
+	// Slots with an update in flight or parked are excluded from new cohorts
+	// until it settles. 0 means synchronous rounds.
 	BufferK int
 	// StalenessLambda is λ in the late-fold discount; ≤ 0 folds late
 	// updates at full weight.
@@ -84,16 +82,9 @@ type ServerConfig struct {
 	// AdaptiveDeadline replaces the fixed RoundDeadline with a controller
 	// that tracks per-client round-time EWMAs and sets the deadline to a
 	// high quantile of them (with headroom), clamped to
-	// [MinDeadline, MaxDeadline]. Requires RoundDeadline > 0 (the starting
-	// value).
+	// [RoundDeadline/8, RoundDeadline]. Requires RoundDeadline > 0 (the
+	// starting value).
 	AdaptiveDeadline bool
-	// MinDeadline/MaxDeadline clamp the adaptive controller; ≤ 0 default to
-	// RoundDeadline/8 and RoundDeadline respectively.
-	MinDeadline time.Duration
-	MaxDeadline time.Duration
-	// MaxRoundRetries caps consecutive failed attempts of one round
-	// before the session aborts. 0 means 2.
-	MaxRoundRetries int
 	// MaxStaleness, when > 0, excludes δ rows not refreshed for more than
 	// that many rounds from the regularization targets (evicted clients'
 	// maps go stale instead of steering survivors forever).
@@ -107,11 +98,9 @@ type ServerConfig struct {
 	Rejoin <-chan Conn
 	// CheckpointPath, if non-empty, makes the server write an atomic
 	// round checkpoint (global params, δ table + ages, loss history,
-	// round index) every CheckpointEvery rounds, so a killed session can
-	// resume via Resume.
+	// round index) after every round, so a killed session can resume via
+	// Resume.
 	CheckpointPath string
-	// CheckpointEvery is the checkpoint period in rounds; ≤ 0 means 1.
-	CheckpointEvery int
 	// Resume restores a session from a checkpoint: training starts at
 	// ck.Round with ck.Global and the saved δ table instead of
 	// InitialParams and a zero table.
@@ -396,10 +385,14 @@ func (s *session) modelPayload(m *Message, i, version int) {
 	default:
 		m.PParams, ref = s.codec.bcast, s.codec.bcastRef
 	}
-	if s.cfg.Async && sl.upd != compress.SchemeDense {
+	if s.cfg.BufferK > 0 && sl.upd != compress.SchemeDense {
 		copy(resizeFloats(&sl.ref, len(ref)), ref)
 	}
 }
+
+// maxRoundRetries caps consecutive failed attempts of one round before the
+// session aborts.
+const maxRoundRetries = 2
 
 // Serve runs a synchronous federated session over the given established
 // client connections, then sends MsgDone with the final model and returns
@@ -411,7 +404,7 @@ func (s *session) modelPayload(m *Message, i, version int) {
 // structured around *round attempts*: clients that error, time out past
 // RoundDeadline, or ship invalid updates are evicted mid-round and the
 // round completes over the survivors with renormalized weights; a round
-// that ends below the MinClients quorum is retried up to MaxRoundRetries
+// that ends below the MinClients quorum is retried up to maxRoundRetries
 // times before the session aborts. Evicted clients may reconnect through
 // cfg.Rejoin and are re-admitted at the next round boundary.
 func Serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
@@ -459,25 +452,11 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 		if cfg.RoundDeadline <= 0 {
 			return nil, fmt.Errorf("transport: adaptive deadline requires a positive RoundDeadline to start from")
 		}
-		minD, maxD := cfg.MinDeadline, cfg.MaxDeadline
-		if minD <= 0 {
-			minD = cfg.RoundDeadline / 8
-		}
-		if maxD <= 0 {
-			maxD = cfg.RoundDeadline
-		}
-		if minD > maxD {
-			return nil, fmt.Errorf("transport: MinDeadline %v exceeds MaxDeadline %v", minD, maxD)
-		}
-		s.ctrl = newDeadlineController(len(conns), cfg.RoundDeadline, minD, maxD, s.metrics)
+		s.ctrl = newDeadlineController(len(conns), cfg.RoundDeadline, cfg.RoundDeadline/8, cfg.RoundDeadline, s.metrics)
 	}
 	for i, c := range conns {
 		s.conns[i] = s.wrap(c)
 		s.active[i] = true
-	}
-	maxRetries := cfg.MaxRoundRetries
-	if maxRetries <= 0 {
-		maxRetries = 2
 	}
 
 	// The session root span: every round attempt and checkpoint parents to
@@ -521,7 +500,7 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 			s.metrics.retries.Inc()
 			s.logf("round %d attempt %d failed (quorum %d, %d active)", round, attempts, s.minClients, s.activeCount())
 			s.event("retry", round, s.lastFaultOr(""))
-			if attempts > maxRetries {
+			if attempts > maxRoundRetries {
 				s.checkpoint(round) // leave a resumable state behind
 				s.closePending()
 				return nil, fmt.Errorf("transport: round %d failed after %d attempts (last fault: %s)",
@@ -531,10 +510,7 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 		}
 		attempts = 0
 		round++
-		every := max(cfg.CheckpointEvery, 1)
-		if round%every == 0 || round == cfg.Rounds {
-			s.checkpoint(round)
-		}
+		s.checkpoint(round)
 	}
 
 	// Session end: best-effort MsgDone. A dead client here must not fail
@@ -891,8 +867,8 @@ func (s *session) runRound(round, attempt int) bool {
 	rec.Algo = string(s.cfg.Algorithm)
 	rec.Round, rec.Attempt = round, attempt
 	rec.Loss = math.NaN()
-	sentBefore, recvBefore := s.metrics.bytesSent.Value(), s.metrics.bytesRecv.Value()
-	elidedBefore := s.metrics.elided.Value()
+	sentBefore, recvBefore := s.metrics.sent.Load(), s.metrics.recv.Load()
+	elidedBefore := s.metrics.nElided.Load()
 
 	start := time.Now()
 	ok := s.attemptRound(round, tRound.Context())
@@ -904,9 +880,9 @@ func (s *session) runRound(round, attempt int) bool {
 		// Measured with the session's own clock: an inert span (nil
 		// tracer) has no meaningful start to subtract from.
 		rec.DurNanos = int64(time.Since(start))
-		rec.DownBytes = s.metrics.bytesSent.Value() - sentBefore
-		rec.UpBytes = s.metrics.bytesRecv.Value() - recvBefore
-		rec.Elided = int(s.metrics.elided.Value() - elidedBefore)
+		rec.DownBytes = s.metrics.sent.Load() - sentBefore
+		rec.UpBytes = s.metrics.recv.Load() - recvBefore
+		rec.Elided = int(s.metrics.nElided.Load() - elidedBefore)
 		for _, ev := range s.res.Evictions[s.lastEvictions:] {
 			rec.Evicted = append(rec.Evicted, ev.Client)
 		}
@@ -938,7 +914,8 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 	detail := engine.Detail(s.cfg.LedgerDetailN, len(s.conns))
 	plus := s.cfg.Algorithm == AlgoRFedAvgPlus
 	population := s.active
-	if s.cfg.Async {
+	async := s.cfg.BufferK > 0
+	if async {
 		// Settle straggler deliveries that landed between rounds, wait (if
 		// needed) until assignable + parked slots can reach quorum, and
 		// sample only from slots with no update in flight or parked.
@@ -976,7 +953,7 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 		// The client still holds this model from last round's MsgDeltaReq:
 		// ship it once.
 		if s.held.Assign(i, round) {
-			s.metrics.elided.Inc()
+			s.metrics.elide()
 		} else {
 			s.modelPayload(m, i, round)
 		}
@@ -997,7 +974,7 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 	tg := s.cfg.Tracer.Start("gather", roundCtx)
 	tg.Round = round
 	var updates []*Message
-	if s.cfg.Async {
+	if async {
 		updates = s.gatherAsyncUpdates(round, cohort, tg.Context())
 	} else {
 		updates = s.gatherActive(ctx, round, members, MsgUpdate, "gather_client", tg.Context())
@@ -1047,7 +1024,7 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 	// Parked late updates (already validated at park time) count toward the
 	// quorum and fold into this aggregation with their staleness discount.
 	var late []engine.Update
-	if s.cfg.Async {
+	if async {
 		late = s.folds(round)
 	}
 	if len(fresh)+len(late) < s.minClients {
