@@ -21,24 +21,26 @@ import (
 // shows rFedAvg scaling as O(dN²) while rFedAvg+ stays O(dN).
 
 type coreLedgerLine struct {
-	Algo      string    `json:"algo"`
-	Round     int       `json:"round"`
-	DownBytes int64     `json:"down_bytes"`
-	Elided    int       `json:"elided"`
-	UpBytes   int64     `json:"up_bytes"`
-	UpScheme  string    `json:"up_scheme"`
-	ReconErr  *float64  `json:"recon_err"`
-	ClientID  []int     `json:"client_id"`
-	Cohort    int       `json:"cohort"`
-	LossStats []float64 `json:"loss_stats"`
-	NormStats []float64 `json:"norm_stats"`
-	MMDDim    int       `json:"mmd_dim"`
-	MMDSample []int     `json:"mmd_sample"`
-	MMD       []float64 `json:"mmd"`
-	DeltaAges []int     `json:"delta_ages"`
-	StaleRows *int      `json:"stale_rows"`
-	LateID    []int     `json:"late_id"`
-	LateAge   []int     `json:"late_age"`
+	Algo      string             `json:"algo"`
+	Round     int                `json:"round"`
+	DurNS     int64              `json:"dur_ns"`
+	PhaseMS   map[string]float64 `json:"phase_ms"`
+	DownBytes int64              `json:"down_bytes"`
+	Elided    int                `json:"elided"`
+	UpBytes   int64              `json:"up_bytes"`
+	UpScheme  string             `json:"up_scheme"`
+	ReconErr  *float64           `json:"recon_err"`
+	ClientID  []int              `json:"client_id"`
+	Cohort    int                `json:"cohort"`
+	LossStats []float64          `json:"loss_stats"`
+	NormStats []float64          `json:"norm_stats"`
+	MMDDim    int                `json:"mmd_dim"`
+	MMDSample []int              `json:"mmd_sample"`
+	MMD       []float64          `json:"mmd"`
+	DeltaAges []int              `json:"delta_ages"`
+	StaleRows *int               `json:"stale_rows"`
+	LateID    []int              `json:"late_id"`
+	LateAge   []int              `json:"late_age"`
 }
 
 func decodeCoreLedger(t *testing.T, buf *bytes.Buffer) []coreLedgerLine {
@@ -353,6 +355,35 @@ func TestSimLedgerCarriesServerBlocks(t *testing.T) {
 	for j, id := range l.LateID {
 		if l.LateAge[j] != 1 || contains(lines[0].ClientID, id) {
 			t.Fatalf("round 1 folded client %d at age %d; want a round-0 straggler at age 1", id, l.LateAge[j])
+		}
+	}
+}
+
+// The simulator times its round's phases through the server's clock: FedAvg
+// lines carry gather and close, rFedAvg+ lines the δ sync too, and no line's
+// phases add up to more than its round.
+func TestSimLedgerRecordsPhases(t *testing.T) {
+	for _, tc := range []struct {
+		alg  fl.Algorithm
+		want []string
+	}{
+		{fl.NewFedAvg(), []string{"gather", "close"}},
+		{NewRFedAvgPlus(1e-3), []string{"gather", "close", "delta_sync"}},
+	} {
+		var buf bytes.Buffer
+		fl.Run(ledgerFederation(t, 4, nil, telemetry.NewRunLedger(&buf)), tc.alg, 2)
+		for _, l := range decodeCoreLedger(t, &buf) {
+			sum := 0.0
+			for _, p := range tc.want {
+				ms, ok := l.PhaseMS[p]
+				if !ok || ms < 0 {
+					t.Errorf("%s round %d: phase %q = %v, present %v", l.Algo, l.Round, p, ms, ok)
+				}
+				sum += ms
+			}
+			if len(l.PhaseMS) != len(tc.want) || sum*1e6 > float64(l.DurNS)*(1+1e-9) {
+				t.Errorf("%s round %d: phases %v (want %v) in a %dns round", l.Algo, l.Round, l.PhaseMS, tc.want, l.DurNS)
+			}
 		}
 	}
 }

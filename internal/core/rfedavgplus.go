@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fl"
+	"repro/internal/telemetry"
 )
 
 // RFedAvgPlus implements Algorithm 2 of the paper. It fixes rFedAvg's two
@@ -95,14 +96,17 @@ func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
 	a.fresh = nil
 	rr := a.Base.Round(round, sampled)
 	f, fresh := a.F, a.fresh
-	deltaOuts := f.MapClients(round, fresh, func(w *fl.Worker, c *fl.Client, rng *rand.Rand) fl.ClientOut {
-		w.Net().SetFlat(a.Global)
-		out := fl.ClientOut{Client: c, Aux: clientDelta(f, w, c, round, rng, a.NoiseDelta)}
-		out.ReconErr = f.CompressUplink(w, round, c, 1, nil, out.Aux)
-		return out
+	var deltaOuts []fl.ClientOut
+	f.Phase(telemetry.PhaseDeltaSync, round, func(telemetry.SpanContext) {
+		deltaOuts = f.MapClients(round, fresh, func(w *fl.Worker, c *fl.Client, rng *rand.Rand) fl.ClientOut {
+			w.Net().SetFlat(a.Global)
+			out := fl.ClientOut{Client: c, Aux: clientDelta(f, w, c, round, rng, a.NoiseDelta)}
+			out.ReconErr = f.CompressUplink(w, round, c, 1, nil, out.Aux)
+			return out
+		})
+		acceptDeltas(f, a.table, round, deltaOuts)
+		a.table.ObserveDrift(f.Cfg.Health)
 	})
-	acceptDeltas(f, a.table, round, deltaOuts)
-	a.table.ObserveDrift(f.Cfg.Health)
 	// Staleness accounting: unsampled clients' rows age; refreshed rows
 	// reset to age 1. Past MaxStale a row falls out of the next round's
 	// on-demand δ̄^{-k} targets.

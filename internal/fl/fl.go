@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/compress"
 	"repro/internal/data"
@@ -481,6 +480,13 @@ func (f *Federation) roundRec() *telemetry.RoundRecord {
 	return &f.rec
 }
 
+// Phase runs run as phase p of the round in progress, under the round's
+// span, with its time in the round's ledger line (telemetry.Phases).
+func (f *Federation) Phase(p telemetry.Phase, round int, run func(telemetry.SpanContext)) {
+	ps := telemetry.Phases{Tracer: f.Cfg.Tracer, Rec: f.roundRec()}
+	ps.Time(p, f.roundCtx, round, run)
+}
+
 // evalBatch is the evaluation batch size, and the sample count of SCAFFOLD's
 // and q-FedAvg's full-model draws.
 const evalBatch = 256
@@ -694,19 +700,17 @@ func Run(f *Federation, alg Algorithm, rounds int) *metrics.History {
 	sess := f.Cfg.Tracer.Start("session", telemetry.SpanContext{})
 	defer sess.End()
 	f.Cfg.Events.Emit("run_start", -1, alg.Name())
+	ps := telemetry.Phases{Tracer: f.Cfg.Tracer, Rec: f.roundRec()}
 	for c := 0; c < rounds; c++ {
 		sampled := f.SampleClients(c)
-		tRound := f.Cfg.Tracer.Start("round", sess.Context())
-		tRound.Round = c
-		f.roundCtx = tRound.Context()
-		start := time.Now()
 		f.rec.Reset()
-		res := alg.Round(c, sampled)
-		engine.EndRound(f.Cfg.Health, f.roundRec(), f.detail(), res.TrainLoss)
-		tRound.End()
-		// Ledger timing comes from its own clock: an inert span (nil
-		// tracer) has no meaningful start to measure from.
-		f.recordLedger(alg, c, res, time.Since(start))
+		var res RoundResult
+		d := ps.Time(telemetry.PhaseRound, sess.Context(), c, func(ctx telemetry.SpanContext) {
+			f.roundCtx = ctx
+			res = alg.Round(c, sampled)
+			engine.EndRound(f.Cfg.Health, f.roundRec(), f.detail(), res.TrainLoss)
+		})
+		f.recordLedger(alg, c, res)
 		if obs, ok := f.Cfg.Sampler.(LossObserver); ok {
 			for id, loss := range res.ClientLosses {
 				obs.Observe(id, loss)
@@ -715,7 +719,7 @@ func Run(f *Federation, alg Algorithm, rounds int) *metrics.History {
 		stats := metrics.RoundStats{
 			Round:     c,
 			TrainLoss: res.TrainLoss,
-			Seconds:   time.Since(start).Seconds(),
+			Seconds:   d.Seconds(),
 			UpBytes:   res.UpBytes,
 			DownBytes: res.DownBytes,
 			UpScheme:  res.UpScheme,
@@ -732,10 +736,10 @@ func Run(f *Federation, alg Algorithm, rounds int) *metrics.History {
 }
 
 // recordLedger completes and writes the run-ledger line of a round whose close
-// (Base.Round) and health verdict filled the client and health blocks. The
-// record is reused across rounds; simulated rounds never fail, so attempt is
-// always 1 and ok true.
-func (f *Federation) recordLedger(alg Algorithm, round int, res RoundResult, dur time.Duration) {
+// (Base.Round), health verdict and phases filled the client, health and time
+// blocks. The record is reused across rounds; simulated rounds never fail, so
+// attempt is always 1 and ok true.
+func (f *Federation) recordLedger(alg Algorithm, round int, res RoundResult) {
 	rec := f.roundRec()
 	if rec == nil {
 		return
@@ -743,7 +747,6 @@ func (f *Federation) recordLedger(alg Algorithm, round int, res RoundResult, dur
 	rec.Algo = alg.Name()
 	rec.Round, rec.Attempt, rec.OK = round, 1, true
 	rec.Loss = res.TrainLoss
-	rec.DurNanos = int64(dur)
 	rec.UpBytes, rec.DownBytes, rec.Elided = res.UpBytes, res.DownBytes, res.Elided
 	if res.UpScheme != "" {
 		rec.UpScheme = res.UpScheme

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/engine"
+	"repro/internal/telemetry"
 )
 
 // Method is what sets a federated method apart from FedAvg: the objective its
@@ -63,33 +64,41 @@ func (b *Base) GlobalParams() []float64 { return b.Global }
 // feeds the health monitor, gives the mean and the round's loss and fills the
 // ledger's client block; the server half turns the mean into the next global.
 // The codec, the buffer, the close and (in MapClients) the validation gate
-// belong to the round, so they act on every method alike.
+// belong to the round, so they act on every method alike. The clients' half
+// is timed as the round's gather phase, the rest as its close.
 func (b *Base) Round(round int, sampled []int) RoundResult {
 	f, m, global := b.F, &b.m, b.Global
-	outs := f.MapClients(round, sampled, func(w *Worker, c *Client, rng *rand.Rand) ClientOut {
-		w.LoadModel(global)
-		out := ClientOut{Client: c}
-		if m.Local != nil {
-			out.Loss, out.Aux = m.Local(round, w, c, rng)
-		} else {
-			out.Loss = f.LocalTrain(w, c, rng, f.DefaultLocalOpts(round))
-		}
-		out.Params = w.Net().GetFlat()
-		out.ReconErr = f.CompressUplink(w, round, c, 0, global, out.Params)
-		if m.AuxCoded {
-			f.CompressUplink(w, round, c, 1, nil, out.Aux)
-		}
-		return out
+	var outs, agg []ClientOut
+	f.Phase(telemetry.PhaseGather, round, func(telemetry.SpanContext) {
+		outs = f.MapClients(round, sampled, func(w *Worker, c *Client, rng *rand.Rand) ClientOut {
+			w.LoadModel(global)
+			out := ClientOut{Client: c}
+			if m.Local != nil {
+				out.Loss, out.Aux = m.Local(round, w, c, rng)
+			} else {
+				out.Loss = f.LocalTrain(w, c, rng, f.DefaultLocalOpts(round))
+			}
+			out.Params = w.Net().GetFlat()
+			out.ReconErr = f.CompressUplink(w, round, c, 0, global, out.Params)
+			if m.AuxCoded {
+				f.CompressUplink(w, round, c, 1, nil, out.Aux)
+			}
+			return out
+		})
 	})
-	agg, ages := f.applyAsync(round, outs)
-	next := make([]float64, len(global))
-	loss, ok := f.aggregate(f.Cfg.Health, f.roundRec(), round, global, next, agg, ages)
-	if ok {
-		if m.Server != nil {
-			next = m.Server(round, global, next, agg, ages)
+	var loss float64
+	f.Phase(telemetry.PhaseClose, round, func(telemetry.SpanContext) {
+		var ages []int
+		agg, ages = f.applyAsync(round, outs)
+		next := make([]float64, len(global))
+		var ok bool
+		if loss, ok = f.aggregate(f.Cfg.Health, f.roundRec(), round, global, next, agg, ages); ok {
+			if m.Server != nil {
+				next = m.Server(round, global, next, agg, ages)
+			}
+			b.Global = next
 		}
-		b.Global = next
-	}
+	})
 
 	// Down: the model and AuxDown floats, dense. Up: the model under the
 	// uplink codec, and AuxUp floats under it or dense.

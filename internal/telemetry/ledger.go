@@ -74,6 +74,9 @@ type RoundRecord struct {
 
 	Loss     float64
 	DurNanos int64
+	// phaseNanos[p] is round step p's time if bit p of phaseRan is set.
+	phaseNanos [PhaseJoin]int64
+	phaseRan   uint8
 
 	UpBytes   int64 // client→server wire bytes this round
 	DownBytes int64 // server→client wire bytes this round
@@ -136,7 +139,7 @@ func (r *RoundRecord) Reset() {
 	r.Algo = ""
 	r.Round, r.Attempt = 0, 0
 	r.OK = false
-	r.Loss, r.DurNanos = 0, 0
+	r.Loss, r.DurNanos, r.phaseRan = 0, 0, 0
 	r.UpBytes, r.DownBytes, r.Elided = 0, 0, 0
 	r.UpScheme = ""
 	r.ReconErr = math.NaN()
@@ -183,6 +186,16 @@ func (l *RunLedger) Record(r *RoundRecord) {
 	b = appendJSONFloat(b, r.Loss)
 	b = append(b, `,"dur_ns":`...)
 	b = strconv.AppendInt(b, r.DurNanos, 10)
+	if r.phaseRan != 0 {
+		b = append(b, `,"phase_ms":{`...)
+		for p := range PhaseJoin {
+			if r.phaseRan&(1<<p) != 0 {
+				b = append(appendJSONString(b, phaseNames[p]), ':')
+				b = append(appendJSONFloat(b, float64(r.phaseNanos[p])/1e6), ',')
+			}
+		}
+		b[len(b)-1] = '}'
+	}
 	b = append(b, `,"up_bytes":`...)
 	b = strconv.AppendInt(b, r.UpBytes, 10)
 	b = append(b, `,"down_bytes":`...)

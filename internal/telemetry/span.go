@@ -7,24 +7,56 @@ import (
 	"time"
 )
 
-// Span measures one phase of work into a histogram of seconds. It is a
-// value type — starting and ending a span allocates nothing.
-type Span struct {
-	h     *Histogram
-	start time.Time
+// Phase names one timed step of a federated session. Those before PhaseJoin
+// are a round attempt's, in the order the server runs them (the simulator runs
+// gather, close and delta_sync); a ledger line carries each one that ran.
+type Phase uint8
+
+const (
+	PhasePrepare Phase = iota
+	PhaseBroadcast
+	PhaseGather
+	PhaseValidate
+	PhaseClose
+	PhaseDeltaSync
+	PhaseAge
+	PhaseJoin
+	PhaseCheckpoint
+	PhaseRound
+	NumPhases
+)
+
+var phaseNames = [NumPhases]string{"prepare", "broadcast", "gather", "validate", "close", "delta_sync", "age", "join", "checkpoint", "round"}
+
+// String returns the phase's span name and metric label.
+func (p Phase) String() string { return phaseNames[p] }
+
+// Phases is a session's one clock. Time runs a phase under a trace span and
+// takes its duration from that span's End; the same number goes to Hist[p]
+// when Hist is non-nil and, when Rec is, into the ledger record: PhaseRound's
+// as DurNanos, a round step's into phase_ms.
+type Phases struct {
+	Tracer *Tracer
+	Hist   *[NumPhases]*Histogram
+	Rec    *RoundRecord
 }
 
-// StartSpan begins timing; h may be nil (the span then only measures).
-func StartSpan(h *Histogram) Span {
-	return Span{h: h, start: time.Now()}
-}
-
-// End stops the span, records the elapsed seconds into the histogram, and
-// returns the duration.
-func (s Span) End() time.Duration {
-	d := time.Since(s.start)
-	if s.h != nil {
-		s.h.Observe(d.Seconds())
+// Time runs run as phase p of round (−1: none) under a span parented to
+// parent, passing it the span's context, and returns the phase's duration.
+func (ps *Phases) Time(p Phase, parent SpanContext, round int, run func(SpanContext)) time.Duration {
+	sp := ps.Tracer.Start(phaseNames[p], parent)
+	sp.Round = round
+	run(sp.Context())
+	d := sp.End()
+	if ps.Hist != nil {
+		ps.Hist[p].Observe(d.Seconds())
+	}
+	switch r := ps.Rec; {
+	case r == nil:
+	case p == PhaseRound:
+		r.DurNanos = int64(d)
+	case p < PhaseJoin:
+		r.phaseNanos[p], r.phaseRan = int64(d), r.phaseRan|1<<p
 	}
 	return d
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -119,9 +120,6 @@ func TestRecordOperationsAllocateNothing(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { h.Observe(0.042) }); a != 0 {
 		t.Errorf("Histogram: %v allocs/op, want 0", a)
 	}
-	if a := testing.AllocsPerRun(1000, func() { StartSpan(h).End() }); a != 0 {
-		t.Errorf("Span: %v allocs/op, want 0", a)
-	}
 }
 
 func TestConcurrentRecording(t *testing.T) {
@@ -148,21 +146,44 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-func TestSpanObservesDuration(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("span_seconds", "", DefDurationBuckets)
-	s := StartSpan(h)
-	time.Sleep(5 * time.Millisecond)
-	d := s.End()
-	if d < 5*time.Millisecond {
-		t.Fatalf("span measured %v", d)
+// Phases.Time is the one clock of a phase: the duration it returns is what
+// the histogram observed and what the ledger line carries, and timing a phase
+// allocates nothing, with a nil tracer or a real one.
+func TestPhasesTimeOnceAllocateNothing(t *testing.T) {
+	var hist [NumPhases]*Histogram
+	reg := NewRegistry()
+	for p := range NumPhases {
+		hist[p] = reg.Histogram(`p{phase="`+p.String()+`"}`, "", DefDurationBuckets)
 	}
-	if h.Count() != 1 || h.Sum() < 0.005 {
-		t.Fatalf("histogram did not record the span: count=%d sum=%v", h.Count(), h.Sum())
+	var rec RoundRecord
+	ps := Phases{Hist: &hist, Rec: &rec}
+	d := ps.Time(PhaseGather, SpanContext{}, 0, func(SpanContext) { time.Sleep(5 * time.Millisecond) })
+	if d < 5*time.Millisecond || hist[PhaseGather].Count() != 1 || hist[PhaseGather].Sum() != d.Seconds() {
+		t.Fatalf("gather took %v; histogram count=%d sum=%v", d, hist[PhaseGather].Count(), hist[PhaseGather].Sum())
 	}
-	// Nil-histogram spans still measure.
-	if StartSpan(nil).End() < 0 {
-		t.Fatal("nil span")
+	if rec.phaseNanos[PhaseGather] != int64(d) {
+		t.Fatalf("ledger gather %dns, phase %v", rec.phaseNanos[PhaseGather], d)
+	}
+	if d := ps.Time(PhaseRound, SpanContext{}, 0, func(SpanContext) {}); rec.DurNanos != int64(d) {
+		t.Fatalf("ledger dur_ns %d, round %v", rec.DurNanos, d)
+	}
+	var buf bytes.Buffer
+	NewRunLedger(&buf).Record(&rec)
+	if want := `"phase_ms":{"gather":` + strconv.FormatFloat(float64(d)/1e6, 'g', -1, 64) + `},`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("ledger line %s lacks %s", buf.String(), want)
+	}
+
+	calls := 0
+	run := func(SpanContext) { calls++ }
+	for _, tr := range []*Tracer{nil, NewTracer(io.Discard)} {
+		ps := Phases{Tracer: tr, Hist: &hist, Rec: &rec}
+		ps.Time(PhaseGather, SpanContext{}, 0, run) // size the tracer's buffer
+		if a := testing.AllocsPerRun(1000, func() { ps.Time(PhaseGather, SpanContext{}, 3, run) }); a != 0 {
+			t.Errorf("Phases.Time (tracer %v): %v allocs/op, want 0", tr != nil, a)
+		}
+	}
+	if calls != 2*1002 {
+		t.Fatalf("run called %d times, want %d", calls, 2*1002)
 	}
 }
 

@@ -9,8 +9,7 @@ import (
 	"time"
 )
 
-// Tracing gives spans identity. Where Span (span.go) only aggregates a
-// duration into a histogram, a traced span carries a trace ID (the session),
+// Tracing gives spans identity. A traced span carries a trace ID (the session),
 // its own span ID, and a parent span ID, so a post-hoc tool can rebuild the
 // full tree of one federated round — server phases, per-client gathers, and
 // the client-side work stitched in via span context carried in transport
@@ -62,21 +61,13 @@ func (t *Tracer) nextID() uint64 {
 
 // Start begins a span. A zero parent starts a new trace (the span becomes a
 // root); otherwise the span joins parent's trace. Safe on a nil Tracer, in
-// which case the returned span is inert.
+// which case the returned span is inert: it emits nothing but still measures.
 func (t *Tracer) Start(name string, parent SpanContext) ActiveSpan {
+	s := ActiveSpan{start: time.Now(), Round: -1, Client: -1}
 	if t == nil {
-		return ActiveSpan{Round: -1, Client: -1}
+		return s
 	}
-	s := ActiveSpan{
-		tracer: t,
-		name:   name,
-		parent: parent.Span,
-		trace:  parent.Trace,
-		span:   t.nextID(),
-		start:  time.Now(),
-		Round:  -1,
-		Client: -1,
-	}
+	s.tracer, s.name, s.parent, s.trace, s.span = t, name, parent.Span, parent.Trace, t.nextID()
 	if s.trace == 0 {
 		s.trace = t.nextID()
 	}
@@ -114,8 +105,8 @@ func (s ActiveSpan) Child(name string) ActiveSpan {
 	return c
 }
 
-// End completes the span, emits it, and returns its duration. Inert spans
-// (nil tracer) just return the elapsed time since their zero start.
+// End completes the span, emits it unless it is inert, and returns its
+// duration.
 func (s ActiveSpan) End() time.Duration {
 	d := time.Since(s.start)
 	if s.tracer != nil {

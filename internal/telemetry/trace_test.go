@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"testing"
+	"time"
 )
 
 // spanLine mirrors the tracer's JSONL schema for decoding in tests.
@@ -109,6 +110,17 @@ func TestNilTracerIsInert(t *testing.T) {
 	}
 	if d := s.End(); d < 0 {
 		t.Errorf("nil-tracer span duration %v", d)
+	}
+}
+
+// An inert span emits nothing but still measures: its End is the elapsed
+// time since Start, not since the zero time.
+func TestInertSpanMeasures(t *testing.T) {
+	var tr *Tracer
+	s := tr.Start("inert", SpanContext{})
+	time.Sleep(2 * time.Millisecond)
+	if d := s.End(); d < 2*time.Millisecond || d > time.Minute {
+		t.Fatalf("inert span measured %v, want about 2ms", d)
 	}
 }
 

@@ -32,17 +32,6 @@ type BufferedUpdate struct {
 	Params []float64
 }
 
-// busyCount reports how many slots have an in-flight update receiver.
-func (s *session) busyCount() int {
-	n := 0
-	for _, b := range s.busy {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // asyncEligible is the population a new cohort may be sampled from: active,
 // no receiver in flight, and no parked update waiting to fold (a buffered
 // client folds this round; re-assigning it would double-count it).
@@ -73,12 +62,8 @@ func (s *session) drainLate(round int) {
 // may unblock either set. Bounded by the current deadline; on timeout the
 // attempt proceeds (and fails quorum) so the retry loop stays in charge.
 func (s *session) awaitAvail(round int) {
-	var timeout <-chan time.Time
-	if d := s.curDeadline(); d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timeout = t.C
-	}
+	ctx, cancel := s.phaseCtx()
+	defer cancel()
 	for {
 		avail := 0
 		for i, a := range s.active {
@@ -86,13 +71,13 @@ func (s *session) awaitAvail(round int) {
 				avail++ // assignable or already parked (folds this round)
 			}
 		}
-		if avail >= s.minClients || s.busyCount() == 0 {
+		if avail >= s.minClients || count(s.busy) == 0 {
 			return
 		}
 		select {
 		case lm := <-s.lateCh:
 			s.handleLate(lm, round, nil)
-		case <-timeout:
+		case <-ctx.Done():
 			return
 		}
 	}
@@ -244,12 +229,8 @@ func (s *session) gatherAsyncUpdates(round int, cohort []bool, parent telemetry.
 	}
 	updates := make([]*Message, len(s.conns))
 	start := time.Now()
-	var timeout <-chan time.Time
-	if d := s.curDeadline(); d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timeout = t.C
-	}
+	ctx, cancel := s.phaseCtx()
+	defer cancel()
 	for got := 0; got < k; {
 		select {
 		case lm := <-s.lateCh:
@@ -259,7 +240,7 @@ func (s *session) gatherAsyncUpdates(round int, cohort []bool, parent telemetry.
 				}
 				got++
 			}
-		case <-timeout:
+		case <-ctx.Done():
 			return updates
 		}
 	}

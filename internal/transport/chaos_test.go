@@ -589,9 +589,14 @@ func TestChaosSessionMetricsScrape(t *testing.T) {
 	body := string(raw)
 	for _, want := range []string{
 		`rfl_phase_seconds_bucket{phase="join"`,
+		`rfl_phase_seconds_bucket{phase="prepare"`,
 		`rfl_phase_seconds_bucket{phase="broadcast"`,
 		`rfl_phase_seconds_bucket{phase="gather"`,
+		`rfl_phase_seconds_bucket{phase="validate"`,
+		`rfl_phase_seconds_bucket{phase="close"`,
 		`rfl_phase_seconds_bucket{phase="delta_sync"`,
+		`rfl_phase_seconds_bucket{phase="age"`,
+		`rfl_phase_seconds_count{phase="age"} 3`,
 		`rfl_round_seconds_count 3`,
 		`rfl_rounds_completed_total 3`,
 		`rfl_evictions_total 1`,

@@ -23,12 +23,9 @@ type serverMetrics struct {
 	rejoins     *telemetry.Counter
 	checkpoints *telemetry.Counter
 
-	roundSec      *telemetry.Histogram
-	joinSec       *telemetry.Histogram
-	broadcastSec  *telemetry.Histogram
-	gatherSec     *telemetry.Histogram
-	deltaSyncSec  *telemetry.Histogram
-	checkpointSec *telemetry.Histogram
+	// phaseSec[p] is rfl_phase_seconds{phase=p}, and rfl_round_seconds at
+	// PhaseRound.
+	phaseSec [telemetry.NumPhases]*telemetry.Histogram
 
 	// bytesSent/bytesRecv carry the session algorithm as a baked-in label,
 	// so a scrape separates rFedAvg+'s O(dN) second synchronization from
@@ -69,10 +66,6 @@ func newServerMetrics(reg *telemetry.Registry, algo Algorithm) *serverMetrics {
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	phase := func(name string) *telemetry.Histogram {
-		return reg.Histogram(`rfl_phase_seconds{phase="`+name+`"}`,
-			"wall time of one protocol phase of a round attempt", telemetry.DefDurationBuckets)
-	}
 	al := string(algo)
 	m := &serverMetrics{
 		rounds:      reg.Counter("rfl_rounds_completed_total", "successfully completed federated rounds"),
@@ -80,13 +73,6 @@ func newServerMetrics(reg *telemetry.Registry, algo Algorithm) *serverMetrics {
 		evictions:   reg.Counter("rfl_evictions_total", "clients evicted from sessions"),
 		rejoins:     reg.Counter("rfl_rejoins_total", "evicted clients re-admitted into a session"),
 		checkpoints: reg.Counter("rfl_checkpoints_total", "round checkpoints written"),
-
-		roundSec:      reg.Histogram("rfl_round_seconds", "wall time of one round attempt", telemetry.DefDurationBuckets),
-		joinSec:       phase("join"),
-		broadcastSec:  phase("broadcast"),
-		gatherSec:     phase("gather"),
-		deltaSyncSec:  phase("delta_sync"),
-		checkpointSec: phase("checkpoint"),
 
 		bytesSent: reg.Counter(`rfl_bytes_sent_total{algo="`+al+`"}`,
 			"bytes sent to clients by the server, per algorithm"),
@@ -112,6 +98,11 @@ func newServerMetrics(reg *telemetry.Registry, algo Algorithm) *serverMetrics {
 		updateAge: reg.Histogram("rfl_update_staleness_age",
 			"per-round ages of the clients' last aggregated model updates", deltaAgeBuckets),
 	}
+	for p := range telemetry.PhaseRound {
+		m.phaseSec[p] = reg.Histogram(`rfl_phase_seconds{phase="`+p.String()+`"}`,
+			"wall time of one protocol phase of a round attempt", telemetry.DefDurationBuckets)
+	}
+	m.phaseSec[telemetry.PhaseRound] = reg.Histogram("rfl_round_seconds", "wall time of one round attempt", telemetry.DefDurationBuckets)
 	for s := compress.SchemeDense; int(s) < compress.NumSchemes; s++ {
 		m.schemeSent[s] = reg.Counter(`rfl_codec_payload_bytes_total{dir="sent",scheme="`+s.String()+`"}`,
 			"vector-payload bytes sent by the server, per wire codec scheme")

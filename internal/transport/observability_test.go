@@ -42,23 +42,24 @@ func decodeSpanFile(t *testing.T, buf *bytes.Buffer) []testSpan {
 }
 
 type testLedgerLine struct {
-	Algo       string    `json:"algo"`
-	Round      int       `json:"round"`
-	Attempt    int       `json:"attempt"`
-	OK         bool      `json:"ok"`
-	Loss       *float64  `json:"loss"`
-	DurNS      int64     `json:"dur_ns"`
-	UpBytes    int64     `json:"up_bytes"`
-	DownBytes  int64     `json:"down_bytes"`
-	Elided     int       `json:"elided"`
-	ClientID   []int     `json:"client_id"`
-	ClientLoss []float64 `json:"client_loss"`
-	ClientNorm []float64 `json:"client_norm"`
-	MMDDim     int       `json:"mmd_dim"`
-	MMD        []float64 `json:"mmd"`
-	DeltaAges  []int     `json:"delta_ages"`
-	Evicted    []int     `json:"evicted"`
-	Rejoins    int       `json:"rejoins"`
+	Algo       string             `json:"algo"`
+	Round      int                `json:"round"`
+	Attempt    int                `json:"attempt"`
+	OK         bool               `json:"ok"`
+	Loss       *float64           `json:"loss"`
+	DurNS      int64              `json:"dur_ns"`
+	PhaseMS    map[string]float64 `json:"phase_ms"`
+	UpBytes    int64              `json:"up_bytes"`
+	DownBytes  int64              `json:"down_bytes"`
+	Elided     int                `json:"elided"`
+	ClientID   []int              `json:"client_id"`
+	ClientLoss []float64          `json:"client_loss"`
+	ClientNorm []float64          `json:"client_norm"`
+	MMDDim     int                `json:"mmd_dim"`
+	MMD        []float64          `json:"mmd"`
+	DeltaAges  []int              `json:"delta_ages"`
+	Evicted    []int              `json:"evicted"`
+	Rejoins    int                `json:"rejoins"`
 }
 
 func decodeLedgerFile(t *testing.T, buf *bytes.Buffer) []testLedgerLine {
@@ -251,6 +252,104 @@ func TestServeWritesLedgerDynamics(t *testing.T) {
 			t.Errorf("line %d delta_ages = %v", i, l.DeltaAges)
 		}
 	}
+}
+
+// ledgerSession serves cfg over pipes to fixture clients with a ledger and
+// returns the ledger's lines; wrap, when non-nil, may replace client i's conn.
+func ledgerSession(t *testing.T, cfg ServerConfig, clients int, wrap func(i int, c Conn) Conn) ([]testLedgerLine, error) {
+	t.Helper()
+	fx := newFixture(t, clients)
+	net := fx.builder(fx.ccfg.ModelSeed)
+	var buf bytes.Buffer
+	cfg.InitialParams, cfg.FeatureDim = net.GetFlat(), net.FeatureDim
+	cfg.Metrics, cfg.Ledger = telemetry.NewRegistry(), telemetry.NewRunLedger(&buf)
+	server := make([]Conn, clients)
+	var wg sync.WaitGroup
+	for i := range server {
+		var c Conn
+		server[i], c = Pipe()
+		if wrap != nil {
+			c = wrap(i, c)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = RunClient(c, fx.shards[i], fx.ccfg) // the quorum-miss session fails its clients
+		}()
+	}
+	_, err := Serve(cfg, server)
+	if err != nil {
+		for _, c := range server {
+			c.Close()
+		}
+	}
+	wg.Wait()
+	return decodeLedgerFile(t, &buf), err
+}
+
+// checkPhases holds a ledger line's phase_ms to the phase list want: the
+// same keys, no negative time, and no more time in all than the round's
+// dur_ns, which the same clock measured around them.
+func checkPhases(t *testing.T, l testLedgerLine, want []string) {
+	t.Helper()
+	sum := 0.0
+	for _, p := range want {
+		ms, ok := l.PhaseMS[p]
+		if !ok || ms < 0 {
+			t.Errorf("round %d attempt %d: phase %q = %v, present %v", l.Round, l.Attempt, p, ms, ok)
+		}
+		sum += ms
+	}
+	if len(l.PhaseMS) != len(want) {
+		t.Errorf("round %d attempt %d: phases %v, want %v", l.Round, l.Attempt, l.PhaseMS, want)
+	}
+	if sum*1e6 > float64(l.DurNS)*(1+1e-9) {
+		t.Errorf("round %d attempt %d: phases add up to %vms, the round took %dns", l.Round, l.Attempt, sum, l.DurNS)
+	}
+}
+
+// Every ledger line carries the time of each phase its attempt ran: an ok
+// line exactly its algorithm's phase list, synchronous or buffered, and a
+// quorum miss the phases up to validate and none after.
+func TestLedgerRecordsPhases(t *testing.T) {
+	const clients, rounds = 3, 2
+	fedavg := []string{"prepare", "broadcast", "gather", "validate", "close", "age"}
+	plus := []string{"prepare", "broadcast", "gather", "validate", "close", "delta_sync", "age"}
+	for _, tc := range []struct {
+		algo    Algorithm
+		bufferK int
+		want    []string
+	}{
+		{AlgoFedAvg, 0, fedavg},
+		{AlgoFedAvg, 2, fedavg},
+		{AlgoRFedAvgPlus, 0, plus},
+		{AlgoRFedAvgPlus, 2, plus},
+	} {
+		lines, err := ledgerSession(t, ServerConfig{Algorithm: tc.algo, Rounds: rounds, BufferK: tc.bufferK}, clients, nil)
+		if err != nil {
+			t.Fatalf("%s, BufferK %d: %v", tc.algo, tc.bufferK, err)
+		}
+		if len(lines) != rounds {
+			t.Fatalf("%s, BufferK %d: %d ledger lines, want %d", tc.algo, tc.bufferK, len(lines), rounds)
+		}
+		for _, l := range lines {
+			checkPhases(t, l, tc.want)
+		}
+	}
+
+	// Client 2 dies sending its round-0 update: with a quorum of every
+	// client the first attempt fails at validate, and no later attempt runs.
+	lines, err := ledgerSession(t, ServerConfig{Algorithm: AlgoRFedAvgPlus, Rounds: rounds, MinClients: clients}, clients,
+		func(i int, c Conn) Conn {
+			if i == 2 {
+				return NewFaultConn(c, FaultPlan{Seed: 1, DisconnectAfterOps: 2})
+			}
+			return c
+		})
+	if err == nil || len(lines) != 1 || lines[0].OK {
+		t.Fatalf("quorum miss: err %v, lines %+v; want a failed session with one failed attempt", err, lines)
+	}
+	checkPhases(t, lines[0], fedavg[:4])
 }
 
 // TestTraceContextSurvivesWire pins the header propagation at the codec

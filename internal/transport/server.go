@@ -199,9 +199,12 @@ type session struct {
 	codec sessionCodec
 	// sessCtx is the root span all round/checkpoint spans parent to.
 	sessCtx telemetry.SpanContext
+	// phases times the join, every round attempt and its phases, checkpoints.
+	phases telemetry.Phases
 	// rec is the reused ledger record; its slices are refilled each round
 	// attempt so steady-state capture allocates nothing.
 	rec telemetry.RoundRecord
+	att attempt // the round attempt in progress
 	// lastRejoins and lastEvictions attribute what happened at the round
 	// boundary (rejoins, dead peers reaped) to the following attempt's ledger
 	// record.
@@ -222,21 +225,35 @@ type session struct {
 	updAges  *core.AgeTrack
 	ctrl     *deadlineController
 
-	// members, ioErrs and ioMsgs are the network phases' scratch: the member
-	// list of the phase in progress, and per-slot results the IO pool writes at
-	// a member's own index and the phase clears as it reads them. fresh holds
-	// the attempt's validated updates — views of its frames, cleared with them —
-	// and delivered marks the slots whose update it aggregates.
-	members   []int
-	ioErrs    []error
-	ioMsgs    []*Message
-	fresh     []engine.Update
-	delivered []bool
+	// ioErrs and ioMsgs are the network phases' scratch: per-slot results the
+	// IO pool writes at a member's own index and the phase clears as it reads
+	// them.
+	ioErrs []error
+	ioMsgs []*Message
 
 	// ck is the checkpoint view session.checkpoint refills and ckImage its
 	// encoded bytes, both reused from one checkpoint to the next.
 	ck      Checkpoint
 	ckImage []byte
+}
+
+// attempt is what one round attempt's phases hand each other; the session
+// reuses its slices. fresh holds the validated updates — views of their
+// frames, cleared with them — and late the parked ones folded in; delivered
+// marks the slots whose update the round aggregates; whole says the cohort is
+// the whole population, the only case a hold starts in (engine.Held).
+type attempt struct {
+	round       int
+	ctx         telemetry.SpanContext  // the round span
+	rec         *telemetry.RoundRecord // nil without a ledger
+	detail      bool                   // engine.Detail
+	cohort      []bool
+	whole       bool
+	members     []int // the slots the network phase in progress touches
+	updates     []*Message
+	fresh, late []engine.Update
+	delivered   []bool
+	loss        float64
 }
 
 // pendingJoin is a rejoining client that completed its handshake but is
@@ -413,52 +430,9 @@ func Serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 
 // serve is Serve on a session the caller can look into afterwards.
 func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
-	if len(conns) == 0 {
-		return nil, fmt.Errorf("transport: no clients")
+	if err := s.setup(cfg, conns); err != nil {
+		return nil, err
 	}
-	if cfg.Rounds <= 0 {
-		return nil, fmt.Errorf("transport: non-positive rounds %d", cfg.Rounds)
-	}
-	switch cfg.Algorithm {
-	case AlgoFedAvg:
-	case AlgoRFedAvgPlus:
-		if cfg.FeatureDim <= 0 {
-			return nil, fmt.Errorf("transport: rfedavg+ requires FeatureDim")
-		}
-	default:
-		return nil, fmt.Errorf("transport: unknown algorithm %q (want %q or %q)", cfg.Algorithm, AlgoFedAvg, AlgoRFedAvgPlus)
-	}
-	*s = session{
-		cfg:        cfg,
-		minClients: max(cfg.MinClients, 1),
-		conns:      make([]Conn, len(conns)),
-		active:     make([]bool, len(conns)),
-		samples:    make([]float64, len(conns)),
-		held:       make(engine.Held, len(conns)),
-		ioErrs:     make([]error, len(conns)),
-		ioMsgs:     make([]*Message, len(conns)),
-		delivered:  make([]bool, len(conns)),
-		global:     append([]float64(nil), cfg.InitialParams...),
-		table:      core.NewServerTable(len(conns), max(cfg.FeatureDim, 1), cfg.MaxStaleness),
-		res:        &ServerResult{},
-	}
-	s.codec.init(cfg.Codec, cfg.Seed, len(conns))
-	s.metrics = newServerMetrics(cfg.Metrics, cfg.Algorithm)
-	s.busy = make([]bool, len(conns))
-	s.buffered = make([]*BufferedUpdate, len(conns))
-	s.lateCh = make(chan lateMsg, len(conns))
-	s.updAges = core.NewAgeTrack(len(conns))
-	if cfg.AdaptiveDeadline {
-		if cfg.RoundDeadline <= 0 {
-			return nil, fmt.Errorf("transport: adaptive deadline requires a positive RoundDeadline to start from")
-		}
-		s.ctrl = newDeadlineController(len(conns), cfg.RoundDeadline, cfg.RoundDeadline/8, cfg.RoundDeadline, s.metrics)
-	}
-	for i, c := range conns {
-		s.conns[i] = s.wrap(c)
-		s.active[i] = true
-	}
-
 	// The session root span: every round attempt and checkpoint parents to
 	// it, making the trace ID the session's identity across processes.
 	sessSpan := cfg.Tracer.Start("session", telemetry.SpanContext{})
@@ -467,11 +441,8 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 
 	// Join phase: collect shard sizes; a client that fails its join is
 	// evicted rather than aborting everyone else's session.
-	joinSpan := telemetry.StartSpan(s.metrics.joinSec)
-	tJoin := cfg.Tracer.Start("join", s.sessCtx)
-	err := s.collectJoins()
-	tJoin.End()
-	joinSpan.End()
+	var err error
+	s.phases.Time(telemetry.PhaseJoin, s.sessCtx, -1, func(telemetry.SpanContext) { err = s.collectJoins() })
 	if err != nil {
 		return nil, err
 	}
@@ -479,38 +450,14 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 
 	startRound := 0
 	if cfg.Resume != nil {
-		var err error
 		if startRound, err = s.restore(cfg.Resume); err != nil {
 			return nil, err
 		}
 		s.logf("resumed from checkpoint at round %d", startRound)
-		s.event("resume", startRound, cfg.CheckpointPath)
+		s.cfg.Events.Emit("resume", startRound, cfg.CheckpointPath)
 	}
-
-	attempts := 0
-	for round := startRound; round < cfg.Rounds; {
-		s.admitRejoins(round)
-		ok := s.activeCount() >= s.minClients || s.waitForQuorum()
-		if ok {
-			ok = s.runRound(round, attempts+1)
-		}
-		if !ok {
-			attempts++
-			s.res.RetriedRounds++
-			s.metrics.retries.Inc()
-			s.logf("round %d attempt %d failed (quorum %d, %d active)", round, attempts, s.minClients, s.activeCount())
-			s.event("retry", round, s.lastFaultOr(""))
-			if attempts > maxRoundRetries {
-				s.checkpoint(round) // leave a resumable state behind
-				s.closePending()
-				return nil, fmt.Errorf("transport: round %d failed after %d attempts (last fault: %s)",
-					round, attempts, s.lastFaultOr("none"))
-			}
-			continue
-		}
-		attempts = 0
-		round++
-		s.checkpoint(round)
+	if err := s.runRounds(startRound); err != nil {
+		return nil, err
 	}
 
 	// Session end: best-effort MsgDone. A dead client here must not fail
@@ -530,6 +477,92 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 	return s.res, nil
 }
 
+// setup checks cfg and resets the session to serve it over conns.
+func (s *session) setup(cfg ServerConfig, conns []Conn) error {
+	if len(conns) == 0 {
+		return fmt.Errorf("transport: no clients")
+	}
+	if cfg.Rounds <= 0 {
+		return fmt.Errorf("transport: non-positive rounds %d", cfg.Rounds)
+	}
+	switch cfg.Algorithm {
+	case AlgoFedAvg:
+	case AlgoRFedAvgPlus:
+		if cfg.FeatureDim <= 0 {
+			return fmt.Errorf("transport: rfedavg+ requires FeatureDim")
+		}
+	default:
+		return fmt.Errorf("transport: unknown algorithm %q (want %q or %q)", cfg.Algorithm, AlgoFedAvg, AlgoRFedAvgPlus)
+	}
+	if cfg.AdaptiveDeadline && cfg.RoundDeadline <= 0 {
+		return fmt.Errorf("transport: adaptive deadline requires a positive RoundDeadline to start from")
+	}
+	n := len(conns)
+	*s = session{
+		cfg:        cfg,
+		minClients: max(cfg.MinClients, 1),
+		conns:      make([]Conn, n),
+		active:     make([]bool, n),
+		samples:    make([]float64, n),
+		held:       make(engine.Held, n),
+		ioErrs:     make([]error, n),
+		ioMsgs:     make([]*Message, n),
+		global:     append([]float64(nil), cfg.InitialParams...),
+		table:      core.NewServerTable(n, max(cfg.FeatureDim, 1), cfg.MaxStaleness),
+		res:        &ServerResult{},
+		metrics:    newServerMetrics(cfg.Metrics, cfg.Algorithm),
+		busy:       make([]bool, n),
+		buffered:   make([]*BufferedUpdate, n),
+		lateCh:     make(chan lateMsg, n),
+		updAges:    core.NewAgeTrack(n),
+	}
+	s.codec.init(cfg.Codec, cfg.Seed, n)
+	if cfg.AdaptiveDeadline {
+		s.ctrl = newDeadlineController(n, cfg.RoundDeadline, cfg.RoundDeadline/8, cfg.RoundDeadline, s.metrics)
+	}
+	s.phases = telemetry.Phases{Tracer: cfg.Tracer, Hist: &s.metrics.phaseSec}
+	if cfg.Ledger != nil {
+		s.phases.Rec = &s.rec
+	}
+	s.att = attempt{rec: s.phases.Rec, detail: engine.Detail(cfg.LedgerDetailN, n), delivered: make([]bool, n)}
+	for i, c := range conns {
+		s.conns[i] = s.wrap(c)
+		s.active[i] = true
+	}
+	return nil
+}
+
+// runRounds runs rounds startRound.. to cfg.Rounds, retrying a failed attempt
+// up to maxRoundRetries times, and checkpoints every round boundary.
+func (s *session) runRounds(startRound int) error {
+	attempts := 0
+	for round := startRound; round < s.cfg.Rounds; {
+		s.admitRejoins(round)
+		ok := count(s.active) >= s.minClients || s.waitForQuorum()
+		if ok {
+			ok = s.runRound(round, attempts+1)
+		}
+		if !ok {
+			attempts++
+			s.res.RetriedRounds++
+			s.metrics.retries.Inc()
+			s.logf("round %d attempt %d failed (quorum %d, %d active)", round, attempts, s.minClients, count(s.active))
+			s.cfg.Events.Emit("retry", round, s.lastFaultOr(""))
+			if attempts > maxRoundRetries {
+				s.checkpoint(round) // leave a resumable state behind
+				s.closePending()
+				return fmt.Errorf("transport: round %d failed after %d attempts (last fault: %s)",
+					round, attempts, s.lastFaultOr("none"))
+			}
+			continue
+		}
+		attempts = 0
+		round++
+		s.checkpoint(round)
+	}
+	return nil
+}
+
 // wrap meters a conn into the session's byte series and puts the deadline
 // wrapper around it when deadlines are on. The metering wrapper goes inside
 // the deadlineConn so sendCtx/recvCtx still see a *deadlineConn.
@@ -545,11 +578,6 @@ func (s *session) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
 	}
-}
-
-// event appends one line to the optional JSONL event log.
-func (s *session) event(event string, round int, detail string) {
-	s.cfg.Events.Emit(event, round, detail)
 }
 
 func (s *session) lastFaultOr(fallback string) string {
@@ -577,10 +605,10 @@ func (s *session) phaseCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), d)
 }
 
-func (s *session) activeCount() int {
-	n := 0
-	for _, a := range s.active {
-		if a {
+// count reports how many entries of mask are set.
+func count(mask []bool) (n int) {
+	for _, b := range mask {
+		if b {
 			n++
 		}
 	}
@@ -604,7 +632,7 @@ func (s *session) evict(i, round int, reason string) {
 	s.lastFault = fmt.Sprintf("client %d: %s", i, reason)
 	s.cfg.Health.ObserveEvict(i)
 	s.logf("evicted client %d (round %d): %s", i, round, reason)
-	s.event("evict", round, s.lastFault)
+	s.cfg.Events.Emit("evict", round, s.lastFault)
 }
 
 // collectJoins gathers the MsgJoin handshake from every initial client over
@@ -630,7 +658,7 @@ func (s *session) collectJoins() error {
 			s.codec.negotiate(i, m.Caps)
 		}
 	}
-	if s.activeCount() == 0 {
+	if count(s.active) == 0 {
 		return fmt.Errorf("transport: no clients joined (last fault: %s)", s.lastFaultOr("none"))
 	}
 	return nil
@@ -711,23 +739,19 @@ func (s *session) checkpoint(nextRound int) {
 			ck.Buffered = append(ck.Buffered, *b)
 		}
 	}
-	span := telemetry.StartSpan(s.metrics.checkpointSec)
-	tCk := s.cfg.Tracer.Start("checkpoint", s.sessCtx)
-	tCk.Round = nextRound
-	img, err := ck.appendTo(s.ckImage[:0])
-	if err == nil {
-		s.ckImage = img
-		err = saveImage(s.cfg.CheckpointPath, img)
-	}
-	tCk.End()
-	span.End()
+	var err error
+	s.phases.Time(telemetry.PhaseCheckpoint, s.sessCtx, nextRound, func(telemetry.SpanContext) {
+		if s.ckImage, err = ck.appendTo(s.ckImage[:0]); err == nil {
+			err = saveImage(s.cfg.CheckpointPath, s.ckImage)
+		}
+	})
 	if err != nil {
 		s.logf("checkpoint at round %d failed (ignored): %v", nextRound, err)
 		return
 	}
 	s.metrics.checkpoints.Inc()
 	s.logf("checkpoint at round %d → %s", nextRound, s.cfg.CheckpointPath)
-	s.event("checkpoint", nextRound, s.cfg.CheckpointPath)
+	s.cfg.Events.Emit("checkpoint", nextRound, s.cfg.CheckpointPath)
 }
 
 // closePending closes rejoiners that never found a slot, so their clients
@@ -781,13 +805,9 @@ func (s *session) waitForQuorum() bool {
 	if s.cfg.Rejoin == nil {
 		return false
 	}
-	var timeout <-chan time.Time
-	if d := s.curDeadline(); d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timeout = t.C
-	}
-	for s.activeCount() < s.minClients {
+	ctx, cancel := s.phaseCtx()
+	defer cancel()
+	for count(s.active) < s.minClients {
 		select {
 		case c, ok := <-s.cfg.Rejoin:
 			if !ok {
@@ -795,7 +815,7 @@ func (s *session) waitForQuorum() bool {
 				return false
 			}
 			s.admit(c)
-		case <-timeout:
+		case <-ctx.Done():
 			return false
 		}
 	}
@@ -849,37 +869,24 @@ func (s *session) place(p pendingJoin) {
 	s.res.Rejoins++
 	s.metrics.rejoins.Inc()
 	s.logf("client rejoined into slot %d (%d samples, δ age %d)", slot, p.join.NumSamples, s.table.Age(slot))
-	s.event("rejoin", -1, fmt.Sprintf("slot %d", slot))
+	s.cfg.Events.Emit("rejoin", -1, fmt.Sprintf("slot %d", slot))
 }
 
-// runRound wraps one round attempt with its observability capture: the
-// traced round span (parent of every phase and per-client span, and of the
-// client-side spans via the frame headers), and the ledger record for the
-// attempt — written for failed attempts too (ok=false, loss=null), so the
-// ledger shows retries rather than silently eliding them.
+// runRound runs one round attempt as the round phase, whose span parents
+// every phase and (via the frame headers) the client-side spans, and writes
+// the attempt's ledger record — for failed attempts too (ok=false,
+// loss=null), so the ledger shows retries rather than silently eliding them.
 func (s *session) runRound(round, attempt int) bool {
-	roundSpan := telemetry.StartSpan(s.metrics.roundSec)
-	tRound := s.cfg.Tracer.Start("round", s.sessCtx)
-	tRound.Round = round
-
 	rec := &s.rec
 	rec.Reset()
-	rec.Algo = string(s.cfg.Algorithm)
-	rec.Round, rec.Attempt = round, attempt
-	rec.Loss = math.NaN()
+	rec.Algo, rec.Round, rec.Attempt, rec.Loss = string(s.cfg.Algorithm), round, attempt, math.NaN()
 	sentBefore, recvBefore := s.metrics.sent.Load(), s.metrics.recv.Load()
 	elidedBefore := s.metrics.nElided.Load()
 
-	start := time.Now()
-	ok := s.attemptRound(round, tRound.Context())
-
-	tRound.End()
-	roundSpan.End()
+	ok := false
+	s.phases.Time(telemetry.PhaseRound, s.sessCtx, round, func(ctx telemetry.SpanContext) { ok = s.attemptRound(round, ctx) })
 	if s.cfg.Ledger != nil {
 		rec.OK = ok
-		// Measured with the session's own clock: an inert span (nil
-		// tracer) has no meaningful start to subtract from.
-		rec.DurNanos = int64(time.Since(start))
 		rec.DownBytes = s.metrics.sent.Load() - sentBefore
 		rec.UpBytes = s.metrics.recv.Load() - recvBefore
 		rec.Elided = int(s.metrics.nElided.Load() - elidedBefore)
@@ -893,104 +900,118 @@ func (s *session) runRound(round, attempt int) bool {
 	return ok
 }
 
-// attemptRound attempts one full round over the currently active clients.
-// It returns false — leaving the global model untouched — when fewer than
-// MinClients valid updates arrive (satisfying quorum is the caller's
-// retry loop's job). Faulty clients are evicted along the way.
-//
-// The cohort RNG is re-derived from (Seed, round) at every attempt: a
-// resumed server samples the same cohorts at round r as one that never
-// died, and a retried attempt re-samples the same cohort instead of
-// silently consuming extra draws and perturbing every later round.
+// attemptRound attempts one round over the active clients as the list of its
+// phases (Alg. 2). It returns false — leaving the global model untouched —
+// when fewer than MinClients valid updates arrive (satisfying quorum is the
+// caller's retry loop's job). Faulty clients are evicted along the way.
 func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
+	a := &s.att
+	a.round, a.ctx = round, roundCtx
 	defer func() { // the round's frames, and the views of them, must not outlive it
 		clear(s.ioMsgs)
-		clear(s.fresh)
+		clear(a.fresh)
+		a.updates, a.late = nil, nil
 	}()
-	var rec *telemetry.RoundRecord // the attempt's ledger record; nil without a ledger
-	if s.cfg.Ledger != nil {
-		rec = &s.rec
+	s.phase(telemetry.PhasePrepare, s.prepare)
+	// Sync #1: assign and gather share one deadline.
+	ctx, cancel := s.phaseCtx()
+	s.phase(telemetry.PhaseBroadcast, func(telemetry.SpanContext) { s.broadcast(ctx) })
+	s.phase(telemetry.PhaseGather, func(sp telemetry.SpanContext) { s.gather(ctx, sp) })
+	cancel()
+	s.phase(telemetry.PhaseValidate, s.validate)
+	if len(a.fresh)+len(a.late) < s.minClients {
+		return false
 	}
-	detail := engine.Detail(s.cfg.LedgerDetailN, len(s.conns))
-	plus := s.cfg.Algorithm == AlgoRFedAvgPlus
+	ok := false
+	s.phase(telemetry.PhaseClose, func(telemetry.SpanContext) { ok = s.closeRound() })
+	if !ok {
+		return false
+	}
+	if s.cfg.Algorithm == AlgoRFedAvgPlus {
+		s.phase(telemetry.PhaseDeltaSync, s.deltaSync)
+	}
+	s.phase(telemetry.PhaseAge, s.age)
+	return true
+}
+
+// phase times, traces and ledgers one phase of the attempt in progress under
+// the round span; run gets the phase span's context for spans of its own.
+func (s *session) phase(p telemetry.Phase, run func(telemetry.SpanContext)) {
+	s.phases.Time(p, s.att.ctx, s.att.round, run)
+}
+
+// prepare samples the attempt's cohort. A buffered session first settles the
+// straggler deliveries that landed between rounds, waits (if needed) until
+// assignable + parked slots can reach quorum, and samples only from slots
+// with no update in flight or parked. The cohort RNG is re-derived from
+// (Seed, round) at every attempt: a resumed server samples the same cohorts
+// at round r as one that never died, and a retried attempt re-samples the
+// same cohort instead of perturbing every later round.
+func (s *session) prepare(telemetry.SpanContext) {
+	a := &s.att
 	population := s.active
-	async := s.cfg.BufferK > 0
-	if async {
-		// Settle straggler deliveries that landed between rounds, wait (if
-		// needed) until assignable + parked slots can reach quorum, and
-		// sample only from slots with no update in flight or parked.
-		s.drainLate(round)
-		s.awaitAvail(round)
+	if s.cfg.BufferK > 0 {
+		s.drainLate(a.round)
+		s.awaitAvail(a.round)
 		population = s.asyncEligible()
 	}
-	if d := s.curDeadline(); rec != nil && d > 0 {
-		rec.DeadlineSec = d.Seconds()
+	if d := s.curDeadline(); a.rec != nil && d > 0 {
+		a.rec.DeadlineSec = d.Seconds()
 	}
-	cohort := make([]bool, len(population))
-	for _, i := range engine.Sample(cohortRNG(s.cfg.Seed, round), population, s.cfg.SampleRatio, s.minClients) {
-		cohort[i] = true
+	sampled := engine.Sample(cohortRNG(s.cfg.Seed, a.round), population, s.cfg.SampleRatio, s.minClients)
+	a.cohort, a.whole = make([]bool, len(population)), len(sampled) == count(population)
+	for _, i := range sampled {
+		a.cohort[i] = true
 	}
-	// A hold starts only in a round that sampled nobody out (engine.Held).
-	whole := true
-	for i, in := range population {
-		if in && !cohort[i] {
-			whole = false
-			break
-		}
-	}
+}
 
-	// Sync #1: assign work to the cohort; everyone else hears nothing. Assign
-	// frames carry the round span's context so client-side spans join the tree.
-	ctx, cancel := s.phaseCtx()
-	bSpan := telemetry.StartSpan(s.metrics.broadcastSec)
-	tb := s.cfg.Tracer.Start("broadcast", roundCtx)
-	tb.Round = round
-	members := s.membersOf(cohort)
-	s.shareBroadcast(round)
-	s.broadcastActive(ctx, round, roundCtx, members, func(i int) *Message {
+// broadcast assigns work to the cohort; everyone else hears nothing. Assign
+// frames carry the round span's context so client-side spans join the tree.
+func (s *session) broadcast(ctx context.Context) {
+	a := &s.att
+	s.membersOf(a.cohort)
+	s.shareBroadcast(a.round)
+	s.broadcastActive(ctx, func(i int) *Message {
 		sl := s.codec.slot(i)
-		m := &Message{Type: MsgAssign, Round: int32(round), ClientID: int32(i), Want: sl.upd}
+		m := &Message{Type: MsgAssign, Round: int32(a.round), ClientID: int32(i), Want: sl.upd}
 		// The client still holds this model from last round's MsgDeltaReq:
 		// ship it once.
-		if s.held.Assign(i, round) {
+		if s.held.Assign(i, a.round) {
 			s.metrics.elide()
 		} else {
-			s.modelPayload(m, i, round)
+			s.modelPayload(m, i, a.round)
 		}
-		if plus {
+		if s.cfg.Algorithm == AlgoRFedAvgPlus {
 			target := s.table.MeanExcluding(i)
 			if ds := sl.delta; ds != compress.SchemeDense && len(target) > 0 {
 				// Salted one stride past the model encode's stream (modelPayload).
-				m.PDelta = packVec(&sl.targetBuf, ds, target, compress.RNGFor(ds, s.cfg.Seed, round, i+2*s.codec.n), nil, nil)
+				m.PDelta = packVec(&sl.targetBuf, ds, target, compress.RNGFor(ds, s.cfg.Seed, a.round, i+2*s.codec.n), nil, nil)
 			} else {
 				m.Delta = target
 			}
 		}
 		return m
 	})
-	tb.End()
-	bSpan.End()
-	gSpan := telemetry.StartSpan(s.metrics.gatherSec)
-	tg := s.cfg.Tracer.Start("gather", roundCtx)
-	tg.Round = round
-	var updates []*Message
-	if async {
-		updates = s.gatherAsyncUpdates(round, cohort, tg.Context())
-	} else {
-		updates = s.gatherActive(ctx, round, members, MsgUpdate, "gather_client", tg.Context())
-	}
-	tg.End()
-	gSpan.End()
-	cancel()
+}
 
-	// Validate before aggregating. Packed updates are difference-coded:
-	// params = reference + decode(payload), where the reference is the decoded
-	// broadcast the client trained from (the exact global when the broadcast
-	// itself went dense).
-	delivered := s.delivered
-	clear(delivered)
-	fresh, staged := s.fresh[:0], 0
-	for i, m := range updates {
+// gather receives the cohort's updates, each wait a gather_client span under sp.
+func (s *session) gather(ctx context.Context, sp telemetry.SpanContext) {
+	if s.cfg.BufferK > 0 {
+		s.att.updates = s.gatherAsyncUpdates(s.att.round, s.att.cohort, sp)
+	} else {
+		s.att.updates = s.gatherActive(ctx, MsgUpdate, "gather_client", sp)
+	}
+}
+
+// validate decodes (decodeUpdate) and validates the gathered updates, evicting
+// the senders of bad ones, and takes the parked late updates, validated at
+// park time, that fold into this aggregation with their staleness discount.
+func (s *session) validate(telemetry.SpanContext) {
+	a := &s.att
+	clear(a.delivered)
+	a.fresh = a.fresh[:0]
+	staged := 0
+	for i, m := range a.updates {
 		if m == nil {
 			continue
 		}
@@ -1002,115 +1023,114 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 			staged++
 		}
 		if err != nil {
-			s.evict(i, round, err.Error())
+			s.evict(i, a.round, err.Error())
 			continue
 		}
-		if rec != nil && rec.UpScheme == "" {
+		if a.rec != nil && a.rec.UpScheme == "" {
 			if m.PParams.N > 0 {
-				rec.UpScheme = m.PParams.Scheme.String()
+				a.rec.UpScheme = m.PParams.Scheme.String()
 			} else if len(params) > 0 {
-				rec.UpScheme = compress.SchemeDense.String()
+				a.rec.UpScheme = compress.SchemeDense.String()
 			}
 		}
 		u := engine.Update{Client: i, Samples: s.samples[i], Loss: m.Loss, Params: params}
 		if err := engine.Validate(u, len(s.global)); err != nil {
-			s.evict(i, round, err.Error())
+			s.evict(i, a.round, err.Error())
 			continue
 		}
-		delivered[i] = true
-		fresh = append(fresh, u)
+		a.delivered[i] = true
+		a.fresh = append(a.fresh, u)
 	}
-	s.fresh = fresh
-	// Parked late updates (already validated at park time) count toward the
-	// quorum and fold into this aggregation with their staleness discount.
-	var late []engine.Update
-	if async {
-		late = s.folds(round)
+	if s.cfg.BufferK > 0 {
+		a.late = s.folds(a.round)
 	}
-	if len(fresh)+len(late) < s.minClients {
-		return false
-	}
-	// The close reads the validated cohort while s.global is still the model
-	// the clients trained from.
+}
+
+// closeRound aggregates the fresh and late updates into the next global model
+// (engine.Close) while s.global is still the model the clients trained from.
+// It reports false when the effective cohort is empty.
+func (s *session) closeRound() bool {
+	a := &s.att
 	next := make([]float64, len(s.global))
-	loss, ok := engine.Close(s.cfg.Health, rec, detail, round, s.global, next, fresh, late, s.cfg.StalenessLambda)
+	loss, ok := engine.Close(s.cfg.Health, a.rec, a.detail, a.round, s.global, next, a.fresh, a.late, s.cfg.StalenessLambda)
 	if !ok {
 		s.lastFault = "empty effective cohort (wsum = 0)"
 		return false
 	}
-	for _, u := range late {
+	for _, u := range a.late {
 		// A folded client is idle again: it joins the second synchronization
 		// (rFedAvg+), refreshing the δ row its lateness let go stale.
-		delivered[u.Client] = true
+		a.delivered[u.Client] = true
 		s.buffered[u.Client] = nil
 		s.metrics.lateFolds.Inc()
-		lf := s.cfg.Tracer.Start("late_fold", roundCtx)
-		lf.Round, lf.Client = round, u.Client
+		lf := s.cfg.Tracer.Start("late_fold", a.ctx)
+		lf.Round, lf.Client = a.round, u.Client
 		lf.End()
 		s.logf("folded client %d's round-%d update into round %d (age %d, weight %.3f)",
-			u.Client, round-u.Age, round, u.Age, engine.StalenessWeight(u.Age, s.cfg.StalenessLambda))
+			u.Client, a.round-u.Age, a.round, u.Age, engine.StalenessWeight(u.Age, s.cfg.StalenessLambda))
 	}
 	s.metrics.buffered.Set(float64(s.bufferedCount()))
 	s.global = next
 	s.res.RoundLosses = append(s.res.RoundLosses, loss)
-	if rec != nil {
-		rec.Loss = loss
+	a.loss = loss
+	if a.rec != nil {
+		a.rec.Loss = loss
 	}
+	return true
+}
 
-	// Sync #2 (rFedAvg+ only): ship the new global model, gather maps.
-	// A client lost here keeps its previous (now stale) row — the
-	// δ-staleness fallback — instead of failing the round.
-	if plus {
-		dSpan := telemetry.StartSpan(s.metrics.deltaSyncSec)
-		td := s.cfg.Tracer.Start("delta_sync", roundCtx)
-		td.Round = round
-		ctx2, cancel2 := s.phaseCtx()
-		members = s.membersOf(delivered)
-		s.shareBroadcast(round + 1)
-		s.broadcastActive(ctx2, round, roundCtx, members, func(i int) *Message {
-			m := &Message{Type: MsgDeltaReq, Round: int32(round), ClientID: int32(i), Want: s.codec.slot(i).delta}
-			s.modelPayload(m, i, round+1)
-			if whole {
-				s.held.Hold(i, round+1)
-			}
-			return m
-		})
-		deltas := s.gatherActive(ctx2, round, members, MsgDelta, "delta_client", td.Context())
-		cancel2()
-		for i, m := range deltas {
-			if m == nil {
+// deltaSync is rFedAvg+'s second synchronization: it ships the new global
+// model to the clients the round aggregated and gathers their δ maps, each
+// wait a delta_client span under sp. A client lost here keeps its previous
+// (now stale) row — the δ-staleness fallback — instead of failing the round.
+func (s *session) deltaSync(sp telemetry.SpanContext) {
+	a := &s.att
+	ctx, cancel := s.phaseCtx()
+	defer cancel()
+	s.membersOf(a.delivered)
+	s.shareBroadcast(a.round + 1)
+	s.broadcastActive(ctx, func(i int) *Message {
+		m := &Message{Type: MsgDeltaReq, Round: int32(a.round), ClientID: int32(i), Want: s.codec.slot(i).delta}
+		s.modelPayload(m, i, a.round+1)
+		if a.whole {
+			s.held.Hold(i, a.round+1)
+		}
+		return m
+	})
+	for i, m := range s.gatherActive(ctx, MsgDelta, "delta_client", sp) {
+		if m == nil {
+			continue
+		}
+		if m.PDelta.N > 0 {
+			if int(m.PDelta.N) != s.cfg.FeatureDim {
+				s.evict(i, a.round, fmt.Sprintf("sent packed δ of %d dims, want %d", m.PDelta.N, s.cfg.FeatureDim))
 				continue
 			}
-			if m.PDelta.N > 0 {
-				if int(m.PDelta.N) != s.cfg.FeatureDim {
-					s.evict(i, round, fmt.Sprintf("sent packed δ of %d dims, want %d", m.PDelta.N, s.cfg.FeatureDim))
-					continue
-				}
-				dec := resizeFloats(&s.codec.slot(i).deltaDec, s.cfg.FeatureDim)
-				if err := compress.DecodeInto(dec, m.PDelta.Scheme, m.PDelta.Data); err != nil {
-					s.evict(i, round, fmt.Sprintf("packed δ: %v", err))
-					continue
-				}
-				m.Delta = dec
+			dec := resizeFloats(&s.codec.slot(i).deltaDec, s.cfg.FeatureDim)
+			if err := compress.DecodeInto(dec, m.PDelta.Scheme, m.PDelta.Data); err != nil {
+				s.evict(i, a.round, fmt.Sprintf("packed δ: %v", err))
+				continue
 			}
-			if err := s.table.Accept(i, m.Delta); err != nil {
-				s.evict(i, round, err.Error())
-			}
+			m.Delta = dec
 		}
-		s.table.ObserveDrift(s.cfg.Health)
-		td.End()
-		dSpan.End()
+		if err := s.table.Accept(i, m.Delta); err != nil {
+			s.evict(i, a.round, err.Error())
+		}
 	}
-	// Age the δ table once per *successful* round for both algorithms.
-	// Previously this ran only under rFedAvg+, leaving MaxStaleness dead
-	// for plain FedAvg sessions: rows never aged, so the staleness bound
-	// was silently ignored outside the plus branch.
+	s.table.ObserveDrift(s.cfg.Health)
+}
+
+// age closes a successful round: the δ table ages once for both algorithms
+// (MaxStaleness bounds plain FedAvg sessions too), the update tracks reset
+// for contributors and age, the adaptive deadline retargets from the round's
+// client latencies, and the ledger's δ blocks and the health verdict close.
+func (s *session) age(telemetry.SpanContext) {
+	a := &s.att
 	s.table.Tick()
 	s.metrics.observeDeltaAges(s.table, s.cfg.MaxStaleness)
-	// Model-update staleness accounting: contributors (fresh and folded)
-	// reset to 0, then everyone ages one round — the update-track twin of
-	// the δ-row aging above, and the ages a checkpoint persists.
-	for i, d := range delivered {
+	// Contributors (fresh and folded) reset to 0, then everyone ages one
+	// round — the ages a checkpoint persists.
+	for i, d := range a.delivered {
 		if d {
 			s.updAges.Reset(i)
 		}
@@ -1118,20 +1138,17 @@ func (s *session) attemptRound(round int, roundCtx telemetry.SpanContext) bool {
 	s.updAges.Tick()
 	s.metrics.observeUpdateAges(s.updAges)
 	if s.ctrl != nil {
-		// Retarget the next phases' deadline from this round's observed
-		// client latencies.
 		s.ctrl.update()
 	}
-	if rec != nil {
-		if plus {
-			engine.LedgerMMD(rec, detail, s.table, s.table.N)
+	if a.rec != nil {
+		if s.cfg.Algorithm == AlgoRFedAvgPlus {
+			engine.LedgerMMD(a.rec, a.detail, s.table, s.table.N)
 		}
-		engine.LedgerAges(rec, detail, s.table, s.table.N)
+		engine.LedgerAges(a.rec, a.detail, s.table, s.table.N)
 	}
-	engine.EndRound(s.cfg.Health, rec, detail, loss)
-	s.res.Cohorts = append(s.res.Cohorts, RoundCohort{Round: round, Mask: cohort})
+	engine.EndRound(s.cfg.Health, a.rec, a.detail, a.loss)
+	s.res.Cohorts = append(s.res.Cohorts, RoundCohort{Round: a.round, Mask: a.cohort})
 	s.metrics.rounds.Inc()
-	return true
 }
 
 // cohortRNG derives the round's cohort-sampling stream from (seed, round)
@@ -1142,33 +1159,33 @@ func cohortRNG(seed int64, round int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1_000_003 + int64(round)*7919 + 17))
 }
 
-// membersOf lists the active slots marked in mask, in slot order — the only
-// slots a network phase touches. The list is session scratch, valid until the
-// next call.
-func (s *session) membersOf(mask []bool) []int {
-	s.members = s.members[:0]
+// membersOf lists the active slots marked in mask, in slot order, as the
+// attempt's members — the only slots a network phase touches.
+func (s *session) membersOf(mask []bool) {
+	a := &s.att
+	a.members = a.members[:0]
 	for i, in := range mask {
 		if in && s.active[i] {
-			s.members = append(s.members, i)
+			a.members = append(a.members, i)
 		}
 	}
-	return s.members
 }
 
 // broadcastActive sends mk(i) to every member over the bounded IO pool,
 // stamping the round span's context onto each frame; clients whose send
 // fails are evicted (serially, in slot order, after the pool drains).
-func (s *session) broadcastActive(ctx context.Context, round int, span telemetry.SpanContext, members []int, mk func(i int) *Message) {
-	ioParallel(len(members), ioWorkers(), func(j int) {
-		i := members[j]
+func (s *session) broadcastActive(ctx context.Context, mk func(i int) *Message) {
+	a := &s.att
+	ioParallel(len(a.members), ioWorkers(), func(j int) {
+		i := a.members[j]
 		m := mk(i)
-		m.setSpanContext(span)
+		m.setSpanContext(a.ctx)
 		s.ioErrs[i] = sendCtx(ctx, s.conns[i], m)
 	})
-	for _, i := range members {
+	for _, i := range a.members {
 		if err := s.ioErrs[i]; err != nil {
 			s.ioErrs[i] = nil
-			s.evict(i, round, fmt.Sprintf("broadcast: %v", err))
+			s.evict(i, a.round, fmt.Sprintf("broadcast: %v", err))
 		}
 	}
 }
@@ -1179,28 +1196,27 @@ func (s *session) broadcastActive(ctx context.Context, round int, span telemetry
 // Each wait is recorded as a per-client span under the phase span — the raw
 // material for straggler attribution. The result is session scratch, indexed
 // by slot and valid until the next gather.
-func (s *session) gatherActive(ctx context.Context, round int, members []int, want MsgType, spanName string, parent telemetry.SpanContext) []*Message {
-	msgs := s.ioMsgs
+func (s *session) gatherActive(ctx context.Context, want MsgType, spanName string, parent telemetry.SpanContext) []*Message {
+	a, msgs := &s.att, s.ioMsgs
 	clear(msgs)
-	ioParallel(len(members), ioWorkers(), func(j int) {
-		i := members[j]
+	ioParallel(len(a.members), ioWorkers(), func(j int) {
+		i := a.members[j]
 		if !s.active[i] {
 			return // evicted by the broadcast just before
 		}
 		sp := s.cfg.Tracer.Start(spanName, parent)
-		sp.Round, sp.Client = round, i
-		start := time.Now()
-		msgs[i], s.ioErrs[i] = gatherOne(ctx, s.conns[i], want, round)
-		sp.End()
+		sp.Round, sp.Client = a.round, i
+		msgs[i], s.ioErrs[i] = gatherOne(ctx, s.conns[i], want, a.round)
+		d := sp.End()
 		if s.ctrl != nil && want == MsgUpdate && s.ioErrs[i] == nil {
 			// Per-slot EWMA write: no two goroutines share a slot.
-			s.ctrl.observe(i, time.Since(start))
+			s.ctrl.observe(i, d)
 		}
 	})
-	for _, i := range members {
+	for _, i := range a.members {
 		if err := s.ioErrs[i]; err != nil {
 			s.ioErrs[i], msgs[i] = nil, nil
-			s.evict(i, round, fmt.Sprintf("gather: %v", err))
+			s.evict(i, a.round, fmt.Sprintf("gather: %v", err))
 		}
 	}
 	return msgs
