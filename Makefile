@@ -79,9 +79,10 @@ golden:
 
 # Smoke-test the observability files end to end: run a traced flsim and
 # validate the trace + ledger files (fltrace fails when either file is empty
-# or any line is not valid JSON), then check a q8 run's ledger names its
-# uplink scheme. The live /metrics scrape, its series and the codec byte
-# series are go test's (TestChaosSessionMetricsScrape, TestHTTPEndpoints,
+# or any line is not valid JSON), then check that a q8 run — a wire session
+# over in-process pipes — names its uplink scheme in the server's ledger. The
+# live /metrics scrape, its series and the codec byte series are go test's
+# (TestChaosSessionMetricsScrape, TestHTTPEndpoints,
 # TestServeCompressedUplinkBytesReduction).
 telemetry-smoke:
 	@tmp=$$(mktemp -d) && \
@@ -100,11 +101,12 @@ telemetry-smoke:
 # Smoke-test live run health monitoring end to end: start an flsim run with
 # the health monitor on and two injected Byzantine clients (one sign-flip,
 # one 10× scale), scrape /debug/fl/health over HTTP *while the run is
-# live*, and require a valid JSON snapshot carrying per-client scores and a
-# firing alert (flbench -health-scrape polls until it sees one). After the
-# run, the ledger must carry round verdicts, the event log the edge-
-# triggered health_alert lines, and fltrace -follow must render the
-# finished streams as a dashboard.
+# live*, and require a valid JSON snapshot carrying per-client scores
+# and a firing alert (flbench -health-scrape polls until it sees one). After
+# the run, the ledger must carry round verdicts, the event log edge-triggered
+# health_alert lines for both attackers, and fltrace -follow must render the
+# finished streams as a dashboard. The alert counts per client are printed;
+# the honest clients' (0, 1, 3, 4) count is reported, not gated.
 health-smoke:
 	@tmp=$$(mktemp -d) || exit 1; \
 	go build -o $$tmp/flsim ./cmd/flsim || exit 1; \
@@ -121,9 +123,12 @@ health-smoke:
 		-scrape-timeout 90s; then \
 		kill $$pid 2>/dev/null; cat $$tmp/run.log; exit 1; \
 	fi; \
-	wait $$pid || { cat $$tmp/run.log; exit 1; }; \
+	wait $$pid; status=$$?; \
+	echo "health alerts: client 2 $$(grep -c 'client 2 violated' $$tmp/events.jsonl), client 5 $$(grep -c 'client 5 violated' $$tmp/events.jsonl), honest 0/1/3/4 $$(grep -c 'client [0134] violated' $$tmp/events.jsonl)"; \
+	[ $$status -eq 0 ] || { cat $$tmp/run.log; exit 1; }; \
 	grep -q '"verdict":' $$tmp/ledger.jsonl && \
-	grep -q 'health_alert' $$tmp/events.jsonl && \
+	grep -q 'client 2 violated' $$tmp/events.jsonl && \
+	grep -q 'client 5 violated' $$tmp/events.jsonl && \
 	$$tmp/fltrace -follow -ledger $$tmp/ledger.jsonl -events $$tmp/events.jsonl >/dev/null && \
 	rm -rf $$tmp && echo "health smoke passed"
 

@@ -18,6 +18,11 @@
 // record per round (loss, per-client losses and update norms, the pairwise
 // MMD matrix under rfedavg/rfedavg+, wire bytes); render both with
 // cmd/fltrace. -events logs lifecycle events as JSONL.
+//
+// -compress and -compress-ef run fedavg or rfedavg+ as a real session over
+// in-process pipes (transport.ServeFederation): rounds print their loss, the
+// summary the final model's accuracy and the metered bytes; -compress dense is
+// the dense baseline there. -byzantine runs in the simulator only.
 package main
 
 import (
@@ -39,6 +44,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 func main() {
@@ -90,10 +96,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "flsim:", err)
 		os.Exit(2)
 	}
-	bz, err := parseByzantine(*byzantine)
+	wire := cliflags.WasSet(flag.CommandLine, "compress") || cliflags.WasSet(flag.CommandLine, "compress-ef")
+	bz, err := parseByzantine(*byzantine, *clients, wire)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flsim:", err)
 		os.Exit(2)
+	}
+	wireAlgo := transport.Algorithm(strings.Replace(strings.ToLower(*method), "plus", "+", 1))
+	if wire {
+		if wireAlgo != transport.AlgoFedAvg && wireAlgo != transport.AlgoRFedAvgPlus {
+			fmt.Fprintf(os.Stderr, "flsim: -compress and -compress-ef run on the wire, which speaks fedavg and rfedavg+, not %q\n", *method)
+			os.Exit(2)
+		}
+		if *slow != "" {
+			fmt.Fprintln(os.Stderr, "flsim: -slow is the simulator's latency model; the wire session has real latencies")
+			os.Exit(2)
+		}
 	}
 	if *telemAddr != "" {
 		srv, err := telemetry.ListenAndServe(*telemAddr, telemetry.Default(),
@@ -158,8 +176,6 @@ func main() {
 		SampleRatio:     *sr,
 		LR:              opt.ConstLR(*lr),
 		NewOptimizer:    newOpt,
-		Compress:        scheme,
-		CompressEF:      *compressEF,
 		BufferK:         *async.BufferK,
 		StalenessLambda: *async.StalenessLambda,
 		SlowFactor:      slowFactor,
@@ -195,7 +211,17 @@ func main() {
 		alg.Name(), *dataset, *clients, *e, *b, *sr, *rounds, f.NumParams(), f.FeatureDim())
 	watch := startHeapWatch()
 	start := time.Now()
-	h := fl.Run(f, alg, *rounds)
+	var h *metrics.History
+	if wire {
+		h, err = runWire(f, wireAlgo, *rounds, *lambda, transport.CodecPolicy{Update: scheme, Delta: scheme}, *compressEF)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "flsim:", err)
+			obs.Close() // the ledger and events of the failed session
+			os.Exit(1)
+		}
+	} else {
+		h = fl.Run(f, alg, *rounds)
+	}
 	elapsed := time.Since(start)
 	peakMiB := watch.stop()
 	budgetFail := false
@@ -212,6 +238,10 @@ func main() {
 		budgetFail = true
 	}
 	for _, r := range h.Rounds {
+		if wire {
+			fmt.Printf("round %3d  loss %.4f\n", r.Round+1, r.TrainLoss)
+			continue
+		}
 		acc := "      -"
 		if !math.IsNaN(r.TestAcc) {
 			acc = fmt.Sprintf("%.4f", r.TestAcc)
@@ -298,11 +328,42 @@ func makeData(dataset string, trainN, testN, clients, featureDim int, seed int64
 	}
 }
 
+// runWire runs f as a real protocol session over in-process pipes under
+// codec, with error feedback when ef is set. The history holds each round's
+// loss; its last round carries the final model's test accuracy, the mean
+// round time and the server's metered bytes of the whole session.
+func runWire(f *fl.Federation, algo transport.Algorithm, rounds int, lambda float64, codec transport.CodecPolicy, ef bool) (*metrics.History, error) {
+	start := time.Now()
+	res, err := transport.ServeFederation(f, algo, rounds, lambda, codec, ef)
+	if res == nil {
+		return nil, err
+	}
+	if err != nil { // evicted clients: the session went on without them
+		fmt.Fprintln(os.Stderr, "flsim:", err)
+	}
+	h := &metrics.History{Algorithm: string(algo) + " (wire)"}
+	for c, loss := range res.RoundLosses {
+		h.Append(metrics.RoundStats{Round: c, TrainLoss: loss, TestAcc: math.NaN()})
+	}
+	if n := len(h.Rounds); n > 0 {
+		last := &h.Rounds[n-1]
+		last.TestAcc = f.Evaluate(res.FinalParams, f.Test)
+		last.Seconds = time.Since(start).Seconds() // MeanRoundSeconds divides by the rounds
+		last.UpBytes, last.DownBytes = res.UpBytes, res.DownBytes
+	}
+	return h, nil
+}
+
 // parseByzantine parses the -byzantine list: "id:signflip" or "id:scaleC"
-// entries, comma-separated; multiple entries for one client compose.
-func parseByzantine(v string) (map[int]fl.Byzantine, error) {
+// entries, comma-separated; multiple entries for one client compose. An id
+// outside the federation, or a wire session (the simulator tampers, the wire
+// does not), is an error, not an honest run.
+func parseByzantine(v string, clients int, wire bool) (map[int]fl.Byzantine, error) {
 	if v == "" {
 		return nil, nil
+	}
+	if wire {
+		return nil, fmt.Errorf("-byzantine runs in the simulator; it cannot combine with -compress or -compress-ef, which run on the wire")
 	}
 	out := make(map[int]fl.Byzantine)
 	for _, part := range strings.Split(v, ",") {
@@ -314,6 +375,9 @@ func parseByzantine(v string) (map[int]fl.Byzantine, error) {
 		ci, err := strconv.Atoi(id)
 		if err != nil || ci < 0 {
 			return nil, fmt.Errorf("-byzantine: bad client id %q", id)
+		}
+		if ci >= clients {
+			return nil, fmt.Errorf("-byzantine: client %d outside the federation's 0..%d", ci, clients-1)
 		}
 		b := out[ci]
 		switch {

@@ -30,11 +30,12 @@ func ObserveReconError(s Scheme, rel float64) {
 	reconErrHists[s].Observe(rel)
 }
 
-// ReconErrCount reports how many payloads have been observed for s on the
-// process registry — used by the telemetry smoke gate.
-func ReconErrCount(s Scheme) int64 {
+// ReconErr reports how many payloads have been observed for s on the process
+// registry and the sum of their relative errors; taken before and after a
+// run, the differences give the run's mean.
+func ReconErr(s Scheme) (n int64, sum float64) {
 	if s == SchemeDense || !s.Valid() {
-		return 0
+		return 0, 0
 	}
-	return reconErrHists[s].Count()
+	return reconErrHists[s].Count(), reconErrHists[s].Sum()
 }

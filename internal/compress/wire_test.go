@@ -269,14 +269,17 @@ func TestWireHotPathZeroAllocs(t *testing.T) {
 }
 
 func TestObserveReconError(t *testing.T) {
-	before := ReconErrCount(SchemeInt8)
+	before, sum0 := ReconErr(SchemeInt8)
 	ObserveReconError(SchemeInt8, 0.01)
 	ObserveReconError(SchemeDense, 0.01) // lossless: ignored
 	ObserveReconError(Scheme(99), 0.01)  // invalid: ignored
-	if got := ReconErrCount(SchemeInt8); got != before+1 {
-		t.Fatalf("recon error count = %d, want %d", got, before+1)
+	if got, sum := ReconErr(SchemeInt8); got != before+1 || math.Abs(sum-sum0-0.01) > 1e-12 {
+		t.Fatalf("recon error count, sum = %d, %v; want %d, %v", got, sum, before+1, sum0+0.01)
 	}
-	if ReconErrCount(SchemeDense) != 0 || ReconErrCount(Scheme(99)) != 0 {
-		t.Fatal("dense/invalid scheme recon counts must be 0")
+	if n, _ := ReconErr(SchemeDense); n != 0 {
+		t.Fatal("dense recon count must be 0")
+	}
+	if n, _ := ReconErr(Scheme(99)); n != 0 {
+		t.Fatal("invalid scheme recon count must be 0")
 	}
 }

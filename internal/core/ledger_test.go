@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/nn"
@@ -28,8 +27,6 @@ type coreLedgerLine struct {
 	DownBytes int64              `json:"down_bytes"`
 	Elided    int                `json:"elided"`
 	UpBytes   int64              `json:"up_bytes"`
-	UpScheme  string             `json:"up_scheme"`
-	ReconErr  *float64           `json:"recon_err"`
 	ClientID  []int              `json:"client_id"`
 	Cohort    int                `json:"cohort"`
 	LossStats []float64          `json:"loss_stats"`
@@ -231,44 +228,6 @@ func TestLedgerBytesScalingMatchesTableIII(t *testing.T) {
 		if l.Elided != 0 || l.DownBytes != lines[0].DownBytes {
 			t.Errorf("sampled round %d: %d down bytes with %d models elided, want round 0's %d with none",
 				l.Round, l.DownBytes, l.Elided, lines[0].DownBytes)
-		}
-	}
-}
-
-// The compressed variant of the Table III accounting: with the int8 uplink
-// codec, the ledger's up_bytes must shrink at least 4× against the dense
-// run (int8 is ~8×: 1 byte per value + a 4-byte scale), and each line must
-// name the scheme and carry a finite reconstruction error.
-func TestLedgerBytesCompressedUplinkReduction(t *testing.T) {
-	upFor := func(s compress.Scheme) []coreLedgerLine {
-		var buf bytes.Buffer
-		f := ledgerFederation(t, 4, nil, telemetry.NewRunLedger(&buf))
-		f.Cfg.Compress = s
-		fl.Run(f, NewRFedAvgPlus(1e-3), 2)
-		return decodeCoreLedger(t, &buf)
-	}
-	dense := upFor(compress.SchemeDense)
-	q8 := upFor(compress.SchemeInt8)
-	if len(dense) != 2 || len(q8) != 2 {
-		t.Fatalf("ledger lines: dense %d, q8 %d", len(dense), len(q8))
-	}
-	for i := range q8 {
-		if dense[i].UpScheme != "" || dense[i].ReconErr != nil {
-			t.Fatalf("dense line %d carries codec fields: %+v", i, dense[i])
-		}
-		if q8[i].UpScheme != "q8" {
-			t.Fatalf("line %d up_scheme %q, want q8", i, q8[i].UpScheme)
-		}
-		if q8[i].ReconErr == nil || *q8[i].ReconErr <= 0 || *q8[i].ReconErr >= 1 {
-			t.Fatalf("line %d recon_err %v, want finite in (0,1)", i, q8[i].ReconErr)
-		}
-		if q8[i].UpBytes*4 > dense[i].UpBytes {
-			t.Fatalf("line %d: q8 up %d bytes not ≥4× below dense %d",
-				i, q8[i].UpBytes, dense[i].UpBytes)
-		}
-		if q8[i].DownBytes != dense[i].DownBytes {
-			t.Fatalf("line %d: downlink changed under an uplink-only codec: %d vs %d",
-				i, q8[i].DownBytes, dense[i].DownBytes)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/compress"
 	"repro/internal/fl"
 )
 
@@ -34,16 +33,13 @@ type methodRun struct {
 }
 
 // runMethod runs alg for rounds on a 6-client MLP federation configured by
-// mode: "full", "sr" (SR 0.5), "q8" (int8 uplink with error feedback) or
-// "async" (buffer of 3, λ 0.5).
+// mode: "full", "sr" (SR 0.5) or "async" (buffer of 3, λ 0.5).
 func runMethod(t *testing.T, alg fl.Algorithm, mode string, rounds int) (methodRun, *fl.Federation) {
 	t.Helper()
 	f := tinyFederation(t, 6, 0.0)
 	switch mode {
 	case "sr":
 		f.Cfg.SampleRatio = 0.5
-	case "q8":
-		f.Cfg.Compress, f.Cfg.CompressEF = compress.SchemeInt8, true
 	case "async":
 		f.Cfg.BufferK, f.Cfg.StalenessLambda = 3, 0.5
 	}
@@ -73,7 +69,6 @@ func runMethod(t *testing.T, alg fl.Algorithm, mode string, rounds int) (methodR
 var methodPins = map[string]methodRun{
 	"FedAvg/full":    {0xe110cbeda47db096, 1344960, 1344960},
 	"FedAvg/sr":      {0x1a9bfb4f709c93d7, 672480, 672480},
-	"FedAvg/q8":      {0x54ef88315f66d8b3, 168720, 1344960},
 	"FedAvg/async":   {0x643fbe375f87043c, 1008720, 1008720},
 	"FedProx/full":   {0xb5620a4ca0eea5d6, 1344960, 1344960},
 	"FedProx/sr":     {0xc6beaef482ed045f, 672480, 672480},
@@ -91,19 +86,19 @@ var methodPins = map[string]methodRun{
 	"rFedAvg/sr":     {0xc6defb5cc6611f1f, 674304, 681984},
 	"rFedAvg+/full":  {0x53293f4036c6a13a, 1348608, 1684848},
 	"rFedAvg+/sr":    {0x12f89f4e891269bd, 674304, 1346784},
-	"rFedAvg+/q8":    {0x6976dd989fe26e0b, 169776, 1684848},
 	"rFedAvg+/async": {0xa2bb9784b8bc73f5, 1010544, 1347696},
 }
 
 // The one round reproduces, to the bit, what the nine hand-written rounds
-// computed: parameters and byte totals of every method under the dense
-// synchronous round at full participation and SR 0.5, and of the two methods
-// that already honoured the codec and the buffer under those too.
+// computed: parameters and byte totals of every method under the synchronous
+// round at full participation and SR 0.5, and of the two methods that already
+// honoured the buffer under it too. (The wire codec is the transport's; its
+// pins are the golden sessions.)
 func TestMethodsPinned(t *testing.T) {
 	for _, m := range nineMethods {
 		modes := []string{"full", "sr"}
 		if m.name == "FedAvg" || m.name == "rFedAvg+" {
-			modes = append(modes, "q8", "async")
+			modes = append(modes, "async")
 		}
 		for _, mode := range modes {
 			key := m.name + "/" + mode
@@ -115,27 +110,14 @@ func TestMethodsPinned(t *testing.T) {
 	}
 }
 
-// Config.Compress and Config.BufferK are properties of the round, so they act
-// on every method: under q8 each sampled client's model travels at the codec's
-// size (a δ map too; SCAFFOLD's Δc and the scalars stay dense) and the trained
-// model differs from the dense run's; under a buffer smaller than the cohort
-// round 0 parks the stragglers and round 1 folds them.
+// Config.BufferK is a property of the round, so it acts on every method:
+// under a buffer smaller than the cohort round 0 parks the stragglers and
+// round 1 folds them. (The name predates the codec's move out of the
+// simulator; the codec is the transport's, tested there.)
 func TestEveryMethodHonoursCodecAndBuffer(t *testing.T) {
 	for _, m := range nineMethods {
 		t.Run(m.name, func(t *testing.T) {
-			dense, f := runMethod(t, m.mk(), "full", 2)
-			q8, fq := runMethod(t, m.mk(), "q8", 2)
-			n, d := f.NumParams(), f.FeatureDim()
-			aux := map[string]int64{
-				"FedNova": fl.PayloadBytes(1), "q-FedAvg": fl.PayloadBytes(1),
-				"Scaffold": fl.PayloadBytes(n), "rFedAvg": fq.UplinkBytes(d), "rFedAvg+": fq.UplinkBytes(d),
-			}[m.name]
-			if want := 2 * 6 * (fq.UplinkBytes(n) + aux); q8.up != want {
-				t.Errorf("q8 uplink %d bytes, want %d", q8.up, want)
-			}
-			if q8.up >= dense.up || q8.hash == dense.hash {
-				t.Errorf("q8 run {%#x, %d up} is the dense run {%#x, %d up}", q8.hash, q8.up, dense.hash, dense.up)
-			}
+			dense, _ := runMethod(t, m.mk(), "full", 2)
 
 			// Round 0 keeps the three fastest of six and parks the rest; round 1
 			// samples the three idle clients, keeps them all and folds the

@@ -40,10 +40,10 @@ func (a *RFedAvg) Name() string { return "rFedAvg" }
 
 // Setup initializes the global model w_0 and the zero table δ_0 and binds both
 // halves. Down: the model and the N·d table; up: the model and the client's
-// own map, each under the uplink codec.
+// own map.
 func (a *RFedAvg) Setup(f *fl.Federation) {
 	n, d := len(f.Clients), f.FeatureDim()
-	a.Init(f, fl.Method{Local: a.local, Server: a.server, AuxUp: d, AuxDown: n * d, AuxCoded: true})
+	a.Init(f, fl.Method{Local: a.local, Server: a.server, AuxUp: d, AuxDown: n * d})
 	a.table = NewDeltaTable(n, d)
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/engine"
@@ -96,13 +95,10 @@ func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
 	a.fresh = nil
 	rr := a.Base.Round(round, sampled)
 	f, fresh := a.F, a.fresh
-	var deltaOuts []fl.ClientOut
 	f.Phase(telemetry.PhaseDeltaSync, round, func(telemetry.SpanContext) {
-		deltaOuts = f.MapClients(round, fresh, func(w *fl.Worker, c *fl.Client, rng *rand.Rand) fl.ClientOut {
+		deltaOuts := f.MapClients(round, fresh, func(w *fl.Worker, c *fl.Client, rng *rand.Rand) fl.ClientOut {
 			w.Net().SetFlat(a.Global)
-			out := fl.ClientOut{Client: c, Aux: clientDelta(f, w, c, round, rng, a.NoiseDelta)}
-			out.ReconErr = f.CompressUplink(w, round, c, 1, nil, out.Aux)
-			return out
+			return fl.ClientOut{Client: c, Aux: clientDelta(f, w, c, round, rng, a.NoiseDelta)}
 		})
 		acceptDeltas(f, a.table, round, deltaOuts)
 		a.table.ObserveDrift(f.Cfg.Health)
@@ -129,12 +125,9 @@ func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
 
 	// The second synchronization's share of the round: the new model down to
 	// the fresh clients — less the models already held in sync #1 — and their
-	// maps up under the uplink codec.
+	// maps up.
 	rr.Elided = elided
 	rr.DownBytes += int64(len(fresh)-elided) * fl.PayloadBytes(f.NumParams())
-	rr.UpBytes += int64(len(fresh)) * f.UplinkBytes(f.FeatureDim())
-	if m := fl.MeanReconErr(deltaOuts); !math.IsNaN(m) {
-		rr.ReconErr = (rr.ReconErr + m) / 2
-	}
+	rr.UpBytes += int64(len(fresh)) * fl.PayloadBytes(f.FeatureDim())
 	return rr
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fl"
 	"repro/internal/metrics"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // Extension experiments beyond the paper's evaluation: the additional
@@ -47,10 +48,12 @@ func runExtBaselines(scale Scale, log io.Writer) (*Result, error) {
 	return res, nil
 }
 
-// runExtWire sweeps the negotiated wire codec (the scheme set the transport
-// layer frames on the socket) across every scheme, under rFedAvg+ so both
-// the model uplink and the δ-map sync are quantized. The table is the
-// bytes-vs-accuracy trade-off DESIGN.md's wire-compression section documents.
+// runExtWire sweeps the negotiated wire codec across every scheme over the
+// real protocol — an in-process rFedAvg+ session per scheme
+// (transport.ServeFederation), so both the model uplink and the δ maps of the
+// second synchronization travel through the codec the server negotiates. The
+// table is the bytes-vs-accuracy trade-off DESIGN.md's wire-compression
+// section documents.
 func runExtWire(scale Scale, log io.Writer) (*Result, error) {
 	t, err := NewTask("mnist", scale, 1)
 	if err != nil {
@@ -61,28 +64,33 @@ func runExtWire(scale Scale, log io.Writer) (*Result, error) {
 	schemes := []compress.Scheme{
 		compress.SchemeDense, compress.SchemeF32, compress.SchemeInt8, compress.SchemeBit1,
 	}
+	f := fl.NewFederation(t.Config(Silo, 1, 0), t.Shards(Silo, 0, 13), t.Test)
 	var denseUp int64
 	for _, s := range schemes {
 		if log != nil {
 			fmt.Fprintf(log, "  extwire %s…\n", s)
 		}
-		cfg := t.Config(Silo, 1, 0)
-		cfg.Compress = s
-		cfg.CompressEF = s == compress.SchemeBit1 // q1 needs error feedback to stay convergent
-		f := fl.NewFederation(cfg, t.Shards(Silo, 0, 13), t.Test)
-		h := fl.Run(f, core.NewRFedAvgPlus(t.Lambda), t.Rounds())
-		up, _ := h.TotalBytes()
+		// The codec observes every lossy encode into a process-wide
+		// per-scheme histogram; this run's mean is the difference it leaves.
+		n0, sum0 := compress.ReconErr(s)
+		// q1 needs error feedback to stay convergent.
+		out, err := transport.ServeFederation(f, transport.AlgoRFedAvgPlus, t.Rounds(), t.Lambda,
+			transport.CodecPolicy{Update: s, Delta: s}, s == compress.SchemeBit1)
+		if err != nil {
+			return nil, fmt.Errorf("extwire %s: %w", s, err)
+		}
 		if s == compress.SchemeDense {
-			denseUp = up
+			denseUp = out.UpBytes
 		}
 		re := "-"
-		if n := len(h.Rounds); n > 0 && s != compress.SchemeDense {
-			re = fmt.Sprintf("%.2e", h.Rounds[n-1].ReconErr)
+		if n, sum := compress.ReconErr(s); n > n0 {
+			re = fmt.Sprintf("%.2e", (sum-sum0)/float64(n-n0))
 		}
-		res.AddRow(s.String(), fmt.Sprintf("%.4f", h.FinalAccuracy(3)),
-			metrics.FormatBytes(up), fmt.Sprintf("%.1f%%", 100*float64(up)/float64(denseUp)), re)
+		res.AddRow(s.String(), fmt.Sprintf("%.4f", f.Evaluate(out.FinalParams, t.Test)),
+			metrics.FormatBytes(out.UpBytes), fmt.Sprintf("%.1f%%", 100*float64(out.UpBytes)/float64(denseUp)), re)
 	}
-	res.Note("MNIST cross-silo non-IID under rFedAvg+; the codec covers both the trained-model uplink and the δ-map sync")
+	res.Note("MNIST cross-silo non-IID, rFedAvg+ over in-process pipes; the codec covers the trained-model uplink and the δ maps both ways, the model broadcast stays dense")
+	res.Note("upload bytes are the server's metered frames (headers included); final acc scores the final model; recon err is the run's mean over every lossy encode")
 	res.Note("q1 runs with error feedback; accuracy should degrade gracefully while bytes shrink ~8x (q8) and ~60x (q1)")
 	return res, nil
 }

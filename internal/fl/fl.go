@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/health"
@@ -46,18 +45,6 @@ type Config struct {
 	// Sampler selects each round's cohort; nil means UniformSampler (the
 	// paper's setting).
 	Sampler Sampler
-
-	// Compress selects the wire codec applied to every simulated uplink
-	// payload (client updates and δ maps): each vector is lossy-encoded
-	// before the server sees it and the accounted UpBytes shrink to the
-	// scheme's wire size, as under the transport layer's negotiated codec
-	// (same encoder). The zero value (SchemeDense) disables it. The
-	// quantizer RNG is keyed to (Seed, round, client), so compressed runs
-	// stay deterministic under worker rescheduling.
-	Compress compress.Scheme
-	// CompressEF carries each client's quantization residual into its next
-	// compressed update (EF-SGD); δ maps are never error-fed.
-	CompressEF bool
 
 	// BufferK > 0 enables buffered aggregation (FedBuff-style): each round
 	// aggregates only the BufferK fastest sampled clients under a seeded
@@ -159,11 +146,6 @@ type Federation struct {
 	workers   []*Worker
 	numParams int
 
-	// efResidual[k] is client k's error-feedback carry-over under a lossy
-	// uplink codec. Entries are filled lazily but indexed by client ID, so
-	// concurrent workers (one client per worker at a time) never race.
-	efResidual [][]float64
-
 	// roundCtx is the current round span's context; MapClients parents
 	// client_round spans to it. Set by Run between rounds (never during a
 	// pooled phase, so workers read it race-free).
@@ -185,9 +167,6 @@ type Worker struct {
 	// t is the network, the local solver and the arena behind batches, loss
 	// gradients and δ maps.
 	t engine.Trainer
-	// cbuf is CompressUplink's payload buffer, grown once to the model's
-	// packed size so the steady-state round loop is alloc-free.
-	cbuf []byte
 	// spanCtx is the worker's current client_round span, the parent for
 	// spans started inside the client's local work. Like net and arena it
 	// is single-goroutine: only the worker's own task touches it.
@@ -201,7 +180,7 @@ type Worker struct {
 
 // SpanContext returns the worker's current client_round span context, the
 // parent algorithm implementations should use for their own spans (δ
-// recomputation, compression, …). Zero when tracing is off.
+// recomputation, …). Zero when tracing is off.
 func (w *Worker) SpanContext() telemetry.SpanContext { return w.spanCtx }
 
 // NewFederation builds a federation from per-client shards. Weights follow
@@ -229,7 +208,6 @@ func NewFederation(cfg Config, shards []*data.Dataset, test *data.Dataset) *Fede
 		}})
 	}
 	f.numParams = f.workers[0].t.Net.NumParams()
-	f.efResidual = make([][]float64, len(shards))
 	return f
 }
 
@@ -280,10 +258,6 @@ type ClientOut struct {
 	Params []float64 // resulting local model, nil if not reported
 	Loss   float64   // mean local training loss
 	Aux    []float64 // algorithm-specific payload (δ map, control variate …)
-	// ReconErr is the relative L2 error CompressUplink introduced into this
-	// client's payloads; NaN (or zero value on untouched outputs) when the
-	// uplink was dense.
-	ReconErr float64
 }
 
 // MapClients runs work for every sampled client on the worker pool and
@@ -583,12 +557,6 @@ type RoundResult struct {
 	// ClientLosses holds each participating client's mean local training
 	// loss, consumed by loss-adaptive samplers.
 	ClientLosses map[int]float64
-	// UpScheme names the uplink wire codec ("q8", "q1", …); empty means the
-	// round's uplinks were dense.
-	UpScheme string
-	// ReconErr is the mean relative reconstruction error across this
-	// round's lossy uplinks; meaningful only when UpScheme is set.
-	ReconErr float64
 }
 
 // lossMap collects per-client losses from client outputs.
@@ -615,80 +583,6 @@ type MMDReporter interface {
 // δ target is one frame on the wire where this counts two payloads. The
 // O(dN²) vs O(dN) comparison holds under either count; the byte totals differ.
 func PayloadBytes(nFloats int) int64 { return int64(8*nFloats) + 24 }
-
-// UplinkBytes is the accounted wire size of one n-float uplink payload
-// under the configured codec — PayloadBytes when dense, the scheme's packed
-// size plus framing otherwise.
-func (f *Federation) UplinkBytes(n int) int64 {
-	if s := f.Cfg.Compress; s != compress.SchemeDense {
-		return int64(compress.EncodedBytes(s, n)) + 24
-	}
-	return PayloadBytes(n)
-}
-
-// CompressUplink simulates the lossy uplink wire: it encodes vec under the
-// configured codec and writes back the reconstruction the server would
-// decode, returning the relative L2 error (NaN under the dense codec, which
-// leaves vec untouched). When ref is non-nil the payload is
-// difference-coded against it — the transport client's Δ-against-broadcast
-// framing — and, with CompressEF on, the client's residual folds in first.
-// δ maps pass ref == nil (direct encode, no error feedback). Everything
-// happens in vec: difference, quantization (compress.EncodeResidual, the one
-// pass the transport client runs) and rebuild.
-//
-// class separates a round's payload streams (0 for model updates, 1 for δ
-// maps), mirroring the transport layer's per-class RNG salts; the stream is
-// keyed to (Seed, round, client), never to scheduling order.
-func (f *Federation) CompressUplink(w *Worker, round int, c *Client, class int, ref, vec []float64) float64 {
-	s := f.Cfg.Compress
-	if s == compress.SchemeDense {
-		return math.NaN()
-	}
-	var resid []float64
-	if ref != nil {
-		for i := range vec {
-			vec[i] -= ref[i]
-		}
-		if f.Cfg.CompressEF {
-			if resid = f.efResidual[c.ID]; len(resid) != len(vec) {
-				resid = make([]float64, len(vec))
-				f.efResidual[c.ID] = resid
-			}
-			for i := range vec {
-				vec[i] += resid[i]
-			}
-		}
-	}
-	nb := compress.EncodedBytes(s, len(vec))
-	if cap(w.cbuf) < nb {
-		w.cbuf = make([]byte, nb)
-	}
-	rng := compress.RNGFor(s, f.Cfg.Seed, round, c.ID+class*len(f.Clients))
-	rel := compress.EncodeResidual(s, w.cbuf[:nb], vec, rng, vec, resid)
-	compress.ObserveReconError(s, rel)
-	if ref != nil {
-		for i := range vec {
-			vec[i] = ref[i] + vec[i]
-		}
-	}
-	return rel
-}
-
-// MeanReconErr averages the finite per-client reconstruction errors of a
-// round; NaN when none were recorded.
-func MeanReconErr(outs []ClientOut) float64 {
-	sum, n := 0.0, 0
-	for _, o := range outs {
-		if !math.IsNaN(o.ReconErr) {
-			sum += o.ReconErr
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
-}
 
 // Run executes rounds of alg over f, recording metrics per round. With a
 // Tracer configured it emits the session → round span tree (client-side
@@ -722,8 +616,6 @@ func Run(f *Federation, alg Algorithm, rounds int) *metrics.History {
 			Seconds:   d.Seconds(),
 			UpBytes:   res.UpBytes,
 			DownBytes: res.DownBytes,
-			UpScheme:  res.UpScheme,
-			ReconErr:  res.ReconErr,
 			TestAcc:   math.NaN(),
 		}
 		if f.Test != nil {
@@ -748,10 +640,6 @@ func (f *Federation) recordLedger(alg Algorithm, round int, res RoundResult) {
 	rec.Round, rec.Attempt, rec.OK = round, 1, true
 	rec.Loss = res.TrainLoss
 	rec.UpBytes, rec.DownBytes, rec.Elided = res.UpBytes, res.DownBytes, res.Elided
-	if res.UpScheme != "" {
-		rec.UpScheme = res.UpScheme
-		rec.ReconErr = res.ReconErr
-	}
 	if mr, ok := alg.(MMDReporter); ok {
 		t, detail, n := mr.MMDTable(), f.detail(), len(f.Clients)
 		engine.LedgerMMD(rec, detail, t, n)

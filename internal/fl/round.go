@@ -3,7 +3,6 @@ package fl
 import (
 	"math/rand"
 
-	"repro/internal/compress"
 	"repro/internal/engine"
 	"repro/internal/telemetry"
 )
@@ -34,10 +33,6 @@ type Method struct {
 	// AuxUp and AuxDown count the floats that travel beside the model, up
 	// and down, per sampled client; the byte columns are computed from them.
 	AuxUp, AuxDown int
-	// AuxCoded says the uplink payload is a δ map: it goes through the uplink
-	// codec as the model does (class 1, never error-fed) and is accounted at
-	// the codec's size. Control variates and scalars stay dense.
-	AuxCoded bool
 }
 
 // Base is the state every method shares — the federation and the global
@@ -59,13 +54,13 @@ func (b *Base) Setup(f *Federation) { b.Init(f, Method{}) }
 func (b *Base) GlobalParams() []float64 { return b.Global }
 
 // Round runs one communication round: every sampled client loads the global
-// model, runs the client half and reports its local model through the uplink
-// codec; the async buffer decides what closes the round; the engine's close
-// feeds the health monitor, gives the mean and the round's loss and fills the
-// ledger's client block; the server half turns the mean into the next global.
-// The codec, the buffer, the close and (in MapClients) the validation gate
-// belong to the round, so they act on every method alike. The clients' half
-// is timed as the round's gather phase, the rest as its close.
+// model, runs the client half and reports its local model; the async buffer
+// decides what closes the round; the engine's close feeds the health monitor,
+// gives the mean and the round's loss and fills the ledger's client block; the
+// server half turns the mean into the next global. The buffer, the close and
+// (in MapClients) the validation gate belong to the round, so they act on
+// every method alike. The clients' half is timed as the round's gather phase,
+// the rest as its close.
 func (b *Base) Round(round int, sampled []int) RoundResult {
 	f, m, global := b.F, &b.m, b.Global
 	var outs, agg []ClientOut
@@ -79,10 +74,6 @@ func (b *Base) Round(round int, sampled []int) RoundResult {
 				out.Loss = f.LocalTrain(w, c, rng, f.DefaultLocalOpts(round))
 			}
 			out.Params = w.Net().GetFlat()
-			out.ReconErr = f.CompressUplink(w, round, c, 0, global, out.Params)
-			if m.AuxCoded {
-				f.CompressUplink(w, round, c, 1, nil, out.Aux)
-			}
 			return out
 		})
 	})
@@ -100,29 +91,22 @@ func (b *Base) Round(round int, sampled []int) RoundResult {
 		}
 	})
 
-	// Down: the model and AuxDown floats, dense. Up: the model under the
-	// uplink codec, and AuxUp floats under it or dense.
+	// Each way: the model and the AuxUp/AuxDown floats beside it.
 	n := f.NumParams()
-	down, up := PayloadBytes(n), f.UplinkBytes(n)
+	down, up := PayloadBytes(n), PayloadBytes(n)
 	if m.AuxDown > 0 {
 		down += PayloadBytes(m.AuxDown)
 	}
-	if m.AuxCoded {
-		up += f.UplinkBytes(m.AuxUp)
-	} else if m.AuxUp > 0 {
+	if m.AuxUp > 0 {
 		up += PayloadBytes(m.AuxUp)
 	}
 	p := int64(len(sampled))
-	rr := RoundResult{
+	return RoundResult{
 		TrainLoss:    loss,
 		ClientLosses: lossMap(agg),
 		DownBytes:    p * down,
 		UpBytes:      p * up,
 	}
-	if s := f.Cfg.Compress; s != compress.SchemeDense {
-		rr.UpScheme, rr.ReconErr = s.String(), MeanReconErr(outs)
-	}
-	return rr
 }
 
 // foldWeight is the discount on entry i of an aggregation set: 1 for a fresh

@@ -21,11 +21,6 @@ type RoundStats struct {
 	Seconds   float64
 	UpBytes   int64 // client → server
 	DownBytes int64 // server → client
-	// UpScheme names the uplink wire codec when one was configured ("" when
-	// the round went out dense), and ReconErr its mean relative L2
-	// reconstruction error (NaN when dense).
-	UpScheme string
-	ReconErr float64
 }
 
 // History is the full trace of a federated run.

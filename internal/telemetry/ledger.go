@@ -86,12 +86,9 @@ type RoundRecord struct {
 	Elided int
 
 	// UpScheme names the wire-compression scheme of this round's client
-	// updates ("q8", "dense", ...); empty when the session predates codec
-	// negotiation or the round gathered no update.
+	// updates ("q8", "dense", ...); empty in the simulator, which has no
+	// wire, and when the round gathered no update.
 	UpScheme string
-	// ReconErr is the mean relative L2 reconstruction error of this round's
-	// lossy uplink payloads; NaN means not measured (e.g. dense).
-	ReconErr float64
 
 	ClientLoss []float64 // per sampled client, aligned with ClientID
 	ClientNorm []float64 // per sampled client ‖update − global‖₂
@@ -142,7 +139,6 @@ func (r *RoundRecord) Reset() {
 	r.Loss, r.DurNanos, r.phaseRan = 0, 0, 0
 	r.UpBytes, r.DownBytes, r.Elided = 0, 0, 0
 	r.UpScheme = ""
-	r.ReconErr = math.NaN()
 	r.ClientLoss = r.ClientLoss[:0]
 	r.ClientNorm = r.ClientNorm[:0]
 	r.ClientID = r.ClientID[:0]
@@ -207,10 +203,6 @@ func (l *RunLedger) Record(r *RoundRecord) {
 	if r.UpScheme != "" {
 		b = append(b, `,"up_scheme":`...)
 		b = appendJSONString(b, r.UpScheme)
-	}
-	if !math.IsNaN(r.ReconErr) {
-		b = append(b, `,"recon_err":`...)
-		b = appendJSONFloat(b, r.ReconErr)
 	}
 	if len(r.ClientID) > 0 {
 		b = append(b, `,"client_id":`...)

@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/telemetry"
 )
 
-// runAsyncFixtureSession runs one end-to-end session over pipe connections,
+// runAsyncFixtureSession runs one end-to-end session over ServePipes,
 // letting the caller shape the ServerConfig after the fixture defaults are
 // applied. Clients get fixed per-slot seeds so runs are reproducible, and
 // an optional fault plan per slot.
@@ -26,32 +25,13 @@ func runAsyncFixtureSession(t *testing.T, fx *federatedFixture, clients int, pla
 		Seed:          5,
 	}
 	shape(&scfg)
-	serverConns := make([]Conn, clients)
-	clientConns := make([]Conn, clients)
-	for i := range serverConns {
-		serverConns[i], clientConns[i] = Pipe()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := fx.ccfg
-			cfg.Seed = int64(100 + i)
-			conn := clientConns[i]
-			if plan, ok := plans[i]; ok {
-				conn = NewFaultConn(conn, plan)
-			}
-			if _, err := RunClient(conn, fx.shards[i], cfg); err != nil {
-				t.Errorf("client %d: %v", i, err)
-			}
-		}(i)
-	}
-	res, err := Serve(scfg, serverConns)
-	if err != nil {
+	res, err := ServePipes(scfg, fx.shards[:clients], fx.client, plans)
+	if res == nil {
 		t.Fatalf("serve: %v", err)
 	}
-	wg.Wait()
+	if err != nil {
+		t.Error(err)
+	}
 	return res
 }
 

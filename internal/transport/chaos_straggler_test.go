@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 	"time"
 
@@ -61,31 +60,14 @@ func TestAsyncStragglerMatrix(t *testing.T) {
 		if shape != nil {
 			shape(&scfg)
 		}
-		serverConns := make([]Conn, clients)
-		clientConns := make([]Conn, clients)
-		for i := range serverConns {
-			serverConns[i], clientConns[i] = Pipe()
+		seeded := func(i int) ClientConfig {
+			cfg := fx.ccfg
+			cfg.Seed = int64(300 + i)
+			return cfg
 		}
-		var wg sync.WaitGroup
-		for i := 0; i < clients; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				cfg := fx.ccfg
-				cfg.Seed = int64(300 + i)
-				conn := clientConns[i]
-				if plan, ok := plans[i]; ok {
-					conn = NewFaultConn(conn, plan)
-				}
-				if _, err := RunClient(conn, fx.shards[i], cfg); err != nil {
-					t.Errorf("client %d: %v", i, err)
-				}
-			}(i)
-		}
-		if _, err := Serve(scfg, serverConns); err != nil {
+		if _, err := ServePipes(scfg, fx.shards, seeded, plans); err != nil {
 			t.Fatalf("serve: %v", err)
 		}
-		wg.Wait()
 		lines, err := traceview.ReadLedger(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("ledger: %v", err)

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -153,33 +154,17 @@ func TestServeFailureMatrix(t *testing.T) {
 				scfg.RoundDeadline = 5 * time.Second
 			}
 
-			serverConns := make([]Conn, clients)
-			clientConns := make([]Conn, clients)
-			for i := range serverConns {
-				serverConns[i], clientConns[i] = Pipe()
+			seeded := func(i int) ClientConfig {
+				cfg := fx.ccfg
+				cfg.Seed = int64(400 + i)
+				return cfg
 			}
-			var wg sync.WaitGroup
-			for i := 0; i < clients; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					cfg := fx.ccfg
-					cfg.Seed = int64(400 + i)
-					conn := clientConns[i]
-					if i == faulty {
-						conn = NewFaultConn(conn, tc.plan)
-					}
-					_, err := RunClient(conn, fx.shards[i], cfg)
-					if err != nil && i != faulty {
-						t.Errorf("healthy client %d: %v", i, err)
-					}
-				}(i)
-			}
-
-			res, err := Serve(scfg, serverConns)
-			if err != nil {
+			plans := map[int]FaultPlan{faulty: tc.plan}
+			res, err := ServePipes(scfg, fx.shards, seeded, plans)
+			if res == nil {
 				t.Fatalf("session must survive %s: %v", tc.name, err)
 			}
+			onlyFaulted(t, err, plans)
 			if len(res.RoundLosses) != rounds {
 				t.Fatalf("completed %d rounds, want %d", len(res.RoundLosses), rounds)
 			}
@@ -212,13 +197,24 @@ func TestServeFailureMatrix(t *testing.T) {
 			if got := reg.Counter("rfl_rounds_completed_total", "").Value(); got != int64(rounds) {
 				t.Fatalf("round counter = %d, want %d", got, rounds)
 			}
-			// Fault-free slots must close cleanly.
-			for i := range serverConns {
-				serverConns[i].Close()
-				clientConns[i].Close()
-			}
-			wg.Wait()
 		})
+	}
+}
+
+// onlyFaulted fails t when err — ServePipes' joined client errors — names a
+// client plans does not fault: a healthy client must finish its session.
+func onlyFaulted(t *testing.T, err error, plans map[int]FaultPlan) {
+	t.Helper()
+	if err == nil {
+		return
+	}
+	for _, line := range strings.Split(err.Error(), "\n") {
+		var id int
+		if _, perr := fmt.Sscanf(line, "client %d:", &id); perr == nil {
+			if _, faulted := plans[id]; !faulted {
+				t.Errorf("healthy %s", line)
+			}
+		}
 	}
 }
 
@@ -452,34 +448,16 @@ func TestChaosConvergence20Clients(t *testing.T) {
 			RoundDeadline: 5 * time.Second,
 			MaxStaleness:  4,
 		}
-		serverConns := make([]Conn, clients)
-		clientConns := make([]Conn, clients)
-		for i := range serverConns {
-			serverConns[i], clientConns[i] = Pipe()
+		seeded := func(i int) ClientConfig {
+			cfg := fx.ccfg
+			cfg.Seed = int64(900 + i)
+			return cfg
 		}
-		var wg sync.WaitGroup
-		for i := 0; i < clients; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				cfg := fx.ccfg
-				cfg.Seed = int64(900 + i)
-				conn := clientConns[i]
-				plan, faulted := plans[i]
-				if faulted {
-					conn = NewFaultConn(conn, plan)
-				}
-				_, err := RunClient(conn, fx.shards[i], cfg)
-				if err != nil && !faulted {
-					t.Errorf("healthy client %d: %v", i, err)
-				}
-			}(i)
-		}
-		res, err := Serve(scfg, serverConns)
-		if err != nil {
+		res, err := ServePipes(scfg, fx.shards, seeded, plans)
+		if res == nil {
 			t.Fatalf("chaos session must complete: %v", err)
 		}
-		wg.Wait()
+		onlyFaulted(t, err, plans)
 		return res
 	}
 
@@ -548,31 +526,16 @@ func TestChaosSessionMetricsScrape(t *testing.T) {
 		RoundDeadline: 5 * time.Second,
 		Metrics:       reg,
 	}
-	serverConns := make([]Conn, clients)
-	clientConns := make([]Conn, clients)
-	for i := range serverConns {
-		serverConns[i], clientConns[i] = Pipe()
+	seeded := func(i int) ClientConfig {
+		cfg := fx.ccfg
+		cfg.Seed = int64(500 + i)
+		return cfg
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := fx.ccfg
-			cfg.Seed = int64(500 + i)
-			conn := clientConns[i]
-			if i == 2 {
-				// Dies sending its round-0 update.
-				conn = NewFaultConn(conn, FaultPlan{Seed: 1, DisconnectAfterOps: 2})
-			}
-			_, _ = RunClient(conn, fx.shards[i], cfg)
-		}(i)
-	}
-	res, err := Serve(scfg, serverConns)
-	if err != nil {
+	// Client 2 dies sending its round-0 update.
+	res, err := ServePipes(scfg, fx.shards, seeded, map[int]FaultPlan{2: {Seed: 1, DisconnectAfterOps: 2}})
+	if res == nil {
 		t.Fatalf("serve: %v", err)
 	}
-	wg.Wait()
 	if len(res.Evictions) != 1 {
 		t.Fatalf("expected 1 eviction, got %+v", res.Evictions)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/compress"
@@ -164,7 +163,7 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
-// runCodecSession runs one end-to-end session over pipes with the given
+// runCodecSession runs one end-to-end session over ServePipes with the given
 // server codec policy and per-client caps, on its own registry.
 func runCodecSession(t *testing.T, algo Algorithm, policy CodecPolicy, caps compress.Caps,
 	rounds int, reg *telemetry.Registry, ledger *telemetry.RunLedger) (*ServerResult, *federatedFixture) {
@@ -182,29 +181,14 @@ func runCodecSession(t *testing.T, algo Algorithm, policy CodecPolicy, caps comp
 		Metrics:       reg,
 		Ledger:        ledger,
 	}
-	serverConns := make([]Conn, clients)
-	clientConns := make([]Conn, clients)
-	for i := range serverConns {
-		serverConns[i], clientConns[i] = Pipe()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := fx.ccfg
-			cfg.Seed = int64(100 + i)
-			cfg.Caps = caps
-			if _, err := RunClient(clientConns[i], fx.shards[i], cfg); err != nil {
-				t.Errorf("client %d: %v", i, err)
-			}
-		}(i)
-	}
-	res, err := Serve(scfg, serverConns)
+	res, err := ServePipes(scfg, fx.shards, func(i int) ClientConfig {
+		cfg := fx.client(i)
+		cfg.Caps = caps
+		return cfg
+	}, nil)
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	wg.Wait()
 	return res, fx
 }
 
@@ -218,7 +202,7 @@ func TestServeCompressedSessionLearns(t *testing.T) {
 		Update:    compress.SchemeInt8,
 		Delta:     compress.SchemeInt8,
 	}
-	errsBefore := compress.ReconErrCount(compress.SchemeInt8)
+	errsBefore, _ := compress.ReconErr(compress.SchemeInt8)
 	res, fx := runCodecSession(t, AlgoRFedAvgPlus, policy, 0, 8, reg, nil)
 	if fx.accuracy(res.FinalParams) < 0.4 {
 		t.Fatalf("compressed session accuracy %v", fx.accuracy(res.FinalParams))
@@ -233,25 +217,29 @@ func TestServeCompressedSessionLearns(t *testing.T) {
 	if q8Up == 0 || f32Down == 0 {
 		t.Fatalf("per-scheme byte series empty: q8 recv %d, f32 sent %d", q8Up, f32Down)
 	}
-	if compress.ReconErrCount(compress.SchemeInt8) <= errsBefore {
+	if errs, _ := compress.ReconErr(compress.SchemeInt8); errs <= errsBefore {
 		t.Fatal("no reconstruction errors observed for q8")
 	}
 }
 
 // The ≥4× uplink-bytes gate on the live wire: the same FedAvg session with
-// int8-quantized updates must receive at least 4× fewer bytes than dense.
+// int8-quantized updates must receive at least 4× fewer bytes than dense. A
+// session alone on its registry reports the counters' totals as its own.
 func TestServeCompressedUplinkBytesReduction(t *testing.T) {
 	const rounds = 3
 	regDense := telemetry.NewRegistry()
-	runCodecSession(t, AlgoFedAvg, CodecPolicy{}, 0, rounds, regDense, nil)
+	resDense, _ := runCodecSession(t, AlgoFedAvg, CodecPolicy{}, 0, rounds, regDense, nil)
 	regQ8 := telemetry.NewRegistry()
-	runCodecSession(t, AlgoFedAvg, CodecPolicy{Update: compress.SchemeInt8}, 0, rounds, regQ8, nil)
+	resQ8, _ := runCodecSession(t, AlgoFedAvg, CodecPolicy{Update: compress.SchemeInt8}, 0, rounds, regQ8, nil)
 
 	name := `rfl_bytes_received_total{algo="fedavg"}`
 	dense := regDense.Counter(name, "").Value()
 	q8 := regQ8.Counter(name, "").Value()
 	if dense == 0 || q8 == 0 {
 		t.Fatalf("byte counters empty: dense %d, q8 %d", dense, q8)
+	}
+	if sent := regQ8.Counter(`rfl_bytes_sent_total{algo="fedavg"}`, "").Value(); resDense.UpBytes != dense || resQ8.UpBytes != q8 || resQ8.DownBytes != sent {
+		t.Fatalf("result bytes up %d/%d, down %d; counters %d/%d, %d", resDense.UpBytes, resQ8.UpBytes, resQ8.DownBytes, dense, q8, sent)
 	}
 	if q8*4 > dense {
 		t.Fatalf("q8 uplink %d bytes not ≥4× below dense %d", q8, dense)
@@ -304,29 +292,14 @@ func TestServeCompressedErrorFeedback1Bit(t *testing.T) {
 		Seed:          5,
 		Codec:         CodecPolicy{Update: compress.SchemeBit1},
 	}
-	serverConns := make([]Conn, clients)
-	clientConns := make([]Conn, clients)
-	for i := range serverConns {
-		serverConns[i], clientConns[i] = Pipe()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := fx.ccfg
-			cfg.Seed = int64(100 + i)
-			cfg.ErrorFeedback = true
-			if _, err := RunClient(clientConns[i], fx.shards[i], cfg); err != nil {
-				t.Errorf("client %d: %v", i, err)
-			}
-		}(i)
-	}
-	res, err := Serve(scfg, serverConns)
+	res, err := ServePipes(scfg, fx.shards, func(i int) ClientConfig {
+		cfg := fx.client(i)
+		cfg.ErrorFeedback = true
+		return cfg
+	}, nil)
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	wg.Wait()
 	for _, l := range res.RoundLosses {
 		if math.IsNaN(l) || math.IsInf(l, 0) {
 			t.Fatalf("EF session produced non-finite loss: %v", res.RoundLosses)
@@ -334,5 +307,39 @@ func TestServeCompressedErrorFeedback1Bit(t *testing.T) {
 	}
 	if last, first := res.RoundLosses[len(res.RoundLosses)-1], res.RoundLosses[0]; last >= first {
 		t.Fatalf("1-bit EF session did not reduce loss: %v → %v", first, last)
+	}
+}
+
+// The paper's accuracy ordering survives wire compression: at 0% label
+// similarity under partial participation — the regime where client drift
+// hurts FedAvg most — rFedAvg+ with int8-quantized updates and δ maps still
+// ranks above plain FedAvg with the same codec.
+func TestCompressedAccuracyShape(t *testing.T) {
+	const clients, rounds = 6, 12
+	fx := newFixture(t, clients)
+	net := fx.builder(fx.ccfg.ModelSeed)
+	run := func(algo Algorithm) float64 {
+		scfg := ServerConfig{
+			Algorithm: algo, Rounds: rounds, InitialParams: net.GetFlat(), FeatureDim: net.FeatureDim,
+			SampleRatio: 0.5, Seed: 5, Metrics: telemetry.NewRegistry(),
+			Codec: CodecPolicy{Update: compress.SchemeInt8, Delta: compress.SchemeInt8},
+		}
+		res, err := ServePipes(scfg, fx.shards, func(i int) ClientConfig {
+			cfg := fx.client(i)
+			cfg.Lambda = 0.05
+			return cfg
+		}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		return fx.accuracy(res.FinalParams)
+	}
+	plain, reg := run(AlgoFedAvg), run(AlgoRFedAvgPlus)
+	t.Logf("q8 final accuracy: rFedAvg+ %.4f, FedAvg %.4f", reg, plain)
+	if reg < 0.5 {
+		t.Fatalf("compressed rFedAvg+ accuracy %v, want ≥ 0.5", reg)
+	}
+	if reg <= plain {
+		t.Fatalf("compression inverted the paper's ranking: rFedAvg+ %v ≤ FedAvg %v", reg, plain)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/health"
@@ -36,19 +35,6 @@ func TestHealthFlagsByzantineClients(t *testing.T) {
 		Events:   telemetry.NewEventLog(&events),
 	})
 
-	serverConns := make([]Conn, clients)
-	clientConns := make([]Conn, clients)
-	for i := 0; i < clients; i++ {
-		s, c := Pipe()
-		switch i {
-		case flipper:
-			c = NewFaultConn(c, FaultPlan{Seed: 1, SignFlipUpdate: true})
-		case scaler:
-			c = NewFaultConn(c, FaultPlan{Seed: 2, ScaleUpdate: scaleFac})
-		}
-		serverConns[i], clientConns[i] = s, c
-	}
-
 	net := fx.builder(fx.ccfg.ModelSeed)
 	scfg := ServerConfig{
 		Algorithm:     AlgoRFedAvgPlus,
@@ -57,23 +43,13 @@ func TestHealthFlagsByzantineClients(t *testing.T) {
 		FeatureDim:    net.FeatureDim,
 		Health:        mon,
 	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := fx.ccfg
-			cfg.Seed = int64(100 + i)
-			if _, err := RunClient(clientConns[i], fx.shards[i], cfg); err != nil {
-				t.Errorf("client %d: %v", i, err)
-			}
-		}(i)
+	plans := map[int]FaultPlan{
+		flipper: {Seed: 1, SignFlipUpdate: true},
+		scaler:  {Seed: 2, ScaleUpdate: scaleFac},
 	}
-	if _, err := Serve(scfg, serverConns); err != nil {
+	if _, err := ServePipes(scfg, fx.shards, fx.client, plans); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	wg.Wait()
 
 	if b, err := json.MarshalIndent(mon.Snapshot(0), "", " "); err == nil {
 		t.Logf("snapshot:\n%s", b)

@@ -85,11 +85,6 @@ func tracedSession(t *testing.T, clients, rounds int) ([]testSpan, []testLedgerL
 	tracer := telemetry.NewTracer(&traceBuf)
 	ledger := telemetry.NewRunLedger(&ledgerBuf)
 
-	serverConns := make([]Conn, clients)
-	clientConns := make([]Conn, clients)
-	for i := 0; i < clients; i++ {
-		serverConns[i], clientConns[i] = Pipe()
-	}
 	net := fx.builder(fx.ccfg.ModelSeed)
 	scfg := ServerConfig{
 		Algorithm:     AlgoRFedAvgPlus,
@@ -100,24 +95,15 @@ func tracedSession(t *testing.T, clients, rounds int) ([]testSpan, []testLedgerL
 		Tracer:        tracer,
 		Ledger:        ledger,
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := fx.ccfg
-			cfg.Seed = int64(100 + i)
-			cfg.ClientID = i
-			cfg.Tracer = tracer
-			if _, err := RunClient(clientConns[i], fx.shards[i], cfg); err != nil {
-				t.Errorf("client %d: %v", i, err)
-			}
-		}(i)
+	traced := func(i int) ClientConfig {
+		cfg := fx.client(i)
+		cfg.ClientID = i
+		cfg.Tracer = tracer
+		return cfg
 	}
-	if _, err := Serve(scfg, serverConns); err != nil {
+	if _, err := ServePipes(scfg, fx.shards, traced, nil); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	wg.Wait()
 	return decodeSpanFile(t, &traceBuf), decodeLedgerFile(t, &ledgerBuf)
 }
 
@@ -254,36 +240,16 @@ func TestServeWritesLedgerDynamics(t *testing.T) {
 	}
 }
 
-// ledgerSession serves cfg over pipes to fixture clients with a ledger and
-// returns the ledger's lines; wrap, when non-nil, may replace client i's conn.
-func ledgerSession(t *testing.T, cfg ServerConfig, clients int, wrap func(i int, c Conn) Conn) ([]testLedgerLine, error) {
+// ledgerSession serves cfg over ServePipes to fixture clients, plans faulting
+// some, with a ledger and returns the ledger's lines.
+func ledgerSession(t *testing.T, cfg ServerConfig, clients int, plans map[int]FaultPlan) ([]testLedgerLine, error) {
 	t.Helper()
 	fx := newFixture(t, clients)
 	net := fx.builder(fx.ccfg.ModelSeed)
 	var buf bytes.Buffer
 	cfg.InitialParams, cfg.FeatureDim = net.GetFlat(), net.FeatureDim
 	cfg.Metrics, cfg.Ledger = telemetry.NewRegistry(), telemetry.NewRunLedger(&buf)
-	server := make([]Conn, clients)
-	var wg sync.WaitGroup
-	for i := range server {
-		var c Conn
-		server[i], c = Pipe()
-		if wrap != nil {
-			c = wrap(i, c)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = RunClient(c, fx.shards[i], fx.ccfg) // the quorum-miss session fails its clients
-		}()
-	}
-	_, err := Serve(cfg, server)
-	if err != nil {
-		for _, c := range server {
-			c.Close()
-		}
-	}
-	wg.Wait()
+	_, err := ServePipes(cfg, fx.shards, func(int) ClientConfig { return fx.ccfg }, plans)
 	return decodeLedgerFile(t, &buf), err
 }
 
@@ -340,12 +306,7 @@ func TestLedgerRecordsPhases(t *testing.T) {
 	// Client 2 dies sending its round-0 update: with a quorum of every
 	// client the first attempt fails at validate, and no later attempt runs.
 	lines, err := ledgerSession(t, ServerConfig{Algorithm: AlgoRFedAvgPlus, Rounds: rounds, MinClients: clients}, clients,
-		func(i int, c Conn) Conn {
-			if i == 2 {
-				return NewFaultConn(c, FaultPlan{Seed: 1, DisconnectAfterOps: 2})
-			}
-			return c
-		})
+		map[int]FaultPlan{2: {Seed: 1, DisconnectAfterOps: 2}})
 	if err == nil || len(lines) != 1 || lines[0].OK {
 		t.Fatalf("quorum miss: err %v, lines %+v; want a failed session with one failed attempt", err, lines)
 	}

@@ -176,6 +176,10 @@ type ServerResult struct {
 	// RetriedRounds counts round attempts that failed (quorum miss) and
 	// were retried.
 	RetriedRounds int
+	// UpBytes and DownBytes are the session's metered frames (headers
+	// included) received from and sent to the clients, MsgDone too: this
+	// session's share of rfl_bytes_received_total/rfl_bytes_sent_total.
+	UpBytes, DownBytes int64
 }
 
 // session is the mutable state of one Serve call. All fields are mutated
@@ -474,6 +478,7 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 	})
 	cancel()
 	s.res.FinalParams = s.global
+	s.res.UpBytes, s.res.DownBytes = s.metrics.recv.Load(), s.metrics.sent.Load()
 	return s.res, nil
 }
 

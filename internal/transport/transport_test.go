@@ -10,9 +10,12 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/data"
+	"repro/internal/fl"
 	"repro/internal/nn"
 	"repro/internal/opt"
+	"repro/internal/telemetry"
 )
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -165,6 +168,13 @@ func newFixture(t *testing.T, clients int) *federatedFixture {
 	}
 }
 
+// client is slot i's configuration: the fixture's, seeded 100+i.
+func (fx *federatedFixture) client(i int) ClientConfig {
+	cfg := fx.ccfg
+	cfg.Seed = int64(100 + i)
+	return cfg
+}
+
 func (fx *federatedFixture) accuracy(params []float64) float64 {
 	net := fx.builder(fx.ccfg.ModelSeed)
 	net.SetFlat(params)
@@ -202,9 +212,7 @@ func runSession(t *testing.T, algo Algorithm, clients, rounds int, mk func(i int
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cfg := fx.ccfg
-			cfg.Seed = int64(100 + i)
-			final, err := RunClient(clientConns[i], fx.shards[i], cfg)
+			final, err := RunClient(clientConns[i], fx.shards[i], fx.client(i))
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
 				return
@@ -245,9 +253,75 @@ func TestServeFedAvgOverPipes(t *testing.T) {
 }
 
 func TestServeRFedAvgPlusOverPipes(t *testing.T) {
-	res, _ := runSession(t, AlgoRFedAvgPlus, 4, 8, func(i int) (Conn, Conn) { return Pipe() })
+	fx := newFixture(t, 4)
+	net := fx.builder(fx.ccfg.ModelSeed)
+	res, err := ServePipes(ServerConfig{
+		Algorithm: AlgoRFedAvgPlus, Rounds: 8, InitialParams: net.GetFlat(), FeatureDim: net.FeatureDim,
+	}, fx.shards, fx.client, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.RoundLosses[len(res.RoundLosses)-1] >= res.RoundLosses[0] {
 		t.Fatalf("loss did not decrease: %v", res.RoundLosses)
+	}
+	if before, after := fx.accuracy(net.GetFlat()), fx.accuracy(res.FinalParams); after <= before || after < 0.4 {
+		t.Fatalf("session did not learn: %v → %v", before, after)
+	}
+}
+
+// When Serve fails, ServePipes returns its error instead of hanging: the two
+// honest clients parked in Recv see their pipes close. Two clients crash
+// after their join, so the MinClients quorum of four cannot be met again.
+func TestServePipesReturnsServeError(t *testing.T) {
+	fx := newFixture(t, 4)
+	net := fx.builder(fx.ccfg.ModelSeed)
+	scfg := ServerConfig{Algorithm: AlgoFedAvg, Rounds: 3, InitialParams: net.GetFlat(), MinClients: 4}
+	plans := map[int]FaultPlan{1: {DisconnectAfterOps: 1}, 3: {DisconnectAfterOps: 1}}
+	type result struct {
+		res *ServerResult
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := ServePipes(scfg, fx.shards, fx.client, plans)
+		done <- result{res, err}
+	}()
+	select {
+	case r := <-done:
+		if r.res != nil || r.err == nil || !strings.Contains(r.err.Error(), "failed after") {
+			t.Fatalf("got (%v, %v), want no result and Serve's quorum error", r.res, r.err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("ServePipes hung after Serve failed")
+	}
+}
+
+// ServeFederation carries the simulator federation's settings onto the wire:
+// SR 0.5 samples two of four slots a round, the federation's ledger gets one
+// line a round, the q8 session with error feedback learns, and its metered
+// upload is on the result.
+func TestServeFederationCarriesConfig(t *testing.T) {
+	fx := newFixture(t, 4)
+	var ledger bytes.Buffer
+	c := fx.ccfg
+	f := fl.NewFederation(fl.Config{
+		Builder: c.Builder, ModelSeed: c.ModelSeed, Seed: 3, LocalSteps: c.LocalSteps, BatchSize: c.BatchSize,
+		LR: c.LR, SampleRatio: 0.5, Ledger: telemetry.NewRunLedger(&ledger),
+	}, fx.shards, fx.test)
+	res, err := ServeFederation(f, AlgoRFedAvgPlus, 6, c.Lambda, CodecPolicy{Update: compress.SchemeInt8}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, co := range res.Cohorts {
+		if n := count(co.Mask); n != 2 {
+			t.Fatalf("round %d sampled %d slots, want 2", co.Round, n)
+		}
+	}
+	if lines := bytes.Count(ledger.Bytes(), []byte("\n")); lines != 6 || !bytes.Contains(ledger.Bytes(), []byte(`"up_scheme":"q8"`)) {
+		t.Fatalf("ledger has %d lines, want 6 naming q8:\n%s", lines, ledger.Bytes())
+	}
+	if before, after := fx.accuracy(f.InitialParams()), f.Evaluate(res.FinalParams, fx.test); after <= before || res.UpBytes == 0 {
+		t.Fatalf("accuracy %v → %v, %d bytes up", before, after, res.UpBytes)
 	}
 }
 

@@ -31,7 +31,6 @@ package rfedavg
 import (
 	"math/rand"
 
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/fl"
@@ -190,23 +189,6 @@ func NewMOON(mu, tau float64) *fl.MOON { return fl.NewMOON(mu, tau) }
 // NewFedNova creates the FedNova baseline with size-proportional local
 // steps and normalized aggregation.
 func NewFedNova() *fl.FedNova { return fl.NewFedNova() }
-
-// Scheme names the codec a client's uploads are framed with — on the
-// socket and in the simulator alike. Set Config.Compress to one of the
-// constants below; Config.CompressEF adds per-client error feedback.
-type Scheme = compress.Scheme
-
-// The wire schemes. See internal/compress for their encodings.
-const (
-	// SchemeDense ships raw float64, lossless (the default).
-	SchemeDense = compress.SchemeDense
-	// SchemeF32 rounds to float32.
-	SchemeF32 = compress.SchemeF32
-	// SchemeInt8 is QSGD-style stochastic 8-bit quantization, unbiased.
-	SchemeInt8 = compress.SchemeInt8
-	// SchemeBit1 is 1-bit sign quantization; pair it with CompressEF.
-	SchemeBit1 = compress.SchemeBit1
-)
 
 // Sampler selects each round's participating cohort.
 type Sampler = fl.Sampler

@@ -99,32 +99,6 @@ func TestGaussianMechanismAndFairness(t *testing.T) {
 	}
 }
 
-// The public Scheme aliases select the same codec the server speaks: q8 with
-// error feedback on plain FedAvg uploads an eighth of the dense bytes and
-// still trains.
-func TestCompressedUploadViaAPI(t *testing.T) {
-	train, test := SynthMNIST(400, 1), SynthMNIST(200, 2)
-	shards := SplitBySimilarity(train, 4, 0, 13)
-	run := func(s Scheme, ef bool) *History {
-		fed := NewFederation(Config{
-			Builder:   NewMLP(train.Features(), 24, 12, train.Classes),
-			ModelSeed: 7, Seed: 11, LocalSteps: 5, BatchSize: 20,
-			LR: ConstLR(0.1), Compress: s, CompressEF: ef,
-		}, shards, test)
-		return Run(fed, NewFedAvg(), 5)
-	}
-	dense, q8 := run(SchemeDense, false), run(SchemeInt8, true)
-	upDense, _ := dense.TotalBytes()
-	upQ8, _ := q8.TotalBytes()
-	if upQ8*7 > upDense {
-		t.Fatalf("q8 upload %d bytes, want ≤ 1/7 of dense %d", upQ8, upDense)
-	}
-	first, last := q8.Rounds[0].TrainLoss, q8.Rounds[len(q8.Rounds)-1].TrainLoss
-	if math.IsNaN(last) || math.IsInf(last, 0) || last >= first {
-		t.Fatalf("q8 train loss %v → %v, want finite and decreasing", first, last)
-	}
-}
-
 func TestSamplersViaAPI(t *testing.T) {
 	train := SynthMNIST(400, 1)
 	shards := SplitBySimilarity(train, 8, 0.5, 13)
