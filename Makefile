@@ -37,12 +37,15 @@ test: vet
 # the /debug/fl/health handler reads (health), and the series every client
 # goroutine and IO-pool worker writes (telemetry). -race also turns on
 # checkptr, which checks the framing's unsafe.Slice views of float64 payloads.
-# The second line repeats the pipe and lend tests: whether a pipe frame is
-# copied into a parked receiver's lent weights or queued is the scheduler's
-# choice, so one pass sees only some of the interleavings.
+# The second line repeats the tests whose outcome rides on interleavings the
+# scheduler picks: whether a pipe frame is copied into a parked receiver's
+# lent weights or queued, and the order in which the server's receive pumps
+# hand frames, conn errors and rejoin handshakes to its one dispatcher
+# (pipes, lend, rejoin, the dead-peer reap, async gathers). One pass sees
+# only some of them.
 test-race:
 	go test -race ./internal/fl/... ./internal/core/... ./internal/engine/... ./internal/tensor/... ./internal/nn/... ./internal/transport/... ./internal/compress/... ./internal/health/... ./internal/telemetry/...
-	go test -race -count=20 -run 'Pipe|Lend' ./internal/transport/
+	go test -race -count=20 -run 'Pipe|Lend|Rejoin|Reap|Async' ./internal/transport/
 
 # The purego tag drops the AVX2 micro-kernel and SIMD element loops, so this
 # is the only run that puts the scalar kernels every non-amd64 build uses
@@ -158,10 +161,11 @@ scale-smoke:
 # while sync degrades), the end-to-end fold/buffer session, the full-buffer
 # bitwise-sync equivalence, the buffered-checkpoint resume path, the
 # held-model state machine (elided assigns through retry, rejoin, resume,
-# duplicated and corrupted frames), and the silent-non-member rules (frames
-# only to the cohort; a dead idle peer reaped at the round boundary and its
-# slot handed to a rejoiner).
-CHAOS_TESTS = TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncFullBufferMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide|TestCohortWireLaw|TestCohortReapsDeadUnsampledPeer
+# duplicated and corrupted frames), the silent-non-member rules (frames
+# only to the cohort; a dead idle peer reaped at the round boundary, with
+# deadlines or without, and its slot handed to a rejoiner), and a rejoiner
+# that never handshakes holding up no round boundary.
+CHAOS_TESTS = TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncFullBufferMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide|TestCohortWireLaw|TestCohortReapsDeadUnsampledPeer|TestSilentRejoinerDoesNotStall
 chaos-smoke:
 	$(call require-tests,./internal/transport,$(CHAOS_TESTS))
 	go test -race -count 1 ./internal/transport -run '$(CHAOS_TESTS)'

@@ -146,9 +146,12 @@ func main() {
 	}
 
 	// Late connections are rejoin candidates: keep accepting in the
-	// background and hand them to the server, which re-admits them into
-	// evicted slots at round boundaries. The goroutine dies with the
-	// process; closing the listener on return unblocks Accept.
+	// background and hand them to the server, which takes them in whatever
+	// it is waiting on, reads each one's join without blocking the rounds,
+	// and places the joined ones into evicted slots at round boundaries; one
+	// that never sends its join waits unplaced and is closed at the end. The
+	// goroutine dies with the process; closing the listener on return
+	// unblocks Accept.
 	rejoin := make(chan transport.Conn, *clients)
 	go func() {
 		for {

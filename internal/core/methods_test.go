@@ -112,9 +112,8 @@ func TestMethodsPinned(t *testing.T) {
 
 // Config.BufferK is a property of the round, so it acts on every method:
 // under a buffer smaller than the cohort round 0 parks the stragglers and
-// round 1 folds them. (The name predates the codec's move out of the
-// simulator; the codec is the transport's, tested there.)
-func TestEveryMethodHonoursCodecAndBuffer(t *testing.T) {
+// round 1 folds them. (The codec is the transport's, tested there.)
+func TestEveryMethodHonoursBuffer(t *testing.T) {
 	for _, m := range nineMethods {
 		t.Run(m.name, func(t *testing.T) {
 			dense, _ := runMethod(t, m.mk(), "full", 2)

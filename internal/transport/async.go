@@ -1,25 +1,11 @@
 package transport
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/compress"
 	"repro/internal/engine"
-	"repro/internal/telemetry"
 )
-
-// lateMsg is one straggler receiver's delivery: the update a cohort member
-// eventually produced for the round it was assigned in, or the error that
-// ended its connection. Every async gather goroutine sends exactly one.
-type lateMsg struct {
-	client int
-	round  int // round the client was assigned in
-	m      *Message
-	err    error
-	span   telemetry.ActiveSpan // the gather_client span, ended at delivery
-}
 
 // BufferedUpdate is a validated, decoded update that arrived after its round
 // closed, parked until the next aggregation folds it in with the staleness
@@ -33,84 +19,54 @@ type BufferedUpdate struct {
 }
 
 // asyncEligible is the population a new cohort may be sampled from: active,
-// no receiver in flight, and no parked update waiting to fold (a buffered
-// client folds this round; re-assigning it would double-count it).
+// not busy, and no parked update waiting to fold (a buffered client folds
+// this round; re-assigning it would double-count it).
 func (s *session) asyncEligible() []bool {
 	elig := make([]bool, len(s.conns))
 	for i, a := range s.active {
-		elig[i] = a && !s.busy[i] && s.buffered[i] == nil
+		elig[i] = a && !s.busy(i) && s.buffered[i] == nil
 	}
 	return elig
 }
 
-// drainLate consumes every already-delivered straggler message without
-// blocking. Call at each round boundary so arrivals between rounds are
-// parked (or their connection errors surfaced) before cohort sampling.
-func (s *session) drainLate(round int) {
-	for {
-		select {
-		case lm := <-s.lateCh:
-			s.handleLate(lm, round, nil)
-		default:
-			return
-		}
-	}
-}
+// busy reports whether slot i is active and still owes the update of a
+// buffered gather that stopped waiting for it: it gets no frame and joins no
+// cohort until the update lands and is parked.
+func (s *session) busy(i int) bool { return s.active[i] && s.conns[i].want != 0 }
 
-// awaitAvail blocks while the assignable population plus the parked folds
-// cannot reach quorum but stragglers are still in flight — the next arrival
-// may unblock either set. Bounded by the current deadline; on timeout the
-// attempt proceeds (and fails quorum) so the retry loop stays in charge.
-func (s *session) awaitAvail(round int) {
+// awaitAvail dispatches while the assignable population plus the parked
+// folds cannot reach quorum but stragglers are still in flight — the next
+// arrival may unblock either set. Bounded by the current deadline; on
+// timeout the attempt proceeds (and fails quorum) so the retry loop stays in
+// charge.
+func (s *session) awaitAvail() {
 	ctx, cancel := s.phaseCtx()
 	defer cancel()
 	for {
-		avail := 0
+		avail, busy := 0, 0
 		for i, a := range s.active {
-			if a && !s.busy[i] {
+			switch {
+			case s.busy(i):
+				busy++
+			case a:
 				avail++ // assignable or already parked (folds this round)
 			}
 		}
-		if avail >= s.minClients || count(s.busy) == 0 {
-			return
-		}
-		select {
-		case lm := <-s.lateCh:
-			s.handleLate(lm, round, nil)
-		case <-ctx.Done():
+		if avail >= s.minClients || busy == 0 || !s.dispatch(ctx.Done()) {
 			return
 		}
 	}
 }
 
-// handleLate settles one straggler delivery. With updates non-nil and the
-// message fresh for the current round it is placed there (the caller is the
-// round's own gather); anything else is parked for a later fold, dropped as
-// overripe, or — on error — evicts the client. Reports whether the message
-// was placed fresh.
-func (s *session) handleLate(lm lateMsg, round int, updates []*Message) bool {
-	lm.span.End()
-	s.busy[lm.client] = false
-	if lm.err != nil {
-		s.evict(lm.client, round, fmt.Sprintf("gather: %v", lm.err))
-		return false
-	}
-	if updates != nil && lm.round == round {
-		updates[lm.client] = lm.m
-		return true
-	}
-	s.park(lm, round)
-	return false
-}
-
-// park validates and decodes a late update immediately — against the
-// broadcast reference of the round it was assigned in, which is intact
-// because busy slots are skipped by later broadcasts — and buffers an owned
-// copy for the next aggregation. Overripe updates (past MaxStaleness) are
-// dropped: their information content is the same argument MaxStale makes
-// for δ rows. Invalid ones evict the sender, exactly like the fresh path.
-func (s *session) park(lm lateMsg, round int) {
-	i, m := lm.client, lm.m
+// park validates and decodes slot i's late update m, assigned in round
+// assigned, immediately — against the broadcast reference of that round,
+// which is intact because busy slots are skipped by later broadcasts — and
+// buffers an owned copy for the fold of round s.round. Overripe updates (past
+// MaxStaleness) are dropped: their information content is the same argument
+// MaxStale makes for δ rows. Invalid ones evict the sender, exactly like the
+// fresh path.
+func (s *session) park(i, assigned int, m *Message) {
+	round := s.round
 	var own []float64 // a packed update is rebuilt straight into its parking buffer
 	params, err := s.decodeUpdate(i, m, &own)
 	if err != nil {
@@ -121,19 +77,19 @@ func (s *session) park(lm lateMsg, round int) {
 		s.evict(i, round, err.Error())
 		return
 	}
-	if age := round - lm.round; s.cfg.MaxStaleness > 0 && age > s.cfg.MaxStaleness {
+	if age := round - assigned; s.cfg.MaxStaleness > 0 && age > s.cfg.MaxStaleness {
 		s.logf("dropped client %d's update for round %d (age %d > max staleness %d)",
-			i, lm.round, age, s.cfg.MaxStaleness)
+			i, assigned, age, s.cfg.MaxStaleness)
 		return
 	}
 	s.buffered[i] = &BufferedUpdate{
 		Client: i,
-		Round:  lm.round,
+		Round:  assigned,
 		Loss:   m.Loss,
 		Params: params,
 	}
 	s.metrics.buffered.Set(float64(s.bufferedCount()))
-	s.logf("buffered client %d's update for round %d (arrived in round %d)", i, lm.round, round)
+	s.logf("buffered client %d's update for round %d (arrived in round %d)", i, assigned, round)
 }
 
 // decodeUpdate reconstructs an update's dense params. A packed update is
@@ -193,58 +149,6 @@ func (s *session) folds(round int) []engine.Update {
 		}
 	}
 	return f
-}
-
-// gatherAsyncUpdates is the buffered-round counterpart of gatherActive for
-// the model-update gather: it spawns one receiver per cohort member, then
-// returns once the fresh-arrival target is met or the deadline fires.
-// Receivers that have not delivered stay in flight — their slot is busy,
-// excluded from later cohorts and broadcasts, until handleLate settles the
-// delivery in whichever round it lands.
-//
-// The fresh target is BufferK, raised so that fresh + parked folds can
-// still reach quorum, and capped at the cohort size; a BufferK of at least
-// the cohort waits for all of it (async plumbing, synchronous semantics).
-func (s *session) gatherAsyncUpdates(round int, cohort []bool, parent telemetry.SpanContext) []*Message {
-	n := 0
-	for i := range s.conns {
-		if !cohort[i] || !s.active[i] {
-			continue
-		}
-		n++
-		s.busy[i] = true
-		sp := s.cfg.Tracer.Start("gather_client", parent)
-		sp.Round, sp.Client = round, i
-		go func(i int, c Conn, sp telemetry.ActiveSpan) {
-			m, err := gatherOne(context.Background(), c, MsgUpdate, round)
-			s.lateCh <- lateMsg{client: i, round: round, m: m, err: err, span: sp}
-		}(i, s.conns[i], sp)
-	}
-	k := min(s.cfg.BufferK, n)
-	if need := s.minClients - s.bufferedCount(); k < need {
-		k = need
-		if k > n {
-			k = n
-		}
-	}
-	updates := make([]*Message, len(s.conns))
-	start := time.Now()
-	ctx, cancel := s.phaseCtx()
-	defer cancel()
-	for got := 0; got < k; {
-		select {
-		case lm := <-s.lateCh:
-			if s.handleLate(lm, round, updates) {
-				if s.ctrl != nil {
-					s.ctrl.observe(lm.client, time.Since(start))
-				}
-				got++
-			}
-		case <-ctx.Done():
-			return updates
-		}
-	}
-	return updates
 }
 
 // restoreAsync re-parks checkpointed buffered updates and update ages, so a

@@ -111,7 +111,7 @@ func ckptSession(t testing.TB, n, occ int) *session {
 	s := &session{
 		cfg: ServerConfig{Algorithm: AlgoRFedAvgPlus, FeatureDim: dim,
 			CheckpointPath: filepath.Join(t.TempDir(), "session.ckpt")},
-		conns:    make([]Conn, n),
+		conns:    make([]*peer, n),
 		global:   make([]float64, params),
 		table:    core.NewDeltaTable(n, dim),
 		res:      &ServerResult{RoundLosses: []float64{3, 2, 1}},

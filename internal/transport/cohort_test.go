@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -73,10 +74,12 @@ func (c *eofConn) Recv() (*Message, error) {
 	return m, err
 }
 
-// hookConn runs a hook before each frame it sends.
+// hookConn runs a hook before each frame it sends and, if recv is set, on
+// each frame it reads before handing it on.
 type hookConn struct {
 	Conn
 	before func(m *Message)
+	recv   func(m *Message)
 }
 
 func (c *hookConn) Send(m *Message) error {
@@ -84,12 +87,44 @@ func (c *hookConn) Send(m *Message) error {
 	return c.Conn.Send(m)
 }
 
+func (c *hookConn) Recv() (*Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && c.recv != nil {
+		c.recv(m)
+	}
+	return m, err
+}
+
+// readOnceConn closes read once its reader, the server's pump, asks for the
+// frame after the first: the first has then been queued on the inbox.
+type readOnceConn struct {
+	Conn
+	calls int
+	read  chan struct{}
+}
+
+func (c *readOnceConn) Recv() (*Message, error) {
+	if c.calls++; c.calls == 2 {
+		close(c.read)
+	}
+	return c.Conn.Recv()
+}
+
 // A client that dies while outside the cohort is sent nothing, so no send can
-// fail on it. The round boundary finds it through the deadline pump's read
-// error, frees the slot, and a rejoiner naming the slot takes it at that same
-// boundary — within two boundaries of the death, which is the latest the
-// skip-frame server managed.
+// fail on it. The round boundary finds it through its pump's read error, with
+// deadlines or without, frees the slot, and a rejoiner naming the slot takes
+// it at that same boundary — within two boundaries of the death, which is the
+// latest the skip-frame server managed. A rejoiner is placed at the first
+// boundary after its handshake was handled, so the cohort's updates of the
+// round the victim dies in are held back until the rejoiner's handshake is
+// queued.
 func TestCohortReapsDeadUnsampledPeer(t *testing.T) {
+	for _, deadline := range []time.Duration{20 * time.Second, 0} {
+		t.Run(fmt.Sprintf("deadline=%v", deadline), func(t *testing.T) { reapDeadUnsampledPeer(t, deadline) })
+	}
+}
+
+func reapDeadUnsampledPeer(t *testing.T, deadline time.Duration) {
 	const clients, rounds, closeRound = 8, 8, 2
 	fx := newFixture(t, clients)
 	// A seed under which one slot of the full fleet sits out every round up to
@@ -121,12 +156,13 @@ func TestCohortReapsDeadUnsampledPeer(t *testing.T) {
 	sawEOF := &eofConn{saw: make(chan struct{})}
 	var victimConn Conn
 	var kill sync.Once
+	handshake := &readOnceConn{read: make(chan struct{})}
 	var secondLife sync.WaitGroup
 	secondLife.Add(1) // round closeRound always has a frame to hook
 	res := elideRun{algo: AlgoRFedAvgPlus, mayFail: map[int]bool{victim: true},
 		shape: func(c *ServerConfig) {
 			c.Seed, c.SampleRatio, c.Rounds = seed, 0.25, rounds
-			c.RoundDeadline, c.Rejoin = 20*time.Second, rejoin
+			c.RoundDeadline, c.Rejoin = deadline, rejoin
 			c.Ledger = telemetry.NewRunLedger(&ledger)
 		},
 		dial: func(i int, c Conn) Conn {
@@ -140,9 +176,19 @@ func TestCohortReapsDeadUnsampledPeer(t *testing.T) {
 				sawEOF.Conn = first.wrap(i, c)
 				return sawEOF
 			}
+			// A cohort update of round closeRound waits until the rejoiner's
+			// handshake is queued.
+			hold := func(m *Message) {
+				if m.Type == MsgUpdate && int(m.Round) == closeRound {
+					select {
+					case <-handshake.read:
+					case <-time.After(10 * time.Second):
+					}
+				}
+			}
 			// The first frame of round closeRound kills the victim and, once the
 			// server side has read the EOF, queues its second life.
-			return &hookConn{Conn: c, before: func(m *Message) {
+			return &hookConn{Conn: c, recv: hold, before: func(m *Message) {
 				if int(m.Round) != closeRound {
 					return
 				}
@@ -150,7 +196,8 @@ func TestCohortReapsDeadUnsampledPeer(t *testing.T) {
 					victimConn.Close()
 					<-sawEOF.saw
 					s, c := Pipe()
-					rejoin <- second.wrap(victim, s)
+					handshake.Conn = second.wrap(victim, s)
+					rejoin <- handshake
 					go func() {
 						defer secondLife.Done()
 						cfg := fx.ccfg

@@ -132,19 +132,6 @@ func (m *serverMetrics) observeUpdateAges(t *core.AgeTrack) {
 	t.ForEach(func(_, age int) { m.updateAge.Observe(float64(age)) })
 }
 
-// meter wraps a connection so every framed message is counted into the
-// session's per-algorithm byte series. The wrapper sits *inside* any
-// deadlineConn (sendCtx/recvCtx type-assert *deadlineConn on the outside),
-// so deadline semantics are untouched.
-func (m *serverMetrics) meter(c Conn) Conn {
-	return &meteredConn{Conn: c, m: m}
-}
-
-type meteredConn struct {
-	Conn
-	m *serverMetrics
-}
-
 // countSchemes attributes a message's vector payloads to the per-scheme
 // byte series. Dense Params/Delta slices count under "dense"; packed vectors
 // under their scheme tag.
@@ -164,27 +151,4 @@ func countSchemes(ctrs *[compress.NumSchemes]*telemetry.Counter, m *Message) {
 func (m *serverMetrics) elide() {
 	m.elided.Inc()
 	m.nElided.Add(1)
-}
-
-func (c *meteredConn) Send(m *Message) error {
-	if err := c.Conn.Send(m); err != nil {
-		return err
-	}
-	n := int64(m.EncodedSize())
-	c.m.bytesSent.Add(n)
-	c.m.sent.Add(n)
-	countSchemes(&c.m.schemeSent, m)
-	return nil
-}
-
-func (c *meteredConn) Recv() (*Message, error) {
-	m, err := c.Conn.Recv()
-	if err != nil {
-		return nil, err
-	}
-	n := int64(m.EncodedSize())
-	c.m.bytesRecv.Add(n)
-	c.m.recv.Add(n)
-	countSchemes(&c.m.schemeRecv, m)
-	return m, nil
 }

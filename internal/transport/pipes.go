@@ -18,6 +18,8 @@ import (
 // When Serve fails every pipe is closed, so no client stays blocked in Recv,
 // and Serve's error is returned. Otherwise the result comes back with the
 // clients' errors joined: nil unless a client failed, as an evicted one does.
+// Either way every pipe is closed once the clients are done, which ends the
+// server's receive pumps.
 func ServePipes(scfg ServerConfig, shards []*data.Dataset, client func(i int) ClientConfig, plans map[int]FaultPlan) (*ServerResult, error) {
 	server := make([]Conn, len(shards))
 	errs := make([]error, len(shards))
@@ -37,13 +39,17 @@ func ServePipes(scfg ServerConfig, shards []*data.Dataset, client func(i int) Cl
 			}
 		}()
 	}
-	res, err := Serve(scfg, server)
-	if err != nil {
+	closeAll := func() {
 		for _, c := range server {
 			c.Close()
 		}
 	}
+	res, err := Serve(scfg, server)
+	if err != nil {
+		closeAll()
+	}
 	wg.Wait()
+	closeAll()
 	if err != nil {
 		return nil, err
 	}

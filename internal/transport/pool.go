@@ -1,7 +1,7 @@
-// Bounded IO fan-out: a fixed-size worker pool replacing the server's old
-// one-goroutine-per-client send/recv phases. At 100k simulated clients the
-// per-phase goroutine burst (and its stack memory) must stay O(workers),
-// not O(N); slots are claimed dynamically off a shared atomic counter so
+// Bounded IO fan-out: a fixed-size worker pool for the server's send phases
+// (receiving is each conn's pump and the session's one dispatcher). The
+// per-phase goroutine burst (and its stack memory) stays O(workers), not
+// O(cohort); slots are claimed dynamically off a shared atomic counter so
 // uneven per-slot costs (slow clients, evictions) balance across workers.
 package transport
 
@@ -11,19 +11,16 @@ import (
 	"sync/atomic"
 )
 
-// ioWorkers is the server's per-phase goroutine budget. IO phases block on
-// the network rather than the CPU, so the pool oversubscribes the cores —
-// but stays bounded and far below one goroutine per client at scale. Async
-// update gathers still dedicate one in-flight receiver per cohort member,
-// which is O(cohort), not O(N).
+// ioWorkers is the server's per-phase goroutine budget. Sends block on the
+// network rather than the CPU, so the pool oversubscribes the cores — but
+// stays bounded and far below one goroutine per client at scale.
 func ioWorkers() int { return min(8*runtime.GOMAXPROCS(0), 256) }
 
 // ioParallel runs fn(i) for every i in [0, n) on at most workers
 // goroutines and waits for all of them. Slot order across workers is not
 // deterministic, so fn must either be commutative or record into per-slot
-// storage (the server's phases write errs[i]/updates[i] and do all
-// order-sensitive folding serially afterwards). A single-slot phase runs
-// inline with no goroutines.
+// storage (the server's broadcasts write ioErrs[i] and evict serially
+// afterwards). A single-slot phase runs inline with no goroutines.
 func ioParallel(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return

@@ -89,12 +89,14 @@ type ServerConfig struct {
 	// that many rounds from the regularization targets (evicted clients'
 	// maps go stale instead of steering survivors forever).
 	MaxStaleness int
-	// Rejoin, if non-nil, delivers reconnecting clients. Each is expected
-	// to send MsgJoin; at the next round boundary it is re-admitted into
-	// a previously evicted slot (honoring the ClientID slot hint in its
-	// join when that slot is free) and receives the current global model
-	// with its first MsgAssign. Its δ row — kept stale since eviction —
-	// is refreshed at its next δ sync.
+	// Rejoin, if non-nil, delivers reconnecting clients; the server takes
+	// them in whatever it is waiting on. Each one's first frame must be
+	// MsgJoin; the first round boundary after it arrives re-admits the
+	// client into a previously evicted slot (honoring the ClientID slot
+	// hint in its join when that slot is free), and it receives the current
+	// global model with its first MsgAssign. Its δ row — kept stale since
+	// eviction — is refreshed at its next δ sync. A client that never sends
+	// its join holds up nothing and is closed when the session ends.
 	Rejoin <-chan Conn
 	// CheckpointPath, if non-empty, makes the server write an atomic
 	// round checkpoint (global params, δ table + ages, loss history,
@@ -182,13 +184,13 @@ type ServerResult struct {
 	UpBytes, DownBytes int64
 }
 
-// session is the mutable state of one Serve call. All fields are mutated
-// only between the wg.Wait barriers of the parallel phases, so no locking
-// is needed.
+// session is the mutable state of one Serve call. It is the goroutine of
+// Serve, dispatching the inbox, that mutates it; the IO pool's sends only
+// read it and write their own slot of the scratch, so no locking is needed.
 type session struct {
 	cfg        ServerConfig
 	minClients int
-	conns      []Conn
+	conns      []*peer
 	active     []bool
 	samples    []float64 // raw per-client sample counts (join / rejoin)
 	global     []float64
@@ -213,25 +215,36 @@ type session struct {
 	// boundary (rejoins, dead peers reaped) to the following attempt's ledger
 	// record.
 	lastRejoins, lastEvictions int
-	// pending holds handshaked rejoiners that arrived before their crashed
-	// predecessor's eviction surfaced; they are re-placed at every round
-	// boundary until a slot frees up.
-	pending []pendingJoin
+	// pending holds the rejoiners taken off cfg.Rejoin and not yet placed:
+	// silent ones, whose handshake has not arrived, and handshaked ones that
+	// arrived before their crashed predecessor's eviction surfaced. Every
+	// round boundary places the handshaked ones into free slots.
+	pending []*peer
 
-	// Async-mode state. busy[i] marks a slot whose update receiver is still
-	// in flight (that goroutine is the slot's sole receiver until it
-	// delivers on lateCh); buffered[i] is a parked late update awaiting its
+	// inbox carries every peer's frames from its pump to the dispatcher. It
+	// holds one frame per slot: a client answers one request at a time, so a
+	// round's answers never wait on a dispatcher busy elsewhere. done, closed
+	// when Serve returns, stops the pumps pushing; a pump ends when its conn
+	// fails, which the conn's owner's Close brings about. coll is the
+	// gather in progress. round is the round events belong to when they are
+	// handled: the round being attempted until it closes, then the next one —
+	// the fold a late update is parked for, and the round an eviction outside
+	// a gather is recorded under.
+	inbox chan arrival
+	done  chan struct{}
+	coll  gathering
+	round int
+
+	// Async-mode state. buffered[i] is a parked late update awaiting its
 	// fold. updAges tracks rounds since each slot's last aggregated update;
 	// ctrl is the adaptive deadline controller (nil unless enabled).
-	busy     []bool
 	buffered []*BufferedUpdate
-	lateCh   chan lateMsg
 	updAges  *core.AgeTrack
 	ctrl     *deadlineController
 
-	// ioErrs and ioMsgs are the network phases' scratch: per-slot results the
-	// IO pool writes at a member's own index and the phase clears as it reads
-	// them.
+	// ioErrs and ioMsgs are the network phases' scratch: per-slot results
+	// written at a member's own index — by the IO pool's sends, by collect's
+	// deliveries — and cleared as the phase reads them.
 	ioErrs []error
 	ioMsgs []*Message
 
@@ -258,13 +271,6 @@ type attempt struct {
 	fresh, late []engine.Update
 	delivered   []bool
 	loss        float64
-}
-
-// pendingJoin is a rejoining client that completed its handshake but is
-// waiting for an evicted slot.
-type pendingJoin struct {
-	conn Conn
-	join *Message
 }
 
 // sessionCodec is the negotiated wire-compression state: per client, the
@@ -437,6 +443,7 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 	if err := s.setup(cfg, conns); err != nil {
 		return nil, err
 	}
+	defer close(s.done)
 	// The session root span: every round attempt and checkpoint parents to
 	// it, making the trace ID the session's identity across processes.
 	sessSpan := cfg.Tracer.Start("session", telemetry.SpanContext{})
@@ -446,7 +453,7 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 	// Join phase: collect shard sizes; a client that fails its join is
 	// evicted rather than aborting everyone else's session.
 	var err error
-	s.phases.Time(telemetry.PhaseJoin, s.sessCtx, -1, func(telemetry.SpanContext) { err = s.collectJoins() })
+	s.phases.Time(telemetry.PhaseJoin, s.sessCtx, -1, func(telemetry.SpanContext) { err = s.join() })
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +479,7 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 		if !s.active[i] {
 			return
 		}
-		if err := sendCtx(ctx, s.conns[i], &Message{Type: MsgDone, Params: s.global}); err != nil {
+		if err := s.conns[i].send(ctx, &Message{Type: MsgDone, Params: s.global}); err != nil {
 			s.logf("done to client %d failed (ignored): %v", i, err)
 		}
 	})
@@ -506,7 +513,7 @@ func (s *session) setup(cfg ServerConfig, conns []Conn) error {
 	*s = session{
 		cfg:        cfg,
 		minClients: max(cfg.MinClients, 1),
-		conns:      make([]Conn, n),
+		conns:      make([]*peer, n),
 		active:     make([]bool, n),
 		samples:    make([]float64, n),
 		held:       make(engine.Held, n),
@@ -516,9 +523,9 @@ func (s *session) setup(cfg ServerConfig, conns []Conn) error {
 		table:      core.NewServerTable(n, max(cfg.FeatureDim, 1), cfg.MaxStaleness),
 		res:        &ServerResult{},
 		metrics:    newServerMetrics(cfg.Metrics, cfg.Algorithm),
-		busy:       make([]bool, n),
 		buffered:   make([]*BufferedUpdate, n),
-		lateCh:     make(chan lateMsg, n),
+		inbox:      make(chan arrival, n),
+		done:       make(chan struct{}),
 		updAges:    core.NewAgeTrack(n),
 	}
 	s.codec.init(cfg.Codec, cfg.Seed, n)
@@ -531,7 +538,7 @@ func (s *session) setup(cfg ServerConfig, conns []Conn) error {
 	}
 	s.att = attempt{rec: s.phases.Rec, detail: engine.Detail(cfg.LedgerDetailN, n), delivered: make([]bool, n)}
 	for i, c := range conns {
-		s.conns[i] = s.wrap(c)
+		s.conns[i] = s.wrap(c, i)
 		s.active[i] = true
 	}
 	return nil
@@ -542,7 +549,7 @@ func (s *session) setup(cfg ServerConfig, conns []Conn) error {
 func (s *session) runRounds(startRound int) error {
 	attempts := 0
 	for round := startRound; round < s.cfg.Rounds; {
-		s.admitRejoins(round)
+		s.boundary(round)
 		ok := count(s.active) >= s.minClients || s.waitForQuorum()
 		if ok {
 			ok = s.runRound(round, attempts+1)
@@ -568,17 +575,6 @@ func (s *session) runRounds(startRound int) error {
 	return nil
 }
 
-// wrap meters a conn into the session's byte series and puts the deadline
-// wrapper around it when deadlines are on. The metering wrapper goes inside
-// the deadlineConn so sendCtx/recvCtx still see a *deadlineConn.
-func (s *session) wrap(c Conn) Conn {
-	c = s.metrics.meter(c)
-	if s.cfg.RoundDeadline > 0 {
-		return newDeadlineConn(c)
-	}
-	return c
-}
-
 func (s *session) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
@@ -592,24 +588,6 @@ func (s *session) lastFaultOr(fallback string) string {
 	return s.lastFault
 }
 
-// curDeadline is the deadline currently in force: the adaptive controller's
-// bound when enabled, else the fixed RoundDeadline.
-func (s *session) curDeadline() time.Duration {
-	if s.ctrl != nil {
-		return s.ctrl.current()
-	}
-	return s.cfg.RoundDeadline
-}
-
-// phaseCtx returns the per-phase deadline context.
-func (s *session) phaseCtx() (context.Context, context.CancelFunc) {
-	d := s.curDeadline()
-	if d <= 0 {
-		return context.Background(), func() {}
-	}
-	return context.WithTimeout(context.Background(), d)
-}
-
 // count reports how many entries of mask are set.
 func count(mask []bool) (n int) {
 	for _, b := range mask {
@@ -621,7 +599,7 @@ func count(mask []bool) (n int) {
 }
 
 // evict removes client i from the session: its connection is closed (which
-// also reaps any deadline-abandoned goroutine blocked on it) and its
+// also ends its pump and any deadline-abandoned send blocked on it) and its
 // aggregation weight stops counting. Its δ row stays in the table — stale
 // — so the regularization targets degrade gracefully and a rejoin resumes
 // from the last known map.
@@ -640,25 +618,18 @@ func (s *session) evict(i, round int, reason string) {
 	s.cfg.Events.Emit("evict", round, s.lastFault)
 }
 
-// collectJoins gathers the MsgJoin handshake from every initial client over
-// the bounded IO pool.
-func (s *session) collectJoins() error {
+// join collects the MsgJoin handshake of every initial client; a client
+// that fails its join is evicted rather than aborting everyone else's
+// session.
+func (s *session) join() error {
+	all := make([]int, len(s.conns))
+	for i := range all {
+		all[i] = i
+	}
 	ctx, cancel := s.phaseCtx()
 	defer cancel()
-	msgs := make([]*Message, len(s.conns))
-	errs := make([]error, len(s.conns))
-	ioParallel(len(s.conns), ioWorkers(), func(i int) {
-		msgs[i], errs[i] = recvCtx(ctx, s.conns[i])
-	})
-	for i, m := range msgs {
-		switch {
-		case errs[i] != nil:
-			s.evict(i, -1, fmt.Sprintf("join: %v", errs[i]))
-		case m.Type != MsgJoin:
-			s.evict(i, -1, fmt.Sprintf("sent %d, want join", m.Type))
-		case m.NumSamples <= 0:
-			s.evict(i, -1, fmt.Sprintf("joined with %d samples", m.NumSamples))
-		default:
+	for i, m := range s.collect(ctx, MsgJoin, -1, all, len(all), telemetry.SpanContext{}) {
+		if m != nil {
 			s.samples[i] = float64(m.NumSamples)
 			s.codec.negotiate(i, m.Caps)
 		}
@@ -759,97 +730,12 @@ func (s *session) checkpoint(nextRound int) {
 	s.cfg.Events.Emit("checkpoint", nextRound, s.cfg.CheckpointPath)
 }
 
-// closePending closes rejoiners that never found a slot, so their clients
-// observe EOF instead of blocking forever on a session that has ended.
-func (s *session) closePending() {
-	for _, p := range s.pending {
-		p.conn.Close()
-	}
-	s.pending = nil
-}
-
-// admitRejoins runs at every round boundary: it reaps dead idle peers,
-// re-places parked rejoiners (whose slot may have freed since last round) and
-// drains the rejoin channel without blocking.
-//
-// The reap is what a frame to every slot used to give for free. A client
-// outside the cohort is sent nothing, so no send can fail on it; its deadline
-// pump still sees the read fail, and the slot is evicted here. A busy (async)
-// slot is left to its in-flight receiver. Without RoundDeadline there is no
-// pump: such a peer is evicted when it is next sampled.
-func (s *session) admitRejoins(round int) {
-	for i, c := range s.conns {
-		if dc, ok := c.(*deadlineConn); ok && s.active[i] && !s.busy[i] {
-			if err := dc.readErr.Load(); err != nil {
-				s.evict(i, round, fmt.Sprintf("peer gone: %v", *err))
-			}
-		}
-	}
-	parked := s.pending
-	s.pending = nil
-	for _, p := range parked {
-		s.place(p)
-	}
-	for s.cfg.Rejoin != nil {
-		select {
-		case c, ok := <-s.cfg.Rejoin:
-			if !ok {
-				s.cfg.Rejoin = nil
-				return
-			}
-			s.admit(c)
-		default:
-			return
-		}
-	}
-}
-
-// waitForQuorum blocks on the rejoin channel (up to one RoundDeadline per
-// attempt) hoping enough clients come back; reports whether quorum holds.
-func (s *session) waitForQuorum() bool {
-	if s.cfg.Rejoin == nil {
-		return false
-	}
-	ctx, cancel := s.phaseCtx()
-	defer cancel()
-	for count(s.active) < s.minClients {
-		select {
-		case c, ok := <-s.cfg.Rejoin:
-			if !ok {
-				s.cfg.Rejoin = nil
-				return false
-			}
-			s.admit(c)
-		case <-ctx.Done():
-			return false
-		}
-	}
-	return true
-}
-
-// admit performs the join handshake with a reconnecting client and hands it
-// to place. A rejoiner can outrun its own eviction — the reconnect may land
-// before the crash has surfaced server-side — so a handshaked client that
-// finds no free slot is parked, not refused, and re-placed each boundary.
-func (s *session) admit(raw Conn) {
-	c := s.wrap(raw)
-	ctx, cancel := s.phaseCtx()
-	m, err := recvCtx(ctx, c)
-	cancel()
-	if err != nil || m.Type != MsgJoin || m.NumSamples <= 0 {
-		s.logf("rejoin refused (bad handshake): %v", err)
-		c.Close()
-		return
-	}
-	s.place(pendingJoin{conn: c, join: m})
-}
-
 // place re-admits a handshaked rejoiner into an evicted slot — the slot its
 // join hints at if that one is free, else the lowest evicted slot. The slot
 // keeps its (stale) δ row, so the client resumes exactly where the
-// δ-staleness fallback left it. With every slot still active the rejoiner is
-// parked for the next boundary.
-func (s *session) place(p pendingJoin) {
+// δ-staleness fallback left it. With every slot still active it reports
+// false: the rejoiner stays pending for the next boundary.
+func (s *session) place(p *peer) bool {
 	slot := -1
 	if id := int(p.join.ClientID); id >= 0 && id < len(s.conns) && !s.active[id] {
 		slot = id
@@ -863,10 +749,10 @@ func (s *session) place(p pendingJoin) {
 	}
 	if slot < 0 {
 		s.logf("rejoin parked: no evicted slot free yet")
-		s.pending = append(s.pending, p)
-		return
+		return false
 	}
-	s.conns[slot] = p.conn
+	p.slot = slot
+	s.conns[slot] = p
 	s.active[slot] = true
 	s.held.Drop(slot)
 	s.samples[slot] = float64(p.join.NumSamples)
@@ -875,6 +761,7 @@ func (s *session) place(p pendingJoin) {
 	s.metrics.rejoins.Inc()
 	s.logf("client rejoined into slot %d (%d samples, δ age %d)", slot, p.join.NumSamples, s.table.Age(slot))
 	s.cfg.Events.Emit("rejoin", -1, fmt.Sprintf("slot %d", slot))
+	return true
 }
 
 // runRound runs one round attempt as the round phase, whose span parents
@@ -945,19 +832,17 @@ func (s *session) phase(p telemetry.Phase, run func(telemetry.SpanContext)) {
 	s.phases.Time(p, s.att.ctx, s.att.round, run)
 }
 
-// prepare samples the attempt's cohort. A buffered session first settles the
-// straggler deliveries that landed between rounds, waits (if needed) until
-// assignable + parked slots can reach quorum, and samples only from slots
-// with no update in flight or parked. The cohort RNG is re-derived from
-// (Seed, round) at every attempt: a resumed server samples the same cohorts
-// at round r as one that never died, and a retried attempt re-samples the
-// same cohort instead of perturbing every later round.
+// prepare samples the attempt's cohort. A buffered session first waits (if
+// needed) until assignable + parked slots can reach quorum, and samples only
+// from slots with no update in flight or parked. The cohort RNG is
+// re-derived from (Seed, round) at every attempt: a resumed server samples
+// the same cohorts at round r as one that never died, and a retried attempt
+// re-samples the same cohort instead of perturbing every later round.
 func (s *session) prepare(telemetry.SpanContext) {
 	a := &s.att
 	population := s.active
 	if s.cfg.BufferK > 0 {
-		s.drainLate(a.round)
-		s.awaitAvail(a.round)
+		s.awaitAvail()
 		population = s.asyncEligible()
 	}
 	if d := s.curDeadline(); a.rec != nil && d > 0 {
@@ -999,13 +884,18 @@ func (s *session) broadcast(ctx context.Context) {
 	})
 }
 
-// gather receives the cohort's updates, each wait a gather_client span under sp.
+// gather receives the cohort's updates, each wait a gather_client span under
+// sp. A buffered session closes the gather at BufferK fresh updates, raised so
+// that fresh + parked folds can still reach quorum and capped at the cohort
+// (a BufferK of at least the cohort waits for all of it: async plumbing,
+// synchronous semantics).
 func (s *session) gather(ctx context.Context, sp telemetry.SpanContext) {
+	a := &s.att
+	k := len(a.members)
 	if s.cfg.BufferK > 0 {
-		s.att.updates = s.gatherAsyncUpdates(s.att.round, s.att.cohort, sp)
-	} else {
-		s.att.updates = s.gatherActive(ctx, MsgUpdate, "gather_client", sp)
+		k = min(max(s.cfg.BufferK, s.minClients-s.bufferedCount()), k)
 	}
+	a.updates = s.collect(ctx, MsgUpdate, a.round, a.members, k, sp)
 }
 
 // validate decodes (decodeUpdate) and validates the gathered updates, evicting
@@ -1076,6 +966,7 @@ func (s *session) closeRound() bool {
 	}
 	s.metrics.buffered.Set(float64(s.bufferedCount()))
 	s.global = next
+	s.round = a.round + 1
 	s.res.RoundLosses = append(s.res.RoundLosses, loss)
 	a.loss = loss
 	if a.rec != nil {
@@ -1102,7 +993,7 @@ func (s *session) deltaSync(sp telemetry.SpanContext) {
 		}
 		return m
 	})
-	for i, m := range s.gatherActive(ctx, MsgDelta, "delta_client", sp) {
+	for i, m := range s.collect(ctx, MsgDelta, a.round, a.members, len(a.members), sp) {
 		if m == nil {
 			continue
 		}
@@ -1176,7 +1067,8 @@ func (s *session) membersOf(mask []bool) {
 	}
 }
 
-// broadcastActive sends mk(i) to every member over the bounded IO pool,
+// broadcastActive sends mk(i) to every member over the bounded IO pool — the
+// one network fan-out left: receiving is the pumps' and the dispatcher's —
 // stamping the round span's context onto each frame; clients whose send
 // fails are evicted (serially, in slot order, after the pool drains).
 func (s *session) broadcastActive(ctx context.Context, mk func(i int) *Message) {
@@ -1185,63 +1077,12 @@ func (s *session) broadcastActive(ctx context.Context, mk func(i int) *Message) 
 		i := a.members[j]
 		m := mk(i)
 		m.setSpanContext(a.ctx)
-		s.ioErrs[i] = sendCtx(ctx, s.conns[i], m)
+		s.ioErrs[i] = s.conns[i].send(ctx, m)
 	})
 	for _, i := range a.members {
 		if err := s.ioErrs[i]; err != nil {
 			s.ioErrs[i] = nil
 			s.evict(i, a.round, fmt.Sprintf("broadcast: %v", err))
-		}
-	}
-}
-
-// gatherActive receives one message of the expected type (for the current
-// round) from every member still active; other slots are nil. Clients that
-// error, time out, or flood garbage are evicted and their slot stays nil.
-// Each wait is recorded as a per-client span under the phase span — the raw
-// material for straggler attribution. The result is session scratch, indexed
-// by slot and valid until the next gather.
-func (s *session) gatherActive(ctx context.Context, want MsgType, spanName string, parent telemetry.SpanContext) []*Message {
-	a, msgs := &s.att, s.ioMsgs
-	clear(msgs)
-	ioParallel(len(a.members), ioWorkers(), func(j int) {
-		i := a.members[j]
-		if !s.active[i] {
-			return // evicted by the broadcast just before
-		}
-		sp := s.cfg.Tracer.Start(spanName, parent)
-		sp.Round, sp.Client = a.round, i
-		msgs[i], s.ioErrs[i] = gatherOne(ctx, s.conns[i], want, a.round)
-		d := sp.End()
-		if s.ctrl != nil && want == MsgUpdate && s.ioErrs[i] == nil {
-			// Per-slot EWMA write: no two goroutines share a slot.
-			s.ctrl.observe(i, d)
-		}
-	})
-	for _, i := range a.members {
-		if err := s.ioErrs[i]; err != nil {
-			s.ioErrs[i], msgs[i] = nil, nil
-			s.evict(i, a.round, fmt.Sprintf("gather: %v", err))
-		}
-	}
-	return msgs
-}
-
-// gatherOne receives until it sees the wanted (type, round) frame,
-// skipping a bounded number of stale frames — duplicated deliveries and
-// leftovers from failed round attempts — before giving up.
-func gatherOne(ctx context.Context, c Conn, want MsgType, round int) (*Message, error) {
-	const skipBudget = 4
-	for skips := 0; ; skips++ {
-		m, err := recvCtx(ctx, c)
-		if err != nil {
-			return nil, err
-		}
-		if m.Type == want && int(m.Round) == round {
-			return m, nil
-		}
-		if skips >= skipBudget {
-			return nil, fmt.Errorf("got message type %d round %d, want %d round %d", m.Type, m.Round, want, round)
 		}
 	}
 }
