@@ -41,11 +41,16 @@ test: vet
 # scheduler picks: whether a pipe frame is copied into a parked receiver's
 # lent weights or queued, and the order in which the server's receive pumps
 # hand frames, conn errors and rejoin handshakes to its one dispatcher
-# (pipes, lend, rejoin, the dead-peer reap, async gathers). One pass sees
-# only some of them.
+# (pipes, lend, rejoin, the dead-peer reap, async gathers), and which pooled
+# vector a pipe copy or the server's round close takes or puts back (the two
+# float-pool tests, named so the pattern's Pipe takes them; require-tests
+# fails the target if either is renamed away). One pass sees only some of
+# them.
+RACE_REPEAT = Pipe|Lend|Rejoin|Reap|Async
 test-race:
+	$(call require-tests,./internal/transport,$(RACE_REPEAT)|^TestPipeSessionMatchesTCP$$|^TestPipeParkedUpdateNotRecycled$$)
 	go test -race ./internal/fl/... ./internal/core/... ./internal/engine/... ./internal/tensor/... ./internal/nn/... ./internal/transport/... ./internal/compress/... ./internal/health/... ./internal/telemetry/...
-	go test -race -count=20 -run 'Pipe|Lend|Rejoin|Reap|Async' ./internal/transport/
+	go test -race -count=20 -run '$(RACE_REPEAT)' ./internal/transport/
 
 # The purego tag drops the AVX2 micro-kernel and SIMD element loops, so this
 # is the only run that puts the scalar kernels every non-amd64 build uses

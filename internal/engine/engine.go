@@ -176,7 +176,8 @@ func shardWeights(fresh []Update) float64 {
 }
 
 // shardUpdates adds Σ (Samples/wsum)·Params over the fresh updates to dst
-// (zeroed by the caller) and returns their share of the mean loss.
+// (zeroed by the caller) and returns their share of the mean loss. The
+// partials are zeroed vectors of the float pool, put back before it returns.
 func shardUpdates(dst []float64, fresh []Update, wsum float64) float64 {
 	type partial struct {
 		sum  []float64
@@ -192,14 +193,16 @@ func shardUpdates(dst []float64, fresh []Update, wsum float64) float64 {
 			}
 			wi := u.Samples / wsum
 			if p.sum == nil {
-				p.sum = make([]float64, len(dst))
+				p.sum = tensor.GetFloats(len(dst))
+				clear(p.sum)
 			}
 			tensor.AxpyFloats(p.sum, wi, u.Params)
 			p.loss += wi * u.Loss
 		}
 	})
 	// Shards that received nothing stay nil and are skipped without
-	// perturbing the order of the others.
+	// perturbing the order of the others. A partial moves only into an empty
+	// slot, so each stays held by exactly one.
 	treeReduce(func(lo, hi int) {
 		a, b := &part[lo], &part[hi]
 		if b.sum != nil {
@@ -213,6 +216,9 @@ func shardUpdates(dst []float64, fresh []Update, wsum float64) float64 {
 	})
 	if part[0].sum != nil {
 		tensor.AddFloats(dst, part[0].sum)
+	}
+	for _, p := range part {
+		tensor.PutFloats(p.sum)
 	}
 	return part[0].loss
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -540,6 +541,34 @@ func TestAggregateSerialAllocatesNothing(t *testing.T) {
 	dst := make([]float64, 64)
 	if avg := testing.AllocsPerRun(50, func() { Aggregate(dst, c.fresh, late, 0.5) }); avg != 0 {
 		t.Fatalf("serial Aggregate allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// The sharded path takes its partial sums from the float pool and puts them
+// back: after warm-up a 64-update Aggregate allocates under one model's bytes
+// a call, and reused partials leave the output bit-equal to the first call's.
+func TestAggregateShardedReusesPartials(t *testing.T) {
+	const dim = 4096
+	c := randomCohort(rand.New(rand.NewSource(5)), ShardMin, dim, 1, 0)
+	if len(c.fresh) != ShardMin {
+		t.Fatalf("cohort has %d fresh updates, want %d", len(c.fresh), ShardMin)
+	}
+	first := make([]float64, dim)
+	Aggregate(first, c.fresh, nil, 0.5)
+	dst := make([]float64, dim)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 50 {
+		Aggregate(dst, c.fresh, nil, 0.5)
+	}
+	runtime.ReadMemStats(&after)
+	if perCall, model := (after.TotalAlloc-before.TotalAlloc)/50, uint64(8*dim); perCall >= model {
+		t.Fatalf("sharded Aggregate allocates %d bytes a call, want under one model's %d", perCall, model)
+	}
+	for i := range dst {
+		if math.Float64bits(dst[i]) != math.Float64bits(first[i]) {
+			t.Fatalf("coordinate %d: %v after reuse, %v on the first call", i, dst[i], first[i])
+		}
 	}
 }
 

@@ -14,9 +14,8 @@ import (
 // [min, max] — so a fleet that speeds up stops waiting on a stale guess,
 // and one slow round does not whipsaw the bound.
 //
-// observe may be called concurrently as long as no two callers share a
-// client slot (the server's gather goroutines are per-slot); update must be
-// called from the single-threaded round loop. Both paths are allocation-free
+// observe runs on the server's one dispatcher (session.deliver) and update
+// in the round loop on that same goroutine. Both paths are allocation-free
 // after construction, like the other hot-path telemetry.
 type deadlineController struct {
 	// ewma[i] is client i's smoothed round-trip seconds; 0 means unobserved.

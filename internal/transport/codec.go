@@ -99,6 +99,11 @@ type Message struct {
 	Delta      []float64
 	PParams    PackedVec
 	PDelta     PackedVec
+
+	// pooled marks Params as a vector of the float pool: a pipe's queued
+	// copy (inprocConn.Send). Only the server puts it back, when the round
+	// that aggregated it closes (session.closeRound).
+	pooled bool
 }
 
 // SpanContext returns the span context the frame carries.
@@ -112,11 +117,12 @@ func (m *Message) setSpanContext(c telemetry.SpanContext) {
 }
 
 // Clone returns a deep copy of the message: the float and packed payloads
-// get their own backing arrays. In-process pipes deliver clones so that no
-// two endpoints ever share a payload slice — the wire conns get the same
-// isolation for free from encode/decode.
+// get their own backing arrays, none of them pooled. In-process pipes deliver
+// copies so that no two endpoints ever share a payload slice — the wire conns
+// get the same isolation for free from encode/decode.
 func (m *Message) Clone() *Message {
 	c := *m
+	c.pooled = false
 	if m.Params != nil {
 		c.Params = append([]float64(nil), m.Params...)
 	}

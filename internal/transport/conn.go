@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/tensor"
 )
 
 // Conn is a bidirectional, message-oriented connection with byte
@@ -22,9 +24,11 @@ import (
 // they are not touched until Send returns. And an unwrapped stream or pipe
 // conn is lent adopted weights before each Recv (lend): a lent slice may come
 // back as m.Params, written only by that conn while its owner waits in that
-// Recv. Nothing is pooled — a buffer kept between rounds would show in the
-// heap the benchmark reads there; the weights are the one model-sized thing
-// a client keeps anyway.
+// Recv. One kind of buffer is pooled: a pipe's queued copy of dense Params
+// comes from tensor's float pool and is flagged on the *Message, so it passes
+// through any wrapper. Only the server puts such vectors back — those of the
+// fresh updates a round aggregated, when it closes (session.closeRound) — and
+// every other received buffer stays its receiver's, garbage once dropped.
 //
 // A connection carries each global model once: after a MsgDeltaReq the
 // client keeps that model loaded and the next MsgAssign may arrive
@@ -178,7 +182,8 @@ func Pipe() (Conn, Conn) {
 // broadcast would share the server's backing slice by reference. A frame for
 // a receiver parked on an empty queue with an offer it fits is copied into
 // the lent slice — its owner is blocked until this frame wakes it — and any
-// other frame is queued as a Clone.
+// other frame is queued as a Clone whose dense Params come from the float
+// pool (Message.pooled).
 func (c *inprocConn) Send(m *Message) error {
 	q := c.out
 	q.mu.Lock()
@@ -189,17 +194,17 @@ func (c *inprocConn) Send(m *Message) error {
 	if q.closed {
 		return fmt.Errorf("transport: send on closed pipe")
 	}
-	var d *Message
-	if lent := q.lent; len(lent) > 0 && len(m.Params) == len(lent) {
-		shallow := *m
-		shallow.Params = nil
-		d = shallow.Clone()
+	shallow := *m
+	shallow.Params = nil
+	d := shallow.Clone()
+	switch lent := q.lent; {
+	case len(lent) > 0 && len(m.Params) == len(lent):
 		d.Params = lent
-		copy(lent, m.Params)
 		q.lent = nil
-	} else {
-		d = m.Clone()
+	case len(m.Params) > 0:
+		d.Params, d.pooled = tensor.GetFloats(len(m.Params)), true
 	}
+	copy(d.Params, m.Params)
 	q.frames[(q.head+q.n)%pipeDepth] = d
 	q.n++
 	q.cond.Broadcast()

@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/health"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // CodecPolicy is the server's preferred wire scheme per payload class. Each
@@ -951,6 +952,15 @@ func (s *session) closeRound() bool {
 	if !ok {
 		s.lastFault = "empty effective cohort (wsum = 0)"
 		return false
+	}
+	// Nothing reads the fresh updates after Close: a pipe-delivered one goes
+	// back to the float pool, before the δ sync's collect reuses s.ioMsgs.
+	for j := range a.fresh {
+		if m := a.updates[a.fresh[j].Client]; m.pooled {
+			tensor.PutFloats(m.Params)
+			m.Params, m.pooled = nil, false
+		}
+		a.fresh[j].Params = nil
 	}
 	for _, u := range a.late {
 		// A folded client is idle again: it joins the second synchronization
