@@ -43,12 +43,14 @@ test: vet
 # hand frames, conn errors and rejoin handshakes to its one dispatcher
 # (pipes, lend, rejoin, the dead-peer reap, async gathers), and which pooled
 # vector a pipe copy or the server's round close takes or puts back (the two
-# float-pool tests, named so the pattern's Pipe takes them; require-tests
-# fails the target if either is renamed away). One pass sees only some of
-# them.
+# float-pool tests, named so the pattern's Pipe takes them). One pass sees
+# only some of them. The two virtual-time tests ride on the same pattern's
+# Async for the opposite reason: whatever the scheduler picks, a virtual
+# session must replay bit for bit and match a real sync session.
+# require-tests fails the target if any of the four is renamed away.
 RACE_REPEAT = Pipe|Lend|Rejoin|Reap|Async
 test-race:
-	$(call require-tests,./internal/transport,$(RACE_REPEAT)|^TestPipeSessionMatchesTCP$$|^TestPipeParkedUpdateNotRecycled$$)
+	$(call require-tests,./internal/transport,$(RACE_REPEAT)|^TestPipeSessionMatchesTCP$$|^TestPipeParkedUpdateNotRecycled$$|^TestAsyncVirtualReplays$$|^TestAsyncVirtualSyncMatchesPipes$$)
 	go test -race ./internal/fl/... ./internal/core/... ./internal/engine/... ./internal/tensor/... ./internal/nn/... ./internal/transport/... ./internal/compress/... ./internal/health/... ./internal/telemetry/...
 	go test -race -count=20 -run '$(RACE_REPEAT)' ./internal/transport/
 
@@ -168,9 +170,11 @@ scale-smoke:
 # held-model state machine (elided assigns through retry, rejoin, resume,
 # duplicated and corrupted frames), the silent-non-member rules (frames
 # only to the cohort; a dead idle peer reaped at the round boundary, with
-# deadlines or without, and its slot handed to a rejoiner), and a rejoiner
-# that never handshakes holding up no round boundary.
-CHAOS_TESTS = TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncFullBufferMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide|TestCohortWireLaw|TestCohortReapsDeadUnsampledPeer|TestSilentRejoinerDoesNotStall
+# deadlines or without, and its slot handed to a rejoiner), a rejoiner
+# that never handshakes holding up no round boundary, and the virtual-time
+# sessions flsim -buffer-k runs (a straggler folds at its age and the run
+# replays bit for bit; at a sync buffer a virtual session is a real one).
+CHAOS_TESTS = TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncFullBufferMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide|TestCohortWireLaw|TestCohortReapsDeadUnsampledPeer|TestSilentRejoinerDoesNotStall|TestAsyncVirtualReplays|TestAsyncVirtualSyncMatchesPipes
 chaos-smoke:
 	$(call require-tests,./internal/transport,$(CHAOS_TESTS))
 	go test -race -count 1 ./internal/transport -run '$(CHAOS_TESTS)'

@@ -8,21 +8,21 @@
 //	      -e 5 -b 50 -sr 1.0 -sim 0 -lambda 5e-3
 //	flsim -dataset sent140 -method fedavg -natural -clients 20 -rounds 10
 //
-// Asynchronous aggregation: -buffer-k K > 0 keeps only the K fastest updates
-// per round (under a simulated latency model; -slow makes chosen clients
-// persistently slow) and folds deferred updates into later rounds with the
-// 1/(1+age)^λ staleness discount (-staleness-lambda).
-//
 // Observability: -trace writes the run's span tree (session → round →
 // client_round → local_steps/mmd_grad) and -ledger one training-dynamics
 // record per round (loss, per-client losses and update norms, the pairwise
 // MMD matrix under rfedavg/rfedavg+, wire bytes); render both with
 // cmd/fltrace. -events logs lifecycle events as JSONL.
 //
-// -compress and -compress-ef run fedavg or rfedavg+ as a real session over
-// in-process pipes (transport.ServeFederation): rounds print their loss, the
-// summary the final model's accuracy and the metered bytes; -compress dense is
-// the dense baseline there. -byzantine runs in the simulator only.
+// -compress, -compress-ef and -buffer-k run fedavg or rfedavg+ as a real
+// session over in-process pipes in virtual time (transport.ServeFederation),
+// which replays bit for bit: rounds print their loss, the summary the final
+// model's accuracy and the metered bytes; -compress dense is the dense
+// baseline there. -buffer-k K > 0 closes each round at the K first updates to
+// arrive, each client taking U(0.5, 1.5] virtual seconds per send and receive
+// (times its -slow multiplier), and folds the late ones into later rounds with
+// the 1/(1+age)^λ staleness discount (-staleness-lambda). -byzantine runs in
+// the simulator only.
 package main
 
 import (
@@ -70,7 +70,7 @@ func main() {
 		wallBudget = flag.Duration("wall-budget", 0, "fail the run if training exceeds this wall-clock budget (0 = unlimited)")
 		detailN    = cliflags.LedgerDetail()
 		async      = cliflags.AsyncFlags(false)
-		slow       = flag.String("slow", "", "comma-separated per-client latency multipliers for the async simulator, e.g. 1,1,8,1 (empty = uniform)")
+		slow       = flag.String("slow", "", "comma-separated per-client latency multipliers for -buffer-k's rounds, e.g. 1,1,8,1 (empty = uniform)")
 		compressV  = cliflags.Compress("dense")
 		compressEF = flag.Bool("compress-ef", false, "carry quantization residuals across rounds (error feedback)")
 		showTelem  = cliflags.Summary()
@@ -96,22 +96,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "flsim:", err)
 		os.Exit(2)
 	}
-	wire := cliflags.WasSet(flag.CommandLine, "compress") || cliflags.WasSet(flag.CommandLine, "compress-ef")
+	wire := wireFlags(func(name string) bool { return cliflags.WasSet(flag.CommandLine, name) }, *async.BufferK)
+	if err := checkWire(wire, *method, *slow, *async.BufferK); err != nil {
+		fmt.Fprintln(os.Stderr, "flsim:", err)
+		os.Exit(2)
+	}
 	bz, err := parseByzantine(*byzantine, *clients, wire)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flsim:", err)
 		os.Exit(2)
-	}
-	wireAlgo := transport.Algorithm(strings.Replace(strings.ToLower(*method), "plus", "+", 1))
-	if wire {
-		if wireAlgo != transport.AlgoFedAvg && wireAlgo != transport.AlgoRFedAvgPlus {
-			fmt.Fprintf(os.Stderr, "flsim: -compress and -compress-ef run on the wire, which speaks fedavg and rfedavg+, not %q\n", *method)
-			os.Exit(2)
-		}
-		if *slow != "" {
-			fmt.Fprintln(os.Stderr, "flsim: -slow is the simulator's latency model; the wire session has real latencies")
-			os.Exit(2)
-		}
 	}
 	if *telemAddr != "" {
 		srv, err := telemetry.ListenAndServe(*telemAddr, telemetry.Default(),
@@ -168,23 +161,20 @@ func main() {
 	}
 
 	cfg := fl.Config{
-		Builder:         builder,
-		ModelSeed:       *seed * 31,
-		Seed:            *seed * 17,
-		LocalSteps:      *e,
-		BatchSize:       *b,
-		SampleRatio:     *sr,
-		LR:              opt.ConstLR(*lr),
-		NewOptimizer:    newOpt,
-		BufferK:         *async.BufferK,
-		StalenessLambda: *async.StalenessLambda,
-		SlowFactor:      slowFactor,
-		Tracer:          obs.Tracer,
-		Ledger:          obs.Ledger,
-		LedgerDetailN:   *detailN,
-		Events:          obs.Events,
-		Health:          mon,
-		Byzantine:       bz,
+		Builder:       builder,
+		ModelSeed:     *seed * 31,
+		Seed:          *seed * 17,
+		LocalSteps:    *e,
+		BatchSize:     *b,
+		SampleRatio:   *sr,
+		LR:            opt.ConstLR(*lr),
+		NewOptimizer:  newOpt,
+		Tracer:        obs.Tracer,
+		Ledger:        obs.Ledger,
+		LedgerDetailN: *detailN,
+		Events:        obs.Events,
+		Health:        mon,
+		Byzantine:     bz,
 	}
 	f := fl.NewFederation(cfg, shards, test)
 
@@ -212,8 +202,10 @@ func main() {
 	watch := startHeapWatch()
 	start := time.Now()
 	var h *metrics.History
-	if wire {
-		h, err = runWire(f, wireAlgo, *rounds, *lambda, transport.CodecPolicy{Update: scheme, Delta: scheme}, *compressEF)
+	if wire != "" {
+		scfg := transport.ServerConfig{Algorithm: wireAlgo(*method), Rounds: *rounds, Codec: transport.CodecPolicy{Update: scheme, Delta: scheme},
+			BufferK: *async.BufferK, StalenessLambda: *async.StalenessLambda}
+		h, err = runWire(f, scfg, *lambda, *compressEF, slowFactor)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "flsim:", err)
 			obs.Close() // the ledger and events of the failed session
@@ -238,7 +230,7 @@ func main() {
 		budgetFail = true
 	}
 	for _, r := range h.Rounds {
-		if wire {
+		if wire != "" {
 			fmt.Printf("round %3d  loss %.4f\n", r.Round+1, r.TrainLoss)
 			continue
 		}
@@ -328,20 +320,54 @@ func makeData(dataset string, trainN, testN, clients, featureDim int, seed int64
 	}
 }
 
-// runWire runs f as a real protocol session over in-process pipes under
-// codec, with error feedback when ef is set. The history holds each round's
-// loss; its last round carries the final model's test accuracy, the mean
-// round time and the server's metered bytes of the whole session.
-func runWire(f *fl.Federation, algo transport.Algorithm, rounds int, lambda float64, codec transport.CodecPolicy, ef bool) (*metrics.History, error) {
+// wireFlags names the flags that run the session on the wire: -compress and
+// -compress-ef when set, -buffer-k when positive. "" runs the simulator.
+func wireFlags(set func(name string) bool, bufferK int) string {
+	var on []string
+	for _, name := range []string{"compress", "compress-ef"} {
+		if set(name) {
+			on = append(on, "-"+name)
+		}
+	}
+	if bufferK > 0 {
+		on = append(on, "-buffer-k")
+	}
+	return strings.Join(on, ", ")
+}
+
+// wireAlgo is the wire's name for a -method.
+func wireAlgo(method string) transport.Algorithm {
+	return transport.Algorithm(strings.Replace(strings.ToLower(method), "plus", "+", 1))
+}
+
+// checkWire refuses flags the session they pick cannot honour: -slow outside
+// -buffer-k's buffered rounds, and a wire session (wire names the flags that
+// asked for it) of a method the wire does not speak.
+func checkWire(wire, method, slow string, bufferK int) error {
+	if slow != "" && bufferK <= 0 {
+		return fmt.Errorf("-slow sets the latencies of -buffer-k's buffered rounds; it needs -buffer-k")
+	}
+	if a := wireAlgo(method); wire != "" && a != transport.AlgoFedAvg && a != transport.AlgoRFedAvgPlus {
+		return fmt.Errorf("%s: the wire session speaks fedavg and rfedavg+, not %q", wire, method)
+	}
+	return nil
+}
+
+// runWire runs f as cfg's protocol session over in-process pipes
+// (transport.ServeFederation), with error feedback when ef is set and slow as
+// the per-client latency multipliers. The history holds each round's loss;
+// its last round carries the final model's test accuracy, the mean round time
+// and the server's metered bytes of the whole session.
+func runWire(f *fl.Federation, cfg transport.ServerConfig, lambda float64, ef bool, slow []float64) (*metrics.History, error) {
 	start := time.Now()
-	res, err := transport.ServeFederation(f, algo, rounds, lambda, codec, ef)
+	res, err := transport.ServeFederation(f, cfg, lambda, ef, slow)
 	if res == nil {
 		return nil, err
 	}
 	if err != nil { // evicted clients: the session went on without them
 		fmt.Fprintln(os.Stderr, "flsim:", err)
 	}
-	h := &metrics.History{Algorithm: string(algo) + " (wire)"}
+	h := &metrics.History{Algorithm: string(cfg.Algorithm) + " (wire)"}
 	for c, loss := range res.RoundLosses {
 		h.Append(metrics.RoundStats{Round: c, TrainLoss: loss, TestAcc: math.NaN()})
 	}
@@ -356,14 +382,15 @@ func runWire(f *fl.Federation, algo transport.Algorithm, rounds int, lambda floa
 
 // parseByzantine parses the -byzantine list: "id:signflip" or "id:scaleC"
 // entries, comma-separated; multiple entries for one client compose. An id
-// outside the federation, or a wire session (the simulator tampers, the wire
-// does not), is an error, not an honest run.
-func parseByzantine(v string, clients int, wire bool) (map[int]fl.Byzantine, error) {
+// outside the federation, or a wire session (wire names the flags that asked
+// for it; the simulator tampers, the wire does not), is an error, not an
+// honest run.
+func parseByzantine(v string, clients int, wire string) (map[int]fl.Byzantine, error) {
 	if v == "" {
 		return nil, nil
 	}
-	if wire {
-		return nil, fmt.Errorf("-byzantine runs in the simulator; it cannot combine with -compress or -compress-ef, which run on the wire")
+	if wire != "" {
+		return nil, fmt.Errorf("-byzantine runs in the simulator; it cannot combine with the wire session of %s", wire)
 	}
 	out := make(map[int]fl.Byzantine)
 	for _, part := range strings.Split(v, ",") {

@@ -46,7 +46,8 @@ func main() {
 
 	fmt.Printf("20 devices, 25%% participation, totally non-IID MNIST, %d rounds of FedAvg on the wire:\n", rounds)
 	for _, v := range variants {
-		res, err := transport.ServeFederation(fed, transport.AlgoFedAvg, rounds, 0, transport.CodecPolicy{Update: v.scheme}, v.ef)
+		cfg := transport.ServerConfig{Algorithm: transport.AlgoFedAvg, Rounds: rounds, Codec: transport.CodecPolicy{Update: v.scheme}}
+		res, err := transport.ServeFederation(fed, cfg, 0, v.ef, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -61,8 +61,8 @@ func Register(events, trace, ledger bool) *Telemetry {
 
 // Async holds the shared asynchronous-aggregation flags: a -buffer-k above 0
 // turns buffered rounds on. -adaptive-deadline is registered only for
-// deployment drivers (flserver) — the simulator has no wall-clock deadlines
-// to adapt.
+// deployment drivers (flserver): flsim runs buffered rounds in virtual time
+// (transport.ServeFederation), which has no deadlines to adapt.
 type Async struct {
 	BufferK         *int
 	StalenessLambda *float64

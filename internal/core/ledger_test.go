@@ -277,8 +277,9 @@ func TestSimLedgerSummaryModeAboveDetailN(t *testing.T) {
 }
 
 // The simulator's ledger carries the server's blocks, written by the same
-// engine calls: the cohort that aggregated, every δ row's age with the stale
-// count, and an async round's folds with their ages.
+// engine calls: the cohort that aggregated and every δ row's age with the
+// stale count. (A buffered round's folds are the server's:
+// TestAsyncVirtualReplays.)
 func TestSimLedgerCarriesServerBlocks(t *testing.T) {
 	const clients = 6
 	var buf bytes.Buffer
@@ -295,25 +296,6 @@ func TestSimLedgerCarriesServerBlocks(t *testing.T) {
 			if age != 1 {
 				t.Fatalf("line %d: row %d age %d, want 1 (refreshed, then ticked)", i, k, age)
 			}
-		}
-	}
-
-	buf.Reset()
-	f = ledgerFederation(t, clients, nil, telemetry.NewRunLedger(&buf))
-	f.Cfg.BufferK = 3
-	f.Cfg.SlowFactor = []float64{1, 1, 1, 1, 6, 6}
-	fl.Run(f, fl.NewFedAvg(), 2)
-	lines := decodeCoreLedger(t, &buf)
-	if l := lines[0]; l.Cohort != 3 || len(l.LateID) != 0 {
-		t.Fatalf("round 0: cohort %d, late %v; want 3 fresh, nothing folded", l.Cohort, l.LateID)
-	}
-	l := lines[1]
-	if l.Cohort != 6 || len(l.ClientID) != 3 || len(l.LateID) != 3 || len(l.LateAge) != 3 {
-		t.Fatalf("round 1: cohort %d, fresh %v, late %v/%v; want 3 fresh + 3 folded", l.Cohort, l.ClientID, l.LateID, l.LateAge)
-	}
-	for j, id := range l.LateID {
-		if l.LateAge[j] != 1 || contains(lines[0].ClientID, id) {
-			t.Fatalf("round 1 folded client %d at age %d; want a round-0 straggler at age 1", id, l.LateAge[j])
 		}
 	}
 }
@@ -345,13 +327,4 @@ func TestSimLedgerRecordsPhases(t *testing.T) {
 			}
 		}
 	}
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

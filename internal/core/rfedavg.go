@@ -74,7 +74,7 @@ func (a *RFedAvg) local(round int, w *fl.Worker, c *fl.Client, rng *rand.Rand) (
 
 // server is lines 12–13: the mean is the next global; refresh the reporting
 // clients' rows.
-func (a *RFedAvg) server(round int, _, mean []float64, agg []fl.ClientOut, _ []int) []float64 {
+func (a *RFedAvg) server(round int, _, mean []float64, agg []fl.ClientOut) []float64 {
 	acceptDeltas(a.F, a.table, round, agg)
 	a.table.Tick()
 	return mean

@@ -35,8 +35,8 @@ type RFedAvgPlus struct {
 
 	fl.Base
 	table *DeltaTable
-	// fresh is who the round just closed can still reach: the clients of its
-	// age-0 entries, left by the server half for the second synchronization.
+	// fresh is who the round just closed aggregated, left by the server half
+	// for the second synchronization; each round refills it in place.
 	fresh []int
 	// held says which clients need not download the next round's model:
 	// the second synchronization already delivered it.
@@ -77,12 +77,11 @@ func (a *RFedAvgPlus) local(round int, w *fl.Worker, c *fl.Client, rng *rand.Ran
 	return f.LocalTrain(w, c, rng, o), nil
 }
 
-// server keeps the mean and notes who reported fresh. Clients whose update was
-// folded late trained for an older round and are still considered in flight, so
-// their δ rows simply age until they are sampled fresh again (the MaxStale
-// bound then excludes overripe rows).
-func (a *RFedAvgPlus) server(_ int, _, mean []float64, agg []fl.ClientOut, ages []int) []float64 {
-	a.fresh = fl.FreshIDs(agg, ages)
+// server keeps the mean and notes who reported.
+func (a *RFedAvgPlus) server(_ int, _, mean []float64, agg []fl.ClientOut) []float64 {
+	for _, o := range agg {
+		a.fresh = append(a.fresh, o.Client.ID)
+	}
 	return mean
 }
 
@@ -92,7 +91,7 @@ func (a *RFedAvgPlus) server(_ int, _, mean []float64, agg []fl.ClientOut, ages 
 // the server sends the *new global* model and every fresh client recomputes
 // its map with it.
 func (a *RFedAvgPlus) Round(round int, sampled []int) fl.RoundResult {
-	a.fresh = nil
+	a.fresh = a.fresh[:0]
 	rr := a.Base.Round(round, sampled)
 	f, fresh := a.F, a.fresh
 	f.Phase(telemetry.PhaseDeltaSync, round, func(telemetry.SpanContext) {

@@ -35,6 +35,36 @@ func count(m []bool) int {
 	return n
 }
 
+func TestStalenessWeight(t *testing.T) {
+	cases := []struct {
+		age    int
+		lambda float64
+		want   float64
+	}{
+		{0, 0.5, 1},
+		{-3, 0.5, 1},
+		{1, 0, 1},
+		{2, -1, 1},
+		{1, 1, 0.5},
+		{3, 1, 0.25},
+		{1, 0.5, 1 / math.Sqrt(2)},
+	}
+	for _, c := range cases {
+		if got := StalenessWeight(c.age, c.lambda); math.Abs(got-c.want) > 1e-15 {
+			t.Errorf("StalenessWeight(%d, %g) = %v, want %v", c.age, c.lambda, got, c.want)
+		}
+	}
+	// Monotone: older updates never weigh more.
+	prev := StalenessWeight(0, 0.5)
+	for age := 1; age < 10; age++ {
+		w := StalenessWeight(age, 0.5)
+		if w > prev {
+			t.Fatalf("weight increased with age: w(%d)=%v > w(%d)=%v", age, w, age-1, prev)
+		}
+		prev = w
+	}
+}
+
 // Regression for the cohort-size underflow: tiny sample ratios used to
 // round ⌈sr·N⌉ below MinClients (or to 0 via float flush), producing
 // rounds that could never reach quorum. The sampler must clamp to

@@ -74,8 +74,8 @@ func runExtWire(scale Scale, log io.Writer) (*Result, error) {
 		// per-scheme histogram; this run's mean is the difference it leaves.
 		n0, sum0 := compress.ReconErr(s)
 		// q1 needs error feedback to stay convergent.
-		out, err := transport.ServeFederation(f, transport.AlgoRFedAvgPlus, t.Rounds(), t.Lambda,
-			transport.CodecPolicy{Update: s, Delta: s}, s == compress.SchemeBit1)
+		cfg := transport.ServerConfig{Algorithm: transport.AlgoRFedAvgPlus, Rounds: t.Rounds(), Codec: transport.CodecPolicy{Update: s, Delta: s}}
+		out, err := transport.ServeFederation(f, cfg, t.Lambda, s == compress.SchemeBit1, nil)
 		if err != nil {
 			return nil, fmt.Errorf("extwire %s: %w", s, err)
 		}

@@ -31,7 +31,7 @@ func (a *FedAvgM) Setup(f *Federation) {
 
 // server applies the pseudo-gradient d = w_global - w̄: v ← βv + d;
 // w ← w - lr·v.
-func (a *FedAvgM) server(_ int, global, avg []float64, _ []ClientOut, _ []int) []float64 {
+func (a *FedAvgM) server(_ int, global, avg []float64, _ []ClientOut) []float64 {
 	for i := range global {
 		d := global[i] - avg[i]
 		a.velocity[i] = a.Beta*a.velocity[i] + d

@@ -60,21 +60,21 @@ func (a *FedNova) local(round int, w *Worker, c *Client, rng *rand.Rand) (float6
 // server derives each normalized update d_k = (w_global - w_k)/τ_k from the
 // reported model, in place, and applies w ← w - τ_eff·Σ p̃_k·d_k with
 // τ_eff = Σ p̃_k·τ_k over the aggregation set.
-func (a *FedNova) server(_ int, global, dbar []float64, agg []ClientOut, ages []int) []float64 {
+func (a *FedNova) server(_ int, global, dbar []float64, agg []ClientOut) []float64 {
 	den := 0.0
-	for i, o := range agg {
-		den += float64(o.Client.Data.Len()) * a.F.foldWeight(ages, i)
+	for _, o := range agg {
+		den += float64(o.Client.Data.Len())
 	}
 	tauEff := 0.0
-	for i, o := range agg {
+	for _, o := range agg {
 		tau := o.Aux[0]
 		for j, local := range o.Params {
 			o.Params[j] = (global[j] - local) / tau
 		}
-		pk := float64(o.Client.Data.Len()) * a.F.foldWeight(ages, i) / den
+		pk := float64(o.Client.Data.Len()) / den
 		tauEff += pk * tau
 	}
-	a.F.aggregate(nil, nil, 0, nil, dbar, agg, ages)
+	a.F.aggregate(nil, nil, 0, nil, dbar, agg)
 	for i := range global {
 		global[i] -= tauEff * dbar[i]
 	}

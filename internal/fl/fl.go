@@ -26,7 +26,9 @@ import (
 
 // Config collects the federation-wide hyperparameters shared by all
 // algorithms, matching the paper's notation: E local steps, batch size B,
-// sample ratio SR, and the local learning-rate schedule.
+// sample ratio SR, and the local learning-rate schedule. Every simulated round
+// is synchronous; buffered rounds run on the wire, where
+// transport.ServeFederation takes this configuration.
 type Config struct {
 	Builder   nn.Builder
 	ModelSeed int64 // seed for the initial global model w_0
@@ -46,28 +48,13 @@ type Config struct {
 	// paper's setting).
 	Sampler Sampler
 
-	// BufferK > 0 enables buffered aggregation (FedBuff-style): each round
-	// aggregates only the BufferK fastest sampled clients under a seeded
-	// latency model, standing in for the arrivals the transport server
-	// observes; the rest are parked and folded into a later round's aggregate
-	// with the server's discount, engine.StalenessWeight(age, StalenessLambda).
-	// Deterministic: latency draws are keyed to (Seed, round, client). 0 (or
-	// a buffer of at least the cohort) closes every round over the full cohort.
-	BufferK int
-	// StalenessLambda is λ in the staleness discount applied to folded
-	// updates; ≤ 0 disables discounting (late updates weigh like fresh).
-	StalenessLambda float64
-	// SlowFactor[k] scales client k's simulated latency (unset entries mean
-	// 1), modeling persistent stragglers; consulted only when BufferK > 0.
-	SlowFactor []float64
-
 	// Tracer, when non-nil, records identified spans for the simulation
 	// (session → round → client_round → local_steps/mmd_grad, plus
 	// algorithm-added spans like compute_delta) to a JSONL trace file —
 	// the same span tree the transport deployment produces.
 	Tracer *telemetry.Tracer
 	// Ledger, when non-nil, receives one training-dynamics line per round
-	// (loss, per-client losses/update norms, async folds, the pairwise MMD
+	// (loss, per-client losses/update norms, the pairwise MMD
 	// matrix and row ages when the algorithm maintains a δ table, and the
 	// accounted wire bytes).
 	Ledger *telemetry.RunLedger
@@ -81,9 +68,8 @@ type Config struct {
 
 	// Health, when non-nil, scores every aggregated client's contribution in
 	// real time through the transport server's feed (engine.Close): one
-	// observation per update the round aggregates, async folds credited with
-	// their age, and Run closes each scoring round (engine.EndRound) after the
-	// algorithm's Round returns.
+	// observation per update the round aggregates, and Run closes each scoring
+	// round (engine.EndRound) after the algorithm's Round returns.
 	Health *health.Monitor
 	// Byzantine marks simulated adversaries by client ID: after local
 	// training each marked client's reported update is rewritten to
@@ -152,9 +138,6 @@ type Federation struct {
 	roundCtx telemetry.SpanContext
 	// rec is the reused ledger record; its slices are refilled each round.
 	rec telemetry.RoundRecord
-
-	// deferred holds parked async outputs by client ID (Config.BufferK).
-	deferred map[int]*deferredOut
 
 	// everyone is the all-true eligibility mask UniformSampler draws from;
 	// fresh is the engine's view of the outputs at hand, emptied after each
@@ -226,11 +209,7 @@ func (f *Federation) InitialParams() []float64 {
 // (uniform ⌈SR·N⌉ by default), deterministically from the federation seed
 // and round number.
 func (f *Federation) SampleClients(round int) []int {
-	sampled := f.Cfg.Sampler.Sample(f, round)
-	if f.Cfg.BufferK > 0 {
-		sampled = f.filterAsyncBusy(sampled)
-	}
-	return sampled
+	return f.Cfg.Sampler.Sample(f, round)
 }
 
 // cohortSize returns ⌈SR·N⌉, clamped to [1, N].
@@ -309,8 +288,8 @@ func (f *Federation) tamper(w *Worker, out *ClientOut) {
 
 // update is the engine's view of a parameter-reporting output: the client's
 // shard size is its weight.
-func (o ClientOut) update(age int) engine.Update {
-	return engine.Update{Client: o.Client.ID, Samples: float64(o.Client.Data.Len()), Age: age, Loss: o.Loss, Params: o.Params}
+func (o ClientOut) update() engine.Update {
+	return engine.Update{Client: o.Client.ID, Samples: float64(o.Client.Data.Len()), Loss: o.Loss, Params: o.Params}
 }
 
 // admit is the server's gate on a MapClients pass. Every reported update is
@@ -323,7 +302,7 @@ func (f *Federation) admit(round int, outs []ClientOut) []ClientOut {
 	kept := outs[:0]
 	for _, o := range outs {
 		if o.Params != nil {
-			if err := engine.Validate(o.update(0), f.numParams); err != nil {
+			if err := engine.Validate(o.update(), f.numParams); err != nil {
 				f.Cfg.Events.Emit("invalid_update", round, fmt.Sprintf("client %d: %v", o.Client.ID, err))
 				continue
 			}
@@ -396,27 +375,22 @@ func (w *Worker) Arena() *nn.Arena { return w.t.Arena }
 // drivers that bypass MapClients.
 func (f *Federation) Worker(i int) *Worker { return f.workers[i] }
 
-// split appends an aggregation set's parameter-reporting outputs to fresh
-// and late as engine updates; an entry is late when ages gives it a positive
-// age (applyAsync folds only what an earlier round parked).
-func split(fresh, late []engine.Update, agg []ClientOut, ages []int) (_, _ []engine.Update) {
-	for i, o := range agg {
-		switch {
-		case o.Params == nil:
-		case ages != nil && ages[i] > 0:
-			late = append(late, o.update(ages[i]))
-		default:
-			fresh = append(fresh, o.update(0))
+// updates appends the parameter-reporting outputs of outs to dst as engine
+// updates.
+func updates(dst []engine.Update, outs []ClientOut) []engine.Update {
+	for _, o := range outs {
+		if o.Params != nil {
+			dst = append(dst, o.update())
 		}
 	}
-	return fresh, late
+	return dst
 }
 
 // WeightedAverage aggregates client parameter vectors weighted by shard
 // size — the server update w ← Σ p_k w_k, normalized over the sampled
-// cohort for partial participation (engine.Aggregate with nothing late).
+// cohort for partial participation (engine.Aggregate).
 func WeightedAverage(outs []ClientOut) []float64 {
-	fresh, _ := split(nil, nil, outs, nil)
+	fresh := updates(nil, outs)
 	var dst []float64
 	if len(fresh) > 0 {
 		dst = make([]float64, len(fresh[0].Params))
@@ -427,16 +401,15 @@ func WeightedAverage(outs []ClientOut) []float64 {
 	return dst
 }
 
-// aggregate is the round close (engine.Close) over an aggregation set from
-// applyAsync: it feeds h against global, writes the mean model into dst — fresh
-// outputs weighted by shard size, folded ones discounted by their staleness —
-// fills rec's client block and returns the round's mean training loss. ok is
-// false, dst untouched and the loss NaN when nothing valid reported: the
-// simulator's equivalent of a failed attempt. With h and rec nil it is the
-// bare aggregate.
-func (f *Federation) aggregate(h *health.Monitor, rec *telemetry.RoundRecord, round int, global, dst []float64, agg []ClientOut, ages []int) (loss float64, ok bool) {
-	fresh, late := split(f.fresh[:0], nil, agg, ages)
-	loss, ok = engine.Close(h, rec, f.detail(), round, global, dst, fresh, late, f.Cfg.StalenessLambda)
+// aggregate is the round close (engine.Close) over the round's outputs: it
+// feeds h against global, writes the mean model — outputs weighted by shard
+// size — into dst, fills rec's client block and returns the round's mean
+// training loss. ok is false, dst untouched and the loss NaN when nothing
+// valid reported: the simulator's equivalent of a failed attempt. With h and
+// rec nil it is the bare aggregate.
+func (f *Federation) aggregate(h *health.Monitor, rec *telemetry.RoundRecord, round int, global, dst []float64, outs []ClientOut) (loss float64, ok bool) {
+	fresh := updates(f.fresh[:0], outs)
+	loss, ok = engine.Close(h, rec, f.detail(), round, global, dst, fresh, nil, 0)
 	clear(fresh)
 	f.fresh = fresh
 	return loss, ok

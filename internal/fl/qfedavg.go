@@ -41,21 +41,20 @@ func (a *QFedAvg) local(round int, w *Worker, c *Client, rng *rand.Rand) (float6
 // server applies w ← w - Σ F_k^q Δw_k / Σ h_k with Δw_k = L·(w^t - ŵ_k),
 // L = 1/η as in q-FFL, derived from the reported model, and
 // h_k = q·F_k^{q-1}·||Δw_k||² + L·F_k^q.
-func (a *QFedAvg) server(round int, global, num []float64, agg []ClientOut, ages []int) []float64 {
+func (a *QFedAvg) server(round int, global, num []float64, agg []ClientOut) []float64 {
 	lr0 := a.F.DefaultLocalOpts(round).LR(0)
 	clear(num)
 	den := 0.0
-	for i, out := range agg {
-		s := a.F.foldWeight(ages, i)
+	for _, out := range agg {
 		fk := math.Max(out.Aux[0], 1e-10)
-		fq := s * math.Pow(fk, a.Q)
+		fq := math.Pow(fk, a.Q)
 		normSq := 0.0
 		for j, local := range out.Params {
 			v := (global[j] - local) / lr0
 			normSq += v * v
 			num[j] += fq * v
 		}
-		den += s*a.Q*math.Pow(fk, a.Q-1)*normSq + fq/lr0
+		den += a.Q*math.Pow(fk, a.Q-1)*normSq + fq/lr0
 	}
 	if den > 0 {
 		for i := range global {

@@ -3,7 +3,6 @@ package fl
 import (
 	"math/rand"
 
-	"repro/internal/engine"
 	"repro/internal/telemetry"
 )
 
@@ -22,14 +21,11 @@ type Method struct {
 	// with DefaultLocalOpts(round).
 	Local func(round int, w *Worker, c *Client, rng *rand.Rand) (loss float64, aux []float64)
 	// Server is the server half. global is the model the round started from,
-	// mean the aggregate of the reported models (fresh weighted by shard size,
-	// folded ones discounted), agg and ages the aggregation set behind it. It
-	// returns the next global and may reuse either slice for it; a half that
-	// weighs clients itself multiplies a folded entry's terms by
-	// engine.StalenessWeight(ages[i], StalenessLambda), as the mean does. It is
-	// not called in a round where nothing valid reported. Nil is FedAvg's: the
-	// mean is the next global.
-	Server func(round int, global, mean []float64, agg []ClientOut, ages []int) []float64
+	// mean the aggregate of the reported models weighted by shard size, agg
+	// the outputs behind it. It returns the next global and may reuse either
+	// slice for it. It is not called in a round where nothing valid reported.
+	// Nil is FedAvg's: the mean is the next global.
+	Server func(round int, global, mean []float64, agg []ClientOut) []float64
 	// AuxUp and AuxDown count the floats that travel beside the model, up
 	// and down, per sampled client; the byte columns are computed from them.
 	AuxUp, AuxDown int
@@ -53,17 +49,16 @@ func (b *Base) Setup(f *Federation) { b.Init(f, Method{}) }
 // GlobalParams returns the current global model.
 func (b *Base) GlobalParams() []float64 { return b.Global }
 
-// Round runs one communication round: every sampled client loads the global
-// model, runs the client half and reports its local model; the async buffer
-// decides what closes the round; the engine's close feeds the health monitor,
-// gives the mean and the round's loss and fills the ledger's client block; the
-// server half turns the mean into the next global. The buffer, the close and
-// (in MapClients) the validation gate belong to the round, so they act on
-// every method alike. The clients' half is timed as the round's gather phase,
-// the rest as its close.
+// Round runs one synchronous communication round: every sampled client loads
+// the global model, runs the client half and reports its local model; the
+// engine's close feeds the health monitor, gives the mean and the round's loss
+// and fills the ledger's client block; the server half turns the mean into the
+// next global. The close and (in MapClients) the validation gate belong to the
+// round, so they act on every method alike. The clients' half is timed as the
+// round's gather phase, the rest as its close.
 func (b *Base) Round(round int, sampled []int) RoundResult {
 	f, m, global := b.F, &b.m, b.Global
-	var outs, agg []ClientOut
+	var outs []ClientOut
 	f.Phase(telemetry.PhaseGather, round, func(telemetry.SpanContext) {
 		outs = f.MapClients(round, sampled, func(w *Worker, c *Client, rng *rand.Rand) ClientOut {
 			w.LoadModel(global)
@@ -79,13 +74,11 @@ func (b *Base) Round(round int, sampled []int) RoundResult {
 	})
 	var loss float64
 	f.Phase(telemetry.PhaseClose, round, func(telemetry.SpanContext) {
-		var ages []int
-		agg, ages = f.applyAsync(round, outs)
 		next := make([]float64, len(global))
 		var ok bool
-		if loss, ok = f.aggregate(f.Cfg.Health, f.roundRec(), round, global, next, agg, ages); ok {
+		if loss, ok = f.aggregate(f.Cfg.Health, f.roundRec(), round, global, next, outs); ok {
 			if m.Server != nil {
-				next = m.Server(round, global, next, agg, ages)
+				next = m.Server(round, global, next, outs)
 			}
 			b.Global = next
 		}
@@ -103,17 +96,8 @@ func (b *Base) Round(round int, sampled []int) RoundResult {
 	p := int64(len(sampled))
 	return RoundResult{
 		TrainLoss:    loss,
-		ClientLosses: lossMap(agg),
+		ClientLosses: lossMap(outs),
 		DownBytes:    p * down,
 		UpBytes:      p * up,
 	}
-}
-
-// foldWeight is the discount on entry i of an aggregation set: 1 for a fresh
-// entry, engine.StalenessWeight for one folded from an earlier round.
-func (f *Federation) foldWeight(ages []int, i int) float64 {
-	if ages == nil {
-		return 1
-	}
-	return engine.StalenessWeight(ages[i], f.Cfg.StalenessLambda)
 }

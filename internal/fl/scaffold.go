@@ -95,10 +95,9 @@ func (a *Scaffold) local(round int, w *Worker, c *Client, rng *rand.Rand) (float
 	return loss, dc
 }
 
-// server: w ← w + η_g·(w̄ - w); c ← c + (|S|/N)·mean(Δc). Δc is a
-// difference the client has already applied to c_k, so a folded one counts in
-// full: c stays the mean of the c_k.
-func (a *Scaffold) server(_ int, global, avg []float64, agg []ClientOut, _ []int) []float64 {
+// server: w ← w + η_g·(w̄ - w); c ← c + (|S|/N)·mean(Δc), so c stays the
+// mean of the c_k.
+func (a *Scaffold) server(_ int, global, avg []float64, agg []ClientOut) []float64 {
 	for i := range global {
 		global[i] += a.EtaG * (avg[i] - global[i])
 	}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/tensor"
 )
@@ -140,6 +141,12 @@ type inprocConn struct {
 	// lent is the receiver's offer for the next Recv, made and consumed on the
 	// goroutine that calls it (see lend).
 	lent []float64
+	// at is the virtual time stamped on the last frame Recv returned, which
+	// the server's pump reads after each Recv. now is a virtual pipe end's
+	// clock, the stamp of each frame it sends; nil on a real pipe, whose
+	// stamps are all 0 (see newPipe).
+	at  time.Duration
+	now *time.Duration
 }
 
 // pipeDepth is how many frames one direction of a Pipe holds before Send
@@ -151,7 +158,7 @@ const pipeDepth = 16
 type pipeQueue struct {
 	mu     sync.Mutex
 	cond   sync.Cond // broadcast when a frame is queued or taken, and on close
-	frames [pipeDepth]*Message
+	frames [pipeDepth]stamped
 	head   int // frames[head] is the oldest of n queued, in ring order
 	n      int
 	// parked is set while the receiver waits in Recv on an empty queue, and
@@ -159,6 +166,12 @@ type pipeQueue struct {
 	parked bool
 	lent   []float64
 	closed bool
+}
+
+// stamped is a queued frame and the virtual time it was sent at.
+type stamped struct {
+	m  *Message
+	at time.Duration
 }
 
 func newPipeQueue() *pipeQueue {
@@ -175,6 +188,19 @@ func newPipeQueue() *pipeQueue {
 func Pipe() (Conn, Conn) {
 	a2b, b2a := newPipeQueue(), newPipeQueue()
 	return &inprocConn{in: b2a, out: a2b}, &inprocConn{in: a2b, out: b2a}
+}
+
+// newPipe is Pipe, in virtual time when now is set: the server end stamps
+// every frame with *now, the session's clock, and the client end with the
+// stamp of the last frame it received, advanced by its FaultConn's delays in
+// place of sleeping.
+func newPipe(now *time.Duration) (server, client Conn) {
+	sc, cc := Pipe()
+	if now != nil {
+		s, c := sc.(*inprocConn), cc.(*inprocConn)
+		s.now, c.now = now, &c.at
+	}
+	return sc, cc
 }
 
 // Send delivers a copy: a TCP conn naturally isolates the two endpoints
@@ -205,7 +231,11 @@ func (c *inprocConn) Send(m *Message) error {
 		d.Params, d.pooled = tensor.GetFloats(len(m.Params)), true
 	}
 	copy(d.Params, m.Params)
-	q.frames[(q.head+q.n)%pipeDepth] = d
+	var at time.Duration
+	if c.now != nil {
+		at = *c.now
+	}
+	q.frames[(q.head+q.n)%pipeDepth] = stamped{d, at}
 	q.n++
 	q.cond.Broadcast()
 	c.sent.Add(int64(m.EncodedSize()))
@@ -234,8 +264,9 @@ func (c *inprocConn) Recv() (*Message, error) {
 	if q.n == 0 {
 		return nil, io.EOF
 	}
-	m := q.frames[q.head]
-	q.frames[q.head] = nil
+	m := q.frames[q.head].m
+	c.at = q.frames[q.head].at
+	q.frames[q.head] = stamped{}
 	q.head = (q.head + 1) % pipeDepth
 	q.n--
 	q.cond.Broadcast()

@@ -21,7 +21,8 @@ type FaultPlan struct {
 	// locally but never arrives) — the peer's deadline must catch it.
 	DropSendProb float64
 	// DelayProb sleeps a uniform duration in (MinDelay, MaxDelay] before
-	// the operation proceeds; applies to both directions. A MinDelay at or
+	// the operation proceeds; applies to both directions. On a virtual pipe
+	// end the delay advances the end's clock instead. A MinDelay at or
 	// above the server's deadline makes the slow-client eviction
 	// deterministic in tests.
 	DelayProb float64
@@ -119,7 +120,9 @@ func (c *FaultConn) Send(m *Message) error {
 	if !alive {
 		return fmt.Errorf("transport: fault injection: connection crashed")
 	}
-	if delay > 0 {
+	if clock := c.clock(); clock != nil {
+		*clock += delay
+	} else if delay > 0 {
 		time.Sleep(delay)
 	}
 	if roll(c.plan.DropSendProb) {
@@ -167,16 +170,28 @@ func (c *FaultConn) Recv() (*Message, error) {
 	if !alive {
 		return nil, fmt.Errorf("transport: fault injection: connection crashed")
 	}
-	if delay > 0 {
+	clock := c.clock()
+	if clock == nil && delay > 0 {
 		time.Sleep(delay)
 	}
 	m, err := c.inner.Recv()
+	if clock != nil { // after the Recv, which sets the clock to the frame's stamp
+		*clock += delay
+	}
 	if err == nil && (c.plan.SignFlipUpdate || c.plan.ScaleUpdate > 0) && (m.Type == MsgAssign || m.Type == MsgDeltaReq) && len(m.Params) > 0 {
 		c.mu.Lock()
 		c.ref = append(c.ref[:0], m.Params...)
 		c.mu.Unlock()
 	}
 	return m, err
+}
+
+// clock is the inner conn's clock if it is a virtual pipe end (newPipe).
+func (c *FaultConn) clock() *time.Duration {
+	if p, ok := c.inner.(*inprocConn); ok {
+		return p.now
+	}
+	return nil
 }
 
 // Close closes the inner connection and marks the wrapper dead.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/telemetry"
@@ -47,11 +48,13 @@ type peer struct {
 	err error
 }
 
-// arrival is one frame a pump read, or the error that ended its conn.
+// arrival is one frame a pump read, or the error that ended its conn, and
+// the frame's virtual stamp (inprocConn.at).
 type arrival struct {
 	p   *peer
 	m   *Message
 	err error
+	at  time.Duration
 }
 
 // wrap takes c into the session as slot's peer (-1: a rejoiner) and starts
@@ -67,6 +70,10 @@ func (s *session) wrap(c Conn, slot int) *peer {
 func (p *peer) pump(inbox chan<- arrival, done <-chan struct{}) {
 	for {
 		m, err := p.Conn.Recv()
+		var at time.Duration
+		if c, ok := p.Conn.(*inprocConn); ok {
+			at = c.at
+		}
 		if err == nil {
 			n := int64(m.EncodedSize())
 			p.m.bytesRecv.Add(n)
@@ -74,7 +81,7 @@ func (p *peer) pump(inbox chan<- arrival, done <-chan struct{}) {
 			countSchemes(&p.m.schemeRecv, m)
 		}
 		select {
-		case inbox <- arrival{p, m, err}:
+		case inbox <- arrival{p, m, err, at}:
 		case <-done:
 			return
 		}
@@ -135,6 +142,9 @@ var now = func() chan struct{} {
 // closed (a nil stop never is) and no event is queued: events that arrived
 // before the deadline fired win over it.
 func (s *session) dispatch(stop <-chan struct{}) bool {
+	if s.cfg.clock != nil {
+		return s.dispatchVirtual(stop)
+	}
 	for {
 		select {
 		case a := <-s.inbox:
@@ -153,6 +163,51 @@ func (s *session) dispatch(stop <-chan struct{}) bool {
 			}
 		}
 	}
+}
+
+// dispatchVirtual is dispatch in a virtual-time session (ServeFederation),
+// where the frames' stamps, not the scheduler, order the events. It takes
+// arrivals until every peer that owes a frame has one in hand, then handles
+// the arrival with the smallest (stamp, slot) and moves the clock up to its
+// stamp. Under a closed stop it handles only stamps up to the clock. With
+// nothing owed and nothing in hand no frame will come: such a session has no
+// deadlines and no rejoiners.
+func (s *session) dispatchVirtual(stop <-chan struct{}) bool {
+	for s.unseen() {
+		s.ahead = append(s.ahead, <-s.inbox)
+	}
+	j := -1
+	for k, a := range s.ahead {
+		if j < 0 || a.at < s.ahead[j].at || a.at == s.ahead[j].at && a.p.slot < s.ahead[j].p.slot {
+			j = k
+		}
+	}
+	if j < 0 {
+		return false
+	}
+	select {
+	case <-stop:
+		if s.ahead[j].at > *s.cfg.clock {
+			return false
+		}
+	default:
+	}
+	a := s.ahead[j]
+	s.ahead = slices.Delete(s.ahead, j, j+1)
+	*s.cfg.clock = max(*s.cfg.clock, a.at)
+	s.handle(a)
+	return true
+}
+
+// unseen reports whether an active peer owes a frame it has no arrival in
+// hand for.
+func (s *session) unseen() bool {
+	for i, p := range s.conns {
+		if s.active[i] && p.want != 0 && p.err == nil && !slices.ContainsFunc(s.ahead, func(a arrival) bool { return a.p == p }) {
+			return true
+		}
+	}
+	return false
 }
 
 // handle routes one arrival. A frame from a replaced, evicted or failed conn

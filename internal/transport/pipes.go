@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/fl"
@@ -12,8 +13,9 @@ import (
 // ServePipes runs a whole session in one process over the real protocol: one
 // Pipe per shard, RunClient on each client end — wrapped in a FaultConn when
 // plans names the slot — with client(i) as slot i's configuration, and Serve
-// on the server ends. It is how the in-repo experiments measure the wire
-// features (negotiated codec, error feedback, Byzantine FaultPlans).
+// on the server ends. It is how the in-repo tests measure the wire features
+// under real scheduling and the fault plans' real delays; ServeFederation
+// runs it in virtual time.
 //
 // When Serve fails every pipe is closed, so no client stays blocked in Recv,
 // and Serve's error is returned. Otherwise the result comes back with the
@@ -26,7 +28,7 @@ func ServePipes(scfg ServerConfig, shards []*data.Dataset, client func(i int) Cl
 	var wg sync.WaitGroup
 	for i, shard := range shards {
 		var c Conn
-		server[i], c = Pipe()
+		server[i], c = newPipe(scfg.clock)
 		if plan, ok := plans[i]; ok {
 			c = NewFaultConn(c, plan)
 		}
@@ -36,6 +38,9 @@ func ServePipes(scfg ServerConfig, shards []*data.Dataset, client func(i int) Cl
 			defer wg.Done()
 			if _, err := RunClient(c, shard, cfg); err != nil {
 				errs[i] = fmt.Errorf("client %d: %w", i, err)
+				if scfg.clock != nil {
+					c.Close() // no deadline evicts a client that went silent
+				}
 			}
 		}()
 	}
@@ -57,30 +62,47 @@ func ServePipes(scfg ServerConfig, shards []*data.Dataset, client func(i int) Cl
 }
 
 // ServeFederation runs f — the simulator's federation: its clients' shards,
-// model, local solver, sampling, buffer, seed, health monitor, ledger, events
-// and tracer — as a session of algo over ServePipes. codec is negotiated for
-// the model updates and δ maps, ef gives every client its own error-feedback
-// residual, and client k's RNG is seeded Seed·1000 + k. It is the one mapping
-// from a simulator configuration to the wire, for flsim's codec flags, the
-// extwire experiment and the efficient-uplink example.
-func ServeFederation(f *fl.Federation, algo Algorithm, rounds int, lambda float64, codec CodecPolicy, ef bool) (*ServerResult, error) {
-	cfg := f.Cfg
+// model, local solver, sampling, seed, health monitor, ledger, events and
+// tracer — as a session over ServePipes. cfg names the algorithm, the rounds,
+// the codec and the buffer (BufferK, StalenessLambda); ServeFederation fills
+// in the rest from f. lambda is the clients' regularization weight, ef gives
+// every client its own error-feedback residual, and client k's RNG is seeded
+// Seed·1000 + k. It is the one mapping from a simulator configuration to the
+// wire, for flsim's wire flags, the extwire experiment and the
+// efficient-uplink example.
+//
+// The session runs in virtual time, so it replays bit for bit: each frame
+// carries a stamp (newPipe) and the server handles arrivals in stamp
+// order. It has no deadlines and no rejoiners. In a buffered session
+// (cfg.BufferK > 0) slot k's every send and receive takes a virtual
+// U(0.5, 1.5]·slow[k] seconds (slow[k] is 1 when missing), drawn from the
+// seed Seed·1000 + k: that is who makes a round's buffer and who folds late.
+func ServeFederation(f *fl.Federation, cfg ServerConfig, lambda float64, ef bool, slow []float64) (*ServerResult, error) {
+	fc := f.Cfg
 	shards := make([]*data.Dataset, len(f.Clients))
 	for i, c := range f.Clients {
 		shards[i] = c.Data
 	}
-	scfg := ServerConfig{
-		Algorithm: algo, Rounds: rounds, InitialParams: f.InitialParams(), FeatureDim: f.FeatureDim(),
-		SampleRatio: cfg.SampleRatio, Seed: cfg.Seed, Codec: codec,
-		BufferK: cfg.BufferK, StalenessLambda: cfg.StalenessLambda,
-		Events: cfg.Events, Tracer: cfg.Tracer, Ledger: cfg.Ledger, Health: cfg.Health, LedgerDetailN: cfg.LedgerDetailN,
-	}
+	cfg.InitialParams, cfg.FeatureDim, cfg.SampleRatio, cfg.Seed = f.InitialParams(), f.FeatureDim(), fc.SampleRatio, fc.Seed
+	cfg.Events, cfg.Tracer, cfg.Ledger, cfg.Health, cfg.LedgerDetailN = fc.Events, fc.Tracer, fc.Ledger, fc.Health, fc.LedgerDetailN
+	cfg.RoundDeadline, cfg.AdaptiveDeadline, cfg.Rejoin, cfg.clock = 0, false, nil, new(time.Duration)
 	client := func(i int) ClientConfig {
 		return ClientConfig{
-			Builder: cfg.Builder, ModelSeed: cfg.ModelSeed, Seed: cfg.Seed*1000 + int64(i),
-			LocalSteps: cfg.LocalSteps, BatchSize: cfg.BatchSize, LR: cfg.LR, NewOptimizer: cfg.NewOptimizer,
+			Builder: fc.Builder, ModelSeed: fc.ModelSeed, Seed: fc.Seed*1000 + int64(i),
+			LocalSteps: fc.LocalSteps, BatchSize: fc.BatchSize, LR: fc.LR, NewOptimizer: fc.NewOptimizer,
 			Lambda: lambda, ErrorFeedback: ef,
 		}
 	}
-	return ServePipes(scfg, shards, client, nil)
+	var plans map[int]FaultPlan
+	if cfg.BufferK > 0 {
+		plans = make(map[int]FaultPlan, len(shards))
+		for k := range shards {
+			s := float64(time.Second)
+			if k < len(slow) {
+				s *= slow[k]
+			}
+			plans[k] = FaultPlan{Seed: fc.Seed*1000 + int64(k), DelayProb: 1, MinDelay: time.Duration(0.5 * s), MaxDelay: time.Duration(1.5 * s)}
+		}
+	}
+	return ServePipes(cfg, shards, client, plans)
 }

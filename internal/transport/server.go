@@ -142,6 +142,10 @@ type ServerConfig struct {
 	// the default threshold (telemetry.DefaultLedgerDetailN); negative means
 	// full detail at any N.
 	LedgerDetailN int
+
+	// clock, set by ServeFederation alone, is a virtual session's time: its
+	// conns are virtual pipe ends, their arrivals in stamp order.
+	clock *time.Duration
 }
 
 // Eviction records one client dropped from a session.
@@ -235,6 +239,9 @@ type session struct {
 	done  chan struct{}
 	coll  gathering
 	round int
+	// ahead holds the arrivals a virtual session took off the inbox and has
+	// not handled yet.
+	ahead []arrival
 
 	// Async-mode state. buffered[i] is a parked late update awaiting its
 	// fold. updAges tracks rounds since each slot's last aggregated update;

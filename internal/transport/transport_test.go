@@ -308,7 +308,7 @@ func TestServeFederationCarriesConfig(t *testing.T) {
 		Builder: c.Builder, ModelSeed: c.ModelSeed, Seed: 3, LocalSteps: c.LocalSteps, BatchSize: c.BatchSize,
 		LR: c.LR, SampleRatio: 0.5, Ledger: telemetry.NewRunLedger(&ledger),
 	}, fx.shards, fx.test)
-	res, err := ServeFederation(f, AlgoRFedAvgPlus, 6, c.Lambda, CodecPolicy{Update: compress.SchemeInt8}, true)
+	res, err := ServeFederation(f, ServerConfig{Algorithm: AlgoRFedAvgPlus, Rounds: 6, Codec: CodecPolicy{Update: compress.SchemeInt8}}, c.Lambda, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,177 @@
+package transport
+
+import (
+	"bytes"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/compress"
+	"repro/internal/fl"
+	"repro/internal/health"
+	"repro/internal/telemetry"
+	"repro/internal/traceview"
+)
+
+// straggling is the -slow of the buffered virtual sessions below: clients 4
+// and 5 take six times as long per send and receive as the rest.
+var straggling = []float64{1, 1, 1, 1, 6, 6}
+
+// virtualFederation is a federation over the fixture's shards, seeded 3, of
+// one local step a round, writing its ledger to ledger and feeding h (either
+// may be nil).
+func virtualFederation(fx *federatedFixture, ledger *bytes.Buffer, h *health.Monitor) *fl.Federation {
+	c := fx.ccfg
+	cfg := fl.Config{Builder: c.Builder, ModelSeed: c.ModelSeed, Seed: 3, LocalSteps: 1,
+		BatchSize: c.BatchSize, LR: c.LR, Health: h}
+	if ledger != nil {
+		cfg.Ledger = telemetry.NewRunLedger(ledger)
+	}
+	return fl.NewFederation(cfg, fx.shards, fx.test)
+}
+
+// runVirtual runs f as a buffered ServeFederation session of algo under the
+// straggling latencies.
+func runVirtual(t *testing.T, fx *federatedFixture, f *fl.Federation, algo Algorithm, rounds, bufferK int) *ServerResult {
+	t.Helper()
+	cfg := ServerConfig{Algorithm: algo, Rounds: rounds, BufferK: bufferK, StalenessLambda: 0.5, Metrics: telemetry.NewRegistry()}
+	res, err := ServeFederation(f, cfg, fx.ccfg.Lambda, false, straggling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// readLedger decodes a session's ledger.
+func readLedger(t *testing.T, buf *bytes.Buffer) []traceview.LedgerLine {
+	t.Helper()
+	lines, err := traceview.ReadLedger(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
+// A buffered session in virtual time replays bit for bit: who makes each
+// round's buffer and when a straggler's update folds are decided by the
+// frames' stamps, not by the scheduler. The stragglers fold at whatever age
+// they land, two rounds or more.
+func TestAsyncVirtualReplays(t *testing.T) {
+	const runs = 20
+	fx := newFixture(t, 6)
+	hash := func(res *ServerResult) string {
+		return hashFloats(append(slices.Clone(res.RoundLosses), res.FinalParams...))
+	}
+	var ledger bytes.Buffer
+	first := hash(runVirtual(t, fx, virtualFederation(fx, &ledger, nil), AlgoRFedAvgPlus, 8, 3))
+	late := false
+	for _, l := range readLedger(t, &ledger) {
+		for j, id := range l.LateID {
+			late = late || id >= 4 && l.LateAge[j] >= 2
+		}
+	}
+	if !late {
+		t.Errorf("no round folded client 4 or 5 at age ≥ 2:\n%s", ledger.String())
+	}
+	for run := 1; run < runs; run++ {
+		if got := hash(runVirtual(t, fx, virtualFederation(fx, nil, nil), AlgoRFedAvgPlus, 8, 3)); got != first {
+			t.Fatalf("run %d hashes to %s, run 0 to %s", run, got, first)
+		}
+	}
+}
+
+// A virtual session is the real protocol with time made an input: at
+// BufferK 0, and at a BufferK that covers the cohort, it ends bit for bit
+// where a ServePipes session of the same configuration does. This is what
+// keeps flsim's -compress, extwire and the efficient-uplink example where
+// they were before ServeFederation went virtual.
+func TestAsyncVirtualSyncMatchesPipes(t *testing.T) {
+	const rounds = 5
+	fx := newFixture(t, 6)
+	f := virtualFederation(fx, nil, nil)
+	f.Cfg.SampleRatio = 0.5
+	codec := CodecPolicy{Update: compress.SchemeInt8, Delta: compress.SchemeInt8}
+	client := func(i int) ClientConfig {
+		c := fx.ccfg
+		c.Seed, c.LocalSteps, c.ErrorFeedback = f.Cfg.Seed*1000+int64(i), f.Cfg.LocalSteps, true
+		return c
+	}
+	want, err := ServePipes(ServerConfig{
+		Algorithm: AlgoRFedAvgPlus, Rounds: rounds, InitialParams: f.InitialParams(), FeatureDim: f.FeatureDim(),
+		SampleRatio: 0.5, Seed: f.Cfg.Seed, Codec: codec, Metrics: telemetry.NewRegistry(),
+	}, fx.shards, client, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 3} {
+		cfg := ServerConfig{Algorithm: AlgoRFedAvgPlus, Rounds: rounds, Codec: codec, BufferK: k, StalenessLambda: 0.5, Metrics: telemetry.NewRegistry()}
+		got, err := ServeFederation(f, cfg, fx.ccfg.Lambda, true, straggling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameCohorts(got.Cohorts, want.Cohorts) || got.UpBytes != want.UpBytes || got.DownBytes != want.DownBytes {
+			t.Fatalf("BufferK %d: cohorts %v, bytes %d/%d; ServePipes %v, %d/%d",
+				k, got.Cohorts, got.UpBytes, got.DownBytes, want.Cohorts, want.UpBytes, want.DownBytes)
+		}
+		for i, l := range want.RoundLosses {
+			if math.Float64bits(got.RoundLosses[i]) != math.Float64bits(l) {
+				t.Fatalf("BufferK %d: round %d loss %v, ServePipes %v", k, i, got.RoundLosses[i], l)
+			}
+		}
+		if hashFloats(got.FinalParams) != hashFloats(want.FinalParams) {
+			t.Fatalf("BufferK %d: final model differs from ServePipes'", k)
+		}
+	}
+}
+
+// The health monitor is fed what a round aggregates: a buffered round's
+// stragglers are scored when their update folds, not when they trained. Round
+// 0 scores exactly its fresh clients, and a parked client is credited in the
+// round that folds it — a virtual session's first r rounds are those of any
+// longer one, so the monitor is read after the rounds before that one and
+// after that one.
+func TestAsyncHealthFeedsAggregatedOnly(t *testing.T) {
+	fx := newFixture(t, 6)
+	run := func(rounds int) (*health.Monitor, []traceview.LedgerLine) {
+		var ledger bytes.Buffer
+		h := health.New(health.Config{Registry: telemetry.NewRegistry()})
+		runVirtual(t, fx, virtualFederation(fx, &ledger, h), AlgoFedAvg, rounds, 3)
+		return h, readLedger(t, &ledger)
+	}
+	h, lines := run(1)
+	var scored []int
+	h.CohortScores(func(id int, _ float64) { scored = append(scored, id) })
+	slices.Sort(scored)
+	fresh := slices.Clone(lines[0].ClientID)
+	slices.Sort(fresh)
+	if len(fresh) != 3 || !slices.Equal(scored, fresh) {
+		t.Fatalf("round 0 aggregated %v, health scored %v; want the 3 fresh clients", fresh, scored)
+	}
+
+	_, lines = run(8)
+	round, id := -1, -1
+	for _, l := range lines {
+		for _, c := range l.LateID {
+			if c >= 4 && round < 0 {
+				round, id = l.Round, c
+			}
+		}
+	}
+	if round < 0 {
+		t.Fatal("no round folded client 4 or 5")
+	}
+	folds := func(h *health.Monitor) int {
+		for _, c := range h.Snapshot(0).Clients {
+			if c.ID == id {
+				return c.Folds
+			}
+		}
+		return 0
+	}
+	before, _ := run(round)
+	at, _ := run(round + 1)
+	if folds(before) != 0 || folds(at) != 1 {
+		t.Fatalf("client %d folds in round %d: credited %d times before it, %d through it; want 0 and 1",
+			id, round, folds(before), folds(at))
+	}
+}
