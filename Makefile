@@ -47,10 +47,13 @@ test: vet
 # only some of them. The two virtual-time tests ride on the same pattern's
 # Async for the opposite reason: whatever the scheduler picks, a virtual
 # session must replay bit for bit and match a real sync session.
-# require-tests fails the target if any of the four is renamed away.
-RACE_REPEAT = Pipe|Lend|Rejoin|Reap|Async
+# SendTimeout repeats the send watchdog's test: a send stuck in the assign,
+# the δ request or MsgDone races the deadline's close of its conn.
+# require-tests fails the target if a pattern matches no test or any of the
+# five named tests is renamed away.
+RACE_REPEAT = Pipe|Lend|Rejoin|Reap|Async|SendTimeout
 test-race:
-	$(call require-tests,./internal/transport,$(RACE_REPEAT)|^TestPipeSessionMatchesTCP$$|^TestPipeParkedUpdateNotRecycled$$|^TestAsyncVirtualReplays$$|^TestAsyncVirtualSyncMatchesPipes$$)
+	$(call require-tests,./internal/transport,$(RACE_REPEAT)|^TestPipeSessionMatchesTCP$$|^TestPipeParkedUpdateNotRecycled$$|^TestAsyncVirtualReplays$$|^TestAsyncVirtualSyncMatchesPipes$$|^TestPeerSendAllocs$$)
 	go test -race ./internal/fl/... ./internal/core/... ./internal/engine/... ./internal/tensor/... ./internal/nn/... ./internal/transport/... ./internal/compress/... ./internal/health/... ./internal/telemetry/...
 	go test -race -count=20 -run '$(RACE_REPEAT)' ./internal/transport/
 
@@ -173,8 +176,10 @@ scale-smoke:
 # deadlines or without, and its slot handed to a rejoiner), a rejoiner
 # that never handshakes holding up no round boundary, and the virtual-time
 # sessions flsim -buffer-k runs (a straggler folds at its age and the run
-# replays bit for bit; at a sync buffer a virtual session is a real one).
-CHAOS_TESTS = TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncFullBufferMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide|TestCohortWireLaw|TestCohortReapsDeadUnsampledPeer|TestSilentRejoinerDoesNotStall|TestAsyncVirtualReplays|TestAsyncVirtualSyncMatchesPipes
+# replays bit for bit; at a sync buffer a virtual session is a real one),
+# and the send path: a stuck send ends at its phase's deadline, closing a
+# FaultConn ends its delay, and a send under a deadline allocates nothing.
+CHAOS_TESTS = TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncFullBufferMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide|TestCohortWireLaw|TestCohortReapsDeadUnsampledPeer|TestSilentRejoinerDoesNotStall|TestAsyncVirtualReplays|TestAsyncVirtualSyncMatchesPipes|TestDeadlineConnSendTimeout|TestFaultConnCloseEndsDelay|TestPeerSendAllocs
 chaos-smoke:
 	$(call require-tests,./internal/transport,$(CHAOS_TESTS))
 	go test -race -count 1 ./internal/transport -run '$(CHAOS_TESTS)'

@@ -91,9 +91,10 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 		caps = compress.AllCaps()
 	}
 	*cc = clientCodec{caps: caps, ef: cfg.ErrorFeedback, seed: cfg.Seed}
-	// The δ pass's result lives as long as the session: Send has finished
-	// reading a δ by the time the next MsgDeltaReq overwrites it.
+	// The δ pass's result and the two reply headers live as long as the
+	// session: Send has finished reading a reply when it returns.
 	delta := make([]float64, net.FeatureDim)
+	var upd, dm Message
 
 	if err := conn.Send(&Message{Type: MsgJoin, ClientID: int32(cfg.ClientID),
 		NumSamples: int64(shard.Len()), Caps: caps}); err != nil {
@@ -198,7 +199,8 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 			ls.End()
 			ser := cfg.Tracer.Start("serialize", cr.Context())
 			ser.Round, ser.Client = cr.Round, cr.Client
-			out := &Message{
+			out := &upd
+			*out = Message{
 				Type: MsgUpdate, Round: m.Round, ClientID: m.ClientID,
 				NumSamples: int64(shard.Len()), Loss: loss,
 			}
@@ -229,7 +231,8 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 			held = m.Round + 1
 			core.ComputeDeltaInto(delta, trainer.Arena, net, shard, 0)
 			cd.End()
-			out := &Message{Type: MsgDelta, Round: m.Round, ClientID: m.ClientID}
+			out := &dm
+			*out = Message{Type: MsgDelta, Round: m.Round, ClientID: m.ClientID}
 			if want := compress.Negotiate(m.Want, cc.caps); want == compress.SchemeDense {
 				out.Delta = delta
 			} else {

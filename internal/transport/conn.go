@@ -14,10 +14,11 @@ import (
 // Conn is a bidirectional, message-oriented connection with byte
 // accounting.
 //
-// Buffer ownership: Send reads m's payload slices in place until it returns
-// — after a deadline-abandoned send, until Close — so never overwrite a
-// slice handed to Send; swap in a new one. A message returned by Recv
-// belongs to the receiver: no other endpoint shares its slices.
+// Buffer ownership: Send reads m's payload slices in place until it returns,
+// and not after: once it returns, m and its slices are the caller's again.
+// Close unblocks a Send in progress, which then returns an error. A message
+// returned by Recv belongs to the receiver: no other endpoint shares its
+// slices.
 //
 // A dense RunClient builds on those two rules to hold one model-sized buffer,
 // its network's weights. A received dense model may become the weights
@@ -48,8 +49,8 @@ type Conn interface {
 // streamConn frames messages over any io.ReadWriteCloser (TCP, pipes).
 type streamConn struct {
 	rw io.ReadWriteCloser
-	// sendMu guards fs and keeps frames whole: off TCP a frame is several
-	// Writes, and a deadline-abandoned Send may outlive the next one's start.
+	// sendMu guards fs and keeps frames whole when goroutines share the conn:
+	// off TCP a frame is several Writes.
 	sendMu   sync.Mutex
 	fs       frameScratch
 	sent     atomic.Int64

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/opt"
 )
@@ -219,5 +220,20 @@ func TestPipeRecvAfterCloseDrains(t *testing.T) {
 	}
 	if _, err := b.Recv(); err == nil {
 		t.Fatal("empty closed pipe must EOF")
+	}
+}
+
+// Close ends a FaultConn's real-clock delay: a send sleeping out a 10 s delay
+// returns soon after the conn is closed, as the server's send watchdog needs.
+func TestFaultConnCloseEndsDelay(t *testing.T) {
+	a, _ := Pipe()
+	c := NewFaultConn(a, FaultPlan{Seed: 1, DelayProb: 1, MinDelay: 10 * time.Second, MaxDelay: 11 * time.Second})
+	time.AfterFunc(50*time.Millisecond, func() { c.Close() })
+	start := time.Now()
+	if err := c.Send(&Message{Type: MsgJoin, NumSamples: 1}); err == nil {
+		t.Error("a send cut short by Close succeeded")
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Send returned %v after it started, want under 1s", took)
 	}
 }

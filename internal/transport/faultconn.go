@@ -71,6 +71,9 @@ type FaultConn struct {
 	rng  *rand.Rand
 	ops  int
 	dead bool
+	// closed is closed by the first Close, which ends a delay being slept.
+	closed    chan struct{}
+	closeOnce sync.Once
 	// ref is the last dense global received (MsgAssign or, when the next
 	// assign omits the model, MsgDeltaReq) — the mirror point of the Byzantine
 	// update rewrites.
@@ -80,9 +83,10 @@ type FaultConn struct {
 // NewFaultConn wraps inner with plan's fault schedule.
 func NewFaultConn(inner Conn, plan FaultPlan) *FaultConn {
 	return &FaultConn{
-		inner: inner,
-		plan:  plan,
-		rng:   rand.New(rand.NewSource(plan.Seed*0x9E3779B9 + 1)),
+		inner:  inner,
+		plan:   plan,
+		rng:    rand.New(rand.NewSource(plan.Seed*0x9E3779B9 + 1)),
+		closed: make(chan struct{}),
 	}
 }
 
@@ -122,8 +126,8 @@ func (c *FaultConn) Send(m *Message) error {
 	}
 	if clock := c.clock(); clock != nil {
 		*clock += delay
-	} else if delay > 0 {
-		time.Sleep(delay)
+	} else if !c.sleep(delay) {
+		return fmt.Errorf("transport: fault injection: connection closed")
 	}
 	if roll(c.plan.DropSendProb) {
 		return nil // lost in flight: local success, nothing on the wire
@@ -171,8 +175,8 @@ func (c *FaultConn) Recv() (*Message, error) {
 		return nil, fmt.Errorf("transport: fault injection: connection crashed")
 	}
 	clock := c.clock()
-	if clock == nil && delay > 0 {
-		time.Sleep(delay)
+	if clock == nil && !c.sleep(delay) {
+		return nil, fmt.Errorf("transport: fault injection: connection closed")
 	}
 	m, err := c.inner.Recv()
 	if clock != nil { // after the Recv, which sets the clock to the frame's stamp
@@ -186,6 +190,22 @@ func (c *FaultConn) Recv() (*Message, error) {
 	return m, err
 }
 
+// sleep waits out delay on the real clock; it reports false, at once, if the
+// conn is or gets closed first.
+func (c *FaultConn) sleep(delay time.Duration) bool {
+	if delay <= 0 {
+		return true
+	}
+	t := time.NewTimer(delay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-c.closed:
+		return false
+	}
+}
+
 // clock is the inner conn's clock if it is a virtual pipe end (newPipe).
 func (c *FaultConn) clock() *time.Duration {
 	if p, ok := c.inner.(*inprocConn); ok {
@@ -194,11 +214,13 @@ func (c *FaultConn) clock() *time.Duration {
 	return nil
 }
 
-// Close closes the inner connection and marks the wrapper dead.
+// Close closes the inner connection, marks the wrapper dead and ends a delay
+// being slept.
 func (c *FaultConn) Close() error {
 	c.mu.Lock()
 	c.dead = true
 	c.mu.Unlock()
+	c.closeOnce.Do(func() { close(c.closed) })
 	return c.inner.Close()
 }
 

@@ -230,9 +230,9 @@ type pipeConn struct {
 func (p pipeConn) Close() error { p.PipeReader.Close(); return p.PipeWriter.Close() }
 
 // TestStreamConnConcurrentSendsStayWhole: off TCP a frame is several
-// Writes (an io.Pipe hands each one over separately), so two senders on one
-// streamConn must not interleave — which a deadline-abandoned Send next to
-// a fresh one is. Run under -race by make test-race.
+// Writes (an io.Pipe hands each one over separately), so two goroutines
+// sending on one streamConn must not interleave their frames. Run under
+// -race by make test-race.
 func TestStreamConnConcurrentSendsStayWhole(t *testing.T) {
 	const senders, frames = 2, 50
 	pr, pw := io.Pipe()

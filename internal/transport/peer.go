@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -25,11 +26,14 @@ const skipBudget = 4
 // meters the conn's frames into the session's byte series, and its pump,
 // started by session.wrap, is the conn's only reader: every frame, and the
 // error that ends the conn, goes onto the session inbox, which only the
-// dispatcher (session.dispatch) reads. The fields after m belong to the
+// dispatcher (session.dispatch) reads. The fields after sending belong to the
 // dispatcher's goroutine.
 type peer struct {
 	Conn
 	m *serverMetrics
+	// sending is set while a send under a deadline is in flight; the send
+	// phase's watchdog claims it when the deadline fires (abandon).
+	sending atomic.Bool
 
 	// slot is the slot the peer holds, -1 while a rejoiner waits in pending.
 	slot int
@@ -103,20 +107,29 @@ func (p *peer) Send(m *Message) error {
 	return nil
 }
 
-// send sends m, giving up when ctx expires. A send abandoned on timeout keeps
-// running in the background until the conn is closed — the server evicts,
-// and so closes, a peer whose send failed — which unblocks it.
+// send sends m under ctx's deadline, if any, which the send phase's watchdog
+// enforces (session.sendPhase): a send still in flight when the deadline
+// fires has its conn closed and returns ErrTimeout, and the server evicts the
+// peer. Either way the send is over when send returns.
 func (p *peer) send(ctx context.Context, m *Message) error {
-	if ctx.Done() == nil {
-		return p.Send(m)
+	// Flag, then check: a watchdog that fires after the check sees the flag.
+	p.sending.Store(true)
+	if ctx.Err() == nil {
+		err := p.Send(m)
+		if p.sending.CompareAndSwap(true, false) {
+			return err
+		}
+	} else {
+		p.sending.Store(false)
 	}
-	done := make(chan error, 1)
-	go func() { done <- p.Send(m) }()
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-		return fmt.Errorf("%w: send: %v", ErrTimeout, ctx.Err())
+	return fmt.Errorf("%w: send: %v", ErrTimeout, ctx.Err())
+}
+
+// abandon claims p's send in flight, if any, and closes the conn, which
+// makes that send return.
+func (p *peer) abandon() {
+	if p.sending.CompareAndSwap(true, false) {
+		p.Close()
 	}
 }
 

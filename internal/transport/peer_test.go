@@ -2,7 +2,12 @@ package transport
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,6 +154,142 @@ func TestDeadlineConnClosedOps(t *testing.T) {
 	}
 	if a := <-s.inbox; a.p != p || a.err == nil {
 		t.Fatalf("pump delivered %+v after close, want peer 0's read error", a)
+	}
+}
+
+// stallConn is a server-side conn whose first send of one frame type blocks
+// until Close, and records how long it blocked.
+type stallConn struct {
+	Conn
+	on        MsgType
+	once      sync.Once
+	closeOnce sync.Once
+	closed    chan struct{}
+	took      time.Duration // written before returned is set
+	returned  atomic.Bool
+}
+
+func (c *stallConn) Send(m *Message) error {
+	stall := false
+	if m.Type == c.on {
+		c.once.Do(func() { stall = true })
+	}
+	if !stall {
+		return c.Conn.Send(m)
+	}
+	start := time.Now()
+	<-c.closed
+	c.took = time.Since(start)
+	c.returned.Store(true)
+	return errors.New("stalled send: conn closed")
+}
+
+func (c *stallConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// A send stuck in the assign, the δ request or MsgDone ends when the phase's
+// deadline fires: the watchdog closes the conn, the send returns ErrTimeout
+// and the peer is evicted (MsgDone's failure is logged and ignored). The
+// rounds complete over the survivors, and Serve returns with no sender left
+// behind. make test-race runs it 20 times.
+func TestDeadlineConnSendTimeout(t *testing.T) {
+	const clients, rounds = 3, 2
+	const deadline, slack = 500 * time.Millisecond, 2 * time.Second
+	fx := newFixture(t, clients)
+	net := fx.builder(fx.ccfg.ModelSeed)
+	// A session first, so that what the process starts once (the tensor
+	// worker pool) is in every baseline.
+	if _, err := ServePipes(ServerConfig{Algorithm: AlgoRFedAvgPlus, Rounds: 1, InitialParams: net.GetFlat(),
+		FeatureDim: net.FeatureDim, Metrics: telemetry.NewRegistry()}, fx.shards, fx.client, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		on   MsgType
+	}{{"assign", MsgAssign}, {"delta-req", MsgDeltaReq}, {"done", MsgDone}} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			var mu sync.Mutex
+			var logs []string
+			scfg := ServerConfig{
+				Algorithm: AlgoRFedAvgPlus, Rounds: rounds, InitialParams: net.GetFlat(), FeatureDim: net.FeatureDim,
+				RoundDeadline: deadline, Metrics: telemetry.NewRegistry(),
+				Logf: func(format string, args ...any) {
+					mu.Lock()
+					logs = append(logs, fmt.Sprintf(format, args...))
+					mu.Unlock()
+				},
+			}
+			server := make([]Conn, clients)
+			var wg sync.WaitGroup
+			for i := range server {
+				var c Conn
+				server[i], c = Pipe()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					RunClient(c, fx.shards[i], fx.client(i)) // slot 1's fails once its conn is closed
+				}()
+			}
+			stall := &stallConn{Conn: server[1], on: tc.on, closed: make(chan struct{})}
+			server[1] = stall
+			res, err := Serve(scfg, server)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !stall.returned.Load() {
+				t.Fatal("Serve returned with its send to slot 1 still blocked")
+			}
+			if stall.took > deadline+slack {
+				t.Errorf("the stuck send took %v, want at most %v", stall.took, deadline+slack)
+			}
+			if len(res.RoundLosses) != rounds {
+				t.Errorf("completed %d rounds, want %d", len(res.RoundLosses), rounds)
+			}
+			if tc.on == MsgDone {
+				mu.Lock()
+				failed := strings.Join(logs, "\n")
+				mu.Unlock()
+				if len(res.Evictions) != 0 || !strings.Contains(failed, "done to client 1 failed (ignored): "+ErrTimeout.Error()) {
+					t.Errorf("evictions %+v, log %q; want none, and slot 1's done timed out", res.Evictions, failed)
+				}
+			} else if ev := res.Evictions; len(ev) != 1 || ev[0].Client != 1 || ev[0].Round != 0 ||
+				!strings.Contains(ev[0].Reason, "broadcast: "+ErrTimeout.Error()) {
+				t.Errorf("evictions %+v, want slot 1 in round 0 for the send's deadline", ev)
+			}
+			for _, c := range server {
+				c.Close()
+			}
+			wg.Wait()
+			for wait := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+				if time.Now().After(wait) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines after the session, %d before:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+				}
+			}
+		})
+	}
+}
+
+// nopConn is a conn whose Send returns at once.
+type nopConn struct{ Conn }
+
+func (nopConn) Send(*Message) error { return nil }
+
+// A send under a deadline allocates nothing: no goroutine, no channel.
+func TestPeerSendAllocs(t *testing.T) {
+	p := &peer{Conn: nopConn{}, m: newServerMetrics(telemetry.NewRegistry(), AlgoFedAvg)}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	m := &Message{Type: MsgAssign, Params: make([]float64, 8)}
+	if a := testing.AllocsPerRun(100, func() {
+		if err := p.send(ctx, m); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("peer.send under a deadline: %v allocs, want 0", a)
 	}
 }
 

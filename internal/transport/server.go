@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/compress"
@@ -255,11 +256,21 @@ type session struct {
 	// deliveries — and cleared as the phase reads them.
 	ioErrs []error
 	ioMsgs []*Message
+	// out[j] is the outgoing frame of a broadcast's j-th member, reused by
+	// every broadcast: a send is over when it returns.
+	out []frame
 
 	// ck is the checkpoint view session.checkpoint refills and ckImage its
 	// encoded bytes, both reused from one checkpoint to the next.
 	ck      Checkpoint
 	ckImage []byte
+}
+
+// frame is one outgoing broadcast frame and the δ target buffer an assign's
+// Delta points into, refilled by MeanExcludingInto.
+type frame struct {
+	m      Message
+	target []float64
 }
 
 // attempt is what one round attempt's phases hand each other; the session
@@ -442,6 +453,10 @@ const maxRoundRetries = 2
 // that ends below the MinClients quorum is retried up to maxRoundRetries
 // times before the session aborts. Evicted clients may reconnect through
 // cfg.Rejoin and are re-admitted at the next round boundary.
+//
+// A send still in flight at its phase's deadline ends by closing its conn, so
+// every Conn's Close must unblock its Send in progress: one that does not
+// stalls the session past RoundDeadline.
 func Serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 	return new(session).serve(cfg, conns)
 }
@@ -479,15 +494,16 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 		return nil, err
 	}
 
-	// Session end: best-effort MsgDone. A dead client here must not fail
-	// a session whose training already succeeded.
+	// Session end: best-effort MsgDone, one frame every send reads. A dead
+	// client here must not fail a session whose training already succeeded.
 	s.closePending()
+	done := &Message{Type: MsgDone, Params: s.global}
 	ctx, cancel := s.phaseCtx()
-	ioParallel(len(s.conns), ioWorkers(), func(i int) {
+	s.sendPhase(ctx, len(s.conns), func(i int) {
 		if !s.active[i] {
 			return
 		}
-		if err := s.conns[i].send(ctx, &Message{Type: MsgDone, Params: s.global}); err != nil {
+		if err := s.conns[i].send(ctx, done); err != nil {
 			s.logf("done to client %d failed (ignored): %v", i, err)
 		}
 	})
@@ -606,11 +622,10 @@ func count(mask []bool) (n int) {
 	return n
 }
 
-// evict removes client i from the session: its connection is closed (which
-// also ends its pump and any deadline-abandoned send blocked on it) and its
-// aggregation weight stops counting. Its δ row stays in the table — stale
-// — so the regularization targets degrade gracefully and a rejoin resumes
-// from the last known map.
+// evict removes client i from the session: its connection is closed, which
+// ends its pump, and its aggregation weight stops counting. Its δ row stays
+// in the table — stale — so the regularization targets degrade gracefully
+// and a rejoin resumes from the last known map.
 func (s *session) evict(i, round int, reason string) {
 	if !s.active[i] {
 		return
@@ -869,9 +884,10 @@ func (s *session) broadcast(ctx context.Context) {
 	a := &s.att
 	s.membersOf(a.cohort)
 	s.shareBroadcast(a.round)
-	s.broadcastActive(ctx, func(i int) *Message {
+	s.broadcastActive(ctx, func(i int, f *frame) {
 		sl := s.codec.slot(i)
-		m := &Message{Type: MsgAssign, Round: int32(a.round), ClientID: int32(i), Want: sl.upd}
+		m := &f.m
+		m.Type, m.Round, m.ClientID, m.Want = MsgAssign, int32(a.round), int32(i), sl.upd
 		// The client still holds this model from last round's MsgDeltaReq:
 		// ship it once.
 		if s.held.Assign(i, a.round) {
@@ -880,7 +896,7 @@ func (s *session) broadcast(ctx context.Context) {
 			s.modelPayload(m, i, a.round)
 		}
 		if s.cfg.Algorithm == AlgoRFedAvgPlus {
-			target := s.table.MeanExcluding(i)
+			target := s.table.MeanExcludingInto(resizeFloats(&f.target, s.table.Dim), i)
 			if ds := sl.delta; ds != compress.SchemeDense && len(target) > 0 {
 				// Salted one stride past the model encode's stream (modelPayload).
 				m.PDelta = packVec(&sl.targetBuf, ds, target, compress.RNGFor(ds, s.cfg.Seed, a.round, i+2*s.codec.n), nil, nil)
@@ -888,7 +904,6 @@ func (s *session) broadcast(ctx context.Context) {
 				m.Delta = target
 			}
 		}
-		return m
 	})
 }
 
@@ -1002,13 +1017,13 @@ func (s *session) deltaSync(sp telemetry.SpanContext) {
 	defer cancel()
 	s.membersOf(a.delivered)
 	s.shareBroadcast(a.round + 1)
-	s.broadcastActive(ctx, func(i int) *Message {
-		m := &Message{Type: MsgDeltaReq, Round: int32(a.round), ClientID: int32(i), Want: s.codec.slot(i).delta}
+	s.broadcastActive(ctx, func(i int, f *frame) {
+		m := &f.m
+		m.Type, m.Round, m.ClientID, m.Want = MsgDeltaReq, int32(a.round), int32(i), s.codec.slot(i).delta
 		s.modelPayload(m, i, a.round+1)
 		if a.whole {
 			s.held.Hold(i, a.round+1)
 		}
-		return m
 	})
 	for i, m := range s.collect(ctx, MsgDelta, a.round, a.members, len(a.members), sp) {
 		if m == nil {
@@ -1084,17 +1099,23 @@ func (s *session) membersOf(mask []bool) {
 	}
 }
 
-// broadcastActive sends mk(i) to every member over the bounded IO pool — the
-// one network fan-out left: receiving is the pumps' and the dispatcher's —
-// stamping the round span's context onto each frame; clients whose send
-// fails are evicted (serially, in slot order, after the pool drains).
-func (s *session) broadcastActive(ctx context.Context, mk func(i int) *Message) {
+// broadcastActive sends every member the frame fill(i, f) writes into f.m,
+// over the bounded IO pool of sendPhase — the one network fan-out left:
+// receiving is the pumps' and the dispatcher's — stamping the round span's
+// context onto each frame; clients whose send fails are evicted (serially, in
+// slot order, after the pool drains). Each frame is zeroed once sent, so that
+// none keeps the model it carried alive.
+func (s *session) broadcastActive(ctx context.Context, fill func(i int, f *frame)) {
 	a := &s.att
-	ioParallel(len(a.members), ioWorkers(), func(j int) {
-		i := a.members[j]
-		m := mk(i)
-		m.setSpanContext(a.ctx)
-		s.ioErrs[i] = s.conns[i].send(ctx, m)
+	if n := len(a.members); len(s.out) < n {
+		s.out = append(s.out, make([]frame, n-len(s.out))...)
+	}
+	s.sendPhase(ctx, len(a.members), func(j int) {
+		i, f := a.members[j], &s.out[j]
+		fill(i, f)
+		f.m.setSpanContext(a.ctx)
+		s.ioErrs[i] = s.conns[i].send(ctx, &f.m)
+		f.m = Message{}
 	})
 	for _, i := range a.members {
 		if err := s.ioErrs[i]; err != nil {
@@ -1102,4 +1123,24 @@ func (s *session) broadcastActive(ctx context.Context, mk func(i int) *Message) 
 			s.evict(i, a.round, fmt.Sprintf("broadcast: %v", err))
 		}
 	}
+}
+
+// sendPhase runs send(j) for every j in [0, n) on the IO pool under one
+// watchdog for ctx's deadline: when it fires, every peer with a send in
+// flight is abandoned — its conn closed, which ends the send — so no send
+// outlives the phase. With no deadline the watchdog never fires.
+func (s *session) sendPhase(ctx context.Context, n int, send func(j int)) {
+	var watching sync.WaitGroup
+	watching.Add(1)
+	stop := context.AfterFunc(ctx, func() {
+		defer watching.Done()
+		for _, p := range s.conns {
+			p.abandon()
+		}
+	})
+	ioParallel(n, ioWorkers(), send)
+	if stop() {
+		watching.Done()
+	}
+	watching.Wait() // a watchdog already running reads s.conns
 }
