@@ -155,6 +155,12 @@ health-smoke:
 # summary-mode ledger, and — with -health on — the monitor's O(cohort)
 # memory claim; the ledger line must carry the sampled MMD block and the
 # health summary triple, never per-client arrays.
+# The second run gates what an idle slot of a wire session costs: -compress
+# dense makes it 1,000 pipe clients, 20 of them sampled a round. A slot keeps
+# its weights, shard and optimizer and borrows its gradients, arena and round
+# RNG only while it works. Peak heap read 583–641 MiB in eight runs on a
+# 2-vCPU x86-64 host against the 700 MiB budget (≥ 9 % headroom), and
+# 788–938 MiB when every slot kept that workspace.
 scale-smoke:
 	@tmp=$$(mktemp -d) && \
 	go run ./cmd/flsim -clients 100000 -sr 0.001 -rounds 3 \
@@ -164,6 +170,8 @@ scale-smoke:
 	grep -q '"mmd_sample":' $$tmp/ledger.jsonl && \
 	grep -q '"health_stats":' $$tmp/ledger.jsonl && \
 	! grep -q '"client_id":' $$tmp/ledger.jsonl && \
+	go run ./cmd/flsim -method rfedavg+ -clients 1000 -sr 0.02 -e 1 -b 10 \
+		-rounds 2 -train 2000 -test 100 -compress dense -heap-budget-mb 700 && \
 	rm -rf $$tmp && echo "scale smoke passed"
 
 # Prove the async robustness claim under the race detector: the seeded

@@ -21,11 +21,10 @@ var (
 )
 
 // BatchRows and BatchIdx are the arena keys of the one gather buffer and the
-// one index slice a client has. The train batch and the δ pass
+// one index slice an arena has. The train batch and the δ pass
 // (core.ComputeDeltaInto) both use them — never at the same time, and each
-// overwrites what it reads — so a client holds one max(B, δ-batch)×features
-// buffer, not two: over 1,024 in-process clients a second one is ≈ 7 % of the
-// live heap.
+// overwrites what it reads — so an arena holds one max(B, δ-batch)×features
+// buffer, not two.
 const (
 	BatchRows = "batch.x"
 	BatchIdx  = "batch.perm"
@@ -54,8 +53,11 @@ type LocalSteps struct {
 }
 
 // Trainer is a client's compute: a network, its local solver and the arena
-// every batch-sized buffer comes from. After one warm-up call nothing here
-// allocates. Like its arena it belongs to one goroutine.
+// every batch-sized buffer comes from. The arena, and the network's gradient
+// storage (nn.Network.AdoptGrads), need only be there while Steps, Batch or
+// Loss runs: an fl.Worker keeps both, a transport client borrows them per
+// call. With a warm arena nothing here allocates. Like its arena it belongs
+// to one goroutine.
 type Trainer struct {
 	Net   *nn.Network
 	Opt   opt.Optimizer

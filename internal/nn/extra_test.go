@@ -202,3 +202,67 @@ func TestFeatureParamsSubset(t *testing.T) {
 		}
 	}
 }
+
+// The arena free list hands back the arena last put back, each one once, and
+// a new arena when it holds none; it holds what was put back and not taken.
+func TestArenaFreeList(t *testing.T) {
+	base := FreeArenas()
+	a, b := NewArena(), NewArena()
+	PutArena(a)
+	PutArena(b)
+	if n := FreeArenas(); n != base+2 {
+		t.Fatalf("free list holds %d arenas after two puts, want %d", n, base+2)
+	}
+	if got := GetArena(); got != b {
+		t.Fatal("GetArena did not return the arena last put back")
+	}
+	if got := GetArena(); got != a {
+		t.Fatal("GetArena did not return the arena put back before it")
+	}
+	if n := FreeArenas(); n != base {
+		t.Fatalf("free list holds %d arenas after taking both back, want %d", n, base)
+	}
+	for range base {
+		GetArena()
+	}
+	if got := GetArena(); got == a || got == b || len(got.tensors) != 0 {
+		t.Fatal("an empty free list did not make a new arena")
+	}
+}
+
+// An arena's random source, reseeded, draws what a new source of that seed
+// draws, whatever its earlier use left behind — a part-read Read included,
+// whose leftover bytes the Rand keeps apart from its source.
+func TestArenaRandReseeds(t *testing.T) {
+	draws := func(r *rand.Rand) []int64 {
+		var out []int64
+		for _, v := range r.Perm(20) {
+			out = append(out, int64(v))
+		}
+		for _, n := range []int{7, 1000, 1 << 40} {
+			out = append(out, int64(r.Intn(n)))
+		}
+		b := make([]byte, 5)
+		r.Read(b)
+		for _, x := range b {
+			out = append(out, int64(x))
+		}
+		return append(out, r.Int63())
+	}
+	a := NewArena()
+	first := a.Rand(3)
+	for i, seed := range []int64{3, 3, 1_000_004, -9} {
+		r := a.Rand(seed)
+		if r != first {
+			t.Fatal("Rand replaced the arena's source")
+		}
+		want := draws(rand.New(rand.NewSource(seed)))
+		got := draws(r)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("use %d, seed %d: draw %d is %d, a new source draws %d", i, seed, j, got[j], want[j])
+			}
+		}
+		r.Read(make([]byte, 3)) // leave the read position mid-value
+	}
+}

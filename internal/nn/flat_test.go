@@ -3,6 +3,7 @@ package nn_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -183,5 +184,73 @@ func TestFlatAllocatesOnce(t *testing.T) {
 	n := fresh[0]
 	if a := testing.AllocsPerRun(100, func() { n.Flat() }); a != 0 {
 		t.Fatalf("later Flat: %v allocs, want 0", a)
+	}
+}
+
+// A network whose gradients live in an adopted vector accumulates into that
+// vector exactly what a network with its own gradient tensors accumulates,
+// two backward passes deep. After AdoptGrads(nil) every gradient is empty but
+// keeps its shape, and Backward panics rather than write anywhere — the
+// vector it held last included.
+func TestAdoptGrads(t *testing.T) {
+	const batch = 5
+	for name, model := range flatModels {
+		t.Run(name, func(t *testing.T) {
+			own, adopted := model.build(1), model.build(1)
+			rng := rand.New(rand.NewSource(6))
+			x := tensor.RandNormal(rng, 1, batch, model.in)
+			y := []int{0, 1, 2, 3, 4}
+			backward := func(n *nn.Network) {
+				_, logits := n.Forward(x, true)
+				_, dlogits := nn.SoftmaxCrossEntropy(logits, y)
+				n.Backward(dlogits, nil)
+			}
+			g := make([]float64, adopted.NumParams())
+			adopted.AdoptGrads(g)
+			own.ZeroGrad()
+			adopted.ZeroGrad()
+			for range 2 {
+				backward(own)
+				backward(adopted)
+			}
+			off := 0
+			for _, p := range adopted.Params() {
+				if &p.G.Data[0] != &g[off] || len(p.G.Data) != p.W.Size() {
+					t.Fatalf("%s's gradient is not its segment of the adopted vector", p.Name)
+				}
+				off += p.W.Size()
+			}
+			if want := nn.FlattenGrads(own.Params()); !sameFloats(g, want) {
+				t.Fatal("the adopted vector does not hold the accumulated gradients")
+			}
+
+			held := append([]float64(nil), g...)
+			adopted.AdoptGrads(nil)
+			for _, p := range adopted.Params() {
+				if len(p.G.Data) != 0 || !slices.Equal(p.G.Shape(), p.W.Shape()) {
+					t.Fatalf("%s after AdoptGrads(nil): %d gradient values, shape %v for weights %v",
+						p.Name, len(p.G.Data), p.G.Shape(), p.W.Shape())
+				}
+			}
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, "AdoptGrads") {
+						t.Fatalf("Backward without gradient storage: panic %q, want one naming AdoptGrads", msg)
+					}
+				}()
+				backward(adopted)
+			}()
+			if !sameFloats(g, held) {
+				t.Fatal("a Backward without gradient storage wrote into the vector dropped before it")
+			}
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, fmt.Sprintf("has %d", len(g)-1)) {
+						t.Fatalf("AdoptGrads of a short vector: panic %q must name its length", msg)
+					}
+				}()
+				adopted.AdoptGrads(g[1:])
+			}()
+		})
 	}
 }

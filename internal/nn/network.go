@@ -49,7 +49,11 @@ func (n *Network) Predict(x *tensor.Tensor) *tensor.Tensor {
 // the logits, plus an optional extra gradient with respect to the features
 // (the distribution regularizer's contribution, which attaches at φ's
 // output rather than at the logits).
+// It panics when the network holds no gradient storage (AdoptGrads(nil)).
 func (n *Network) Backward(dlogits, dfeatExtra *tensor.Tensor) {
+	if ps := n.Params(); len(ps) > 0 && len(ps[0].G.Data) == 0 {
+		panic("nn: Backward on a network without gradient storage; AdoptGrads a vector first")
+	}
 	backwardPasses.Inc()
 	dfeat := n.Head.Backward(dlogits)
 	if dfeatExtra != nil {
@@ -110,6 +114,27 @@ func (n *Network) AdoptFlat(v []float64) {
 		off = end
 	}
 	n.flat = v
+}
+
+// AdoptGrads makes v the gradient storage: every Param.G is re-pointed at its
+// segment of v, in Params order, as AdoptFlat does for the weights. A nil v
+// drops the storage: every G keeps its shape but holds no data, and Backward
+// panics until a vector is adopted again. The caller keeps v and decides when
+// it is free again.
+func (n *Network) AdoptGrads(v []float64) {
+	if v != nil && len(v) != n.NumParams() {
+		panic(fmt.Sprintf("nn: AdoptGrads size mismatch: params have %d elements, v has %d", n.NumParams(), len(v)))
+	}
+	off := 0
+	for _, p := range n.Params() {
+		if v == nil {
+			p.G.Data = nil
+			continue
+		}
+		end := off + p.W.Size()
+		p.G.Data = v[off:end:end]
+		off = end
+	}
 }
 
 // Builder constructs a fresh network of a fixed architecture from a seed.

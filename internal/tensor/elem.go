@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file is the elementwise/reduction kernel layer: flat []float64
 // primitives (axpy, scale, add, subtract, sum, dot, squared distance) with a
@@ -34,6 +37,9 @@ func mustSameLen(op string, n, m int) {
 }
 
 // AxpyFloats sets dst[i] += a*x[i] — the BLAS axpy primitive on raw slices.
+// Every path rounds once per element, as the AVX2 kernel's fused multiply-add
+// does, so an element's result does not depend on the length of the slice
+// around it.
 func AxpyFloats(dst []float64, a float64, x []float64) {
 	mustSameLen("AxpyFloats", len(dst), len(x))
 	if elemUseAVX2 && len(dst) >= elemSIMDMin {
@@ -41,7 +47,7 @@ func AxpyFloats(dst []float64, a float64, x []float64) {
 		return
 	}
 	for i, v := range x {
-		dst[i] += a * v
+		dst[i] = math.FMA(a, v, dst[i])
 	}
 }
 

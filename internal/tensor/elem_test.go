@@ -35,10 +35,9 @@ func elemTestVec(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// The in-place kernels (add, sub, scale) do one multiply or add per
-// element with no reassociation, so the AVX2 path must match the scalar loop
-// bit for bit. Axpy uses FMA on the AVX2 path (one rounding instead of two),
-// so it gets a per-element relative tolerance instead.
+// The in-place kernels (add, sub, scale, axpy) round once per element with
+// no reassociation — axpy through a fused multiply-add on both paths — so the
+// AVX2 path must match the scalar loop bit for bit.
 func TestElemInPlaceKernelsMatchScalar(t *testing.T) {
 	if !elemUseAVX2 {
 		t.Log("AVX2 unavailable: comparing the scalar path against itself")
@@ -50,12 +49,11 @@ func TestElemInPlaceKernelsMatchScalar(t *testing.T) {
 		ops := []struct {
 			name  string
 			apply func(dst []float64)
-			exact bool
 		}{
-			{"AddFloats", func(dst []float64) { AddFloats(dst, x) }, true},
-			{"SubFloats", func(dst []float64) { SubFloats(dst, x) }, true},
-			{"ScaleFloats", func(dst []float64) { ScaleFloats(dst, 1.618) }, true},
-			{"AxpyFloats", func(dst []float64) { AxpyFloats(dst, -0.73, x) }, false},
+			{"AddFloats", func(dst []float64) { AddFloats(dst, x) }},
+			{"SubFloats", func(dst []float64) { SubFloats(dst, x) }},
+			{"ScaleFloats", func(dst []float64) { ScaleFloats(dst, 1.618) }},
+			{"AxpyFloats", func(dst []float64) { AxpyFloats(dst, -0.73, x) }},
 		}
 		for _, op := range ops {
 			simd, scalar := withElemPath(t, func() []float64 {
@@ -64,15 +62,29 @@ func TestElemInPlaceKernelsMatchScalar(t *testing.T) {
 				return dst
 			})
 			for i := range simd {
-				diff := math.Abs(simd[i] - scalar[i])
-				tol := 0.0
-				if !op.exact {
-					tol = 1e-15 * (1 + math.Abs(scalar[i]))
+				if math.Float64bits(simd[i]) != math.Float64bits(scalar[i]) {
+					t.Fatalf("%s n=%d: [%d] simd %v vs scalar %v", op.name, n, i, simd[i], scalar[i])
 				}
-				if diff > tol {
-					t.Fatalf("%s n=%d: [%d] simd %v vs scalar %v (|Δ|=%g > %g)",
-						op.name, n, i, simd[i], scalar[i], diff, tol)
-				}
+			}
+		}
+	}
+}
+
+// An axpy element's result does not depend on the slice around it: for every
+// length up to two vector widths and every i, the call on dst[i:i+1] — the
+// scalar loop — leaves what the full-slice call leaves in element i.
+func TestAxpyElementIndependentOfLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for n := 1; n <= 9; n++ {
+		x, base := elemTestVec(rng, n), elemTestVec(rng, n)
+		a := rng.NormFloat64()
+		full := append([]float64(nil), base...)
+		AxpyFloats(full, a, x)
+		for i := range n {
+			one := []float64{base[i]}
+			AxpyFloats(one, a, x[i:i+1])
+			if math.Float64bits(one[0]) != math.Float64bits(full[i]) {
+				t.Fatalf("n=%d: element %d alone is %v, in the full slice %v", n, i, one[0], full[i])
 			}
 		}
 	}

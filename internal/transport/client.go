@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"repro/internal/compress"
 	"repro/internal/core"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // ClientConfig parameterizes a federated client process.
@@ -81,10 +81,14 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 	if cfg.NewOptimizer == nil {
 		cfg.NewOptimizer = func() opt.Optimizer { return opt.NewSGD() }
 	}
-	// One arena for the session: the train batch and the δ pass gather into
-	// the same buffer (engine.BatchRows).
-	trainer := engine.Trainer{Net: cfg.Builder(cfg.ModelSeed), Opt: cfg.NewOptimizer(), Arena: nn.NewArena()}
+	// Between frames the client holds what outlives one: weights, shard,
+	// optimizer, codec state and δ. The gradients and the arena, with the
+	// round's RNG in it, are borrowed for each local training or δ pass and
+	// given back when it ends, so an idle slot holds neither — not even the
+	// gradients cfg.Builder made.
+	trainer := engine.Trainer{Net: cfg.Builder(cfg.ModelSeed), Opt: cfg.NewOptimizer()}
 	net := trainer.Net
+	net.AdoptGrads(nil)
 	nParams := net.NumParams()
 	caps := cfg.Caps
 	if caps == 0 {
@@ -185,7 +189,10 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 			// stream: a client that crashed and rejoined at round r draws
 			// the same mini-batches as one that never left, which keeps a
 			// resumed session bitwise-identical to an uninterrupted one.
-			rng := clientRoundRNG(cfg.Seed, m.Round)
+			trainer.Arena = nn.GetArena()
+			rng := trainer.Arena.Rand(clientRoundSeed(cfg.Seed, m.Round))
+			grads := tensor.GetFloats(nParams)
+			net.AdoptGrads(grads)
 			round, e := int(m.Round), cfg.LocalSteps
 			o := engine.LocalSteps{E: e, B: cfg.BatchSize,
 				LR: func(i int) float64 { return cfg.LR.LR(round*e + i) }}
@@ -197,6 +204,10 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 			ls.Round, ls.Client = cr.Round, cr.Client
 			loss := trainer.Steps(shard, rng, o, ls)
 			ls.End()
+			net.AdoptGrads(nil)
+			tensor.PutFloats(grads)
+			nn.PutArena(trainer.Arena)
+			trainer.Arena = nil
 			ser := cfg.Tracer.Start("serialize", cr.Context())
 			ser.Round, ser.Client = cr.Round, cr.Client
 			out := &upd
@@ -229,7 +240,9 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 			}
 			load(params)
 			held = m.Round + 1
-			core.ComputeDeltaInto(delta, trainer.Arena, net, shard, 0)
+			arena := nn.GetArena()
+			core.ComputeDeltaInto(delta, arena, net, shard, 0)
+			nn.PutArena(arena)
 			cd.End()
 			out := &dm
 			*out = Message{Type: MsgDelta, Round: m.Round, ClientID: m.ClientID}
@@ -361,9 +374,9 @@ func sameVector(a, b []float64) bool {
 	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
-// clientRoundRNG derives the client's mini-batch stream for one round from
+// clientRoundSeed seeds the client's mini-batch stream for one round from
 // (Seed, round) — the client-side half of the resume-determinism contract
 // (same mixing constants as fl.roundRNG and the server's cohortRNG).
-func clientRoundRNG(seed int64, round int32) *rand.Rand {
-	return rand.New(rand.NewSource(seed*1_000_003 + int64(round)*7919 + 1))
+func clientRoundSeed(seed int64, round int32) int64 {
+	return seed*1_000_003 + int64(round)*7919 + 1
 }

@@ -101,8 +101,9 @@ type Message struct {
 	PDelta     PackedVec
 
 	// pooled marks Params as a vector of the float pool: a pipe's queued
-	// copy (inprocConn.Send). Only the server puts it back, when the round
-	// that aggregated it closes (session.closeRound).
+	// copy (inprocConn.Send). The server puts it back when the round that
+	// aggregated it closes (session.closeRound), and a pipe's Recv when it
+	// copies the frame into the receiver's offer.
 	pooled bool
 }
 

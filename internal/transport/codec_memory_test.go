@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -206,4 +208,68 @@ func TestMixedCapsShareOneBroadcastEncode(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A client keeps no workspace between frames: its gradients and its arena,
+// round RNG included, are borrowed for each local training or δ pass and given
+// back before it replies. So in a pipe session whose cohort is smaller than
+// its slot count, at each round boundary — before the round's first assign
+// leaves — no client's network holds gradient storage, and the arena free
+// list holds no more arenas than ever worked at once: at most the cohort.
+func TestClientWorkspaceBorrowedOnlyWhileWorking(t *testing.T) {
+	const clients, cohort, rounds = 8, 2, 6
+	fx := newFixture(t, clients)
+	for nn.FreeArenas() > 0 {
+		nn.GetArena()
+	}
+
+	var mu sync.Mutex
+	var nets []*nn.Network
+	checked := 0 // rounds checked at their boundary
+	idle := func(when string) {
+		for i, n := range nets {
+			for _, p := range n.Params() {
+				if len(p.G.Data) != 0 {
+					t.Errorf("%s: network %d holds %d gradient values in %s", when, i, len(p.G.Data), p.Name)
+				}
+			}
+		}
+		if a := nn.FreeArenas(); a < 1 || a > cohort {
+			t.Errorf("%s: the free list holds %d arenas, want 1..%d", when, a, cohort)
+		}
+	}
+	res := elideRun{algo: AlgoRFedAvgPlus,
+		shape: func(c *ServerConfig) { c.SampleRatio, c.Rounds = float64(cohort)/clients, rounds },
+		client: func(_ int, cfg *ClientConfig) {
+			cfg.Builder = func(seed int64) *nn.Network {
+				n := fx.builder(seed)
+				mu.Lock()
+				nets = append(nets, n)
+				mu.Unlock()
+				return n
+			}
+		},
+		server: func(_ int, c Conn) Conn {
+			return &hookConn{Conn: c, before: func(m *Message) {
+				mu.Lock()
+				defer mu.Unlock()
+				if m.Type == MsgAssign && int(m.Round) > checked {
+					checked = int(m.Round)
+					idle(fmt.Sprintf("round %d boundary", m.Round))
+				}
+			}}
+		},
+	}.run(t, fx)
+	if len(res.RoundLosses) != rounds || len(res.Evictions) != 0 {
+		t.Fatalf("%d rounds, evictions %+v", len(res.RoundLosses), res.Evictions)
+	}
+	for r, c := range res.Cohorts {
+		if n := count(c.Mask); n != cohort {
+			t.Fatalf("round %d sampled %d slots, want %d of %d", r, n, cohort, clients)
+		}
+	}
+	if checked != rounds-1 || len(nets) != clients {
+		t.Fatalf("checked %d boundaries over %d networks, want %d over %d", checked, len(nets), rounds-1, clients)
+	}
+	idle("after the session")
 }

@@ -28,9 +28,10 @@ import (
 // back as m.Params, written only by that conn while its owner waits in that
 // Recv. One kind of buffer is pooled: a pipe's queued copy of dense Params
 // comes from tensor's float pool and is flagged on the *Message, so it passes
-// through any wrapper. Only the server puts such vectors back — those of the
-// fresh updates a round aggregated, when it closes (session.closeRound) — and
-// every other received buffer stays its receiver's, garbage once dropped.
+// through any wrapper. Two places put such vectors back: the server, for the
+// fresh updates a round aggregated, when it closes (session.closeRound), and
+// a pipe's Recv, for a queued copy it moved into the receiver's offer. Every
+// other received buffer stays its receiver's, garbage once dropped.
 //
 // A connection carries each global model once: after a MsgDeltaReq the
 // client keeps that model loaded and the next MsgAssign may arrive
@@ -210,7 +211,7 @@ func newPipe(now *time.Duration) (server, client Conn) {
 // a receiver parked on an empty queue with an offer it fits is copied into
 // the lent slice — its owner is blocked until this frame wakes it — and any
 // other frame is queued as a Clone whose dense Params come from the float
-// pool (Message.pooled).
+// pool (Message.pooled), for Recv to hand on or copy into an offer.
 func (c *inprocConn) Send(m *Message) error {
 	q := c.out
 	q.mu.Lock()
@@ -243,15 +244,29 @@ func (c *inprocConn) Send(m *Message) error {
 	return nil
 }
 
-// lend is streamConn.lend for a pipe: the offer reaches a Send only if this
-// Recv finds nothing queued and parks.
+// lend is streamConn.lend for a pipe: a Send copies into the offer if this
+// Recv finds nothing queued and parks, else Recv copies the queued frame in.
 func (c *inprocConn) lend(v []float64) { c.lent = v }
 
 // Recv returns the oldest queued frame, waiting for one; after Close it
-// drains what is queued, then reports io.EOF.
+// drains what is queued, then reports io.EOF. A queued frame lands in an offer
+// it fits as it would off a stream: its Params are copied into the lent slice
+// and the pooled copy goes back to the float pool.
 func (c *inprocConn) Recv() (*Message, error) {
 	lent := c.lent
 	c.lent = nil
+	m, err := c.take(lent)
+	if err == nil && m.pooled && len(lent) > 0 && len(m.Params) == len(lent) {
+		copy(lent, m.Params)
+		tensor.PutFloats(m.Params)
+		m.Params, m.pooled = lent, false
+	}
+	return m, err
+}
+
+// take dequeues the oldest frame, waiting for one with lent as the offer a
+// Send may copy into directly.
+func (c *inprocConn) take(lent []float64) (*Message, error) {
 	q := c.in
 	q.mu.Lock()
 	defer q.mu.Unlock()

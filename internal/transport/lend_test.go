@@ -21,6 +21,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // Tests for the dense client's one buffer: a received model becomes the
@@ -44,6 +45,18 @@ func untouched(v []float64) bool {
 		}
 	}
 	return true
+}
+
+// putBackOnce reports whether the float pool hands v's array out exactly once
+// in its next 64 draws at v's length: it was put back, and only once.
+func putBackOnce(v []float64) bool {
+	seen := 0
+	for range 64 {
+		if w := tensor.GetFloats(len(v)); &w[0] == &v[0] {
+			seen++
+		}
+	}
+	return seen == 1
 }
 
 // lendConn is a conn RunClient can lend its weights to.
@@ -196,7 +209,8 @@ func TestLendSemantics(t *testing.T) {
 
 // testPipeLend is what only a pipe can get wrong: a frame that waited in the
 // queue, a sender that reuses its slices, order across the two deliveries,
-// and Close.
+// and Close. A queued frame lands in the offer as a parked receiver's does,
+// and its pooled copy goes back.
 func testPipeLend(t *testing.T, model []float64) {
 	n := len(model)
 	pair := func(t *testing.T) (send func(*Message), recv *inprocConn) {
@@ -216,14 +230,33 @@ func testPipeLend(t *testing.T, model []float64) {
 	}
 	t.Run("queued before Recv", func(t *testing.T) {
 		send, c := pair(t)
-		send(&Message{Type: MsgDeltaReq, Params: model})
+		sent := slices.Clone(model)
+		send(&Message{Type: MsgDeltaReq, Round: 0, Params: sent})
+		send(&Message{Type: MsgDeltaReq, Round: 1, Params: sent})
+		pooled := c.in.frames[c.in.head].m.Params
 		lent := offered(c)
 		m, err := c.Recv()
-		if err != nil || !sameFloatBits(m.Params, model) {
-			t.Fatalf("queued frame: %+v, %v", m, err)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sameVector(m.Params, lent) || sameVector(m.Params, model) || !untouched(lent) {
-			t.Fatal("a queued frame must arrive in a fresh slice, not the lent one nor the sender's")
+		if m.Round != 0 || !sameVector(m.Params, lent) || !sameFloatBits(lent, model) || m.pooled {
+			t.Fatalf("a queued frame must land in the offer, as off a stream: round %d, in the offer %v, pooled %v",
+				m.Round, sameVector(m.Params, lent), m.pooled)
+		}
+		if !putBackOnce(pooled) {
+			t.Fatal("the queued frame's pooled copy must go back to the float pool exactly once")
+		}
+		// Without an offer the frame keeps its pooled copy, the sender's
+		// slice still its own.
+		if m, err = c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if m.Round != 1 || !m.pooled || sameVector(m.Params, sent) || !sameFloatBits(m.Params, model) {
+			t.Fatalf("a queued frame without an offer must arrive in its pooled copy: round %d, pooled %v, the sender's %v",
+				m.Round, m.pooled, sameVector(m.Params, sent))
+		}
+		if !sameFloatBits(sent, model) {
+			t.Fatal("a queued frame's delivery wrote the sender's slice")
 		}
 	})
 	t.Run("sender's slices", func(t *testing.T) {
@@ -284,8 +317,8 @@ func testPipeLend(t *testing.T, model []float64) {
 			if err != nil || m.Round != r || !sameFloatBits(m.Params, model) {
 				t.Fatalf("Recv %d: round %v, %v", r, m, err)
 			}
-			if landed := sameVector(m.Params, lent); (r < 2 && landed) || (r == 2 && !landed) {
-				t.Fatalf("round %d landed in the offer: %v", r, landed)
+			if !sameVector(m.Params, lent) {
+				t.Fatalf("round %d did not land in the offer", r)
 			}
 		}
 	})
@@ -296,8 +329,13 @@ func testPipeLend(t *testing.T, model []float64) {
 		c.Close()
 		for r := int32(0); r < 2; r++ {
 			lent := offered(c)
-			if m, err := c.Recv(); err != nil || m.Round != r || sameVector(m.Params, lent) {
+			m, err := c.Recv()
+			if err != nil || m.Round != r {
 				t.Fatalf("queued frame %d after Close: %+v, %v", r, m, err)
+			}
+			// The model lands in the offer; the frame without one leaves it.
+			if landed := sameVector(m.Params, lent); landed != (r == 0) || landed && !sameFloatBits(lent, model) || !landed && !untouched(lent) {
+				t.Fatalf("queued frame %d after Close: landed in the offer %v", r, landed)
 			}
 		}
 		lent := offered(c)
@@ -632,15 +670,14 @@ func TestLendModeEdges(t *testing.T) {
 			if lent.rejoins != tc.rejoins {
 				t.Fatalf("%d rejoins, want %d", lent.rejoins, tc.rejoins)
 			}
-			// A pipe delivers into the offer only to a receiver already
-			// parked, so how many frames land is the scheduler's; that some
-			// do, or none where TCP lands none, is not.
+			// A pipe lands a frame in the offer whether it was queued or
+			// copied to the parked receiver, so it lands what TCP lands.
 			t.Run("pipe", func(t *testing.T) {
 				piped := tc.run.run(t, fx, true, false)
 				if err := piped.diff(lent); err != nil {
 					t.Fatalf("the pipe session differs from the TCP one: %v", err)
 				}
-				if spy := piped.spies[0]; tc.landed >= 0 && (spy.landed > 0) != (tc.landed > 0) {
+				if spy := piped.spies[0]; tc.landed >= 0 && spy.landed != tc.landed {
 					t.Fatalf("slot 0: %d frames landed in lent weights (%d offers), TCP lands %d", spy.landed, spy.lends, tc.landed)
 				}
 			})
