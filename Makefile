@@ -30,12 +30,12 @@ test: vet
 
 # Race-detect the packages where goroutines share state: the worker pool and
 # kernel budget (fl), the two client halves that read one DeltaTable from every
-# worker (core), the sharded aggregate's per-shard partials (engine), the
-# parallel matmul kernels (tensor), the layer scratch reuse (nn), the wire
-# protocol (transport), the codec whose error histograms every client
-# goroutine observes into (compress), the health monitor the round writes and
-# the /debug/fl/health handler reads (health), and the series every client
-# goroutine and IO-pool worker writes (telemetry). -race also turns on
+# worker (core), the aggregate's chunk workers, which write disjoint ranges of
+# one model (engine), the parallel matmul kernels (tensor), the layer scratch
+# reuse (nn), the wire protocol (transport), the codec whose error histograms
+# every client goroutine observes into (compress), the health monitor the round
+# writes and the /debug/fl/health handler reads (health), and the series every
+# client goroutine and IO-pool worker writes (telemetry). -race also turns on
 # checkptr, which checks the framing's unsafe.Slice views of float64 payloads.
 # The second line repeats the tests whose outcome rides on interleavings the
 # scheduler picks: whether a pipe frame is copied into a parked receiver's
@@ -63,9 +63,11 @@ test-race:
 # (TestConvForwardMatchesIm2colReference,
 # TestConvBackwardParamsMatchesIm2colReference and
 # TestConvBackwardInputMatchesCol2imReference, none of them amd64-gated), and
-# through TestMaxPoolNonFiniteWindows.
+# through TestMaxPoolNonFiniteWindows, and that holds engine.Aggregate's
+# chunked loop equal to the serial one with == on the FMA scalar axpy
+# (TestAggregateMatchesParentServer).
 test-purego:
-	go test -tags purego ./internal/tensor/ ./internal/nn/
+	go test -tags purego ./internal/tensor/ ./internal/nn/ ./internal/engine/
 
 # $(call require-tests,PKG,PATTERN) fails unless every |-separated
 # alternative of PATTERN names at least one test, fuzz target or benchmark in
@@ -149,12 +151,12 @@ health-smoke:
 # flsim session over 100k simulated clients must finish inside a wall-clock
 # budget with peak heap bounded well below anything O(N·d) would need —
 # steady-state memory tracks the sampled cohort, not the client count. The
-# run drives the simulator, whose cohort of 100 reaches the sharded
-# aggregation path through engine.Aggregate (the transport server's; before
-# PR 21 the simulator had only a serial average), the streaming δ table, the
-# summary-mode ledger, and — with -health on — the monitor's O(cohort)
-# memory claim; the ledger line must carry the sampled MMD block and the
-# health summary triple, never per-client arrays.
+# run drives the simulator, whose cohort of 100 goes through engine.Aggregate
+# (the transport server's; before PR 21 the simulator had only a serial
+# average), the streaming δ table, the summary-mode ledger, and — with
+# -health on — the monitor's O(cohort) memory claim; the ledger line must
+# carry the sampled MMD block and the health summary triple, never per-client
+# arrays.
 # The second run gates what an idle slot of a wire session costs: -compress
 # dense makes it 1,000 pipe clients, 20 of them sampled a round. A slot keeps
 # its weights, shard and optimizer and borrows its gradients, arena and round

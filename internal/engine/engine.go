@@ -97,17 +97,10 @@ func StalenessWeight(age int, lambda float64) float64 {
 	return 1 / math.Pow(1+float64(age), lambda)
 }
 
-const (
-	// Shards is the fixed shard count of the parallel aggregation path. A
-	// constant — never the core count — so the floating-point reduction order,
-	// and therefore the trained model, is identical on every machine and
-	// across kill/resume boundaries.
-	Shards = 16
-	// ShardMin is the number of fresh updates at which Aggregate switches to
-	// the sharded path. Below it the serial loop is both faster and keeps
-	// every small-cohort run's exact floating-point story.
-	ShardMin = 64
-)
+// aggChunk is how many coordinates one task of Aggregate's parallel loop sums.
+// Every coordinate is summed over the same updates in the same order whatever
+// chunk holds it, so the value moves speed only, never a bit.
+const aggChunk = 4096
 
 // Aggregate writes the weighted mean of the updates into dst and returns the
 // equally weighted mean loss. A fresh update weighs Samples/Σ, a late one
@@ -116,20 +109,15 @@ const (
 // dst untouched, when Σ ≤ 0 — 0/0 would NaN the whole model.
 //
 // "Late" is the caller's word, not Age > 0: a retried attempt folds an update
-// parked by the failed attempt of the same round, at age 0. Fresh updates
-// accumulate in slice order; from ShardMin of them on, update u goes to shard
-// u.Client % Shards, each shard accumulates in slice order and a fixed binary
-// tree combines the partials — no goroutine touches all updates, and the order
-// is the same on every run and machine. Late updates follow serially.
+// parked by the failed attempt of the same round, at age 0. Σ, the loss and
+// every coordinate accumulate fresh updates then late ones, in slice order.
+// The coordinates are cut into fixed chunks summed in parallel; since no sum
+// crosses a chunk, the result is the serial loop's to the bit on every run,
+// machine and cohort size.
 func Aggregate(dst []float64, fresh, late []Update, lambda float64) (loss float64, ok bool) {
-	sharded := len(fresh) >= ShardMin
 	wsum := 0.0
-	if sharded {
-		wsum = shardWeights(fresh)
-	} else {
-		for i := range fresh {
-			wsum += fresh[i].Samples
-		}
+	for i := range fresh {
+		wsum += fresh[i].Samples
 	}
 	for i := range late {
 		wsum += late[i].Samples * StalenessWeight(late[i].Age, lambda)
@@ -137,90 +125,35 @@ func Aggregate(dst []float64, fresh, late []Update, lambda float64) (loss float6
 	if !(wsum > 0) {
 		return math.NaN(), false
 	}
-	clear(dst)
-	if sharded {
-		loss = shardUpdates(dst, fresh, wsum)
-	} else {
-		for i := range fresh {
-			wi := fresh[i].Samples / wsum
-			tensor.AxpyFloats(dst, wi, fresh[i].Params)
-			loss += wi * fresh[i].Loss
-		}
+	for i := range fresh {
+		loss += fresh[i].Samples / wsum * fresh[i].Loss
 	}
 	for i := range late {
-		wi := late[i].Samples * StalenessWeight(late[i].Age, lambda) / wsum
-		tensor.AxpyFloats(dst, wi, late[i].Params)
-		loss += wi * late[i].Loss
+		loss += late[i].Samples * StalenessWeight(late[i].Age, lambda) / wsum * late[i].Loss
 	}
+	n := len(dst)
+	if n <= aggChunk {
+		sumChunk(dst, 0, n, fresh, late, lambda, wsum)
+		return loss, true
+	}
+	tensor.ParallelFor((n+aggChunk-1)/aggChunk, func(c int) {
+		lo := c * aggChunk
+		sumChunk(dst, lo, min(lo+aggChunk, n), fresh, late, lambda, wsum)
+	})
 	return loss, true
 }
 
-// treeReduce combines the shard partials in a fixed binary tree: partial lo
-// absorbs partial lo+span at each level. Fixed shape → fixed FP order.
-func treeReduce(absorb func(lo, hi int)) {
-	for span := 1; span < Shards; span *= 2 {
-		for lo := 0; lo+span < Shards; lo += 2 * span {
-			absorb(lo, lo+span)
-		}
-	}
-}
-
-// shardWeights is Σ Samples over the fresh updates in the sharded order.
-func shardWeights(fresh []Update) float64 {
-	var part [Shards]float64
+// sumChunk is Aggregate's loop over coordinates [lo, hi): dst[lo:hi] ←
+// Σ wᵢ·Params[lo:hi], fresh updates then late ones.
+func sumChunk(dst []float64, lo, hi int, fresh, late []Update, lambda, wsum float64) {
+	d := dst[lo:hi]
+	clear(d)
 	for i := range fresh {
-		part[fresh[i].Client%Shards] += fresh[i].Samples
+		tensor.AxpyFloats(d, fresh[i].Samples/wsum, fresh[i].Params[lo:hi])
 	}
-	treeReduce(func(lo, hi int) { part[lo] += part[hi] })
-	return part[0]
-}
-
-// shardUpdates adds Σ (Samples/wsum)·Params over the fresh updates to dst
-// (zeroed by the caller) and returns their share of the mean loss. The
-// partials are zeroed vectors of the float pool, put back before it returns.
-func shardUpdates(dst []float64, fresh []Update, wsum float64) float64 {
-	type partial struct {
-		sum  []float64
-		loss float64
+	for i := range late {
+		tensor.AxpyFloats(d, late[i].Samples*StalenessWeight(late[i].Age, lambda)/wsum, late[i].Params[lo:hi])
 	}
-	part := make([]partial, Shards)
-	tensor.ParallelFor(Shards, func(sh int) {
-		p := &part[sh]
-		for i := range fresh {
-			u := &fresh[i]
-			if u.Client%Shards != sh {
-				continue
-			}
-			wi := u.Samples / wsum
-			if p.sum == nil {
-				p.sum = tensor.GetFloats(len(dst))
-				clear(p.sum)
-			}
-			tensor.AxpyFloats(p.sum, wi, u.Params)
-			p.loss += wi * u.Loss
-		}
-	})
-	// Shards that received nothing stay nil and are skipped without
-	// perturbing the order of the others. A partial moves only into an empty
-	// slot, so each stays held by exactly one.
-	treeReduce(func(lo, hi int) {
-		a, b := &part[lo], &part[hi]
-		if b.sum != nil {
-			if a.sum == nil {
-				a.sum, b.sum = b.sum, nil
-			} else {
-				tensor.AddFloats(a.sum, b.sum)
-			}
-		}
-		a.loss += b.loss
-	})
-	if part[0].sum != nil {
-		tensor.AddFloats(dst, part[0].sum)
-	}
-	for _, p := range part {
-		tensor.PutFloats(p.sum)
-	}
-	return part[0].loss
 }
 
 // Close is what a round does with its validated updates once they are in

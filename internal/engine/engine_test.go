@@ -3,8 +3,6 @@ package engine
 import (
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -194,81 +192,6 @@ type refUpdate struct {
 	Params []float64
 }
 
-const aggShards, shardMinAgg = 16, 64
-
-type aggPartial struct {
-	sum  []float64
-	loss float64
-	wsum float64
-}
-
-func shardedWeightSum(samples []float64, delivered []bool) float64 {
-	partials := make([]aggPartial, aggShards)
-	var wg sync.WaitGroup
-	wg.Add(aggShards)
-	for sh := 0; sh < aggShards; sh++ {
-		go func(sh int) {
-			defer wg.Done()
-			w := 0.0
-			for i := sh; i < len(delivered); i += aggShards {
-				if delivered[i] {
-					w += samples[i]
-				}
-			}
-			partials[sh].wsum = w
-		}(sh)
-	}
-	wg.Wait()
-	for span := 1; span < aggShards; span *= 2 {
-		for lo := 0; lo+span < aggShards; lo += 2 * span {
-			partials[lo].wsum += partials[lo+span].wsum
-		}
-	}
-	return partials[0].wsum
-}
-
-func shardedAggregate(next []float64, updates []*refUpdate, samples []float64, wsum float64) float64 {
-	partials := make([]aggPartial, aggShards)
-	var wg sync.WaitGroup
-	wg.Add(aggShards)
-	for sh := 0; sh < aggShards; sh++ {
-		go func(sh int) {
-			defer wg.Done()
-			p := &partials[sh]
-			for i := sh; i < len(updates); i += aggShards {
-				m := updates[i]
-				if m == nil {
-					continue
-				}
-				wi := samples[i] / wsum
-				if p.sum == nil {
-					p.sum = make([]float64, len(next))
-				}
-				tensor.AxpyFloats(p.sum, wi, m.Params)
-				p.loss += wi * m.Loss
-			}
-		}(sh)
-	}
-	wg.Wait()
-	for span := 1; span < aggShards; span *= 2 {
-		for lo := 0; lo+span < aggShards; lo += 2 * span {
-			a, b := &partials[lo], &partials[lo+span]
-			if b.sum != nil {
-				if a.sum == nil {
-					a.sum, b.sum = b.sum, nil
-				} else {
-					tensor.AddFloats(a.sum, b.sum)
-				}
-			}
-			a.loss += b.loss
-		}
-	}
-	if partials[0].sum != nil {
-		tensor.AddFloats(next, partials[0].sum)
-	}
-	return partials[0].loss
-}
-
 // refFold is a parked update as the parent's server kept it.
 type refFold struct {
 	Client, Age int
@@ -276,26 +199,13 @@ type refFold struct {
 }
 
 // refAggregate is the parent's attemptRound from the weight sum to the last
-// fold: slot-indexed updates (nil = evicted, failed or unsampled), folds in
-// slot order.
+// fold, at any cohort size: slot-indexed updates (nil = evicted, failed or
+// unsampled), one accumulator over the whole model, folds in slot order.
 func refAggregate(updates []*refUpdate, samples []float64, folds []refFold, lambda float64, dim int) (next []float64, loss float64, ok bool) {
-	delivered := make([]bool, len(updates))
-	valid := 0
+	wsum := 0.0
 	for i, m := range updates {
 		if m != nil {
-			delivered[i] = true
-			valid++
-		}
-	}
-	sharded := valid >= shardMinAgg
-	wsum := 0.0
-	if sharded {
-		wsum = shardedWeightSum(samples, delivered)
-	} else {
-		for i, d := range delivered {
-			if d {
-				wsum += samples[i]
-			}
+			wsum += samples[i]
 		}
 	}
 	for _, b := range folds {
@@ -305,17 +215,13 @@ func refAggregate(updates []*refUpdate, samples []float64, folds []refFold, lamb
 		return nil, 0, false
 	}
 	next = make([]float64, dim)
-	if sharded {
-		loss = shardedAggregate(next, updates, samples, wsum)
-	} else {
-		for i, m := range updates {
-			if m == nil {
-				continue
-			}
-			wi := samples[i] / wsum
-			tensor.AxpyFloats(next, wi, m.Params)
-			loss += wi * m.Loss
+	for i, m := range updates {
+		if m == nil {
+			continue
 		}
+		wi := samples[i] / wsum
+		tensor.AxpyFloats(next, wi, m.Params)
+		loss += wi * m.Loss
 	}
 	for _, b := range folds {
 		wi := samples[b.Client] * StalenessWeight(b.Age, lambda) / wsum
@@ -364,16 +270,18 @@ func randomCohort(rng *rand.Rand, slots, dim int, deliver, fold float64) cohortC
 	return c
 }
 
-// Aggregate is the parent server's arithmetic to the bit: serial and sharded,
-// with evicted slots, with folds, with an age-0 fold.
+// Aggregate is the parent server's serial arithmetic to the bit, at every
+// cohort size and on both sides of a chunk boundary: with evicted slots, with
+// folds, with an age-0 fold.
 func TestAggregateMatchesParentServer(t *testing.T) {
-	const dim = 37
+	dims := []int{37, aggChunk - 1, aggChunk + 1, 2*aggChunk + 37}
 	rng := rand.New(rand.NewSource(21))
-	serial, sharded, zeroAge := 0, 0, 0
+	small, large, multi, zeroAge := 0, 0, 0, 0
 	for trial := 0; trial < 60; trial++ {
-		slots := 3 + rng.Intn(60) // mostly below the threshold …
+		dim := dims[trial/2%len(dims)]
+		slots := 3 + rng.Intn(60) // mostly under 64 fresh updates …
 		if trial%2 == 1 {
-			slots = 70 + rng.Intn(200) // … and mostly above it
+			slots = 70 + rng.Intn(200) // … and mostly over
 		}
 		lambda := []float64{0, 0.5, 1.3}[trial%3]
 		c := randomCohort(rng, slots, dim, 0.4+0.6*rng.Float64(), 0.5)
@@ -389,10 +297,13 @@ func TestAggregateMatchesParentServer(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if len(c.fresh) >= ShardMin {
-			sharded++
+		if len(c.fresh) >= 64 {
+			large++
 		} else {
-			serial++
+			small++
+		}
+		if dim > aggChunk {
+			multi++
 		}
 		for _, u := range c.late {
 			if u.Age == 0 {
@@ -400,84 +311,23 @@ func TestAggregateMatchesParentServer(t *testing.T) {
 			}
 		}
 		if loss != wantLoss {
-			t.Fatalf("trial %d (%d fresh, %d late): loss %v, parent %v", trial, len(c.fresh), len(c.late), loss, wantLoss)
+			t.Fatalf("trial %d (%d fresh, %d late, dim %d): loss %v, parent %v", trial, len(c.fresh), len(c.late), dim, loss, wantLoss)
 		}
 		for j := range want {
 			if got[j] != want[j] {
-				t.Fatalf("trial %d (%d fresh, %d late): param %d = %v, parent %v", trial, len(c.fresh), len(c.late), j, got[j], want[j])
+				t.Fatalf("trial %d (%d fresh, %d late, dim %d): param %d = %v, parent %v", trial, len(c.fresh), len(c.late), dim, j, got[j], want[j])
 			}
 		}
 	}
-	if serial < 10 || sharded < 10 || zeroAge < 10 {
-		t.Fatalf("coverage: %d serial, %d sharded, %d age-0 folds", serial, sharded, zeroAge)
+	if small < 10 || large < 10 || multi < 20 || zeroAge < 10 {
+		t.Fatalf("coverage: %d small, %d large cohorts, %d multi-chunk models, %d age-0 folds", small, large, multi, zeroAge)
 	}
 }
 
-// The sharded reduction must agree with the serial slot-order loop to
-// floating-point reassociation tolerance, and must itself be bitwise
-// deterministic across runs — the property that makes it safe for the
-// resume contract.
-func TestShardedAggregateMatchesSerial(t *testing.T) {
-	const n, dim = 157, 33
-	rng := rand.New(rand.NewSource(9))
-	var fresh []Update
-	for i := 0; i < n; i++ {
-		samples := float64(10 + rng.Intn(90))
-		if rng.Float64() < 0.2 { // missing slots (undelivered updates)
-			continue
-		}
-		params := make([]float64, dim)
-		for j := range params {
-			params[j] = rng.NormFloat64()
-		}
-		fresh = append(fresh, Update{Client: i, Samples: samples, Loss: rng.Float64(), Params: params})
-	}
-
-	wsum := shardWeights(fresh)
-	serialW := 0.0
-	for _, u := range fresh {
-		serialW += u.Samples
-	}
-	if math.Abs(wsum-serialW) > 1e-9*serialW {
-		t.Fatalf("shardWeights = %g, serial = %g", wsum, serialW)
-	}
-
-	serial := make([]float64, dim)
-	serialLoss := 0.0
-	for _, u := range fresh {
-		wi := u.Samples / serialW
-		tensor.AxpyFloats(serial, wi, u.Params)
-		serialLoss += wi * u.Loss
-	}
-
-	next := make([]float64, dim)
-	loss := shardUpdates(next, fresh, wsum)
-	for j := range next {
-		if d := math.Abs(next[j] - serial[j]); d > 1e-12*(1+math.Abs(serial[j])) {
-			t.Fatalf("param %d: sharded %g vs serial %g", j, next[j], serial[j])
-		}
-	}
-	if d := math.Abs(loss - serialLoss); d > 1e-12 {
-		t.Fatalf("sharded loss %g vs serial %g", loss, serialLoss)
-	}
-
-	// Run-to-run bitwise determinism: identical inputs, identical bits.
-	next2 := make([]float64, dim)
-	loss2 := shardUpdates(next2, fresh, wsum)
-	if loss != loss2 {
-		t.Fatalf("sharded loss differs across runs: %v vs %v", loss, loss2)
-	}
-	for j := range next {
-		if math.Float64bits(next[j]) != math.Float64bits(next2[j]) {
-			t.Fatalf("param %d differs bitwise across sharded runs", j)
-		}
-	}
-}
-
-// The invariants the round leans on, over random cohorts on both sides of
-// the shard threshold: after any eviction/fold pattern the effective weights
-// sum to 1, the sharded order agrees with the serial one, and a second run
-// repeats the first to the bit.
+// The invariants the round leans on, over random cohorts of under and over 64
+// fresh updates: after any eviction/fold pattern the effective weights sum to
+// 1, each is its update's share of Σ, and a second run repeats the first to
+// the bit.
 func TestAggregateInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 40; trial++ {
@@ -563,41 +413,18 @@ func TestAggregateEmptyCohort(t *testing.T) {
 	}
 }
 
-// The serial path — every cohort below ShardMin, so every simulator round and
-// every small fleet — allocates nothing.
+// Aggregate allocates nothing on a model of one chunk, whatever the cohort,
+// and on a larger model at most the closure that hands its chunks to the
+// worker pool.
 func TestAggregateSerialAllocatesNothing(t *testing.T) {
-	c := randomCohort(rand.New(rand.NewSource(4)), ShardMin-1, 64, 1, 0)
-	late := []Update{{Client: 900, Samples: 10, Age: 2, Loss: 1, Params: make([]float64, 64)}}
-	dst := make([]float64, 64)
-	if avg := testing.AllocsPerRun(50, func() { Aggregate(dst, c.fresh, late, 0.5) }); avg != 0 {
-		t.Fatalf("serial Aggregate allocates %.1f objects/op, want 0", avg)
-	}
-}
-
-// The sharded path takes its partial sums from the float pool and puts them
-// back: after warm-up a 64-update Aggregate allocates under one model's bytes
-// a call, and reused partials leave the output bit-equal to the first call's.
-func TestAggregateShardedReusesPartials(t *testing.T) {
-	const dim = 4096
-	c := randomCohort(rand.New(rand.NewSource(5)), ShardMin, dim, 1, 0)
-	if len(c.fresh) != ShardMin {
-		t.Fatalf("cohort has %d fresh updates, want %d", len(c.fresh), ShardMin)
-	}
-	first := make([]float64, dim)
-	Aggregate(first, c.fresh, nil, 0.5)
-	dst := make([]float64, dim)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range 50 {
-		Aggregate(dst, c.fresh, nil, 0.5)
-	}
-	runtime.ReadMemStats(&after)
-	if perCall, model := (after.TotalAlloc-before.TotalAlloc)/50, uint64(8*dim); perCall >= model {
-		t.Fatalf("sharded Aggregate allocates %d bytes a call, want under one model's %d", perCall, model)
-	}
-	for i := range dst {
-		if math.Float64bits(dst[i]) != math.Float64bits(first[i]) {
-			t.Fatalf("coordinate %d: %v after reuse, %v on the first call", i, dst[i], first[i])
+	for _, c := range []struct{ dim, cohort, allocs int }{
+		{64, 63, 0}, {aggChunk, 70, 0}, {3*aggChunk + 1, 8, 1},
+	} {
+		fresh := randomCohort(rand.New(rand.NewSource(4)), c.cohort, c.dim, 1, 0).fresh
+		late := []Update{{Client: 900, Samples: 10, Age: 2, Loss: 1, Params: make([]float64, c.dim)}}
+		dst := make([]float64, c.dim)
+		if avg := testing.AllocsPerRun(50, func() { Aggregate(dst, fresh, late, 0.5) }); avg > float64(c.allocs) {
+			t.Errorf("dim %d, %d fresh: Aggregate allocates %.1f objects/op, want ≤ %d", c.dim, c.cohort, avg, c.allocs)
 		}
 	}
 }

@@ -6,12 +6,10 @@ import "sync"
 // vectors for model-sized buffers whose last reader is known: the transport
 // server's pipe-delivered updates, released when their round closes; a pipe
 // frame's queued copy, released by the Recv that copies it into the
-// receiver's offer; a transport client's gradients, released when its local
-// steps end; and the sharded aggregate's partial sums, released when it
-// returns. It has no size,
-// cap or setting. It holds, per length, the vectors put back and not yet taken
-// again — never more than its callers held at once — and GetFloats never
-// returns a vector of another length.
+// receiver's offer; and a transport client's gradients, released when its
+// local steps end. It has no size, cap or setting. It holds, per length, the
+// vectors put back and not yet taken again — never more than its callers held
+// at once — and GetFloats never returns a vector of another length.
 var (
 	floatPoolMu sync.Mutex
 	floatPool   = map[int][][]float64{}

@@ -7,15 +7,13 @@ import (
 	"unsafe"
 
 	"repro/internal/data"
-	"repro/internal/engine"
 	"repro/internal/nn"
 	"repro/internal/telemetry"
 )
 
-// shardedFixture is a federation whose full cohort takes the sharded
-// aggregate: clients ≥ engine.ShardMin slots with quantity-skewed shards of a
-// small MLP's data.
-func shardedFixture(t *testing.T, clients int) *federatedFixture {
+// skewedFixture is a federation of clients slots with quantity-skewed shards
+// of a small MLP's data.
+func skewedFixture(t *testing.T, clients int) *federatedFixture {
 	t.Helper()
 	fx := newFixture(t, 1)
 	train := data.SynthMNIST(12*clients, 1)
@@ -67,12 +65,12 @@ func serveOver(t *testing.T, fx *federatedFixture, rounds int, plans map[int]Fau
 }
 
 // Pipes deliver updates in float-pool vectors the server puts back when the
-// round closes, and the sharded aggregate takes its partials from the same
-// pool; TCP reads allocate and never pool. A sharded-cohort session with an
-// eviction must come out the same to the bit over both.
+// round closes; TCP reads allocate and never pool. A session of 66 slots with
+// an eviction must aggregate the pooled updates and the fresh reads to the
+// same bits.
 func TestPipeSessionMatchesTCP(t *testing.T) {
-	const clients, rounds = engine.ShardMin + 2, 3
-	fx := shardedFixture(t, clients)
+	const clients, rounds = 66, 3
+	fx := skewedFixture(t, clients)
 	plans := map[int]FaultPlan{5: {Seed: 5, DisconnectAfterOps: 5}} // dies entering round 1
 	tcp := serveOver(t, fx, rounds, plans, func() (Conn, Conn) {
 		s, c := tcpPair(t)
@@ -218,6 +216,12 @@ func TestPipeParkedUpdateNotRecycled(t *testing.T) {
 		}()
 	}
 	res, err := Serve(scfg, server)
+	if err == nil {
+		// The straggler's last update leaves once MsgDone is on its way,
+		// maybe after Serve returned: let every client end before the
+		// server's ends close under it.
+		wg.Wait()
+	}
 	for _, s := range ends {
 		s.Close()
 	}
