@@ -38,15 +38,19 @@ test: vet
 # client goroutine and IO-pool worker writes (telemetry). -race also turns on
 # checkptr, which checks the framing's unsafe.Slice views of float64 payloads.
 # The second line repeats the tests whose outcome rides on interleavings the
-# scheduler picks: whether a pipe frame is copied into a parked receiver's
-# lent weights or queued, and the order in which the server's receive pumps
-# hand frames, conn errors and rejoin handshakes to its one dispatcher
-# (pipes, lend, rejoin, the dead-peer reap, async gathers), and which pooled
-# vector a pipe copy or the server's round close takes or puts back (the two
-# float-pool tests, named so the pattern's Pipe takes them). One pass sees
-# only some of them. The two virtual-time tests ride on the same pattern's
-# Async for the opposite reason: whatever the scheduler picks, a virtual
-# session must replay bit for bit and match a real sync session.
+# scheduler picks, which one pass sees only some of: whether a pipe frame is
+# copied into a parked receiver's lent weights or queued, the order in which
+# the server's receive pumps hand frames, conn errors and rejoin handshakes to
+# the live dispatcher, and which pooled vector a pipe copy or the server's
+# round close takes or puts back (the two float-pool tests, named so the
+# pattern's Pipe takes them). ServePipes sessions are stamp-ordered: their
+# arrivals and deadlines are handled in virtual-time order whatever the
+# scheduler picks. So the live dispatcher's interleavings come from the
+# hand-built pipe sessions — lend, rejoin and reap, the live reference of
+# TestAsyncVirtualSyncMatchesPipes — and TestPipeParkedUpdateNotRecycled keeps
+# a live buffered straggler in the set. The virtual sessions the pattern's
+# Async takes ride on it for the opposite reason: whatever the scheduler
+# picks, they must replay bit for bit and match a live sync session.
 # SendTimeout repeats the send watchdog's test: a send stuck in the assign,
 # the δ request or MsgDone races the deadline's close of its conn.
 # require-tests fails the target if a pattern matches no test or any of the
@@ -177,19 +181,20 @@ scale-smoke:
 	rm -rf $$tmp && echo "scale smoke passed"
 
 # Prove the async robustness claim under the race detector: the seeded
-# straggler matrix (async per-round wall clock within ~1.2× fault-free
-# while sync degrades), the end-to-end fold/buffer session, the full-buffer
-# bitwise-sync equivalence, the buffered-checkpoint resume path, the
-# held-model state machine (elided assigns through retry, rejoin, resume,
-# duplicated and corrupted frames), the silent-non-member rules (frames
-# only to the cohort; a dead idle peer reaped at the round boundary, with
-# deadlines or without, and its slot handed to a rejoiner), a rejoiner
-# that never handshakes holding up no round boundary, and the virtual-time
-# sessions flsim -buffer-k runs (a straggler folds at its age and the run
-# replays bit for bit; at a sync buffer a virtual session is a real one),
-# and the send path: a stuck send ends at its phase's deadline, closing a
-# FaultConn ends its delay, and a send under a deadline allocates nothing.
-CHAOS_TESTS = TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncFullBufferMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide|TestCohortWireLaw|TestCohortReapsDeadUnsampledPeer|TestSilentRejoinerDoesNotStall|TestAsyncVirtualReplays|TestAsyncVirtualSyncMatchesPipes|TestDeadlineConnSendTimeout|TestFaultConnCloseEndsDelay|TestPeerSendAllocs
+# straggler matrix (async rounds within 1.2× fault-free in virtual time
+# while sync degrades by the straggler's delay), the end-to-end fold/buffer
+# session, the full-buffer bitwise-sync equivalence, the buffered-checkpoint
+# resume path, the held-model state machine (elided assigns through retry,
+# rejoin, resume, duplicated and corrupted frames), the silent-non-member
+# rules (frames only to the cohort; a dead idle peer reaped at the round
+# boundary, with deadlines or without, and its slot handed to a rejoiner), a
+# rejoiner that never handshakes holding up no round boundary, and the
+# virtual-time sessions (a straggler folds at its age and the run replays
+# bit for bit; at a sync buffer a virtual session is a live one; fixed and
+# adaptive deadlines evict the same clients in the same rounds every run),
+# and the send path: a stuck send ends at its phase's deadline, and a send
+# under a deadline allocates nothing.
+CHAOS_TESTS = TestAsyncStragglerMatrix|TestAsyncSessionFoldsStraggler|TestAsyncFullBufferMatchesSync|TestResumeRestoresBufferedUpdates|TestDeadlineController|TestElide|TestCohortWireLaw|TestCohortReapsDeadUnsampledPeer|TestSilentRejoinerDoesNotStall|TestAsyncVirtualReplays|TestAsyncVirtualSyncMatchesPipes|TestVirtualDeadlinesReplay|TestDeadlineConnSendTimeout|TestPeerSendAllocs
 chaos-smoke:
 	$(call require-tests,./internal/transport,$(CHAOS_TESTS))
 	go test -race -count 1 ./internal/transport -run '$(CHAOS_TESTS)'

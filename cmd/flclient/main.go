@@ -23,7 +23,6 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/data"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -75,29 +74,24 @@ func main() {
 		os.Exit(2)
 	}
 
+	model, err := cliflags.ModelFor(*dataset, *featureDim)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "flclient:", err)
+		os.Exit(2)
+	}
+	if !cliflags.WasSet(flag.CommandLine, "lr") {
+		*lr = model.LR
+	}
 	var pool *data.Dataset
-	var builder nn.Builder
-	newOpt := func() opt.Optimizer { return opt.NewSGD() }
 	switch *dataset {
 	case "mnist":
 		pool = data.SynthMNIST(*trainN, *dataSeed)
-		builder = nn.NewImageCNN(data.SynthMNISTSpec, *featureDim)
 	case "cifar":
 		pool = data.SynthCIFAR(*trainN, *dataSeed)
-		builder = nn.NewImageCNN(data.SynthCIFARSpec, *featureDim)
 	case "femnist":
 		pool = data.SynthFEMNIST(*of, *trainN / *of, *dataSeed)
-		builder = nn.NewImageCNN(data.SynthFEMNISTSpec, *featureDim)
 	case "sent140":
 		pool = data.SynthSent140(*of, *trainN / *of, *dataSeed)
-		builder = nn.NewTextLSTM(data.SynthSent140Spec, 16, 32, *featureDim)
-		newOpt = func() opt.Optimizer { return opt.NewRMSProp() }
-		if !cliflags.WasSet(flag.CommandLine, "lr") {
-			*lr = 0.01
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "flclient: unknown dataset %q\n", *dataset)
-		os.Exit(2)
 	}
 
 	// All clients derive the same partition from the shared data seed, then
@@ -113,14 +107,14 @@ func main() {
 	fmt.Printf("shard %d/%d: %d samples, %d classes\n", *shard, *of, mine.Len(), mine.Classes)
 
 	cfg := transport.ClientConfig{
-		Builder:       builder,
+		Builder:       model.Builder,
 		ModelSeed:     *modelSeed,
 		Seed:          int64(*shard + 1),
 		ClientID:      *shard,
 		LocalSteps:    *e,
 		BatchSize:     *b,
 		LR:            opt.ConstLR(*lr),
-		NewOptimizer:  newOpt,
+		NewOptimizer:  model.NewOptimizer,
 		Lambda:        *lambda,
 		Caps:          caps,
 		ErrorFeedback: *compressEF,

@@ -119,12 +119,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	builder, err := modelFor(*dataset, *featureDim)
+	model, err := cliflags.ModelFor(*dataset, *featureDim)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flserver:", err)
 		os.Exit(2)
 	}
-	net := builder(*modelSeed)
+	net := model.Builder(*modelSeed)
 
 	l, err := transport.Listen(*addr)
 	if err != nil {
@@ -234,21 +234,6 @@ func main() {
 
 	fmt.Println("telemetry summary:")
 	telemetry.Default().WriteSummary(os.Stdout)
-}
-
-func modelFor(dataset string, featureDim int) (nn.Builder, error) {
-	switch dataset {
-	case "mnist":
-		return nn.NewImageCNN(data.SynthMNISTSpec, featureDim), nil
-	case "cifar":
-		return nn.NewImageCNN(data.SynthCIFARSpec, featureDim), nil
-	case "femnist":
-		return nn.NewImageCNN(data.SynthFEMNISTSpec, featureDim), nil
-	case "sent140":
-		return nn.NewTextLSTM(data.SynthSent140Spec, 16, 32, featureDim), nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
-	}
 }
 
 func testSetFor(dataset string, n int) *data.Dataset {

@@ -41,7 +41,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -117,14 +116,15 @@ func main() {
 		fmt.Printf("telemetry on http://%s (metrics, pprof, /debug/fl/health)\n", srv.Addr())
 	}
 
-	train, test, builder, defLR, newOpt, err := makeData(*dataset, *trainN, *testN, *clients, *featureDim, *seed)
+	model, err := cliflags.ModelFor(*dataset, *featureDim)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flsim:", err)
 		os.Exit(2)
 	}
 	if !cliflags.WasSet(flag.CommandLine, "lr") {
-		*lr = defLR
+		*lr = model.LR
 	}
+	train, test := makeData(*dataset, *trainN, *testN, *clients, *seed)
 
 	rng := rand.New(rand.NewSource(*seed * 13))
 	var shards []*data.Dataset
@@ -161,14 +161,14 @@ func main() {
 	}
 
 	cfg := fl.Config{
-		Builder:       builder,
+		Builder:       model.Builder,
 		ModelSeed:     *seed * 31,
 		Seed:          *seed * 17,
 		LocalSteps:    *e,
 		BatchSize:     *b,
 		SampleRatio:   *sr,
 		LR:            opt.ConstLR(*lr),
-		NewOptimizer:  newOpt,
+		NewOptimizer:  model.NewOptimizer,
 		Tracer:        obs.Tracer,
 		Ledger:        obs.Ledger,
 		LedgerDetailN: *detailN,
@@ -289,34 +289,20 @@ func (w *heapWatch) stop() float64 {
 	return <-w.peak
 }
 
-func makeData(dataset string, trainN, testN, clients, featureDim int, seed int64) (
-	train, test *data.Dataset, builder nn.Builder, lr float64, newOpt func() opt.Optimizer, err error) {
-	newOpt = func() opt.Optimizer { return opt.NewSGD() }
-	lr = 0.1
+// makeData is -dataset's synthetic train and test sets; ModelFor has
+// checked the name.
+func makeData(dataset string, trainN, testN, clients int, seed int64) (train, test *data.Dataset) {
 	switch dataset {
 	case "mnist":
-		return data.SynthMNIST(trainN, seed), data.SynthMNIST(testN, seed+1),
-			nn.NewImageCNN(data.SynthMNISTSpec, featureDim), lr, newOpt, nil
+		return data.SynthMNIST(trainN, seed), data.SynthMNIST(testN, seed+1)
 	case "cifar":
-		return data.SynthCIFAR(trainN, seed), data.SynthCIFAR(testN, seed+1),
-			nn.NewImageCNN(data.SynthCIFARSpec, featureDim), lr, newOpt, nil
+		return data.SynthCIFAR(trainN, seed), data.SynthCIFAR(testN, seed+1)
 	case "femnist":
-		perWriter := trainN / clients
-		if perWriter < 8 {
-			perWriter = 8
-		}
-		return data.SynthFEMNIST(clients, perWriter, seed), data.SynthFEMNIST(clients/2+1, perWriter, seed+1),
-			nn.NewImageCNN(data.SynthFEMNISTSpec, featureDim), lr, newOpt, nil
-	case "sent140":
-		perUser := trainN / clients
-		if perUser < 8 {
-			perUser = 8
-		}
-		return data.SynthSent140(clients, perUser, seed), data.SynthSent140(clients/2+1, perUser, seed+1),
-			nn.NewTextLSTM(data.SynthSent140Spec, 16, 32, featureDim), 0.01,
-			func() opt.Optimizer { return opt.NewRMSProp() }, nil
-	default:
-		return nil, nil, nil, 0, nil, fmt.Errorf("unknown dataset %q", dataset)
+		perWriter := max(trainN/clients, 8)
+		return data.SynthFEMNIST(clients, perWriter, seed), data.SynthFEMNIST(clients/2+1, perWriter, seed+1)
+	default: // sent140
+		perUser := max(trainN/clients, 8)
+		return data.SynthSent140(clients, perUser, seed), data.SynthSent140(clients/2+1, perUser, seed+1)
 	}
 }
 

@@ -2,7 +2,8 @@
 // binaries (flserver, flclient, flsim, flbench) so that every command
 // documents them identically in -h and opens the underlying files the same
 // way. Each binary opts into the subset of sinks it can feed; the flag
-// names and help strings are defined once here.
+// names and help strings are defined once here, as is the model table the
+// binaries share (ModelFor).
 package cliflags
 
 import (
@@ -12,7 +13,10 @@ import (
 	"os"
 
 	"repro/internal/compress"
+	"repro/internal/data"
 	"repro/internal/health"
+	"repro/internal/nn"
+	"repro/internal/opt"
 	"repro/internal/telemetry"
 )
 
@@ -28,6 +32,35 @@ const (
 	lambdaSHelp  = "staleness-discount exponent λ: a fold aged a rounds weighs 1/(1+a)^λ (0 disables the discount)"
 	adaptiveHelp = "replace the fixed -deadline with an adaptive per-round deadline from per-client round-time EWMAs, clamped to [deadline/8, deadline] (requires -deadline > 0)"
 )
+
+// Model is what a -dataset/-featdim pair trains: the architecture, the local
+// solver and the default -lr.
+type Model struct {
+	Builder      nn.Builder
+	NewOptimizer func() opt.Optimizer
+	LR           float64
+}
+
+// ModelFor is the model table flserver, flclient and flsim share, so that a
+// server and its clients cannot drift apart on architecture: the image sets
+// train a CNN with SGD at lr 0.1, sent140 an LSTM with RMSProp at 0.01.
+func ModelFor(dataset string, featureDim int) (Model, error) {
+	m := Model{NewOptimizer: func() opt.Optimizer { return opt.NewSGD() }, LR: 0.1}
+	switch dataset {
+	case "mnist":
+		m.Builder = nn.NewImageCNN(data.SynthMNISTSpec, featureDim)
+	case "cifar":
+		m.Builder = nn.NewImageCNN(data.SynthCIFARSpec, featureDim)
+	case "femnist":
+		m.Builder = nn.NewImageCNN(data.SynthFEMNISTSpec, featureDim)
+	case "sent140":
+		m.Builder = nn.NewTextLSTM(data.SynthSent140Spec, 16, 32, featureDim)
+		m.NewOptimizer, m.LR = func() opt.Optimizer { return opt.NewRMSProp() }, 0.01
+	default:
+		return Model{}, fmt.Errorf("unknown dataset %q", dataset)
+	}
+	return m, nil
+}
 
 // Telemetry holds the observability flags a binary registered and, after
 // Open, the corresponding sinks. Sinks whose flag was not registered or was
@@ -61,8 +94,8 @@ func Register(events, trace, ledger bool) *Telemetry {
 
 // Async holds the shared asynchronous-aggregation flags: a -buffer-k above 0
 // turns buffered rounds on. -adaptive-deadline is registered only for
-// deployment drivers (flserver): flsim runs buffered rounds in virtual time
-// (transport.ServeFederation), which has no deadlines to adapt.
+// deployment drivers (flserver), which have a -deadline to adapt. flsim has
+// none: its virtual-time sessions (transport.ServeFederation) set no deadline.
 type Async struct {
 	BufferK         *int
 	StalenessLambda *float64

@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"flag"
+	"fmt"
 	"testing"
 )
 
@@ -22,5 +23,30 @@ func TestWasSet(t *testing.T) {
 	}
 	if WasSet(fs, "nope") {
 		t.Error("an undefined flag reads as set")
+	}
+}
+
+// The model table: the image sets train a CNN with SGD at 0.1, sent140 an
+// LSTM with RMSProp at 0.01, every model with a feature layer of -featdim,
+// and an unknown name is an error.
+func TestModelFor(t *testing.T) {
+	for _, c := range []struct {
+		dataset string
+		lr      float64
+		opt     string
+	}{{"mnist", 0.1, "*opt.SGD"}, {"cifar", 0.1, "*opt.SGD"}, {"femnist", 0.1, "*opt.SGD"}, {"sent140", 0.01, "*opt.RMSProp"}} {
+		m, err := ModelFor(c.dataset, 12)
+		if err != nil {
+			t.Fatalf("%s: %v", c.dataset, err)
+		}
+		if got := fmt.Sprintf("%T", m.NewOptimizer()); m.LR != c.lr || got != c.opt {
+			t.Errorf("%s: lr %v, solver %s; want %v, %s", c.dataset, m.LR, got, c.lr, c.opt)
+		}
+		if d := m.Builder(7).FeatureDim; d != 12 {
+			t.Errorf("%s: feature dim %d, want 12", c.dataset, d)
+		}
+	}
+	if _, err := ModelFor("bogus", 12); err == nil {
+		t.Error("an unknown dataset has a model")
 	}
 }

@@ -41,6 +41,7 @@ func (f *Federation) Personalize(global []float64, o PersonalizeOptions) []float
 	accs := make([]float64, len(f.Clients))
 	tasks := make(chan int)
 	var wg sync.WaitGroup
+	restore := f.splitKernelBudget()
 	for range f.workers {
 		wg.Add(1)
 		go func() {
@@ -56,6 +57,7 @@ func (f *Federation) Personalize(global []float64, o PersonalizeOptions) []float
 	}
 	close(tasks)
 	wg.Wait()
+	restore()
 	return accs
 }
 

@@ -43,9 +43,9 @@ func TestAsyncSessionFoldsStraggler(t *testing.T) {
 	fx := newFixture(t, clients)
 	reg := telemetry.NewRegistry()
 	var ledger bytes.Buffer
-	// Every client pays a small per-op latency so rounds cannot outrun the
-	// straggler entirely; client 2's is >3× larger, so it always misses the
-	// BufferK cut but its update reliably lands while rounds are still
+	// Every client pays a small per-op virtual latency so rounds cannot
+	// outrun the straggler entirely; client 2's is >3× larger, so it always
+	// misses the BufferK cut but its update lands while rounds are still
 	// running.
 	plans := map[int]FaultPlan{
 		0: {StragglerDelay: 30 * time.Millisecond},

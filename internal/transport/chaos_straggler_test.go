@@ -9,30 +9,42 @@ import (
 	"repro/internal/traceview"
 )
 
+// clockedLedger is a ledger sink that notes the session's virtual clock as
+// each line is written, at the end of a round attempt.
+type clockedLedger struct {
+	bytes.Buffer
+	clock *time.Duration
+	at    []time.Duration
+}
+
+func (w *clockedLedger) Write(p []byte) (int, error) {
+	w.at = append(w.at, *w.clock)
+	return w.Buffer.Write(p)
+}
+
 // TestAsyncStragglerMatrix is the headline robustness claim for buffered
 // aggregation: under a seeded persistent straggler, a synchronous session's
-// per-round wall clock degrades by the injected delay every round, while an
-// async session (BufferK one short of the fleet, adaptive deadline on)
-// stays within ~1.2× the fault-free baseline — the straggler's updates
-// arrive late and fold in with a staleness discount instead of gating the
-// round.
+// rounds degrade by the injected delay, while an async session (BufferK one
+// short of the fleet, adaptive deadline on) stays within 1.2× the fault-free
+// baseline — the straggler's updates arrive late and fold in with a
+// staleness discount instead of gating the round.
 //
-// The matrix is measured, not assumed: a fault-free run calibrates the
-// baseline round time, the straggler delay is derived from it, and the
-// per-round durations come from the run ledger.
+// The sessions run in virtual time, so the round times are exact, not
+// sampled: a round takes the clock's advance from the ledger line before it
+// to its own. Every client's send and receive takes pace, the straggler's
+// delay.
 func TestAsyncStragglerMatrix(t *testing.T) {
 	const (
 		clients   = 6
 		rounds    = 8
 		straggler = 4
-		// Every client pays a small per-op pacing latency in every run
-		// (including the baseline), so rounds have a wall-clock floor and
-		// the async session is still running when the straggler's late
-		// update finally lands.
-		pace = 30 * time.Millisecond
+		pace      = 30 * time.Millisecond
+		delay     = 150 * time.Millisecond
 	)
 	fx := newFixture(t, clients)
-	pacedPlans := func(stragglerDelay time.Duration) map[int]FaultPlan {
+
+	run := func(stragglerDelay time.Duration, shape func(*ServerConfig)) (time.Duration, []traceview.LedgerLine) {
+		t.Helper()
 		plans := map[int]FaultPlan{}
 		for i := 0; i < clients; i++ {
 			plans[i] = FaultPlan{StragglerDelay: pace}
@@ -40,13 +52,8 @@ func TestAsyncStragglerMatrix(t *testing.T) {
 		if stragglerDelay > 0 {
 			plans[straggler] = FaultPlan{StragglerDelay: stragglerDelay}
 		}
-		return plans
-	}
-
-	run := func(plans map[int]FaultPlan, shape func(*ServerConfig)) []traceview.LedgerLine {
-		t.Helper()
 		net := fx.builder(fx.ccfg.ModelSeed)
-		var buf bytes.Buffer
+		ledger := &clockedLedger{clock: new(time.Duration)}
 		scfg := ServerConfig{
 			Algorithm:     AlgoFedAvg,
 			Rounds:        rounds,
@@ -55,64 +62,48 @@ func TestAsyncStragglerMatrix(t *testing.T) {
 			Seed:          5,
 			RoundDeadline: 10 * time.Second,
 			Metrics:       telemetry.NewRegistry(),
-			Ledger:        telemetry.NewRunLedger(&buf),
+			Ledger:        telemetry.NewRunLedger(ledger),
+			clock:         ledger.clock,
 		}
 		if shape != nil {
 			shape(&scfg)
 		}
 		seeded := func(i int) ClientConfig {
 			cfg := fx.ccfg
-			cfg.Seed = int64(300 + i)
+			cfg.Seed, cfg.LocalSteps = int64(300+i), 1
 			return cfg
 		}
 		if _, err := ServePipes(scfg, fx.shards, seeded, plans); err != nil {
 			t.Fatalf("serve: %v", err)
 		}
-		lines, err := traceview.ReadLedger(bytes.NewReader(buf.Bytes()))
+		lines, err := traceview.ReadLedger(bytes.NewReader(ledger.Bytes()))
 		if err != nil {
 			t.Fatalf("ledger: %v", err)
 		}
-		return lines
-	}
-	meanRound := func(lines []traceview.LedgerLine) time.Duration {
 		var sum time.Duration
 		n := 0
-		for i := range lines {
+		for i := 1; i < len(lines); i++ {
 			if lines[i].OK {
-				sum += time.Duration(lines[i].DurNS)
+				sum += ledger.at[i] - ledger.at[i-1]
 				n++
 			}
 		}
 		if n == 0 {
 			t.Fatal("no successful rounds in ledger")
 		}
-		return sum / time.Duration(n)
+		return sum / time.Duration(n), lines
 	}
 
-	// Calibrate: straggler-free synchronous baseline (with pacing).
-	base := meanRound(run(pacedPlans(0), nil))
-
-	// The straggler is decisively slower than a round — at least 2× the
-	// baseline and no less than 150ms per op — but bounded so its update
-	// still arrives within the async session's lifetime.
-	delay := 2 * base
-	if delay < 150*time.Millisecond {
-		delay = 150 * time.Millisecond
-	}
-	plans := pacedPlans(delay)
-
-	syncMean := meanRound(run(plans, nil))
-
-	asyncLines := run(plans, func(c *ServerConfig) {
+	base, _ := run(0, nil)
+	syncMean, _ := run(delay, nil)
+	asyncMean, asyncLines := run(delay, func(c *ServerConfig) {
 		c.BufferK = clients - 1
 		c.StalenessLambda = 0.5
 		c.MinClients = clients / 2
 		c.AdaptiveDeadline = true
 		c.RoundDeadline = 16 * time.Second // the controller's floor, 16s/8, is 2s
 	})
-	asyncMean := meanRound(asyncLines)
-
-	t.Logf("round wall clock: fault-free %v, sync+straggler %v, async+straggler %v (delay %v)",
+	t.Logf("virtual round time: fault-free %v, sync+straggler %v, async+straggler %v (delay %v)",
 		base, syncMean, asyncMean, delay)
 
 	// Sync degrades: every round waits out the straggler's delayed ops
@@ -122,12 +113,9 @@ func TestAsyncStragglerMatrix(t *testing.T) {
 			syncMean, delay, base)
 	}
 	// Async holds: rounds close at BufferK fresh arrivals, so the straggler
-	// costs buffer bookkeeping, not wall clock. The grace term absorbs
-	// scheduler jitter at millisecond-scale baselines.
-	budget := base + base/5 + delay/4
-	if asyncMean > budget {
-		t.Fatalf("async round %v exceeds 1.2× fault-free %v (+%v grace): the straggler gated the round",
-			asyncMean, base, delay/4)
+	// costs buffer bookkeeping, not round time.
+	if asyncMean > base+base/5 {
+		t.Fatalf("async round %v exceeds 1.2× fault-free %v: the straggler gated the round", asyncMean, base)
 	}
 	// And the straggler's work was folded, not dropped: at least one round
 	// attributes a late fold to it.

@@ -192,17 +192,14 @@ func Pipe() (Conn, Conn) {
 	return &inprocConn{in: b2a, out: a2b}, &inprocConn{in: a2b, out: b2a}
 }
 
-// newPipe is Pipe, in virtual time when now is set: the server end stamps
-// every frame with *now, the session's clock, and the client end with the
-// stamp of the last frame it received, advanced by its FaultConn's delays in
-// place of sleeping.
+// newPipe is Pipe in virtual time: the server end stamps every frame with
+// *now, the session's clock, and the client end with the stamp of the last
+// frame it received, advanced by its FaultConn's delays.
 func newPipe(now *time.Duration) (server, client Conn) {
 	sc, cc := Pipe()
-	if now != nil {
-		s, c := sc.(*inprocConn), cc.(*inprocConn)
-		s.now, c.now = now, &c.at
-	}
-	return sc, cc
+	s, c := sc.(*inprocConn), cc.(*inprocConn)
+	s.now, c.now = now, &c.at
+	return s, c
 }
 
 // Send delivers a copy: a TCP conn naturally isolates the two endpoints

@@ -223,17 +223,27 @@ func TestPipeRecvAfterCloseDrains(t *testing.T) {
 	}
 }
 
-// Close ends a FaultConn's real-clock delay: a send sleeping out a 10 s delay
-// returns soon after the conn is closed, as the server's send watchdog needs.
-func TestFaultConnCloseEndsDelay(t *testing.T) {
-	a, _ := Pipe()
-	c := NewFaultConn(a, FaultPlan{Seed: 1, DelayProb: 1, MinDelay: 10 * time.Second, MaxDelay: 11 * time.Second})
-	time.AfterFunc(50*time.Millisecond, func() { c.Close() })
+// A FaultConn delay never sleeps: it advances the clock of the virtual pipe
+// end it wraps, and on any other conn it fails the operation.
+func TestFaultConnDelayIsVirtual(t *testing.T) {
+	plan := FaultPlan{Seed: 1, DelayProb: 1, MinDelay: time.Hour, MaxDelay: 2 * time.Hour}
+	join := &Message{Type: MsgJoin, NumSamples: 1}
+	live, _ := Pipe()
+	if err := NewFaultConn(live, plan).Send(join); err == nil {
+		t.Error("a delayed send on a real pipe succeeded")
+	}
+	server, client := newPipe(new(time.Duration))
 	start := time.Now()
-	if err := c.Send(&Message{Type: MsgJoin, NumSamples: 1}); err == nil {
-		t.Error("a send cut short by Close succeeded")
+	if err := NewFaultConn(client, plan).Send(join); err != nil {
+		t.Fatal(err)
 	}
 	if took := time.Since(start); took > time.Second {
-		t.Fatalf("Send returned %v after it started, want under 1s", took)
+		t.Errorf("the delayed send took %v of wall clock", took)
+	}
+	if _, err := server.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	if at := server.(*inprocConn).at; at <= time.Hour || at > 2*time.Hour {
+		t.Errorf("the frame is stamped %v, want in (1h, 2h]", at)
 	}
 }

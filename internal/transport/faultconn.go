@@ -17,14 +17,11 @@ import (
 type FaultPlan struct {
 	Seed int64
 
-	// DropSendProb silently discards an outgoing message (it "succeeds"
-	// locally but never arrives) — the peer's deadline must catch it.
-	DropSendProb float64
-	// DelayProb sleeps a uniform duration in (MinDelay, MaxDelay] before
-	// the operation proceeds; applies to both directions. On a virtual pipe
-	// end the delay advances the end's clock instead. A MinDelay at or
-	// above the server's deadline makes the slow-client eviction
-	// deterministic in tests.
+	// DelayProb delays the operation by a uniform duration in (MinDelay,
+	// MaxDelay]; applies to both directions. A delay is virtual: it advances
+	// the clock of the virtual pipe end the FaultConn wraps (ServePipes), and
+	// on any other conn the operation fails. A MinDelay at or above the
+	// server's deadline makes the slow-client eviction deterministic in tests.
 	DelayProb float64
 	MinDelay  time.Duration
 	MaxDelay  time.Duration
@@ -40,7 +37,7 @@ type FaultPlan struct {
 	// that many Send/Recv calls.
 	DisconnectAfterOps int
 	// StragglerDelay is a persistent per-client slowdown: every operation
-	// sleeps this long, unconditionally and on top of any DelayProb roll.
+	// takes this long, unconditionally and on top of any DelayProb roll.
 	// Unlike the i.i.d. per-op delay it models heterogeneous hardware — the
 	// same client is slow every round — which is what asynchronous buffered
 	// aggregation is designed to route around.
@@ -61,8 +58,9 @@ type FaultPlan struct {
 }
 
 // FaultConn wraps a Conn with the injected-fault schedule of a FaultPlan.
-// It is safe for the one-writer/one-reader usage pattern of the protocol
-// and guards its RNG for -race runs.
+// It never waits: its delays move a virtual pipe end's clock. It is safe for
+// the one-writer/one-reader usage pattern of the protocol and guards its RNG
+// for -race runs.
 type FaultConn struct {
 	inner Conn
 	plan  FaultPlan
@@ -71,9 +69,6 @@ type FaultConn struct {
 	rng  *rand.Rand
 	ops  int
 	dead bool
-	// closed is closed by the first Close, which ends a delay being slept.
-	closed    chan struct{}
-	closeOnce sync.Once
 	// ref is the last dense global received (MsgAssign or, when the next
 	// assign omits the model, MsgDeltaReq) — the mirror point of the Byzantine
 	// update rewrites.
@@ -83,10 +78,9 @@ type FaultConn struct {
 // NewFaultConn wraps inner with plan's fault schedule.
 func NewFaultConn(inner Conn, plan FaultPlan) *FaultConn {
 	return &FaultConn{
-		inner:  inner,
-		plan:   plan,
-		rng:    rand.New(rand.NewSource(plan.Seed*0x9E3779B9 + 1)),
-		closed: make(chan struct{}),
+		inner: inner,
+		plan:  plan,
+		rng:   rand.New(rand.NewSource(plan.Seed*0x9E3779B9 + 1)),
 	}
 }
 
@@ -124,13 +118,8 @@ func (c *FaultConn) Send(m *Message) error {
 	if !alive {
 		return fmt.Errorf("transport: fault injection: connection crashed")
 	}
-	if clock := c.clock(); clock != nil {
-		*clock += delay
-	} else if !c.sleep(delay) {
-		return fmt.Errorf("transport: fault injection: connection closed")
-	}
-	if roll(c.plan.DropSendProb) {
-		return nil // lost in flight: local success, nothing on the wire
+	if err := c.advance(delay); err != nil {
+		return err
 	}
 	if m.Type == MsgUpdate && len(m.Params) > 0 {
 		// ref is empty unless the plan is Byzantine (see Recv).
@@ -174,53 +163,40 @@ func (c *FaultConn) Recv() (*Message, error) {
 	if !alive {
 		return nil, fmt.Errorf("transport: fault injection: connection crashed")
 	}
-	clock := c.clock()
-	if clock == nil && !c.sleep(delay) {
-		return nil, fmt.Errorf("transport: fault injection: connection closed")
-	}
 	m, err := c.inner.Recv()
-	if clock != nil { // after the Recv, which sets the clock to the frame's stamp
-		*clock += delay
+	if err == nil {
+		err = c.advance(delay) // after the Recv, which sets the clock to the frame's stamp
 	}
-	if err == nil && (c.plan.SignFlipUpdate || c.plan.ScaleUpdate > 0) && (m.Type == MsgAssign || m.Type == MsgDeltaReq) && len(m.Params) > 0 {
+	if err != nil {
+		return nil, err
+	}
+	if (c.plan.SignFlipUpdate || c.plan.ScaleUpdate > 0) && (m.Type == MsgAssign || m.Type == MsgDeltaReq) && len(m.Params) > 0 {
 		c.mu.Lock()
 		c.ref = append(c.ref[:0], m.Params...)
 		c.mu.Unlock()
 	}
-	return m, err
+	return m, nil
 }
 
-// sleep waits out delay on the real clock; it reports false, at once, if the
-// conn is or gets closed first.
-func (c *FaultConn) sleep(delay time.Duration) bool {
+// advance moves the clock of the virtual pipe end c wraps (ServePipes) by
+// delay. A delay on any other conn is an error: it has no clock to advance.
+func (c *FaultConn) advance(delay time.Duration) error {
 	if delay <= 0 {
-		return true
+		return nil
 	}
-	t := time.NewTimer(delay)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-c.closed:
-		return false
+	p, ok := c.inner.(*inprocConn)
+	if !ok || p.now == nil {
+		return fmt.Errorf("transport: fault injection: a %v delay needs a virtual pipe end", delay)
 	}
-}
-
-// clock is the inner conn's clock if it is a virtual pipe end (newPipe).
-func (c *FaultConn) clock() *time.Duration {
-	if p, ok := c.inner.(*inprocConn); ok {
-		return p.now
-	}
+	*p.now += delay
 	return nil
 }
 
-// Close closes the inner connection, marks the wrapper dead and ends a delay
-// being slept.
+// Close closes the inner connection and marks the wrapper dead.
 func (c *FaultConn) Close() error {
 	c.mu.Lock()
 	c.dead = true
 	c.mu.Unlock()
-	c.closeOnce.Do(func() { close(c.closed) })
 	return c.inner.Close()
 }
 

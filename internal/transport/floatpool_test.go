@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -27,37 +28,16 @@ func skewedFixture(t *testing.T, clients int) *federatedFixture {
 	return fx
 }
 
-// serveOver runs one seeded synchronous rFedAvg+ session of fx on the conn
-// pairs mk makes, each client end behind a FaultConn where plans names the
-// slot. A client with a plan may fail; any other failing is an error.
+// serveOver runs one seeded synchronous rFedAvg+ session of fx live on the
+// conn pairs mk makes, each client end behind a FaultConn where plans names
+// the slot.
 func serveOver(t *testing.T, fx *federatedFixture, rounds int, plans map[int]FaultPlan, mk func() (server, client Conn)) *ServerResult {
 	t.Helper()
 	model := fx.builder(fx.ccfg.ModelSeed)
-	scfg := ServerConfig{
+	res, err := serveLive(t, ServerConfig{
 		Algorithm: AlgoRFedAvgPlus, Rounds: rounds, InitialParams: model.GetFlat(),
 		FeatureDim: model.FeatureDim, Seed: 5,
-	}
-	server := make([]Conn, len(fx.shards))
-	var wg sync.WaitGroup
-	for i := range fx.shards {
-		var c Conn
-		server[i], c = mk()
-		if plan, ok := plans[i]; ok {
-			c = NewFaultConn(c, plan)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := RunClient(c, fx.shards[i], fx.client(i)); err != nil && plans[i] == (FaultPlan{}) {
-				t.Errorf("client %d: %v", i, err)
-			}
-		}()
-	}
-	res, err := Serve(scfg, server)
-	for _, c := range server {
-		c.Close()
-	}
-	wg.Wait()
+	}, fx.shards, fx.client, plans, mk)
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
@@ -237,13 +217,18 @@ func TestPipeParkedUpdateNotRecycled(t *testing.T) {
 	}
 
 	// holder[v] is the last pooled frame delivered in vector v. A vector
-	// comes back only from a server-side update frame that released it.
+	// comes back only from a server-side update frame that released it. A
+	// server pump may still be draining its closed pipe: read the log under
+	// its lock.
+	tap.mu.Lock()
+	pooled := slices.Clone(tap.pooled)
+	tap.mu.Unlock()
 	holder := map[*float64]int{}
 	reused, parked := 0, 0
-	for k, f := range tap.pooled {
+	for k, f := range pooled {
 		if prev, ok := holder[f.vec]; ok {
 			reused++
-			if g := tap.pooled[prev]; !g.server || g.m.pooled {
+			if g := pooled[prev]; !g.server || g.m.pooled {
 				t.Fatalf("frame %d reuses the vector of frame %d (type %d, server end %v), which never released it", k, prev, g.m.Type, g.server)
 			}
 		}

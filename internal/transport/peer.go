@@ -178,13 +178,15 @@ func (s *session) dispatch(stop <-chan struct{}) bool {
 	}
 }
 
-// dispatchVirtual is dispatch in a virtual-time session (ServeFederation),
-// where the frames' stamps, not the scheduler, order the events. It takes
-// arrivals until every peer that owes a frame has one in hand, then handles
-// the arrival with the smallest (stamp, slot) and moves the clock up to its
-// stamp. Under a closed stop it handles only stamps up to the clock. With
-// nothing owed and nothing in hand no frame will come: such a session has no
-// deadlines and no rejoiners.
+// dispatchVirtual is dispatch in a virtual-time session (ServePipes), where
+// the frames' stamps, not the scheduler, order the events. It takes arrivals
+// until every peer that owes a frame has one in hand, then handles the
+// arrival with the smallest (stamp, slot) and moves the clock up to its
+// stamp. The phase deadline is one more event: when that stamp passes it,
+// the clock moves to the deadline, the phase's context ends and dispatch
+// reports false. Under a closed stop it handles only stamps up to the clock.
+// With nothing owed and nothing in hand no frame will come: such a session
+// takes no rejoiners.
 func (s *session) dispatchVirtual(stop <-chan struct{}) bool {
 	for s.unseen() {
 		s.ahead = append(s.ahead, <-s.inbox)
@@ -198,14 +200,19 @@ func (s *session) dispatchVirtual(stop <-chan struct{}) bool {
 	if j < 0 {
 		return false
 	}
+	a := s.ahead[j]
+	if end := s.start + s.curDeadline(); s.expire != nil && a.at > end {
+		*s.cfg.clock = end
+		s.expire()
+		return false
+	}
 	select {
 	case <-stop:
-		if s.ahead[j].at > *s.cfg.clock {
+		if a.at > *s.cfg.clock {
 			return false
 		}
 	default:
 	}
-	a := s.ahead[j]
 	s.ahead = slices.Delete(s.ahead, j, j+1)
 	*s.cfg.clock = max(*s.cfg.clock, a.at)
 	s.handle(a)
@@ -242,9 +249,9 @@ func (s *session) handle(a arrival) {
 			return
 		}
 		p.join = a.m
-		s.deliver(p, a.m)
+		s.deliver(p, a)
 	case p.want != 0 && a.m.Type == p.want && int(a.m.Round) == p.round:
-		s.deliver(p, a.m)
+		s.deliver(p, a)
 	default:
 		if p.skips++; p.skips > skipBudget {
 			s.fail(p, fmt.Errorf("got message type %d round %d, want %d round %d", a.m.Type, a.m.Round, p.want, p.round))
@@ -288,10 +295,14 @@ func (s *session) pendingFrame(p *peer, a arrival) {
 	s.logf("rejoin refused: %v", err)
 }
 
-// deliver settles the frame p owed. The gather in progress takes it; a late
-// update — its gather stopped waiting for it — is parked for the next fold.
-func (s *session) deliver(p *peer, m *Message) {
-	i, d := p.slot, p.wait.End()
+// deliver settles the frame a, which p owed. The gather in progress takes it
+// and the adaptive deadline learns its wait (virtual: stamp − phase start); a
+// late update — its gather stopped waiting for it — is parked for the next fold.
+func (s *session) deliver(p *peer, a arrival) {
+	i, m, d := p.slot, a.m, p.wait.End()
+	if s.cfg.clock != nil {
+		d = a.at - s.start
+	}
 	current := p.want == s.coll.want && p.round == s.coll.round
 	p.want, p.skips = 0, 0
 	if !current {
@@ -447,13 +458,20 @@ func (s *session) closePending() {
 }
 
 // phaseCtx returns the per-phase deadline context; with no deadline in force
-// its Done channel is nil and a dispatch under it never times out.
+// its Done channel is nil and a dispatch under it never times out. A virtual
+// session's deadline is the stamp start + curDeadline(), which dispatchVirtual
+// fires and the phase's cancel retires: no deadline outlives its phase.
 func (s *session) phaseCtx() (context.Context, context.CancelFunc) {
 	d := s.curDeadline()
-	if d <= 0 {
+	switch {
+	case d <= 0:
 		return context.Background(), func() {}
+	case s.cfg.clock == nil:
+		return context.WithTimeout(context.Background(), d)
 	}
-	return context.WithTimeout(context.Background(), d)
+	ctx, cancel := context.WithCancel(context.Background())
+	s.start, s.expire = *s.cfg.clock, cancel
+	return ctx, func() { s.expire = nil; cancel() }
 }
 
 // curDeadline is the deadline currently in force: the adaptive controller's

@@ -327,7 +327,7 @@ func TestSilentRejoinerDoesNotStall(t *testing.T) {
 			var err error
 			done := make(chan struct{})
 			start := time.Now()
-			go func() { res, err = ServePipes(scfg, fx.shards, fx.client, nil); close(done) }()
+			go func() { res, err = serveLive(t, scfg, fx.shards, fx.client, nil, Pipe); close(done) }()
 			select {
 			case <-done:
 			case <-time.After(10 * time.Second):

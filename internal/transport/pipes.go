@@ -10,19 +10,28 @@ import (
 	"repro/internal/fl"
 )
 
-// ServePipes runs a whole session in one process over the real protocol: one
-// Pipe per shard, RunClient on each client end — wrapped in a FaultConn when
-// plans names the slot — with client(i) as slot i's configuration, and Serve
-// on the server ends. It is how the in-repo tests measure the wire features
-// under real scheduling and the fault plans' real delays; ServeFederation
-// runs it in virtual time.
+// ServePipes runs a whole session in one process over the real protocol, in
+// virtual time: one virtual pipe per shard (newPipe), RunClient on each client
+// end — wrapped in a FaultConn when plans names the slot — with client(i) as
+// slot i's configuration, and Serve on the server ends. Every frame carries a
+// stamp: the server's is the session clock, a client's the stamp it last
+// received plus its FaultConn delays. The server handles arrivals in stamp
+// order and a phase deadline fires at its stamp (session.dispatchVirtual), so
+// a session replays bit for bit and a slow client costs no wall-clock time.
+// It takes no rejoiners: a non-nil scfg.Rejoin is an error.
 //
 // When Serve fails every pipe is closed, so no client stays blocked in Recv,
 // and Serve's error is returned. Otherwise the result comes back with the
 // clients' errors joined: nil unless a client failed, as an evicted one does.
-// Either way every pipe is closed once the clients are done, which ends the
-// server's receive pumps.
+// A client that fails closes its pipe, and every pipe is closed once the
+// clients are done, which ends the server's receive pumps.
 func ServePipes(scfg ServerConfig, shards []*data.Dataset, client func(i int) ClientConfig, plans map[int]FaultPlan) (*ServerResult, error) {
+	if scfg.Rejoin != nil {
+		return nil, fmt.Errorf("transport: a ServePipes session takes no rejoiners")
+	}
+	if scfg.clock == nil {
+		scfg.clock = new(time.Duration)
+	}
 	server := make([]Conn, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
@@ -38,9 +47,7 @@ func ServePipes(scfg ServerConfig, shards []*data.Dataset, client func(i int) Cl
 			defer wg.Done()
 			if _, err := RunClient(c, shard, cfg); err != nil {
 				errs[i] = fmt.Errorf("client %d: %w", i, err)
-				if scfg.clock != nil {
-					c.Close() // no deadline evicts a client that went silent
-				}
+				c.Close() // the server sees it fail at its last frame's stamp
 			}
 		}()
 	}
@@ -63,20 +70,18 @@ func ServePipes(scfg ServerConfig, shards []*data.Dataset, client func(i int) Cl
 
 // ServeFederation runs f — the simulator's federation: its clients' shards,
 // model, local solver, sampling, seed, health monitor, ledger, events and
-// tracer — as a session over ServePipes. cfg names the algorithm, the rounds,
-// the codec and the buffer (BufferK, StalenessLambda); ServeFederation fills
-// in the rest from f. lambda is the clients' regularization weight, ef gives
-// every client its own error-feedback residual, and client k's RNG is seeded
-// Seed·1000 + k. It is the one mapping from a simulator configuration to the
-// wire, for flsim's wire flags, the extwire experiment and the
-// efficient-uplink example.
+// tracer — as a ServePipes session. cfg names the algorithm, the rounds, the
+// codec, the buffer (BufferK, StalenessLambda) and the deadlines;
+// ServeFederation fills in the rest from f. lambda is the clients'
+// regularization weight, ef gives every client its own error-feedback
+// residual, and client k's RNG is seeded Seed·1000 + k. It is the one mapping
+// from a simulator configuration to the wire, for flsim's wire flags, the
+// extwire experiment and the efficient-uplink example, which set no deadline.
 //
-// The session runs in virtual time, so it replays bit for bit: each frame
-// carries a stamp (newPipe) and the server handles arrivals in stamp
-// order. It has no deadlines and no rejoiners. In a buffered session
-// (cfg.BufferK > 0) slot k's every send and receive takes a virtual
-// U(0.5, 1.5]·slow[k] seconds (slow[k] is 1 when missing), drawn from the
-// seed Seed·1000 + k: that is who makes a round's buffer and who folds late.
+// In a buffered session (cfg.BufferK > 0) slot k's every send and receive
+// takes a virtual U(0.5, 1.5]·slow[k] seconds (slow[k] is 1 when missing),
+// drawn from the seed Seed·1000 + k: that is who makes a round's buffer and
+// who folds late.
 func ServeFederation(f *fl.Federation, cfg ServerConfig, lambda float64, ef bool, slow []float64) (*ServerResult, error) {
 	fc := f.Cfg
 	shards := make([]*data.Dataset, len(f.Clients))
@@ -85,7 +90,6 @@ func ServeFederation(f *fl.Federation, cfg ServerConfig, lambda float64, ef bool
 	}
 	cfg.InitialParams, cfg.FeatureDim, cfg.SampleRatio, cfg.Seed = f.InitialParams(), f.FeatureDim(), fc.SampleRatio, fc.Seed
 	cfg.Events, cfg.Tracer, cfg.Ledger, cfg.Health, cfg.LedgerDetailN = fc.Events, fc.Tracer, fc.Ledger, fc.Health, fc.LedgerDetailN
-	cfg.RoundDeadline, cfg.AdaptiveDeadline, cfg.Rejoin, cfg.clock = 0, false, nil, new(time.Duration)
 	client := func(i int) ClientConfig {
 		return ClientConfig{
 			Builder: fc.Builder, ModelSeed: fc.ModelSeed, Seed: fc.Seed*1000 + int64(i),

@@ -144,8 +144,8 @@ type ServerConfig struct {
 	// full detail at any N.
 	LedgerDetailN int
 
-	// clock, set by ServeFederation alone, is a virtual session's time: its
-	// conns are virtual pipe ends, their arrivals in stamp order.
+	// clock is a ServePipes session's virtual time (a test may bring its own
+	// to read): its arrivals and deadlines are handled in stamp order.
 	clock *time.Duration
 }
 
@@ -241,8 +241,12 @@ type session struct {
 	coll  gathering
 	round int
 	// ahead holds the arrivals a virtual session took off the inbox and has
-	// not handled yet.
-	ahead []arrival
+	// not handled yet. start is the clock when the phase in progress began,
+	// and expire, set until that phase ends, ends its context at its deadline
+	// (phaseCtx).
+	ahead  []arrival
+	start  time.Duration
+	expire context.CancelFunc
 
 	// Async-mode state. buffered[i] is a parked late update awaiting its
 	// fold. updAges tracks rounds since each slot's last aggregated update;

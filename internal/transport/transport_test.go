@@ -190,6 +190,38 @@ func allIdx(n int) []int {
 	return idx
 }
 
+// serveLive runs scfg as a live session: Serve on the server ends of the conn
+// pairs mk makes (Pipe, a TCP pair), RunClient with client(i) on slot i's
+// client end, behind a FaultConn where plans names the slot. The live
+// dispatcher orders its frames and its deadlines run on the wall clock, as
+// ServePipes' virtual sessions do not. A client with a plan may fail; any
+// other failing fails t.
+func serveLive(t *testing.T, scfg ServerConfig, shards []*data.Dataset, client func(i int) ClientConfig,
+	plans map[int]FaultPlan, mk func() (server, client Conn)) (*ServerResult, error) {
+	server := make([]Conn, len(shards))
+	var wg sync.WaitGroup
+	for i, shard := range shards {
+		var c Conn
+		server[i], c = mk()
+		if plan, ok := plans[i]; ok {
+			c = NewFaultConn(c, plan)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := RunClient(c, shard, client(i)); err != nil && plans[i] == (FaultPlan{}) {
+				t.Errorf("client %d: %v", i, err)
+			}
+		}()
+	}
+	res, err := Serve(scfg, server)
+	for _, c := range server {
+		c.Close()
+	}
+	wg.Wait()
+	return res, err
+}
+
 func runSession(t *testing.T, algo Algorithm, clients, rounds int, mk func(i int) (Conn, Conn)) (*ServerResult, [][]float64) {
 	t.Helper()
 	fx := newFixture(t, clients)

@@ -2,9 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/compress"
 	"repro/internal/fl"
@@ -82,9 +85,9 @@ func TestAsyncVirtualReplays(t *testing.T) {
 
 // A virtual session is the real protocol with time made an input: at
 // BufferK 0, and at a BufferK that covers the cohort, it ends bit for bit
-// where a ServePipes session of the same configuration does. This is what
-// keeps flsim's -compress, extwire and the efficient-uplink example where
-// they were before ServeFederation went virtual.
+// where a live session of the same configuration over real pipes does. This
+// is what keeps flsim's -compress, extwire and the efficient-uplink example
+// where they were before ServeFederation went virtual.
 func TestAsyncVirtualSyncMatchesPipes(t *testing.T) {
 	const rounds = 5
 	fx := newFixture(t, 6)
@@ -96,10 +99,10 @@ func TestAsyncVirtualSyncMatchesPipes(t *testing.T) {
 		c.Seed, c.LocalSteps, c.ErrorFeedback = f.Cfg.Seed*1000+int64(i), f.Cfg.LocalSteps, true
 		return c
 	}
-	want, err := ServePipes(ServerConfig{
+	want, err := serveLive(t, ServerConfig{
 		Algorithm: AlgoRFedAvgPlus, Rounds: rounds, InitialParams: f.InitialParams(), FeatureDim: f.FeatureDim(),
 		SampleRatio: 0.5, Seed: f.Cfg.Seed, Codec: codec, Metrics: telemetry.NewRegistry(),
-	}, fx.shards, client, nil)
+	}, fx.shards, client, nil, Pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +113,16 @@ func TestAsyncVirtualSyncMatchesPipes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameCohorts(got.Cohorts, want.Cohorts) || got.UpBytes != want.UpBytes || got.DownBytes != want.DownBytes {
-			t.Fatalf("BufferK %d: cohorts %v, bytes %d/%d; ServePipes %v, %d/%d",
+			t.Fatalf("BufferK %d: cohorts %v, bytes %d/%d; live %v, %d/%d",
 				k, got.Cohorts, got.UpBytes, got.DownBytes, want.Cohorts, want.UpBytes, want.DownBytes)
 		}
 		for i, l := range want.RoundLosses {
 			if math.Float64bits(got.RoundLosses[i]) != math.Float64bits(l) {
-				t.Fatalf("BufferK %d: round %d loss %v, ServePipes %v", k, i, got.RoundLosses[i], l)
+				t.Fatalf("BufferK %d: round %d loss %v, live %v", k, i, got.RoundLosses[i], l)
 			}
 		}
 		if hashFloats(got.FinalParams) != hashFloats(want.FinalParams) {
-			t.Fatalf("BufferK %d: final model differs from ServePipes'", k)
+			t.Fatalf("BufferK %d: final model differs from the live session's", k)
 		}
 	}
 }
@@ -173,5 +176,64 @@ func TestAsyncHealthFeedsAggregatedOnly(t *testing.T) {
 	if folds(before) != 0 || folds(at) != 1 {
 		t.Fatalf("client %d folds in round %d: credited %d times before it, %d through it; want 0 and 1",
 			id, round, folds(before), folds(at))
+	}
+}
+
+// A deadline in virtual time is an event in stamp order, so a session with
+// deadlines replays bit for bit: six clients, two of them at six times the
+// others' latency against a 5 s deadline, evict the same clients in the same
+// rounds for the same reasons and end on the same losses and model in every
+// run, under the fixed deadline and under the adaptive one.
+func TestVirtualDeadlinesReplay(t *testing.T) {
+	const runs, rounds = 20, 4
+	fx := newFixture(t, 6)
+	net := fx.builder(fx.ccfg.ModelSeed)
+	plans := make(map[int]FaultPlan, len(straggling))
+	for k, slow := range straggling {
+		s := float64(time.Second) * slow
+		plans[k] = FaultPlan{Seed: int64(k), DelayProb: 1, MinDelay: time.Duration(0.5 * s), MaxDelay: time.Duration(1.5 * s)}
+	}
+	client := func(i int) ClientConfig {
+		c := fx.client(i)
+		c.LocalSteps = 1
+		return c
+	}
+	for _, adaptive := range []bool{false, true} {
+		var first []Eviction
+		var firstHash string
+		for run := 0; run < runs; run++ {
+			res, err := ServePipes(ServerConfig{
+				Algorithm: AlgoRFedAvgPlus, Rounds: rounds, InitialParams: net.GetFlat(), FeatureDim: net.FeatureDim,
+				RoundDeadline: 5 * time.Second, AdaptiveDeadline: adaptive, Metrics: telemetry.NewRegistry(),
+			}, fx.shards, client, plans)
+			if res == nil {
+				t.Fatalf("adaptive %v, run %d: %v", adaptive, run, err)
+			}
+			onlyFaulted(t, err, plans)
+			h := hashFloats(append(slices.Clone(res.RoundLosses), res.FinalParams...))
+			if run == 0 {
+				first, firstHash = res.Evictions, h
+				t.Logf("adaptive %v: evictions %+v", adaptive, first)
+				if !slices.ContainsFunc(first, func(e Eviction) bool { return e.Client >= 4 && strings.Contains(e.Reason, ErrTimeout.Error()) }) {
+					t.Fatalf("adaptive %v: no slow client was evicted at a deadline: %+v", adaptive, first)
+				}
+				continue
+			}
+			if !slices.Equal(res.Evictions, first) || h != firstHash {
+				t.Fatalf("adaptive %v, run %d: evictions %+v, hash %s; run 0: %+v, %s", adaptive, run, res.Evictions, h, first, firstHash)
+			}
+		}
+	}
+
+	// A phase whose deadline never fired leaves none behind: after the join,
+	// whose 5 s deadline did not fire, the boundary drain still handles an
+	// arrival stamped past it — a conn error — and reaps its slot.
+	clock := time.Duration(0)
+	s, _ := pipeSession(t, 2, func(c *ServerConfig) { c.RoundDeadline, c.clock = 5*time.Second, &clock })
+	clock = 7 * time.Second
+	s.ahead = append(s.ahead, arrival{p: s.conns[1], err: io.EOF, at: 6 * time.Second})
+	s.boundary(0)
+	if ev := s.res.Evictions; len(ev) != 1 || ev[0].Client != 1 || !strings.Contains(ev[0].Reason, "peer gone") {
+		t.Fatalf("evictions %+v, want slot 1's dead peer reaped at the boundary", ev)
 	}
 }
