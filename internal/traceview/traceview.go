@@ -73,6 +73,8 @@ type LedgerLine struct {
 	HealthStats []float64 `json:"health_stats"`
 	Verdict     string    `json:"verdict"`
 	Unhealthy   int       `json:"unhealthy"`
+	// PhaseMS is the attempt's milliseconds in each of its phases.
+	PhaseMS map[string]float64 `json:"phase_ms"`
 }
 
 // MeanMMD is the mean off-diagonal entry of the record's pairwise MMD

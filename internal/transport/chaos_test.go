@@ -221,83 +221,42 @@ func onlyFaulted(t *testing.T, err error, plans map[int]FaultPlan) {
 // --- Rejoin: an evicted client reconnects and is re-admitted. ----------------
 
 func TestServeRejoinAfterEviction(t *testing.T) {
-	const clients = 3
+	const clients, rounds = 3, 8
 	fx := newFixture(t, clients)
 	net := fx.builder(fx.ccfg.ModelSeed)
-	rejoin := make(chan Conn, 1)
 	scfg := ServerConfig{
 		Algorithm:     AlgoRFedAvgPlus,
-		Rounds:        8,
+		Rounds:        rounds,
 		InitialParams: net.GetFlat(),
 		FeatureDim:    net.FeatureDim,
 		RoundDeadline: 5 * time.Second,
-		Rejoin:        rejoin,
 		Logf:          t.Logf,
 	}
-
-	serverConns := make([]Conn, clients)
-	clientConns := make([]Conn, clients)
-	for i := range serverConns {
-		serverConns[i], clientConns[i] = Pipe()
-	}
-
-	var rejoinedFinal []float64
-	var wg sync.WaitGroup
-	for i := 0; i < clients-1; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := fx.ccfg
-			cfg.Seed = int64(500 + i)
-			if _, err := RunClient(clientConns[i], fx.shards[i], cfg); err != nil {
-				t.Errorf("healthy client %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cfg := fx.ccfg
-		cfg.Seed = 502
-		// First life: crashes while receiving the round-1 assignment.
-		fc := NewFaultConn(clientConns[2], FaultPlan{Seed: 7, DisconnectAfterOps: 5})
-		if _, err := RunClient(fc, fx.shards[2], cfg); err == nil {
-			t.Error("faulted client should have failed")
-			return
-		}
-		// Second life: reconnect, hint the old slot, finish the session.
-		sNew, cNew := Pipe()
-		rejoin <- sNew
-		cfg.ClientID = 2
-		final, err := RunClient(cNew, fx.shards[2], cfg)
-		if err != nil {
-			t.Errorf("rejoined client: %v", err)
-			return
-		}
-		rejoinedFinal = final
-	}()
-
-	res, err := Serve(scfg, serverConns)
-	if err != nil {
+	// Second life: dials at once, hints the old slot and waits in pending
+	// until the first life's eviction frees it.
+	cfg := fx.client(2)
+	cfg.ClientID = 2
+	second := rejoiner(&scfg, fx.shards[2], cfg, FaultPlan{})
+	// First life: crashes sending its round-1 update, which it owes, so the
+	// gather evicts it at that frame's stamp.
+	plans := map[int]FaultPlan{2: {Seed: 7, DisconnectAfterOps: 6}}
+	res, err := ServePipes(scfg, fx.shards, fx.client, plans)
+	if res == nil {
 		t.Fatalf("serve: %v", err)
 	}
-	wg.Wait()
-	if len(res.RoundLosses) != 8 {
-		t.Fatalf("completed %d rounds, want 8", len(res.RoundLosses))
+	onlyFaulted(t, err, plans)
+	final, err := second()
+	if err != nil {
+		t.Fatalf("rejoined client: %v", err)
 	}
-	if res.Rejoins != 1 {
-		t.Fatalf("rejoins = %d, want 1", res.Rejoins)
+	if len(res.RoundLosses) != rounds || res.Rejoins != 1 {
+		t.Fatalf("completed %d rounds with %d rejoins, want %d and 1", len(res.RoundLosses), res.Rejoins, rounds)
 	}
-	if len(res.Evictions) != 1 || res.Evictions[0].Client != 2 {
-		t.Fatalf("expected client 2 evicted once, got %+v", res.Evictions)
+	if len(res.Evictions) != 1 || res.Evictions[0].Client != 2 || res.Evictions[0].Round != 1 {
+		t.Fatalf("expected client 2 evicted once, in round 1, got %+v", res.Evictions)
 	}
-	if len(rejoinedFinal) != len(res.FinalParams) {
-		t.Fatalf("rejoined client got %d final params, want %d", len(rejoinedFinal), len(res.FinalParams))
-	}
-	for j := range rejoinedFinal {
-		if rejoinedFinal[j] != res.FinalParams[j] {
-			t.Fatal("rejoined client's final model differs from the server's")
-		}
+	if hashFloats(final) != hashFloats(res.FinalParams) {
+		t.Fatal("rejoined client's final model differs from the server's")
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"time"
 	"unsafe"
 
 	"repro/internal/compress"
@@ -95,16 +96,20 @@ type Message struct {
 	Span       uint64
 	Caps       compress.Caps
 	Want       compress.Scheme
-	Params     []float64
-	Delta      []float64
-	PParams    PackedVec
-	PDelta     PackedVec
-
 	// pooled marks Params as a vector of the float pool: a pipe's queued
 	// copy (inprocConn.Send). The server puts it back when the round that
 	// aggregated it closes (session.closeRound), and a pipe's Recv when it
-	// copies the frame into the receiver's offer.
-	pooled bool
+	// copies the frame into the receiver's offer. It sits in Want's padding,
+	// which keeps a Message at 176 bytes.
+	pooled  bool
+	Params  []float64
+	Delta   []float64
+	PParams PackedVec
+	PDelta  PackedVec
+
+	// at is the virtual time a virtual pipe end sent the frame at (newPipe),
+	// set on the copy it queues; 0 on every other conn's frames.
+	at time.Duration
 }
 
 // SpanContext returns the span context the frame carries.
@@ -118,12 +123,13 @@ func (m *Message) setSpanContext(c telemetry.SpanContext) {
 }
 
 // Clone returns a deep copy of the message: the float and packed payloads
-// get their own backing arrays, none of them pooled. In-process pipes deliver
-// copies so that no two endpoints ever share a payload slice — the wire conns
-// get the same isolation for free from encode/decode.
+// get their own backing arrays, none of them pooled, and the copy is not
+// stamped. In-process pipes deliver copies so that no two endpoints ever
+// share a payload slice — the wire conns get the same isolation for free from
+// encode/decode.
 func (m *Message) Clone() *Message {
 	c := *m
-	c.pooled = false
+	c.pooled, c.at = false, 0
 	if m.Params != nil {
 		c.Params = append([]float64(nil), m.Params...)
 	}

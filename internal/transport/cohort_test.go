@@ -117,7 +117,9 @@ func (c *readOnceConn) Recv() (*Message, error) {
 // latest the skip-frame server managed. A rejoiner is placed at the first
 // boundary after its handshake was handled, so the cohort's updates of the
 // round the victim dies in are held back until the rejoiner's handshake is
-// queued.
+// queued. The session is live: an idle peer owes no frame, so a virtual one
+// would never wait for its conn error, and which boundary found the death
+// would still be the scheduler's.
 func TestCohortReapsDeadUnsampledPeer(t *testing.T) {
 	for _, deadline := range []time.Duration{20 * time.Second, 0} {
 		t.Run(fmt.Sprintf("deadline=%v", deadline), func(t *testing.T) { reapDeadUnsampledPeer(t, deadline) })
@@ -225,7 +227,7 @@ func reapDeadUnsampledPeer(t *testing.T, deadline time.Duration) {
 		t.Fatalf("the rejoined conn's frames do not end in done: %+v", second.frames)
 	}
 	evictedAt, rejoinedAt := -1, -1
-	for _, l := range decodeLedgerFile(t, &ledger) {
+	for _, l := range readLedger(t, &ledger) {
 		if len(l.Evicted) == 1 && l.Evicted[0] == victim {
 			evictedAt = l.Round
 		}

@@ -143,10 +143,9 @@ type inprocConn struct {
 	// lent is the receiver's offer for the next Recv, made and consumed on the
 	// goroutine that calls it (see lend).
 	lent []float64
-	// at is the virtual time stamped on the last frame Recv returned, which
-	// the server's pump reads after each Recv. now is a virtual pipe end's
-	// clock, the stamp of each frame it sends; nil on a real pipe, whose
-	// stamps are all 0 (see newPipe).
+	// at is the stamp of the last frame Recv returned: a virtual client
+	// end's clock. now is a virtual pipe end's clock, the stamp of each frame
+	// it sends; nil on a real pipe, whose stamps are all 0 (see newPipe).
 	at  time.Duration
 	now *time.Duration
 }
@@ -160,7 +159,7 @@ const pipeDepth = 16
 type pipeQueue struct {
 	mu     sync.Mutex
 	cond   sync.Cond // broadcast when a frame is queued or taken, and on close
-	frames [pipeDepth]stamped
+	frames [pipeDepth]*Message
 	head   int // frames[head] is the oldest of n queued, in ring order
 	n      int
 	// parked is set while the receiver waits in Recv on an empty queue, and
@@ -168,12 +167,6 @@ type pipeQueue struct {
 	parked bool
 	lent   []float64
 	closed bool
-}
-
-// stamped is a queued frame and the virtual time it was sent at.
-type stamped struct {
-	m  *Message
-	at time.Duration
 }
 
 func newPipeQueue() *pipeQueue {
@@ -194,7 +187,8 @@ func Pipe() (Conn, Conn) {
 
 // newPipe is Pipe in virtual time: the server end stamps every frame with
 // *now, the session's clock, and the client end with the stamp of the last
-// frame it received, advanced by its FaultConn's delays.
+// frame it received, advanced by its FaultConn's delays. The stamp rides on
+// the frame (Message.at).
 func newPipe(now *time.Duration) (server, client Conn) {
 	sc, cc := Pipe()
 	s, c := sc.(*inprocConn), cc.(*inprocConn)
@@ -208,7 +202,8 @@ func newPipe(now *time.Duration) (server, client Conn) {
 // a receiver parked on an empty queue with an offer it fits is copied into
 // the lent slice — its owner is blocked until this frame wakes it — and any
 // other frame is queued as a Clone whose dense Params come from the float
-// pool (Message.pooled), for Recv to hand on or copy into an offer.
+// pool (Message.pooled), for Recv to hand on or copy into an offer. A
+// virtual end stamps the copy with its clock (Message.at).
 func (c *inprocConn) Send(m *Message) error {
 	q := c.out
 	q.mu.Lock()
@@ -230,11 +225,10 @@ func (c *inprocConn) Send(m *Message) error {
 		d.Params, d.pooled = tensor.GetFloats(len(m.Params)), true
 	}
 	copy(d.Params, m.Params)
-	var at time.Duration
 	if c.now != nil {
-		at = *c.now
+		d.at = *c.now
 	}
-	q.frames[(q.head+q.n)%pipeDepth] = stamped{d, at}
+	q.frames[(q.head+q.n)%pipeDepth] = d
 	q.n++
 	q.cond.Broadcast()
 	c.sent.Add(int64(m.EncodedSize()))
@@ -277,9 +271,9 @@ func (c *inprocConn) take(lent []float64) (*Message, error) {
 	if q.n == 0 {
 		return nil, io.EOF
 	}
-	m := q.frames[q.head].m
-	c.at = q.frames[q.head].at
-	q.frames[q.head] = stamped{}
+	m := q.frames[q.head]
+	c.at = m.at
+	q.frames[q.head] = nil
 	q.head = (q.head + 1) % pipeDepth
 	q.n--
 	q.cond.Broadcast()

@@ -31,7 +31,8 @@ import (
 var updateGolden = flag.Bool("update-golden-sessions", false,
 	"rewrite testdata/golden_sessions.json (run on the commit the sessions must stay equal to)")
 
-// elideRun describes one pipe session on the shared fixture.
+// elideRun describes one pipe session on the shared fixture, in virtual time
+// when shape sets the clock.
 type elideRun struct {
 	algo   Algorithm
 	shape  func(*ServerConfig)
@@ -64,8 +65,12 @@ func (r elideRun) run(t *testing.T, fx *federatedFixture) *ServerResult {
 	}
 	serverConns := make([]Conn, clients)
 	clientConns := make([]Conn, clients)
+	pipe := Pipe
+	if scfg.clock != nil {
+		pipe = func() (Conn, Conn) { return newPipe(scfg.clock) }
+	}
 	for i := range serverConns {
-		serverConns[i], clientConns[i] = Pipe()
+		serverConns[i], clientConns[i] = pipe()
 		if r.server != nil {
 			serverConns[i] = r.server(i, serverConns[i])
 		}
@@ -319,50 +324,39 @@ func TestElideOnlyAfterWholeFleetRound(t *testing.T) {
 func TestElideRetryAndRejoinGetFullModel(t *testing.T) {
 	const clients = 3
 	fx := newFixture(t, clients)
-	var log frameLog
-	rejoin := make(chan Conn, 1)
-	var second sync.WaitGroup
-	second.Add(1)
-	go func() {
-		defer second.Done()
-		// Slot 2's first life (below) crashes sending its round-1 update;
-		// this is its second life, re-admitted for the retry of round 1.
-		s, c := Pipe()
-		rejoin <- log.wrap(2, s)
-		cfg := fx.ccfg
-		cfg.Seed, cfg.ClientID = 102, 2
-		if _, err := RunClient(c, fx.shards[2], cfg); err != nil {
-			t.Errorf("rejoined client: %v", err)
-		}
-	}()
-	res := elideRun{algo: AlgoRFedAvgPlus, server: log.wrap,
-		shape: func(c *ServerConfig) {
-			c.Rounds, c.MinClients, c.Rejoin, c.RoundDeadline = 4, clients, rejoin, 20*time.Second
-		},
-		// join, assign 0, update 0, δ-req 0, δ 0, assign 1 — then the crash.
-		plans:   map[int]FaultPlan{2: {DisconnectAfterOps: 6}},
-		mayFail: map[int]bool{2: true},
-	}.run(t, fx)
-	second.Wait()
+	net := fx.builder(fx.ccfg.ModelSeed)
+	var ledger bytes.Buffer
+	scfg := ServerConfig{
+		Algorithm: AlgoRFedAvgPlus, Rounds: 4, MinClients: clients, InitialParams: net.GetFlat(), FeatureDim: net.FeatureDim,
+		RoundDeadline: 20 * time.Second, Ledger: telemetry.NewRunLedger(&ledger), Metrics: telemetry.NewRegistry(),
+	}
+	// Slot 2's second life, re-admitted for the retry of round 1.
+	cfg := fx.client(2)
+	cfg.ClientID = 2
+	second := rejoiner(&scfg, fx.shards[2], cfg, FaultPlan{})
+	// Slot 2's first life: join, assign 0, update 0, δ-req 0, δ 0, assign 1 —
+	// then it crashes sending its round-1 update.
+	plans := map[int]FaultPlan{2: {DisconnectAfterOps: 6}}
+	res, err := ServePipes(scfg, fx.shards, fx.client, plans)
+	if res == nil {
+		t.Fatalf("serve: %v", err)
+	}
+	onlyFaulted(t, err, plans)
+	if _, err := second(); err != nil {
+		t.Fatalf("rejoined client: %v", err)
+	}
 	if res.RetriedRounds != 1 || res.Rejoins != 1 {
 		t.Fatalf("retried %d rounds, %d rejoins; want 1 and 1", res.RetriedRounds, res.Rejoins)
 	}
+	// Elided assigns per attempt (round.attempt): round 1's first attempt
+	// elides all three and fails on slot 2's crash; its retry — the two
+	// survivors and the rejoiner — sends three full models.
 	var got []string
-	for r := 0; r < 3; r++ {
-		s := ""
-		for _, f := range log.assigns(r) {
-			if f.hasModel {
-				s += "F"
-			} else {
-				s += "e"
-			}
-		}
-		got = append(got, s)
+	for _, l := range readLedger(t, &ledger)[:4] {
+		got = append(got, fmt.Sprintf("%d.%d:%d/%d", l.Round, l.Attempt, l.Elided, l.Rejoins))
 	}
-	// Round 1: three elided assigns, the attempt fails on slot 2's crash, the
-	// retry (two survivors and the rejoiner) is all full.
-	if want := "FFF eeeFFF eee"; strings.Join(got, " ") != want {
-		t.Fatalf("assign forms by round %q, want %q", strings.Join(got, " "), want)
+	if want := "0.1:0/0 1.1:3/0 1.2:0/1 2.1:3/0"; strings.Join(got, " ") != want {
+		t.Fatalf("elided assigns/rejoins by attempt %q, want %q", strings.Join(got, " "), want)
 	}
 }
 
@@ -512,7 +506,7 @@ func TestElideLedgerCount(t *testing.T) {
 	elideRun{algo: AlgoRFedAvgPlus, shape: func(c *ServerConfig) {
 		c.Rounds, c.Metrics, c.Ledger = 3, reg, telemetry.NewRunLedger(&buf)
 	}}.run(t, fx)
-	lines := decodeLedgerFile(t, &buf)
+	lines := readLedger(t, &buf)
 	if len(lines) != 3 {
 		t.Fatalf("%d ledger lines, want 3", len(lines))
 	}

@@ -240,10 +240,11 @@ func TestFaultConnDelayIsVirtual(t *testing.T) {
 	if took := time.Since(start); took > time.Second {
 		t.Errorf("the delayed send took %v of wall clock", took)
 	}
-	if _, err := server.Recv(); err != nil {
+	m, err := server.Recv()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if at := server.(*inprocConn).at; at <= time.Hour || at > 2*time.Hour {
-		t.Errorf("the frame is stamped %v, want in (1h, 2h]", at)
+	if m.at <= time.Hour || m.at > 2*time.Hour {
+		t.Errorf("the frame is stamped %v, want in (1h, 2h]", m.at)
 	}
 }

@@ -233,7 +233,7 @@ func testPipeLend(t *testing.T, model []float64) {
 		sent := slices.Clone(model)
 		send(&Message{Type: MsgDeltaReq, Round: 0, Params: sent})
 		send(&Message{Type: MsgDeltaReq, Round: 1, Params: sent})
-		pooled := c.in.frames[c.in.head].m.Params
+		pooled := c.in.frames[c.in.head].Params
 		lent := offered(c)
 		m, err := c.Recv()
 		if err != nil {

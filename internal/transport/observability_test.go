@@ -1,14 +1,13 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/traceview"
 )
 
 // These tests pin the tracing + run-ledger integration: a session over
@@ -16,69 +15,9 @@ import (
 // the client-side work parented into the same trace via the frame headers)
 // and one ledger line per round attempt carrying the training dynamics.
 
-type testSpan struct {
-	Trace   string `json:"trace"`
-	Span    string `json:"span"`
-	Parent  string `json:"parent"`
-	Name    string `json:"name"`
-	Round   *int   `json:"round"`
-	Client  *int   `json:"client"`
-	StartNS int64  `json:"start_ns"`
-	DurNS   int64  `json:"dur_ns"`
-}
-
-func decodeSpanFile(t *testing.T, buf *bytes.Buffer) []testSpan {
-	t.Helper()
-	var spans []testSpan
-	sc := bufio.NewScanner(buf)
-	for sc.Scan() {
-		var s testSpan
-		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-			t.Fatalf("trace line %q: %v", sc.Text(), err)
-		}
-		spans = append(spans, s)
-	}
-	return spans
-}
-
-type testLedgerLine struct {
-	Algo       string             `json:"algo"`
-	Round      int                `json:"round"`
-	Attempt    int                `json:"attempt"`
-	OK         bool               `json:"ok"`
-	Loss       *float64           `json:"loss"`
-	DurNS      int64              `json:"dur_ns"`
-	PhaseMS    map[string]float64 `json:"phase_ms"`
-	UpBytes    int64              `json:"up_bytes"`
-	DownBytes  int64              `json:"down_bytes"`
-	Elided     int                `json:"elided"`
-	ClientID   []int              `json:"client_id"`
-	ClientLoss []float64          `json:"client_loss"`
-	ClientNorm []float64          `json:"client_norm"`
-	MMDDim     int                `json:"mmd_dim"`
-	MMD        []float64          `json:"mmd"`
-	DeltaAges  []int              `json:"delta_ages"`
-	Evicted    []int              `json:"evicted"`
-	Rejoins    int                `json:"rejoins"`
-}
-
-func decodeLedgerFile(t *testing.T, buf *bytes.Buffer) []testLedgerLine {
-	t.Helper()
-	var lines []testLedgerLine
-	sc := bufio.NewScanner(buf)
-	for sc.Scan() {
-		var l testLedgerLine
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			t.Fatalf("ledger line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, l)
-	}
-	return lines
-}
-
 // tracedSession runs a short rFedAvg+ session over pipes with one shared
 // tracer (server and clients in-process, as flsim does) and a ledger.
-func tracedSession(t *testing.T, clients, rounds int) ([]testSpan, []testLedgerLine) {
+func tracedSession(t *testing.T, clients, rounds int) ([]traceview.Span, []traceview.LedgerLine) {
 	t.Helper()
 	fx := newFixture(t, clients)
 	var traceBuf, ledgerBuf bytes.Buffer
@@ -104,15 +43,19 @@ func tracedSession(t *testing.T, clients, rounds int) ([]testSpan, []testLedgerL
 	if _, err := ServePipes(scfg, fx.shards, traced, nil); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	return decodeSpanFile(t, &traceBuf), decodeLedgerFile(t, &ledgerBuf)
+	spans, err := traceview.ReadSpans(&traceBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spans, readLedger(t, &ledgerBuf)
 }
 
 func TestServeEmitsStitchedSpanTree(t *testing.T) {
 	const clients, rounds = 3, 2
 	spans, _ := tracedSession(t, clients, rounds)
 
-	byName := map[string][]testSpan{}
-	byID := map[string]testSpan{}
+	byName := map[string][]traceview.Span{}
+	byID := map[string]traceview.Span{}
 	for _, s := range spans {
 		byName[s.Name] = append(byName[s.Name], s)
 		byID[s.Span] = s
@@ -242,7 +185,7 @@ func TestServeWritesLedgerDynamics(t *testing.T) {
 
 // ledgerSession serves cfg over ServePipes to fixture clients, plans faulting
 // some, with a ledger and returns the ledger's lines.
-func ledgerSession(t *testing.T, cfg ServerConfig, clients int, plans map[int]FaultPlan) ([]testLedgerLine, error) {
+func ledgerSession(t *testing.T, cfg ServerConfig, clients int, plans map[int]FaultPlan) ([]traceview.LedgerLine, error) {
 	t.Helper()
 	fx := newFixture(t, clients)
 	net := fx.builder(fx.ccfg.ModelSeed)
@@ -250,13 +193,13 @@ func ledgerSession(t *testing.T, cfg ServerConfig, clients int, plans map[int]Fa
 	cfg.InitialParams, cfg.FeatureDim = net.GetFlat(), net.FeatureDim
 	cfg.Metrics, cfg.Ledger = telemetry.NewRegistry(), telemetry.NewRunLedger(&buf)
 	_, err := ServePipes(cfg, fx.shards, func(int) ClientConfig { return fx.ccfg }, plans)
-	return decodeLedgerFile(t, &buf), err
+	return readLedger(t, &buf), err
 }
 
 // checkPhases holds a ledger line's phase_ms to the phase list want: the
 // same keys, no negative time, and no more time in all than the round's
 // dur_ns, which the same clock measured around them.
-func checkPhases(t *testing.T, l testLedgerLine, want []string) {
+func checkPhases(t *testing.T, l traceview.LedgerLine, want []string) {
 	t.Helper()
 	sum := 0.0
 	for _, p := range want {
@@ -413,7 +356,7 @@ func TestLedgerBytesAreTheSessionsOwn(t *testing.T) {
 		t.Fatalf("the other session: %v", err)
 	}
 
-	want, got := decodeLedgerFile(t, &solo), decodeLedgerFile(t, &shared)
+	want, got := readLedger(t, &solo), readLedger(t, &shared)
 	if len(got) != len(want) {
 		t.Fatalf("%d ledger lines beside another session, %d alone", len(got), len(want))
 	}

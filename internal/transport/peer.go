@@ -53,7 +53,8 @@ type peer struct {
 }
 
 // arrival is one frame a pump read, or the error that ended its conn, and
-// the frame's virtual stamp (inprocConn.at).
+// its stamp: the frame's (Message.at), or for an error the peer's last
+// frame's.
 type arrival struct {
 	p   *peer
 	m   *Message
@@ -72,13 +73,11 @@ func (s *session) wrap(c Conn, slot int) *peer {
 // pump reads the conn until it fails, pushing each frame, then the error,
 // onto inbox. It stops pushing once done is closed: the session is over.
 func (p *peer) pump(inbox chan<- arrival, done <-chan struct{}) {
+	var at time.Duration
 	for {
 		m, err := p.Conn.Recv()
-		var at time.Duration
-		if c, ok := p.Conn.(*inprocConn); ok {
-			at = c.at
-		}
 		if err == nil {
+			at = m.at
 			n := int64(m.EncodedSize())
 			p.m.bytesRecv.Add(n)
 			p.m.recv.Add(n)
@@ -149,20 +148,24 @@ var now = func() chan struct{} {
 	return c
 }()
 
-// dispatch handles the session's next event: a frame or conn error off the
-// inbox, or a conn off cfg.Rejoin, which joins pending and whose first frame
-// is its handshake. It reports false, having handled nothing, once stop is
-// closed (a nil stop never is) and no event is queued: events that arrived
-// before the deadline fired win over it.
+// dispatch handles the session's next event: the arrival with the smallest
+// (stamp, slot) in hand (see take). With nothing in hand a live session, whose
+// stamps are all 0, waits for an arrival, for stop, or for a conn off
+// cfg.Rejoin, which joins pending. A virtual session (ServePipes) has every
+// owed frame in hand, and its phase deadline is one more event: past phase
+// start + curDeadline() the clock moves to it and the phase's context ends.
+// dispatch reports false, having handled nothing, once stop is closed (a nil
+// stop never is) and nothing is in hand or queued; in a virtual session also
+// at the deadline, with nothing in hand (no frame is owed), and under a closed
+// stop at a stamp past the clock.
 func (s *session) dispatch(stop <-chan struct{}) bool {
-	if s.cfg.clock != nil {
-		return s.dispatchVirtual(stop)
-	}
-	for {
+	for s.take(); len(s.ahead) == 0; s.take() {
+		if s.cfg.clock != nil {
+			return false
+		}
 		select {
 		case a := <-s.inbox:
-			s.handle(a)
-			return true
+			s.ahead = append(s.ahead, a)
 		case c, ok := <-s.cfg.Rejoin:
 			if !ok {
 				s.cfg.Rejoin = nil
@@ -176,29 +179,11 @@ func (s *session) dispatch(stop <-chan struct{}) bool {
 			}
 		}
 	}
-}
-
-// dispatchVirtual is dispatch in a virtual-time session (ServePipes), where
-// the frames' stamps, not the scheduler, order the events. It takes arrivals
-// until every peer that owes a frame has one in hand, then handles the
-// arrival with the smallest (stamp, slot) and moves the clock up to its
-// stamp. The phase deadline is one more event: when that stamp passes it,
-// the clock moves to the deadline, the phase's context ends and dispatch
-// reports false. Under a closed stop it handles only stamps up to the clock.
-// With nothing owed and nothing in hand no frame will come: such a session
-// takes no rejoiners.
-func (s *session) dispatchVirtual(stop <-chan struct{}) bool {
-	for s.unseen() {
-		s.ahead = append(s.ahead, <-s.inbox)
-	}
-	j := -1
+	j := 0
 	for k, a := range s.ahead {
-		if j < 0 || a.at < s.ahead[j].at || a.at == s.ahead[j].at && a.p.slot < s.ahead[j].p.slot {
+		if a.at < s.ahead[j].at || a.at == s.ahead[j].at && a.p.slot < s.ahead[j].p.slot {
 			j = k
 		}
-	}
-	if j < 0 {
-		return false
 	}
 	a := s.ahead[j]
 	if end := s.start + s.curDeadline(); s.expire != nil && a.at > end {
@@ -206,28 +191,50 @@ func (s *session) dispatchVirtual(stop <-chan struct{}) bool {
 		s.expire()
 		return false
 	}
-	select {
-	case <-stop:
-		if a.at > *s.cfg.clock {
-			return false
+	if clock := s.cfg.clock; clock != nil {
+		select {
+		case <-stop:
+			if a.at > *clock {
+				return false
+			}
+		default:
 		}
-	default:
+		*clock = max(*clock, a.at)
 	}
 	s.ahead = slices.Delete(s.ahead, j, j+1)
-	*s.cfg.clock = max(*s.cfg.clock, a.at)
 	s.handle(a)
 	return true
 }
 
-// unseen reports whether an active peer owes a frame it has no arrival in
-// hand for.
+// take moves every arrival the pumps have pushed into hand (ahead) and, in a
+// virtual session, waits until every owed frame is in hand.
+func (s *session) take() {
+	for {
+		select {
+		case a := <-s.inbox:
+			s.ahead = append(s.ahead, a)
+		default:
+			if s.cfg.clock == nil || !s.unseen() {
+				return
+			}
+			s.ahead = append(s.ahead, <-s.inbox)
+		}
+	}
+}
+
+// unseen reports whether a peer owes a frame it has no arrival in hand for:
+// an active peer the frame a gather asked of it, a pending rejoiner its
+// handshake.
 func (s *session) unseen() bool {
+	owes := func(p *peer) bool {
+		return p.err == nil && !slices.ContainsFunc(s.ahead, func(a arrival) bool { return a.p == p })
+	}
 	for i, p := range s.conns {
-		if s.active[i] && p.want != 0 && p.err == nil && !slices.ContainsFunc(s.ahead, func(a arrival) bool { return a.p == p }) {
+		if s.active[i] && p.want != 0 && owes(p) {
 			return true
 		}
 	}
-	return false
+	return slices.ContainsFunc(s.pending, func(p *peer) bool { return p.join == nil && owes(p) })
 }
 
 // handle routes one arrival. A frame from a replaced, evicted or failed conn
@@ -286,12 +293,7 @@ func (s *session) pendingFrame(p *peer, a arrival) {
 	}
 	p.err = err
 	p.Close()
-	for k, q := range s.pending {
-		if q == p {
-			s.pending = append(s.pending[:k], s.pending[k+1:]...)
-			break
-		}
-	}
+	s.pending = slices.DeleteFunc(s.pending, func(q *peer) bool { return q == p })
 	s.logf("rejoin refused: %v", err)
 }
 
@@ -405,17 +407,10 @@ func (s *session) boundary(round int) {
 	s.placePending()
 }
 
-// placePending places every handshaked rejoiner that finds a free slot; the
-// rest stay pending.
+// placePending places every handshaked rejoiner that finds a free slot, in
+// queue order; the rest stay pending.
 func (s *session) placePending() {
-	kept := s.pending[:0]
-	for _, p := range s.pending {
-		if p.join == nil || !s.place(p) {
-			kept = append(kept, p)
-		}
-	}
-	clear(s.pending[len(kept):])
-	s.pending = kept
+	s.pending = slices.DeleteFunc(s.pending, func(p *peer) bool { return p.join != nil && s.place(p) })
 }
 
 // waitForQuorum dispatches, for up to one deadline, until rejoiners placed
@@ -425,8 +420,8 @@ func (s *session) waitForQuorum() bool {
 	ctx, cancel := s.phaseCtx()
 	defer cancel()
 	for count(s.active) < s.minClients {
-		if s.cfg.Rejoin == nil && !s.handshaking() {
-			return false
+		if s.cfg.Rejoin == nil && !slices.ContainsFunc(s.pending, func(p *peer) bool { return p.join == nil }) {
+			return false // no rejoiner can come
 		}
 		if !s.dispatch(ctx.Done()) {
 			return false
@@ -434,17 +429,6 @@ func (s *session) waitForQuorum() bool {
 		s.placePending()
 	}
 	return true
-}
-
-// handshaking reports whether a pending rejoiner has yet to send its
-// handshake.
-func (s *session) handshaking() bool {
-	for _, p := range s.pending {
-		if p.join == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // closePending closes the rejoiners that never found a slot, silent ones
@@ -459,8 +443,8 @@ func (s *session) closePending() {
 
 // phaseCtx returns the per-phase deadline context; with no deadline in force
 // its Done channel is nil and a dispatch under it never times out. A virtual
-// session's deadline is the stamp start + curDeadline(), which dispatchVirtual
-// fires and the phase's cancel retires: no deadline outlives its phase.
+// session's deadline is the stamp start + curDeadline(), which dispatch fires
+// and the phase's cancel retires: no deadline outlives its phase.
 func (s *session) phaseCtx() (context.Context, context.CancelFunc) {
 	d := s.curDeadline()
 	switch {

@@ -14,21 +14,25 @@ import (
 // virtual time: one virtual pipe per shard (newPipe), RunClient on each client
 // end — wrapped in a FaultConn when plans names the slot — with client(i) as
 // slot i's configuration, and Serve on the server ends. Every frame carries a
-// stamp: the server's is the session clock, a client's the stamp it last
-// received plus its FaultConn delays. The server handles arrivals in stamp
-// order and a phase deadline fires at its stamp (session.dispatchVirtual), so
+// stamp (Message.at): the server's is the session clock, a client's the stamp
+// it last received plus its FaultConn delays. The server handles arrivals in
+// stamp order and a phase deadline fires at its stamp (session.dispatch), so
 // a session replays bit for bit and a slow client costs no wall-clock time.
-// It takes no rejoiners: a non-nil scfg.Rejoin is an error.
+//
+// Rejoiners are an input: the conns queued on scfg.Rejoin, which the caller
+// closes, wait as pending from before the join. Each is the server end of a
+// virtual pipe on scfg.clock whose client the caller runs, and its handshake's
+// stamp (0 plus its FaultConn delays) is its dial time: the session waits for
+// every handshake and handles it in stamp order, so a silent rejoiner, which
+// only a live Serve takes, would stall it.
 //
 // When Serve fails every pipe is closed, so no client stays blocked in Recv,
 // and Serve's error is returned. Otherwise the result comes back with the
 // clients' errors joined: nil unless a client failed, as an evicted one does.
 // A client that fails closes its pipe, and every pipe is closed once the
-// clients are done, which ends the server's receive pumps.
+// clients are done, which ends the server's receive pumps. Rejoiners' pipes
+// are the caller's to close.
 func ServePipes(scfg ServerConfig, shards []*data.Dataset, client func(i int) ClientConfig, plans map[int]FaultPlan) (*ServerResult, error) {
-	if scfg.Rejoin != nil {
-		return nil, fmt.Errorf("transport: a ServePipes session takes no rejoiners")
-	}
 	if scfg.clock == nil {
 		scfg.clock = new(time.Duration)
 	}

@@ -91,14 +91,15 @@ type ServerConfig struct {
 	// that many rounds from the regularization targets (evicted clients'
 	// maps go stale instead of steering survivors forever).
 	MaxStaleness int
-	// Rejoin, if non-nil, delivers reconnecting clients; the server takes
-	// them in whatever it is waiting on. Each one's first frame must be
-	// MsgJoin; the first round boundary after it arrives re-admits the
-	// client into a previously evicted slot (honoring the ClientID slot
-	// hint in its join when that slot is free), and it receives the current
-	// global model with its first MsgAssign. Its δ row — kept stale since
-	// eviction — is refreshed at its next δ sync. A client that never sends
-	// its join holds up nothing and is closed when the session ends.
+	// Rejoin, if non-nil, delivers reconnecting clients: a live session
+	// takes them in whatever it is waiting on, a virtual one (ServePipes)
+	// all of them before its join. Each one's first frame must be MsgJoin;
+	// the first round boundary after it is handled re-admits the client into
+	// a previously evicted slot (honoring the ClientID slot hint in its join
+	// when that slot is free), and it receives the current global model with
+	// its first MsgAssign. Its δ row — kept stale since eviction — is
+	// refreshed at its next δ sync. In a live session a client that never
+	// sends its join holds up nothing and is closed when the session ends.
 	Rejoin <-chan Conn
 	// CheckpointPath, if non-empty, makes the server write an atomic
 	// round checkpoint (global params, δ table + ages, loss history,
@@ -144,8 +145,9 @@ type ServerConfig struct {
 	// full detail at any N.
 	LedgerDetailN int
 
-	// clock is a ServePipes session's virtual time (a test may bring its own
-	// to read): its arrivals and deadlines are handled in stamp order.
+	// clock is a ServePipes session's virtual time (a test may bring its own,
+	// to read it or to make rejoiners' pipes on it): its arrivals and
+	// deadlines are handled in stamp order.
 	clock *time.Duration
 }
 
@@ -240,10 +242,10 @@ type session struct {
 	done  chan struct{}
 	coll  gathering
 	round int
-	// ahead holds the arrivals a virtual session took off the inbox and has
-	// not handled yet. start is the clock when the phase in progress began,
-	// and expire, set until that phase ends, ends its context at its deadline
-	// (phaseCtx).
+	// ahead holds the arrivals taken off the inbox and not handled yet (see
+	// dispatch). start is a virtual session's clock when the phase in
+	// progress began, and expire, set until that phase ends, ends its context
+	// at its deadline (phaseCtx).
 	ahead  []arrival
 	start  time.Duration
 	expire context.CancelFunc
@@ -568,6 +570,12 @@ func (s *session) setup(cfg ServerConfig, conns []Conn) error {
 	for i, c := range conns {
 		s.conns[i] = s.wrap(c, i)
 		s.active[i] = true
+	}
+	if cfg.clock != nil && cfg.Rejoin != nil { // a virtual session's rejoiners are an input
+		for c := range cfg.Rejoin {
+			s.pending = append(s.pending, s.wrap(c, -1))
+		}
+		s.cfg.Rejoin = nil
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/health"
 	"repro/internal/telemetry"
@@ -62,11 +63,8 @@ func readLedger(t *testing.T, buf *bytes.Buffer) []traceview.LedgerLine {
 func TestAsyncVirtualReplays(t *testing.T) {
 	const runs = 20
 	fx := newFixture(t, 6)
-	hash := func(res *ServerResult) string {
-		return hashFloats(append(slices.Clone(res.RoundLosses), res.FinalParams...))
-	}
 	var ledger bytes.Buffer
-	first := hash(runVirtual(t, fx, virtualFederation(fx, &ledger, nil), AlgoRFedAvgPlus, 8, 3))
+	first := sessionHash(runVirtual(t, fx, virtualFederation(fx, &ledger, nil), AlgoRFedAvgPlus, 8, 3))
 	late := false
 	for _, l := range readLedger(t, &ledger) {
 		for j, id := range l.LateID {
@@ -77,7 +75,7 @@ func TestAsyncVirtualReplays(t *testing.T) {
 		t.Errorf("no round folded client 4 or 5 at age ≥ 2:\n%s", ledger.String())
 	}
 	for run := 1; run < runs; run++ {
-		if got := hash(runVirtual(t, fx, virtualFederation(fx, nil, nil), AlgoRFedAvgPlus, 8, 3)); got != first {
+		if got := sessionHash(runVirtual(t, fx, virtualFederation(fx, nil, nil), AlgoRFedAvgPlus, 8, 3)); got != first {
 			t.Fatalf("run %d hashes to %s, run 0 to %s", run, got, first)
 		}
 	}
@@ -179,38 +177,88 @@ func TestAsyncHealthFeedsAggregatedOnly(t *testing.T) {
 	}
 }
 
-// A deadline in virtual time is an event in stamp order, so a session with
-// deadlines replays bit for bit: six clients, two of them at six times the
-// others' latency against a 5 s deadline, evict the same clients in the same
-// rounds for the same reasons and end on the same losses and model in every
-// run, under the fixed deadline and under the adaptive one.
-func TestVirtualDeadlinesReplay(t *testing.T) {
-	const runs, rounds = 20, 4
-	fx := newFixture(t, 6)
-	net := fx.builder(fx.ccfg.ModelSeed)
+// stragglingPlans delays every send and receive of client k by U(0.5,
+// 1.5]·straggling[k] s of virtual time.
+func stragglingPlans() map[int]FaultPlan {
 	plans := make(map[int]FaultPlan, len(straggling))
 	for k, slow := range straggling {
 		s := float64(time.Second) * slow
 		plans[k] = FaultPlan{Seed: int64(k), DelayProb: 1, MinDelay: time.Duration(0.5 * s), MaxDelay: time.Duration(1.5 * s)}
 	}
+	return plans
+}
+
+// sessionHash hashes a session's round losses and final model.
+func sessionHash(res *ServerResult) string {
+	return hashFloats(append(slices.Clone(res.RoundLosses), res.FinalParams...))
+}
+
+// rejoiner queues one rejoiner on scfg.Rejoin and closes it: the server end
+// of a virtual pipe on scfg's clock (made here if scfg has none), with cfg's
+// RunClient on the client end behind plan. wait, called once the session is
+// over, closes the server end and returns what RunClient returned.
+func rejoiner(scfg *ServerConfig, shard *data.Dataset, cfg ClientConfig, plan FaultPlan) (wait func() ([]float64, error)) {
+	if scfg.clock == nil {
+		scfg.clock = new(time.Duration)
+	}
+	server, client := newPipe(scfg.clock)
+	rejoin := make(chan Conn, 1)
+	rejoin <- server
+	close(rejoin)
+	scfg.Rejoin = rejoin
+	var final []float64
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		final, err = RunClient(NewFaultConn(client, plan), shard, cfg)
+	}()
+	return func() ([]float64, error) {
+		server.Close()
+		<-done
+		return final, err
+	}
+}
+
+// A deadline in virtual time is an event in stamp order, and so is a
+// rejoiner's handshake, so a session with deadlines and a rejoin replays bit
+// for bit: six clients, two of them at six times the others' latency against
+// a 5 s deadline, and a rejoiner at the others' latency for slot 5, which
+// the deadline evicts from the join, evict the same clients in the same
+// rounds for the same reasons, re-admit the rejoiner once and end on the same
+// losses and model in every run, under the fixed deadline and the adaptive
+// one.
+func TestVirtualDeadlinesReplay(t *testing.T) {
+	const runs, rounds = 20, 4
+	fx := newFixture(t, 6)
+	net := fx.builder(fx.ccfg.ModelSeed)
+	plans := stragglingPlans()
 	client := func(i int) ClientConfig {
 		c := fx.client(i)
 		c.LocalSteps = 1
 		return c
 	}
+	second := client(5) // slot 5's second life
+	second.ClientID = 5
 	for _, adaptive := range []bool{false, true} {
 		var first []Eviction
 		var firstHash string
 		for run := 0; run < runs; run++ {
-			res, err := ServePipes(ServerConfig{
+			scfg := ServerConfig{
 				Algorithm: AlgoRFedAvgPlus, Rounds: rounds, InitialParams: net.GetFlat(), FeatureDim: net.FeatureDim,
 				RoundDeadline: 5 * time.Second, AdaptiveDeadline: adaptive, Metrics: telemetry.NewRegistry(),
-			}, fx.shards, client, plans)
+			}
+			wait := rejoiner(&scfg, fx.shards[5], second, plans[0])
+			res, err := ServePipes(scfg, fx.shards, client, plans)
+			wait()
 			if res == nil {
 				t.Fatalf("adaptive %v, run %d: %v", adaptive, run, err)
 			}
 			onlyFaulted(t, err, plans)
-			h := hashFloats(append(slices.Clone(res.RoundLosses), res.FinalParams...))
+			if res.Rejoins != 1 {
+				t.Fatalf("adaptive %v, run %d: %d rejoins, want 1", adaptive, run, res.Rejoins)
+			}
+			h := sessionHash(res)
 			if run == 0 {
 				first, firstHash = res.Evictions, h
 				t.Logf("adaptive %v: evictions %+v", adaptive, first)
@@ -235,5 +283,25 @@ func TestVirtualDeadlinesReplay(t *testing.T) {
 	s.boundary(0)
 	if ev := s.res.Evictions; len(ev) != 1 || ev[0].Client != 1 || !strings.Contains(ev[0].Reason, "peer gone") {
 		t.Fatalf("evictions %+v, want slot 1's dead peer reaped at the boundary", ev)
+	}
+}
+
+// The stamp rides on the frame, not on the conn's type: a virtual session
+// whose server ends are wrapped (in a frame log) handles its arrivals and
+// deadlines in the order the bare session does, and ends on the same
+// evictions, losses and model.
+func TestVirtualWrappedServerEnds(t *testing.T) {
+	fx := newFixture(t, len(straggling))
+	run := func(server func(int, Conn) Conn) *ServerResult {
+		return elideRun{algo: AlgoRFedAvgPlus, server: server, plans: stragglingPlans(), mayFail: map[int]bool{4: true, 5: true},
+			shape: func(c *ServerConfig) { c.Rounds, c.RoundDeadline, c.clock = 4, 5*time.Second, new(time.Duration) }}.run(t, fx)
+	}
+	var log frameLog
+	bare, wrapped := run(nil), run(log.wrap)
+	if !slices.ContainsFunc(bare.Evictions, func(e Eviction) bool { return strings.Contains(e.Reason, ErrTimeout.Error()) }) {
+		t.Fatalf("no client was evicted at a deadline: %+v", bare.Evictions)
+	}
+	if !slices.Equal(wrapped.Evictions, bare.Evictions) || sessionHash(wrapped) != sessionHash(bare) {
+		t.Fatalf("wrapped: evictions %+v, hash %s; bare: %+v, %s", wrapped.Evictions, sessionHash(wrapped), bare.Evictions, sessionHash(bare))
 	}
 }
