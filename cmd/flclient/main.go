@@ -59,11 +59,7 @@ func main() {
 	// A client-side monitor watches only this client (a cohort of one):
 	// loss trend and update norms against its own history, scored the same
 	// way the server scores the fleet.
-	mon, err := healthF.Monitor(telemetry.Default(), obs.Events)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flclient:", err)
-		os.Exit(2)
-	}
+	mon := healthF.Monitor(telemetry.Default(), obs.Events)
 	if *shard < 0 || *shard >= *of {
 		fmt.Fprintf(os.Stderr, "flclient: shard %d outside [0, %d)\n", *shard, *of)
 		os.Exit(2)

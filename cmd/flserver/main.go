@@ -75,8 +75,6 @@ func main() {
 		ckptPath   = flag.String("checkpoint", "", "write an atomic checkpoint to this file after every round")
 		resume     = flag.Bool("resume", false, "resume from -checkpoint if it exists")
 
-		detailN = cliflags.LedgerDetail()
-
 		telemetryAddr = flag.String("telemetry-addr", "", "serve /metrics, /healthz, /debug/pprof, and /debug/fl/health on this address (empty disables)")
 		healthF       = cliflags.HealthFlags()
 		obs           = cliflags.Register(true, true, true)
@@ -92,11 +90,7 @@ func main() {
 	}
 	defer obs.Close()
 
-	mon, err := healthF.Monitor(telemetry.Default(), obs.Events)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flserver:", err)
-		os.Exit(2)
-	}
+	mon := healthF.Monitor(telemetry.Default(), obs.Events)
 	if *telemetryAddr != "" {
 		ts, err := telemetry.ListenAndServe(*telemetryAddr, nil,
 			telemetry.DebugEndpoint{Path: "/debug/fl/health", H: mon.Handler()})
@@ -188,11 +182,10 @@ func main() {
 		Logf: func(format string, args ...any) {
 			fmt.Printf("[fault] "+format+"\n", args...)
 		},
-		Events:        obs.Events,
-		Tracer:        obs.Tracer,
-		Ledger:        obs.Ledger,
-		Health:        mon,
-		LedgerDetailN: *detailN,
+		Events: obs.Events,
+		Tracer: obs.Tracer,
+		Ledger: obs.Ledger,
+		Health: mon,
 	}
 	if *resume {
 		if ck, err := transport.LoadCheckpoint(*ckptPath); err == nil {

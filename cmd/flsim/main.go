@@ -67,7 +67,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		heapBudget = flag.Int("heap-budget-mb", 0, "fail the run if peak heap use exceeds this many MiB (0 = unlimited); the scale-smoke guard that steady-state memory is O(cohort), not O(N)")
 		wallBudget = flag.Duration("wall-budget", 0, "fail the run if training exceeds this wall-clock budget (0 = unlimited)")
-		detailN    = cliflags.LedgerDetail()
 		async      = cliflags.AsyncFlags(false)
 		slow       = flag.String("slow", "", "comma-separated per-client latency multipliers for -buffer-k's rounds, e.g. 1,1,8,1 (empty = uniform)")
 		compressV  = cliflags.Compress("dense")
@@ -90,11 +89,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "flsim:", err)
 		os.Exit(2)
 	}
-	mon, err := healthF.Monitor(telemetry.Default(), obs.Events)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flsim:", err)
-		os.Exit(2)
-	}
+	mon := healthF.Monitor(telemetry.Default(), obs.Events)
 	wire := wireFlags(func(name string) bool { return cliflags.WasSet(flag.CommandLine, name) }, *async.BufferK)
 	if err := checkWire(wire, *method, *slow, *async.BufferK); err != nil {
 		fmt.Fprintln(os.Stderr, "flsim:", err)
@@ -161,20 +156,19 @@ func main() {
 	}
 
 	cfg := fl.Config{
-		Builder:       model.Builder,
-		ModelSeed:     *seed * 31,
-		Seed:          *seed * 17,
-		LocalSteps:    *e,
-		BatchSize:     *b,
-		SampleRatio:   *sr,
-		LR:            opt.ConstLR(*lr),
-		NewOptimizer:  model.NewOptimizer,
-		Tracer:        obs.Tracer,
-		Ledger:        obs.Ledger,
-		LedgerDetailN: *detailN,
-		Events:        obs.Events,
-		Health:        mon,
-		Byzantine:     bz,
+		Builder:      model.Builder,
+		ModelSeed:    *seed * 31,
+		Seed:         *seed * 17,
+		LocalSteps:   *e,
+		BatchSize:    *b,
+		SampleRatio:  *sr,
+		LR:           opt.ConstLR(*lr),
+		NewOptimizer: model.NewOptimizer,
+		Tracer:       obs.Tracer,
+		Ledger:       obs.Ledger,
+		Events:       obs.Events,
+		Health:       mon,
+		Byzantine:    bz,
 	}
 	f := fl.NewFederation(cfg, shards, test)
 

@@ -127,20 +127,17 @@ func WasSet(fs *flag.FlagSet, name string) bool {
 	return set
 }
 
-// Health holds the shared run-health-monitor flags.
+// Health holds the shared run-health-monitor flag.
 type Health struct {
 	Enabled *bool
-	Rules   *string
 }
 
-// HealthFlags installs the shared -health and -health-rules flags on the
-// default flag set. Build the monitor with Monitor after flag.Parse.
+// HealthFlags installs the shared -health flag on the default flag set.
+// Build the monitor with Monitor after flag.Parse.
 func HealthFlags() *Health {
 	return &Health{
 		Enabled: flag.Bool("health", false,
-			"per-client run health monitoring: rolling anomaly scores, round verdicts, rfl_health_* metrics, and threshold alerts"),
-		Rules: flag.String("health-rules", "",
-			"comma-separated health alert rules, metric<value or metric>value (e.g. \"score<0.4,norm_z>6\"); empty = the default score<0.5"),
+			"per-client run health monitoring: rolling anomaly scores, round verdicts, rfl_health_* metrics, and alerts on clients scoring below 0.5"),
 	}
 }
 
@@ -148,28 +145,16 @@ func HealthFlags() *Health {
 // safe to pass everywhere) when -health is off, otherwise a monitor
 // registering its rfl_health_* metrics on reg and emitting alerts to events
 // (either may be nil).
-func (h *Health) Monitor(reg *telemetry.Registry, events *telemetry.EventLog) (*health.Monitor, error) {
+func (h *Health) Monitor(reg *telemetry.Registry, events *telemetry.EventLog) *health.Monitor {
 	if h == nil || h.Enabled == nil || !*h.Enabled {
-		return nil, nil
+		return nil
 	}
-	rules, err := health.ParseRules(*h.Rules)
-	if err != nil {
-		return nil, fmt.Errorf("-health-rules: %w", err)
-	}
-	return health.New(health.Config{Registry: reg, Events: events, Rules: rules}), nil
+	return health.New(health.Config{Registry: reg, Events: events})
 }
 
 // Summary installs the shared -telemetry flag.
 func Summary() *bool {
 	return flag.Bool("telemetry", false, summaryHelp)
-}
-
-// LedgerDetail installs the shared -ledger-detail flag: the client-count
-// threshold above which ledger lines switch from per-client arrays and the
-// full N×N MMD block to summary statistics and a sampled sub-matrix.
-func LedgerDetail() *int {
-	return flag.Int("ledger-detail", 0,
-		"per-client ledger detail up to this many clients; above it lines carry summary stats and a sampled MMD block (0 = default threshold, negative = always full detail)")
 }
 
 // Compress installs the shared -compress flag with the given default

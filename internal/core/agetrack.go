@@ -2,10 +2,11 @@ package core
 
 // AgeTrack counts, per client, how many rounds have passed since the
 // client's last aggregated model update — the model-update twin of the
-// DeltaTable's per-row staleness ages. The transport server uses one to
-// drive its update-staleness telemetry and to persist staleness state in
-// round checkpoints, so a resumed asynchronous session discounts late
-// updates exactly like the uninterrupted one would have.
+// DeltaTable's per-row staleness ages. The transport server's update ages
+// feed only its update-staleness telemetry and its round checkpoints (a
+// resumed session reports the ages the uninterrupted one would have); a late
+// fold's staleness discount does not read them, it ages from the parked
+// update's own round (transport.BufferedUpdate.Round).
 //
 // The age convention matches DeltaTable: Reset zeroes an entry, Tick
 // advances every entry once per completed round, so a client that

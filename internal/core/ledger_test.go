@@ -77,10 +77,6 @@ func ledgerFederation(t *testing.T, clients int, tracer *telemetry.Tracer, ledge
 		LR:         opt.ConstLR(0.1),
 		Tracer:     tracer,
 		Ledger:     ledger,
-		// Per-client detail up to N=16; the scaling runs above that record
-		// summary statistics and the sampled MMD sub-matrix, keeping every
-		// ledger line O(1) as the curves grow.
-		LedgerDetailN: 16,
 	}
 	return fl.NewFederation(cfg, shards, nil)
 }
@@ -180,8 +176,8 @@ func TestLedgerBytesScalingMatchesTableIII(t *testing.T) {
 	}
 
 	// The quadratic curve stops at N=16 (its accounting alone is the claim);
-	// the linear curve runs past the summary-ledger threshold territory to
-	// N=64, where a broken O(dN) story would compound visibly.
+	// the linear curve runs to N=64, where a broken O(dN) story would
+	// compound visibly.
 	quadSizes := []int{4, 8, 16}
 	linSizes := []int{4, 8, 16, 32, 64}
 	quad := extra(quadSizes, func() fl.Algorithm { return NewRFedAvg(1e-3) })
@@ -236,7 +232,7 @@ func TestLedgerBytesScalingMatchesTableIII(t *testing.T) {
 // cohort count plus min/mean/max triples instead of per-client arrays, and
 // a K×K sampled MMD sub-matrix instead of the N×N block.
 func TestSimLedgerSummaryModeAboveDetailN(t *testing.T) {
-	const clients, rounds = 32, 2 // threshold in ledgerFederation is 16
+	const clients, rounds = telemetry.DefaultLedgerDetailN + 1, 2
 	var buf bytes.Buffer
 	f := ledgerFederation(t, clients, nil, telemetry.NewRunLedger(&buf))
 	fl.Run(f, NewRFedAvgPlus(1e-3), rounds)

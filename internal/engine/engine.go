@@ -201,7 +201,7 @@ func Close(h *health.Monitor, rec *telemetry.RoundRecord, detail bool, round int
 	return loss, ok
 }
 
-// EndRound closes the health round — robust statistics, scores, rules,
+// EndRound closes the health round — robust statistics, scores, alerts,
 // verdict — and, with rec non-nil, ledgers it: verdict, unhealthy count, and
 // per-client scores aligned with rec.ClientID in detail mode or a min/mean/max
 // triple over the cohort above it. A nil monitor does nothing.
@@ -248,15 +248,9 @@ func (h Held) Hold(k, round int) { h[k] = round + 1 }
 func (h Held) Drop(k int) { h[k] = 0 }
 
 // Detail reports whether a session of n clients records per-client ledger
-// detail (loss/norm/age/score arrays and the N×N MMD block) or, above limit,
-// summary statistics. A limit of 0 means telemetry.DefaultLedgerDetailN;
-// negative means full detail at any n.
-func Detail(limit, n int) bool {
-	if limit == 0 {
-		limit = telemetry.DefaultLedgerDetailN
-	}
-	return limit < 0 || n <= limit
-}
+// detail (loss/norm/age/score arrays and the N×N MMD block) or, above
+// telemetry.DefaultLedgerDetailN clients, summary statistics.
+func Detail(n int) bool { return n <= telemetry.DefaultLedgerDetailN }
 
 // MMDTable is what the ledger reads of a δ table; *core.DeltaTable is one.
 type MMDTable interface {

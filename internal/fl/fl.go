@@ -58,11 +58,6 @@ type Config struct {
 	// matrix and row ages when the algorithm maintains a δ table, and the
 	// accounted wire bytes).
 	Ledger *telemetry.RunLedger
-	// LedgerDetailN caps per-client ledger detail: federations with more
-	// clients record summary statistics and a sampled MMD sub-matrix
-	// instead of O(N) arrays and the O(N²) MMD block. 0 means
-	// telemetry.DefaultLedgerDetailN; negative means always full detail.
-	LedgerDetailN int
 	// Events, when non-nil, receives one JSONL line per lifecycle event.
 	Events *telemetry.EventLog
 
@@ -416,7 +411,7 @@ func (f *Federation) aggregate(h *health.Monitor, rec *telemetry.RoundRecord, ro
 }
 
 // detail reports whether the ledger records per-client detail (engine.Detail).
-func (f *Federation) detail() bool { return engine.Detail(f.Cfg.LedgerDetailN, len(f.Clients)) }
+func (f *Federation) detail() bool { return engine.Detail(len(f.Clients)) }
 
 // roundRec is the ledger record the round in progress fills; nil without a
 // ledger. Run resets it before each round.

@@ -5,9 +5,10 @@
 // client's update direction against the rest of the cohort, the per-client
 // MMD drift read off the δ table, and staleness/eviction/fold history —
 // and folds them into one scalar health score in [0, 1] per client plus a
-// round-level verdict ("ok", "warn", "critical"). A threshold-rule alert
-// engine emits telemetry.EventLog events and rfl_health_* metrics when a
-// client or the run crosses a rule.
+// round-level verdict ("ok", "warn", "critical"). A cohort member scoring
+// under DefaultUnhealthyBelow is unhealthy: that one decision drives the
+// verdict, the rfl_health_* metrics, the snapshot's active alerts and the
+// edge-triggered health_alert events.
 //
 // The observation path is allocation-free at steady state: per-client
 // state is allocated once on first sight (the codec-slot pattern), cohort
@@ -28,6 +29,7 @@ package health
 
 import (
 	"math"
+	"strconv"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -68,19 +70,20 @@ const (
 // stable median/MAD, small enough to track regime changes.
 const DefaultWindow = 256
 
-// DefaultUnhealthyBelow is the score under which a client counts as
-// unhealthy in round verdicts and the default alert rule.
+// DefaultUnhealthyBelow is the score under which a cohort member counts as
+// unhealthy: in round verdicts, the unhealthy count and alerts.
 const DefaultUnhealthyBelow = 0.5
 
+// unhealthyRule names the unhealthy decision in alerts and events.
+var unhealthyRule = "score<" + strconv.FormatFloat(DefaultUnhealthyBelow, 'g', -1, 64)
+
 // Config parameterizes a Monitor. The zero value is usable: default
-// registry, no event log, default rules.
+// registry, no event log.
 type Config struct {
 	// Registry receives the rfl_health_* metrics (Default() when nil).
 	Registry *telemetry.Registry
 	// Events, when non-nil, receives edge-triggered "health_alert" events.
 	Events *telemetry.EventLog
-	// Rules are the alert thresholds; nil means DefaultRules().
-	Rules []Rule
 }
 
 // clientState is the per-client rolling record, allocated once when the
@@ -111,8 +114,8 @@ type clientState struct {
 	evicted     bool
 
 	hasDrift bool
-	cohort   bool   // in the current round's cohort
-	alerts   uint64 // active per-rule alert bits (edge detection)
+	cohort   bool // in the current round's cohort
+	alerting bool // unhealthy when last scored (edge detection)
 }
 
 // Monitor is the run-health engine. One Monitor watches one session; all
@@ -122,7 +125,6 @@ type Monitor struct {
 	mu sync.Mutex
 
 	events *telemetry.EventLog
-	rules  []Rule
 
 	// Per-client slots, indexed by client ID, grown on demand; observed
 	// lists the IDs with live state in first-seen order.
@@ -153,10 +155,8 @@ type Monitor struct {
 
 	scratch []float64 // median/MAD sort buffer
 
-	// Active alerts, rebuilt every EndRound; runAlerts is the run-level
-	// edge mask mirroring clientState.alerts.
-	active    []Alert
-	runAlerts uint64
+	// The last scored round's unhealthy cohort members, as active alerts.
+	active []AlertSnapshot
 
 	// Metrics.
 	mScoreMin  *telemetry.Gauge
@@ -169,15 +169,6 @@ type Monitor struct {
 	cRounds    *telemetry.Counter
 }
 
-// Alert is one active (client, rule) or (run, rule) threshold crossing.
-// Client is -1 for run-level rules.
-type Alert struct {
-	Round  int
-	Client int
-	Rule   string
-	Value  float64
-}
-
 // New builds a Monitor. Pass the result through the stack even when
 // monitoring is off — a nil *Monitor is inert.
 func New(cfg Config) *Monitor {
@@ -185,13 +176,8 @@ func New(cfg Config) *Monitor {
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	rules := cfg.Rules
-	if rules == nil {
-		rules = DefaultRules()
-	}
 	return &Monitor{
 		events:     cfg.Events,
-		rules:      rules,
 		verdict:    "ok",
 		runLoss:    math.NaN(),
 		prevLoss:   math.NaN(),
@@ -409,8 +395,10 @@ func (m *Monitor) ObserveEvict(client int) {
 }
 
 // EndRound finishes the scoring round: robust statistics over the cohort,
-// per-client scores, alert-rule evaluation, metrics, and the round verdict
-// ("ok", "warn", or "critical"), which it returns.
+// per-client scores, the unhealthy decision and its alerts, metrics, and the
+// round verdict ("ok", "warn", or "critical"), which it returns. The happy
+// path appends to reused storage; only an alert's rising edge formats an
+// event.
 func (m *Monitor) EndRound(roundLoss float64) string {
 	if m == nil {
 		return ""
@@ -450,7 +438,7 @@ func (m *Monitor) EndRound(roundLoss float64) string {
 	}
 
 	scoreMin, scoreSum := math.NaN(), 0.0
-	unhealthy := 0
+	m.active = m.active[:0]
 	for _, st := range m.cohort {
 		if isFinite(st.norm) && normSigma > 0 {
 			st.normZ = (st.norm - normMed) / normSigma
@@ -466,10 +454,17 @@ func (m *Monitor) EndRound(roundLoss float64) string {
 		if math.IsNaN(scoreMin) || st.score < scoreMin {
 			scoreMin = st.score
 		}
-		if st.score < DefaultUnhealthyBelow {
-			unhealthy++
+		if st.score >= DefaultUnhealthyBelow {
+			st.alerting = false
+			continue
 		}
+		if !st.alerting {
+			st.alerting = true
+			m.emitAlertLocked(st)
+		}
+		m.active = append(m.active, AlertSnapshot{Round: m.round, Client: st.id, Rule: unhealthyRule, Value: JSONFloat(st.score)})
 	}
+	unhealthy := len(m.active)
 
 	// Verdict.
 	frac := 0.0
@@ -486,8 +481,6 @@ func (m *Monitor) EndRound(roundLoss float64) string {
 		m.verdict, verdictCode = "ok", 0
 	}
 
-	m.evalRulesLocked(frac, scoreMin)
-
 	m.mCohort.Set(float64(len(m.cohort)))
 	m.mUnhealthy.Set(float64(unhealthy))
 	m.mVerdict.Set(verdictCode)
@@ -497,6 +490,15 @@ func (m *Monitor) EndRound(roundLoss float64) string {
 	}
 	m.cRounds.Inc()
 	return m.verdict
+}
+
+// emitAlertLocked reports a cohort member's rising edge into unhealthy.
+func (m *Monitor) emitAlertLocked(st *clientState) {
+	m.cAlerts.Inc()
+	if m.events != nil {
+		m.events.Emit("health_alert", m.round, "client "+strconv.Itoa(st.id)+" violated "+unhealthyRule+
+			" (value "+strconv.FormatFloat(st.score, 'g', 4, 64)+")")
+	}
 }
 
 // scoreLocked folds a cohort member's round signals into its health score.
@@ -624,13 +626,7 @@ func (m *Monitor) UnhealthyCount() int {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, st := range m.cohort {
-		if m.effectiveScoreLocked(st) < DefaultUnhealthyBelow {
-			n++
-		}
-	}
-	return n
+	return len(m.active)
 }
 
 // LastVerdict is the verdict of the last scored round ("ok" before any).

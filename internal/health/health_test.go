@@ -3,6 +3,7 @@ package health
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -12,13 +13,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-func newTestMonitor(rules string) (*Monitor, *telemetry.Registry) {
-	reg := telemetry.NewRegistry()
-	r, err := ParseRules(rules)
-	if err != nil {
-		panic(err)
-	}
-	return New(Config{Registry: reg, Rules: r}), reg
+func newTestMonitor() *Monitor {
+	return New(Config{Registry: telemetry.NewRegistry()})
 }
 
 // runRound feeds one synthetic round: global at origin, each client's
@@ -79,14 +75,13 @@ func TestNilMonitorIsInert(t *testing.T) {
 		t.Fatal("nil accessors must be zero-valued")
 	}
 	m.CohortScores(func(int, float64) { t.Fatal("nil CohortScores called back") })
-	m.ActiveAlerts(func(Alert) { t.Fatal("nil ActiveAlerts called back") })
 	if s := m.Snapshot(0); s.Verdict != "off" {
 		t.Fatalf("nil Snapshot verdict = %q", s.Verdict)
 	}
 }
 
 func TestSignFlipAndScaleFlagged(t *testing.T) {
-	m, _ := newTestMonitor("")
+	m := newTestMonitor()
 	rng := rand.New(rand.NewSource(7))
 	const n, d = 8, 32
 	scales := make([]float64, n)
@@ -120,40 +115,65 @@ func TestSignFlipAndScaleFlagged(t *testing.T) {
 	}
 }
 
+// TestAlertEdgeTriggered feeds clients that flip their update direction in
+// chosen rounds (one row per round, one entry per cohort member, client ID =
+// index; a shorter row leaves the last clients out of the cohort). An alert
+// event fires on a rising edge only, and every round the snapshot's active
+// alerts, UnhealthyCount and the unhealthy gauge read the same decision.
 func TestAlertEdgeTriggered(t *testing.T) {
-	var buf bytes.Buffer
-	events := telemetry.NewEventLog(&buf)
-	reg := telemetry.NewRegistry()
-	rules, _ := ParseRules("score<0.5")
-	m := New(Config{Registry: reg, Rules: rules, Events: events})
-	rng := rand.New(rand.NewSource(3))
-	scales := []float64{1, 1, 1, 1}
-	flip := []bool{false, true, false, false}
-	losses := []float64{1, 1, 1, 1}
-	for r := 1; r <= 4; r++ {
-		runRound(m, r, 16, rng, scales, flip, losses)
-	}
-	got := strings.Count(buf.String(), `"health_alert"`)
-	if got != 1 {
-		t.Fatalf("health_alert emitted %d times over 4 violating rounds, want 1 (edge-triggered)\n%s", got, buf.String())
-	}
-	if !strings.Contains(buf.String(), "client 1 violated score<0.5") {
-		t.Fatalf("alert detail missing: %s", buf.String())
-	}
-	active := 0
-	m.ActiveAlerts(func(a Alert) {
-		active++
-		if a.Client != 1 {
-			t.Fatalf("active alert for client %d, want 1", a.Client)
-		}
-	})
-	if active != 1 {
-		t.Fatalf("active alerts = %d, want 1", active)
+	const o, x = false, true
+	for _, tc := range []struct {
+		name   string
+		rounds [][]bool
+		client int // the one client that alerts
+		events int
+	}{
+		{"stays unhealthy", [][]bool{{o, x, o, o}, {o, x, o, o}, {o, x, o, o}, {o, x, o, o}}, 1, 1},
+		// Client 3 crosses, stays, recovers, crosses again and leaves the
+		// cohort while alerting.
+		{"recrosses then leaves", [][]bool{{o, o, o, o}, {o, o, o, x}, {o, o, o, x}, {o, o, o, o}, {o, o, o, x}, {o, o, o}}, 3, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			reg := telemetry.NewRegistry()
+			m := New(Config{Registry: reg, Events: telemetry.NewEventLog(&buf)})
+			gauge := reg.Gauge("rfl_health_unhealthy_clients", "")
+			rng := rand.New(rand.NewSource(3))
+			for r, flip := range tc.rounds {
+				ones := make([]float64, len(flip))
+				for i := range ones {
+					ones[i] = 1
+				}
+				runRound(m, r+1, 16, rng, ones, flip, ones)
+				flipped := 0
+				for _, f := range flip {
+					if f {
+						flipped++
+					}
+				}
+				alerts := m.Snapshot(0).Alerts
+				if n := m.UnhealthyCount(); len(alerts) != flipped || n != flipped || gauge.Value() != float64(flipped) {
+					t.Fatalf("round %d: %d flipped, %d active alerts, UnhealthyCount %d, gauge %v",
+						r+1, flipped, len(alerts), n, gauge.Value())
+				}
+				for _, a := range alerts {
+					if !flip[a.Client] || a.Round != r+1 || a.Rule != "score<0.5" {
+						t.Fatalf("round %d: alert %+v for flips %v", r+1, a, flip)
+					}
+				}
+			}
+			all := strings.Count(buf.String(), `"health_alert"`)
+			own := strings.Count(buf.String(), fmt.Sprintf("client %d violated score<0.5", tc.client))
+			if all != tc.events || own != tc.events {
+				t.Fatalf("health_alert emitted %d times, %d for client %d, want %d (edge-triggered)\n%s",
+					all, own, tc.client, tc.events, buf.String())
+			}
+		})
 	}
 }
 
 func TestStalenessDecaysScore(t *testing.T) {
-	m, _ := newTestMonitor("")
+	m := newTestMonitor()
 	rng := rand.New(rand.NewSource(5))
 	scales := []float64{1, 1, 1}
 	flip := []bool{false, false, false}
@@ -180,7 +200,7 @@ func TestStalenessDecaysScore(t *testing.T) {
 }
 
 func TestEvictionHalvesScore(t *testing.T) {
-	m, _ := newTestMonitor("")
+	m := newTestMonitor()
 	rng := rand.New(rand.NewSource(9))
 	runRound(m, 1, 16, rng, []float64{1, 1, 1}, []bool{false, false, false}, []float64{1, 1, 1})
 	before := m.Score(1)
@@ -192,7 +212,7 @@ func TestEvictionHalvesScore(t *testing.T) {
 }
 
 func TestNaNLossIsCritical(t *testing.T) {
-	m, _ := newTestMonitor("")
+	m := newTestMonitor()
 	m.BeginRound(1)
 	g := make([]float64, 8)
 	u := make([]float64, 8)
@@ -207,27 +227,8 @@ func TestNaNLossIsCritical(t *testing.T) {
 	}
 }
 
-func TestParseRules(t *testing.T) {
-	rules, err := ParseRules("score<0.3, norm_z>6 ,run_loss>10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rules) != 3 || rules[0].String() != "score<0.3" || !rules[1].violated(7) || rules[1].violated(5) {
-		t.Fatalf("parsed rules wrong: %+v", rules)
-	}
-	for _, bad := range []string{"bogus<1", "score", "<1", "score<", "score<x"} {
-		if _, err := ParseRules(bad); err == nil {
-			t.Fatalf("ParseRules(%q) accepted", bad)
-		}
-	}
-	def, err := ParseRules("")
-	if err != nil || len(def) == 0 {
-		t.Fatalf("empty rules must yield defaults: %v %v", def, err)
-	}
-}
-
 func TestSnapshotJSONAndHandler(t *testing.T) {
-	m, _ := newTestMonitor("")
+	m := newTestMonitor()
 	rng := rand.New(rand.NewSource(11))
 	scales := []float64{1, 1, 1, 1}
 	flip := []bool{false, false, false, true}
@@ -269,7 +270,7 @@ func TestSnapshotJSONAndHandler(t *testing.T) {
 // BeginRound/AccumDirection/ObserveUpdate/ObserveFold/ObserveDrift/EndRound
 // cycle performs zero allocations.
 func TestObserveHotPathAllocs(t *testing.T) {
-	m, _ := newTestMonitor("")
+	m := newTestMonitor()
 	const n, d = 16, 64
 	global := make([]float64, d)
 	updates := make([][]float64, n)

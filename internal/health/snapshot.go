@@ -49,7 +49,7 @@ type ClientSnapshot struct {
 // AlertSnapshot is one active alert in a Snapshot.
 type AlertSnapshot struct {
 	Round  int       `json:"round"`
-	Client int       `json:"client"` // -1 for run-level rules
+	Client int       `json:"client"`
 	Rule   string    `json:"rule"`
 	Value  JSONFloat `json:"value"`
 }
@@ -114,10 +114,8 @@ func (m *Monitor) Snapshot(topN int) Snapshot {
 			Evictions: st.evictions,
 			StaleAge:  m.round - st.lastRound,
 		}
-		for ri, r := range m.rules {
-			if st.alerts&(uint64(1)<<uint(ri&63)) != 0 {
-				cs.Alerts = append(cs.Alerts, r.src)
-			}
+		if st.alerting {
+			cs.Alerts = []string{unhealthyRule}
 		}
 		snap.Clients = append(snap.Clients, cs)
 	}
@@ -137,11 +135,7 @@ func (m *Monitor) Snapshot(topN int) Snapshot {
 	if topN > 0 && len(snap.Clients) > topN {
 		snap.Clients = snap.Clients[:topN]
 	}
-	for _, a := range m.active {
-		snap.Alerts = append(snap.Alerts, AlertSnapshot{
-			Round: a.Round, Client: a.Client, Rule: a.Rule, Value: JSONFloat(a.Value),
-		})
-	}
+	snap.Alerts = append(snap.Alerts, m.active...)
 	return snap
 }
 

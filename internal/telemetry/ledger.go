@@ -26,10 +26,9 @@ type RunLedger struct {
 // NewRunLedger wraps w (typically an *os.File).
 func NewRunLedger(w io.Writer) *RunLedger { return &RunLedger{w: w} }
 
-// DefaultLedgerDetailN is the client-count threshold above which servers
-// switch the ledger from per-client detail (O(N) arrays, O(N²) MMD block
-// per line) to summary statistics and a sampled MMD sub-matrix, unless
-// overridden by their LedgerDetailN knob.
+// DefaultLedgerDetailN is the client-count threshold above which both
+// drivers switch the ledger from per-client detail (O(N) arrays, O(N²) MMD
+// block per line) to summary statistics and a sampled MMD sub-matrix.
 const DefaultLedgerDetailN = 256
 
 // LedgerMMDSampleK is the sub-matrix edge recorded in summary mode: K
@@ -94,7 +93,7 @@ type RoundRecord struct {
 	ClientNorm []float64 // per sampled client ‖update − global‖₂
 	ClientID   []int     // which clients the loss/norm entries belong to
 
-	// Summary-mode fields (sessions above the LedgerDetailN threshold):
+	// Summary-mode fields (sessions above DefaultLedgerDetailN clients):
 	// the cohort size that aggregated, min/mean/max over the cohort's
 	// losses and update norms, and min/mean/max over all δ-row ages —
 	// O(1) per line where the arrays above would be O(N).

@@ -23,18 +23,39 @@ func TestDeadlineControllerTracksQuantile(t *testing.T) {
 		t.Fatalf("update with no observations moved the deadline to %v", got)
 	}
 
-	// A uniformly fast fleet pulls the deadline down toward
-	// headroom × EWMA, floored at min.
+	// The first sample bounds a client at SRTT + 4·RTTVAR = 3R.
+	for c := 0; c < 4; c++ {
+		ctrl.observe(c, 100*time.Millisecond)
+	}
+	if got := ctrl.update(); got != 300*time.Millisecond {
+		t.Fatalf("first-sample deadline %v, want 3 × 100ms", got)
+	}
+
+	// A uniformly fast, steady fleet's deviation decays by (1−β) a round:
+	// the deadline falls to the least margin, 1.5 × the round-trip.
 	for round := 0; round < 20; round++ {
 		for c := 0; c < 4; c++ {
 			ctrl.observe(c, 100*time.Millisecond)
 		}
 		ctrl.update()
 	}
-	got := ctrl.current()
-	want := time.Duration(ctrlHeadroom * 0.1 * float64(time.Second)) // 150ms
-	if got < want-5*time.Millisecond || got > want+5*time.Millisecond {
+	const want = 150 * time.Millisecond
+	near := func(d time.Duration) bool { return d >= want && d < want+2*time.Millisecond }
+	if got := ctrl.current(); !near(got) {
 		t.Fatalf("converged deadline %v, want ≈%v", got, want)
+	}
+
+	// A steady client just above the quantile stays covered: bounds of a
+	// 100/100/100/110 ms fleet pick the third (150 ms), above 110 ms.
+	for round := 0; round < 40; round++ {
+		for c := 0; c < 3; c++ {
+			ctrl.observe(c, 100*time.Millisecond)
+		}
+		ctrl.observe(3, 110*time.Millisecond)
+		ctrl.update()
+	}
+	if got := ctrl.current(); got < 110*time.Millisecond {
+		t.Fatalf("steady 100/100/100/110ms fleet: deadline %v evicts the 110ms client", got)
 	}
 
 	// A single straggler stays above the 0.9-quantile of a 4-client fleet
@@ -46,7 +67,7 @@ func TestDeadlineControllerTracksQuantile(t *testing.T) {
 		ctrl.observe(3, 10*time.Second)
 		ctrl.update()
 	}
-	if got := ctrl.current(); got != want {
+	if got := ctrl.current(); !near(got) {
 		t.Fatalf("one straggler dragged the deadline to %v, want it held at ≈%v", got, want)
 	}
 

@@ -93,7 +93,7 @@ func ServeFederation(f *fl.Federation, cfg ServerConfig, lambda float64, ef bool
 		shards[i] = c.Data
 	}
 	cfg.InitialParams, cfg.FeatureDim, cfg.SampleRatio, cfg.Seed = f.InitialParams(), f.FeatureDim(), fc.SampleRatio, fc.Seed
-	cfg.Events, cfg.Tracer, cfg.Ledger, cfg.Health, cfg.LedgerDetailN = fc.Events, fc.Tracer, fc.Ledger, fc.Health, fc.LedgerDetailN
+	cfg.Events, cfg.Tracer, cfg.Ledger, cfg.Health = fc.Events, fc.Tracer, fc.Ledger, fc.Health
 	client := func(i int) ClientConfig {
 		return ClientConfig{
 			Builder: fc.Builder, ModelSeed: fc.ModelSeed, Seed: fc.Seed*1000 + int64(i),

@@ -82,8 +82,8 @@ type ServerConfig struct {
 	// updates at full weight.
 	StalenessLambda float64
 	// AdaptiveDeadline replaces the fixed RoundDeadline with a controller
-	// that tracks per-client round-time EWMAs and sets the deadline to a
-	// high quantile of them (with headroom), clamped to
+	// that tracks per-client round-time estimates (SRTT + 4·RTTVAR, RFC
+	// 6298) and sets the deadline to a high quantile of them, clamped to
 	// [RoundDeadline/8, RoundDeadline]. Requires RoundDeadline > 0 (the
 	// starting value).
 	AdaptiveDeadline bool
@@ -137,13 +137,6 @@ type ServerConfig struct {
 	// the round verdict land in the ledger and on the monitor's own
 	// rfl_health_* metrics and /debug/fl/health snapshot.
 	Health *health.Monitor
-	// LedgerDetailN bounds the per-client ledger detail: sessions with more
-	// client slots than this record summary statistics (cohort size,
-	// loss/norm min-mean-max, age summary) and a sampled K×K MMD sub-matrix
-	// instead of the O(N) per-client arrays and the O(N²) MMD block. 0 means
-	// the default threshold (telemetry.DefaultLedgerDetailN); negative means
-	// full detail at any N.
-	LedgerDetailN int
 
 	// clock is a ServePipes session's virtual time (a test may bring its own,
 	// to read it or to make rejoiners' pipes on it): its arrivals and
@@ -566,7 +559,7 @@ func (s *session) setup(cfg ServerConfig, conns []Conn) error {
 	if cfg.Ledger != nil {
 		s.phases.Rec = &s.rec
 	}
-	s.att = attempt{rec: s.phases.Rec, detail: engine.Detail(cfg.LedgerDetailN, n), delivered: make([]bool, n)}
+	s.att = attempt{rec: s.phases.Rec, detail: engine.Detail(n), delivered: make([]bool, n)}
 	for i, c := range conns {
 		s.conns[i] = s.wrap(c, i)
 		s.active[i] = true
