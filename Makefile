@@ -5,8 +5,8 @@
 all: build vet test test-race
 
 # The full CI gate, in dependency order: static checks and unit tests, the
-# race pass, the scalar-kernel pass, the golden-session gate, the observability smoke (trace/ledger
-# validation), the live health-monitor smoke, the async straggler matrix
+# race pass, the scalar-kernel pass, the golden-session gate, the observer
+# stream smoke, the live health-monitor smoke, the async straggler matrix
 # under the race detector, the 100k-client scale smoke, the decoder fuzz
 # pass, and the repo benchmark's own smoke test.
 ci: vet test test-race test-purego golden telemetry-smoke health-smoke chaos-smoke scale-smoke fuzz-short bench-e2e-smoke
@@ -98,35 +98,35 @@ golden:
 		echo "golden: TestElideGoldenSessions skipped on amd64 — the bit-identity gate did not run"; exit 1; \
 	fi
 
-# Smoke-test the observability files end to end: run a traced flsim and
-# validate the trace + ledger files (fltrace fails when either file is empty
-# or any line is not valid JSON), then check that a q8 run — a wire session
-# over in-process pipes — names its uplink scheme in the server's ledger. The
-# live /metrics scrape, its series and the codec byte series are go test's
-# (TestChaosSessionMetricsScrape, TestHTTPEndpoints,
+# Smoke-test the observer stream end to end: run an flsim session with
+# -observe and require span, round and event lines in the one file (fltrace
+# fails when the stream has no round line or any line is not valid JSON
+# with a known kind), then check that a q8 run — a wire session over
+# in-process pipes — names its uplink scheme in the server's round lines.
+# The live /metrics scrape, its series and the codec byte series are go
+# test's (TestChaosSessionMetricsScrape, TestHTTPEndpoints,
 # TestServeCompressedUplinkBytesReduction).
 telemetry-smoke:
 	@tmp=$$(mktemp -d) && \
 	go run ./cmd/flsim -dataset mnist -method rfedavg+ -clients 4 -rounds 2 \
-		-e 2 -b 16 -train 400 -test 100 \
-		-trace $$tmp/trace.jsonl -ledger $$tmp/ledger.jsonl >/dev/null && \
-	test -s $$tmp/trace.jsonl && test -s $$tmp/ledger.jsonl && \
-	go run ./cmd/fltrace -trace $$tmp/trace.jsonl -ledger $$tmp/ledger.jsonl >/dev/null && \
-	go run ./cmd/fltrace -ledger $$tmp/ledger.jsonl >/dev/null && \
+		-e 2 -b 16 -train 400 -test 100 -observe $$tmp/run.jsonl >/dev/null && \
+	grep -q '"kind":"span"' $$tmp/run.jsonl && grep -q '"kind":"round"' $$tmp/run.jsonl && \
+	grep -q '"event":"run_done"' $$tmp/run.jsonl && \
+	go run ./cmd/fltrace -observe $$tmp/run.jsonl >/dev/null && \
 	go run ./cmd/flsim -dataset mnist -method rfedavg+ -clients 4 -rounds 2 \
 		-e 2 -b 16 -train 400 -test 100 -compress q8 \
-		-ledger $$tmp/ledger-q8.jsonl >/dev/null && \
-	grep -q '"up_scheme":"q8"' $$tmp/ledger-q8.jsonl && \
-	rm -rf $$tmp && echo "trace/ledger smoke passed"
+		-observe $$tmp/q8.jsonl >/dev/null && \
+	grep -q '"up_scheme":"q8"' $$tmp/q8.jsonl && \
+	rm -rf $$tmp && echo "observer stream smoke passed"
 
 # Smoke-test live run health monitoring end to end: start an flsim run with
 # the health monitor on and two injected Byzantine clients (one sign-flip,
 # one 10× scale), scrape /debug/fl/health over HTTP *while the run is
 # live*, and require a valid JSON snapshot carrying per-client scores
 # and a firing alert (flbench -health-scrape polls until it sees one). After
-# the run, the ledger must carry round verdicts, the event log edge-triggered
-# health_alert lines for both attackers, and fltrace -follow must render the
-# finished streams as a dashboard. The alert counts per client are printed;
+# the run, the stream's round lines must carry verdicts and its event lines
+# edge-triggered health_alerts for both attackers, and fltrace -follow must
+# render the finished stream as a dashboard. The alert counts per client are printed;
 # the honest clients' (0, 1, 3, 4) count is reported, not gated.
 health-smoke:
 	@tmp=$$(mktemp -d) || exit 1; \
@@ -137,20 +137,19 @@ health-smoke:
 		-e 1 -b 16 -train 600 -test 100 -sim 0 \
 		-health -byzantine 2:signflip,5:scale10 \
 		-telemetry-addr 127.0.0.1:17917 \
-		-ledger $$tmp/ledger.jsonl -events $$tmp/events.jsonl \
-		>$$tmp/run.log 2>&1 & \
+		-observe $$tmp/run.jsonl >$$tmp/run.log 2>&1 & \
 	pid=$$!; \
 	if ! $$tmp/flbench -health-scrape 'http://127.0.0.1:17917/debug/fl/health?top=8' \
 		-scrape-timeout 90s; then \
 		kill $$pid 2>/dev/null; cat $$tmp/run.log; exit 1; \
 	fi; \
 	wait $$pid; status=$$?; \
-	echo "health alerts: client 2 $$(grep -c 'client 2 violated' $$tmp/events.jsonl), client 5 $$(grep -c 'client 5 violated' $$tmp/events.jsonl), honest 0/1/3/4 $$(grep -c 'client [0134] violated' $$tmp/events.jsonl)"; \
+	echo "health alerts: client 2 $$(grep -c 'client 2 violated' $$tmp/run.jsonl), client 5 $$(grep -c 'client 5 violated' $$tmp/run.jsonl), honest 0/1/3/4 $$(grep -c 'client [0134] violated' $$tmp/run.jsonl)"; \
 	[ $$status -eq 0 ] || { cat $$tmp/run.log; exit 1; }; \
-	grep -q '"verdict":' $$tmp/ledger.jsonl && \
-	grep -q 'client 2 violated' $$tmp/events.jsonl && \
-	grep -q 'client 5 violated' $$tmp/events.jsonl && \
-	$$tmp/fltrace -follow -ledger $$tmp/ledger.jsonl -events $$tmp/events.jsonl >/dev/null && \
+	grep -q '"verdict":' $$tmp/run.jsonl && \
+	grep -q 'client 2 violated' $$tmp/run.jsonl && \
+	grep -q 'client 5 violated' $$tmp/run.jsonl && \
+	$$tmp/fltrace -follow -observe $$tmp/run.jsonl >/dev/null && \
 	rm -rf $$tmp && echo "health smoke passed"
 
 # Prove the 100k-client scale story end to end: a short cohort-subsampled
@@ -160,9 +159,9 @@ health-smoke:
 # run drives the simulator, whose cohort of 100 goes through engine.Aggregate
 # (the transport server's; before PR 21 the simulator had only a serial
 # average), the streaming δ table, the summary-mode ledger, and — with
-# -health on — the monitor's O(cohort) memory claim; the ledger line must
-# carry the sampled MMD block and the health summary triple, never per-client
-# arrays.
+# -health on — the monitor's O(cohort) memory claim; the round lines of its
+# observer stream (spans included) must carry the sampled MMD block and the
+# health summary triple, never per-client arrays.
 # The second run gates what an idle slot of a wire session costs: -compress
 # dense makes it 1,000 pipe clients, 20 of them sampled a round. A slot keeps
 # its weights, shard and optimizer and borrows its gradients, arena and round
@@ -174,10 +173,10 @@ scale-smoke:
 	go run ./cmd/flsim -clients 100000 -sr 0.001 -rounds 3 \
 		-e 1 -b 10 -train 2000 -test 100 \
 		-heap-budget-mb 2048 -wall-budget 120s -health \
-		-ledger $$tmp/ledger.jsonl && \
-	grep -q '"mmd_sample":' $$tmp/ledger.jsonl && \
-	grep -q '"health_stats":' $$tmp/ledger.jsonl && \
-	! grep -q '"client_id":' $$tmp/ledger.jsonl && \
+		-observe $$tmp/run.jsonl && \
+	grep -q '"mmd_sample":' $$tmp/run.jsonl && \
+	grep -q '"health_stats":' $$tmp/run.jsonl && \
+	! grep -q '"client_id":' $$tmp/run.jsonl && \
 	go run ./cmd/flsim -method rfedavg+ -clients 1000 -sr 0.02 -e 1 -b 10 \
 		-rounds 2 -train 2000 -test 100 -compress dense -heap-budget-mb 700 && \
 	rm -rf $$tmp && echo "scale smoke passed"

@@ -49,17 +49,17 @@ func main() {
 		compressEF = flag.Bool("compress-ef", false, "carry quantization residuals across rounds (error feedback; breaks bitwise resume)")
 		showTelem  = cliflags.Summary()
 		healthF    = cliflags.HealthFlags()
-		obs        = cliflags.Register(true, true, false)
+		obs        = cliflags.Register()
 	)
 	flag.Parse()
-	if err := obs.Open(); err != nil {
+	if err := obs.Open(false); err != nil {
 		fmt.Fprintln(os.Stderr, "flclient:", err)
 		os.Exit(1)
 	}
 	// A client-side monitor watches only this client (a cohort of one):
 	// loss trend and update norms against its own history, scored the same
 	// way the server scores the fleet.
-	mon := healthF.Monitor(telemetry.Default(), obs.Events)
+	mon := healthF.Monitor(telemetry.Default(), obs.Ledger)
 	if *shard < 0 || *shard >= *of {
 		fmt.Fprintf(os.Stderr, "flclient: shard %d outside [0, %d)\n", *shard, *of)
 		os.Exit(2)
@@ -115,7 +115,6 @@ func main() {
 		Caps:          caps,
 		ErrorFeedback: *compressEF,
 		Tracer:        obs.Tracer,
-		Events:        obs.Events,
 		Health:        mon,
 	}
 

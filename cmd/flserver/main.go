@@ -30,12 +30,12 @@
 // Observability: -telemetry-addr starts an HTTP listener exposing the
 // process's metric registry as Prometheus text at /metrics, a liveness
 // probe at /healthz, and the standard pprof endpoints under /debug/pprof/.
-// -events appends one JSON line per lifecycle event (evict, rejoin, retry,
-// checkpoint, resume) to a file, and the registry summary prints when the
-// session ends. -trace writes identified spans for every round (server
-// phases and, via span contexts carried in the frame headers, the clients'
-// local work) and -ledger one training-dynamics record per round attempt;
-// render both with cmd/fltrace.
+// The registry summary prints when the session ends. -observe writes one
+// JSONL stream: identified spans for every round (server phases and, via
+// span contexts carried in the frame headers, the clients' local work), one
+// training-dynamics record per round attempt, and one line per lifecycle
+// event (evict, rejoin, retry, checkpoint, resume); -resume appends to it.
+// Render it with cmd/fltrace.
 package main
 
 import (
@@ -77,20 +77,20 @@ func main() {
 
 		telemetryAddr = flag.String("telemetry-addr", "", "serve /metrics, /healthz, /debug/pprof, and /debug/fl/health on this address (empty disables)")
 		healthF       = cliflags.HealthFlags()
-		obs           = cliflags.Register(true, true, true)
+		obs           = cliflags.Register()
 	)
 	flag.Parse()
 	if *resume && *ckptPath == "" {
 		fmt.Fprintln(os.Stderr, "flserver: -resume requires -checkpoint")
 		os.Exit(2)
 	}
-	if err := obs.Open(); err != nil {
+	if err := obs.Open(*resume); err != nil {
 		fmt.Fprintln(os.Stderr, "flserver:", err)
 		os.Exit(1)
 	}
 	defer obs.Close()
 
-	mon := healthF.Monitor(telemetry.Default(), obs.Events)
+	mon := healthF.Monitor(telemetry.Default(), obs.Ledger)
 	if *telemetryAddr != "" {
 		ts, err := telemetry.ListenAndServe(*telemetryAddr, nil,
 			telemetry.DebugEndpoint{Path: "/debug/fl/health", H: mon.Handler()})
@@ -182,7 +182,6 @@ func main() {
 		Logf: func(format string, args ...any) {
 			fmt.Printf("[fault] "+format+"\n", args...)
 		},
-		Events: obs.Events,
 		Tracer: obs.Tracer,
 		Ledger: obs.Ledger,
 		Health: mon,

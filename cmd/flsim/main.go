@@ -8,11 +8,11 @@
 //	      -e 5 -b 50 -sr 1.0 -sim 0 -lambda 5e-3
 //	flsim -dataset sent140 -method fedavg -natural -clients 20 -rounds 10
 //
-// Observability: -trace writes the run's span tree (session → round →
-// client_round → local_steps/mmd_grad) and -ledger one training-dynamics
-// record per round (loss, per-client losses and update norms, the pairwise
-// MMD matrix under rfedavg/rfedavg+, wire bytes); render both with
-// cmd/fltrace. -events logs lifecycle events as JSONL.
+// Observability: -observe writes one JSONL stream of the run's span tree
+// (session → round → client_round → local_steps/mmd_grad), one
+// training-dynamics record per round (loss, per-client losses and update
+// norms, the pairwise MMD matrix under rfedavg/rfedavg+, wire bytes) and its
+// lifecycle events; render it with cmd/fltrace.
 //
 // -compress, -compress-ef and -buffer-k run fedavg or rfedavg+ as a real
 // session over in-process pipes in virtual time (transport.ServeFederation),
@@ -75,10 +75,10 @@ func main() {
 		healthF    = cliflags.HealthFlags()
 		telemAddr  = flag.String("telemetry-addr", "", "serve /metrics, pprof, and /debug/fl/health on this address for the duration of the run (e.g. 127.0.0.1:9090)")
 		byzantine  = flag.String("byzantine", "", "comma-separated Byzantine clients, id:signflip or id:scaleC (e.g. 2:signflip,5:scale10): tamper with the listed clients' model updates before aggregation")
-		obs        = cliflags.Register(true, true, true)
+		obs        = cliflags.Register()
 	)
 	flag.Parse()
-	if err := obs.Open(); err != nil {
+	if err := obs.Open(false); err != nil {
 		fmt.Fprintln(os.Stderr, "flsim:", err)
 		os.Exit(1)
 	}
@@ -89,7 +89,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "flsim:", err)
 		os.Exit(2)
 	}
-	mon := healthF.Monitor(telemetry.Default(), obs.Events)
+	mon := healthF.Monitor(telemetry.Default(), obs.Ledger)
 	wire := wireFlags(func(name string) bool { return cliflags.WasSet(flag.CommandLine, name) }, *async.BufferK)
 	if err := checkWire(wire, *method, *slow, *async.BufferK); err != nil {
 		fmt.Fprintln(os.Stderr, "flsim:", err)
@@ -166,7 +166,6 @@ func main() {
 		NewOptimizer: model.NewOptimizer,
 		Tracer:       obs.Tracer,
 		Ledger:       obs.Ledger,
-		Events:       obs.Events,
 		Health:       mon,
 		Byzantine:    bz,
 	}
@@ -202,7 +201,7 @@ func main() {
 		h, err = runWire(f, scfg, *lambda, *compressEF, slowFactor)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "flsim:", err)
-			obs.Close() // the ledger and events of the failed session
+			obs.Close() // the stream of the failed session
 			os.Exit(1)
 		}
 	} else {

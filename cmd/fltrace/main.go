@@ -1,31 +1,30 @@
-// Command fltrace renders the trace and run-ledger files that flsim and
-// flserver write (-trace / -ledger) into human-readable reports:
+// Command fltrace renders the observer stream that flsim, flserver and
+// flclient write (-observe) into human-readable reports:
 //
-//   - With -trace: one ASCII waterfall per round, every span in the round's
-//     subtree drawn as a time-proportional bar. The critical path — the
-//     chain of spans the round's wall time actually waited on — is marked
-//     with '#' bars, and a straggler line names the client the round
-//     blocked on. -ledger additionally annotates each round header with
-//     loss and wire bytes.
-//   - With -ledger alone: a per-round summary table (loss, duration, wire
+//   - When the stream has spans: one ASCII waterfall per round, every span
+//     in the round's subtree drawn as a time-proportional bar. The critical
+//     path — the chain of spans the round's wall time actually waited on —
+//     is marked with '#' bars, a straggler line names the client the round
+//     blocked on, and the round's record annotates its header with loss and
+//     wire bytes. A per-round summary table follows (loss, duration, wire
 //     volume, cohort size, mean pairwise MMD, staleness, faults).
-//   - With -ledger and -compare: a side-by-side comparison of two runs,
+//   - With -compare: instead, a side-by-side comparison of two runs,
 //     per-round wire bytes and MMD trajectory — the Table III view of
 //     rFedAvg vs rFedAvg+.
-//   - With -follow: a live dashboard that tails a still-growing ledger
-//     (and, with -events, the event stream), refreshing in place — round
-//     progress with a loss sparkline, the top-N unhealthiest clients, and
-//     active health alerts. It exits when the run's run_done event arrives,
-//     or renders forever (Ctrl-C) without an event stream.
+//   - With -follow: a live dashboard that tails a still-growing stream,
+//     refreshing in place — round progress with a loss sparkline, the top-N
+//     unhealthiest clients, and active health alerts. It exits when the
+//     run's run_done event arrives (flsim writes one; a server session
+//     renders until Ctrl-C).
 //
 // Example:
 //
-//	flsim -algos rfedavg+ -trace t.jsonl -ledger a.jsonl
-//	fltrace -trace t.jsonl -ledger a.jsonl
-//	flsim -algos rfedavg -ledger b.jsonl
-//	fltrace -ledger a.jsonl -compare b.jsonl
-//	flsim -algos rfedavg+ -ledger a.jsonl -events e.jsonl &
-//	fltrace -follow -ledger a.jsonl -events e.jsonl
+//	flsim -method rfedavg+ -observe a.jsonl
+//	fltrace -observe a.jsonl
+//	flsim -method rfedavg -observe b.jsonl
+//	fltrace -observe a.jsonl -compare b.jsonl
+//	flsim -method rfedavg+ -observe a.jsonl &
+//	fltrace -follow -observe a.jsonl
 package main
 
 import (
@@ -39,84 +38,58 @@ import (
 
 func main() {
 	var (
-		tracePath  = flag.String("trace", "", "trace JSONL file to render as per-round waterfalls")
-		ledgerPath = flag.String("ledger", "", "run-ledger JSONL file (summary table, or waterfall annotations with -trace)")
-		compare    = flag.String("compare", "", "second run-ledger JSONL file to compare against -ledger")
-		width      = flag.Int("width", 64, "waterfall bar area width in columns")
-		follow     = flag.Bool("follow", false, "tail -ledger/-events live and render a refreshing dashboard")
-		eventsPath = flag.String("events", "", "event-log JSONL file for -follow (alerts, run_done)")
-		interval   = flag.Duration("interval", time.Second, "refresh interval for -follow")
-		topN       = flag.Int("top", 8, "unhealthiest clients shown by -follow")
+		path     = flag.String("observe", "", "observer stream (JSONL) to render")
+		compare  = flag.String("compare", "", "second run's observer stream to compare against -observe")
+		width    = flag.Int("width", 64, "waterfall bar area width in columns")
+		follow   = flag.Bool("follow", false, "tail -observe live and render a refreshing dashboard")
+		interval = flag.Duration("interval", time.Second, "refresh interval for -follow")
+		topN     = flag.Int("top", 8, "unhealthiest clients shown by -follow")
 	)
 	flag.Parse()
 
-	if *tracePath == "" && *ledgerPath == "" {
-		fmt.Fprintln(os.Stderr, "fltrace: need -trace and/or -ledger (see -h)")
+	if *path == "" {
+		fmt.Fprintln(os.Stderr, "fltrace: need -observe (see -h)")
 		os.Exit(2)
 	}
 	if *follow {
-		if *ledgerPath == "" {
-			fmt.Fprintln(os.Stderr, "fltrace: -follow needs -ledger")
-			os.Exit(2)
-		}
-		if err := followLoop(*ledgerPath, *eventsPath, *topN, *interval, *width); err != nil {
+		if err := followLoop(*path, *topN, *interval, *width); err != nil {
 			fail(err)
 		}
 		return
 	}
-	if *compare != "" && *ledgerPath == "" {
-		fmt.Fprintln(os.Stderr, "fltrace: -compare needs -ledger as the first run")
-		os.Exit(2)
+	s, err := traceview.ReadFile(*path)
+	if err != nil {
+		fail(err)
 	}
-
-	var ledger []traceview.LedgerLine
-	if *ledgerPath != "" {
-		var err error
-		ledger, err = traceview.ReadLedgerFile(*ledgerPath)
+	if *compare != "" {
+		other, err := traceview.ReadFile(*compare)
+		if err == nil {
+			err = traceview.Compare(os.Stdout, s.Rounds, other.Rounds)
+		}
 		if err != nil {
 			fail(err)
 		}
+		return
 	}
-
-	switch {
-	case *tracePath != "":
-		spans, err := traceview.ReadSpansFile(*tracePath)
-		if err != nil {
+	if len(s.Spans) > 0 {
+		if err := traceview.Waterfall(os.Stdout, s.Spans, s.Rounds, *width); err != nil {
 			fail(err)
 		}
-		if err := traceview.Waterfall(os.Stdout, spans, ledger, *width); err != nil {
-			fail(err)
-		}
-		if *compare != "" {
-			fmt.Println()
-		}
-		fallthrough
-	case *compare != "":
-		if *compare != "" {
-			other, err := traceview.ReadLedgerFile(*compare)
-			if err != nil {
-				fail(err)
-			}
-			if err := traceview.Compare(os.Stdout, ledger, other); err != nil {
-				fail(err)
-			}
-		}
-	default:
-		if err := traceview.Summary(os.Stdout, ledger); err != nil {
-			fail(err)
-		}
+		fmt.Println()
+	}
+	if err := traceview.Summary(os.Stdout, s.Rounds); err != nil {
+		fail(err)
 	}
 }
 
-// followLoop polls the ledger/event streams and redraws the dashboard until
-// the run's run_done event arrives (never, without an event stream). The
-// first frame renders immediately so attaching to a finished run is a
-// one-shot report.
-func followLoop(ledger, events string, topN int, interval time.Duration, width int) error {
+// followLoop polls the stream and redraws the dashboard until the run's
+// run_done event arrives. The first frame renders immediately so attaching
+// to a finished run is a one-shot report.
+func followLoop(path string, topN int, interval time.Duration, width int) error {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	f := traceview.NewFollower(ledger, events, topN)
+	f := traceview.NewFollower(path, topN)
 	for {
 		if _, err := f.Poll(); err != nil {
 			return err

@@ -1,13 +1,13 @@
-// Package cliflags registers the observability flags shared by the fl
-// binaries (flserver, flclient, flsim, flbench) so that every command
-// documents them identically in -h and opens the underlying files the same
-// way. Each binary opts into the subset of sinks it can feed; the flag
-// names and help strings are defined once here, as is the model table the
-// binaries share (ModelFor).
+// Package cliflags registers the flags shared by the fl binaries (flserver,
+// flclient, flsim) so that every command documents them identically in -h
+// and opens the observer stream the same way. The flag names and help
+// strings are defined once here, as is the model table the binaries share
+// (ModelFor).
 package cliflags
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -22,9 +22,7 @@ import (
 
 // Shared help strings — the single source of the -h wording.
 const (
-	eventsHelp   = "append JSONL lifecycle events (join/done, evict/rejoin/retry/checkpoint/resume) to this file"
-	traceHelp    = "write JSONL trace spans (session/round/per-client phases) to this file; render with fltrace -trace"
-	ledgerHelp   = "write one JSONL training-dynamics record per round to this file; render with fltrace -ledger"
+	observeHelp  = "write the observer stream to this file: one JSONL line per trace span, round record and lifecycle event; render with fltrace -observe"
 	summaryHelp  = "print the process metric registry summary after the run"
 	compressHelp = "wire-compression scheme for uplink payloads: dense (off), f32, q8, or q1"
 
@@ -62,34 +60,24 @@ func ModelFor(dataset string, featureDim int) (Model, error) {
 	return m, nil
 }
 
-// Telemetry holds the observability flags a binary registered and, after
-// Open, the corresponding sinks. Sinks whose flag was not registered or was
-// left empty stay nil, which every consumer treats as "disabled".
-type Telemetry struct {
-	eventsPath, tracePath, ledgerPath *string
+// Observe holds the -observe flag and, after Open, the stream it names: one
+// file that the ledger's round and event lines and the tracer's span lines
+// share. Both stay nil when the flag is empty, which every consumer treats
+// as "disabled".
+type Observe struct {
+	path *string
 
-	Events *telemetry.EventLog
-	Tracer *telemetry.Tracer
 	Ledger *telemetry.RunLedger
+	Tracer *telemetry.Tracer
 
-	files   []*os.File
-	buffers []*bufio.Writer
+	f *os.File
+	b *bufio.Writer
 }
 
-// Register installs the requested subset of the shared -events, -trace, and
-// -ledger flags on the default flag set. Call Open after flag.Parse.
-func Register(events, trace, ledger bool) *Telemetry {
-	t := &Telemetry{}
-	if events {
-		t.eventsPath = flag.String("events", "", eventsHelp)
-	}
-	if trace {
-		t.tracePath = flag.String("trace", "", traceHelp)
-	}
-	if ledger {
-		t.ledgerPath = flag.String("ledger", "", ledgerHelp)
-	}
-	return t
+// Register installs the -observe flag on the default flag set. Call Open
+// after flag.Parse.
+func Register() *Observe {
+	return &Observe{path: flag.String("observe", "", observeHelp)}
 }
 
 // Async holds the shared asynchronous-aggregation flags: a -buffer-k above 0
@@ -143,13 +131,13 @@ func HealthFlags() *Health {
 
 // Monitor builds the health monitor the flags requested: nil (disabled,
 // safe to pass everywhere) when -health is off, otherwise a monitor
-// registering its rfl_health_* metrics on reg and emitting alerts to events
+// registering its rfl_health_* metrics on reg and writing alerts to ledger
 // (either may be nil).
-func (h *Health) Monitor(reg *telemetry.Registry, events *telemetry.EventLog) *health.Monitor {
+func (h *Health) Monitor(reg *telemetry.Registry, ledger *telemetry.RunLedger) *health.Monitor {
 	if h == nil || h.Enabled == nil || !*h.Enabled {
 		return nil
 	}
-	return health.New(health.Config{Registry: reg, Events: events})
+	return health.New(health.Config{Registry: reg, Ledger: ledger})
 }
 
 // Summary installs the shared -telemetry flag.
@@ -192,54 +180,33 @@ func ParseCompressCaps(v string) (compress.Caps, error) {
 	return compress.CapsOf(compress.SchemeDense, s), nil
 }
 
-// Open creates the sinks for every flag that was set. The events log is
-// unbuffered append (it must survive a crash and accumulate across
-// restarts); trace and ledger files are truncated per run and buffered,
-// flushed by Close.
-func (t *Telemetry) Open() error {
-	if t.eventsPath != nil && *t.eventsPath != "" {
-		f, err := os.OpenFile(*t.eventsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("events: %w", err)
-		}
-		t.files = append(t.files, f)
-		t.Events = telemetry.NewEventLog(f)
+// Open creates the stream when -observe was given: truncated for a fresh
+// run, appended to when resume is set (flserver -resume). The stream is
+// buffered; the ledger flushes it with every round and event line.
+func (o *Observe) Open(resume bool) error {
+	if *o.path == "" {
+		return nil
 	}
-	if t.tracePath != nil && *t.tracePath != "" {
-		f, err := os.Create(*t.tracePath)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		b := bufio.NewWriter(f)
-		t.files = append(t.files, f)
-		t.buffers = append(t.buffers, b)
-		t.Tracer = telemetry.NewTracer(b)
+	mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+	if resume {
+		mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
 	}
-	if t.ledgerPath != nil && *t.ledgerPath != "" {
-		f, err := os.Create(*t.ledgerPath)
-		if err != nil {
-			return fmt.Errorf("ledger: %w", err)
-		}
-		b := bufio.NewWriter(f)
-		t.files = append(t.files, f)
-		t.buffers = append(t.buffers, b)
-		t.Ledger = telemetry.NewRunLedger(b)
+	f, err := os.OpenFile(*o.path, mode, 0o644)
+	if err != nil {
+		return fmt.Errorf("observe: %w", err)
 	}
+	o.f, o.b = f, bufio.NewWriter(f)
+	o.Ledger = telemetry.NewRunLedger(o.b)
+	o.Tracer = o.Ledger.Tracer()
 	return nil
 }
 
-// Close flushes the buffered sinks and closes every opened file.
-func (t *Telemetry) Close() error {
-	var first error
-	for _, b := range t.buffers {
-		if err := b.Flush(); err != nil && first == nil {
-			first = err
-		}
+// Close flushes and closes the stream; a second Close does nothing.
+func (o *Observe) Close() error {
+	if o.f == nil {
+		return nil
 	}
-	for _, f := range t.files {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	err := errors.Join(o.b.Flush(), o.f.Close())
+	o.f = nil
+	return err
 }

@@ -1,9 +1,14 @@
 package cliflags
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // An explicit value equal to the default still reads as set: a binary that
@@ -48,5 +53,35 @@ func TestModelFor(t *testing.T) {
 	}
 	if _, err := ModelFor("bogus", 12); err == nil {
 		t.Error("an unknown dataset has a model")
+	}
+}
+
+// -observe: a fresh run truncates the stream, a resumed one appends to it,
+// and Close flushes the span lines no round or event line flushed.
+func TestObserveTruncatesOrAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	run := func(resume bool) int {
+		o := &Observe{path: &path}
+		if err := o.Open(resume); err != nil {
+			t.Fatal(err)
+		}
+		o.Ledger.Emit("run_start", -1, "")
+		o.Tracer.Start("round", telemetry.SpanContext{}).End()
+		if err := o.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(b, []byte("\n"))
+	}
+	for i, c := range []struct {
+		resume bool
+		lines  int
+	}{{false, 2}, {true, 4}, {false, 2}} {
+		if n := run(c.resume); n != c.lines {
+			t.Fatalf("run %d (resume %v): %d lines, want %d", i, c.resume, n, c.lines)
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 // shows rFedAvg scaling as O(dN²) while rFedAvg+ stays O(dN).
 
 type coreLedgerLine struct {
+	Kind      string             `json:"kind"`
 	Algo      string             `json:"algo"`
 	Round     int                `json:"round"`
 	DurNS     int64              `json:"dur_ns"`
@@ -40,6 +41,7 @@ type coreLedgerLine struct {
 	LateAge   []int              `json:"late_age"`
 }
 
+// decodeCoreLedger decodes the round lines of a run's stream.
 func decodeCoreLedger(t *testing.T, buf *bytes.Buffer) []coreLedgerLine {
 	t.Helper()
 	var lines []coreLedgerLine
@@ -50,7 +52,9 @@ func decodeCoreLedger(t *testing.T, buf *bytes.Buffer) []coreLedgerLine {
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			t.Fatalf("ledger line %q: %v", sc.Text(), err)
 		}
-		lines = append(lines, l)
+		if l.Kind == "round" {
+			lines = append(lines, l)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatalf("ledger scan: %v", err)

@@ -86,7 +86,7 @@ func (a *RFedAvg) server(round int, _, mean []float64, agg []fl.ClientOut) []flo
 func acceptDeltas(f *fl.Federation, t *DeltaTable, round int, outs []fl.ClientOut) {
 	for _, o := range outs {
 		if err := t.Accept(o.Client.ID, o.Aux); err != nil {
-			f.Cfg.Events.Emit("invalid_delta", round, fmt.Sprintf("client %d: %v", o.Client.ID, err))
+			f.Cfg.Ledger.Emit("invalid_delta", round, fmt.Sprintf("client %d: %v", o.Client.ID, err))
 		}
 	}
 }

@@ -36,7 +36,7 @@ func TestNonFiniteUpdateLeftOut(t *testing.T) {
 			var events bytes.Buffer
 			attacked := tinyFederation(t, 4, 0.0)
 			attacked.Cfg.Byzantine = map[int]fl.Byzantine{attacker: {Scale: math.Inf(1)}}
-			attacked.Cfg.Events = telemetry.NewEventLog(&events)
+			attacked.Cfg.Ledger = telemetry.NewRunLedger(&events)
 			honest := tinyFederation(t, 4, 0.0)
 			honest.Cfg.Sampler = fixedSampler{0, 2, 3}
 
@@ -138,7 +138,7 @@ func TestNonFiniteDeltaRefused(t *testing.T) {
 			})
 			var events bytes.Buffer
 			f := oneWorker(tinyFederation(t, 4, 0.0))
-			f.Cfg.Events = telemetry.NewEventLog(&events)
+			f.Cfg.Ledger = telemetry.NewRunLedger(&events)
 			a.Setup(f)
 			table := a.Table()
 			before := append([]float64(nil), table.Get(0)...)

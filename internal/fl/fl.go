@@ -50,16 +50,14 @@ type Config struct {
 
 	// Tracer, when non-nil, records identified spans for the simulation
 	// (session → round → client_round → local_steps/mmd_grad, plus
-	// algorithm-added spans like compute_delta) to a JSONL trace file —
-	// the same span tree the transport deployment produces.
+	// algorithm-added spans like compute_delta) as JSONL span lines — the
+	// same span tree the transport deployment produces.
 	Tracer *telemetry.Tracer
 	// Ledger, when non-nil, receives one training-dynamics line per round
 	// (loss, per-client losses/update norms, the pairwise MMD
 	// matrix and row ages when the algorithm maintains a δ table, and the
-	// accounted wire bytes).
+	// accounted wire bytes) and one line per lifecycle event.
 	Ledger *telemetry.RunLedger
-	// Events, when non-nil, receives one JSONL line per lifecycle event.
-	Events *telemetry.EventLog
 
 	// Health, when non-nil, scores every aggregated client's contribution in
 	// real time through the transport server's feed (engine.Close): one
@@ -298,7 +296,7 @@ func (f *Federation) admit(round int, outs []ClientOut) []ClientOut {
 	for _, o := range outs {
 		if o.Params != nil {
 			if err := engine.Validate(o.update(), f.numParams); err != nil {
-				f.Cfg.Events.Emit("invalid_update", round, fmt.Sprintf("client %d: %v", o.Client.ID, err))
+				f.Cfg.Ledger.Emit("invalid_update", round, fmt.Sprintf("client %d: %v", o.Client.ID, err))
 				continue
 			}
 		}
@@ -561,7 +559,7 @@ func Run(f *Federation, alg Algorithm, rounds int) *metrics.History {
 	h := &metrics.History{Algorithm: alg.Name()}
 	sess := f.Cfg.Tracer.Start("session", telemetry.SpanContext{})
 	defer sess.End()
-	f.Cfg.Events.Emit("run_start", -1, alg.Name())
+	f.Cfg.Ledger.Emit("run_start", -1, alg.Name())
 	ps := telemetry.Phases{Tracer: f.Cfg.Tracer, Rec: f.roundRec()}
 	for c := 0; c < rounds; c++ {
 		sampled := f.SampleClients(c)
@@ -591,7 +589,7 @@ func Run(f *Federation, alg Algorithm, rounds int) *metrics.History {
 		}
 		h.Append(stats)
 	}
-	f.Cfg.Events.Emit("run_done", rounds-1, alg.Name())
+	f.Cfg.Ledger.Emit("run_done", rounds-1, alg.Name())
 	return h
 }
 

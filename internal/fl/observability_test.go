@@ -45,6 +45,7 @@ func decodeSimSpans(t *testing.T, buf *bytes.Buffer) []simSpan {
 }
 
 type simLedgerLine struct {
+	Kind       string    `json:"kind"`
 	Algo       string    `json:"algo"`
 	Round      int       `json:"round"`
 	Attempt    int       `json:"attempt"`
@@ -133,7 +134,9 @@ func TestRunEmitsTraceAndLedger(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			t.Fatalf("ledger line %q: %v", sc.Text(), err)
 		}
-		lines = append(lines, l)
+		if l.Kind == "round" {
+			lines = append(lines, l)
+		}
 	}
 	if len(lines) != rounds {
 		t.Fatalf("got %d ledger lines, want %d", len(lines), rounds)

@@ -78,12 +78,12 @@ const DefaultUnhealthyBelow = 0.5
 var unhealthyRule = "score<" + strconv.FormatFloat(DefaultUnhealthyBelow, 'g', -1, 64)
 
 // Config parameterizes a Monitor. The zero value is usable: default
-// registry, no event log.
+// registry, no event lines.
 type Config struct {
 	// Registry receives the rfl_health_* metrics (Default() when nil).
 	Registry *telemetry.Registry
-	// Events, when non-nil, receives edge-triggered "health_alert" events.
-	Events *telemetry.EventLog
+	// Ledger, when non-nil, receives edge-triggered "health_alert" events.
+	Ledger *telemetry.RunLedger
 }
 
 // clientState is the per-client rolling record, allocated once when the
@@ -124,7 +124,7 @@ type clientState struct {
 type Monitor struct {
 	mu sync.Mutex
 
-	events *telemetry.EventLog
+	ledger *telemetry.RunLedger
 
 	// Per-client slots, indexed by client ID, grown on demand; observed
 	// lists the IDs with live state in first-seen order.
@@ -177,7 +177,7 @@ func New(cfg Config) *Monitor {
 		reg = telemetry.Default()
 	}
 	return &Monitor{
-		events:     cfg.Events,
+		ledger:     cfg.Ledger,
 		verdict:    "ok",
 		runLoss:    math.NaN(),
 		prevLoss:   math.NaN(),
@@ -495,8 +495,8 @@ func (m *Monitor) EndRound(roundLoss float64) string {
 // emitAlertLocked reports a cohort member's rising edge into unhealthy.
 func (m *Monitor) emitAlertLocked(st *clientState) {
 	m.cAlerts.Inc()
-	if m.events != nil {
-		m.events.Emit("health_alert", m.round, "client "+strconv.Itoa(st.id)+" violated "+unhealthyRule+
+	if m.ledger != nil {
+		m.ledger.Emit("health_alert", m.round, "client "+strconv.Itoa(st.id)+" violated "+unhealthyRule+
 			" (value "+strconv.FormatFloat(st.score, 'g', 4, 64)+")")
 	}
 }

@@ -136,7 +136,7 @@ func TestAlertEdgeTriggered(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			reg := telemetry.NewRegistry()
-			m := New(Config{Registry: reg, Events: telemetry.NewEventLog(&buf)})
+			m := New(Config{Registry: reg, Ledger: telemetry.NewRunLedger(&buf)})
 			gauge := reg.Gauge("rfl_health_unhealthy_clients", "")
 			rng := rand.New(rand.NewSource(3))
 			for r, flip := range tc.rounds {
@@ -169,6 +169,22 @@ func TestAlertEdgeTriggered(t *testing.T) {
 					all, own, tc.client, tc.events, buf.String())
 			}
 		})
+	}
+}
+
+// The snapshot's unhealthy count is the cohort decision: after a round that
+// leaves the alerting client out, it reads UnhealthyCount (0), not the
+// alerting client's staleness-decayed score (still below 0.5).
+func TestSnapshotUnhealthyIsCohortDecision(t *testing.T) {
+	const o, x = false, true
+	m := New(Config{Registry: telemetry.NewRegistry()})
+	rng := rand.New(rand.NewSource(3))
+	for r, flip := range [][]bool{{o, o, o, x}, {o, o, o}} {
+		ones := []float64{1, 1, 1, 1}[:len(flip)]
+		runRound(m, r+1, 16, rng, ones, flip, ones)
+		if got, want := m.Snapshot(0).Unhealthy, m.UnhealthyCount(); got != want || want != len(flip)-3 {
+			t.Fatalf("round %d: snapshot unhealthy %d, UnhealthyCount %d, want %d", r+1, got, want, len(flip)-3)
+		}
 	}
 }
 

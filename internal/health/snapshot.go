@@ -95,9 +95,6 @@ func (m *Monitor) Snapshot(topN int) Snapshot {
 		}
 		scoreSum += score
 		scored++
-		if score < DefaultUnhealthyBelow {
-			snap.Unhealthy++
-		}
 		cs := ClientSnapshot{
 			ID:        st.id,
 			Score:     JSONFloat(score),
@@ -136,6 +133,7 @@ func (m *Monitor) Snapshot(topN int) Snapshot {
 		snap.Clients = snap.Clients[:topN]
 	}
 	snap.Alerts = append(snap.Alerts, m.active...)
+	snap.Unhealthy = len(m.active)
 	return snap
 }
 

@@ -234,11 +234,11 @@ func TestServerCloseWaitsForInflightScrape(t *testing.T) {
 	}
 }
 
-// TestEventLogEscapingRoundTrip pins the Emit fix: hostile event/detail
+// TestRunLedgerEventEscapingRoundTrip pins the Emit fix: hostile event/detail
 // strings (quotes, newlines, control bytes — everything strconv.Quote used
 // to mangle into Go-only escapes) must still yield one valid JSON object
 // per line that round-trips to the original string.
-func TestEventLogEscapingRoundTrip(t *testing.T) {
+func TestRunLedgerEventEscapingRoundTrip(t *testing.T) {
 	hostile := []string{
 		`plain`,
 		`with "quotes" inside`,
@@ -249,7 +249,7 @@ func TestEventLogEscapingRoundTrip(t *testing.T) {
 		"unicode naïve 日本語 ♥",
 	}
 	var buf bytes.Buffer
-	l := NewEventLog(&buf)
+	l := NewRunLedger(&buf)
 	for i, d := range hostile {
 		l.Emit("evict: "+d, i, d)
 	}
@@ -289,8 +289,10 @@ func TestEventLogEscapingRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEventLogSteadyStateAllocs(t *testing.T) {
-	l := NewEventLog(io.Discard)
+// Event lines share the stream's buffer with round and span lines: once it
+// has grown, an Emit allocates nothing.
+func TestRunLedgerEmitSteadyStateAllocs(t *testing.T) {
+	l := NewRunLedger(bufio.NewWriter(io.Discard))
 	for i := 0; i < 3; i++ {
 		l.Emit("warm", i, "detail string")
 	}

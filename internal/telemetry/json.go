@@ -2,10 +2,10 @@ package telemetry
 
 import "strconv"
 
-// Hand-rolled JSON appenders shared by the event log, the tracer, and the
-// run ledger. They exist so every JSONL emitter in this package obeys the
-// same two rules: (1) output is always valid RFC 8259 JSON — in particular
-// strings are escaped with JSON escapes, not Go ones (strconv.Quote emits
+// Hand-rolled JSON appenders behind the run ledger's round, event and span
+// lines. They exist so every line of the stream obeys the same two rules:
+// (1) output is always valid RFC 8259 JSON — in particular strings are
+// escaped with JSON escapes, not Go ones (strconv.Quote emits
 // \x and \a escapes that JSON parsers reject), and (2) appending into a
 // caller-owned buffer allocates nothing once the buffer has grown to size.
 

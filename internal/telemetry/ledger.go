@@ -5,26 +5,80 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"time"
 )
 
-// RunLedger records the training dynamics of a federated session: one JSON
-// line per round attempt with the quantities the paper argues about — round
-// loss, per-client losses and update norms, the N×N pairwise MMD matrix the
-// regularizer minimizes, δ-table staleness, fault events, and per-round wire
-// bytes (the O(dN²) vs O(dN) comparison between rFedAvg and rFedAvg+).
+// RunLedger is a process's one observer stream: JSONL lines, each tagged
+// "kind". Record writes a "round" line per round attempt with the quantities
+// the paper argues about — round loss, per-client losses and update norms,
+// the N×N pairwise MMD matrix the regularizer minimizes, δ-table staleness,
+// fault events, and per-round wire bytes (the O(dN²) vs O(dN) comparison
+// between rFedAvg and rFedAvg+). Emit writes an "event" line per lifecycle
+// event, and the tracers it hands out (Tracer) write "span" lines.
 //
-// Like the rest of the package it is reflection-free: the caller fills a
-// reusable RoundRecord (slices are kept and refilled between rounds) and
-// Record appends into a reused buffer, so steady-state capture allocates
-// nothing. A nil *RunLedger discards everything.
+// The three kinds share one lock, one writer and one reused buffer, and every
+// line is one Write call, so lines never interleave. After each round and
+// event line the ledger flushes w if w has a Flush method (a *bufio.Writer):
+// a crash loses at most the spans since. Like the rest of the package it is
+// reflection-free: the caller fills a reusable RoundRecord (slices are kept
+// and refilled between rounds), so steady-state capture allocates nothing.
+// A nil *RunLedger discards everything.
 type RunLedger struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte
+	mu      sync.Mutex
+	w       io.Writer
+	flusher interface{ Flush() error }
+	buf     []byte
 }
 
-// NewRunLedger wraps w (typically an *os.File).
-func NewRunLedger(w io.Writer) *RunLedger { return &RunLedger{w: w} }
+// NewRunLedger wraps w (typically a *bufio.Writer over an *os.File).
+func NewRunLedger(w io.Writer) *RunLedger {
+	l := &RunLedger{w: w}
+	l.flusher, _ = w.(interface{ Flush() error })
+	return l
+}
+
+// begin locks the stream and starts a line of the given kind in the reused
+// buffer. Every begin is paired with an end.
+func (l *RunLedger) begin(kind string) []byte {
+	l.mu.Lock()
+	b := append(l.buf[:0], `{"kind":"`...)
+	return append(append(b, kind...), '"')
+}
+
+// end closes the line begun by begin, writes it whole, flushes when flush is
+// set, and unlocks the stream. Write and flush errors are dropped: a failing
+// observer stream must not stop the session it observes.
+func (l *RunLedger) end(b []byte, flush bool) {
+	b = append(b, '}', '\n')
+	l.buf = b
+	l.w.Write(b)
+	if flush && l.flusher != nil {
+		l.flusher.Flush()
+	}
+	l.mu.Unlock()
+}
+
+// Emit writes the event line {"kind":"event","ts":…,"event":…,"round":…,
+// "detail":…}; detail is omitted when empty. Strings are escaped with JSON
+// escapes (appendJSONString), not strconv.Quote's Go escapes — \xNN and \a
+// are valid Go but corrupt a JSONL stream.
+func (l *RunLedger) Emit(event string, round int, detail string) {
+	if l == nil {
+		return
+	}
+	b := l.begin("event")
+	b = append(b, `,"ts":"`...)
+	b = time.Now().UTC().AppendFormat(b, time.RFC3339Nano)
+	b = append(b, `","event":`...)
+	b = appendJSONString(b, event)
+	b = append(b, `,"round":`...)
+	b = strconv.AppendInt(b, int64(round), 10)
+	if detail != "" {
+		b = append(b, `,"detail":`...)
+		b = appendJSONString(b, detail)
+	}
+	l.end(b, true)
+}
 
 // DefaultLedgerDetailN is the client-count threshold above which both
 // drivers switch the ledger from per-client detail (O(N) arrays, O(N²) MMD
@@ -161,15 +215,13 @@ func (r *RoundRecord) Reset() {
 	r.Unhealthy = 0
 }
 
-// Record writes r as one JSON line. Safe on a nil ledger.
+// Record writes r as one "round" line. Safe on a nil ledger.
 func (l *RunLedger) Record(r *RoundRecord) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	b := l.buf[:0]
-	b = append(b, `{"algo":`...)
+	b := l.begin("round")
+	b = append(b, `,"algo":`...)
 	b = appendJSONString(b, r.Algo)
 	b = append(b, `,"round":`...)
 	b = strconv.AppendInt(b, int64(r.Round), 10)
@@ -277,9 +329,7 @@ func (l *RunLedger) Record(r *RoundRecord) {
 		b = append(b, `,"unhealthy":`...)
 		b = strconv.AppendInt(b, int64(r.Unhealthy), 10)
 	}
-	b = append(b, '}', '\n')
-	l.buf = b
-	l.w.Write(b)
+	l.end(b, true)
 }
 
 // appendStatTriple appends `<key>[min,mean,max]` to b.

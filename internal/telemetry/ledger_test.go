@@ -1,16 +1,20 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 )
 
 // ledgerLine mirrors the ledger schema; pointer fields distinguish
 // "omitted" from "zero", and *float64 catches NaN → null.
 type ledgerLine struct {
+	Kind       string     `json:"kind"`
 	Algo       string     `json:"algo"`
 	Round      int        `json:"round"`
 	Attempt    int        `json:"attempt"`
@@ -50,7 +54,7 @@ func TestRunLedgerRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatalf("ledger line %q: %v", buf.String(), err)
 	}
-	if got.Algo != "rfedavg+" || got.Round != 4 || got.Attempt != 2 || !got.OK {
+	if got.Kind != "round" || got.Algo != "rfedavg+" || got.Round != 4 || got.Attempt != 2 || !got.OK {
 		t.Errorf("identity fields: %+v", got)
 	}
 	if got.Loss == nil || *got.Loss != 1.25 {
@@ -88,10 +92,54 @@ func TestRunLedgerOmitsEmptySections(t *testing.T) {
 			t.Errorf("empty record carries %q", key)
 		}
 	}
-	for _, key := range []string{"algo", "round", "attempt", "ok", "loss", "dur_ns", "up_bytes", "down_bytes"} {
+	for _, key := range []string{"kind", "algo", "round", "attempt", "ok", "loss", "dur_ns", "up_bytes", "down_bytes"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("record missing required key %q", key)
 		}
+	}
+}
+
+// One stream: a tracer from the ledger, round lines and event lines written
+// from several goroutines land as whole lines, each with its kind. Round and
+// event lines flush the buffered writer; span lines do not.
+func TestRunLedgerOneStream(t *testing.T) {
+	var file bytes.Buffer
+	l := NewRunLedger(bufio.NewWriter(&file))
+	tr := l.Tracer()
+	tr.Start("local_steps", SpanContext{}).End()
+	if file.Len() != 0 {
+		t.Fatalf("a span line flushed the stream: %q", file.String())
+	}
+	l.Emit("checkpoint", 0, "c.ckpt")
+	if n := bytes.Count(file.Bytes(), []byte("\n")); n != 2 {
+		t.Fatalf("after an event line the file holds %d lines, want 2", n)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rec := &RoundRecord{Algo: "fedavg", Round: g, ClientID: []int{g}, ClientLoss: []float64{1}}
+			for i := 0; i < 50; i++ {
+				tr.Start("round", SpanContext{}).End()
+				l.Record(rec)
+				l.Emit("retry", i, "detail")
+			}
+		}(g)
+	}
+	wg.Wait()
+	kinds := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSuffix(file.String(), "\n"), "\n") {
+		var k struct {
+			Kind string `json:"kind"`
+		}
+		if err := json.Unmarshal([]byte(line), &k); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		kinds[k.Kind]++
+	}
+	if kinds["span"] != 201 || kinds["round"] != 200 || kinds["event"] != 201 || len(kinds) != 3 {
+		t.Fatalf("lines by kind %v, want 201 span, 200 round, 201 event", kinds)
 	}
 }
 

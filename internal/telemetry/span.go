@@ -1,11 +1,6 @@
 package telemetry
 
-import (
-	"io"
-	"strconv"
-	"sync"
-	"time"
-)
+import "time"
 
 // Phase names one timed step of a federated session. Those before PhaseJoin
 // are a round attempt's, in the order the server runs them (the simulator runs
@@ -59,45 +54,4 @@ func (ps *Phases) Time(p Phase, parent SpanContext, round int, run func(SpanCont
 		r.phaseNanos[p], r.phaseRan = int64(d), r.phaseRan|1<<p
 	}
 	return d
-}
-
-// EventLog writes one JSON object per line — the optional structured
-// companion to the metrics registry, meant for post-hoc debugging of a
-// session (evictions, retries, rejoins, checkpoints, resume). A nil
-// *EventLog is valid and discards everything, so call sites need no guards.
-type EventLog struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte
-}
-
-// NewEventLog wraps w (typically an *os.File opened in append mode).
-func NewEventLog(w io.Writer) *EventLog { return &EventLog{w: w} }
-
-// Emit writes {"ts":…,"event":…,"round":…,"detail":…} followed by a
-// newline. The encoder is hand-rolled over a reused buffer: no
-// encoding/json, one Write call per event. Strings are escaped with JSON
-// escapes (appendJSONString), not strconv.Quote's Go escapes — \xNN and \a
-// are valid Go but corrupt a JSONL stream.
-func (l *EventLog) Emit(event string, round int, detail string) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	b := l.buf[:0]
-	b = append(b, `{"ts":"`...)
-	b = time.Now().UTC().AppendFormat(b, time.RFC3339Nano)
-	b = append(b, '"')
-	b = append(b, `,"event":`...)
-	b = appendJSONString(b, event)
-	b = append(b, `,"round":`...)
-	b = strconv.AppendInt(b, int64(round), 10)
-	if detail != "" {
-		b = append(b, `,"detail":`...)
-		b = appendJSONString(b, detail)
-	}
-	b = append(b, '}', '\n')
-	l.buf = b
-	l.w.Write(b)
 }

@@ -1,8 +1,8 @@
 // Package telemetry is a minimal, allocation-free metrics layer: atomic
 // counters and gauges, fixed-bucket histograms, a registry with hand-rolled
-// Prometheus text exposition, per-phase spans, a JSONL event log, and an
-// HTTP listener serving /metrics, /healthz, and net/http/pprof — all on the
-// standard library alone.
+// Prometheus text exposition, per-phase spans, one JSONL observer stream
+// (RunLedger: span, round and event lines), and an HTTP listener serving
+// /metrics, /healthz, and net/http/pprof — all on the standard library alone.
 //
 // The design contract is the same one the training hot path obeys (see
 // DESIGN.md, "Memory model & buffer ownership"): every metric is registered

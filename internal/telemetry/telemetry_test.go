@@ -187,18 +187,19 @@ func TestPhasesTimeOnceAllocateNothing(t *testing.T) {
 	}
 }
 
-func TestEventLogEmitsValidJSONL(t *testing.T) {
+func TestRunLedgerEmitsEventLines(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewEventLog(&buf)
+	l := NewRunLedger(&buf)
 	l.Emit("evict", 3, `client 1: gather: "timeout"`)
 	l.Emit("checkpoint", 4, "")
-	var nilLog *EventLog
+	var nilLog *RunLedger
 	nilLog.Emit("ignored", 0, "") // must not panic
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want 2:\n%s", len(lines), buf.String())
 	}
 	var ev struct {
+		Kind   string `json:"kind"`
 		TS     string `json:"ts"`
 		Event  string `json:"event"`
 		Round  int    `json:"round"`
@@ -207,7 +208,7 @@ func TestEventLogEmitsValidJSONL(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
 		t.Fatalf("line 0 is not JSON: %v\n%s", err, lines[0])
 	}
-	if ev.Event != "evict" || ev.Round != 3 || !strings.Contains(ev.Detail, "timeout") {
+	if ev.Kind != "event" || ev.Event != "evict" || ev.Round != 3 || !strings.Contains(ev.Detail, "timeout") {
 		t.Fatalf("event fields wrong: %+v", ev)
 	}
 	if _, err := time.Parse(time.RFC3339Nano, ev.TS); err != nil {

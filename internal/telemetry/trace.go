@@ -4,7 +4,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -13,11 +12,11 @@ import (
 // its own span ID, and a parent span ID, so a post-hoc tool can rebuild the
 // full tree of one federated round — server phases, per-client gathers, and
 // the client-side work stitched in via span context carried in transport
-// frame headers. Completed spans are emitted as one JSON object per line.
+// frame headers. Completed spans are "span" lines of a RunLedger's stream.
 //
 // The design follows the package's zero-alloc contract: ActiveSpan is a
-// value type, IDs come from an atomic counter, and emission appends into a
-// reused buffer under a mutex. A nil *Tracer is valid everywhere and makes
+// value type, IDs come from an atomic counter, and emission appends into the
+// stream's reused buffer under its lock. A nil *Tracer is valid everywhere and makes
 // every operation a no-op, so call sites need no guards.
 
 // SpanContext identifies a span for parenting — within one process or
@@ -30,19 +29,24 @@ type SpanContext struct {
 // Valid reports whether the context names a real span.
 func (c SpanContext) Valid() bool { return c.Trace != 0 && c.Span != 0 }
 
-// Tracer allocates span IDs and writes completed spans as JSONL.
+// Tracer allocates span IDs and writes completed spans to its stream.
 type Tracer struct {
-	mu   sync.Mutex
-	w    io.Writer
-	buf  []byte
+	out  *RunLedger
 	next atomic.Uint64
 }
 
-// NewTracer wraps w (typically an *os.File). IDs are seeded from the clock
-// and PID so spans from separate processes of one session (flserver and its
-// flclients) cannot collide when their trace files are merged.
-func NewTracer(w io.Writer) *Tracer {
-	t := &Tracer{w: w}
+// NewTracer writes spans to a stream of its own over w.
+func NewTracer(w io.Writer) *Tracer { return NewRunLedger(w).Tracer() }
+
+// Tracer returns a tracer writing to l's stream (nil on a nil ledger). IDs
+// are seeded from the clock and PID so spans from separate processes of one
+// session (flserver and its flclients) cannot collide when their streams are
+// merged.
+func (l *RunLedger) Tracer() *Tracer {
+	if l == nil {
+		return nil
+	}
+	t := &Tracer{out: l}
 	seed := uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<32
 	if seed == 0 {
 		seed = 1
@@ -123,17 +127,15 @@ func appendHexID(b []byte, id uint64) []byte {
 
 // emit writes one span line:
 //
-//	{"trace":"hex","span":"hex","parent":"hex","name":"...","round":N,
+//	{"kind":"span","trace":"hex","span":"hex","parent":"hex","name":"...","round":N,
 //	 "client":N,"start_ns":unixNanos,"dur_ns":nanos}
 //
 // IDs are hex strings because uint64 values do not survive a float64
 // round-trip in generic JSON decoders. "parent" is omitted for roots;
 // "round"/"client" are omitted when unset.
 func (t *Tracer) emit(s ActiveSpan, d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b := t.buf[:0]
-	b = append(b, `{"trace":`...)
+	b := t.out.begin("span")
+	b = append(b, `,"trace":`...)
 	b = appendHexID(b, s.trace)
 	b = append(b, `,"span":`...)
 	b = appendHexID(b, s.span)
@@ -155,7 +157,5 @@ func (t *Tracer) emit(s ActiveSpan, d time.Duration) {
 	b = strconv.AppendInt(b, s.start.UnixNano(), 10)
 	b = append(b, `,"dur_ns":`...)
 	b = strconv.AppendInt(b, int64(d), 10)
-	b = append(b, '}', '\n')
-	t.buf = b
-	t.w.Write(b)
+	t.out.end(b, false)
 }

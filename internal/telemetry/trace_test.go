@@ -11,6 +11,7 @@ import (
 
 // spanLine mirrors the tracer's JSONL schema for decoding in tests.
 type spanLine struct {
+	Kind    string `json:"kind"`
 	Trace   string `json:"trace"`
 	Span    string `json:"span"`
 	Parent  string `json:"parent"`
@@ -27,7 +28,7 @@ func decodeSpans(t *testing.T, r io.Reader) []spanLine {
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		var s spanLine
-		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
+		if err := json.Unmarshal(sc.Bytes(), &s); err != nil || s.Kind != "span" {
 			t.Fatalf("span line %q: %v", sc.Text(), err)
 		}
 		out = append(out, s)

@@ -1,7 +1,6 @@
 package traceview
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -10,80 +9,36 @@ import (
 	"strings"
 )
 
-// EventLine is one decoded telemetry event-log line (the JSON the
-// telemetry.EventLog write path emits).
-type EventLine struct {
-	TS     string `json:"ts"`
-	Event  string `json:"event"`
-	Round  int    `json:"round"`
-	Detail string `json:"detail"`
-}
-
-// Follower incrementally tails a run's ledger (and optionally event) JSONL
-// streams while the run is still writing them, and renders a live text
-// dashboard: round progress with a loss sparkline, the top-N unhealthiest
-// clients, and active alerts. Poll reads only the bytes appended since the
-// last call and tolerates files that do not exist yet or end mid-line, so
-// a dashboard can attach before the run's first round completes.
+// Follower incrementally tails a run's observer stream while the run is
+// still writing it, and renders a live text dashboard: round progress with a
+// loss sparkline, the top-N unhealthiest clients, and active alerts. Poll
+// reads only the bytes appended since the last call and tolerates a file
+// that does not exist yet or ends mid-line, so a dashboard can attach before
+// the run's first round completes.
 type Follower struct {
-	ledgerPath string
-	eventsPath string
-	topN       int
-
-	ledgerOff int64
-	eventsOff int64
-	ledgerBuf []byte // trailing partial line awaiting its newline
-	eventsBuf []byte
-
-	lines  []LedgerLine
-	events []EventLine
-	done   bool
+	path    string
+	topN    int
+	off     int64
+	partial []byte // trailing partial line awaiting its newline
+	s       Stream
 }
 
-// NewFollower tails ledgerPath and, when eventsPath is non-empty, the
-// event stream too. topN bounds the unhealthiest-clients table (0 means 8).
-func NewFollower(ledgerPath, eventsPath string, topN int) *Follower {
+// NewFollower tails the stream at path. topN bounds the unhealthiest-clients
+// table (0 means 8).
+func NewFollower(path string, topN int) *Follower {
 	if topN <= 0 {
 		topN = 8
 	}
-	return &Follower{ledgerPath: ledgerPath, eventsPath: eventsPath, topN: topN}
+	return &Follower{path: path, topN: topN}
 }
 
-// Poll reads any newly appended ledger/event lines. It returns true when
-// at least one new complete line arrived. A missing file is not an error —
-// the run may not have created it yet.
+// Poll reads any newly appended lines. It returns true when at least one new
+// complete line arrived. A missing file is not an error — the run may not
+// have created it yet.
 func (f *Follower) Poll() (bool, error) {
-	grew := false
-	g, err := tailJSONL(f.ledgerPath, &f.ledgerOff, &f.ledgerBuf, func(b []byte) error {
-		var l LedgerLine
-		if err := json.Unmarshal(b, &l); err != nil {
-			return err
-		}
-		f.lines = append(f.lines, l)
-		return nil
-	})
-	if err != nil {
-		return grew, err
-	}
-	grew = grew || g
-	if f.eventsPath != "" {
-		g, err = tailJSONL(f.eventsPath, &f.eventsOff, &f.eventsBuf, func(b []byte) error {
-			var e EventLine
-			if err := json.Unmarshal(b, &e); err != nil {
-				return err
-			}
-			f.events = append(f.events, e)
-			if e.Event == "run_done" {
-				f.done = true
-			}
-			return nil
-		})
-		if err != nil {
-			return grew, err
-		}
-		grew = grew || g
-	}
-	return grew, nil
+	grew, err := tailJSONL(f.path, &f.off, &f.partial, f.s.add)
+	f.s.Spans = nil // the dashboard draws no spans: hold none
+	return grew, err
 }
 
 // tailJSONL reads the bytes of path past *off, carries a trailing partial
@@ -135,12 +90,18 @@ func tailJSONL(path string, off *int64, partial *[]byte, emit func([]byte) error
 	return grew, nil
 }
 
-// Done reports whether a run_done event has been observed (always false
-// without an event stream).
-func (f *Follower) Done() bool { return f.done }
+// Done reports whether the run's run_done event has been read.
+func (f *Follower) Done() bool {
+	for _, e := range f.s.Events {
+		if e.Event == "run_done" {
+			return true
+		}
+	}
+	return false
+}
 
-// Rounds returns the number of ledger lines read so far.
-func (f *Follower) Rounds() int { return len(f.lines) }
+// Rounds returns the number of round lines read so far.
+func (f *Follower) Rounds() int { return len(f.s.Rounds) }
 
 var sparkLevels = []rune("▁▂▃▄▅▆▇█")
 
@@ -190,11 +151,11 @@ func (f *Follower) Render(w io.Writer, width int) error {
 	if width <= 0 {
 		width = 100
 	}
-	if len(f.lines) == 0 {
-		fmt.Fprintln(w, "waiting for first ledger line…")
+	if len(f.s.Rounds) == 0 {
+		fmt.Fprintln(w, "waiting for the first round line…")
 		return nil
 	}
-	last := &f.lines[len(f.lines)-1]
+	last := &f.s.Rounds[len(f.s.Rounds)-1]
 	verdict := last.Verdict
 	if verdict == "" {
 		verdict = "-"
@@ -209,10 +170,10 @@ func (f *Follower) Render(w io.Writer, width int) error {
 	}
 	fmt.Fprintln(w)
 
-	losses := make([]float64, 0, len(f.lines))
-	for i := range f.lines {
-		if f.lines[i].Loss != nil {
-			losses = append(losses, *f.lines[i].Loss)
+	losses := make([]float64, 0, len(f.s.Rounds))
+	for i := range f.s.Rounds {
+		if f.s.Rounds[i].Loss != nil {
+			losses = append(losses, *f.s.Rounds[i].Loss)
 		}
 	}
 	if sl := sparkline(losses, width-8); sl != "" {
@@ -257,7 +218,7 @@ func (f *Follower) Render(w io.Writer, width int) error {
 			fmt.Fprintf(w, "  [round %d] %-12s %s\n", e.Round+1, e.Event, e.Detail)
 		}
 	}
-	if f.done {
+	if f.Done() {
 		fmt.Fprintln(w, "\nrun complete")
 	}
 	return nil
@@ -268,8 +229,8 @@ func (f *Follower) Render(w io.Writer, width int) error {
 // back to ranking by update norm (largest first).
 func (f *Follower) worstClients() []clientHealth {
 	latest := map[int]clientHealth{}
-	for i := range f.lines {
-		l := &f.lines[i]
+	for i := range f.s.Rounds {
+		l := &f.s.Rounds[i]
 		for j, id := range l.ClientID {
 			ch := clientHealth{id: id, score: math.NaN(), round: l.Round}
 			if j < len(l.ClientLoss) {
@@ -312,12 +273,12 @@ func (f *Follower) worstClients() []clientHealth {
 // activeAlerts returns the health_alert events of the last ledgered round
 // window (the most recent 10 rounds), newest last.
 func (f *Follower) activeAlerts() []EventLine {
-	if len(f.lines) == 0 {
+	if len(f.s.Rounds) == 0 {
 		return nil
 	}
-	floor := f.lines[len(f.lines)-1].Round - 10
+	floor := f.s.Rounds[len(f.s.Rounds)-1].Round - 10
 	var out []EventLine
-	for _, e := range f.events {
+	for _, e := range f.s.Events {
 		if e.Event == "health_alert" && e.Round >= floor {
 			out = append(out, e)
 		}
@@ -331,7 +292,7 @@ func (f *Follower) activeAlerts() []EventLine {
 // eventsTail returns the newest n non-alert events.
 func (f *Follower) eventsTail(n int) []EventLine {
 	var out []EventLine
-	for _, e := range f.events {
+	for _, e := range f.s.Events {
 		if e.Event != "health_alert" {
 			out = append(out, e)
 		}

@@ -9,43 +9,47 @@ import (
 )
 
 func TestFollowerPollIncremental(t *testing.T) {
-	dir := t.TempDir()
-	ledger := filepath.Join(dir, "ledger.jsonl")
-	events := filepath.Join(dir, "events.jsonl")
-	f := NewFollower(ledger, events, 4)
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	f := NewFollower(path, 4)
 
-	// Neither file exists yet: not an error, nothing read.
+	// The file does not exist yet: not an error, nothing read.
 	grew, err := f.Poll()
 	if err != nil {
-		t.Fatalf("poll before files exist: %v", err)
+		t.Fatalf("poll before the file exists: %v", err)
 	}
 	if grew || f.Rounds() != 0 {
 		t.Fatalf("expected empty state, got grew=%v rounds=%d", grew, f.Rounds())
 	}
 
-	lf, err := os.Create(ledger)
+	fh, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lf.Close()
-
-	// One complete line plus the start of a second: only the first counts.
-	line1 := `{"algo":"rFedAvg+","round":0,"ok":true,"loss":2.3,"client_id":[0,1],"client_loss":[2.2,2.4],"client_norm":[1.0,9.0],"health":[0.9,0.2],"verdict":"warn","unhealthy":1}` + "\n"
-	if _, err := lf.WriteString(line1 + `{"algo":"rFedAvg+","ro`); err != nil {
-		t.Fatal(err)
+	defer fh.Close()
+	write := func(s string) {
+		t.Helper()
+		if _, err := fh.WriteString(s); err != nil {
+			t.Fatal(err)
+		}
 	}
+
+	// A span, one complete round line and the start of a second: only the
+	// first round counts.
+	write(`{"kind":"span","trace":"1","span":"2","name":"round","round":0,"start_ns":0,"dur_ns":5}` + "\n" +
+		`{"kind":"round","algo":"rFedAvg+","round":0,"ok":true,"loss":2.3,"client_id":[0,1],"client_loss":[2.2,2.4],"client_norm":[1.0,9.0],"health":[0.9,0.2],"verdict":"warn","unhealthy":1}` + "\n" +
+		`{"kind":"event","ts":"2026-08-07T00:00:00Z","event":"health_alert","round":0,"detail":"client 1 violated score\u003c0.5 (value 0.2)"}` + "\n" +
+		`{"kind":"round","algo":"rFedAvg+","ro`)
 	grew, err = f.Poll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !grew || f.Rounds() != 1 {
-		t.Fatalf("after first poll: grew=%v rounds=%d, want true/1", grew, f.Rounds())
+	if !grew || f.Rounds() != 1 || len(f.s.Events) != 1 || len(f.s.Spans) != 0 {
+		t.Fatalf("after first poll: grew=%v rounds=%d events=%d spans held=%d, want true/1/1/0",
+			grew, f.Rounds(), len(f.s.Events), len(f.s.Spans))
 	}
 
 	// Finish the partial line; it must reassemble into one record.
-	if _, err := lf.WriteString(`und":1,"ok":true,"loss":2.1,"verdict":"ok"}` + "\n"); err != nil {
-		t.Fatal(err)
-	}
+	write(`und":1,"ok":true,"loss":2.1,"verdict":"ok"}` + "\n")
 	grew, err = f.Poll()
 	if err != nil {
 		t.Fatal(err)
@@ -53,19 +57,15 @@ func TestFollowerPollIncremental(t *testing.T) {
 	if !grew || f.Rounds() != 2 {
 		t.Fatalf("after second poll: grew=%v rounds=%d, want true/2", grew, f.Rounds())
 	}
-	if f.lines[1].Round != 1 || f.lines[1].Loss == nil || *f.lines[1].Loss != 2.1 {
-		t.Fatalf("partial-line record decoded wrong: %+v", f.lines[1])
+	if r := f.s.Rounds[1]; r.Round != 1 || r.Loss == nil || *r.Loss != 2.1 {
+		t.Fatalf("partial-line record decoded wrong: %+v", r)
 	}
 
-	// Events arrive late; run_done flips Done.
+	// The stream ends in run_done, which flips Done.
 	if f.Done() {
-		t.Fatal("done before any event")
+		t.Fatal("done before run_done")
 	}
-	ev := `{"ts":"2026-08-07T00:00:00Z","event":"health_alert","round":0,"detail":"client 1 violated score\u003c0.5 (value 0.2)"}` + "\n" +
-		`{"ts":"2026-08-07T00:00:01Z","event":"run_done","round":1,"detail":"rFedAvg+"}` + "\n"
-	if err := os.WriteFile(events, []byte(ev), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	write(`{"kind":"event","ts":"2026-08-07T00:00:01Z","event":"run_done","round":1,"detail":"rFedAvg+"}` + "\n")
 	if _, err := f.Poll(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFollowerPollIncremental(t *testing.T) {
 }
 
 func TestFollowerRenderBeforeFirstRound(t *testing.T) {
-	f := NewFollower(filepath.Join(t.TempDir(), "missing.jsonl"), "", 0)
+	f := NewFollower(filepath.Join(t.TempDir(), "missing.jsonl"), 0)
 	var sb strings.Builder
 	if err := f.Render(&sb, 80); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestFollowerRenderBeforeFirstRound(t *testing.T) {
 func TestWorstClientsOrdering(t *testing.T) {
 	loss := func(v float64) *float64 { return &v }
 	f := &Follower{topN: 3}
-	f.lines = []LedgerLine{
+	f.s.Rounds = []LedgerLine{
 		{
 			Round: 0, Loss: loss(2.0),
 			ClientID:   []int{0, 1, 2},

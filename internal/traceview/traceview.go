@@ -1,8 +1,8 @@
-// Package traceview reads the JSONL trace and run-ledger files the
-// telemetry layer writes and renders them for humans: per-round ASCII
-// waterfalls with critical-path and straggler attribution, run summary
-// tables, and two-run comparisons. It is the analysis half of the
-// observability layer — cmd/fltrace is a thin CLI over it.
+// Package traceview reads the JSONL observer stream the telemetry layer
+// writes (span, round and event lines) and renders it for humans: per-round
+// ASCII waterfalls with critical-path and straggler attribution, run summary
+// tables, two-run comparisons and a live dashboard. It is the analysis half
+// of the observability layer — cmd/fltrace is a thin CLI over it.
 //
 // Unlike the write path, which is allocation-free by contract, this package
 // runs offline over finished files and uses encoding/json freely.
@@ -17,7 +17,7 @@ import (
 	"sort"
 )
 
-// Span is one decoded trace line. IDs are the hex strings the tracer
+// Span is one decoded span line. IDs are the hex strings the tracer
 // emitted; Round and Client are nil when the span carried no attribute.
 type Span struct {
 	Trace   string `json:"trace"`
@@ -33,7 +33,7 @@ type Span struct {
 // EndNS is the span's end timestamp.
 func (s *Span) EndNS() int64 { return s.StartNS + s.DurNS }
 
-// LedgerLine is one decoded run-ledger record.
+// LedgerLine is one decoded round line.
 type LedgerLine struct {
 	Algo       string    `json:"algo"`
 	Round      int       `json:"round"`
@@ -100,64 +100,92 @@ func nan() float64 {
 	return z / z
 }
 
-// ReadSpans decodes a JSONL trace stream.
+// EventLine is one decoded lifecycle event line.
+type EventLine struct {
+	TS     string `json:"ts"`
+	Event  string `json:"event"`
+	Round  int    `json:"round"`
+	Detail string `json:"detail"`
+}
+
+// Stream is one decoded observer stream: its span, round and event lines,
+// each kind in file order.
+type Stream struct {
+	Spans  []Span
+	Rounds []LedgerLine
+	Events []EventLine
+}
+
+// add decodes one line by its "kind".
+func (s *Stream) add(line []byte) error {
+	var k struct {
+		Kind string `json:"kind"`
+	}
+	if err := json.Unmarshal(line, &k); err != nil {
+		return err
+	}
+	switch k.Kind {
+	case "span":
+		return decode(line, &s.Spans)
+	case "round":
+		return decode(line, &s.Rounds)
+	case "event":
+		return decode(line, &s.Events)
+	}
+	return fmt.Errorf("unknown kind %q", k.Kind)
+}
+
+func decode[T any](line []byte, into *[]T) error {
+	var v T
+	if err := json.Unmarshal(line, &v); err != nil {
+		return err
+	}
+	*into = append(*into, v)
+	return nil
+}
+
+// Read decodes a JSONL observer stream.
+func Read(r io.Reader) (*Stream, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
+	s := &Stream{}
+	for n := 1; sc.Scan(); n++ {
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		if err := s.add(sc.Bytes()); err != nil {
+			return nil, fmt.Errorf("traceview: line %d: %w", n, err)
+		}
+	}
+	return s, sc.Err()
+}
+
+// ReadFile reads an observer stream from disk.
+func ReadFile(path string) (*Stream, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Read(f)
+}
+
+// ReadSpans decodes a stream and returns its span lines.
 func ReadSpans(r io.Reader) ([]Span, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	var spans []Span
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var s Span
-		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-			return nil, fmt.Errorf("traceview: trace line %d: %w", line, err)
-		}
-		spans = append(spans, s)
+	s, err := Read(r)
+	if err != nil {
+		return nil, err
 	}
-	return spans, sc.Err()
+	return s.Spans, nil
 }
 
-// ReadLedger decodes a JSONL run-ledger stream.
-func ReadLedger(r io.Reader) ([]LedgerLine, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	var lines []LedgerLine
-	n := 0
-	for sc.Scan() {
-		n++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var l LedgerLine
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			return nil, fmt.Errorf("traceview: ledger line %d: %w", n, err)
-		}
-		lines = append(lines, l)
-	}
-	return lines, sc.Err()
-}
-
-// ReadSpansFile reads a trace file from disk.
+// ReadSpansFile reads a stream from disk and returns its span lines.
 func ReadSpansFile(path string) ([]Span, error) {
-	f, err := os.Open(path)
+	s, err := ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadSpans(f)
-}
-
-// ReadLedgerFile reads a run-ledger file from disk.
-func ReadLedgerFile(path string) ([]LedgerLine, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadLedger(f)
+	return s.Spans, nil
 }
 
 // tree indexes a span set for rendering.

@@ -17,16 +17,16 @@ import (
 	"repro/internal/transport"
 )
 
-// The golden fixtures under testdata/ come from a real traced transport
-// session (the same code path flsim -trace exercises); `go test -run
-// Golden -update ./internal/traceview/` re-runs a session and rewrites
-// them together with the rendered golden output.
+// The golden fixture testdata/stream.jsonl is a real transport session's
+// observer stream (the same code path flsim -observe exercises); `go test
+// -run Golden -update ./internal/traceview/` re-runs a session and rewrites
+// it together with the rendered golden output.
 
 var update = flag.Bool("update", false, "rewrite testdata fixtures and golden files")
 
 // runTracedSession runs a short rFedAvg+ session over in-process pipes with
-// tracing and a ledger attached and returns the two raw JSONL files.
-func runTracedSession(t *testing.T, clients, rounds int) (traceJSONL, ledgerJSONL []byte) {
+// tracing and a ledger attached and returns its raw observer stream.
+func runTracedSession(t *testing.T, clients, rounds int) []byte {
 	t.Helper()
 	train := data.SynthMNIST(400, 1)
 	rng := rand.New(rand.NewSource(3))
@@ -38,9 +38,9 @@ func runTracedSession(t *testing.T, clients, rounds int) (traceJSONL, ledgerJSON
 	builder := nn.NewMLP(train.Features(), 24, 12, train.Classes)
 	net := builder(7)
 
-	var traceBuf, ledgerBuf bytes.Buffer
-	tracer := telemetry.NewTracer(&traceBuf)
-	ledger := telemetry.NewRunLedger(&ledgerBuf)
+	var stream bytes.Buffer
+	ledger := telemetry.NewRunLedger(&stream)
+	tracer := ledger.Tracer()
 
 	serverConns := make([]transport.Conn, clients)
 	clientConns := make([]transport.Conn, clients)
@@ -75,7 +75,7 @@ func runTracedSession(t *testing.T, clients, rounds int) (traceJSONL, ledgerJSON
 		t.Fatalf("serve: %v", err)
 	}
 	wg.Wait()
-	return traceBuf.Bytes(), ledgerBuf.Bytes()
+	return stream.Bytes()
 }
 
 func fixturePath(name string) string { return filepath.Join("testdata", name) }
@@ -101,18 +101,13 @@ func writeFixture(t *testing.T, name string, b []byte) {
 
 func TestWaterfallGolden(t *testing.T) {
 	if *update {
-		tr, led := runTracedSession(t, 3, 2)
-		writeFixture(t, "trace.jsonl", tr)
-		writeFixture(t, "ledger.jsonl", led)
+		writeFixture(t, "stream.jsonl", runTracedSession(t, 3, 2))
 	}
-	spans, err := ReadSpans(bytes.NewReader(readFixture(t, "trace.jsonl")))
+	s, err := Read(bytes.NewReader(readFixture(t, "stream.jsonl")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger, err := ReadLedger(bytes.NewReader(readFixture(t, "ledger.jsonl")))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spans, ledger := s.Spans, s.Rounds
 
 	var out bytes.Buffer
 	if err := Waterfall(&out, spans, ledger, 48); err != nil {
@@ -141,15 +136,11 @@ func TestWaterfallGolden(t *testing.T) {
 // IDs are new every run, so this pins the structure, not the bytes.
 func TestWaterfallLiveRun(t *testing.T) {
 	const clients, rounds = 3, 2
-	tr, led := runTracedSession(t, clients, rounds)
-	spans, err := ReadSpans(bytes.NewReader(tr))
+	stream, err := Read(bytes.NewReader(runTracedSession(t, clients, rounds)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger, err := ReadLedger(bytes.NewReader(led))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spans, ledger := stream.Spans, stream.Rounds
 	var out bytes.Buffer
 	if err := Waterfall(&out, spans, ledger, 64); err != nil {
 		t.Fatal(err)
@@ -248,5 +239,13 @@ func TestSummaryRendersSummaryModeLines(t *testing.T) {
 	}
 	if !strings.Contains(s, "~4.0000") {
 		t.Errorf("sampled MMD estimate not marked with ~:\n%s", s)
+	}
+}
+
+// Every line names its kind; one that does not is an error at its line.
+func TestReadRejectsLineWithoutKind(t *testing.T) {
+	_, err := Read(strings.NewReader(`{"kind":"round","algo":"fedavg","round":0}` + "\n" + `{"algo":"fedavg","round":1}` + "\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), `kind ""`) {
+		t.Fatalf("a line without kind read as %v", err)
 	}
 }

@@ -76,10 +76,7 @@ func TestAsyncStragglerMatrix(t *testing.T) {
 		if _, err := ServePipes(scfg, fx.shards, seeded, plans); err != nil {
 			t.Fatalf("serve: %v", err)
 		}
-		lines, err := traceview.ReadLedger(bytes.NewReader(ledger.Bytes()))
-		if err != nil {
-			t.Fatalf("ledger: %v", err)
-		}
+		lines := readLedger(t, bytes.NewBuffer(ledger.Bytes()))
 		var sum time.Duration
 		n := 0
 		for i := 1; i < len(lines); i++ {

@@ -52,11 +52,8 @@ type ClientConfig struct {
 	// Tracer, when non-nil, records the client's side of each round
 	// (client_round → local_steps/mmd_grad/serialize, compute_delta) with
 	// the span context received in the assign frame header as parent, so a
-	// merged trace file shows client work inside the server's round tree.
+	// merged stream shows client work inside the server's round tree.
 	Tracer *telemetry.Tracer
-	// Events, when non-nil, receives one JSONL line per client lifecycle
-	// event (join, done).
-	Events *telemetry.EventLog
 	// Health, when non-nil, self-monitors this client: each round's local
 	// loss and update feed a single-client monitor, so the norm z-score
 	// runs against the client's own cross-round history (the cohort-wide
@@ -104,7 +101,6 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 		NumSamples: int64(shard.Len()), Caps: caps}); err != nil {
 		return nil, err
 	}
-	cfg.Events.Emit("join", -1, "")
 
 	// load makes params, a frame's model, the weights. A dense frame nobody
 	// needs after training — no lossy uplink to difference against it, no
@@ -257,7 +253,6 @@ func runClient(conn Conn, shard *data.Dataset, cfg ClientConfig, cc *clientCodec
 		case MsgSkip:
 			// Reserved: this server never sends it, older ones did.
 		case MsgDone:
-			cfg.Events.Emit("done", int(m.Round), "")
 			return m.Params, nil
 		default:
 			return nil, fmt.Errorf("transport: unexpected message type %d", m.Type)

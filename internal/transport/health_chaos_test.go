@@ -32,7 +32,7 @@ func TestHealthFlagsByzantineClients(t *testing.T) {
 	var events bytes.Buffer
 	mon := health.New(health.Config{
 		Registry: telemetry.NewRegistry(),
-		Events:   telemetry.NewEventLog(&events),
+		Ledger:   telemetry.NewRunLedger(&events),
 	})
 
 	net := fx.builder(fx.ccfg.ModelSeed)

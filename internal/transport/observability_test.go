@@ -2,10 +2,15 @@ package transport
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/fl"
+	"repro/internal/health"
 	"repro/internal/telemetry"
 	"repro/internal/traceview"
 )
@@ -365,6 +370,54 @@ func TestLedgerBytesAreTheSessionsOwn(t *testing.T) {
 		if g.UpBytes != w.UpBytes || g.DownBytes != w.DownBytes || g.Elided != w.Elided {
 			t.Errorf("round %d: up %d down %d elided %d beside another session, %d %d %d alone",
 				w.Round, g.UpBytes, g.DownBytes, g.Elided, w.UpBytes, w.DownBytes, w.Elided)
+		}
+	}
+}
+
+// The simulator and the server write one round schema: for FedAvg and for
+// rFedAvg+ their round lines carry the same keys, apart from those only a
+// wire round writes, listed here by name: the uplink's codec, and under
+// FedAvg the δ-row ages the server keeps for every algorithm (its age phase).
+func TestRoundKeysMatchSimulator(t *testing.T) {
+	wireOnly := map[Algorithm][]string{
+		AlgoFedAvg:      {"delta_ages", "stale_rows", "up_scheme"},
+		AlgoRFedAvgPlus: {"up_scheme"},
+	}
+	keys := func(buf *bytes.Buffer, extra ...string) []string {
+		set := map[string]bool{}
+		for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+			var m map[string]json.RawMessage
+			if err := json.Unmarshal(line, &m); err != nil {
+				t.Fatalf("line %s: %v", line, err)
+			}
+			if string(m["kind"]) == `"round"` {
+				for k := range m {
+					set[k] = true
+				}
+			}
+		}
+		for _, k := range extra {
+			set[k] = true
+		}
+		var ks []string
+		for k := range set {
+			ks = append(ks, k)
+		}
+		slices.Sort(ks)
+		return ks
+	}
+	fx := newFixture(t, 4)
+	monitor := func() *health.Monitor { return health.New(health.Config{Registry: telemetry.NewRegistry()}) }
+	for algo, sim := range map[Algorithm]fl.Algorithm{AlgoFedAvg: fl.NewFedAvg(), AlgoRFedAvgPlus: core.NewRFedAvgPlus(fx.ccfg.Lambda)} {
+		var simLines, wireLines bytes.Buffer
+		fl.Run(virtualFederation(fx, &simLines, monitor()), sim, 3)
+		cfg := ServerConfig{Algorithm: algo, Rounds: 3, Metrics: telemetry.NewRegistry()}
+		if _, err := ServeFederation(virtualFederation(fx, &wireLines, monitor()), cfg, fx.ccfg.Lambda, false, nil); err != nil {
+			t.Fatal(err)
+		}
+		want := keys(&simLines, wireOnly[algo]...)
+		if got := keys(&wireLines); !slices.Equal(got, want) {
+			t.Errorf("%s: wire round keys %v, simulator's and the wire-only ones %v", algo, got, want)
 		}
 	}
 }

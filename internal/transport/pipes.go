@@ -73,10 +73,10 @@ func ServePipes(scfg ServerConfig, shards []*data.Dataset, client func(i int) Cl
 }
 
 // ServeFederation runs f — the simulator's federation: its clients' shards,
-// model, local solver, sampling, seed, health monitor, ledger, events and
-// tracer — as a ServePipes session. cfg names the algorithm, the rounds, the
-// codec, the buffer (BufferK, StalenessLambda) and the deadlines;
-// ServeFederation fills in the rest from f. lambda is the clients'
+// model, local solver, sampling, seed, health monitor, ledger and tracer — as
+// a ServePipes session. cfg names the algorithm, the rounds, the codec, the
+// buffer (BufferK, StalenessLambda) and the deadlines; ServeFederation fills
+// in the rest from f. lambda is the clients'
 // regularization weight, ef gives every client its own error-feedback
 // residual, and client k's RNG is seeded Seed·1000 + k. It is the one mapping
 // from a simulator configuration to the wire, for flsim's wire flags, the
@@ -93,7 +93,7 @@ func ServeFederation(f *fl.Federation, cfg ServerConfig, lambda float64, ef bool
 		shards[i] = c.Data
 	}
 	cfg.InitialParams, cfg.FeatureDim, cfg.SampleRatio, cfg.Seed = f.InitialParams(), f.FeatureDim(), fc.SampleRatio, fc.Seed
-	cfg.Events, cfg.Tracer, cfg.Ledger, cfg.Health = fc.Events, fc.Tracer, fc.Ledger, fc.Health
+	cfg.Tracer, cfg.Ledger, cfg.Health = fc.Tracer, fc.Ledger, fc.Health
 	client := func(i int) ClientConfig {
 		return ClientConfig{
 			Builder: fc.Builder, ModelSeed: fc.ModelSeed, Seed: fc.Seed*1000 + int64(i),

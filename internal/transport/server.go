@@ -119,18 +119,16 @@ type ServerConfig struct {
 	// telemetry.Default(). Registration is idempotent, so many sessions
 	// may share one registry.
 	Metrics *telemetry.Registry
-	// Events, when non-nil, receives one JSONL line per lifecycle event
-	// (evict, rejoin, retry, checkpoint, resume, round).
-	Events *telemetry.EventLog
-	// Tracer, when non-nil, records identified spans to a JSONL trace
-	// file: session → join/round → phase → per-client, with the round
+	// Tracer, when non-nil, records identified spans as JSONL span lines:
+	// session → join/round → phase → per-client, with the round
 	// span's context stamped into MsgAssign/MsgDeltaReq frame headers so
 	// client-side spans stitch into the same tree.
 	Tracer *telemetry.Tracer
 	// Ledger, when non-nil, receives one training-dynamics line per round
 	// attempt: round loss, per-client losses and update norms, the pairwise
 	// MMD matrix of the δ table (rFedAvg+), δ-row ages, evictions/rejoins,
-	// and the attempt's wire bytes in each direction.
+	// and the attempt's wire bytes in each direction — and one line per
+	// lifecycle event (evict, rejoin, retry, checkpoint, resume).
 	Ledger *telemetry.RunLedger
 	// Health, when non-nil, receives per-round health observations: every
 	// validated update, async folds, δ drift, and evictions. Scores and
@@ -486,8 +484,7 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 		if startRound, err = s.restore(cfg.Resume); err != nil {
 			return nil, err
 		}
-		s.logf("resumed from checkpoint at round %d", startRound)
-		s.cfg.Events.Emit("resume", startRound, cfg.CheckpointPath)
+		s.event("resume", startRound, cfg.CheckpointPath)
 	}
 	if err := s.runRounds(startRound); err != nil {
 		return nil, err
@@ -587,8 +584,7 @@ func (s *session) runRounds(startRound int) error {
 			attempts++
 			s.res.RetriedRounds++
 			s.metrics.retries.Inc()
-			s.logf("round %d attempt %d failed (quorum %d, %d active)", round, attempts, s.minClients, count(s.active))
-			s.cfg.Events.Emit("retry", round, s.lastFaultOr(""))
+			s.event("retry", round, s.lastFaultOr(""))
 			if attempts > maxRoundRetries {
 				s.checkpoint(round) // leave a resumable state behind
 				s.closePending()
@@ -607,6 +603,14 @@ func (s *session) runRounds(startRound int) error {
 func (s *session) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
+	}
+}
+
+// event records a lifecycle event: a ledger line, and a line of the human log.
+func (s *session) event(name string, round int, detail string) {
+	s.cfg.Ledger.Emit(name, round, detail)
+	if s.cfg.Logf != nil {
+		s.cfg.Logf("%s (round %d): %s", name, round, detail)
 	}
 }
 
@@ -642,8 +646,7 @@ func (s *session) evict(i, round int, reason string) {
 	s.metrics.evictions.Inc()
 	s.lastFault = fmt.Sprintf("client %d: %s", i, reason)
 	s.cfg.Health.ObserveEvict(i)
-	s.logf("evicted client %d (round %d): %s", i, round, reason)
-	s.cfg.Events.Emit("evict", round, s.lastFault)
+	s.event("evict", round, s.lastFault)
 }
 
 // join collects the MsgJoin handshake of every initial client; a client
@@ -754,8 +757,7 @@ func (s *session) checkpoint(nextRound int) {
 		return
 	}
 	s.metrics.checkpoints.Inc()
-	s.logf("checkpoint at round %d → %s", nextRound, s.cfg.CheckpointPath)
-	s.cfg.Events.Emit("checkpoint", nextRound, s.cfg.CheckpointPath)
+	s.event("checkpoint", nextRound, s.cfg.CheckpointPath)
 }
 
 // place re-admits a handshaked rejoiner into an evicted slot — the slot its
@@ -787,8 +789,7 @@ func (s *session) place(p *peer) bool {
 	s.codec.negotiate(slot, p.join.Caps)
 	s.res.Rejoins++
 	s.metrics.rejoins.Inc()
-	s.logf("client rejoined into slot %d (%d samples, δ age %d)", slot, p.join.NumSamples, s.table.Age(slot))
-	s.cfg.Events.Emit("rejoin", -1, fmt.Sprintf("slot %d", slot))
+	s.event("rejoin", -1, fmt.Sprintf("slot %d", slot))
 	return true
 }
 

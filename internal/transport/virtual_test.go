@@ -46,14 +46,14 @@ func runVirtual(t *testing.T, fx *federatedFixture, f *fl.Federation, algo Algor
 	return res
 }
 
-// readLedger decodes a session's ledger.
+// readLedger decodes the round lines of a session's stream.
 func readLedger(t *testing.T, buf *bytes.Buffer) []traceview.LedgerLine {
 	t.Helper()
-	lines, err := traceview.ReadLedger(buf)
+	s, err := traceview.Read(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lines
+	return s.Rounds
 }
 
 // A buffered session in virtual time replays bit for bit: who makes each
