@@ -56,9 +56,10 @@ test: vet
 # SendTimeout repeats the send watchdog's test: a send stuck in the assign,
 # the δ request or MsgDone races the deadline's close of its conn.
 # require-tests fails the target if a pattern matches no test or any of the
-# five named tests is renamed away.
+# five named tests, or of the tensor kernel tests below, is renamed away.
 RACE_REPEAT = Pipe|Lend|Rejoin|Reap|Async|SendTimeout
 test-race:
+	$(call require-tests,./internal/tensor,$(TENSOR_KERNEL_TESTS))
 	$(call require-tests,./internal/transport,$(RACE_REPEAT)|^TestPipeSessionMatchesTCP$$|^TestPipeParkedUpdateNotRecycled$$|^TestAsyncVirtualReplays$$|^TestAsyncVirtualSyncMatchesPipes$$|^TestPeerSendAllocs$$)
 	go test -race ./internal/fl/... ./internal/core/... ./internal/engine/... ./internal/tensor/... ./internal/nn/... ./internal/transport/... ./internal/compress/... ./internal/health/... ./internal/telemetry/...
 	go test -race -count=20 -run '$(RACE_REPEAT)' -skip '^TestAsyncVirtualReplays$$' ./internal/transport/
@@ -71,8 +72,13 @@ test-race:
 # TestConvBackwardInputMatchesCol2imReference, none of them amd64-gated), and
 # through TestMaxPoolNonFiniteWindows, and that holds engine.Aggregate's
 # chunked loop equal to the serial one with == on the FMA scalar axpy
-# (TestAggregateMatchesParentServer).
+# (TestAggregateMatchesParentServer). Here TestGemmInPlaceMatchesPacked,
+# TestGemmInPlaceCounted and TestGemmScratchReuse run the small-batch shapes
+# through the packed fallback, and TestAddScaledDiffMatchesGoLoop the health
+# direction sum through its Go loop.
+TENSOR_KERNEL_TESTS = ^TestGemmInPlaceMatchesPacked$$|^TestGemmInPlaceCounted$$|^TestGemmScratchReuse$$|^TestAddScaledDiffMatchesGoLoop$$
 test-purego:
+	$(call require-tests,./internal/tensor,$(TENSOR_KERNEL_TESTS))
 	go test -tags purego ./internal/tensor/ ./internal/nn/ ./internal/engine/
 
 # $(call require-tests,PKG,PATTERN) fails unless every |-separated
@@ -102,7 +108,8 @@ golden:
 # -observe and require span, round and event lines in the one file (fltrace
 # fails when the stream has no round line or any line is not valid JSON
 # with a known kind), then check that a q8 run — a wire session over
-# in-process pipes — names its uplink scheme in the server's round lines.
+# in-process pipes — names its uplink scheme in the server's round lines
+# and ends in the server's run_done.
 # The live /metrics scrape, its series and the codec byte series are go
 # test's (TestChaosSessionMetricsScrape, TestHTTPEndpoints,
 # TestServeCompressedUplinkBytesReduction).
@@ -117,6 +124,7 @@ telemetry-smoke:
 		-e 2 -b 16 -train 400 -test 100 -compress q8 \
 		-observe $$tmp/q8.jsonl >/dev/null && \
 	grep -q '"up_scheme":"q8"' $$tmp/q8.jsonl && \
+	grep -q '"event":"run_done"' $$tmp/q8.jsonl && \
 	rm -rf $$tmp && echo "observer stream smoke passed"
 
 # Smoke-test live run health monitoring end to end: start an flsim run with

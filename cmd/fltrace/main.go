@@ -14,8 +14,10 @@
 //   - With -follow: a live dashboard that tails a still-growing stream,
 //     refreshing in place — round progress with a loss sparkline, the top-N
 //     unhealthiest clients, and active health alerts. It exits when the
-//     run's run_done event arrives (flsim writes one; a server session
-//     renders until Ctrl-C).
+//     run's run_done event arrives: flsim and flserver write one as a
+//     session ends, after its final model is sent or naming the error that
+//     aborted it. A session resumed into the same file (flserver -resume)
+//     writes a new run_start, and the dashboard follows it to its run_done.
 //
 // Example:
 //

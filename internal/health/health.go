@@ -256,10 +256,7 @@ func (m *Monitor) AccumDirection(params, global []float64) {
 	if norm <= 0 || math.IsNaN(norm) || math.IsInf(norm, 0) {
 		return
 	}
-	inv := 1 / norm
-	for i := range m.dir {
-		m.dir[i] += (params[i] - global[i]) * inv
-	}
+	tensor.AddScaledDiffFloats(m.dir, params, global, 1/norm)
 	m.dirN++
 }
 

@@ -6,12 +6,12 @@ import (
 )
 
 // This file is the elementwise/reduction kernel layer: flat []float64
-// primitives (axpy, scale, add, subtract, sum, dot, squared distance) with a
-// CPUID-dispatched AVX2 implementation and a pure-Go fallback, mirroring the
-// GEMM micro-kernel split in gemm_amd64.s. The Tensor methods in ops.go and
-// the MMD/δ paths in internal/core are thin wrappers over these, so every
-// hot elementwise loop in the repository funnels through one vector kernel
-// per operation.
+// primitives (axpy, scale, add, subtract, scaled difference, sum, dot,
+// squared distance) with a CPUID-dispatched AVX2 implementation and a
+// pure-Go fallback, mirroring the GEMM micro-kernel split in gemm_amd64.s.
+// The Tensor methods in ops.go and the MMD/δ paths in internal/core are thin
+// wrappers over these, so every hot elementwise loop in the repository
+// funnels through one vector kernel per operation.
 //
 // The AVX2 reductions (sum, dot, squared distance) use four parallel
 // accumulators and the fused multiply-add, so their results differ from the
@@ -85,6 +85,21 @@ func SubFloats(dst, x []float64) {
 	}
 	for i, v := range x {
 		dst[i] -= v
+	}
+}
+
+// AddScaledDiffFloats sets dst[i] += (x[i] − y[i])·a. Every path subtracts,
+// multiplies and adds with a rounding each, never fused, so the result is
+// the plain Go loop's on any build.
+func AddScaledDiffFloats(dst, x, y []float64, a float64) {
+	mustSameLen("AddScaledDiffFloats", len(dst), len(x))
+	mustSameLen("AddScaledDiffFloats", len(dst), len(y))
+	if elemUseAVX2 && len(dst) >= elemSIMDMin {
+		elemAddScaledDiffAVX2(&dst[0], &x[0], &y[0], len(dst), a)
+		return
+	}
+	for i, v := range x {
+		dst[i] += float64((v - y[i]) * a) // the conversion forbids fusing
 	}
 }
 

@@ -18,6 +18,9 @@ func elemScaleAVX2(dst *float64, n int, a float64)
 func elemAddAVX2(dst, x *float64, n int)
 
 //go:noescape
+func elemAddScaledDiffAVX2(dst, x, y *float64, n int, a float64)
+
+//go:noescape
 func elemSumAVX2(x *float64, n int) float64
 
 //go:noescape

@@ -3,11 +3,11 @@
 #include "textflag.h"
 
 // AVX2+FMA elementwise and reduction kernels. The in-place kernels (axpy,
-// scale, add) process 8 doubles per iteration (two YMM vectors), then a
-// 4-wide tail, then scalars. The reductions (sum, dot, sqdist) run four
-// independent YMM accumulators (16 doubles per iteration) to hide FMA
-// latency, fold them horizontally, and finish the sub-vector tail in scalar
-// AVX so the whole kernel needs one VZEROUPPER.
+// scale, add, scaled difference) process 8 doubles per iteration (two YMM
+// vectors), then a 4-wide tail, then scalars. The reductions (sum, dot,
+// sqdist) run four independent YMM accumulators (16 doubles per iteration)
+// to hide FMA latency, fold them horizontally, and finish the sub-vector
+// tail in scalar AVX so the whole kernel needs one VZEROUPPER.
 
 // func elemAxpyAVX2(dst, x *float64, n int, a float64)
 //
@@ -151,6 +151,71 @@ add_scalar:
 	JNZ    add_scalar
 
 add_done:
+	VZEROUPPER
+	RET
+
+// func elemAddScaledDiffAVX2(dst, x, y *float64, n int, a float64)
+//
+// dst[i] += (x[i] - y[i])·a, with a separate subtract, multiply and add
+// (no FMA), so each element rounds three times as the unfused Go expression
+// does.
+TEXT ·elemAddScaledDiffAVX2(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DX
+	MOVQ         n+24(FP), CX
+	VBROADCASTSD a+32(FP), Y0
+
+	MOVQ CX, AX
+	SHRQ $3, AX
+	JZ   asd_tail4
+
+asd_loop8:
+	VMOVUPD (SI), Y1
+	VMOVUPD 32(SI), Y2
+	VSUBPD  (DX), Y1, Y1
+	VSUBPD  32(DX), Y2, Y2
+	VMULPD  Y0, Y1, Y1
+	VMULPD  Y0, Y2, Y2
+	VADDPD  (DI), Y1, Y1
+	VADDPD  32(DI), Y2, Y2
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DX
+	ADDQ    $64, DI
+	DECQ    AX
+	JNZ     asd_loop8
+
+asd_tail4:
+	TESTQ $4, CX
+	JZ    asd_tail1
+	VMOVUPD (SI), Y1
+	VSUBPD  (DX), Y1, Y1
+	VMULPD  Y0, Y1, Y1
+	VADDPD  (DI), Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+
+asd_tail1:
+	ANDQ $3, CX
+	JZ   asd_done
+
+asd_scalar:
+	VMOVSD (SI), X1
+	VSUBSD (DX), X1, X1
+	VMULSD X0, X1, X1
+	VADDSD (DI), X1, X1
+	VMOVSD X1, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DX
+	ADDQ   $8, DI
+	DECQ   CX
+	JNZ    asd_scalar
+
+asd_done:
 	VZEROUPPER
 	RET
 

@@ -17,6 +17,10 @@ func elemAddAVX2(dst, x *float64, n int) {
 	panic("tensor: elemAddAVX2 called without assembly support")
 }
 
+func elemAddScaledDiffAVX2(dst, x, y *float64, n int, a float64) {
+	panic("tensor: elemAddScaledDiffAVX2 called without assembly support")
+}
+
 func elemSumAVX2(x *float64, n int) float64 {
 	panic("tensor: elemSumAVX2 called without assembly support")
 }

@@ -70,6 +70,35 @@ func TestElemInPlaceKernelsMatchScalar(t *testing.T) {
 	}
 }
 
+// AddScaledDiffFloats rounds as the unfused Go loop it replaced in the
+// health monitor's direction sum, on both paths, at every tail length and at
+// the sizes the monitor sees.
+func TestAddScaledDiffMatchesGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	lens := []int{4095, 4097, 8378}
+	for n := 0; n <= 17; n++ {
+		lens = append(lens, n)
+	}
+	for _, n := range lens {
+		x, y, base := elemTestVec(rng, n), elemTestVec(rng, n), elemTestVec(rng, n)
+		a := 1 / math.Sqrt(SquaredDistanceFloats(x, y)+1)
+		want := append([]float64(nil), base...)
+		for i := range want {
+			want[i] += float64((x[i] - y[i]) * a)
+		}
+		simd, scalar := withElemPath(t, func() []float64 {
+			dst := append([]float64(nil), base...)
+			AddScaledDiffFloats(dst, x, y, a)
+			return dst
+		})
+		for i := range want {
+			if simd[i] != want[i] || scalar[i] != want[i] {
+				t.Fatalf("n=%d: [%d] simd %v, scalar %v, Go loop %v", n, i, simd[i], scalar[i], want[i])
+			}
+		}
+	}
+}
+
 // An axpy element's result does not depend on the slice around it: for every
 // length up to two vector widths and every i, the call on dst[i:i+1] — the
 // scalar loop — leaves what the full-slice call leaves in element i.

@@ -27,19 +27,31 @@ import (
 // always emit the same packed layout, so all nine public entry points
 // (plain/Into/Acc × NN/NT/TN) share one inner kernel.
 //
+// Small-batch products skip packing. When op(B) is B, the output holds an
+// MR×NR tile and op(A) has at most gemmInPlaceMax rows (or, for the weight
+// gradient Xᵀ·dY, the reduction over the batch is that short), gemmInPlace
+// runs the same jr/ir sweep per KC block with the AVX2 kernel given A's and
+// B's own strides, so it reads them where they lie; an edge tile slides
+// back inside the matrix. It rounds every element exactly as the packed
+// path does: an accumulator started at +0, one FMA per p in ascending
+// order, one add into C per KC block, through a zeroed stack tile for edge
+// tiles.
+//
 // Packing buffers come from a package-level free list (gemmScratch), so the
 // steady-state kernel path allocates nothing — the same invariant the
 // layer/arena scratch obeys (see DESIGN.md, "Memory model & buffer
-// ownership").
+// ownership"). The in-place path uses no buffer at all.
 //
 // The micro-kernel has two implementations. On amd64 with AVX2+FMA (probed
 // once via CPUID, see gemm_amd64.s) a hand-written 4×8 vector kernel holds
-// the tile in eight YMM accumulators and issues two fused multiply-adds per
-// packed B row. Everywhere else a pure-Go scalar kernel computes the same
-// 4×8 tile as two 4×4 halves of 16 scalar accumulators — the most the
-// scalar register file sustains before spills erase the unrolling win —
-// using math.FMA only where an init-time probe shows it is hardware-fused
-// (the software fallback is ~30× slower than mul+add).
+// the tile in eight YMM accumulators and issues eight fused multiply-adds
+// per B row; it takes its operands' strides, so packed panels and in-place
+// operands share it. Everywhere else (and under purego, where every call
+// packs) a pure-Go scalar kernel computes the same 4×8 tile as two 4×4
+// halves of 16 scalar accumulators — the most the scalar register file
+// sustains before spills erase the unrolling win — using math.FMA only
+// where an init-time probe shows it is hardware-fused (the software
+// fallback is ~30× slower than mul+add).
 
 // Register and cache blocking parameters for float64. MR×NR is the
 // micro-tile: 4 rows × 8 columns (two 4-lane vectors). KC is chosen so one
@@ -136,9 +148,69 @@ func gemm(out, a, b *Tensor, m, k, n int, transA, transB bool) {
 		gemmParallel(out, a, b, m, k, n, transA, transB, w)
 		return
 	}
+	if gemmReadsInPlace(m, k, n, transA, transB) {
+		gemmInPlace(out, a, b, m, k, n, transA)
+		return
+	}
 	s := gemmGetScratch()
 	gemmRange(out, a, b, k, n, transA, transB, 0, m, s)
 	gemmPutScratch(s)
+}
+
+// gemmInPlaceMax is the largest op(A) row count, or TN reduction depth, at
+// which gemm skips packing. Below it a packed panel is used too few times to
+// repay its copy: on a 2-vCPU x86-64 host, packing B for an 8×196·196×32
+// product took 9.1 µs of the call's 12.5.
+const gemmInPlaceMax = 16
+
+// gemmReadsInPlace reports whether gemm runs gemmInPlace: the AVX2 kernel is
+// available, op(B) is B itself (its rows give the kernel 8 contiguous
+// columns), the output holds at least one 4×8 tile, and op(A) has few rows —
+// or, for the weight gradient Xᵀ·dY, the reduction over the batch is short.
+func gemmReadsInPlace(m, k, n int, transA, transB bool) bool {
+	return gemmUseAVX2 && !transB && m >= gemmMR && n >= gemmNR &&
+		(m <= gemmInPlaceMax || transA && k <= gemmInPlaceMax)
+}
+
+// gemmInPlace is gemmRange without packing: the micro-kernel, given the
+// operands' strides, reads each 4×8 tile's A rows and B columns where they
+// lie. The pc loop keeps gemmRange's KC blocks, so every output element
+// gets one fresh FMA chain per block, added into out in ascending block
+// order — the packed path's arithmetic, bit for bit. A partial edge tile
+// slides back to end at the last row or column (m ≥ MR and n ≥ NR), so
+// every read stays inside the operands; like gemmMacro's edge tiles it
+// accumulates into a zeroed stack tile, and gemmAddTile adds only the
+// elements no earlier tile covered.
+func gemmInPlace(out, a, b *Tensor, m, k, n int, transA bool) {
+	lda, ldb := a.shape[1], b.shape[1]
+	rsa, csa := lda, 1 // op(A)[i,p] = a[i·rsa + p·csa]
+	if transA {
+		rsa, csa = 1, lda
+	}
+	if k == 0 {
+		return
+	}
+	// The kernel's loads are unchecked: index the last element it reads in
+	// each operand, so a short slice panics here rather than being overread.
+	_, _, _ = a.Data[(m-1)*rsa+(k-1)*csa], b.Data[(k-1)*ldb+n-1], out.Data[m*n-1]
+	for pc := 0; pc < k; pc += gemmKC {
+		kc := min(gemmKC, k-pc)
+		for jr := 0; jr < n; jr += gemmNR {
+			j0 := min(jr, n-gemmNR)
+			bp := &b.Data[pc*ldb+j0]
+			for ir := 0; ir < m; ir += gemmMR {
+				i0 := min(ir, m-gemmMR)
+				ap := &a.Data[i0*rsa+pc*csa]
+				if i0 == ir && j0 == jr {
+					gemmMicroAVX2(kc, ap, rsa, csa, bp, ldb, &out.Data[ir*n+jr], n)
+					continue
+				}
+				var tile [gemmMR * gemmNR]float64
+				gemmMicroAVX2(kc, ap, rsa, csa, bp, ldb, &tile[0], gemmNR)
+				gemmAddTile(out.Data[i0*n+j0:], n, &tile, ir-i0, gemmMR, jr-j0, gemmNR)
+			}
+		}
+	}
 }
 
 // gemmRange runs the full blocking loop nest for output rows [loM, hiM).
@@ -261,13 +333,19 @@ func gemmMacro(out []float64, ldc int, pa, pb []float64, ic, jc, mc, nc, kc int)
 			}
 			var tile [gemmMR * gemmNR]float64
 			gemmMicro(kc, ap, bp, tile[:], 0, gemmNR)
-			for i := 0; i < mr; i++ {
-				dst := out[(ic+ir+i)*ldc+jc+jr:]
-				src := tile[i*gemmNR:]
-				for j := 0; j < nr; j++ {
-					dst[j] += src[j]
-				}
-			}
+			gemmAddTile(out[(ic+ir)*ldc+jc+jr:], ldc, &tile, 0, mr, 0, nr)
+		}
+	}
+}
+
+// gemmAddTile adds rows [i0, i1) × columns [j0, j1) of an edge tile into
+// dst, where dst[i·ldc + j] lies under tile element (i, j). It is the one
+// add of an edge tile into C, on the packed and the in-place path alike.
+func gemmAddTile(dst []float64, ldc int, tile *[gemmMR * gemmNR]float64, i0, i1, j0, j1 int) {
+	for i := i0; i < i1; i++ {
+		d, t := dst[i*ldc:], tile[i*gemmNR:]
+		for j := j0; j < j1; j++ {
+			d[j] += t[j]
 		}
 	}
 }
@@ -277,7 +355,7 @@ func gemmMacro(out []float64, ldc int, pa, pb []float64, ic, jc, mc, nc, kc int)
 // ap and bp are packed micro-panels of exactly kc·MR and kc·NR elements.
 func gemmMicro(kc int, ap, bp []float64, out []float64, r0, ldc int) {
 	if gemmUseAVX2 {
-		gemmMicroAVX2(kc, &ap[0], &bp[0], &out[r0], ldc)
+		gemmMicroAVX2(kc, &ap[0], 1, gemmMR, &bp[0], gemmNR, &out[r0], ldc)
 		return
 	}
 	// Scalar fallback: the 4×8 tile as two 4×4 halves, 16 accumulators

@@ -2,23 +2,54 @@
 
 #include "textflag.h"
 
-// func gemmMicroAVX2(kc int, ap, bp, c *float64, ldc int)
+// STEP accumulates one p into the tile: the B row at b0/b1 times the four
+// A values at SI, then moves SI to the next p.
+#define STEP(b0, b1) \
+	VMOVUPD      b0, Y8; \
+	VMOVUPD      b1, Y9; \
+	VBROADCASTSD (SI), Y10; \
+	VBROADCASTSD (SI)(R8*1), Y11; \
+	VFMADD231PD  Y8, Y10, Y0; \
+	VFMADD231PD  Y9, Y10, Y1; \
+	VBROADCASTSD (SI)(R8*2), Y12; \
+	VFMADD231PD  Y8, Y11, Y2; \
+	VFMADD231PD  Y9, Y11, Y3; \
+	VBROADCASTSD (SI)(R9*1), Y13; \
+	VFMADD231PD  Y8, Y12, Y4; \
+	VFMADD231PD  Y9, Y12, Y5; \
+	VFMADD231PD  Y8, Y13, Y6; \
+	VFMADD231PD  Y9, Y13, Y7; \
+	ADDQ         R10, SI
+
+// func gemmMicroAVX2(kc int, a *float64, rsa, csa int, b *float64, ldb int, c *float64, ldc int)
 //
-// Accumulates one 4×8 micro-tile over packed panels:
+// Accumulates one 4×8 micro-tile:
 //
-//	c[i*ldc + j] += Σ_p ap[p*4+i] * bp[p*8+j]
+//	c[i*ldc + j] += Σ_p a[i*rsa + p*csa] * b[p*ldb + j]
 //
-// Register plan: Y0..Y7 hold the tile (row i in Y(2i) cols 0-3 and Y(2i+1)
-// cols 4-7), Y8/Y9 hold the current packed B row, Y10..Y13 the broadcast A
-// values. The p loop is unrolled ×2; each step issues 2 B loads, 4
-// broadcasts, and 8 fused multiply-adds for 32 flop-pairs.
-TEXT ·gemmMicroAVX2(SB), NOSPLIT, $0-40
+// A packed panel pair is the case rsa=1, csa=4, ldb=8; gemmInPlace passes
+// the operands' own strides. Register plan: Y0..Y7 hold the tile (row i in
+// Y(2i) cols 0-3 and Y(2i+1) cols 4-7), started at +0; Y8/Y9 hold the
+// current B row, Y10..Y13 the broadcast A values. Each p (STEP) issues 2 B
+// loads, 4 broadcasts and 8 fused multiply-adds, in ascending p; the loop
+// runs four p a trip, and the tile is added into c once at the end. R8 and
+// R9 hold 1× and 3× the A row stride, R10 the A k stride, R11 and R12 1×
+// and 3× the B k stride, all in bytes.
+TEXT ·gemmMicroAVX2(SB), NOSPLIT, $0-64
 	MOVQ kc+0(FP), CX
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), BX
-	MOVQ c+24(FP), DI
-	MOVQ ldc+32(FP), DX
-	SHLQ $3, DX              // row stride in bytes
+	MOVQ a+8(FP), SI
+	MOVQ rsa+16(FP), R8
+	MOVQ csa+24(FP), R10
+	MOVQ b+32(FP), BX
+	MOVQ ldb+40(FP), R11
+	MOVQ c+48(FP), DI
+	MOVQ ldc+56(FP), DX
+	SHLQ $3, R8
+	SHLQ $3, R10
+	SHLQ $3, R11
+	SHLQ $3, DX
+	LEAQ (R8)(R8*2), R9
+	LEAQ (R11)(R11*2), R12
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -30,63 +61,27 @@ TEXT ·gemmMicroAVX2(SB), NOSPLIT, $0-40
 	VXORPD Y7, Y7, Y7
 
 	MOVQ CX, AX
-	SHRQ $1, AX
+	SHRQ $2, AX
 	JZ   tail
 
 loop:
-	VMOVUPD      (BX), Y8
-	VMOVUPD      32(BX), Y9
-	VBROADCASTSD (SI), Y10
-	VBROADCASTSD 8(SI), Y11
-	VFMADD231PD  Y8, Y10, Y0
-	VFMADD231PD  Y9, Y10, Y1
-	VBROADCASTSD 16(SI), Y12
-	VFMADD231PD  Y8, Y11, Y2
-	VFMADD231PD  Y9, Y11, Y3
-	VBROADCASTSD 24(SI), Y13
-	VFMADD231PD  Y8, Y12, Y4
-	VFMADD231PD  Y9, Y12, Y5
-	VFMADD231PD  Y8, Y13, Y6
-	VFMADD231PD  Y9, Y13, Y7
-
-	VMOVUPD      64(BX), Y8
-	VMOVUPD      96(BX), Y9
-	VBROADCASTSD 32(SI), Y10
-	VBROADCASTSD 40(SI), Y11
-	VFMADD231PD  Y8, Y10, Y0
-	VFMADD231PD  Y9, Y10, Y1
-	VBROADCASTSD 48(SI), Y12
-	VFMADD231PD  Y8, Y11, Y2
-	VFMADD231PD  Y9, Y11, Y3
-	VBROADCASTSD 56(SI), Y13
-	VFMADD231PD  Y8, Y12, Y4
-	VFMADD231PD  Y9, Y12, Y5
-	VFMADD231PD  Y8, Y13, Y6
-	VFMADD231PD  Y9, Y13, Y7
-
-	ADDQ $64, SI
-	ADDQ $128, BX
+	STEP((BX), 32(BX))
+	STEP((BX)(R11*1), 32(BX)(R11*1))
+	STEP((BX)(R11*2), 32(BX)(R11*2))
+	STEP((BX)(R12*1), 32(BX)(R12*1))
+	LEAQ (BX)(R11*4), BX
 	DECQ AX
 	JNZ  loop
 
 tail:
-	ANDQ $1, CX
+	ANDQ $3, CX
 	JZ   store
 
-	VMOVUPD      (BX), Y8
-	VMOVUPD      32(BX), Y9
-	VBROADCASTSD (SI), Y10
-	VBROADCASTSD 8(SI), Y11
-	VFMADD231PD  Y8, Y10, Y0
-	VFMADD231PD  Y9, Y10, Y1
-	VBROADCASTSD 16(SI), Y12
-	VFMADD231PD  Y8, Y11, Y2
-	VFMADD231PD  Y9, Y11, Y3
-	VBROADCASTSD 24(SI), Y13
-	VFMADD231PD  Y8, Y12, Y4
-	VFMADD231PD  Y9, Y12, Y5
-	VFMADD231PD  Y8, Y13, Y6
-	VFMADD231PD  Y9, Y13, Y7
+tailloop:
+	STEP((BX), 32(BX))
+	ADDQ R11, BX
+	DECQ CX
+	JNZ  tailloop
 
 store:
 	VMOVUPD (DI), Y8

@@ -6,7 +6,7 @@ package tensor
 // scalar 4×8 kernel in gemm.go is used instead.
 const gemmHasAsm = false
 
-func gemmMicroAVX2(kc int, ap, bp, c *float64, ldc int) {
+func gemmMicroAVX2(kc int, a *float64, rsa, csa int, b *float64, ldb int, c *float64, ldc int) {
 	panic("tensor: gemmMicroAVX2 called without assembly support")
 }
 

@@ -185,6 +185,25 @@ func TestGemmScratchReuse(t *testing.T) {
 		}
 	}
 
+	// The small-batch shapes of a dense layer, which read their operands in
+	// place: forward x·W and the weight gradient Xᵀ·dY.
+	x, w := RandNormal(rng, 1, 8, 196), RandNormal(rng, 1, 196, 32)
+	dy, y := RandNormal(rng, 1, 8, 32), New(8, 32)
+	dw := New(196, 32)
+	for _, r := range []struct {
+		name string
+		fn   func()
+	}{
+		{"MatMulInto 8×196·32", func() { MatMulInto(y, x, w) }},
+		{"MatMulAcc 8×196·32", func() { MatMulAcc(y, x, w) }},
+		{"MatMulTransAInto 196×8·32", func() { MatMulTransAInto(dw, x, dy) }},
+		{"MatMulTransAAcc 196×8·32", func() { MatMulTransAAcc(dw, x, dy) }},
+	} {
+		if allocs := testing.AllocsPerRun(20, r.fn); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", r.name, allocs)
+		}
+	}
+
 	// Alternating shapes: the second shape is smaller in every packed
 	// dimension, so the warm buffers must be resliced, not reallocated.
 	small := New(8, 8)
@@ -196,6 +215,96 @@ func TestGemmScratchReuse(t *testing.T) {
 	alternate()
 	if allocs := testing.AllocsPerRun(20, alternate); allocs != 0 {
 		t.Errorf("alternating shapes: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestGemmInPlaceMatchesPacked holds the small-batch path, which reads its
+// operands in place, to the packed path with ==: the public Into/Acc × NN/TN
+// entry points against gemmRange, which always packs. The packed side runs
+// the pure-Go FMA kernel, which rounds as the assembly kernel does, so a
+// kernel that reassociates the sum fails here even though both paths share
+// it. Acc starts from a random nonzero C. The shapes cover every m up to 17
+// (below 4 it stays packed; partial tiles slide), k on both sides of KC, and
+// n with and without a partial tile; every operand ends at an inaccessible
+// page where the OS allows, so an overread faults. Under purego both sides
+// pack with the same Go kernel.
+func TestGemmInPlaceMatchesPacked(t *testing.T) {
+	prev := SetKernelParallelism(1)
+	defer SetKernelParallelism(prev)
+	rng := rand.New(rand.NewSource(49))
+	fill := func(t *testing.T, n int) []float64 {
+		v := edgeFloats(t, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 32}
+	inPlace := 0
+	for _, m := range ms {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			s := gemmGetScratch()
+			defer gemmPutScratch(s)
+			for _, k := range []int{1, 8, 255, 256, 257, 600} {
+				for _, n := range []int{8, 10, 16, 48, 512} {
+					b := FromSlice(fill(t, k*n), k, n)
+					for _, transA := range []bool{false, true} {
+						a := FromSlice(fill(t, m*k), m, k)
+						if transA {
+							a = FromSlice(fill(t, k*m), k, m)
+						}
+						if gemmReadsInPlace(m, k, n, transA, false) {
+							inPlace++
+						}
+						for _, acc := range []bool{false, true} {
+							got := FromSlice(fill(t, m*n), m, n)
+							want := got.Clone()
+							if !acc {
+								want.Zero()
+							}
+							prevAVX2, prevFMA := gemmUseAVX2, gemmUseFMA
+							gemmUseAVX2, gemmUseFMA = false, gemmUseFMA || gemmUseAVX2
+							gemmRange(want, a, b, k, n, transA, false, 0, m, s)
+							gemmUseAVX2, gemmUseFMA = prevAVX2, prevFMA
+							switch {
+							case !transA && !acc:
+								MatMulInto(got, a, b)
+							case !transA && acc:
+								MatMulAcc(got, a, b)
+							case transA && !acc:
+								MatMulTransAInto(got, a, b)
+							default:
+								MatMulTransAAcc(got, a, b)
+							}
+							for i := range want.Data {
+								if got.Data[i] != want.Data[i] {
+									t.Fatalf("%d×%d·%d transA=%v acc=%v: [%d] = %v, packed %v",
+										m, k, n, transA, acc, i, got.Data[i], want.Data[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+	if gemmUseAVX2 && inPlace == 0 {
+		t.Fatal("no shape took the in-place path")
+	}
+	t.Logf("%d of %d operand pairs read in place", inPlace, 2*len(ms)*6*5)
+}
+
+// TestGemmInPlaceCounted checks that an in-place call is counted in the
+// process-wide GEMM series like any other.
+func TestGemmInPlaceCounted(t *testing.T) {
+	prev := SetKernelParallelism(1)
+	defer SetKernelParallelism(prev)
+	rng := rand.New(rand.NewSource(50))
+	a, b := RandNormal(rng, 1, 8, 196), RandNormal(rng, 1, 196, 32)
+	calls, flops := gemmCalls.Value(), gemmFlops.Value()
+	MatMulInto(New(8, 32), a, b)
+	if dc, df := gemmCalls.Value()-calls, gemmFlops.Value()-flops; dc != 1 || df != 2*8*196*32 {
+		t.Fatalf("one 8×196·32 call counted %d calls, %d flops; want 1, %d", dc, df, 2*8*196*32)
 	}
 }
 

@@ -90,11 +90,17 @@ func tailJSONL(path string, off *int64, partial *[]byte, emit func([]byte) error
 	return grew, nil
 }
 
-// Done reports whether the run's run_done event has been read.
+// Done reports whether the run has ended: the last run_start or run_done
+// event read is a run_done. A resumed server session appends to the stream
+// of the session it resumes, so a run_done may be followed by a new
+// run_start.
 func (f *Follower) Done() bool {
-	for _, e := range f.s.Events {
-		if e.Event == "run_done" {
+	for i := len(f.s.Events) - 1; i >= 0; i-- {
+		switch f.s.Events[i].Event {
+		case "run_done":
 			return true
+		case "run_start":
+			return false
 		}
 	}
 	return false

@@ -72,6 +72,22 @@ func TestFollowerPollIncremental(t *testing.T) {
 	if !f.Done() {
 		t.Fatal("run_done not observed")
 	}
+	// A resumed session appends its own run_start: the run goes on until
+	// that session's run_done.
+	write(`{"kind":"event","ts":"2026-08-07T00:00:02Z","event":"run_start","round":-1,"detail":"rFedAvg+"}` + "\n")
+	if _, err := f.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if f.Done() {
+		t.Fatal("done after a resumed session's run_start")
+	}
+	write(`{"kind":"event","ts":"2026-08-07T00:00:03Z","event":"run_done","round":1,"detail":"rFedAvg+"}` + "\n")
+	if _, err := f.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if !f.Done() {
+		t.Fatal("resumed session's run_done not observed")
+	}
 
 	var sb strings.Builder
 	if err := f.Render(&sb, 80); err != nil {

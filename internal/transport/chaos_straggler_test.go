@@ -10,7 +10,8 @@ import (
 )
 
 // clockedLedger is a ledger sink that notes the session's virtual clock as
-// each line is written, at the end of a round attempt.
+// each round line is written, at the end of a round attempt; at[i] belongs
+// to the i-th round line. Event lines, such as run_start, are not clocked.
 type clockedLedger struct {
 	bytes.Buffer
 	clock *time.Duration
@@ -18,7 +19,9 @@ type clockedLedger struct {
 }
 
 func (w *clockedLedger) Write(p []byte) (int, error) {
-	w.at = append(w.at, *w.clock)
+	if bytes.HasPrefix(p, []byte(`{"kind":"round"`)) {
+		w.at = append(w.at, *w.clock)
+	}
 	return w.Buffer.Write(p)
 }
 

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -187,6 +190,83 @@ func TestServeWritesLedgerDynamics(t *testing.T) {
 		}
 	}
 }
+
+// A server session's stream is bracketed like a simulation's: one run_start
+// and one run_done, run_done last, so fltrace -follow stops on it. A session
+// that aborts (client 2 dies in round 1 under a quorum of every client) ends
+// the same way, its run_done naming the error. The session resumed from its
+// checkpoint appends its own pair to the same file, as flserver -resume
+// does, and a follower tailing the file reads the run as going on from that
+// run_start until the resumed session's run_done.
+func TestServeStreamEndsInRunDone(t *testing.T) {
+	const clients = 3
+	fx := newFixture(t, clients)
+	net := fx.builder(fx.ccfg.ModelSeed)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.jsonl")
+	f := traceview.NewFollower(path, 4)
+	var resume *Checkpoint
+	for _, plans := range []map[int]FaultPlan{{2: {Seed: 1, DisconnectAfterOps: 6}}, nil} {
+		fh, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// done holds the follower's Done after each of the session's writes.
+		var done []bool
+		w := writerFunc(func(p []byte) (int, error) {
+			n, err := fh.Write(p)
+			if _, perr := f.Poll(); perr != nil {
+				t.Error(perr)
+			}
+			done = append(done, f.Done())
+			return n, err
+		})
+		cfg := ServerConfig{Algorithm: AlgoRFedAvgPlus, Rounds: 3, MinClients: clients, InitialParams: net.GetFlat(),
+			FeatureDim: net.FeatureDim, CheckpointPath: filepath.Join(dir, "round.ckpt"), Resume: resume,
+			Ledger: telemetry.NewRunLedger(w)}
+		_, serr := ServePipes(cfg, fx.shards, func(int) ClientConfig { return fx.ccfg }, plans)
+		fh.Close()
+		if (serr != nil) != (plans != nil) {
+			t.Fatalf("faults %v: session error %v", plans, serr)
+		}
+		if n := len(done); n == 0 || !done[n-1] || slices.Contains(done[:n-1], true) {
+			t.Fatalf("faults %v: follower done after each write %v, want true at the last write only", plans, done)
+		}
+		if resume == nil {
+			if resume, err = LoadCheckpoint(cfg.CheckpointPath); err != nil || resume.Round < 1 {
+				t.Fatalf("aborted session left no checkpoint to resume from: %v", err)
+			}
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := traceview.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lifecycle []string
+	for _, e := range s.Events {
+		if e.Event == "run_start" || e.Event == "run_done" {
+			lifecycle = append(lifecycle, e.Event+" "+e.Detail)
+		}
+	}
+	raw = bytes.TrimSpace(raw)
+	lastLine := raw[bytes.LastIndexByte(raw, '\n')+1:]
+	alg := string(AlgoRFedAvgPlus)
+	if len(lifecycle) != 4 || lifecycle[0] != "run_start "+alg || !strings.HasPrefix(lifecycle[1], "run_done ") ||
+		lifecycle[1] == "run_done "+alg || lifecycle[2] != "run_start "+alg || lifecycle[3] != "run_done "+alg ||
+		!bytes.Contains(lastLine, []byte(`"event":"run_done"`)) {
+		t.Fatalf("lifecycle events %q, last line %s; want the aborted session's pair, its run_done naming the error, then the resumed session's, run_done last",
+			lifecycle, lastLine)
+	}
+}
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func([]byte) (int, error)
+
+func (w writerFunc) Write(p []byte) (int, error) { return w(p) }
 
 // ledgerSession serves cfg over ServePipes to fixture clients, plans faulting
 // some, with a ledger and returns the ledger's lines.

@@ -459,10 +459,21 @@ func Serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 }
 
 // serve is Serve on a session the caller can look into afterwards.
-func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
+func (s *session) serve(cfg ServerConfig, conns []Conn) (_ *ServerResult, err error) {
 	if err := s.setup(cfg, conns); err != nil {
 		return nil, err
 	}
+	// run_start and run_done bracket the session in the observer stream, as
+	// they bracket fl.Run's, so a follower knows when it has read everything.
+	// run_done follows the MsgDone phase; an aborted session's names the error.
+	cfg.Ledger.Emit("run_start", -1, string(cfg.Algorithm))
+	defer func() {
+		detail := string(cfg.Algorithm)
+		if err != nil {
+			detail = err.Error()
+		}
+		cfg.Ledger.Emit("run_done", cfg.Rounds-1, detail)
+	}()
 	defer close(s.done)
 	// The session root span: every round attempt and checkpoint parents to
 	// it, making the trace ID the session's identity across processes.
@@ -472,7 +483,6 @@ func (s *session) serve(cfg ServerConfig, conns []Conn) (*ServerResult, error) {
 
 	// Join phase: collect shard sizes; a client that fails its join is
 	// evicted rather than aborting everyone else's session.
-	var err error
 	s.phases.Time(telemetry.PhaseJoin, s.sessCtx, -1, func(telemetry.SpanContext) { err = s.join() })
 	if err != nil {
 		return nil, err

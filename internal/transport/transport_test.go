@@ -349,8 +349,8 @@ func TestServeFederationCarriesConfig(t *testing.T) {
 			t.Fatalf("round %d sampled %d slots, want 2", co.Round, n)
 		}
 	}
-	if lines := bytes.Count(ledger.Bytes(), []byte("\n")); lines != 6 || !bytes.Contains(ledger.Bytes(), []byte(`"up_scheme":"q8"`)) {
-		t.Fatalf("ledger has %d lines, want 6 naming q8:\n%s", lines, ledger.Bytes())
+	if lines := bytes.Count(ledger.Bytes(), []byte(`{"kind":"round"`)); lines != 6 || !bytes.Contains(ledger.Bytes(), []byte(`"up_scheme":"q8"`)) {
+		t.Fatalf("ledger has %d round lines, want 6 naming q8:\n%s", lines, ledger.Bytes())
 	}
 	if before, after := fx.accuracy(f.InitialParams()), f.Evaluate(res.FinalParams, fx.test); after <= before || res.UpBytes == 0 {
 		t.Fatalf("accuracy %v → %v, %d bytes up", before, after, res.UpBytes)
