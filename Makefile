@@ -31,12 +31,15 @@ test: vet
 # Race-detect the packages where goroutines share state: the worker pool and
 # kernel budget (fl), the two client halves that read one DeltaTable from every
 # worker (core), the aggregate's chunk workers, which write disjoint ranges of
-# one model (engine), the parallel matmul kernels (tensor), the layer scratch
-# reuse (nn), the wire protocol (transport), the codec whose error histograms
-# every client goroutine observes into (compress), the health monitor the round
-# writes and the /debug/fl/health handler reads (health), and the series every
-# client goroutine and IO-pool worker writes (telemetry). -race also turns on
-# checkptr, which checks the framing's unsafe.Slice views of float64 payloads.
+# one model (engine), the kernel pool, whose workers take a job off one
+# channel and write disjoint output bands, conv samples or ParallelFor
+# indices (tensor; TENSOR_KERNEL_TESTS below names its pool tests), the
+# layer scratch reuse (nn), the wire protocol (transport), the codec whose
+# error histograms every client goroutine observes into (compress), the health
+# monitor the round writes and the /debug/fl/health handler reads (health),
+# and the series every client goroutine and IO-pool worker writes (telemetry).
+# -race also turns on checkptr, which checks the framing's unsafe.Slice views
+# of float64 payloads.
 # The second line repeats the tests whose outcome rides on interleavings the
 # scheduler picks, which one pass sees only some of: whether a pipe frame is
 # copied into a parked receiver's lent weights or queued, the order in which
@@ -75,8 +78,10 @@ test-race:
 # (TestAggregateMatchesParentServer). Here TestGemmInPlaceMatchesPacked,
 # TestGemmInPlaceCounted and TestGemmScratchReuse run the small-batch shapes
 # through the packed fallback, and TestAddScaledDiffMatchesGoLoop the health
-# direction sum through its Go loop.
-TENSOR_KERNEL_TESTS = ^TestGemmInPlaceMatchesPacked$$|^TestGemmInPlaceCounted$$|^TestGemmScratchReuse$$|^TestAddScaledDiffMatchesGoLoop$$
+# direction sum through its Go loop. The pool tests (parallel == serial at
+# budgets 2–8, one processor, zero allocations, concurrent callers,
+# ParallelFor) run under both targets.
+TENSOR_KERNEL_TESTS = ^TestGemmInPlaceMatchesPacked$$|^TestGemmInPlaceCounted$$|^TestGemmScratchReuse$$|^TestAddScaledDiffMatchesGoLoop$$|^TestGemmParallelMatchesSerial$$|^TestKernelPoolOneProcessor$$|^TestGemmParallelZeroAllocs$$|^TestConcurrentMatMulNoDeadlock$$|^TestParallelFor$$
 test-purego:
 	$(call require-tests,./internal/tensor,$(TENSOR_KERNEL_TESTS))
 	go test -tags purego ./internal/tensor/ ./internal/nn/ ./internal/engine/

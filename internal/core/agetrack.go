@@ -1,8 +1,8 @@
 package core
 
 // AgeTrack counts, per client, how many rounds have passed since the
-// client's last aggregated model update — the model-update twin of the
-// DeltaTable's per-row staleness ages. The transport server's update ages
+// client's last aggregated model update, or, embedded in a DeltaTable, since
+// its row was last Set. The transport server's update ages
 // feed only its update-staleness telemetry and its round checkpoints (a
 // resumed session reports the ages the uninterrupted one would have); a late
 // fold's staleness discount does not read them, it ages from the parked

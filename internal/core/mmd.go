@@ -140,11 +140,13 @@ type DeltaTable struct {
 	// rounds stops pulling other clients toward it. 0 keeps rows forever
 	// (the paper's behavior under full participation).
 	MaxStale int
-	rows     [][]float64 // nil until first Set; nil reads as the zero row
-	ages     []int
-	ticks    int // Tick calls since creation (the age of never-Set rows)
-	occ      int // rows with allocated (Set at least once) storage
-	zero     []float64
+	// AgeTrack holds the rows' ages and the Tick count (the age of never-Set
+	// rows); the table wraps SetAge and Tick to keep its streaming aggregate
+	// in step, and Set, not the promoted Reset, refreshes a row.
+	AgeTrack
+	rows [][]float64 // nil until first Set; nil reads as the zero row
+	occ  int         // rows with allocated (Set at least once) storage
+	zero []float64
 
 	// Streaming mode (SetStreaming): sum holds Σ_j δ^j over the non-stale
 	// rows and fresh their count, maintained incrementally by Set/SetAge and
@@ -162,7 +164,7 @@ type DeltaTable struct {
 // maps (the server's initialization of δ_0). Row storage is allocated on
 // first Set.
 func NewDeltaTable(n, d int) *DeltaTable {
-	return &DeltaTable{N: n, Dim: d, rows: make([][]float64, n), ages: make([]int, n),
+	return &DeltaTable{N: n, Dim: d, AgeTrack: *NewAgeTrack(n), rows: make([][]float64, n),
 		zero: make([]float64, d)}
 }
 
@@ -248,7 +250,7 @@ func (t *DeltaTable) Set(k int, delta []float64) {
 		t.occ++
 	}
 	copy(t.rows[k], delta)
-	t.ages[k] = 0
+	t.AgeTrack.Reset(k)
 }
 
 // Accept is a server's gate on a client-reported map: it must have the
@@ -297,10 +299,6 @@ func (t *DeltaTable) ForEachRow(fn func(k int, row []float64)) {
 	}
 }
 
-// Age returns how many rounds ago row k was last Set (0 = fresh this
-// round; rows never Set report the rounds since table creation).
-func (t *DeltaTable) Age(k int) int { return t.ages[k] }
-
 // SetAge restores row k's staleness age (checkpoint restore). In streaming
 // mode the running aggregate is adjusted when the new age flips the row
 // across the MaxStale bound.
@@ -322,23 +320,7 @@ func (t *DeltaTable) SetAge(k, age int) {
 			}
 		}
 	}
-	t.ages[k] = age
-}
-
-// Ticks returns how many rounds the table has aged since creation (or the
-// restored counter) — the default age a sparse checkpoint assigns to rows
-// that were never Set.
-func (t *DeltaTable) Ticks() int { return t.ticks }
-
-// SetTicks restores the round counter (checkpoint restore).
-func (t *DeltaTable) SetTicks(n int) { t.ticks = n }
-
-// ForEachAge calls fn with every row's current staleness age, in row order
-// — the observation hook behind the server's staleness-age histogram.
-func (t *DeltaTable) ForEachAge(fn func(age int)) {
-	for _, a := range t.ages {
-		fn(a)
-	}
+	t.AgeTrack.SetAge(k, age)
 }
 
 // Tick advances every row's age by one round. Call once per completed
@@ -348,10 +330,7 @@ func (t *DeltaTable) ForEachAge(fn func(age int)) {
 // push rows past MaxStale, and the periodic exact pass bounds the
 // incremental updates' floating-point drift.
 func (t *DeltaTable) Tick() {
-	for k := range t.ages {
-		t.ages[k]++
-	}
-	t.ticks++
+	t.AgeTrack.Tick()
 	if t.streaming {
 		t.rebuildStream()
 	}

@@ -130,7 +130,7 @@ func TestLocalTrainAllocsAcrossBatchSizes(t *testing.T) {
 
 // BenchmarkMapClientsOversubscription is the satellite benchmark for the
 // kernel-budget fix: 8 pool workers training a model whose matmuls are large
-// enough to trigger kernel parallelism. Without splitKernelBudget each of
+// enough to trigger kernel parallelism. Without fanOut's budget split each of
 // the 8 workers would fan every matmul out to GOMAXPROCS goroutines
 // (quadratic oversubscription); with it the budget is divided so the pool as
 // a whole stays at GOMAXPROCS.

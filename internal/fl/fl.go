@@ -238,33 +238,20 @@ type ClientOut struct {
 // per-(round, client) RNG.
 func (f *Federation) MapClients(round int, sampled []int, work func(w *Worker, c *Client, rng *rand.Rand) ClientOut) []ClientOut {
 	outs := make([]ClientOut, len(sampled))
-	tasks := make(chan int)
-	var wg sync.WaitGroup
-	restore := f.splitKernelBudget()
 	for _, w := range f.workers {
 		w.loadedFlat = nil
-		wg.Add(1)
-		go func(w *Worker) {
-			defer wg.Done()
-			for ti := range tasks {
-				c := f.Clients[sampled[ti]]
-				cr := f.Cfg.Tracer.Start("client_round", f.roundCtx)
-				cr.Round, cr.Client = round, c.ID
-				w.spanCtx = cr.Context()
-				outs[ti] = work(w, c, f.roundRNG(round, c.ID))
-				if len(f.Cfg.Byzantine) > 0 {
-					f.tamper(w, &outs[ti])
-				}
-				cr.End()
-			}
-		}(w)
 	}
-	for ti := range sampled {
-		tasks <- ti
-	}
-	close(tasks)
-	wg.Wait()
-	restore()
+	f.fanOut(len(sampled), func(g, ti int) {
+		w, c := f.workers[g], f.Clients[sampled[ti]]
+		cr := f.Cfg.Tracer.Start("client_round", f.roundCtx)
+		cr.Round, cr.Client = round, c.ID
+		w.spanCtx = cr.Context()
+		outs[ti] = work(w, c, f.roundRNG(round, c.ID))
+		if len(f.Cfg.Byzantine) > 0 {
+			f.tamper(w, &outs[ti])
+		}
+		cr.End()
+	})
 	return f.admit(round, outs)
 }
 
@@ -305,21 +292,31 @@ func (f *Federation) admit(round int, outs []ClientOut) []ClientOut {
 	return kept
 }
 
-// splitKernelBudget divides the machine's parallelism budget among the
-// worker pool for the duration of a pooled phase, so tensor kernels running
-// inside W concurrent workers do not each fan out to GOMAXPROCS goroutines
-// (quadratic oversubscription). The returned func restores the previous
-// budget.
-func (f *Federation) splitKernelBudget() func() {
-	if len(f.workers) <= 1 {
-		return func() {}
+// fanOut runs fn(g, i) for every i in [0, n) on one goroutine per worker, g
+// being the goroutine's index in f.workers; tasks are handed out in order to
+// whichever goroutine is free. For the duration the tensor kernels' budget
+// is divided among the goroutines, so W of them do not each fan every kernel
+// out to GOMAXPROCS (quadratic oversubscription).
+func (f *Federation) fanOut(n int, fn func(g, i int)) {
+	if len(f.workers) > 1 {
+		defer tensor.SetKernelParallelism(tensor.SetKernelParallelism(max(1, runtime.GOMAXPROCS(0)/len(f.workers))))
 	}
-	per := runtime.GOMAXPROCS(0) / len(f.workers)
-	if per < 1 {
-		per = 1
+	tasks := make(chan int)
+	var wg sync.WaitGroup
+	for g := range f.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range tasks {
+				fn(g, i)
+			}
+		}()
 	}
-	prev := tensor.SetKernelParallelism(per)
-	return func() { tensor.SetKernelParallelism(prev) }
+	for i := 0; i < n; i++ {
+		tasks <- i
+	}
+	close(tasks)
+	wg.Wait()
 }
 
 // LocalOpts parameterizes one client's local training.
@@ -470,34 +467,21 @@ func (f *Federation) Evaluate(flat []float64, ds *data.Dataset) float64 {
 // local data — the per-client scatter of the fairness evaluation (Fig. 11).
 func (f *Federation) EvaluatePerClient(flat []float64) []float64 {
 	accs := make([]float64, len(f.Clients))
-	var wg sync.WaitGroup
-	tasks := make(chan int)
-	restore := f.splitKernelBudget()
 	for _, w := range f.workers {
-		wg.Add(1)
-		go func(w *Worker) {
-			defer wg.Done()
-			w.t.Net.SetFlat(flat)
-			for k := range tasks {
-				ds := f.Clients[k].Data
-				correct := 0
-				evalBatches(w, ds, func(logits *tensor.Tensor, y []int) {
-					for i := 0; i < logits.Dim(0); i++ {
-						if tensor.MaxIndex(logits.Row(i)) == y[i] {
-							correct++
-						}
-					}
-				})
-				accs[k] = float64(correct) / float64(ds.Len())
+		w.t.Net.SetFlat(flat)
+	}
+	f.fanOut(len(f.Clients), func(g, k int) {
+		ds := f.Clients[k].Data
+		correct := 0
+		evalBatches(f.workers[g], ds, func(logits *tensor.Tensor, y []int) {
+			for i := 0; i < logits.Dim(0); i++ {
+				if tensor.MaxIndex(logits.Row(i)) == y[i] {
+					correct++
+				}
 			}
-		}(w)
-	}
-	for k := range f.Clients {
-		tasks <- k
-	}
-	close(tasks)
-	wg.Wait()
-	restore()
+		})
+		accs[k] = float64(correct) / float64(ds.Len())
+	})
 	return accs
 }
 

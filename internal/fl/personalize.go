@@ -2,7 +2,6 @@ package fl
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/nn"
@@ -39,25 +38,13 @@ func (f *Federation) Personalize(global []float64, o PersonalizeOptions) []float
 		o.LR = 0.01
 	}
 	accs := make([]float64, len(f.Clients))
-	tasks := make(chan int)
-	var wg sync.WaitGroup
-	restore := f.splitKernelBudget()
-	for range f.workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t := &engine.Trainer{Net: f.Cfg.Builder(f.Cfg.ModelSeed), Opt: f.Cfg.NewOptimizer(), Arena: nn.NewArena()}
-			for k := range tasks {
-				accs[k] = personalizeOne(t, f.Clients[k], global, o, f.Cfg.BatchSize)
-			}
-		}()
+	trainers := make([]*engine.Trainer, len(f.workers))
+	for g := range trainers {
+		trainers[g] = &engine.Trainer{Net: f.Cfg.Builder(f.Cfg.ModelSeed), Opt: f.Cfg.NewOptimizer(), Arena: nn.NewArena()}
 	}
-	for k := range f.Clients {
-		tasks <- k
-	}
-	close(tasks)
-	wg.Wait()
-	restore()
+	f.fanOut(len(f.Clients), func(g, k int) {
+		accs[k] = personalizeOne(trainers[g], f.Clients[k], global, o, f.Cfg.BatchSize)
+	})
 	return accs
 }
 

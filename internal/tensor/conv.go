@@ -122,33 +122,15 @@ func ConvForward(out, x, w *Tensor, bias []float64, g ConvGeom) {
 	}
 	c := convCall{g: g, out: out.Data, x: x.Data, bias: bias, pa: s.a, mcp: mcp, taps: s.taps}
 	if workers := min(KernelParallelism(), bsz); workers > 1 && flops >= gemmParFlops {
-		j := jobGet()
-		j.kind = kindConv
-		j.conv, j.forN = c, bsz
-		poolSubmit(j, workers-1)
-		j.runConv(s)
-		j.wait()
-		jobPut(j)
+		j := jobGet(kindConv, bsz)
+		j.conv = c
+		j.fanOut(workers, s)
 	} else {
 		for b := 0; b < bsz; b++ {
 			c.sample(b, s)
 		}
 	}
 	gemmPutScratch(s)
-}
-
-// runConv claims samples one at a time until the batch is done. Workers pad
-// and pack into their own scratch's img and b buffers; nobody writes c.pa or
-// c.taps (the caller's s.a and s.taps) while the job runs.
-func (j *kernelJob) runConv(s *gemmScratch) {
-	n := int64(j.forN)
-	for {
-		b := j.forNext.Add(1) - 1
-		if b >= n {
-			return
-		}
-		j.conv.sample(int(b), s)
-	}
 }
 
 // sample computes output row b from a padded copy of image b. With a single

@@ -85,13 +85,7 @@ var gemmUseFMA = fmaIsFast()
 type gemmScratch struct {
 	a, b, img []float64
 	taps      []int
-	// Packed-A block cache for the parallel 2-D schedule (gemm_parallel.go):
-	// a holds the pack of the (cachePc, cacheIc) block of op(A) for job
-	// generation cacheGen. Worker scratches are pinned, so the cache
-	// survives across tile claims (and across jobs until the key misses).
-	cacheGen         uint64
-	cachePc, cacheIc int
-	next             *gemmScratch
+	next      *gemmScratch
 }
 
 // gemmPool is a free list of packing scratch. A sync.Pool would be the
@@ -137,10 +131,10 @@ func growFloats(buf []float64, n int) []float64 {
 // its argument when the corresponding flag is set: a is (m×k) row-major, or
 // (k×m) when transA; b is (k×n) row-major, or (n×k) when transB. Callers
 // wanting out = op(a)·op(b) zero out first (the MatMul*Into wrappers do).
-// Parallel dispatch hands the call to the persistent worker pool's 2-D
-// macro-tile schedule (gemm_parallel.go): B blocks are packed once and
-// shared, and output tiles — not just row bands — are the unit of work, so
-// both tall and wide shapes scale within the SetKernelParallelism budget.
+// Above a work threshold the call is cut into bands of whole output tiles
+// that run this serial nest on the kernel worker pool (gemm_parallel.go),
+// within the SetKernelParallelism budget; the bits do not depend on the
+// split.
 func gemm(out, a, b *Tensor, m, k, n int, transA, transB bool) {
 	gemmCalls.Inc()
 	gemmFlops.Add(2 * int64(m) * int64(n) * int64(k))
@@ -153,7 +147,7 @@ func gemm(out, a, b *Tensor, m, k, n int, transA, transB bool) {
 		return
 	}
 	s := gemmGetScratch()
-	gemmRange(out, a, b, k, n, transA, transB, 0, m, s)
+	gemmRange(out, a, b, k, n, transA, transB, 0, m, 0, n, s)
 	gemmPutScratch(s)
 }
 
@@ -213,11 +207,12 @@ func gemmInPlace(out, a, b *Tensor, m, k, n int, transA bool) {
 	}
 }
 
-// gemmRange runs the full blocking loop nest for output rows [loM, hiM).
-func gemmRange(out, a, b *Tensor, k, n int, transA, transB bool, loM, hiM int, s *gemmScratch) {
+// gemmRange runs the full blocking loop nest for output rows [loM, hiM)
+// and columns [loN, hiN); n is out's width.
+func gemmRange(out, a, b *Tensor, k, n int, transA, transB bool, loM, hiM, loN, hiN int, s *gemmScratch) {
 	lda, ldb := a.shape[1], b.shape[1]
-	for jc := 0; jc < n; jc += gemmNC {
-		nc := min(gemmNC, n-jc)
+	for jc := loN; jc < hiN; jc += gemmNC {
+		nc := min(gemmNC, hiN-jc)
 		ncp := (nc + gemmNR - 1) / gemmNR * gemmNR
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)

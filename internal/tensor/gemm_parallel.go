@@ -1,225 +1,56 @@
 package tensor
 
-import "runtime"
-
-// Parallel GEMM: a cooperative 2-D (MC × tileNC) macro-tile schedule over the
-// persistent worker pool, replacing the old 1-D row split. The old split gave
-// each worker a contiguous band of output rows and had each band pack its own
-// private copy of the B block — so a 64×4096 matmul (one MR-row band per
-// worker at most 16 rows tall) packed the same 4 MiB of B once per worker and
-// could not use more than ⌈m/MR⌉ goroutines no matter how wide the output
-// was. Here B is packed once, cooperatively, and shared read-only, and the
-// unit of scheduling is an output macro-tile, so small-M/large-N shapes
-// parallelize across columns.
-//
-// Schedule. The (jc, pc) loop of the blocking nest (see gemm.go) becomes a
-// sequence of "slabs", pc-innermost. Each slab proceeds in two waves:
-//
-//  1. pack wave — workers claim NR-wide micro-panels of op(B) from an atomic
-//     counter and pack them into the job's shared packedB buffer;
-//  2. tile wave — workers claim MC×tileNC output tiles from a second counter;
-//     each tile packs (or reuses, see the per-scratch cache) its MC×KC block
-//     of op(A) privately and runs gemmMacro against the shared packedB.
-//
-// The wave boundary is a counter comparison, not a barrier object: a worker
-// that finds no pack unit left to claim spins (yielding) until packDone
-// reaches the slab's pack count, then moves to tiles. When the last tile of a
-// slab completes, that worker advances the phase counter and everyone moves
-// on. All claim counters are *global monotone sequence numbers* — slab s owns
-// arithmetically computed half-open ranges of them — so a descheduled worker
-// holding a stale phase can never claim (or write) anything outside the slab
-// it loaded: its claim loops are range-gated and every range it can see is
-// already exhausted. Reuse of packedB across slabs is ordered by the chain
-// tile-read ≺ tileDone.Add ≺ phase.Store ≺ next packer's phase.Load ≺ write,
-// all seq-cst atomics, so the schedule is race-detector-clean by
-// construction.
-//
-// Worker count is capped by the tile parallelism actually available in one
-// slab (rowTiles × colTiles): extra workers would only spin at the wave
-// boundary.
-
-// gemmTileNC is the column width of one scheduled output tile. It must be a
-// multiple of gemmNR. 128 columns × MC rows ≈ 128 KiB of output per claim —
-// coarse enough that claim traffic is negligible, fine enough that an
-// NC-wide slab yields 16 column tiles for small-M shapes to scale across.
-const gemmTileNC = 128
-
-// slabGeom is the geometry of one slab, computed O(1) from the slab index by
-// pure arithmetic on the job's immutable fields (never stored in shared
-// mutable state — see the scheduling comment above).
-type slabGeom struct {
-	pc, kc  int // k-block
-	jc, nc  int // n-block
-	packEnd int // global pack-unit sequence number one past this slab's
-	tileEnd int // ...and likewise for tile claims
-	ncu     int // pack units (NR-wide panels) in this slab
-	ctiles  int // column tiles in this slab
-}
-
-func (j *kernelJob) slabGeom(s int) slabGeom {
-	col := s / j.slabsPerCol
-	slabInCol := s % j.slabsPerCol
-	var g slabGeom
-	g.pc = slabInCol * gemmKC
-	g.kc = min(gemmKC, j.k-g.pc)
-	g.jc = col * gemmNC
-	g.nc = gemmNC
-	if col == j.nSlabCols-1 {
-		g.nc = j.ncLast
-	}
-	g.ncu = (g.nc + gemmNR - 1) / gemmNR
-	g.ctiles = (g.nc + gemmTileNC - 1) / gemmTileNC
-	// Columns before col are all full-width, so their slabs contribute the
-	// full-width unit/tile counts; slabs before slabInCol in this column
-	// contribute this column's counts.
-	unitsFull := gemmNC / gemmNR
-	ctilesFull := gemmNC / gemmTileNC
-	g.packEnd = col*j.slabsPerCol*unitsFull + (slabInCol+1)*g.ncu
-	g.tileEnd = j.rowTiles * (col*j.slabsPerCol*ctilesFull + (slabInCol+1)*g.ctiles)
-	return g
-}
-
-// runGemm is the per-worker schedule loop; every reserved pool worker and
-// the calling goroutine run it concurrently until all slabs are done.
-func (j *kernelJob) runGemm(s *gemmScratch) {
-	nSlabs := int64(j.nSlabs)
-	for {
-		p := j.phase.Load()
-		if p >= nSlabs {
-			return
-		}
-		g := j.slabGeom(int(p))
-		packEnd, tileEnd := int64(g.packEnd), int64(g.tileEnd)
-		for {
-			u := j.packNext.Load()
-			if u >= packEnd {
-				break
-			}
-			if j.packNext.CompareAndSwap(u, u+1) {
-				j.packUnit(g, int(u-packEnd)+g.ncu)
-				j.packDone.Add(1)
-			}
-		}
-		for j.packDone.Load() < packEnd {
-			// Every unclaimed unit was claimed by a running goroutine, so
-			// this wait is bounded by one panel's packing time.
-			runtime.Gosched()
-		}
-		for {
-			t := j.tileNext.Load()
-			if t >= tileEnd {
-				break
-			}
-			if j.tileNext.CompareAndSwap(t, t+1) {
-				j.runTile(s, g, int(t-tileEnd)+j.rowTiles*g.ctiles)
-				if j.tileDone.Add(1) == tileEnd {
-					j.phase.Store(p + 1)
-				}
-			}
-		}
-		for j.phase.Load() == p {
-			// The worker that completes the slab's last tile advances the
-			// phase; if we hold a stale phase this exits immediately.
-			runtime.Gosched()
-		}
-	}
-}
-
-// packUnit packs micro-panel u (slab-relative, in [0, g.ncu)) of op(B) —
-// columns [jc+u·NR, jc+u·NR+NR) of rows [pc, pc+kc) — into the shared
-// packedB buffer, zero-padded to full NR width.
-func (j *kernelJob) packUnit(g slabGeom, u int) {
-	dst := j.packedB[u*g.kc*gemmNR:]
-	jr := u * gemmNR
-	nr := min(gemmNR, g.nc-jr)
-	packB(dst, j.b, j.ldb, j.transB, g.pc, g.jc+jr, g.kc, nr)
-}
-
-// runTile computes one MC×tileNC output tile. t is slab-relative in
-// [0, rowTiles·g.ctiles), column-innermost so that consecutive claims by one
-// worker share a row block and hit the packed-A cache below.
-func (j *kernelJob) runTile(s *gemmScratch, g slabGeom, t int) {
-	rowBlock, colBlock := t/g.ctiles, t%g.ctiles
-	ic := rowBlock * j.rowStep
-	mc := min(j.rowStep, j.m-ic)
-	jt := colBlock * gemmTileNC
-	nc := min(gemmTileNC, g.nc-jt)
-
-	// Pack (or reuse) this worker's private MC×KC block of op(A). The block
-	// depends only on (pc, ic) plus job-constant operands, so the cache key
-	// is (job generation, pc, ic): a worker sweeping the column tiles of one
-	// row block packs A once, and the key also hits when the next slab
-	// column revisits the same (pc, ic).
-	mcp := (mc + gemmMR - 1) / gemmMR * gemmMR
-	s.a = growFloats(s.a, mcp*g.kc)
-	if s.cacheGen != j.gen || s.cachePc != g.pc || s.cacheIc != ic {
-		packA(s.a, j.a, j.lda, j.transA, ic, g.pc, mc, g.kc)
-		s.cacheGen, s.cachePc, s.cacheIc = j.gen, g.pc, ic
-	}
-
-	// tileNC is a multiple of NR, so the tile's B micro-panels are a
-	// contiguous run of pack units starting at colBlock·(tileNC/NR).
-	pb := j.packedB[colBlock*(gemmTileNC/gemmNR)*g.kc*gemmNR:]
-	gemmMacro(j.out, j.n, s.a, pb, ic, g.jc+jt, mc, nc, g.kc)
-}
+// Parallel GEMM: the output is cut into one band of whole micro-tiles per
+// worker — column bands, NR columns a tile, when there are at least as many
+// column tiles as workers, otherwise row bands, MR rows a tile — and every
+// band runs the serial blocking nest (gemmRange) over its range. Bands are
+// disjoint and each output element sees the serial path's KC blocks in the
+// same order, so the parallel product equals the serial one bit for bit.
 
 // gemmParFlops is the minimum flop count (2·m·n·k) before a GEMM fans out
-// to the pool. The old gate was m·n output elements, which starved exactly
-// the shapes the 2-D schedule exists for: a 1×4096 output with k=300 is
-// 2.5 Mflop of work hiding behind 4096 elements. Pool dispatch costs a few
-// CAS operations and wakeups (~µs); 1 Mflop ≈ hundreds of µs serial.
+// to the pool.
 const gemmParFlops = 1 << 20
 
 // gemmWorkers decides the parallel width for an m×n×k GEMM: 1 (serial)
 // below the work threshold or budget, otherwise the kernel budget capped by
-// the number of concurrently claimable tiles in one slab at the *finest*
-// row granularity (MR): gemmParallel shrinks the row-tile height below MC
-// when the MC-granular grid would leave budgeted workers idle.
+// the number of tiles along the longer split.
 func gemmWorkers(m, k, n int) int {
 	workers := KernelParallelism()
 	if workers <= 1 || 2*m*n*k < gemmParFlops {
 		return 1
 	}
-	rowUnits := (m + gemmMR - 1) / gemmMR
-	ctiles := (min(n, gemmNC) + gemmTileNC - 1) / gemmTileNC
-	if tiles := rowUnits * ctiles; workers > tiles {
-		workers = tiles
-	}
-	return workers
+	return min(workers, max((n+gemmNR-1)/gemmNR, (m+gemmMR-1)/gemmMR))
 }
 
-// gemmParallel runs one GEMM over the worker pool. The caller participates
-// (it runs the same schedule loop), so a pool with no free workers degrades
-// to the serial path rather than queueing.
-func gemmParallel(out, a, b *Tensor, m, k, n int, transA, transB bool, workers int) {
-	j := jobGet()
-	j.kind = kindGemm
-	j.out, j.a, j.b = out.Data, a.Data, b.Data
-	j.lda, j.ldb = a.shape[1], b.shape[1]
-	j.m, j.k, j.n = m, k, n
-	j.transA, j.transB = transA, transB
-	j.slabsPerCol = (k + gemmKC - 1) / gemmKC
-	j.nSlabCols = (n + gemmNC - 1) / gemmNC
-	j.nSlabs = j.slabsPerCol * j.nSlabCols
-	j.ncLast = n - (j.nSlabCols-1)*gemmNC
-	// Row-tile height: prefer MC (best packed-A reuse), but halve down to MR
-	// while the tile grid is too coarse to occupy every budgeted worker —
-	// e.g. a 128×128 output is a single MC×tileNC tile, yet at MR
-	// granularity it still splits eight ways.
-	ctiles0 := (min(n, gemmNC) + gemmTileNC - 1) / gemmTileNC
-	j.rowStep = gemmMC
-	for j.rowStep > gemmMR && ((m+j.rowStep-1)/j.rowStep)*ctiles0 < workers {
-		j.rowStep /= 2
-	}
-	j.rowTiles = (m + j.rowStep - 1) / j.rowStep
-	maxKc := min(k, gemmKC)
-	maxNcp := (min(n, gemmNC) + gemmNR - 1) / gemmNR * gemmNR
-	j.packedB = growFloats(j.packedB, maxKc*maxNcp)
+// gemmCall is one parallel GEMM, out += op(a)·op(b), cut into bands.
+type gemmCall struct {
+	out, a, b      *Tensor
+	m, k, n        int
+	transA, transB bool
+	bands          int
+}
 
-	poolSubmit(j, workers-1)
+// band computes band i of bands. The split falls back to rows only when
+// there are fewer column tiles than bands, and gemmWorkers caps bands at
+// the longer split, so no band is empty.
+func (c *gemmCall) band(i int, s *gemmScratch) {
+	if cols := (c.n + gemmNR - 1) / gemmNR; cols >= c.bands {
+		lo, hi := i*cols/c.bands*gemmNR, min(c.n, (i+1)*cols/c.bands*gemmNR)
+		gemmRange(c.out, c.a, c.b, c.k, c.n, c.transA, c.transB, 0, c.m, lo, hi, s)
+		return
+	}
+	rows := (c.m + gemmMR - 1) / gemmMR
+	lo, hi := i*rows/c.bands*gemmMR, min(c.m, (i+1)*rows/c.bands*gemmMR)
+	gemmRange(c.out, c.a, c.b, c.k, c.n, c.transA, c.transB, lo, hi, 0, c.n, s)
+}
+
+// gemmParallel runs one GEMM as workers bands over the pool. The caller
+// takes bands too, so a pool with no idle worker degrades to the serial
+// path rather than queueing.
+func gemmParallel(out, a, b *Tensor, m, k, n int, transA, transB bool, workers int) {
+	j := jobGet(kindGemm, workers)
+	j.gemm = gemmCall{out: out, a: a, b: b, m: m, k: k, n: n, transA: transA, transB: transB, bands: workers}
 	s := gemmGetScratch()
-	j.runGemm(s)
+	j.fanOut(workers, s)
 	gemmPutScratch(s)
-	j.wait()
-	jobPut(j)
 }

@@ -144,15 +144,19 @@ func TestGemmRandomShapes(t *testing.T) {
 
 // TestGemmParallelPath forces multi-worker dispatch (work large enough to
 // pass gemmParFlops) and verifies every variant still matches the
-// reference — macro-block ranges must tile [0,m) exactly with no overlap.
+// reference: the bands must tile the output exactly with no overlap.
 func TestGemmParallelPath(t *testing.T) {
 	prev := SetKernelParallelism(4)
 	defer SetKernelParallelism(prev)
 	rng := rand.New(rand.NewSource(14))
 	// 137×53×211 is 3.1 Mflop ≥ gemmParFlops; 137 is not a multiple of any
-	// tile or chunk size.
-	checkAllVariantsAgainstNaive(t, rng, 137, 53, 211)
-	checkAllVariantsAgainstNaive(t, rng, 160, 300, 160)
+	// tile or block size.
+	for _, s := range [][3]int{{137, 53, 211}, {160, 300, 160}} {
+		if gemmWorkers(s[0], s[1], s[2]) < 2 {
+			t.Fatalf("shape %v does not reach the parallel path", s)
+		}
+		checkAllVariantsAgainstNaive(t, rng, s[0], s[1], s[2])
+	}
 }
 
 // TestGemmScratchReuse pins the zero-allocation property of the serial
@@ -264,7 +268,7 @@ func TestGemmInPlaceMatchesPacked(t *testing.T) {
 							}
 							prevAVX2, prevFMA := gemmUseAVX2, gemmUseFMA
 							gemmUseAVX2, gemmUseFMA = false, gemmUseFMA || gemmUseAVX2
-							gemmRange(want, a, b, k, n, transA, false, 0, m, s)
+							gemmRange(want, a, b, k, n, transA, false, 0, m, 0, n, s)
 							gemmUseAVX2, gemmUseFMA = prevAVX2, prevFMA
 							switch {
 							case !transA && !acc:

@@ -39,9 +39,8 @@ func KernelParallelism() int {
 }
 
 // MatMul returns a×b for rank-2 tensors with inner dimensions matching:
-// (m×k)·(k×n) → (m×n). Macro-blocks of output rows are computed in
-// parallel, within the kernel-parallelism budget, when the problem is large
-// enough.
+// (m×k)·(k×n) → (m×n). Above a work threshold, bands of whole output tiles
+// are computed in parallel within the kernel-parallelism budget.
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := mustMulShapes("MatMul", a, b)
 	out := New(m, n)

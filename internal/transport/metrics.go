@@ -116,7 +116,7 @@ func newServerMetrics(reg *telemetry.Registry, algo Algorithm) *serverMetrics {
 // refreshes the stale-row gauge.
 func (m *serverMetrics) observeDeltaAges(t *core.DeltaTable, maxStale int) {
 	stale := 0
-	t.ForEachAge(func(age int) {
+	t.ForEach(func(_, age int) {
 		m.staleAge.Observe(float64(age))
 		if maxStale > 0 && age > maxStale {
 			stale++
