@@ -77,11 +77,12 @@ test-race:
 # chunked loop equal to the serial one with == on the FMA scalar axpy
 # (TestAggregateMatchesParentServer). Here TestGemmInPlaceMatchesPacked,
 # TestGemmInPlaceCounted and TestGemmScratchReuse run the small-batch shapes
-# through the packed fallback, and TestAddScaledDiffMatchesGoLoop the health
+# through the packed fallback, TestGemmPackedFloatsFleetRound pins what the
+# scalar kernel packs, and TestAddScaledDiffMatchesGoLoop the health
 # direction sum through its Go loop. The pool tests (parallel == serial at
 # budgets 2–8, one processor, zero allocations, concurrent callers,
 # ParallelFor) run under both targets.
-TENSOR_KERNEL_TESTS = ^TestGemmInPlaceMatchesPacked$$|^TestGemmInPlaceCounted$$|^TestGemmScratchReuse$$|^TestAddScaledDiffMatchesGoLoop$$|^TestGemmParallelMatchesSerial$$|^TestKernelPoolOneProcessor$$|^TestGemmParallelZeroAllocs$$|^TestConcurrentMatMulNoDeadlock$$|^TestParallelFor$$
+TENSOR_KERNEL_TESTS = ^TestGemmInPlaceMatchesPacked$$|^TestGemmPackedFloatsFleetRound$$|^TestGemmInPlaceCounted$$|^TestGemmScratchReuse$$|^TestAddScaledDiffMatchesGoLoop$$|^TestGemmParallelMatchesSerial$$|^TestKernelPoolOneProcessor$$|^TestGemmParallelZeroAllocs$$|^TestConcurrentMatMulNoDeadlock$$|^TestParallelFor$$
 test-purego:
 	$(call require-tests,./internal/tensor,$(TENSOR_KERNEL_TESTS))
 	go test -tags purego ./internal/tensor/ ./internal/nn/ ./internal/engine/

@@ -23,8 +23,8 @@
 // fastest updates arrive; stragglers keep running and their updates are
 // folded into the next round's aggregate, discounted by 1/(1+age)^λ
 // (-staleness-lambda). -adaptive-deadline replaces the fixed -deadline with
-// a per-round deadline tracking per-client round-time EWMAs, clamped to
-// [deadline/8, deadline]. Buffered updates survive checkpoints, so -resume
+// a per-round deadline: the 0.9 quantile of per-client RFC 6298 round-trip
+// bounds, clamped to [deadline/8, deadline]. Buffered updates survive checkpoints, so -resume
 // restores them bit-for-bit.
 //
 // Observability: -telemetry-addr starts an HTTP listener exposing the

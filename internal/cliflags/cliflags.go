@@ -28,7 +28,7 @@ const (
 
 	bufferKHelp  = "asynchronous buffered aggregation: close each round at the K fastest updates and fold stragglers into later rounds with a staleness discount (0 = synchronous rounds)"
 	lambdaSHelp  = "staleness-discount exponent λ: a fold aged a rounds weighs 1/(1+a)^λ (0 disables the discount)"
-	adaptiveHelp = "replace the fixed -deadline with an adaptive per-round deadline from per-client round-time EWMAs, clamped to [deadline/8, deadline] (requires -deadline > 0)"
+	adaptiveHelp = "replace the fixed -deadline with an adaptive per-round deadline: each client's RFC 6298 round-trip bound (SRTT + max(SRTT/2, 4·RTTVAR)), taken at the 0.9 quantile across clients and clamped to [deadline/8, deadline] (requires -deadline > 0)"
 )
 
 // Model is what a -dataset/-featdim pair trains: the architecture, the local

@@ -6,59 +6,51 @@ import (
 	"time"
 )
 
-// This file implements the packed, cache-blocked, register-tiled GEMM core
-// behind every MatMul* entry point. The design is the classic three-level
-// blocking of Goto & van de Geijn (BLIS): the operand matrices are copied
-// into contiguous "packed" panels sized for the cache hierarchy, and an
-// unrolled micro-kernel sweeps the panels computing one MR×NR tile of the
-// output per call.
+// This file is the cache-blocked, register-tiled GEMM core behind every
+// MatMul* entry point, after Goto & van de Geijn (BLIS): a 4×8 micro-kernel
+// sweeps the output one MR×NR tile at a time inside three levels of cache
+// blocks.
 //
 //	for jc over n step NC:          // B block   (KC×NC)  — L3 resident
-//	  for pc over k step KC:        // packed once per (jc,pc)
-//	    packB
+//	  for pc over k step KC:        // packB once per (jc,pc)
 //	    for ic over m step MC:      // A block   (MC×KC)  — L2 resident
-//	      packA
 //	      for jr over nc step NR:   // B micro-panel (KC×NR) — L1 resident
 //	        for ir over mc step MR: // A micro-panel (MR×KC) — streamed
 //	          microkernel            // MR×NR accumulators in registers
 //
-// The transpose variants never materialize a transpose: packA/packB read
-// either row-major or column-major according to the transA/transB flags and
-// always emit the same packed layout, so all nine public entry points
-// (plain/Into/Acc × NN/NT/TN) share one inner kernel.
+// On the AVX2 path the kernel takes op(A)'s strides, so op(A) is read where
+// it lies — A row-major or, for Xᵀ·dY, column-major — and a partial row
+// tile slides back to end at op(A)'s last row. op(B) is copied into NR-wide
+// k-major panels by packB, zero-padded to whole tiles, which also folds the
+// transpose of NT. When op(B) is B and the product is a small batch
+// (gemmReadsInPlace), B is read in place too, its partial column tile
+// sliding back the same way, and gemm runs it serially. The scalar kernel
+// (no AVX2, or purego), and op(A) under MR rows, also pack op(A) into
+// MR-wide panels (packA), and gemmMacro sweeps the two packed blocks.
 //
-// Small-batch products skip packing. When op(B) is B, the output holds an
-// MR×NR tile and op(A) has at most gemmInPlaceMax rows (or, for the weight
-// gradient Xᵀ·dY, the reduction over the batch is that short), gemmInPlace
-// runs the same jr/ir sweep per KC block with the AVX2 kernel given A's and
-// B's own strides, so it reads them where they lie; an edge tile slides
-// back inside the matrix. It rounds every element exactly as the packed
-// path does: an accumulator started at +0, one FMA per p in ascending
-// order, one add into C per KC block, through a zeroed stack tile for edge
-// tiles.
+// Every path rounds every element alike: an accumulator started at +0, one
+// FMA per p in ascending order, one add into C per KC block, edge tiles
+// through a zeroed stack tile. So which operands are packed, and how the
+// output is split across workers (gemm_parallel.go), never changes a bit.
 //
 // Packing buffers come from a package-level free list (gemmScratch), so the
 // steady-state kernel path allocates nothing — the same invariant the
 // layer/arena scratch obeys (see DESIGN.md, "Memory model & buffer
-// ownership"). The in-place path uses no buffer at all.
+// ownership").
 //
-// The micro-kernel has two implementations. On amd64 with AVX2+FMA (probed
-// once via CPUID, see gemm_amd64.s) a hand-written 4×8 vector kernel holds
-// the tile in eight YMM accumulators and issues eight fused multiply-adds
-// per B row; it takes its operands' strides, so packed panels and in-place
-// operands share it. Everywhere else (and under purego, where every call
-// packs) a pure-Go scalar kernel computes the same 4×8 tile as two 4×4
-// halves of 16 scalar accumulators — the most the scalar register file
-// sustains before spills erase the unrolling win — using math.FMA only
-// where an init-time probe shows it is hardware-fused (the software
-// fallback is ~30× slower than mul+add).
+// The AVX2 kernel (gemm_amd64.s, chosen once via CPUID) holds the tile in
+// eight YMM accumulators and issues eight fused multiply-adds per B row.
+// The pure-Go scalar kernel computes the same 4×8 tile as two 4×4 halves of
+// 16 scalar accumulators — the most the scalar register file sustains
+// before spills erase the unrolling win — using math.FMA only where an
+// init-time probe shows it is hardware-fused (the software fallback is ~30×
+// slower than mul+add).
 
 // Register and cache blocking parameters for float64. MR×NR is the
 // micro-tile: 4 rows × 8 columns (two 4-lane vectors). KC is chosen so one
 // A micro-panel (MR·KC = 8 KiB) plus one B micro-panel (KC·NR = 16 KiB) sit
-// in a 32 KiB L1d; MC so the packed A block (MC·KC = 256 KiB) stays
-// L2-resident; NC bounds the packed B block (KC·NC = 4 MiB) to a slice of
-// L3.
+// in a 32 KiB L1d; MC so an A block (MC·KC = 256 KiB) stays L2-resident;
+// NC bounds the packed B block (KC·NC = 4 MiB) to a slice of L3.
 const (
 	gemmMR = 4
 	gemmNR = 8
@@ -131,19 +123,19 @@ func growFloats(buf []float64, n int) []float64 {
 // its argument when the corresponding flag is set: a is (m×k) row-major, or
 // (k×m) when transA; b is (k×n) row-major, or (n×k) when transB. Callers
 // wanting out = op(a)·op(b) zero out first (the MatMul*Into wrappers do).
-// Above a work threshold the call is cut into bands of whole output tiles
-// that run this serial nest on the kernel worker pool (gemm_parallel.go),
-// within the SetKernelParallelism budget; the bits do not depend on the
-// split.
+// A product that reads both operands in place runs serially. Any other
+// above a work threshold is cut into bands of whole output tiles that run
+// this serial nest on the kernel worker pool (gemm_parallel.go), within the
+// SetKernelParallelism budget; the bits do not depend on the split.
 func gemm(out, a, b *Tensor, m, k, n int, transA, transB bool) {
 	gemmCalls.Inc()
 	gemmFlops.Add(2 * int64(m) * int64(n) * int64(k))
-	if w := gemmWorkers(m, k, n); w > 1 {
-		gemmParallel(out, a, b, m, k, n, transA, transB, w)
+	if gemmReadsInPlace(m, k, n, transA, transB) {
+		gemmRange(out, a, b, k, n, transA, transB, 0, m, 0, n, nil)
 		return
 	}
-	if gemmReadsInPlace(m, k, n, transA, transB) {
-		gemmInPlace(out, a, b, m, k, n, transA)
+	if w := gemmWorkers(m, k, n); w > 1 {
+		gemmParallel(out, a, b, m, k, n, transA, transB, w)
 		return
 	}
 	s := gemmGetScratch()
@@ -152,78 +144,81 @@ func gemm(out, a, b *Tensor, m, k, n int, transA, transB bool) {
 }
 
 // gemmInPlaceMax is the largest op(A) row count, or TN reduction depth, at
-// which gemm skips packing. Below it a packed panel is used too few times to
-// repay its copy: on a 2-vCPU x86-64 host, packing B for an 8×196·196×32
+// which gemm reads B in place. Below it a packed panel is used too few times
+// to repay its copy: on a 2-vCPU x86-64 host, packing B for an 8×196·196×32
 // product took 9.1 µs of the call's 12.5.
 const gemmInPlaceMax = 16
 
-// gemmReadsInPlace reports whether gemm runs gemmInPlace: the AVX2 kernel is
-// available, op(B) is B itself (its rows give the kernel 8 contiguous
-// columns), the output holds at least one 4×8 tile, and op(A) has few rows —
+// gemmReadsInPlace reports whether gemm reads op(B) in place as well as
+// op(A): the AVX2 kernel is available, op(B) is B (its rows give the kernel 8
+// contiguous columns), the output holds a 4×8 tile, and op(A) has few rows —
 // or, for the weight gradient Xᵀ·dY, the reduction over the batch is short.
 func gemmReadsInPlace(m, k, n int, transA, transB bool) bool {
 	return gemmUseAVX2 && !transB && m >= gemmMR && n >= gemmNR &&
 		(m <= gemmInPlaceMax || transA && k <= gemmInPlaceMax)
 }
 
-// gemmInPlace is gemmRange without packing: the micro-kernel, given the
-// operands' strides, reads each 4×8 tile's A rows and B columns where they
-// lie. The pc loop keeps gemmRange's KC blocks, so every output element
-// gets one fresh FMA chain per block, added into out in ascending block
-// order — the packed path's arithmetic, bit for bit. A partial edge tile
-// slides back to end at the last row or column (m ≥ MR and n ≥ NR), so
-// every read stays inside the operands; like gemmMacro's edge tiles it
-// accumulates into a zeroed stack tile, and gemmAddTile adds only the
-// elements no earlier tile covered.
-func gemmInPlace(out, a, b *Tensor, m, k, n int, transA bool) {
+// gemmRange runs the blocking loop nest for output rows [loM, hiM) and
+// columns [loN, hiN); n is out's width. s holds the packed blocks; a nil s
+// reads B in place, which needs gemmReadsInPlace. The AVX2 path reads op(A)
+// in place when hiM ≥ MR: hiM is m or a multiple of MR, so a partial row
+// tile can slide back to rows [hiM−MR, hiM).
+func gemmRange(out, a, b *Tensor, k, n int, transA, transB bool, loM, hiM, loN, hiN int, s *gemmScratch) {
 	lda, ldb := a.shape[1], b.shape[1]
 	rsa, csa := lda, 1 // op(A)[i,p] = a[i·rsa + p·csa]
 	if transA {
 		rsa, csa = 1, lda
 	}
-	if k == 0 {
-		return
-	}
-	// The kernel's loads are unchecked: index the last element it reads in
-	// each operand, so a short slice panics here rather than being overread.
-	_, _, _ = a.Data[(m-1)*rsa+(k-1)*csa], b.Data[(k-1)*ldb+n-1], out.Data[m*n-1]
-	for pc := 0; pc < k; pc += gemmKC {
-		kc := min(gemmKC, k-pc)
-		for jr := 0; jr < n; jr += gemmNR {
-			j0 := min(jr, n-gemmNR)
-			bp := &b.Data[pc*ldb+j0]
-			for ir := 0; ir < m; ir += gemmMR {
-				i0 := min(ir, m-gemmMR)
-				ap := &a.Data[i0*rsa+pc*csa]
-				if i0 == ir && j0 == jr {
-					gemmMicroAVX2(kc, ap, rsa, csa, bp, ldb, &out.Data[ir*n+jr], n)
-					continue
-				}
-				var tile [gemmMR * gemmNR]float64
-				gemmMicroAVX2(kc, ap, rsa, csa, bp, ldb, &tile[0], gemmNR)
-				gemmAddTile(out.Data[i0*n+j0:], n, &tile, ir-i0, gemmMR, jr-j0, gemmNR)
-			}
+	inPlaceA := gemmUseAVX2 && hiM >= gemmMR
+	if inPlaceA && k > 0 && hiN > loN {
+		// The kernel's loads are unchecked: index the last element it reads
+		// in each operand, so a short slice panics here, not overreads.
+		_, _ = a.Data[(hiM-1)*rsa+(k-1)*csa], out.Data[(hiM-1)*n+hiN-1]
+		if s == nil {
+			_ = b.Data[(k-1)*ldb+hiN-1]
 		}
 	}
-}
-
-// gemmRange runs the full blocking loop nest for output rows [loM, hiM)
-// and columns [loN, hiN); n is out's width.
-func gemmRange(out, a, b *Tensor, k, n int, transA, transB bool, loM, hiM, loN, hiN int, s *gemmScratch) {
-	lda, ldb := a.shape[1], b.shape[1]
 	for jc := loN; jc < hiN; jc += gemmNC {
 		nc := min(gemmNC, hiN-jc)
-		ncp := (nc + gemmNR - 1) / gemmNR * gemmNR
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
-			s.b = growFloats(s.b, kc*ncp)
-			packB(s.b, b.Data, ldb, transB, pc, jc, kc, nc)
+			if s != nil {
+				s.b = growFloats(s.b, kc*((nc+gemmNR-1)/gemmNR*gemmNR))
+				packB(s.b, b.Data, ldb, transB, pc, jc, kc, nc)
+			}
 			for ic := loM; ic < hiM; ic += gemmMC {
 				mc := min(gemmMC, hiM-ic)
-				mcp := (mc + gemmMR - 1) / gemmMR * gemmMR
-				s.a = growFloats(s.a, mcp*kc)
-				packA(s.a, a.Data, lda, transA, ic, pc, mc, kc)
-				gemmMacro(out.Data, n, s.a, s.b, ic, jc, mc, nc, kc)
+				if !inPlaceA {
+					s.a = growFloats(s.a, (mc+gemmMR-1)/gemmMR*gemmMR*kc)
+					packA(s.a, a.Data, lda, transA, ic, pc, mc, kc)
+					gemmMacro(out.Data, n, s.a, s.b, ic, jc, mc, nc, kc)
+					continue
+				}
+				for jr := jc; jr < jc+nc; jr += gemmNR {
+					nr := min(gemmNR, jc+nc-jr)
+					// B's micro-panel: packed, or B's own rows from column
+					// j0, slid back so that the panel ends inside B.
+					j0, bp, ldbp := jr, (*float64)(nil), gemmNR
+					if s != nil {
+						bp = &s.b[(jr-jc)*kc]
+					} else {
+						j0 = min(jr, hiN-gemmNR)
+						bp, ldbp = &b.Data[pc*ldb+j0], ldb
+					}
+					for ir := ic; ir < ic+mc; ir += gemmMR {
+						mr := min(gemmMR, hiM-ir)
+						i0 := min(ir, hiM-gemmMR)
+						ap := &a.Data[i0*rsa+pc*csa]
+						if mr == gemmMR && nr == gemmNR {
+							gemmMicroAVX2(kc, ap, rsa, csa, bp, ldbp, &out.Data[ir*n+jr], n)
+							continue
+						}
+						// An edge tile adds only what no earlier tile covered.
+						var tile [gemmMR * gemmNR]float64
+						gemmMicroAVX2(kc, ap, rsa, csa, bp, ldbp, &tile[0], gemmNR)
+						gemmAddTile(out.Data[i0*n+j0:], n, &tile, ir-i0, ir-i0+mr, jr-j0, jr-j0+nr)
+					}
+				}
 			}
 		}
 	}
@@ -234,6 +229,7 @@ func gemmRange(out, a, b *Tensor, k, n int, transA, transB bool, loM, hiM, loN, 
 // the block laid out k-major, dst[s·kc·MR + p·MR + r]. Rows past mc are
 // zero-padded so the micro-kernel never branches on a partial tile.
 func packA(dst, a []float64, lda int, transA bool, ic, pc, mc, kc int) {
+	gemmPackedFloats.Add(int64((mc + gemmMR - 1) / gemmMR * gemmMR * kc))
 	if transA {
 		// op(A)[i,p] = A[p,i]: a block row of A is contiguous across i, so
 		// iterate p outer / r inner and both read and write stream.
@@ -274,6 +270,7 @@ func packA(dst, a []float64, lda int, transA bool, ic, pc, mc, kc int) {
 // into dst as ⌈nc/NR⌉ micro-panels: panel s holds columns [s·NR, s·NR+NR)
 // laid out k-major, dst[s·kc·NR + p·NR + c], zero-padded past nc.
 func packB(dst, b []float64, ldb int, transB bool, pc, jc, kc, nc int) {
+	gemmPackedFloats.Add(int64(kc * ((nc + gemmNR - 1) / gemmNR * gemmNR)))
 	if transB {
 		// op(B)[p,j] = B[j,p]: a row of B is contiguous across p, so
 		// iterate j outer / p inner and reads stream.

@@ -3,9 +3,10 @@ package tensor
 // Parallel GEMM: the output is cut into one band of whole micro-tiles per
 // worker — column bands, NR columns a tile, when there are at least as many
 // column tiles as workers, otherwise row bands, MR rows a tile — and every
-// band runs the serial blocking nest (gemmRange) over its range. Bands are
-// disjoint and each output element sees the serial path's KC blocks in the
-// same order, so the parallel product equals the serial one bit for bit.
+// band runs the serial blocking nest (gemmRange), packing its own B panels.
+// Bands write disjoint tiles (a row tile that slides back only reads the
+// rows before) and each output element sees the serial path's KC blocks in
+// order, so the parallel product equals the serial one bit for bit.
 
 // gemmParFlops is the minimum flop count (2·m·n·k) before a GEMM fans out
 // to the pool.

@@ -222,68 +222,96 @@ func TestGemmScratchReuse(t *testing.T) {
 	}
 }
 
-// TestGemmInPlaceMatchesPacked holds the small-batch path, which reads its
-// operands in place, to the packed path with ==: the public Into/Acc × NN/TN
-// entry points against gemmRange, which always packs. The packed side runs
-// the pure-Go FMA kernel, which rounds as the assembly kernel does, so a
-// kernel that reassociates the sum fails here even though both paths share
-// it. Acc starts from a random nonzero C. The shapes cover every m up to 17
-// (below 4 it stays packed; partial tiles slide), k on both sides of KC, and
-// n with and without a partial tile; every operand ends at an inaccessible
-// page where the OS allows, so an overread faults. Under purego both sides
-// pack with the same Go kernel.
+// TestGemmInPlaceMatchesPacked holds every GEMM path to the fully packed
+// pure-Go FMA kernel with ==: the public Into/Acc × NN/NT/TN entry points at
+// kernel budget 1, and at budget 2 where the shape fans out, against
+// gemmRange with the AVX2 kernel off, which packs both operands. The Go FMA
+// kernel rounds as the assembly kernel does, so a path that reassociates a
+// sum fails here even though every path shares one kernel. Acc starts from
+// a random nonzero C. The rows cover every partial tile up to 17 (below 4
+// op(A) stays packed, above it partial tiles slide), one and two MC blocks
+// and a tall product; k lies on both sides of KC, and n ranges from under
+// one tile through partial and whole tiles. Every operand ends at an
+// inaccessible page where the OS allows, so an overread faults. Under
+// purego both sides pack with the same Go kernel.
 func TestGemmInPlaceMatchesPacked(t *testing.T) {
-	prev := SetKernelParallelism(1)
-	defer SetKernelParallelism(prev)
+	defer SetKernelParallelism(SetKernelParallelism(1))
 	rng := rand.New(rand.NewSource(49))
-	fill := func(t *testing.T, n int) []float64 {
-		v := edgeFloats(t, n)
+	mat := func(t *testing.T, r, c int) *Tensor {
+		v := edgeFloats(t, r*c)
 		for i := range v {
 			v[i] = rng.NormFloat64()
 		}
-		return v
+		return FromSlice(v, r, c)
 	}
-	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 32}
-	inPlace := 0
-	for _, m := range ms {
+	var paths [4]int // B in place, B packed, both packed, parallel bands
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 32, 100, 128, 129, 300} {
+		ks, ns := []int{1, 8, 255, 256, 257, 600}, []int{3, 8, 10, 16, 48, 512}
+		if m > 32 {
+			ks, ns = []int{8, 255, 257}, []int{3, 10, 48}
+		}
 		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
 			s := gemmGetScratch()
 			defer gemmPutScratch(s)
-			for _, k := range []int{1, 8, 255, 256, 257, 600} {
-				for _, n := range []int{8, 10, 16, 48, 512} {
-					b := FromSlice(fill(t, k*n), k, n)
-					for _, transA := range []bool{false, true} {
-						a := FromSlice(fill(t, m*k), m, k)
-						if transA {
-							a = FromSlice(fill(t, k*m), k, m)
+			for _, k := range ks {
+				for _, n := range ns {
+					if k*n > 200_000 {
+						continue // 600·512: three KC blocks are covered at n ≤ 48
+					}
+					b, bt := mat(t, k, n), mat(t, n, k)
+					a, at := mat(t, m, k), mat(t, k, m)
+					for _, v := range []struct {
+						name           string
+						a, b           *Tensor
+						transA, transB bool
+						into, acc      func(out, a, b *Tensor) *Tensor
+					}{
+						{"NN", a, b, false, false, MatMulInto, MatMulAcc},
+						{"NT", a, bt, false, true, MatMulTransBInto, MatMulTransBAcc},
+						{"TN", at, b, true, false, MatMulTransAInto, MatMulTransAAcc},
+					} {
+						inPlace := gemmReadsInPlace(m, k, n, v.transA, v.transB)
+						budgets := []int{1}
+						SetKernelParallelism(2)
+						if !inPlace && gemmWorkers(m, k, n) > 1 {
+							budgets = append(budgets, 2)
 						}
-						if gemmReadsInPlace(m, k, n, transA, false) {
-							inPlace++
-						}
+						SetKernelParallelism(1)
 						for _, acc := range []bool{false, true} {
-							got := FromSlice(fill(t, m*n), m, n)
-							want := got.Clone()
+							want := mat(t, m, n)
+							c0 := want.Clone()
 							if !acc {
 								want.Zero()
 							}
 							prevAVX2, prevFMA := gemmUseAVX2, gemmUseFMA
 							gemmUseAVX2, gemmUseFMA = false, gemmUseFMA || gemmUseAVX2
-							gemmRange(want, a, b, k, n, transA, false, 0, m, 0, n, s)
+							gemmRange(want, v.a, v.b, k, n, v.transA, v.transB, 0, m, 0, n, s)
 							gemmUseAVX2, gemmUseFMA = prevAVX2, prevFMA
-							switch {
-							case !transA && !acc:
-								MatMulInto(got, a, b)
-							case !transA && acc:
-								MatMulAcc(got, a, b)
-							case transA && !acc:
-								MatMulTransAInto(got, a, b)
-							default:
-								MatMulTransAAcc(got, a, b)
-							}
-							for i := range want.Data {
-								if got.Data[i] != want.Data[i] {
-									t.Fatalf("%d×%d·%d transA=%v acc=%v: [%d] = %v, packed %v",
-										m, k, n, transA, acc, i, got.Data[i], want.Data[i])
+							for _, budget := range budgets {
+								SetKernelParallelism(budget)
+								got := mat(t, m, n)
+								copy(got.Data, c0.Data)
+								switch {
+								case budget > 1:
+									paths[3]++
+								case inPlace:
+									paths[0]++
+								case gemmUseAVX2 && m >= gemmMR:
+									paths[1]++
+								default:
+									paths[2]++
+								}
+								if acc {
+									v.acc(got, v.a, v.b)
+								} else {
+									v.into(got, v.a, v.b)
+								}
+								SetKernelParallelism(1)
+								for i := range want.Data {
+									if got.Data[i] != want.Data[i] {
+										t.Fatalf("%s %d×%d·%d acc=%v budget %d: [%d] = %v, packed %v",
+											v.name, m, k, n, acc, budget, i, got.Data[i], want.Data[i])
+									}
 								}
 							}
 						}
@@ -292,10 +320,10 @@ func TestGemmInPlaceMatchesPacked(t *testing.T) {
 			}
 		})
 	}
-	if gemmUseAVX2 && inPlace == 0 {
-		t.Fatal("no shape took the in-place path")
+	if gemmUseAVX2 && (paths[0] == 0 || paths[1] == 0) || paths[2] == 0 || paths[3] == 0 {
+		t.Fatalf("a path went untested: %d B in place, %d B packed, %d both packed, %d banded", paths[0], paths[1], paths[2], paths[3])
 	}
-	t.Logf("%d of %d operand pairs read in place", inPlace, 2*len(ms)*6*5)
+	t.Logf("%d B in place, %d B packed, %d both packed, %d banded", paths[0], paths[1], paths[2], paths[3])
 }
 
 // TestGemmInPlaceCounted checks that an in-place call is counted in the
@@ -309,6 +337,50 @@ func TestGemmInPlaceCounted(t *testing.T) {
 	MatMulInto(New(8, 32), a, b)
 	if dc, df := gemmCalls.Value()-calls, gemmFlops.Value()-flops; dc != 1 || df != 2*8*196*32 {
 		t.Fatalf("one 8×196·32 call counted %d calls, %d flops; want 1, %d", dc, df, 2*8*196*32)
+	}
+}
+
+// TestGemmPackedFloatsFleetRound pins tensor_gemm_packed_floats_total for
+// the products one fleet-tcp client makes in a round at kernel budget 2:
+// one local step of the 196→512→48→10 MLP at batch 8 — three forward
+// products, each upper layer's weight and input gradients, and the first
+// layer's weight gradient — then the δ pass over its 100-row shard. With AVX2 only op(B) is packed, and only where it is Wᵀ or a
+// product too large to read in place; the scalar kernel packs both
+// operands, in bands where the product fans out.
+func TestGemmPackedFloatsFleetRound(t *testing.T) {
+	defer SetKernelParallelism(SetKernelParallelism(2))
+	rng := rand.New(rand.NewSource(51))
+	want := int64(149_984)
+	if !gemmUseAVX2 {
+		want = 437_584
+	}
+	before := gemmPackedFloats.Value()
+	for _, p := range []struct {
+		m, k, n        int
+		transA, transB bool
+	}{
+		{8, 196, 512, false, false},   // x·W1
+		{8, 512, 48, false, false},    // h·W2
+		{8, 48, 10, false, false},     // f·W3
+		{48, 8, 10, true, false},      // fᵀ·dY
+		{8, 10, 48, false, true},      // dY·W3ᵀ
+		{512, 8, 48, true, false},     // hᵀ·dF
+		{8, 48, 512, false, true},     // dF·W2ᵀ
+		{196, 8, 512, true, false},    // xᵀ·dH
+		{100, 196, 512, false, false}, // δ pass: X·W1
+		{100, 512, 48, false, false},  // H·W2
+	} {
+		ar, ac, br, bc := p.m, p.k, p.k, p.n
+		if p.transA {
+			ar, ac = ac, ar
+		}
+		if p.transB {
+			br, bc = bc, br
+		}
+		gemm(New(p.m, p.n), RandNormal(rng, 1, ar, ac), RandNormal(rng, 1, br, bc), p.m, p.k, p.n, p.transA, p.transB)
+	}
+	if got := gemmPackedFloats.Value() - before; got != want {
+		t.Fatalf("one fleet client round packed %d floats, want %d", got, want)
 	}
 }
 

@@ -23,8 +23,10 @@ import (
 // the tile and block edges (MR=4, NR=8, MC=128, KC=256, NC=2048), include
 // the dense layer's 8×196·512 forward and its two backward products, wide
 // and tall outputs, row splits (fewer column tiles than bands) and a budget
-// above the tile count. TestGemmParallel2DShapes and TestGemmParallelPath
-// hold the edge shapes to the naive product.
+// above the tile count. The shapes gemm reads in place and runs serially
+// (the 8-row forward, the TN gradient) go to gemmParallel directly, so their
+// band split stays covered. TestGemmParallel2DShapes and
+// TestGemmParallelPath hold the edge shapes to the naive product.
 func TestGemmParallelMatchesSerial(t *testing.T) {
 	defer SetKernelParallelism(SetKernelParallelism(1))
 	rng := rand.New(rand.NewSource(61))
@@ -73,7 +75,12 @@ func TestGemmParallelMatchesSerial(t *testing.T) {
 					if !acc {
 						got.Zero()
 					}
-					gemm(got, v.a, v.b, m, k, n, v.transA, v.transB)
+					if gemmReadsInPlace(m, k, n, v.transA, v.transB) {
+						// gemm runs this shape serially; split it anyway.
+						gemmParallel(got, v.a, v.b, m, k, n, v.transA, v.transB, gemmWorkers(m, k, n))
+					} else {
+						gemm(got, v.a, v.b, m, k, n, v.transA, v.transB)
+					}
 					SetKernelParallelism(1)
 					for i := range want.Data {
 						if got.Data[i] != want.Data[i] {
